@@ -147,8 +147,7 @@ def make_unlink_adversary(name: str, scheme, pop, leak: LeakSet, tau: int,
 # subcommands
 
 
-def cmd_metrics(cfg: dict, jobs: int) -> tuple:
-    scheme, pop = _build(cfg)
+def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
     trials = cfg["trials"]
     seed = cfg["seed"]
     tau = cfg["tau"]
@@ -214,9 +213,8 @@ def cmd_metrics(cfg: dict, jobs: int) -> tuple:
     return {"metrics": entries}, 0
 
 
-def cmd_game(cfg: dict, game: str, adversary_name: str, jobs: int,
+def cmd_game(cfg: dict, scheme, pop, game: str, adversary_name: str, jobs: int,
              cross_rates: bool = False) -> tuple:
-    scheme, pop = _build(cfg)
     leak = LeakSet.parse(cfg["lambda"])
     tau = cfg["tau"]
     trials = cfg["trials"]
@@ -245,40 +243,22 @@ def cmd_game(cfg: dict, game: str, adversary_name: str, jobs: int,
     raise ConfigError(f"unknown game {game!r}")
 
 
-_THEOREMS = ("t1", "t2", "t3", "t4", "all")
+_THEOREMS = (*verify.THEOREMS, "all")
 
 
-def cmd_verify(cfg: dict, theorem: str, jobs: int,
+def cmd_verify(cfg: dict, scheme, pop, theorem: str, jobs: int,
                leak_arg: str | None = None) -> tuple:
-    scheme, pop = _build(cfg)
-    tau = cfg["tau"]
-    trials = cfg["trials"]
-    seed = cfg["seed"]
-    budget = cfg["query_budget"]
-    kw = dict(trials=trials, seed=seed, budget=budget, jobs=jobs)
-    leaks = ([LeakSet.parse(leak_arg)] if leak_arg
-             else [LeakSet.parse("pi"), LeakSet.parse("ad")])
-    verdicts = []
-    if theorem == "all":
-        verdicts = verify.verify_all(scheme, pop, tau=tau, delta=cfg["delta"],
-                                     gamma=cfg["gamma"], **kw)
-    elif theorem == "t1":
-        for leak in leaks:
-            verdicts.append(verify.check_thm_irr_relations(
-                scheme, pop, leak, tau, **kw))
-    elif theorem == "t2":
-        verdicts.append(verify.check_thm_pal_unachievable(
-            scheme, pop, delta=cfg["delta"], gamma=cfg["gamma"],
-            trials=min(trials, 5000), seed=seed, budget=budget, jobs=jobs,
-            stats_outer=cfg["stats_outer"], stats_inner=cfg["stats_inner"]))
-    elif theorem == "t3":
-        verdicts.append(verify.check_thm_unlink_unachievable(scheme, pop, **kw))
-    elif theorem == "t4":
-        for leak in leaks:
-            verdicts.append(verify.check_thm_unlink_irr_bound(
-                scheme, pop, leak, tau, **kw))
-    else:
+    if theorem not in _THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}; choose from {_THEOREMS}")
+    checks = (verify.THEOREMS.values() if theorem == "all"
+              else [verify.THEOREMS[theorem]])
+    leaks = ([LeakSet.parse(leak_arg)] if leak_arg
+             else verify.SINGLE_PART_LEAKS)
+    settings = verify.VerifySettings(
+        tau=cfg["tau"], delta=cfg["delta"], gamma=cfg["gamma"],
+        trials=cfg["trials"], seed=cfg["seed"], budget=cfg["query_budget"],
+        jobs=jobs, stats_outer=cfg["stats_outer"], stats_inner=cfg["stats_inner"])
+    verdicts = [v for check in checks for v in check(scheme, pop, leaks, settings)]
     body = {"theorems": [v.to_dict() for v in verdicts]}
     code = 0 if all(v.status != verify.FAIL for v in verdicts) else 1
     return body, code
@@ -336,15 +316,15 @@ def main(argv=None) -> int:
             overrides["lambda"] = args.leak
         cfg = load_config(args.config, overrides)
         jobs = max(1, args.jobs)
-        if args.cmd == "metrics":
-            body, code = cmd_metrics(cfg, jobs)
-        elif args.cmd == "game":
-            body, code = cmd_game(cfg, args.game, args.adversary, jobs,
-                                  cross_rates=args.cross_rates)
-        else:
-            body, code = cmd_verify(cfg, args.theorem, jobs,
-                                    leak_arg=args.leak)
         scheme, pop = _build(cfg)
+        if args.cmd == "metrics":
+            body, code = cmd_metrics(cfg, scheme, pop, jobs)
+        elif args.cmd == "game":
+            body, code = cmd_game(cfg, scheme, pop, args.game, args.adversary,
+                                  jobs, cross_rates=args.cross_rates)
+        else:
+            body, code = cmd_verify(cfg, scheme, pop, args.theorem, jobs,
+                                    leak_arg=args.leak)
         report = make_report(args.cmd, _config_echo(cfg, scheme, pop), body,
                              timings={"wall_s": round(time.time() - t0, 3)})
         write_report(report, args.out, args.format)

@@ -262,14 +262,9 @@ class SchemeEnumerator:
         )
         return float(row @ self.pmf_mix)
 
-    def pt_rate_distribution(self) -> tuple:
-        """(weights, rates) of the per-template match rate random variable."""
-        rates = self.M_pt @ self.pmf_mix
-        return self.w_mix, rates
-
     def pt_match_stats(self) -> tuple:
         """(mean, population std dev) of the per-template match rate."""
-        w, r = self.pt_rate_distribution()
+        w, r = self.w_mix, self.M_pt @ self.pmf_mix
         mean = float(w @ r)
         var = float(w @ (r - mean) ** 2)
         return mean, math.sqrt(max(var, 0.0))

@@ -147,6 +147,16 @@ def _transcript_digest(*parts) -> str:
 
 @dataclass
 class _IrrSpec:
+    """Inversion trials, scored once for every win rule.
+
+    Each trial records the Hamming distance of the guess to the challenge
+    feature (-1 where the budget cut the trial) and, when `score_pic` is
+    set, whether the comparator accepts the guess against the challenge
+    template.  Exact recovery (d = 0), within-tau (d <= tau) and
+    acceptance wins are reductions over those arrays.  `tau` is None in
+    the pseudo-authorized-leakage variant.
+    """
+
     scheme: BtpScheme
     pop: Population
     leak: LeakSet
@@ -154,15 +164,16 @@ class _IrrSpec:
     adversary: IrrAdversary
     budget: int
     label: str
-    pal_win: bool
+    score_pic: bool
     record: bool = False
 
     def run_range(self, seed, lo, hi, trace=None):
         params = GameParams(self.scheme, self.pop)
-        wins = np.zeros(hi - lo, dtype=bool)
+        dist = np.full(hi - lo, -1, dtype=np.int64)
+        accepted = np.zeros(hi - lo, dtype=bool)
         flagged = np.zeros(hi - lo, dtype=bool)
         queries = {"adv_phase1": 0, "adv_phase2": 0, "challenger": 0}
-        digests = [] if self.record else None
+        transcripts = [] if self.record else None
         for i in range(lo, hi):
             rng_ch = substream(seed, self.label, i, "ch")
             rng_adv = substream(seed, self.label, i, "adv")
@@ -170,7 +181,6 @@ class _IrrSpec:
             oracle1 = SamplingOracle(self.pop, rng_samp, self.budget)
             oracle2 = SamplingOracle(self.pop, rng_samp, self.budget)
             oracle_ch = SamplingOracle(self.pop, rng_ch, self.budget)
-            win = False
             guess = None
             x = None
             try:
@@ -189,23 +199,18 @@ class _IrrSpec:
                 guess = self.adversary.phase2(state, view, oracle2, rng_adv)
                 if trace is not None:
                     trace.append("decide")
-                if self.pal_win:
-                    win = self.scheme.pic(pt.pi, self.scheme.pir(pt.alpha, guess))
-                else:
-                    win = hamming_distance(x, guess) <= self.tau
+                dist[i - lo] = hamming_distance(x, guess)
+                if self.score_pic:
+                    accepted[i - lo] = self.scheme.pic(
+                        pt.pi, self.scheme.pir(pt.alpha, guess))
             except BudgetExceededError:
                 flagged[i - lo] = True
-            wins[i - lo] = win
             queries["adv_phase1"] += oracle1.query_count
             queries["adv_phase2"] += oracle2.query_count
             queries["challenger"] += oracle_ch.query_count
-            if digests is not None:
-                digests.append(_transcript_digest(
-                    x if x is not None else "-",
-                    guess if guess is not None else "-",
-                    "w" if win else "l",
-                ))
-        return wins, flagged, queries, digests
+            if transcripts is not None:
+                transcripts.append((_canon(x), _canon(guess)))
+        return dist, accepted, flagged, queries, transcripts
 
 
 @dataclass
@@ -292,6 +297,31 @@ def _merge_queries(parts_queries):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _IrrRecord:
+    """Per-trial arrays of an `_IrrSpec` run, merged over its chunks."""
+
+    dist: np.ndarray
+    accepted: np.ndarray
+    flagged: np.ndarray
+    queries: dict
+    transcripts: list | None
+
+    def within(self, tau: int) -> np.ndarray:
+        return (self.dist >= 0) & (self.dist <= tau)
+
+
+def _run_irr(spec: _IrrSpec, trials, seed, jobs) -> _IrrRecord:
+    parts = _run_spec(spec, trials, seed, jobs)
+    return _IrrRecord(
+        dist=np.concatenate([p[0] for p in parts]),
+        accepted=np.concatenate([p[1] for p in parts]),
+        flagged=np.concatenate([p[2] for p in parts]),
+        queries=_merge_queries(p[3] for p in parts),
+        transcripts=[t for p in parts for t in p[4]] if spec.record else None,
+    )
+
+
 # --------------------------------------------------------------------------
 # public game runners
 
@@ -308,8 +338,9 @@ def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversar
     if baseline is None:
         baseline = extremal_mr(pop, tau)
     spec = _IrrSpec(scheme, pop, leak, tau, adversary, budget,
-                    f"al{tau}:{leak}", pal_win=False, record=record_transcripts)
-    return _finish_irr("al-irr", spec, trials, seed, level, jobs, baseline)
+                    f"al{tau}:{leak}", score_pic=False, record=record_transcripts)
+    rec = _run_irr(spec, trials, seed, jobs)
+    return _irr_result("al-irr", spec, rec, rec.within(tau), level, baseline)
 
 
 def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
@@ -322,26 +353,26 @@ def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
     if baseline is None:
         baseline = extremal_rmr(scheme, pop)
     spec = _IrrSpec(scheme, pop, leak, None, adversary, budget,
-                    f"pal:{leak}", pal_win=True, record=record_transcripts)
-    return _finish_irr("pal-irr", spec, trials, seed, level, jobs, baseline)
+                    f"pal:{leak}", score_pic=True, record=record_transcripts)
+    rec = _run_irr(spec, trials, seed, jobs)
+    return _irr_result("pal-irr", spec, rec, rec.accepted, level, baseline)
 
 
-def _finish_irr(game, spec, trials, seed, level, jobs, baseline):
-    parts = _run_spec(spec, trials, seed, jobs)
-    wins = int(sum(p[0].sum() for p in parts))
-    flagged = int(sum(p[1].sum() for p in parts))
-    queries = _merge_queries(p[2] for p in parts)
+def _irr_result(game, spec, rec: _IrrRecord, wins: np.ndarray, level,
+                baseline) -> GameResult:
     digests = None
-    if spec.record:
-        digests = [d for p in parts for d in p[3]]
+    if rec.transcripts is not None:
+        digests = [_transcript_digest(x, guess, "w" if w else "l")
+                   for (x, guess), w in zip(rec.transcripts, wins)]
     win_rate = AdvantageEstimate.from_counts(
-        wins, trials, level,
-        queries_used=queries["adv_phase1"] + queries["adv_phase2"])
+        int(wins.sum()), len(wins), level,
+        queries_used=rec.queries["adv_phase1"] + rec.queries["adv_phase2"])
     return GameResult(
-        game=game, leak=str(spec.leak), trials=trials, wins=wins,
+        game=game, leak=str(spec.leak), trials=len(wins), wins=int(wins.sum()),
         win_rate=win_rate, advantage=win_rate.shifted(-baseline.value),
-        baseline=baseline.value, baseline_mode=baseline.mode, flagged=flagged,
-        queries=queries, adversary=getattr(spec.adversary, "name", "custom"),
+        baseline=baseline.value, baseline_mode=baseline.mode,
+        flagged=int(rec.flagged.sum()), queries=rec.queries,
+        adversary=getattr(spec.adversary, "name", "custom"),
         transcript_digests=digests,
     )
 
@@ -465,63 +496,21 @@ class CoupledIrrResult:
         }
 
 
-@dataclass
-class _CoupledSpec:
-    scheme: BtpScheme
-    pop: Population
-    leak: LeakSet
-    tau: int
-    adversary: IrrAdversary
-    budget: int
-    label: str
-
-    def run_range(self, seed, lo, hi, trace=None):
-        params = GameParams(self.scheme, self.pop)
-        m = hi - lo
-        fl = np.zeros(m, dtype=bool)
-        al = np.zeros(m, dtype=bool)
-        pal = np.zeros(m, dtype=bool)
-        flagged = np.zeros(m, dtype=bool)
-        for i in range(lo, hi):
-            rng_ch = substream(seed, self.label, i, "ch")
-            rng_adv = substream(seed, self.label, i, "adv")
-            rng_samp = substream(seed, self.label, i, "samp")
-            oracle1 = SamplingOracle(self.pop, rng_samp, self.budget)
-            oracle2 = SamplingOracle(self.pop, rng_samp, self.budget)
-            oracle_ch = SamplingOracle(self.pop, rng_ch, self.budget)
-            try:
-                state = self.adversary.phase1(params, self.leak, self.tau,
-                                              oracle1, rng_adv)
-                u = int(rng_ch.integers(self.pop.num_users))
-                x = oracle_ch.sample(u)
-                pt = self.scheme.pie(x, rng_ch)
-                guess = self.adversary.phase2(state, leak_view(pt, self.leak),
-                                              oracle2, rng_adv)
-                d = hamming_distance(x, guess)
-                fl[i - lo] = d <= 0
-                al[i - lo] = d <= self.tau
-                pal[i - lo] = self.scheme.pic(
-                    pt.pi, self.scheme.pir(pt.alpha, guess))
-            except BudgetExceededError:
-                flagged[i - lo] = True
-        return fl, al, pal, flagged
-
-
 def run_coupled_irr_trials(scheme, pop, leak: LeakSet, tau: int,
                            adversary: IrrAdversary, trials: int, seed: int = 0,
                            budget: int = 10**6, jobs: int = 1) -> CoupledIrrResult:
     """One authorized-leakage transcript per trial, scored under all three
     win rules with shared randomness."""
-    spec = _CoupledSpec(scheme, pop, leak, tau, adversary, budget,
-                        f"coupled{tau}:{leak}")
-    parts = _run_spec(spec, trials, seed, jobs)
+    spec = _IrrSpec(scheme, pop, leak, tau, adversary, budget,
+                    f"coupled{tau}:{leak}", score_pic=True)
+    rec = _run_irr(spec, trials, seed, jobs)
     return CoupledIrrResult(
         tau=tau,
         trials=trials,
-        wins_fl=np.concatenate([p[0] for p in parts]),
-        wins_al=np.concatenate([p[1] for p in parts]),
-        wins_pal=np.concatenate([p[2] for p in parts]),
-        flagged=int(sum(p[3].sum() for p in parts)),
+        wins_fl=rec.within(0),
+        wins_al=rec.within(tau),
+        wins_pal=rec.accepted,
+        flagged=int(rec.flagged.sum()),
     )
 
 
@@ -529,7 +518,7 @@ def trace_irr_trial(scheme, pop, leak: LeakSet, tau, adversary: IrrAdversary,
                     seed: int = 0, pal: bool = False, budget: int = 10**6) -> list:
     """Step order of a single inversion-game trial, for fidelity checks."""
     spec = _IrrSpec(scheme, pop, leak, None if pal else tau, adversary, budget,
-                    "trace", pal_win=pal)
+                    "trace", score_pic=pal)
     trace = []
     spec.run_range(seed, 0, 1, trace=trace)
     return trace

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import exact
 from .errors import ConfigError, ModeError
@@ -32,7 +32,7 @@ CHUNK_TRIALS = 1024
 def z_value(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ConfigError(f"confidence level must be in (0,1), got {level}")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def wilson_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
@@ -50,21 +50,6 @@ def wilson_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
     return (lo, hi)
 
 
-def normal_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
-    """Wald interval; kept for comparison, clipped to [0, 1]."""
-    if trials <= 0:
-        return (0.0, 1.0)
-    phat = wins / trials
-    half = z_value(level) * math.sqrt(phat * (1 - phat) / trials)
-    return (max(0.0, phat - half), min(1.0, phat + half))
-
-
-INTERVAL_METHODS = {
-    "wilson": wilson_interval,
-    "normal": normal_interval,
-}
-
-
 def proportion_se(phat: float, trials: int) -> float:
     if trials <= 0:
         return float("inf")
@@ -80,7 +65,6 @@ class AdvantageEstimate:
     ci_low: float
     ci_high: float
     queries_used: int = 0
-    method: str = "wilson"
 
     def __post_init__(self):
         if self.trials < 0:
@@ -92,30 +76,16 @@ class AdvantageEstimate:
 
     @classmethod
     def from_counts(cls, wins: int, trials: int, level: float = 0.95,
-                    queries_used: int = 0,
-                    method: str = "wilson") -> "AdvantageEstimate":
-        try:
-            interval = INTERVAL_METHODS[method]
-        except KeyError:
-            raise ConfigError(
-                f"unknown interval method {method!r}; choose from "
-                f"{sorted(INTERVAL_METHODS)}"
-            ) from None
-        lo, hi = interval(wins, trials, level)
+                    queries_used: int = 0) -> "AdvantageEstimate":
+        lo, hi = wilson_interval(wins, trials, level)
         return cls(point=wins / trials if trials else 0.0, trials=trials,
-                   ci_low=lo, ci_high=hi, queries_used=queries_used,
-                   method=method)
-
-    @classmethod
-    def exact_value(cls, value: float) -> "AdvantageEstimate":
-        return cls(point=value, trials=0, ci_low=value, ci_high=value,
-                   method="exact")
+                   ci_low=lo, ci_high=hi, queries_used=queries_used)
 
     def shifted(self, offset: float) -> "AdvantageEstimate":
         return AdvantageEstimate(
             point=self.point + offset, trials=self.trials,
             ci_low=self.ci_low + offset, ci_high=self.ci_high + offset,
-            queries_used=self.queries_used, method=self.method,
+            queries_used=self.queries_used,
         )
 
     @property
@@ -132,7 +102,7 @@ class AdvantageEstimate:
             "ci": [self.ci_low, self.ci_high],
             "trials": self.trials,
             "queries": self.queries_used,
-            "method": self.method,
+            "method": "wilson",
         }
 
 
@@ -149,8 +119,7 @@ def absolute_advantage(win_rate: AdvantageEstimate) -> AdvantageEstimate:
     else:
         lo, hi = sorted((abs(lo2), abs(hi2)))
     return AdvantageEstimate(point=point, trials=win_rate.trials, ci_low=lo,
-                             ci_high=hi, queries_used=win_rate.queries_used,
-                             method=win_rate.method)
+                             ci_high=hi, queries_used=win_rate.queries_used)
 
 
 def entropy_bits(rate: float) -> float:

@@ -227,7 +227,3 @@ class SamplingOracle:
             )
         self.query_count += 1
         return self.population.sample(u, self.rng)
-
-    @property
-    def remaining(self) -> int:
-        return self.query_budget - self.query_count

@@ -248,23 +248,50 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     )
 
 
-def verify_all(scheme: BtpScheme, pop: Population, tau: int = 1,
-               delta: float = 0.16, gamma: float = 0.5, trials: int = 10000,
-               seed: int = 0, budget: int = 10**6, jobs: int = 1) -> list:
-    """The full relation diagram: T1 and T4 once per single-part leak set,
-    T2 and T3 on the full template."""
-    verdicts = []
-    for leak in (LEAK_PI, LEAK_AD):
-        verdicts.append(check_thm_irr_relations(
-            scheme, pop, leak, tau, trials=trials, seed=seed, budget=budget,
-            jobs=jobs))
-    verdicts.append(check_thm_pal_unachievable(
-        scheme, pop, delta=delta, gamma=gamma, trials=min(trials, 5000),
-        seed=seed, budget=budget, jobs=jobs))
-    verdicts.append(check_thm_unlink_unachievable(
-        scheme, pop, trials=trials, seed=seed, budget=budget, jobs=jobs))
-    for leak in (LEAK_PI, LEAK_AD):
-        verdicts.append(check_thm_unlink_irr_bound(
-            scheme, pop, leak, tau, trials=trials, seed=seed, budget=budget,
-            jobs=jobs))
-    return verdicts
+@dataclass(frozen=True)
+class VerifySettings:
+    """Settings shared by every theorem check, named as in the CLI config
+    (`budget` is its `query_budget`)."""
+
+    tau: int = 1
+    delta: float = 0.16
+    gamma: float = 0.5
+    trials: int = 10000
+    seed: int = 0
+    budget: int = 10**6
+    jobs: int = 1
+    stats_outer: int = 600
+    stats_inner: int = 400
+
+    @property
+    def game_kw(self) -> dict:
+        return dict(trials=self.trials, seed=self.seed, budget=self.budget,
+                    jobs=self.jobs)
+
+
+SINGLE_PART_LEAKS = (LEAK_PI, LEAK_AD)
+
+# The relation diagram in report order.  Each entry maps (scheme, pop,
+# leaks, settings) to its verdicts; T1 and T4 run once per leak set, T2
+# and T3 on the full template.
+THEOREMS = {
+    "t1": lambda scheme, pop, leaks, s: [
+        check_thm_irr_relations(scheme, pop, leak, s.tau, **s.game_kw)
+        for leak in leaks],
+    "t2": lambda scheme, pop, leaks, s: [check_thm_pal_unachievable(
+        scheme, pop, delta=s.delta, gamma=s.gamma, trials=min(s.trials, 5000),
+        seed=s.seed, stats_outer=s.stats_outer, stats_inner=s.stats_inner,
+        budget=s.budget, jobs=s.jobs)],
+    "t3": lambda scheme, pop, leaks, s: [
+        check_thm_unlink_unachievable(scheme, pop, **s.game_kw)],
+    "t4": lambda scheme, pop, leaks, s: [
+        check_thm_unlink_irr_bound(scheme, pop, leak, s.tau, **s.game_kw)
+        for leak in leaks],
+}
+
+
+def verify_all(scheme: BtpScheme, pop: Population, **settings) -> list:
+    """The full relation diagram; `settings` are `VerifySettings` fields."""
+    s = VerifySettings(**settings)
+    return [v for check in THEOREMS.values()
+            for v in check(scheme, pop, SINGLE_PART_LEAKS, s)]

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import btpeval
 from btpeval import cli, verify
 from btpeval.report import strip_timings
 
@@ -180,6 +184,45 @@ class TestSchema:
         assert [t["id"] for t in ts] == ["T1", "T1", "T2", "T3", "T4", "T4"]
         assert [t.get("lambda") for t in ts] == [
             "pi", "ad", "pi+ad", "pi+ad", "pi", "ad"]
+
+
+class TestSingleDispatch:
+    """`verify --theorem all` runs the same checks, with the same settings,
+    as the single theorems it is made of."""
+
+    @pytest.mark.parametrize("theorem", ["t2", "all"])
+    def test_stats_config_reaches_t2(self, tmp_path, capsys, theorem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stats_outer": 50, "stats_inner": 40}))
+        code, out, _ = run_cli(["verify", "--theorem", theorem, "--config",
+                                str(cfg), "--trials", "200", "--seed", "2"],
+                               capsys)
+        assert code == 0
+        t2 = [t["details"] for t in load_json(out)["theorems"] if t["id"] == "T2"]
+        assert [(d["stats_outer"], d["stats_inner"]) for d in t2] == [(50, 40)]
+
+    @pytest.mark.parametrize("theorem, expected", [
+        ("t1", [("T1", "pi")]),
+        ("t4", [("T4", "pi")]),
+        ("all", [("T1", "pi"), ("T2", "pi+ad"), ("T3", "pi+ad"), ("T4", "pi")]),
+    ])
+    def test_lambda_selects_single_part_leak(self, capsys, theorem, expected):
+        code, out, _ = run_cli(["verify", "--theorem", theorem, "--lambda",
+                                "pi", "--trials", "200", "--seed", "2"], capsys)
+        assert code == 0
+        ts = load_json(out)["theorems"]
+        assert [(t["id"], t.get("lambda")) for t in ts] == expected
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(btpeval.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, btpeval.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestConfigHandling:

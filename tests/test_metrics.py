@@ -50,15 +50,6 @@ class TestIntervals:
         with pytest.raises(ConfigError):
             metrics.AdvantageEstimate(point=0.5, trials=10, ci_low=0.6, ci_high=0.9)
 
-    def test_interval_method_pluggable(self):
-        wilson = metrics.AdvantageEstimate.from_counts(13, 100)
-        wald = metrics.AdvantageEstimate.from_counts(13, 100, method="normal")
-        assert wilson.method == "wilson" and wald.method == "normal"
-        assert (wald.ci_low, wald.ci_high) != (wilson.ci_low, wilson.ci_high)
-        assert wald.ci_low <= 0.13 <= wald.ci_high
-        with pytest.raises(ConfigError):
-            metrics.AdvantageEstimate.from_counts(13, 100, method="exotic")
-
     def test_absolute_advantage_straddling(self):
         est = metrics.AdvantageEstimate(point=0.5, trials=100, ci_low=0.45,
                                         ci_high=0.58)
