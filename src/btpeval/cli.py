@@ -64,6 +64,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 cfg[key].update(value)
             else:
                 cfg[key] = value
+        # Listed centers fix U; only a U the user gave is checked against them.
+        user_pop = user.get("population")
+        if isinstance(user_pop, dict) and "centers" in user_pop and "U" not in user_pop:
+            del cfg["population"]["U"]
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
@@ -312,7 +316,7 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "trials": args.trials}
         if args.tau is not None:
             overrides["tau"] = args.tau
-        if args.leak is not None and args.cmd != "verify":
+        if args.leak is not None:
             overrides["lambda"] = args.leak
         cfg = load_config(args.config, overrides)
         jobs = max(1, args.jobs)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .metrics import (
     absolute_advantage,
     extremal_mr,
     extremal_rmr,
+    run_chunks,
 )
 from .population import FeatureElement, Population, SamplingOracle, hamming_distance
 from .rng import substream
@@ -273,20 +274,8 @@ class _UnlinkSpec:
         return wins, answers, flagged, queries, digests
 
 
-def _spec_worker(args):
-    spec, seed, lo, hi = args
-    return spec.run_range(seed, lo, hi)
-
-
 def _run_spec(spec, trials, seed, jobs):
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    tasks = [(spec, seed, lo, min(lo + GAME_CHUNK, trials))
-             for lo in range(0, trials, GAME_CHUNK)]
-    if jobs <= 1 or len(tasks) == 1:
-        return [_spec_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_spec_worker, tasks))
+    return run_chunks(partial(spec.run_range, seed), trials, GAME_CHUNK, jobs)
 
 
 def _merge_queries(parts_queries):

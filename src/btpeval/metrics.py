@@ -4,7 +4,9 @@ Every estimator here has an exhaustive twin in `exact` that the tests hold
 it to.  Estimators draw all randomness from streams derived via
 (seed, label, chunk_index) with a fixed chunk size, so a result depends
 only on (inputs, seed, trials) and never on how chunks were scheduled
-across workers.
+across workers.  Every rate that counts comparator decisions is one
+configuration of `_AcceptKernel`, and `run_chunks` is the one chunk
+runner of metrics and games.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -133,206 +136,103 @@ def entropy_bits(rate: float) -> float:
 # chunked deterministic trial runner
 
 
-def _kernel_call(args):
-    kernel, seed, label, chunk_index, m = args
-    return kernel(substream(seed, label, chunk_index), m)
-
-
-def _run_chunks(kernel, trials: int, seed: int, label: str, jobs: int = 1):
-    """Run `trials` trials in fixed-size chunks; returns the list of chunk
-    results in chunk order (scheduling independent)."""
+def run_chunks(work, trials: int, chunk: int, jobs: int = 1) -> list:
+    """Call `work(lo, hi)` on consecutive ranges of at most `chunk` trials;
+    returns the results in range order, serially or on `jobs` processes
+    (scheduling independent)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    tasks = []
-    for ci, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
-        tasks.append((kernel, seed, label, ci, min(CHUNK_TRIALS, trials - lo)))
-    if jobs <= 1 or len(tasks) == 1:
-        return [_kernel_call(t) for t in tasks]
+    los = range(0, trials, chunk)
+    his = [min(lo + chunk, trials) for lo in los]
+    if jobs <= 1 or len(los) == 1:
+        return [work(lo, hi) for lo, hi in zip(los, his)]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_kernel_call, tasks))
+        return list(ex.map(work, los, his))
+
+
+def _kernel_range(kernel, seed, label, lo, hi):
+    return kernel(substream(seed, label, lo // CHUNK_TRIALS), hi - lo)
+
+
+def _run_kernel(kernel, trials, seed, label, jobs) -> list:
+    """Chunk results of `kernel`, each chunk on its own derived stream."""
+    return run_chunks(partial(_kernel_range, kernel, seed, label), trials,
+                      CHUNK_TRIALS, jobs)
 
 
 def _count_rate(kernel, trials, seed, label, level, jobs) -> AdvantageEstimate:
-    wins = sum(_run_chunks(kernel, trials, seed, label, jobs))
+    wins = sum(_run_kernel(kernel, trials, seed, label, jobs))
     return AdvantageEstimate.from_counts(
         wins, trials, level, queries_used=trials * kernel.queries_per_trial
     )
 
 
 # --------------------------------------------------------------------------
-# trial kernels (top-level, picklable)
+# the acceptance-count kernel (top-level, picklable)
 
 
 @dataclass
-class _BaselineFnmrKernel:
+class _AcceptKernel:
+    """Counts comparator accepts (or rejects) over m trials.
+
+    A trial draws a user u, then a distinct user v only when an
+    enrollment is owned by "v", then the probe (a capture of u unless
+    `probe` is fixed), then one enrollment capture per entry of `owners`.
+    The comparator enrolls each capture and probes with the `alpha` of
+    enrollment `alpha_from` against the `pi` of enrollment `pi_from`; a
+    fixed `template` replaces enrollment.  With `scheme` None it is the
+    raw distance d(probe, enrollment 0) <= tau, counted in one array op.
+    """
+
     pop: Population
-    tau: int
-    queries_per_trial: int = 2
+    scheme: BtpScheme | None = None
+    tau: int = 0
+    owners: tuple = ("u",)
+    probe: FeatureElement | None = None
+    template: object = None
+    pi_from: int = 0
+    alpha_from: int = 0
+    count_rejects: bool = False
+
+    @property
+    def queries_per_trial(self) -> int:
+        return len(self.owners) + (self.probe is None)
 
     def __call__(self, rng, m):
-        us = rng.integers(self.pop.num_users, size=m)
-        x = self.pop.sample_batch(us, rng)
-        y = self.pop.sample_batch(us, rng)
-        return int((np.bitwise_count(x ^ y) > self.tau).sum())
+        users = {"u": rng.integers(self.pop.num_users, size=m)}
+        if "v" in self.owners:
+            vs = rng.integers(self.pop.num_users - 1, size=m)
+            users["v"] = vs + (vs >= users["u"])
+        probes = (self.pop.sample_batch(users["u"], rng) if self.probe is None
+                  else None)
+        enrolls = [self.pop.sample_batch(users[o], rng) for o in self.owners]
+        if self.scheme is None:
+            x = probes if self.probe is None else np.uint64(self.probe.value)
+            accepts = int((np.bitwise_count(x ^ enrolls[0]) <= self.tau).sum())
+        else:
+            accepts = self._scheme_accepts(probes, enrolls, rng, m)
+        return m - accepts if self.count_rejects else accepts
 
-
-@dataclass
-class _BaselineFmrKernel:
-    pop: Population
-    tau: int
-    queries_per_trial: int = 2
-
-    def __call__(self, rng, m):
-        us, vs = _distinct_pairs(rng, self.pop.num_users, m)
-        x = self.pop.sample_batch(us, rng)
-        y = self.pop.sample_batch(vs, rng)
-        return int((np.bitwise_count(x ^ y) <= self.tau).sum())
-
-
-def _distinct_pairs(rng, num_users, m):
-    us = rng.integers(num_users, size=m)
-    vs = rng.integers(num_users - 1, size=m)
-    vs = vs + (vs >= us)
-    return us, vs
-
-
-@dataclass
-class _SchemeFnmrKernel:
-    scheme: BtpScheme
-    pop: Population
-    queries_per_trial: int = 2
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us = rng.integers(self.pop.num_users, size=m)
-        probes = self.pop.sample_batch(us, rng)
-        enrolls = self.pop.sample_batch(us, rng)
-        wins = 0
+    def _scheme_accepts(self, probes, enrolls, rng, m) -> int:
+        scheme, n = self.scheme, self.pop.n
+        accepts = 0
         for i in range(m):
-            pt = self.scheme.pie(FeatureElement(n, int(enrolls[i])), rng)
-            vid = self.scheme.pir(pt.alpha, FeatureElement(n, int(probes[i])))
-            if not self.scheme.pic(pt.pi, vid):
-                wins += 1
-        return wins
-
-
-@dataclass
-class _FmrTpKernel:
-    scheme: BtpScheme
-    pop: Population
-    factor: str
-    queries_per_trial: int = 3
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us, vs = _distinct_pairs(rng, self.pop.num_users, m)
-        probes = self.pop.sample_batch(us, rng)
-        enr_u = self.pop.sample_batch(us, rng)
-        enr_v = self.pop.sample_batch(vs, rng)
-        wins = 0
-        for i in range(m):
-            pt_u = self.scheme.pie(FeatureElement(n, int(enr_u[i])), rng)
-            pt_v = self.scheme.pie(FeatureElement(n, int(enr_v[i])), rng)
-            x = FeatureElement(n, int(probes[i]))
-            if self.factor == "ad":
-                win = self.scheme.pic(pt_v.pi, self.scheme.pir(pt_u.alpha, x))
+            if self.template is None:
+                pts = [scheme.pie(FeatureElement(n, int(e[i])), rng)
+                       for e in enrolls]
             else:
-                win = self.scheme.pic(pt_u.pi, self.scheme.pir(pt_v.alpha, x))
-            wins += win
-        return wins
-
-
-@dataclass
-class _FmrBpKernel:
-    scheme: BtpScheme
-    pop: Population
-    queries_per_trial: int = 2
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us, vs = _distinct_pairs(rng, self.pop.num_users, m)
-        probes = self.pop.sample_batch(us, rng)
-        enrolls = self.pop.sample_batch(vs, rng)
-        wins = 0
-        for i in range(m):
-            pt = self.scheme.pie(FeatureElement(n, int(enrolls[i])), rng)
-            vid = self.scheme.pir(pt.alpha, FeatureElement(n, int(probes[i])))
-            wins += self.scheme.pic(pt.pi, vid)
-        return wins
-
-
-@dataclass
-class _FmrDivKernel:
-    scheme: BtpScheme
-    pop: Population
-    queries_per_trial: int = 3
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us = rng.integers(self.pop.num_users, size=m)
-        probes = self.pop.sample_batch(us, rng)
-        enr_old = self.pop.sample_batch(us, rng)
-        enr_new = self.pop.sample_batch(us, rng)
-        wins = 0
-        for i in range(m):
-            pt_old = self.scheme.pie(FeatureElement(n, int(enr_old[i])), rng)
-            pt_new = self.scheme.pie(FeatureElement(n, int(enr_new[i])), rng)
-            vid = self.scheme.pir(pt_new.alpha, FeatureElement(n, int(probes[i])))
-            wins += self.scheme.pic(pt_old.pi, vid)
-        return wins
-
-
-@dataclass
-class _MrKernel:
-    pop: Population
-    x: FeatureElement
-    tau: int
-    queries_per_trial: int = 1
-
-    def __call__(self, rng, m):
-        us = rng.integers(self.pop.num_users, size=m)
-        draws = self.pop.sample_batch(us, rng)
-        return int((np.bitwise_count(draws ^ np.uint64(self.x.value)) <= self.tau).sum())
-
-
-@dataclass
-class _RmrKernel:
-    scheme: BtpScheme
-    pop: Population
-    x: FeatureElement
-    queries_per_trial: int = 1
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us = rng.integers(self.pop.num_users, size=m)
-        enrolls = self.pop.sample_batch(us, rng)
-        wins = 0
-        for i in range(m):
-            pt = self.scheme.pie(FeatureElement(n, int(enrolls[i])), rng)
-            wins += self.scheme.pic(pt.pi, self.scheme.pir(pt.alpha, self.x))
-        return wins
-
-
-@dataclass
-class _PtRateKernel:
-    scheme: BtpScheme
-    pop: Population
-    pt: object
-    queries_per_trial: int = 1
-
-    def __call__(self, rng, m):
-        n = self.pop.n
-        us = rng.integers(self.pop.num_users, size=m)
-        probes = self.pop.sample_batch(us, rng)
-        wins = 0
-        for i in range(m):
-            vid = self.scheme.pir(self.pt.alpha, FeatureElement(n, int(probes[i])))
-            wins += self.scheme.pic(self.pt.pi, vid)
-        return wins
+                pts = [self.template]
+            x = (FeatureElement(n, int(probes[i])) if self.probe is None
+                 else self.probe)
+            vid = scheme.pir(pts[self.alpha_from].alpha, x)
+            accepts += scheme.pic(pts[self.pi_from].pi, vid)
+        return accepts
 
 
 @dataclass
 class _PtStatsKernel:
+    """Per-template match rates: enroll one capture, rate its template."""
+
     scheme: BtpScheme
     pop: Population
     trials_inner: int
@@ -342,18 +242,12 @@ class _PtStatsKernel:
         return 1 + self.trials_inner
 
     def __call__(self, rng, m):
-        n = self.pop.n
         rates = np.empty(m)
         for i in range(m):
             u = int(rng.integers(self.pop.num_users))
             pt = self.scheme.pie(self.pop.sample(u, rng), rng)
-            us = rng.integers(self.pop.num_users, size=self.trials_inner)
-            probes = self.pop.sample_batch(us, rng)
-            wins = 0
-            for pv in probes:
-                vid = self.scheme.pir(pt.alpha, FeatureElement(n, int(pv)))
-                wins += self.scheme.pic(pt.pi, vid)
-            rates[i] = wins / self.trials_inner
+            rate = _AcceptKernel(self.pop, self.scheme, owners=(), template=pt)
+            rates[i] = rate(rng, self.trials_inner) / self.trials_inner
         return rates
 
 
@@ -366,42 +260,49 @@ def est_baseline_rates(pop: Population, tau: int, trials: int, seed: int = 0,
     """(FNMR, FMR) of the raw distance comparator at threshold tau."""
     if pop.num_users < 2:
         raise ConfigError("FMR needs at least two users")
-    fnmr = _count_rate(_BaselineFnmrKernel(pop, tau), trials, seed,
-                       f"fnmr_d<={tau}", level, jobs)
-    fmr = _count_rate(_BaselineFmrKernel(pop, tau), trials, seed,
-                      f"fmr_d<={tau}", level, jobs)
+    fnmr = _count_rate(_AcceptKernel(pop, tau=tau, count_rejects=True),
+                       trials, seed, f"fnmr_d<={tau}", level, jobs)
+    fmr = _count_rate(_AcceptKernel(pop, tau=tau, owners=("v",)),
+                      trials, seed, f"fmr_d<={tau}", level, jobs)
     return fnmr, fmr
 
 
 def est_scheme_fnmr(scheme, pop, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_SchemeFnmrKernel(scheme, pop), trials, seed,
-                       "fnmr_scheme", level, jobs)
+    return _count_rate(_AcceptKernel(pop, scheme, count_rejects=True), trials,
+                       seed, "fnmr_scheme", level, jobs)
 
 
 def est_fmr_tp(scheme, pop, factor: str, trials, seed=0, level=0.95, jobs=1):
-    """False match rate for total performance; factor is "ad" or "pi"."""
+    """False match rate for total performance; factor is "ad" or "pi".
+
+    The factor names the part taken from the probe owner's own
+    enrollment; the other part comes from a distinct user's.
+    """
     if factor not in ("ad", "pi"):
         raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
     if pop.num_users < 2:
         raise ConfigError("total-performance FMR needs at least two users")
-    return _count_rate(_FmrTpKernel(scheme, pop, factor), trials, seed,
-                       f"fmr_tp_{factor}", level, jobs)
+    pi_from = 1 if factor == "ad" else 0
+    kernel = _AcceptKernel(pop, scheme, owners=("u", "v"), pi_from=pi_from,
+                           alpha_from=1 - pi_from)
+    return _count_rate(kernel, trials, seed, f"fmr_tp_{factor}", level, jobs)
 
 
 def est_fmr_bp(scheme, pop, trials, seed=0, level=0.95, jobs=1):
     if pop.num_users < 2:
         raise ConfigError("biometric-performance FMR needs at least two users")
-    return _count_rate(_FmrBpKernel(scheme, pop), trials, seed,
+    return _count_rate(_AcceptKernel(pop, scheme, owners=("v",)), trials, seed,
                        "fmr_bp", level, jobs)
 
 
 def est_fmr_div(scheme, pop, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_FmrDivKernel(scheme, pop), trials, seed,
-                       "fmr_div", level, jobs)
+    """The old enrollment's pi against the new enrollment's alpha."""
+    kernel = _AcceptKernel(pop, scheme, owners=("u", "u"), alpha_from=1)
+    return _count_rate(kernel, trials, seed, "fmr_div", level, jobs)
 
 
 def est_mr_of_feature(pop, x, tau, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_MrKernel(pop, x, tau), trials, seed,
+    return _count_rate(_AcceptKernel(pop, tau=tau, probe=x), trials, seed,
                        f"mr_x_{x.value}_tau{tau}", level, jobs)
 
 
@@ -411,13 +312,13 @@ def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
 
 
 def rmr_of_feature(scheme, pop, x, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_RmrKernel(scheme, pop, x), trials, seed,
+    return _count_rate(_AcceptKernel(pop, scheme, probe=x), trials, seed,
                        f"rmr_x_{x.value}", level, jobs)
 
 
 def pt_match_rate(scheme, pop, pt, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_PtRateKernel(scheme, pop, pt), trials, seed,
-                       "pt_rate", level, jobs)
+    return _count_rate(_AcceptKernel(pop, scheme, owners=(), template=pt),
+                       trials, seed, "pt_rate", level, jobs)
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +506,7 @@ def pt_match_stats(scheme, pop, trials_outer: int, trials_inner: int,
     if trials_inner < 2:
         raise ConfigError("trials_inner must be >= 2")
     kernel = _PtStatsKernel(scheme, pop, trials_inner)
-    parts = _run_chunks(kernel, trials_outer, seed, "pt_stats", jobs)
+    parts = _run_kernel(kernel, trials_outer, seed, "pt_stats", jobs)
     rates = np.concatenate(parts)
     no = len(rates)
     mean = float(rates.mean())

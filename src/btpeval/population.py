@@ -17,6 +17,13 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, DimensionError
 from .rng import substream
 
+MAX_N = 64  # captures are packed into one uint64 word
+
+
+def _check_dimension(n: int):
+    if not 1 <= n <= MAX_N:
+        raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
+
 
 @dataclass(frozen=True, slots=True)
 class FeatureElement:
@@ -103,6 +110,7 @@ class Population:
     centers: tuple
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if self.num_users < 2:
             raise ConfigError(f"need at least 2 users, got {self.num_users}")
         if not 0.0 <= self.flip_prob < 0.5:
@@ -189,8 +197,7 @@ def generate_population(
     from (seed, "population") so later consumers of the same seed do not
     disturb them.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    _check_dimension(n)
     if num_users < 2:
         raise ConfigError(f"U must be >= 2, got {num_users}")
     if not 0.0 <= flip_prob < 0.5:

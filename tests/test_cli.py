@@ -213,6 +213,14 @@ class TestSingleDispatch:
         ts = load_json(out)["theorems"]
         assert [(t["id"], t.get("lambda")) for t in ts] == expected
 
+    def test_lambda_echoed_in_config(self, capsys):
+        code, out, _ = run_cli(["verify", "--theorem", "t1", "--lambda", "pi",
+                                "--trials", "50", "--seed", "2"], capsys)
+        assert code == 0
+        report = load_json(out)
+        assert report["config"]["lambda"] == "pi"
+        assert [t["lambda"] for t in report["theorems"]] == ["pi"]
+
 
 class TestImportCost:
     def test_cli_import_leaves_scipy_out(self):
@@ -247,3 +255,23 @@ class TestConfigHandling:
         }))
         code, _, err = run_cli(["metrics", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_centers_without_user_count(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "population": {"n": 7, "p": 0.0,
+                           "centers": ["0000000", "1111111", "1010101"]},
+            "trials": 50,
+        }))
+        code, out, err = run_cli(["metrics", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert load_json(out)["config"]["population"]["U"] == 3
+
+    def test_dimension_over_64_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n": 70},
+                                   "scheme": {"scheme": "plain"}}))
+        code, _, err = run_cli(["metrics", "--config", str(cfg),
+                                "--trials", "10"], capsys)
+        assert code == 2
+        assert "64" in err

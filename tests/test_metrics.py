@@ -247,6 +247,18 @@ class TestFmrVariants:
         en = exact.enumerator(fc_scheme, default_pop)
         assert en.fmr_tp("ad") <= en.fmr_bp()
 
+    @pytest.mark.parametrize("scheme", [PlaintextScheme(7, tau=1),
+                                        RotationScheme(7, tau=2)],
+                             ids=["plain", "rot"])
+    def test_tp_factors_match_enumeration(self, default_pop, scheme):
+        # the two factors differ here (on fc both are 1/16), so taking pi
+        # and alpha from the wrong enrollments shows
+        en = exact.enumerator(scheme, default_pop)
+        for factor in ("ad", "pi"):
+            est = metrics.est_fmr_tp(scheme, default_pop, factor, 4000,
+                                     seed=37, level=0.99)
+            assert est.ci_low <= en.fmr_tp(factor) <= est.ci_high
+
     def test_rotation_full_threshold_matches_everything(self, default_pop):
         scheme = RotationScheme(7, tau=7)
         est = metrics.est_fmr_tp(scheme, default_pop, "ad", 500, seed=2)
@@ -471,11 +483,37 @@ class TestOverlapRates:
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
 
 
+def _fixed_template(scheme, pop):
+    return scheme.pie(pop.center(1), substream(4, "pt"))
+
+
+# Every count estimator, called as f(scheme, pop, trials, **kw), with the
+# captures one of its trials draws.
+COUNT_ESTIMATORS = {
+    "fnmr_d": (lambda s, p, t, **kw: metrics.est_baseline_rates(p, 1, t, **kw)[0], 2),
+    "fmr_d": (lambda s, p, t, **kw: metrics.est_baseline_rates(p, 1, t, **kw)[1], 2),
+    "fnmr_scheme": (metrics.est_scheme_fnmr, 2),
+    "fmr_tp_ad": (lambda s, p, t, **kw: metrics.est_fmr_tp(s, p, "ad", t, **kw), 3),
+    "fmr_tp_pi": (lambda s, p, t, **kw: metrics.est_fmr_tp(s, p, "pi", t, **kw), 3),
+    "fmr_bp": (metrics.est_fmr_bp, 2),
+    "fmr_div": (metrics.est_fmr_div, 3),
+    "mr": (lambda s, p, t, **kw:
+           metrics.est_mr_of_feature(p, p.center(0), 1, t, **kw), 1),
+    "rmr": (lambda s, p, t, **kw:
+            metrics.rmr_of_feature(s, p, p.center(0), t, **kw), 1),
+    "pt_rate": (lambda s, p, t, **kw:
+                metrics.pt_match_rate(s, p, _fixed_template(s, p), t, **kw), 1),
+}
+
+
 class TestParallelDeterminism:
-    def test_jobs_do_not_change_counts(self, fc_scheme, default_pop):
-        a = metrics.est_fmr_bp(fc_scheme, default_pop, 3000, seed=23, jobs=1)
-        b = metrics.est_fmr_bp(fc_scheme, default_pop, 3000, seed=23, jobs=2)
+    @pytest.mark.parametrize("name", list(COUNT_ESTIMATORS))
+    def test_jobs_do_not_change_counts(self, fc_scheme, default_pop, name):
+        estimator, captures = COUNT_ESTIMATORS[name]
+        a = estimator(fc_scheme, default_pop, 3000, seed=23, jobs=1)
+        b = estimator(fc_scheme, default_pop, 3000, seed=23, jobs=2)
         assert a == b
+        assert a.queries_used == 3000 * captures
 
     def test_stats_jobs_identical(self, fc_scheme, default_pop):
         a = metrics.pt_match_stats(fc_scheme, default_pop, 300, 100, seed=3, jobs=1)

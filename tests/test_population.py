@@ -106,11 +106,26 @@ class TestGeneratePopulation:
         with pytest.raises(ConfigError):
             generate_population(7, 16, 0.5, seed=1)
 
+    def test_dimension_over_64_rejected(self):
+        with pytest.raises(ConfigError, match="64"):
+            generate_population(70, 4, 0.03, seed=1)
+
+    def test_dimension_64_packs_every_bit(self):
+        pop = generate_population(64, 16, 0.0, seed=1)
+        assert any(c.bit(63) for c in pop.centers)
+        draws = pop.sample_batch(np.arange(16), substream(0, "n64"))
+        assert [int(v) for v in draws] == [c.value for c in pop.centers]
+
     def test_config_roundtrip(self):
         pop = generate_population(7, 16, 0.03, seed=1)
         again = Population.from_config(pop.to_config())
         assert again.centers == pop.centers
         assert again.flip_prob == pop.flip_prob
+
+    def test_population_over_64_bits_rejected(self):
+        centers = (FeatureElement(70, 1 << 69), FeatureElement(70, 3))
+        with pytest.raises(ConfigError, match="64"):
+            Population(n=70, flip_prob=0.03, seed=0, centers=centers)
 
     def test_config_user_count_mismatch(self):
         pop = generate_population(7, 4, 0.03, seed=1)
