@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
     "population": {"n": 7, "U": 16, "p": 0.03, "seed": 1},
     "scheme": {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}},
     "tau": 1,
-    "lambda": "pi+ad",
+    "lambda": None,  # games use pi+ad; verify runs T1/T4 on pi, then on ad
     "trials": 10000,
     "query_budget": 10**6,
     "seed": 1,
@@ -51,6 +51,30 @@ DEFAULT_CONFIG = {
 }
 
 
+# Every key some code path reads; a nested dict lists a block's keys.
+CONFIG_KEYS = {
+    "population": {"n": None, "U": None, "p": None, "seed": None,
+                   "centers": None},
+    "scheme": {"scheme": None, "tau": None,
+               "code": {"n": None, "k": None, "t": None, "generator": None}},
+    **dict.fromkeys(("tau", "lambda", "trials", "query_budget", "seed",
+                     "delta", "gamma", "stats_outer", "stats_inner",
+                     "sampler_queries")),
+}
+
+
+def _check_keys(block, allowed: dict, where: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
+                          f"allowed: {sorted(allowed)}")
+    for key, sub in allowed.items():
+        if sub is not None and key in block:
+            _check_keys(block[key], sub, f"{where}.{key}")
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
@@ -59,15 +83,18 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 user = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+        _check_keys(user, CONFIG_KEYS, "config")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)
             else:
                 cfg[key] = value
-        # Listed centers fix U; only a U the user gave is checked against them.
-        user_pop = user.get("population")
-        if isinstance(user_pop, dict) and "centers" in user_pop and "U" not in user_pop:
-            del cfg["population"]["U"]
+        # Listed centers fix U and n; only values the user gave are checked.
+        user_pop = user.get("population", {})
+        if user_pop.get("centers") is not None:
+            for key in ("U", "n"):
+                if key not in user_pop:
+                    del cfg["population"][key]
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
@@ -83,7 +110,8 @@ def _build(cfg):
 
 
 def _config_echo(cfg, scheme, pop) -> dict:
-    echo = {k: v for k, v in cfg.items() if k not in ("jobs", "out", "format")}
+    echo = dict(cfg)
+    echo["lambda"] = cfg["lambda"] or str(LEAK_BOTH)
     echo["population"] = pop.to_config()
     echo["scheme"] = scheme.describe()
     return echo
@@ -219,7 +247,7 @@ def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
 
 def cmd_game(cfg: dict, scheme, pop, game: str, adversary_name: str, jobs: int,
              cross_rates: bool = False) -> tuple:
-    leak = LeakSet.parse(cfg["lambda"])
+    leak = LeakSet.parse(cfg["lambda"] or str(LEAK_BOTH))
     tau = cfg["tau"]
     trials = cfg["trials"]
     seed = cfg["seed"]
@@ -250,13 +278,12 @@ def cmd_game(cfg: dict, scheme, pop, game: str, adversary_name: str, jobs: int,
 _THEOREMS = (*verify.THEOREMS, "all")
 
 
-def cmd_verify(cfg: dict, scheme, pop, theorem: str, jobs: int,
-               leak_arg: str | None = None) -> tuple:
+def cmd_verify(cfg: dict, scheme, pop, theorem: str, jobs: int) -> tuple:
     if theorem not in _THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}; choose from {_THEOREMS}")
     checks = (verify.THEOREMS.values() if theorem == "all"
               else [verify.THEOREMS[theorem]])
-    leaks = ([LeakSet.parse(leak_arg)] if leak_arg
+    leaks = ([LeakSet.parse(cfg["lambda"])] if cfg["lambda"]
              else verify.SINGLE_PART_LEAKS)
     settings = verify.VerifySettings(
         tau=cfg["tau"], delta=cfg["delta"], gamma=cfg["gamma"],
@@ -327,8 +354,7 @@ def main(argv=None) -> int:
             body, code = cmd_game(cfg, scheme, pop, args.game, args.adversary,
                                   jobs, cross_rates=args.cross_rates)
         else:
-            body, code = cmd_verify(cfg, scheme, pop, args.theorem, jobs,
-                                    leak_arg=args.leak)
+            body, code = cmd_verify(cfg, scheme, pop, args.theorem, jobs)
         report = make_report(args.cmd, _config_echo(cfg, scheme, pop), body,
                              timings={"wall_s": round(time.time() - t0, 3)})
         write_report(report, args.out, args.format)

@@ -119,13 +119,27 @@ def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
     return total / pop.num_users
 
 
+def _first_seen(values: np.ndarray) -> tuple:
+    """The distinct values in order of first appearance, and each value's
+    index in that order."""
+    uniq, first, inverse = np.unique(values, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.ravel()]
+
+
 class SchemeEnumerator:
     """Joint exact model of (scheme, population).
 
     Enumerates the template distribution per user (enrollment capture x
     encoder randomness), tabulates pic(pi, pir(alpha, probe)) over all
     identifier/auxiliary-data/probe combinations, and reduces every metric
-    to small einsums.
+    to small einsums.  Everything goes through the scheme's batch contract:
+    `pi_codes`/`alpha_codes` are the codes that occur, numbered in the
+    order a scan of users, their possible captures and the encoder
+    outcomes first meets them; template k is (pt_pi[k], pt_alpha[k]).
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
@@ -139,59 +153,37 @@ class SchemeEnumerator:
         self.U = pop.num_users
         self.P = np.stack([user_pmf(pop, u) for u in range(self.U)])
         self.pmf_mix = self.P.mean(axis=0)
-        self._probes = [FeatureElement(self.n, v) for v in range(self.size)]
-        self._build_support()
-        self._build_match_tensor()
+        self.xs = np.arange(self.size, dtype=np.uint64)
+        probs, self.support_pi, self.support_alpha = (
+            scheme.pie_support_batch(self.xs))
 
-    def _build_support(self):
-        pi_index, alpha_index, pt_index = {}, {}, {}
-        pt_pi, pt_alpha = [], []
-        weights = {}
-        for u in range(self.U):
-            pu = self.P[u]
-            for xv in range(self.size):
-                px = pu[xv]
-                if px == 0.0:
-                    continue
-                for wp, pt in self.scheme.pie_support(self._probes[xv]):
-                    key = (pt.pi, pt.alpha)
-                    if key not in pt_index:
-                        pt_index[key] = len(pt_index)
-                        pi_index.setdefault(pt.pi, len(pi_index))
-                        alpha_index.setdefault(pt.alpha, len(alpha_index))
-                        pt_pi.append(pi_index[pt.pi])
-                        pt_alpha.append(alpha_index[pt.alpha])
-                    weights[(u, pt_index[key])] = (
-                        weights.get((u, pt_index[key]), 0.0) + px * wp
-                    )
-        self.pi_objects = [None] * len(pi_index)
-        for obj, i in pi_index.items():
-            self.pi_objects[i] = obj
-        self.alpha_objects = [None] * len(alpha_index)
-        for obj, i in alpha_index.items():
-            self.alpha_objects[i] = obj
-        self.pt_pi = np.array(pt_pi, dtype=np.int64)
-        self.pt_alpha = np.array(pt_alpha, dtype=np.int64)
-        self.W = np.zeros((self.U, len(pt_index)))
-        for (u, k), w in weights.items():
-            self.W[u, k] = w
+        # templates, in scan order: users, their possible captures, outcomes
+        seen = [np.flatnonzero(self.P[u]) for u in range(self.U)]
+        rows = np.concatenate(seen)
+        self.pi_codes, pi_idx = _first_seen(self.support_pi[rows].ravel())
+        self.alpha_codes, alpha_idx = _first_seen(
+            self.support_alpha[rows].ravel())
+        n_alpha = len(self.alpha_codes)
+        pt_keys, pt_idx = _first_seen(pi_idx * n_alpha + alpha_idx)
+        self.pt_pi, self.pt_alpha = np.divmod(pt_keys, n_alpha)
+        self.W = np.zeros((self.U, len(pt_keys)))
+        lo = 0
+        for u, xu in enumerate(seen):
+            hi = lo + probs[xu].size
+            weights = (self.P[u, xu, None] * probs[xu]).ravel()
+            self.W[u] = np.bincount(pt_idx[lo:hi], weights=weights,
+                                    minlength=len(pt_keys))
+            lo = hi
         self.w_mix = self.W.mean(axis=0)
 
-    def _build_match_tensor(self):
-        n_pi, n_alpha = len(self.pi_objects), len(self.alpha_objects)
-        pir_rows = []
-        for alpha in self.alpha_objects:
-            pir_rows.append([self.scheme.pir(alpha, x) for x in self._probes])
-        match = np.zeros((n_pi, n_alpha, self.size), dtype=bool)
-        for i, pi in enumerate(self.pi_objects):
-            pic = self.scheme.pic
-            for j in range(n_alpha):
-                row = pir_rows[j]
-                match[i, j] = [pic(pi, r) for r in row]
-        self.match = match
-        self._matchf = match.astype(np.float64)
+        # match[i, j, x] = pic(pi_i, pir(alpha_j, x)), one alpha row at a time
+        self.match = np.empty((len(self.pi_codes), n_alpha, self.size),
+                              dtype=bool)
+        for j, alpha in enumerate(self.alpha_codes):
+            vids = scheme.pir_batch(alpha, self.xs)
+            self.match[:, j] = scheme.pic_batch(self.pi_codes[:, None], vids)
         # per-template match indicator over probes
-        self.M_pt = self._matchf[self.pt_pi, self.pt_alpha]
+        self.M_pt = self.match[self.pt_pi, self.pt_alpha].astype(np.float64)
         self._K = None
 
     # -- recognition metrics -------------------------------------------------
@@ -199,7 +191,7 @@ class SchemeEnumerator:
     def _cross_accept(self) -> np.ndarray:
         """K[i, j, u] = Pr over x ~ X_u of pic(pi_i, pir(alpha_j, x))."""
         if self._K is None:
-            self._K = np.einsum("ijx,ux->iju", self._matchf, self.P)
+            self._K = np.einsum("ijx,ux->iju", self.match, self.P)
         return self._K
 
     def fnmr(self) -> float:
@@ -211,22 +203,19 @@ class SchemeEnumerator:
         G = A @ self.P.T                               # G[v, u] = accept prob
         return float((G.sum() - np.trace(G)) / (self.U * (self.U - 1)))
 
-    def _pi_marginals(self) -> np.ndarray:
-        out = np.zeros((self.U, len(self.pi_objects)))
-        for k, i in enumerate(self.pt_pi):
-            out[:, i] += self.W[:, k]
-        return out
-
-    def _alpha_marginals(self) -> np.ndarray:
-        out = np.zeros((self.U, len(self.alpha_objects)))
-        for k, j in enumerate(self.pt_alpha):
-            out[:, j] += self.W[:, k]
-        return out
+    def _part_marginals(self) -> tuple:
+        """W summed over the templates that share a pi, and an alpha."""
+        out = []
+        for index, count in ((self.pt_pi, len(self.pi_codes)),
+                             (self.pt_alpha, len(self.alpha_codes))):
+            acc = np.zeros((count, self.U))
+            np.add.at(acc, index, self.W.T)
+            out.append(np.ascontiguousarray(acc.T))
+        return tuple(out)
 
     def fmr_tp(self, factor: str) -> float:
         """Total-performance false match rate; factor is "ad" or "pi"."""
-        Wpi = self._pi_marginals()
-        Wal = self._alpha_marginals()
+        Wpi, Wal = self._part_marginals()
         K = self._cross_accept()
         total = 0.0
         for u in range(self.U):
@@ -242,8 +231,7 @@ class SchemeEnumerator:
         return float(total / (self.U * (self.U - 1)))
 
     def fmr_div(self) -> float:
-        Wpi = self._pi_marginals()
-        Wal = self._alpha_marginals()
+        Wpi, Wal = self._part_marginals()
         K = self._cross_accept()
         vals = [Wpi[u] @ K[:, :, u] @ Wal[u] for u in range(self.U)]
         return float(np.mean(vals))
@@ -256,11 +244,9 @@ class SchemeEnumerator:
 
     def pt_rate(self, pt) -> float:
         """Acceptance rate of one fixed template against random captures."""
-        row = np.array(
-            [self.scheme.pic(pt.pi, self.scheme.pir(pt.alpha, x)) for x in self._probes],
-            dtype=float,
-        )
-        return float(row @ self.pmf_mix)
+        pi, alpha = self.scheme.template_codes(pt)
+        row = self.scheme.pic_batch(pi, self.scheme.pir_batch(alpha, self.xs))
+        return float(row.astype(np.float64) @ self.pmf_mix)
 
     def pt_match_stats(self) -> tuple:
         """(mean, population std dev) of the per-template match rate."""
@@ -271,12 +257,8 @@ class SchemeEnumerator:
 
     def hypothesis_own_match(self) -> bool:
         """Whether every template accepts the exact feature it encodes."""
-        for xv in range(self.size):
-            x = self._probes[xv]
-            for _, pt in self.scheme.pie_support(x):
-                if not self.scheme.pic(pt.pi, self.scheme.pir(pt.alpha, x)):
-                    return False
-        return True
+        vids = self.scheme.pir_batch(self.support_alpha, self.xs[:, None])
+        return bool(self.scheme.pic_batch(self.support_pi, vids).all())
 
 
 @lru_cache(maxsize=8)

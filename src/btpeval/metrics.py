@@ -181,7 +181,8 @@ class _AcceptKernel:
     The comparator enrolls each capture and probes with the `alpha` of
     enrollment `alpha_from` against the `pi` of enrollment `pi_from`; a
     fixed `template` replaces enrollment.  With `scheme` None it is the
-    raw distance d(probe, enrollment 0) <= tau, counted in one array op.
+    raw distance d(probe, enrollment 0) <= tau.  Either way a chunk is
+    counted in array ops; a scheme is driven through its batch contract.
     """
 
     pop: Population
@@ -203,30 +204,25 @@ class _AcceptKernel:
         if "v" in self.owners:
             vs = rng.integers(self.pop.num_users - 1, size=m)
             users["v"] = vs + (vs >= users["u"])
-        probes = (self.pop.sample_batch(users["u"], rng) if self.probe is None
-                  else None)
+        x = (self.pop.sample_batch(users["u"], rng) if self.probe is None
+             else np.full(m, self.probe.value, dtype=np.uint64))
         enrolls = [self.pop.sample_batch(users[o], rng) for o in self.owners]
         if self.scheme is None:
-            x = probes if self.probe is None else np.uint64(self.probe.value)
             accepts = int((np.bitwise_count(x ^ enrolls[0]) <= self.tau).sum())
         else:
-            accepts = self._scheme_accepts(probes, enrolls, rng, m)
+            accepts = self._scheme_accepts(x, enrolls, rng)
         return m - accepts if self.count_rejects else accepts
 
-    def _scheme_accepts(self, probes, enrolls, rng, m) -> int:
-        scheme, n = self.scheme, self.pop.n
-        accepts = 0
-        for i in range(m):
-            if self.template is None:
-                pts = [scheme.pie(FeatureElement(n, int(e[i])), rng)
-                       for e in enrolls]
-            else:
-                pts = [self.template]
-            x = (FeatureElement(n, int(probes[i])) if self.probe is None
-                 else self.probe)
-            vid = scheme.pir(pts[self.alpha_from].alpha, x)
-            accepts += scheme.pic(pts[self.pi_from].pi, vid)
-        return accepts
+    def _scheme_accepts(self, x, enrolls, rng) -> int:
+        scheme = self.scheme
+        if self.template is None:
+            # a trial's enrollments are adjacent in C order, so the encoder
+            # draws come trial by trial, as in a per-trial loop
+            pis, alphas = scheme.pie_batch(np.stack(enrolls, axis=1), rng)
+            pi, alpha = pis[:, self.pi_from], alphas[:, self.alpha_from]
+        else:
+            pi, alpha = scheme.template_codes(self.template)
+        return int(scheme.pic_batch(pi, scheme.pir_batch(alpha, x)).sum())
 
 
 @dataclass
@@ -401,41 +397,28 @@ class OverlapEstimate:
 
 def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
                       level: float = 0.95) -> OverlapEstimate:
-    """Monte Carlo (p_tau, q_tau): select the extremal features on one half
-    of the budget, re-estimate their rates unbiasedly on the other half."""
+    """Monte Carlo (p_tau, q_tau) at the exact extremal features.
+
+    The witnesses come from the exact scan (`overlap_rates`); their rates
+    are estimated on the same trials - trials // 2 captures of the
+    "overlap-estimate" stream, and `queries` counts those captures.
+    """
     if pop.n > exact.EXACT_N_CAP:
         raise ModeError("overlap estimation scans all features; n <= 12 only")
-    size = 1 << pop.n
-    xs = np.arange(size, dtype=np.uint64)
-    t_sel = trials // 2
-    t_est = trials - t_sel
-    if t_sel < 1 or t_est < 1:
-        raise ConfigError("trials too small to split into select/estimate halves")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    ov = overlap_rates(pop, tau)
+    t_est = trials - trials // 2
+    rng = substream(seed, "overlap-estimate")
+    est = pop.sample_batch(rng.integers(pop.num_users, size=t_est), rng)
 
-    def draw(rng, m):
-        us = rng.integers(pop.num_users, size=m)
-        return pop.sample_batch(us, rng)
+    def rate(x):
+        wins = int((np.bitwise_count(est ^ np.uint64(x.value)) <= 2 * tau).sum())
+        return AdvantageEstimate.from_counts(wins, t_est, level,
+                                             queries_used=t_est)
 
-    sel = draw(substream(seed, "overlap-select"), t_sel)
-    counts = np.zeros(size, dtype=np.int64)
-    for lo in range(0, size, 512):
-        hi = min(lo + 512, size)
-        counts[lo:hi] = (
-            np.bitwise_count(sel[None, :] ^ xs[lo:hi, None]) <= 2 * tau
-        ).sum(axis=1)
-    imax, imin = int(np.argmax(counts)), int(np.argmin(counts))
-
-    est = draw(substream(seed, "overlap-estimate"), t_est)
-    wins_max = int((np.bitwise_count(est ^ xs[imax]) <= 2 * tau).sum())
-    wins_min = int((np.bitwise_count(est ^ xs[imin]) <= 2 * tau).sum())
-    return OverlapEstimate(
-        p_tau=AdvantageEstimate.from_counts(wins_max, t_est, level,
-                                            queries_used=trials),
-        q_tau=AdvantageEstimate.from_counts(wins_min, t_est, level,
-                                            queries_used=trials),
-        witness_max=FeatureElement(pop.n, imax),
-        witness_min=FeatureElement(pop.n, imin),
-    )
+    return OverlapEstimate(p_tau=rate(ov.witness_max), q_tau=rate(ov.witness_min),
+                           witness_max=ov.witness_max, witness_min=ov.witness_min)
 
 
 # --------------------------------------------------------------------------

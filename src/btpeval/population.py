@@ -169,8 +169,14 @@ class Population:
     def from_config(cls, cfg: dict) -> "Population":
         if "centers" in cfg and cfg["centers"] is not None:
             centers = tuple(FeatureElement.from_string(s) for s in cfg["centers"])
+            if "n" in cfg:
+                n = int(cfg["n"])
+            elif centers:
+                n = centers[0].n
+            else:
+                raise ConfigError("need at least 2 users, got 0")
             pop = cls(
-                n=int(cfg["n"]),
+                n=n,
                 flip_prob=float(cfg["p"]),
                 seed=int(cfg.get("seed", 0)),
                 centers=centers,

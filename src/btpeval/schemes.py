@@ -16,6 +16,12 @@ Three reference schemes are provided:
   is trivially invertible from the full template (a deliberately weak
   baseline for irreversibility experiments).
 * plaintext: stores the feature verbatim; the worst case.
+
+Beside the scalar algorithms every scheme offers an integer-coded batch
+contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`,
+`template_codes`): captures are packed uint64 values, identifiers and
+auxiliary data are uint64 codes.  The base class implements it on the
+scalar methods; the reference schemes override it with array arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ class _RejectId:
 
 
 REJECT = _RejectId()
+# Code of REJECT in schemes whose codes leave it free (fc); packed-feature
+# codes (rot, plain) span all of uint64 and those schemes never reject.
+REJECT_CODE = np.uint64(np.iinfo(np.uint64).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,13 +171,10 @@ class LinearCode:
             raise ConfigError(
                 f"decoding radius t={self.t} too large for minimum distance {dmin}"
             )
-        table = None
+        object.__setattr__(self, "_decode_table", None)
         if self.n_code <= 16:
             ys = np.arange(1 << self.n_code, dtype=np.uint64)
-            table = np.full(1 << self.n_code, -1, dtype=np.int32)
-            for idx, w in enumerate(self._codewords):
-                table[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = idx
-        object.__setattr__(self, "_decode_table", table)
+            object.__setattr__(self, "_decode_table", self.decode_index(ys))
 
     def _enumerate(self):
         for m in range(1 << self.k_code):
@@ -186,6 +192,15 @@ class LinearCode:
         if not 0 <= message < (1 << self.k_code):
             raise ConfigError(f"message {message} out of range")
         return self._codewords[message]
+
+    def decode_index(self, ys: np.ndarray) -> np.ndarray:
+        """Index of the codeword within distance t of each packed word, or -1."""
+        if self._decode_table is not None:
+            return self._decode_table[ys]
+        idx = np.full(np.shape(ys), -1, dtype=np.int32)
+        for m, w in enumerate(self._codewords):
+            idx[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
+        return idx
 
     def decode_int(self, y: int):
         """Unique codeword within distance t of y, or None."""
@@ -224,6 +239,32 @@ def bounded_distance_decode(code: LinearCode, y: FeatureElement):
     return None if w is None else FeatureElement(code.n_code, w)
 
 
+class _CodeBook:
+    """Numbers hashable scheme objects in order of first use."""
+
+    def __init__(self):
+        self.objects = []
+        self._index = {}
+
+    def encode(self, objs) -> np.ndarray:
+        out = np.empty(len(objs), dtype=np.uint64)
+        for i, obj in enumerate(objs):
+            code = self._index.get(obj)
+            if code is None:
+                code = self._index[obj] = len(self.objects)
+                self.objects.append(obj)
+            out[i] = code
+        return out
+
+
+def _rotate(xs, r, n: int) -> np.ndarray:
+    """Packed cyclic shift of every x by its r (FeatureElement.rotate)."""
+    xs = np.asarray(xs, dtype=np.uint64)
+    r = np.asarray(r, dtype=np.uint64) % np.uint64(n)
+    mask = np.uint64((1 << n) - 1)
+    return ((xs << r) & mask) | (xs >> ((np.uint64(n) - r) % np.uint64(n)))
+
+
 class BtpScheme(ABC):
     """Contract shared by all schemes; `pir` and `pic` are deterministic."""
 
@@ -245,6 +286,71 @@ class BtpScheme(ABC):
     @abstractmethod
     def pie_support(self, x: FeatureElement):
         """All (probability, template) outcomes of pie(x); exact enumeration hook."""
+
+    # -- integer-coded batch contract ----------------------------------------
+    # Captures are packed uint64 arrays; pi, alpha and verification
+    # identifiers are uint64 codes, and arguments broadcast like numpy
+    # operands.  These defaults run the scalar methods element by element
+    # and number each object they meet, so their codes hold only within
+    # this process.  A scheme may override them with array arithmetic.
+
+    def pie_batch(self, xs: np.ndarray, rng: np.random.Generator) -> tuple:
+        """`pie` on every capture in C order (the same draws as that many
+        scalar calls): (pi codes, alpha codes), each of xs's shape."""
+        xs = np.asarray(xs, dtype=np.uint64)
+        pts = [self.pie(FeatureElement(self.feature_dim, int(x)), rng)
+               for x in xs.flat]
+        return self._encode_templates(pts, xs.shape)
+
+    def pir_batch(self, alpha: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Verification identifier codes of (alpha, capture) pairs."""
+        alpha, xs = np.broadcast_arrays(np.asarray(alpha, dtype=np.uint64),
+                                        np.asarray(xs, dtype=np.uint64))
+        book = self._codebook()
+        vids = [self.pir(book.objects[int(a)],
+                         FeatureElement(self.feature_dim, int(x)))
+                for a, x in zip(alpha.flat, xs.flat)]
+        return book.encode(vids).reshape(alpha.shape)
+
+    def pic_batch(self, pi: np.ndarray, vid: np.ndarray) -> np.ndarray:
+        """Comparator decisions of (pi, identifier) code pairs, as bools."""
+        pi, vid = np.broadcast_arrays(np.asarray(pi, dtype=np.uint64),
+                                      np.asarray(vid, dtype=np.uint64))
+        objs = self._codebook().objects
+        out = [self.pic(objs[int(a)], objs[int(b)])
+               for a, b in zip(pi.flat, vid.flat)]
+        return np.array(out, dtype=bool).reshape(pi.shape)
+
+    def pie_support_batch(self, xs: np.ndarray) -> tuple:
+        """`pie_support` of every capture: (probability, pi, alpha) arrays of
+        shape xs.shape + (K,); every capture must have K outcomes."""
+        xs = np.asarray(xs, dtype=np.uint64)
+        rows = [self.pie_support(FeatureElement(self.feature_dim, int(x)))
+                for x in xs.flat]
+        k = len(rows[0]) if rows else 0
+        if any(len(row) != k for row in rows):
+            raise ContractError("pie_support must give every feature the same "
+                                "number of outcomes")
+        shape = xs.shape + (k,)
+        probs = np.array([p for row in rows for p, _ in row],
+                         dtype=np.float64).reshape(shape)
+        pi, alpha = self._encode_templates(
+            [pt for row in rows for _, pt in row], shape)
+        return probs, pi, alpha
+
+    def template_codes(self, pt) -> tuple:
+        """(pi code, alpha code) of one fixed template."""
+        return self._encode_templates([pt], ())
+
+    def _codebook(self) -> "_CodeBook":
+        if "_codes" not in self.__dict__:
+            self._codes = _CodeBook()
+        return self._codes
+
+    def _encode_templates(self, pts, shape) -> tuple:
+        book = self._codebook()
+        return (book.encode([pt.pi for pt in pts]).reshape(shape),
+                book.encode([pt.alpha for pt in pts]).reshape(shape))
 
     def guaranteed_match_radius(self):
         """Largest tau with: d(x, x') <= tau implies pic accepts a template of x.
@@ -284,6 +390,8 @@ class FuzzyCommitmentScheme(BtpScheme):
             hash_fn(_int_to_bytes(w, code.n_code)) for w in code.codewords
         )
         self._digest_of = dict(zip(code.codewords, self._digests))
+        self._index_of = {d: m for m, d in enumerate(self._digests)}
+        self._cw = np.array(code.codewords, dtype=np.uint64)
 
     def pie(self, x, rng):
         self._check_dim(x)
@@ -315,6 +423,31 @@ class FuzzyCommitmentScheme(BtpScheme):
                                   alpha=FeatureElement(x.n, x.value ^ w)))
             for m, w in enumerate(self.code.codewords)
         ]
+
+    # Codes: pi is the codeword index (the digest is a bijection of it),
+    # alpha the packed offset, a failed decode REJECT_CODE.
+
+    def pie_batch(self, xs, rng):
+        xs = np.asarray(xs, dtype=np.uint64)
+        m = rng.integers(1 << self.code.k_code, size=xs.shape).astype(np.uint64)
+        return m, xs ^ self._cw[m]
+
+    def pir_batch(self, alpha, xs):
+        idx = self.code.decode_index(np.asarray(xs, dtype=np.uint64) ^ alpha)
+        return np.where(idx < 0, REJECT_CODE, idx.astype(np.uint64))
+
+    def pic_batch(self, pi, vid):
+        return (pi == vid) & (pi != REJECT_CODE)
+
+    def pie_support_batch(self, xs):
+        xs = np.asarray(xs, dtype=np.uint64)[..., None]
+        shape = xs.shape[:-1] + self._cw.shape
+        m = np.broadcast_to(np.arange(len(self._cw), dtype=np.uint64), shape)
+        return np.full(shape, 1.0 / len(self._cw)), m, xs ^ self._cw
+
+    def template_codes(self, pt):
+        pi = REJECT_CODE if pt.pi is REJECT else np.uint64(self._index_of[pt.pi])
+        return pi, np.uint64(pt.alpha.value)
 
     def guaranteed_match_radius(self):
         return self.code.t
@@ -366,6 +499,29 @@ class RotationScheme(BtpScheme):
             for r in range(self.feature_dim)
         ]
 
+    # Codes: pi is the packed rotated feature, alpha the offset r.
+
+    def pie_batch(self, xs, rng):
+        xs = np.asarray(xs, dtype=np.uint64)
+        r = rng.integers(self.feature_dim, size=xs.shape).astype(np.uint64)
+        return _rotate(xs, r, self.feature_dim), r
+
+    def pir_batch(self, alpha, xs):
+        return _rotate(xs, alpha, self.feature_dim)
+
+    def pic_batch(self, pi, vid):
+        return np.bitwise_count(pi ^ vid) <= self.tau
+
+    def pie_support_batch(self, xs):
+        xs = np.asarray(xs, dtype=np.uint64)[..., None]
+        r = np.broadcast_to(np.arange(self.feature_dim, dtype=np.uint64),
+                            xs.shape[:-1] + (self.feature_dim,))
+        return (np.full(r.shape, 1.0 / self.feature_dim),
+                _rotate(xs, r, self.feature_dim), r)
+
+    def template_codes(self, pt):
+        return np.uint64(pt.pi.value), np.uint64(int(pt.alpha) % self.feature_dim)
+
     def guaranteed_match_radius(self):
         return self.tau
 
@@ -402,6 +558,26 @@ class PlaintextScheme(BtpScheme):
     def pie_support(self, x):
         self._check_dim(x)
         return [(1.0, ProtectedTemplate(pi=x, alpha=None))]
+
+    # Codes: pi and the identifier are the packed feature, alpha is 0.
+
+    def pie_batch(self, xs, rng):
+        xs = np.asarray(xs, dtype=np.uint64)
+        return xs, np.zeros_like(xs)
+
+    def pir_batch(self, alpha, xs):
+        xs = np.asarray(xs, dtype=np.uint64)
+        return np.broadcast_to(xs, np.broadcast_shapes(np.shape(alpha), xs.shape))
+
+    def pic_batch(self, pi, vid):
+        return np.bitwise_count(pi ^ vid) <= self.tau
+
+    def pie_support_batch(self, xs):
+        xs = np.asarray(xs, dtype=np.uint64)[..., None]
+        return np.ones(xs.shape), xs, np.zeros_like(xs)
+
+    def template_codes(self, pt):
+        return np.uint64(pt.pi.value), np.uint64(0)
 
     def guaranteed_match_radius(self):
         return self.tau

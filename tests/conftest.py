@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import btpeval
 from btpeval.population import generate_population
 from btpeval.schemes import build_scheme
 
@@ -17,3 +21,11 @@ def fc_scheme():
 @pytest.fixture(scope="session")
 def noiseless_pop():
     return generate_population(7, 16, 0.0, seed=1)
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for a child Python that imports btpeval from this tree."""
+    src = str(Path(btpeval.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -345,19 +345,20 @@ class TestCriterion7CrossComparatorIdentity:
 
 
 class TestCriterion8Determinism:
-    def _run(self, out_path, extra):
+    def _run(self, out_path, extra, env):
         cmd = [sys.executable, "-m", "btpeval.cli", "verify", "--theorem",
                "all", "--seed", "42", "--trials", "600", "--out",
                str(out_path)] + extra
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
         return out_path.read_text()
 
-    def test_byte_identical_over_runs_and_jobs(self, tmp_path):
+    def test_byte_identical_over_runs_and_jobs(self, tmp_path, subprocess_env):
         texts = [
-            self._run(tmp_path / "a.json", []),
-            self._run(tmp_path / "b.json", []),
-            self._run(tmp_path / "c.json", ["--jobs", "8"]),
+            self._run(tmp_path / "a.json", [], subprocess_env),
+            self._run(tmp_path / "b.json", [], subprocess_env),
+            self._run(tmp_path / "c.json", ["--jobs", "8"], subprocess_env),
         ]
 
         def canonical(text):

@@ -1,14 +1,12 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import btpeval
 from btpeval import cli, verify
 from btpeval.report import strip_timings
 
@@ -213,6 +211,17 @@ class TestSingleDispatch:
         ts = load_json(out)["theorems"]
         assert [(t["id"], t.get("lambda")) for t in ts] == expected
 
+    def test_lambda_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": "pi"}))
+        code, out, _ = run_cli(["verify", "--theorem", "t1", "--config",
+                                str(cfg), "--trials", "50", "--seed", "2"],
+                               capsys)
+        assert code == 0
+        report = load_json(out)
+        assert report["config"]["lambda"] == "pi"
+        assert [t["lambda"] for t in report["theorems"]] == ["pi"]
+
     def test_lambda_echoed_in_config(self, capsys):
         code, out, _ = run_cli(["verify", "--theorem", "t1", "--lambda", "pi",
                                 "--trials", "50", "--seed", "2"], capsys)
@@ -223,12 +232,9 @@ class TestSingleDispatch:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(btpeval.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+    def test_cli_import_leaves_scipy_out(self, subprocess_env):
         probe = "import sys, btpeval.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
@@ -266,6 +272,47 @@ class TestConfigHandling:
         code, out, err = run_cli(["metrics", "--config", str(cfg)], capsys)
         assert code == 0, err
         assert load_json(out)["config"]["population"]["U"] == 3
+
+    def test_centers_without_dimension(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "population": {"p": 0.0, "centers": ["0000000000", "1111111111",
+                                                 "1010101010"]},
+            "scheme": {"scheme": "plain"},
+            "trials": 50,
+        }))
+        code, out, err = run_cli(["metrics", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        echo = load_json(out)["config"]["population"]
+        assert (echo["n"], echo["U"]) == (10, 3)
+
+    def test_dimension_disagreeing_with_centers_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "population": {"n": 7, "centers": ["0000000000", "1111111111"]},
+            "scheme": {"scheme": "plain"},
+        }))
+        code, _, err = run_cli(["metrics", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "10 bits" in err
+
+    @pytest.mark.parametrize("user, where", [
+        ({"trails": 50}, "trails"),
+        ({"population": {"n": 7, "UU": 3}}, "population"),
+        ({"scheme": {"scheme": "fc", "code": {"t": 1, "kk": 4}}}, "scheme.code"),
+    ], ids=["top-level", "population", "scheme-code"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, user, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        code, _, err = run_cli(["metrics", "--config", str(cfg),
+                                "--trials", "10"], capsys)
+        assert code == 2
+        assert where in err
+
+    def test_default_config_file_loads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cli.DEFAULT_CONFIG))
+        assert cli.load_config(str(cfg), {}) == cli.DEFAULT_CONFIG
 
     def test_dimension_over_64_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

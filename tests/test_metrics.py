@@ -17,12 +17,13 @@ from btpeval.errors import ConfigError, ModeError
 from btpeval.population import FeatureElement, Population, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
+    BrokenScheme,
     LinearCode,
     FuzzyCommitmentScheme,
     PlaintextScheme,
     RotationScheme,
 )
-from toy_schemes import AlwaysMatchScheme, NeverMatchScheme
+from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
 def pmf_by_feature_probability(pop, u):
@@ -482,6 +483,82 @@ class TestOverlapRates:
         assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
 
+    def test_witnesses_are_exact_extremes_at_n10(self):
+        # Witnesses picked from noisy counts missed q_tau here: 3/5000 hits
+        # against an exact 5.9e-5.
+        pop = generate_population(10, 16, 0.03, seed=1)
+        vec = exact.overlap_vector(pop, 1)
+        ov = metrics.overlap_rates(pop, 1)
+        est = metrics.est_overlap_rates(pop, 1, 10000, seed=1, level=0.99)
+        assert est.witness_min.value == int(np.argmin(vec))
+        assert est.witness_max.value == int(np.argmax(vec))
+        assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
+        assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
+        assert est.q_tau.queries_used == est.q_tau.trials == 5000
+
+
+def scalar_enumeration(scheme, pop):
+    """(pt_pi, pt_alpha, W, match) from the scalar methods alone: templates
+    numbered as a scan over users, their possible captures and encoder
+    outcomes first meets them."""
+    probes = [FeatureElement(pop.n, v) for v in range(1 << pop.n)]
+    P = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
+    pi_index, alpha_index, pt_index, weights = {}, {}, {}, {}
+    for u in range(pop.num_users):
+        for x in probes:
+            px = P[u][x.value]
+            if px == 0.0:
+                continue
+            for wp, pt in scheme.pie_support(x):
+                k = pt_index.setdefault((pt.pi, pt.alpha), len(pt_index))
+                pi_index.setdefault(pt.pi, len(pi_index))
+                alpha_index.setdefault(pt.alpha, len(alpha_index))
+                weights[u, k] = weights.get((u, k), 0.0) + px * wp
+    W = np.zeros((pop.num_users, len(pt_index)))
+    for (u, k), w in weights.items():
+        W[u, k] = w
+    match = np.array([[[scheme.pic(pi, scheme.pir(alpha, x)) for x in probes]
+                       for alpha in alpha_index] for pi in pi_index])
+    return ([pi_index[pi] for pi, _ in pt_index],
+            [alpha_index[alpha] for _, alpha in pt_index], W, match)
+
+
+ENUMERATED_SCHEMES = {
+    "fc": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
+        ["1000110", "0100101", "0010011", "0001111"], t=1)),
+    "rot": lambda: RotationScheme(7, tau=1),
+    "plain": lambda: PlaintextScheme(7, tau=2),
+    "broken": lambda: BrokenScheme(7),
+    "always-match": lambda: AlwaysMatchScheme(7),
+    "never-match": lambda: NeverMatchScheme(7),
+    "lottery": lambda: LotteryScheme(7, 0.3),
+}
+
+
+class TestEnumeratorTables:
+    """The enumerator's batch-built tables equal a scalar-method scan."""
+
+    @pytest.mark.parametrize("pop_name", ["default_pop", "noiseless_pop"])
+    @pytest.mark.parametrize("name", list(ENUMERATED_SCHEMES))
+    def test_tables_match_scalar_reference(self, request, name, pop_name):
+        scheme = ENUMERATED_SCHEMES[name]()
+        pop = request.getfixturevalue(pop_name)
+        en = exact.SchemeEnumerator(scheme, pop)
+        pt_pi, pt_alpha, W, match = scalar_enumeration(scheme, pop)
+        assert en.pt_pi.tolist() == pt_pi
+        assert en.pt_alpha.tolist() == pt_alpha
+        assert np.array_equal(en.W, W)
+        assert np.array_equal(en.match, match)
+        own = all(scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
+                  for x in (FeatureElement(7, v) for v in range(128))
+                  for _, pt in scheme.pie_support(x))
+        assert en.hypothesis_own_match() == own
+        pt = scheme.pie(pop.center(1), substream(4, "pt"))
+        row = [scheme.pic(pt.pi, scheme.pir(pt.alpha, FeatureElement(7, v)))
+               for v in range(128)]
+        assert en.pt_rate(pt) == pytest.approx(float(np.dot(row, en.pmf_mix)),
+                                               abs=1e-15)
+
 
 def _fixed_template(scheme, pop):
     return scheme.pie(pop.center(1), substream(4, "pt"))
@@ -504,6 +581,56 @@ COUNT_ESTIMATORS = {
     "pt_rate": (lambda s, p, t, **kw:
                 metrics.pt_match_rate(s, p, _fixed_template(s, p), t, **kw), 1),
 }
+
+
+def loop_accepts(kernel, rng, m):
+    """`_AcceptKernel`'s count by a per-trial loop of scalar scheme calls,
+    on the same draws."""
+    pop, scheme, n = kernel.pop, kernel.scheme, kernel.pop.n
+    users = {"u": rng.integers(pop.num_users, size=m)}
+    if "v" in kernel.owners:
+        vs = rng.integers(pop.num_users - 1, size=m)
+        users["v"] = vs + (vs >= users["u"])
+    probes = pop.sample_batch(users["u"], rng) if kernel.probe is None else None
+    enrolls = [pop.sample_batch(users[o], rng) for o in kernel.owners]
+    accepts = 0
+    for i in range(m):
+        if kernel.template is None:
+            pts = [scheme.pie(FeatureElement(n, int(e[i])), rng) for e in enrolls]
+        else:
+            pts = [kernel.template]
+        x = (FeatureElement(n, int(probes[i])) if kernel.probe is None
+             else kernel.probe)
+        vid = scheme.pir(pts[kernel.alpha_from].alpha, x)
+        accepts += scheme.pic(pts[kernel.pi_from].pi, vid)
+    return m - accepts if kernel.count_rejects else accepts
+
+
+# _AcceptKernel fields of each count estimator, given (scheme, pop)
+KERNEL_CONFIGS = {
+    "fnmr": lambda s, p: dict(count_rejects=True),
+    "fmr_tp_ad": lambda s, p: dict(owners=("u", "v"), pi_from=1),
+    "fmr_tp_pi": lambda s, p: dict(owners=("u", "v"), alpha_from=1),
+    "fmr_bp": lambda s, p: dict(owners=("v",)),
+    "fmr_div": lambda s, p: dict(owners=("u", "u"), alpha_from=1),
+    "rmr": lambda s, p: dict(probe=p.center(2)),
+    "pt_rate": lambda s, p: dict(owners=(), template=_fixed_template(s, p)),
+}
+
+
+class TestAcceptKernelAgainstLoop:
+    """The array kernel counts what the scalar per-trial loop counts, and
+    leaves the stream where the loop leaves it."""
+
+    @pytest.mark.parametrize("config", list(KERNEL_CONFIGS))
+    @pytest.mark.parametrize("name", ["fc", "rot", "broken", "lottery"])
+    def test_counts_equal_scalar_loop(self, default_pop, name, config):
+        scheme = ENUMERATED_SCHEMES[name]()
+        fields = KERNEL_CONFIGS[config](scheme, default_pop)
+        kernel = metrics._AcceptKernel(default_pop, scheme, **fields)
+        batch_rng, loop_rng = substream(5, "kernel"), substream(5, "kernel")
+        assert kernel(batch_rng, 700) == loop_accepts(kernel, loop_rng, 700)
+        assert batch_rng.random() == loop_rng.random()
 
 
 class TestParallelDeterminism:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,9 @@ from btpeval.schemes import (
     LEAK_BOTH,
     LEAK_PI,
     REJECT,
+    REJECT_CODE,
+    BrokenScheme,
+    FuzzyCommitmentScheme,
     LeakSet,
     LinearCode,
     PlaintextScheme,
@@ -280,3 +284,81 @@ class TestRegistry:
     def test_code_length_must_match_dimension(self):
         with pytest.raises(ConfigError):
             build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4}}, 8)
+
+
+BATCH_SCHEMES = {
+    "fc": lambda: build_scheme({"scheme": "fc", "code": {"t": 1}}, 7),
+    # n = 20 > 16: decoded by scanning codewords, not through a table
+    "fc-untabled": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
+        ["11111111110000000000", "00000000001111111111"], t=4)),
+    "rot": lambda: RotationScheme(9, tau=2),
+    "plain": lambda: PlaintextScheme(8, tau=1),
+    "broken": lambda: BrokenScheme(7),
+}
+
+
+def _packed(data, n, shape):
+    size = shape[0] * shape[1]
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                                max_size=size))
+    return np.array(values, dtype=np.uint64).reshape(shape)
+
+
+class TestBatchContract:
+    """Batch pie/pir/pic/pie_support against the scalar methods."""
+
+    @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_methods(self, name, data):
+        scheme = BATCH_SCHEMES[name]()
+        n = scheme.feature_dim
+        shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 3)))
+        xs, probes = _packed(data, n, shape), _packed(data, n, shape)
+        seed = data.draw(st.integers(0, 2**32))
+        batch_rng, scalar_rng = substream(seed, "pie"), substream(seed, "pie")
+
+        pis, alphas = scheme.pie_batch(xs, batch_rng)
+        pts = [scheme.pie(FeatureElement(n, int(x)), scalar_rng) for x in xs.flat]
+        # the same draws, in C order, and nothing more
+        assert [scheme.template_codes(pt) for pt in pts] == list(
+            zip(pis.flat, alphas.flat))
+        assert batch_rng.random() == scalar_rng.random()
+
+        vids = scheme.pir_batch(alphas, probes)
+        accepts = scheme.pic_batch(pis, vids)
+        assert vids.shape == accepts.shape == shape
+        for pt, p, vid, ok in zip(pts, probes.flat, vids.flat, accepts.flat):
+            ref = scheme.pir(pt.alpha, FeatureElement(n, int(p)))
+            # pi and identifier codes share one space: pic compares them
+            assert scheme.template_codes(ProtectedTemplate(ref, pt.alpha))[0] == vid
+            assert bool(ok) == scheme.pic(pt.pi, ref)
+
+    @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_support_matches_scalar(self, name, data):
+        scheme = BATCH_SCHEMES[name]()
+        xs = _packed(data, scheme.feature_dim, (3, 1))[:, 0]
+        probs, pis, alphas = scheme.pie_support_batch(xs)
+        for i, x in enumerate(xs):
+            support = scheme.pie_support(FeatureElement(scheme.feature_dim, int(x)))
+            assert probs[i].tolist() == [p for p, _ in support]
+            assert [scheme.template_codes(pt) for _, pt in support] == list(
+                zip(pis[i], alphas[i]))
+
+    def test_default_codes_number_equal_objects_alike(self):
+        scheme = BrokenScheme(7)
+        xs = np.array([5, 9, 5], dtype=np.uint64)
+        pis, alphas = scheme.pie_batch(xs, substream(1, "pie"))
+        assert pis[0] == pis[2] != pis[1]
+        assert len(set(alphas.tolist())) == 1
+        assert not scheme.pic_batch(pis, scheme.pir_batch(alphas, xs)).any()
+
+    def test_fc_reject_code_never_matches(self, fc_scheme):
+        far = np.array([0b0000011], dtype=np.uint64)   # two flips: miscorrects
+        pi, alpha = fc_scheme.template_codes(
+            fc_scheme.pie(FeatureElement(7, 0), substream(2, "pie")))
+        vid = fc_scheme.pir_batch(alpha, far)
+        assert not fc_scheme.pic_batch(pi, vid).any()
+        assert not fc_scheme.pic_batch(REJECT_CODE, np.array([REJECT_CODE])).any()
