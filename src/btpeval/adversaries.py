@@ -8,6 +8,9 @@ concentrate, and the match-test distinguisher converts template
 accept/reject behavior into linkage with advantage 1 - MR.  The reduction
 wrapper turns any inversion adversary into a distinguisher, which is what
 the unlinkability-implies-irreversibility bound exercises.
+
+Every adversary here except the view readers also has batch phases, so
+the games play it a chunk of trials at a time (see `games`).
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact
 from .errors import ConfigError, ContractError, VariationTooHighError
 from .games import GameParams, IrrAdversary, UnlinkAdversary
 from .metrics import MatchRateStats, extremal_mr, extremal_rmr
 from .population import FeatureElement, hamming_distance, neighborhood_overlap
-from .schemes import LEAK_BOTH
+from .schemes import LEAK_BOTH, PtView
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +111,8 @@ class PalSamplerAdversary(IrrAdversary):
             raise ContractError("the sampling inverter needs both template parts")
         return params
 
+    phase1_batch = phase1  # phase 1 reads neither the oracle nor a trial
+
     def phase2(self, state, view, oracle, rng):
         params: GameParams = state
         scheme, pop = params.scheme, params.population
@@ -116,6 +123,22 @@ class PalSamplerAdversary(IrrAdversary):
             if scheme.pic(view.pi, scheme.pir(view.alpha, x_prime)):
                 return x_prime
         return x_prime
+
+    def phase2_batch(self, state, view, oracle, rng):
+        """Each round samples for the trials still unaccepted (and within
+        budget) only."""
+        scheme, pop = state.scheme, state.population
+        guess = np.zeros(oracle.trials, dtype=np.uint64)
+        live = np.arange(oracle.trials)
+        for _ in range(self.cfg.n_delta):
+            if not live.size:
+                break
+            users = rng.integers(pop.num_users, size=live.size)
+            guess[live] = oracle.sample(live, users)
+            vid = scheme.pir_batch(view.alpha[live], guess[live])
+            accepted = scheme.pic_batch(view.pi[live], vid)
+            live = live[~accepted & ~oracle.cut[live]]
+        return guess
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +156,13 @@ class BlindArgmaxAdversary(IrrAdversary):
     def phase1(self, params, leak, tau, oracle, rng):
         return None
 
+    phase1_batch = phase1
+
     def phase2(self, state, view, oracle, rng):
         return self.guess
+
+    def phase2_batch(self, state, view, oracle, rng):
+        return np.full(oracle.trials, self.guess.value, dtype=np.uint64)
 
 
 def blind_al_adversary(pop, tau: int) -> BlindArgmaxAdversary:
@@ -190,20 +218,38 @@ class SamplerIrrAdversary(IrrAdversary):
     def phase1(self, params, leak, tau, oracle, rng):
         return (params, self.fallback_tau if tau is None else tau)
 
+    phase1_batch = phase1
+
+    def _score(self, pop, value: int, tau: int) -> float:
+        key = (value, tau)
+        score = self._scores.get(key)
+        if score is None:
+            score = exact.mr_of_feature(pop, FeatureElement(pop.n, value), tau)
+            self._scores[key] = score
+        return score
+
     def phase2(self, state, view, oracle, rng):
         params, tau = state
         pop = params.population
         best, best_score = None, -1.0
         for _ in range(self.num_queries):
             cand = oracle.sample(int(rng.integers(pop.num_users)))
-            key = (cand.value, tau)
-            score = self._scores.get(key)
-            if score is None:
-                score = exact.mr_of_feature(pop, cand, tau)
-                self._scores[key] = score
+            score = self._score(pop, cand.value, tau)
             if score > best_score:
                 best, best_score = cand, score
         return best
+
+    def phase2_batch(self, state, view, oracle, rng):
+        params, tau = state
+        pop = params.population
+        m, q = oracle.trials, self.num_queries
+        users = rng.integers(pop.num_users, size=m * q)
+        cands = oracle.sample(np.repeat(np.arange(m), q), users)
+        values, inverse = np.unique(cands, return_inverse=True)
+        scores = np.array([self._score(pop, int(v), tau) for v in values])
+        # the first best candidate in query order, as phase2 picks it
+        best = np.argmax(scores[inverse].reshape(m, q), axis=1)
+        return cands.reshape(m, q)[np.arange(m), best]
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +267,28 @@ def _match_test_decision(scheme, view_prime, x0, x1, rng) -> int:
     if not r0:
         return 1
     return int(rng.integers(2))
+
+
+def _match_test_batch(scheme, view_prime, x0, x1, rng) -> np.ndarray:
+    """`_match_test_decision` for every trial of a chunk."""
+    r1 = scheme.pic_batch(view_prime.pi, scheme.pir_batch(view_prime.alpha, x1))
+    r0 = scheme.pic_batch(view_prime.pi, scheme.pir_batch(view_prime.alpha, x0))
+    coin = rng.integers(2, size=len(x0))
+    return np.where(r1, np.where(r0, coin, 1), 0)
+
+
+def _capture_triples(owners, oracle):
+    """Per trial, captures of the users in each row of `owners` (trials x
+    3), charged to the trial: the columns x, x0 and x1."""
+    m = oracle.trials
+    xs = oracle.sample(np.repeat(np.arange(m), 3), owners.ravel())
+    return tuple(xs.reshape(m, 3).T)
+
+
+def _random_triples(pop, oracle, rng):
+    """Three independent random captures per trial."""
+    owners = rng.integers(pop.num_users, size=(oracle.trials, 3))
+    return _capture_triples(owners, oracle)
 
 
 class MatchTestUnlinkAdversary(UnlinkAdversary):
@@ -241,6 +309,16 @@ class MatchTestUnlinkAdversary(UnlinkAdversary):
         params, x, x0, x1 = state
         return _match_test_decision(params.scheme, view_prime, x0, x1, rng)
 
+    def phase1_batch(self, params, leak, oracle, rng):
+        if leak != LEAK_BOTH:
+            raise ContractError("the match-test distinguisher needs both parts")
+        x, x0, x1 = _random_triples(params.population, oracle, rng)
+        return x, x0, x1, (params, x0, x1)
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng):
+        params, x0, x1 = state
+        return _match_test_batch(params.scheme, view_prime, x0, x1, rng)
+
 
 class CoinFlipUnlinkAdversary(UnlinkAdversary):
     """Pure guessing baseline."""
@@ -255,6 +333,12 @@ class CoinFlipUnlinkAdversary(UnlinkAdversary):
 
     def phase2(self, state, view, view_prime, oracle, rng):
         return int(rng.integers(2))
+
+    def phase1_batch(self, params, leak, oracle, rng):
+        return (*_random_triples(params.population, oracle, rng), None)
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng):
+        return rng.integers(2, size=oracle.trials)
 
 
 def match_test_rule(params, state_xs, view, view_prime, oracle, rng) -> int:
@@ -283,6 +367,25 @@ COMPARATOR_RULES = {
     "always-0": always_zero_rule,
     "always-1": always_one_rule,
     "coin": coin_rule,
+}
+
+
+def _match_test_rule_batch(params, xs, view, view_prime, oracle, rng):
+    if not (view_prime.has_pi and view_prime.has_ad):
+        return rng.integers(2, size=oracle.trials)
+    _, x0, x1 = xs
+    return _match_test_batch(params.scheme, view_prime, x0, x1, rng)
+
+
+# The same rules, deciding every trial of a chunk at once.
+BATCH_COMPARATOR_RULES = {
+    "match-test": _match_test_rule_batch,
+    "always-0": lambda params, xs, view, view_prime, oracle, rng:
+        np.zeros(oracle.trials, dtype=np.int64),
+    "always-1": lambda params, xs, view, view_prime, oracle, rng:
+        np.ones(oracle.trials, dtype=np.int64),
+    "coin": lambda params, xs, view, view_prime, oracle, rng:
+        rng.integers(2, size=oracle.trials),
 }
 
 
@@ -317,6 +420,21 @@ class CrossComparatorAdversary(UnlinkAdversary):
         params, xs = state
         return COMPARATOR_RULES[self.rule_name](params, xs, view, view_prime,
                                                 oracle, rng)
+
+    def phase1_batch(self, params, leak, oracle, rng):
+        pop = params.population
+        if pop.num_users < 2:
+            raise ConfigError("cross-comparison needs at least two users")
+        u = rng.integers(pop.num_users, size=oracle.trials)
+        v = rng.integers(pop.num_users - 1, size=oracle.trials)
+        v += v >= u
+        xs = _capture_triples(np.stack([u, u, v], axis=1), oracle)
+        return (*xs, (params, xs))
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng):
+        params, xs = state
+        return BATCH_COMPARATOR_RULES[self.rule_name](params, xs, view,
+                                                      view_prime, oracle, rng)
 
 
 class ReductionUnlinkAdversary(UnlinkAdversary):
@@ -353,3 +471,31 @@ class ReductionUnlinkAdversary(UnlinkAdversary):
         if hamming_distance(x1, guess) <= self.tau:
             return 1
         return int(rng.integers(2))
+
+    def phase1_batch(self, params, leak, oracle, rng):
+        inner_state = self.inner.phase1_batch(params, leak, self.tau, oracle,
+                                              rng)
+        x, x0, x1 = _random_triples(params.population, oracle, rng)
+        return x, x0, x1, ((x0, x1), inner_state)
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng):
+        """The inner adversary sees only the trials whose balls are apart,
+        and only their queries are charged."""
+        (x0, x1), inner_state = state
+        votes = rng.integers(2, size=len(x0))
+        apart = np.flatnonzero(np.bitwise_count(x0 ^ x1) > 2 * self.tau)
+        if apart.size:
+            guess = self.inner.phase2_batch(
+                inner_state, _view_subset(view_prime, apart),
+                oracle.subset(apart), rng)
+            near0 = np.bitwise_count(x0[apart] ^ guess) <= self.tau
+            near1 = np.bitwise_count(x1[apart] ^ guess) <= self.tau
+            votes[apart] = np.where(near0, 0, np.where(near1, 1, votes[apart]))
+        return votes
+
+
+def _view_subset(view: PtView, sel) -> PtView:
+    """The view of some trials of a chunk."""
+    return PtView(pi=None if view.pi is None else view.pi[sel],
+                  alpha=None if view.alpha is None else view.alpha[sel],
+                  has_pi=view.has_pi, has_ad=view.has_ad)

@@ -52,14 +52,17 @@ DEFAULT_CONFIG = {
 
 
 # Every key some code path reads; a nested dict lists a block's keys.
+# `int` marks an integer value, `float` any number (neither a bool), None
+# a value checked where it is used.
 CONFIG_KEYS = {
-    "population": {"n": None, "U": None, "p": None, "seed": None,
+    "population": {"n": int, "U": int, "p": float, "seed": int,
                    "centers": None},
     "scheme": {"scheme": None, "tau": None,
                "code": {"n": None, "k": None, "t": None, "generator": None}},
-    **dict.fromkeys(("tau", "lambda", "trials", "query_budget", "seed",
-                     "delta", "gamma", "stats_outer", "stats_inner",
-                     "sampler_queries")),
+    **dict.fromkeys(("tau", "trials", "query_budget", "seed", "stats_outer",
+                     "stats_inner", "sampler_queries"), int),
+    **dict.fromkeys(("delta", "gamma"), float),
+    "lambda": None,
 }
 
 
@@ -71,8 +74,16 @@ def _check_keys(block, allowed: dict, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {where}; "
                           f"allowed: {sorted(allowed)}")
     for key, sub in allowed.items():
-        if sub is not None and key in block:
+        if key not in block or sub is None:
+            continue
+        if isinstance(sub, dict):
             _check_keys(block[key], sub, f"{where}.{key}")
+            continue
+        value = block[key]
+        types = int if sub is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, types):
+            kind = "an integer" if sub is int else "a number"
+            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:

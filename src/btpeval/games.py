@@ -5,11 +5,18 @@ Each game follows the same shape: a setup phase hands the public
 parameters to the adversary's first stage, the challenger prepares a
 challenge from fresh captures, the adversary's second stage answers from
 its leaked view.  All state between the stages travels through the
-explicit state value returned by phase 1.  Every trial owns derived
-random streams for the challenger, the adversary, and the sampling
-oracles, so trials can run on any number of workers without changing the
-result; a trial that exhausts its oracle budget counts as a loss and is
-flagged.
+explicit state value returned by phase 1.  A trial that exhausts its
+oracle budget counts as a loss and is flagged.
+
+Two engines play the same protocol.  The batch engine plays an adversary
+that has batch phases (every built-in the theorem checks use): a chunk of
+`GAME_CHUNK` trials draws from three streams keyed by the chunk, for the
+challenger, the adversary and the sampling oracles, and runs each step as
+array operations on the scheme's batch contract.  One of its trials is
+replayed by re-running its chunk.  The scalar engine plays any other
+adversary, one trial at a time, each trial on its own three streams, so
+one trial replays alone.  Either way a result depends only on (inputs,
+seed, trials), never on how chunks were scheduled across workers.
 """
 
 from __future__ import annotations
@@ -30,11 +37,18 @@ from .metrics import (
     extremal_rmr,
     run_chunks,
 )
-from .population import FeatureElement, Population, SamplingOracle, hamming_distance
+from .population import (
+    BatchSamplingOracle,
+    FeatureElement,
+    Population,
+    SamplingOracle,
+    hamming_distance,
+)
 from .rng import substream
-from .schemes import REJECT, BtpScheme, LeakSet, PtView, leak_view
+from .schemes import REJECT, BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
 
 GAME_CHUNK = 512
+_ROLES = ("ch", "adv", "samp")
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,14 @@ class IrrAdversary(ABC):
 
     Stateless by contract: anything phase 2 needs must be in the state
     value phase 1 returns.
+
+    An adversary may also play a chunk of trials at once, with
+    `phase1_batch(params, leak, tau, oracle, rng)` and
+    `phase2_batch(state, view, oracle, rng)`.  The oracle is a
+    `BatchSamplingOracle` over the chunk's `oracle.trials` trials, the
+    view's fields are arrays of template codes (None where hidden), and
+    phase 2 returns one packed guess per trial.  Its state holds nothing
+    per trial: phase 2 may be called on a subset of the trials.
     """
 
     name = "irr-adversary"
@@ -70,7 +92,13 @@ class IrrAdversary(ABC):
 
 
 class UnlinkAdversary(ABC):
-    """Two-stage distinguishing adversary for the unlinkability game."""
+    """Two-stage distinguishing adversary for the unlinkability game.
+
+    Its batch phases, if any, are `phase1_batch(params, leak, oracle,
+    rng)`, returning packed (x, x0, x1) arrays and a state, and
+    `phase2_batch(state, view, view_prime, oracle, rng)`, returning one
+    bit per trial (see `IrrAdversary`).
+    """
 
     name = "unlink-adversary"
 
@@ -146,6 +174,41 @@ def _transcript_digest(*parts) -> str:
 # trial machinery
 
 
+def _owner(cls, name):
+    return next((c for c in cls.__mro__ if name in c.__dict__), object)
+
+
+def runs_batched(adversary) -> bool:
+    """Whether the batch engine plays `adversary`.
+
+    It must define `phase1_batch` and `phase2_batch` no higher in its class
+    tree than the scalar phases they mirror, so that a subclass overriding
+    only a scalar phase is played by the scalar engine; an adversary that
+    wraps an `inner` one also needs the inner one batched.
+    """
+    cls = type(adversary)
+    for phase in ("phase1", "phase2"):
+        batch = _owner(cls, phase + "_batch")
+        if batch is object or not issubclass(batch, _owner(cls, phase)):
+            return False
+    inner = getattr(adversary, "inner", None)
+    return inner is None or runs_batched(inner)
+
+
+def _chunk_streams(seed, label, lo):
+    """Challenger, adversary and sampling streams of the chunk at `lo`."""
+    return [substream(seed, label, lo // GAME_CHUNK, role) for role in _ROLES]
+
+
+def _step(trace, name):
+    if trace is not None:
+        trace.append(name)
+
+
+def _fe(n, value) -> str:
+    return _canon(FeatureElement(n, int(value)))
+
+
 @dataclass
 class _IrrSpec:
     """Inversion trials, scored once for every win rule.
@@ -169,6 +232,8 @@ class _IrrSpec:
     record: bool = False
 
     def run_range(self, seed, lo, hi, trace=None):
+        if runs_batched(self.adversary):
+            return self._run_batch(seed, lo, hi, trace)
         params = GameParams(self.scheme, self.pop)
         dist = np.full(hi - lo, -1, dtype=np.int64)
         accepted = np.zeros(hi - lo, dtype=bool)
@@ -185,21 +250,17 @@ class _IrrSpec:
             guess = None
             x = None
             try:
-                if trace is not None:
-                    trace.append("phase1")
+                _step(trace, "phase1")
                 state = self.adversary.phase1(params, self.leak, self.tau,
                                               oracle1, rng_adv)
-                if trace is not None:
-                    trace.append("challenge")
+                _step(trace, "challenge")
                 u = int(rng_ch.integers(self.pop.num_users))
                 x = oracle_ch.sample(u)
                 pt = self.scheme.pie(x, rng_ch)
                 view = leak_view(pt, self.leak)
-                if trace is not None:
-                    trace.append("phase2")
+                _step(trace, "phase2")
                 guess = self.adversary.phase2(state, view, oracle2, rng_adv)
-                if trace is not None:
-                    trace.append("decide")
+                _step(trace, "decide")
                 dist[i - lo] = hamming_distance(x, guess)
                 if self.score_pic:
                     accepted[i - lo] = self.scheme.pic(
@@ -211,6 +272,43 @@ class _IrrSpec:
             queries["challenger"] += oracle_ch.query_count
             if transcripts is not None:
                 transcripts.append((_canon(x), _canon(guess)))
+        return dist, accepted, flagged, queries, transcripts
+
+    def _run_batch(self, seed, lo, hi, trace):
+        m = hi - lo
+        rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
+        oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
+        oracle2 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
+        _step(trace, "phase1")
+        state = self.adversary.phase1_batch(GameParams(self.scheme, self.pop),
+                                            self.leak, self.tau, oracle1,
+                                            rng_adv)
+        _step(trace, "challenge")
+        users = rng_ch.integers(self.pop.num_users, size=m)
+        x = self.pop.sample_batch(users, rng_ch)
+        pi, alpha = self.scheme.pie_batch(x, rng_ch)
+        view = leak_view(ProtectedTemplate(pi, alpha), self.leak)
+        _step(trace, "phase2")
+        guess = np.asarray(self.adversary.phase2_batch(state, view, oracle2,
+                                                       rng_adv)).astype(np.uint64)
+        _step(trace, "decide")
+        if guess.shape != (m,) or (guess >> np.uint64(self.pop.n)).any():
+            raise ProtocolError(f"need {m} packed {self.pop.n}-bit guesses")
+        cut1 = oracle1.cut          # such a trial never reached the challenge
+        flagged = cut1 | oracle2.cut
+        dist = np.where(flagged, -1, np.bitwise_count(x ^ guess)).astype(np.int64)
+        accepted = np.zeros(m, dtype=bool)
+        if self.score_pic:
+            vid = self.scheme.pir_batch(alpha, guess)
+            accepted = self.scheme.pic_batch(pi, vid) & ~flagged
+        queries = {"adv_phase1": int(oracle1.counts.sum()),
+                   "adv_phase2": int(oracle2.counts[~cut1].sum()),
+                   "challenger": int(m - cut1.sum())}
+        transcripts = None
+        if self.record:
+            n = self.pop.n
+            transcripts = [("-" if c else _fe(n, xi), "-" if f else _fe(n, g))
+                           for c, f, xi, g in zip(cut1, flagged, x, guess)]
         return dist, accepted, flagged, queries, transcripts
 
 
@@ -226,6 +324,8 @@ class _UnlinkSpec:
     record: bool = False
 
     def run_range(self, seed, lo, hi, trace=None):
+        if runs_batched(self.adversary):
+            return self._run_batch(seed, lo, hi, trace)
         params = GameParams(self.scheme, self.pop)
         wins = np.zeros(hi - lo, dtype=bool)
         answers = np.zeros(hi - lo, dtype=np.int8)
@@ -242,23 +342,19 @@ class _UnlinkSpec:
             b_prime = -1
             b = -1
             try:
-                if trace is not None:
-                    trace.append("phase1")
+                _step(trace, "phase1")
                 x, x0, x1, state = self.adversary.phase1(params, self.leak,
                                                          oracle1, rng_adv)
-                if trace is not None:
-                    trace.append("challenge")
+                _step(trace, "challenge")
                 b = int(rng_ch.integers(2)) if self.force_b is None else self.force_b
                 pt = self.scheme.pie(x, rng_ch)
                 pt_prime = self.scheme.pie(x0 if b == 0 else x1, rng_ch)
                 view = leak_view(pt, self.leak)
                 view_prime = leak_view(pt_prime, self.leak)
-                if trace is not None:
-                    trace.append("phase2")
+                _step(trace, "phase2")
                 b_prime = self.adversary.phase2(state, view, view_prime,
                                                 oracle2, rng_adv)
-                if trace is not None:
-                    trace.append("decide")
+                _step(trace, "decide")
                 if b_prime not in (0, 1):
                     raise ProtocolError(f"guess must be 0 or 1, got {b_prime!r}")
                 win = b_prime == b
@@ -273,8 +369,48 @@ class _UnlinkSpec:
                                                   "w" if win else "l"))
         return wins, answers, flagged, queries, digests
 
+    def _run_batch(self, seed, lo, hi, trace):
+        m = hi - lo
+        rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
+        oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
+        oracle2 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
+        _step(trace, "phase1")
+        x, x0, x1, state = self.adversary.phase1_batch(
+            GameParams(self.scheme, self.pop), self.leak, oracle1, rng_adv)
+        _step(trace, "challenge")
+        b = (rng_ch.integers(2, size=m) if self.force_b is None
+             else np.full(m, self.force_b))
+        pis, alphas = self.scheme.pie_batch(
+            np.stack([x, np.where(b == 0, x0, x1)], axis=1), rng_ch)
+        view, view_prime = (leak_view(ProtectedTemplate(pis[:, j], alphas[:, j]),
+                                      self.leak) for j in (0, 1))
+        _step(trace, "phase2")
+        b_prime = np.asarray(self.adversary.phase2_batch(
+            state, view, view_prime, oracle2, rng_adv))
+        _step(trace, "decide")
+        cut1 = oracle1.cut          # such a trial never reached the challenge
+        flagged = cut1 | oracle2.cut
+        if b_prime.shape != (m,):
+            raise ProtocolError(f"need {m} guesses, got shape {b_prime.shape}")
+        bad = ~flagged & (b_prime != 0) & (b_prime != 1)
+        if bad.any():
+            raise ProtocolError(f"guess must be 0 or 1, got {b_prime[bad][0]!r}")
+        answers = np.where(flagged, -1, b_prime).astype(np.int8)
+        wins = answers == b
+        queries = {"adv_phase1": int(oracle1.counts.sum()),
+                   "adv_phase2": int(oracle2.counts[~cut1].sum()),
+                   "challenger": 0}
+        digests = None
+        if self.record:
+            shown_b = np.where(cut1, -1, b)
+            digests = [_transcript_digest(f"b{bb}", f"g{g}", "w" if w else "l")
+                       for bb, g, w in zip(shown_b, answers, wins)]
+        return wins, answers, flagged, queries, digests
+
 
 def _run_spec(spec, trials, seed, jobs):
+    if spec.budget < 1:
+        raise ConfigError(f"query_budget must be >= 1, got {spec.budget}")
     return run_chunks(partial(spec.run_range, seed), trials, GAME_CHUNK, jobs)
 
 

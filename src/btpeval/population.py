@@ -5,11 +5,13 @@ semimetric: non-negative, zero exactly on equal points, symmetric).  Each
 user u owns a center template c_u; a fresh capture from u flips every bit
 of c_u independently with probability p.  `SamplingOracle` wraps the
 population behind a query-counted interface so games can charge adversary
-queries against a budget.
+queries against a budget; `BatchSamplingOracle` does the same for a chunk
+of trials at once, charging every query to its trial.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,3 +242,54 @@ class SamplingOracle:
             )
         self.query_count += 1
         return self.population.sample(u, self.rng)
+
+
+class BatchSamplingOracle:
+    """`SamplingOracle` for a chunk of trials, counted per trial.
+
+    `sample(trials, users)` draws one capture per (trial, user) pair and
+    charges each to its trial.  A trial whose demand passes
+    `query_budget` is `cut`, and its count stops at the budget, just as a
+    per-trial oracle stops at the query it refuses.  `subset` gives an
+    oracle over some of the trials that charges this one.
+    """
+
+    def __init__(self, population: Population, rng: np.random.Generator,
+                 query_budget: int, trials: int):
+        self.population = population
+        self.rng = rng
+        self.query_budget = int(query_budget)
+        self._counts = np.zeros(trials, dtype=np.int64)
+        self._cut = np.zeros(trials, dtype=bool)
+        self._index = np.arange(trials)
+
+    @property
+    def trials(self) -> int:
+        return len(self._index)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Queries charged to each trial, at most the budget."""
+        return self._counts[self._index]
+
+    @property
+    def cut(self) -> np.ndarray:
+        """Whether each trial asked for more than the budget."""
+        return self._cut[self._index]
+
+    def subset(self, sel) -> "BatchSamplingOracle":
+        sub = copy.copy(self)
+        sub._index = self._index[sel]
+        return sub
+
+    def sample(self, trials, users) -> np.ndarray:
+        """Packed captures of `users`, the i-th charged to trial `trials[i]`."""
+        users = np.asarray(users)
+        if users.size and not (0 <= users.min()
+                               and users.max() < self.population.num_users):
+            raise IndexError("unknown user in batch query")
+        self._counts += np.bincount(self._index[trials],
+                                    minlength=len(self._counts))
+        self._cut |= self._counts > self.query_budget
+        np.minimum(self._counts, self.query_budget, out=self._counts)
+        return self.population.sample_batch(users, self.rng)

@@ -27,7 +27,7 @@ from .adversaries import (
     SamplerIrrAdversary,
     blind_al_adversary,
 )
-from .errors import ModeError
+from .errors import ConfigError, ModeError, VariationTooHighError
 from .games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game, run_unlink_game
 from .population import Population
 from .schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, BtpScheme, LeakSet
@@ -128,7 +128,9 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     inverter must win the acceptance game with rate above 1 - gamma.
 
     Hypotheses gate applicability: the measured per-template rate spread
-    must satisfy C < 1 and C^2 < delta.
+    must satisfy C < 1 and C^2 < delta.  Where the scheme can be
+    enumerated, the details also give the exact statistics and the
+    n_delta they would set, beside the estimated ones the check uses.
     """
     st = metrics.pt_match_stats(scheme, pop, stats_outer, stats_inner,
                                 seed=seed, jobs=jobs)
@@ -137,7 +139,24 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
         "delta": delta, "gamma": gamma, "trials": trials,
         "measured_mr": stats.mean, "measured_sigma": stats.std_dev,
         "stats_outer": stats_outer, "stats_inner": stats_inner,
+        "tolerance_note": "the tolerance counts only the sampler game's "
+                          "standard error, not the error of the estimated "
+                          "statistics that set n_delta",
     }
+    try:
+        exact_mr, exact_sigma = exact.enumerator(scheme, pop).pt_match_stats()
+    except ModeError:
+        pass
+    else:
+        details["exact_mr"] = exact_mr
+        details["exact_sigma"] = exact_sigma
+        try:
+            details["exact_n_delta"] = PalSamplerConfig.from_stats(
+                metrics.MatchRateStats(exact_mr, exact_sigma), delta,
+                gamma).n_delta
+        except (ConfigError, VariationTooHighError) as e:
+            details["exact_n_delta"] = None
+            details["exact_n_delta_reason"] = str(e)
     if stats.mean <= 0.0:
         details["reason"] = "mean match rate is zero; variation coefficient undefined"
         return TheoremVerdict("T2", NOT_APPLICABLE, ">=", None, None, None,

@@ -314,6 +314,48 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(cli.DEFAULT_CONFIG))
         assert cli.load_config(str(cfg), {}) == cli.DEFAULT_CONFIG
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_query_budget_below_one_is_usage_error(self, tmp_path, capsys,
+                                                   budget):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query_budget": budget}))
+        code, out, err = run_cli(["game", "al-irr", "--adversary", "sampler",
+                                  "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "query_budget" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("user, where", [
+        ({"trials": "100"}, "config.trials"),
+        ({"trials": 2.5}, "config.trials"),
+        ({"trials": True}, "config.trials"),
+        ({"seed": "x"}, "config.seed"),
+        ({"tau": 1.0}, "config.tau"),
+        ({"query_budget": 1e6}, "config.query_budget"),
+        ({"stats_outer": None}, "config.stats_outer"),
+        ({"sampler_queries": "16"}, "config.sampler_queries"),
+        ({"delta": "0.2"}, "config.delta"),
+        ({"gamma": False}, "config.gamma"),
+        ({"population": {"n": 7.0}}, "config.population.n"),
+        ({"population": {"U": "16"}}, "config.population.U"),
+        ({"population": {"seed": [1]}}, "config.population.seed"),
+        ({"population": {"p": "0.03"}}, "config.population.p"),
+    ])
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, user,
+                                             where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        code, _, err = run_cli(["metrics", "--config", str(cfg),
+                                "--trials", "10"], capsys)
+        assert code == 2
+        assert where in err
+
+    def test_numbers_accept_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0, "population": {"p": 0}}))
+        loaded = cli.load_config(str(cfg), {})
+        assert (loaded["delta"], loaded["population"]["p"]) == (0, 0)
+
     def test_dimension_over_64_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"population": {"n": 70},

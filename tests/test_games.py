@@ -1,18 +1,26 @@
-"""Game protocol mechanics: fidelity, budgets, determinism, known rates."""
+"""Game protocol mechanics: fidelity, budgets, determinism, known rates,
+and the batch engine against the scalar one and the exact oracles."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from btpeval import metrics
+from btpeval import exact, games, metrics
 from btpeval.adversaries import (
     CoinFlipUnlinkAdversary,
     CrossComparatorAdversary,
     MatchTestUnlinkAdversary,
+    PalSamplerAdversary,
+    PalSamplerConfig,
     ReadViewAdversary,
+    ReductionUnlinkAdversary,
+    SamplerIrrAdversary,
     blind_al_adversary,
     blind_pal_adversary,
 )
-from btpeval.errors import ProtocolError
+from btpeval.errors import ConfigError, ProtocolError
 from btpeval.games import (
     IrrAdversary,
     UnlinkAdversary,
@@ -21,11 +29,39 @@ from btpeval.games import (
     run_coupled_irr_trials,
     run_pal_irr_game,
     run_unlink_game,
+    runs_batched,
     trace_irr_trial,
     trace_unlink_trial,
 )
 from btpeval.population import FeatureElement, Population
-from btpeval.schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, PlaintextScheme, RotationScheme
+from btpeval.schemes import (
+    LEAK_AD,
+    LEAK_BOTH,
+    LEAK_PI,
+    PlaintextScheme,
+    RotationScheme,
+    build_scheme,
+)
+
+
+class ScalarEngine:
+    """Hides an adversary's batch phases, so the scalar engine plays it."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+        self.name = adversary.name
+
+    def phase1(self, *args):
+        return self.adversary.phase1(*args)
+
+    def phase2(self, *args):
+        return self.adversary.phase2(*args)
+
+
+def engines(adversary):
+    """The adversary as the batch engine and as the scalar engine play it."""
+    assert runs_batched(adversary)
+    return {"batch": adversary, "scalar": ScalarEngine(adversary)}
 
 
 class GreedySampler(IrrAdversary):
@@ -96,6 +132,46 @@ class TestProtocolFidelity:
             run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
                             BadBitAdversary(), trials=3, seed=0)
 
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_step_order_on_both_engines(self, fc_scheme, default_pop, engine):
+        steps = ["phase1", "challenge", "phase2", "decide"]
+        irr = engines(blind_al_adversary(default_pop, 1))[engine]
+        unlink = engines(MatchTestUnlinkAdversary())[engine]
+        assert trace_irr_trial(fc_scheme, default_pop, LEAK_PI, 1, irr) == steps
+        assert trace_unlink_trial(fc_scheme, default_pop, LEAK_BOTH,
+                                  unlink) == steps
+
+    def test_batch_guess_bit_checked(self, fc_scheme, default_pop):
+        class BadBatchBit(CoinFlipUnlinkAdversary):
+            def phase2_batch(self, state, view, view_prime, oracle, rng):
+                return np.full(oracle.trials, 2)
+
+        with pytest.raises(ProtocolError):
+            run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadBatchBit(),
+                            trials=3, seed=0)
+
+    def test_batch_guess_checked(self, fc_scheme, default_pop):
+        class WideGuess(SamplerIrrAdversary):
+            def phase2_batch(self, state, view, oracle, rng):
+                return np.full(oracle.trials, 1 << 7)
+
+        with pytest.raises(ProtocolError):
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, WideGuess(),
+                            trials=3, seed=0)
+
+    def test_scalar_override_keeps_scalar_engine(self, default_pop):
+        class Overridden(SamplerIrrAdversary):
+            def phase2(self, state, view, oracle, rng):
+                return super().phase2(state, view, oracle, rng)
+
+        assert runs_batched(SamplerIrrAdversary())
+        assert not runs_batched(Overridden())
+        assert not runs_batched(ReductionUnlinkAdversary(Overridden(), 1))
+        assert not runs_batched(ReductionUnlinkAdversary(
+            ReadViewAdversary("pi"), 1))
+        assert runs_batched(ReductionUnlinkAdversary(
+            blind_al_adversary(default_pop, 1), 1))
+
 
 class TestBudgets:
     def test_exhausted_trial_is_flagged_loss(self, fc_scheme, default_pop):
@@ -112,6 +188,80 @@ class TestBudgets:
         assert result.queries["adv_phase1"] == 0
         assert result.queries["adv_phase2"] == 0
         assert result.queries["challenger"] == 50
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("adversary", ["batch", "scalar", "unlink"])
+    def test_budget_below_one_rejected(self, fc_scheme, default_pop, budget,
+                                       adversary):
+        if adversary == "unlink":
+            with pytest.raises(ConfigError):
+                run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
+                                MatchTestUnlinkAdversary(), trials=5,
+                                budget=budget)
+            return
+        adv = engines(SamplerIrrAdversary(4, 1))[adversary]
+        with pytest.raises(ConfigError):
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv, trials=5,
+                            budget=budget)
+
+    def _both(self, run, adversary):
+        results = [run(adv) for adv in engines(adversary).values()]
+        batch, scalar = results
+        assert (batch.flagged, batch.queries) == (scalar.flagged,
+                                                 scalar.queries)
+        return batch
+
+    def test_sampler_cut_at_budget_on_both_engines(self, fc_scheme,
+                                                   default_pop):
+        trials = 700
+        result = self._both(lambda adv: run_al_irr_game(
+            fc_scheme, default_pop, LEAK_AD, 1, adv, trials=trials, seed=3,
+            budget=5), SamplerIrrAdversary(16, 1))
+        assert result.flagged == trials
+        assert result.wins == 0
+        assert result.queries == {"adv_phase1": 0, "adv_phase2": 5 * trials,
+                                  "challenger": trials}
+
+    @pytest.mark.parametrize("scheme_name, n_delta, flagged", [
+        ("broken", 3, 700),     # every round rejects: cut at round two
+        ("fc", 1, 0),           # one round never passes the budget
+    ])
+    def test_pal_sampler_budget_one_on_both_engines(self, default_pop,
+                                                    scheme_name, n_delta,
+                                                    flagged):
+        scheme = build_scheme({"scheme": scheme_name}, 7)
+        cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
+                               mu=0.5, n_delta=n_delta)
+        trials = 700
+        result = self._both(lambda adv: run_pal_irr_game(
+            scheme, default_pop, LEAK_BOTH, adv, trials=trials, seed=4,
+            budget=1), PalSamplerAdversary(cfg))
+        assert result.flagged == flagged
+        assert result.queries == {"adv_phase1": 0, "adv_phase2": trials,
+                                  "challenger": trials}
+
+    def test_phase1_cut_on_both_engines(self, fc_scheme, default_pop):
+        # three captures asked for in phase 1, two allowed: no trial gets
+        # a challenge, and phase 2 is never charged
+        trials = 700
+        result = self._both(lambda adv: run_unlink_game(
+            fc_scheme, default_pop, LEAK_BOTH, adv, trials=trials, seed=5,
+            budget=2), MatchTestUnlinkAdversary())
+        assert (result.flagged, result.wins) == (trials, 0)
+        assert result.queries == {"adv_phase1": 2 * trials, "adv_phase2": 0,
+                                  "challenger": 0}
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_reduction_charges_inner_only_when_balls_apart(
+            self, fc_scheme, default_pop, engine):
+        inner = SamplerIrrAdversary(16, 1)
+        adv = engines(ReductionUnlinkAdversary(inner, 1))[engine]
+        result = run_unlink_game(fc_scheme, default_pop, LEAK_AD, adv,
+                                 trials=700, seed=6, budget=5)
+        # a trial is cut exactly when the inner adversary ran on it
+        assert result.queries["adv_phase2"] == 5 * result.flagged
+        assert result.queries["adv_phase1"] == 3 * 700
+        assert 0 < result.flagged < 700
 
 
 class TestDeterminism:
@@ -132,6 +282,49 @@ class TestDeterminism:
                             MatchTestUnlinkAdversary(), jobs=2, **kw)
         assert a.wins == b.wins
         assert a.transcript_digests == b.transcript_digests
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_irr_transcripts_jobs_invariant(self, fc_scheme, default_pop,
+                                            engine):
+        adv = engines(SamplerIrrAdversary(4, 1))[engine]
+        kw = dict(trials=1100, seed=9, record_transcripts=True)
+        a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv, jobs=1,
+                            **kw)
+        b = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv, jobs=2,
+                            **kw)
+        assert len(a.transcript_digests) == 1100
+        assert a.transcript_digests == b.transcript_digests
+
+    def test_scalar_engine_keeps_per_trial_streams(self, fc_scheme,
+                                                   default_pop):
+        # reference digests of the per-trial engine, as it played before
+        # the batch engine existed
+        def digest(result):
+            text = "".join(result.transcript_digests)
+            return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+        kw = dict(trials=300, seed=7, record_transcripts=True)
+        u = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
+                            ScalarEngine(MatchTestUnlinkAdversary()), **kw)
+        a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
+                            ScalarEngine(SamplerIrrAdversary(4, 1)), **kw)
+        assert (u.wins, digest(u)) == (277, "1035ebc8295a4d19")
+        assert (a.wins, digest(a)) == (59, "b46ba8d5b12d7299")
+
+    def test_batched_game_derives_three_streams_per_chunk(
+            self, fc_scheme, default_pop, monkeypatch):
+        calls = []
+        derive = games.substream
+
+        def counted(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(games, "substream", counted)
+        run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
+                        MatchTestUnlinkAdversary(), trials=1200, seed=3)
+        assert games.GAME_CHUNK == 512
+        assert len(calls) == 9           # 3 chunks x (ch, adv, samp)
 
     def test_seed_changes_outcomes(self, fc_scheme, default_pop):
         a = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
@@ -252,3 +445,87 @@ class TestCrossMatchRates:
               + se_adv ** 2) ** 0.5
         assert res.identity_gap <= 3 * se + 1e-9
         assert res.identity_advantage > 0.5
+
+
+SCHEMES = {
+    "fc": {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}},
+    "rot": {"scheme": "rot", "tau": 1},
+    "plain": {"scheme": "plain", "tau": 1},
+    "broken": {"scheme": "broken"},
+}
+Z99 = metrics.z_value(0.99)
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+class TestEngineDifferential:
+    """Batch engine against scalar engine against the exact oracle, each
+    within its 99% interval, at fixed seeds."""
+
+    TRIALS = 2000
+
+    def _play(self, run, adversary):
+        return {engine: run(adv)
+                for engine, adv in engines(adversary).items()}
+
+    def _hits(self, results, target, field="win_rate"):
+        for engine, result in results.items():
+            est = getattr(result, field)
+            assert est.ci_low <= target <= est.ci_high, (engine, est, target)
+            assert result.flagged == 0
+
+    def test_blind_al_irr(self, default_pop, scheme_name):
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        results = self._play(lambda adv: run_al_irr_game(
+            scheme, default_pop, LEAK_PI, 1, adv, trials=self.TRIALS,
+            seed=51, level=0.99), blind_al_adversary(default_pop, 1))
+        self._hits(results, metrics.extremal_mr(default_pop, 1).value)
+
+    def test_match_test_unlink(self, default_pop, scheme_name):
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        en = exact.enumerator(scheme, default_pop)
+        results = self._play(lambda adv: run_unlink_game(
+            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=53,
+            level=0.99), MatchTestUnlinkAdversary())
+        if en.hypothesis_own_match():
+            self._hits(results, 1.0 - en.pt_match_stats()[0], "advantage")
+        else:
+            # broken rejects every probe, so the answer is always 0
+            self._hits(results, 0.5)
+
+    def test_pal_sampler(self, default_pop, scheme_name):
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        en = exact.enumerator(scheme, default_pop)
+        n_delta = 3
+        cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
+                               mu=0.5, n_delta=n_delta)
+        r = en.M_pt @ en.pmf_mix
+        target = float(en.w_mix @ (1.0 - (1.0 - r) ** n_delta))
+        results = self._play(lambda adv: run_pal_irr_game(
+            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=55,
+            level=0.99), PalSamplerAdversary(cfg))
+        self._hits(results, target)
+
+    def _two_sample(self, results):
+        """No closed form: the engines' win rates agree within a 99%
+        two-sample test."""
+        p_b = results["batch"].win_rate.point
+        p_s = results["scalar"].win_rate.point
+        pooled = (p_b + p_s) / 2
+        se = math.sqrt(pooled * (1 - pooled) * 2 / self.TRIALS)
+        assert abs(p_b - p_s) <= Z99 * se, (p_b, p_s)
+
+    def test_sampler_two_sample(self, default_pop, scheme_name):
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        self._two_sample(self._play(lambda adv: run_al_irr_game(
+            scheme, default_pop, LEAK_AD, 1, adv, trials=self.TRIALS, seed=57),
+            SamplerIrrAdversary(8, 1)))
+
+    def test_reduction_two_sample(self, default_pop, scheme_name):
+        # an inner inverter that reads the template, so the reduction's
+        # votes carry the challenge bit
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
+                               mu=0.5, n_delta=4)
+        self._two_sample(self._play(lambda adv: run_unlink_game(
+            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=59),
+            ReductionUnlinkAdversary(PalSamplerAdversary(cfg), 1)))

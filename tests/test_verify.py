@@ -2,8 +2,15 @@
 
 import pytest
 
-from btpeval import verify
-from btpeval.adversaries import ReadViewAdversary, SamplerIrrAdversary, blind_al_adversary
+from btpeval import exact, verify
+from btpeval.adversaries import (
+    PalSamplerConfig,
+    ReadViewAdversary,
+    SamplerIrrAdversary,
+    blind_al_adversary,
+)
+from btpeval.metrics import MatchRateStats
+from btpeval.population import generate_population
 from btpeval.schemes import LEAK_AD, LEAK_PI, PlaintextScheme, RotationScheme, build_scheme
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
@@ -67,6 +74,30 @@ class TestT2:
         v = verify.check_thm_pal_unachievable(NeverMatchScheme(7), default_pop,
                                             trials=500, seed=8)
         assert v.status == verify.NOT_APPLICABLE
+        # the exact statistics cannot size the sampler either
+        assert v.details["exact_mr"] == 0.0
+        assert v.details["exact_n_delta"] is None
+        assert "positive" in v.details["exact_n_delta_reason"]
+
+    def test_exact_statistics_beside_estimated(self, fc_scheme, default_pop):
+        v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
+                                            trials=500, seed=4)
+        mean, sigma = exact.enumerator(fc_scheme, default_pop).pt_match_stats()
+        d = v.details
+        assert (d["exact_mr"], d["exact_sigma"]) == (mean, sigma)
+        cfg = PalSamplerConfig.from_stats(MatchRateStats(mean, sigma), 0.16,
+                                          0.5)
+        assert d["exact_n_delta"] == cfg.n_delta
+        assert d["n_delta"] >= 1
+        assert "standard error" in d["tolerance_note"]
+
+    def test_no_exact_statistics_beyond_enumeration(self):
+        pop = generate_population(exact.ENUM_N_CAP + 1, 16, 0.03, seed=1)
+        scheme = PlaintextScheme(pop.n, tau=1)
+        v = verify.check_thm_pal_unachievable(scheme, pop, trials=200, seed=9,
+                                            stats_outer=50, stats_inner=40)
+        assert "exact_mr" not in v.details
+        assert "tolerance_note" in v.details
 
 
 class TestT3:
