@@ -9,8 +9,10 @@ accept/reject behavior into linkage with advantage 1 - MR.  The reduction
 wrapper turns any inversion adversary into a distinguisher, which is what
 the unlinkability-implies-irreversibility bound exercises.
 
-Every adversary here except the view readers also has batch phases, so
-the games play it a chunk of trials at a time (see `games`).
+Each adversary has one implementation.  The view readers have scalar
+phases, which the games play trial by trial through the adversary base
+class; every other adversary has batch phases and plays a chunk of trials
+in array operations (see `games`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 
 from . import exact
 from .errors import ConfigError, ContractError, VariationTooHighError
-from .games import GameParams, IrrAdversary, UnlinkAdversary
+from .games import IrrAdversary, UnlinkAdversary
 from .metrics import MatchRateStats, extremal_mr, extremal_rmr
-from .population import FeatureElement, hamming_distance, neighborhood_overlap
+from .population import FeatureElement
 from .schemes import LEAK_BOTH, PtView
 
 
@@ -106,23 +108,10 @@ class PalSamplerAdversary(IrrAdversary):
     def __init__(self, cfg: PalSamplerConfig):
         self.cfg = cfg
 
-    def phase1(self, params, leak, tau, oracle, rng):
+    def phase1_batch(self, params, leak, tau, oracle, rng):
         if leak != LEAK_BOTH:
             raise ContractError("the sampling inverter needs both template parts")
         return params
-
-    phase1_batch = phase1  # phase 1 reads neither the oracle nor a trial
-
-    def phase2(self, state, view, oracle, rng):
-        params: GameParams = state
-        scheme, pop = params.scheme, params.population
-        x_prime = None
-        for _ in range(self.cfg.n_delta):
-            v = int(rng.integers(pop.num_users))
-            x_prime = oracle.sample(v)
-            if scheme.pic(view.pi, scheme.pir(view.alpha, x_prime)):
-                return x_prime
-        return x_prime
 
     def phase2_batch(self, state, view, oracle, rng):
         """Each round samples for the trials still unaccepted (and within
@@ -153,13 +142,8 @@ class BlindArgmaxAdversary(IrrAdversary):
     def __init__(self, guess: FeatureElement):
         self.guess = guess
 
-    def phase1(self, params, leak, tau, oracle, rng):
+    def phase1_batch(self, params, leak, tau, oracle, rng):
         return None
-
-    phase1_batch = phase1
-
-    def phase2(self, state, view, oracle, rng):
-        return self.guess
 
     def phase2_batch(self, state, view, oracle, rng):
         return np.full(oracle.trials, self.guess.value, dtype=np.uint64)
@@ -215,10 +199,8 @@ class SamplerIrrAdversary(IrrAdversary):
         self.fallback_tau = fallback_tau
         self._scores = {}
 
-    def phase1(self, params, leak, tau, oracle, rng):
+    def phase1_batch(self, params, leak, tau, oracle, rng):
         return (params, self.fallback_tau if tau is None else tau)
-
-    phase1_batch = phase1
 
     def _score(self, pop, value: int, tau: int) -> float:
         key = (value, tau)
@@ -228,17 +210,6 @@ class SamplerIrrAdversary(IrrAdversary):
             self._scores[key] = score
         return score
 
-    def phase2(self, state, view, oracle, rng):
-        params, tau = state
-        pop = params.population
-        best, best_score = None, -1.0
-        for _ in range(self.num_queries):
-            cand = oracle.sample(int(rng.integers(pop.num_users)))
-            score = self._score(pop, cand.value, tau)
-            if score > best_score:
-                best, best_score = cand, score
-        return best
-
     def phase2_batch(self, state, view, oracle, rng):
         params, tau = state
         pop = params.population
@@ -247,7 +218,7 @@ class SamplerIrrAdversary(IrrAdversary):
         cands = oracle.sample(np.repeat(np.arange(m), q), users)
         values, inverse = np.unique(cands, return_inverse=True)
         scores = np.array([self._score(pop, int(v), tau) for v in values])
-        # the first best candidate in query order, as phase2 picks it
+        # the first best candidate in query order
         best = np.argmax(scores[inverse].reshape(m, q), axis=1)
         return cands.reshape(m, q)[np.arange(m), best]
 
@@ -256,21 +227,10 @@ class SamplerIrrAdversary(IrrAdversary):
 # distinguishers
 
 
-def _match_test_decision(scheme, view_prime, x0, x1, rng) -> int:
-    """Accept/reject probing of the second template: a non-match on x1
-    pins the mated case, a non-match on x0 pins the non-mated case,
-    double acceptance falls back to a coin."""
-    r1 = scheme.pic(view_prime.pi, scheme.pir(view_prime.alpha, x1))
-    if not r1:
-        return 0
-    r0 = scheme.pic(view_prime.pi, scheme.pir(view_prime.alpha, x0))
-    if not r0:
-        return 1
-    return int(rng.integers(2))
-
-
 def _match_test_batch(scheme, view_prime, x0, x1, rng) -> np.ndarray:
-    """`_match_test_decision` for every trial of a chunk."""
+    """Accept/reject probing of the second template, for every trial of a
+    chunk: a non-match on x1 pins the mated case, a non-match on x0 pins
+    the non-mated case, double acceptance falls back to a coin."""
     r1 = scheme.pic_batch(view_prime.pi, scheme.pir_batch(view_prime.alpha, x1))
     r0 = scheme.pic_batch(view_prime.pi, scheme.pir_batch(view_prime.alpha, x0))
     coin = rng.integers(2, size=len(x0))
@@ -297,18 +257,6 @@ class MatchTestUnlinkAdversary(UnlinkAdversary):
 
     name = "match-test"
 
-    def phase1(self, params, leak, oracle, rng):
-        if leak != LEAK_BOTH:
-            raise ContractError("the match-test distinguisher needs both parts")
-        pop = params.population
-        users = [int(rng.integers(pop.num_users)) for _ in range(3)]
-        x, x0, x1 = (oracle.sample(u) for u in users)
-        return x, x0, x1, (params, x, x0, x1)
-
-    def phase2(self, state, view, view_prime, oracle, rng):
-        params, x, x0, x1 = state
-        return _match_test_decision(params.scheme, view_prime, x0, x1, rng)
-
     def phase1_batch(self, params, leak, oracle, rng):
         if leak != LEAK_BOTH:
             raise ContractError("the match-test distinguisher needs both parts")
@@ -325,15 +273,6 @@ class CoinFlipUnlinkAdversary(UnlinkAdversary):
 
     name = "coin"
 
-    def phase1(self, params, leak, oracle, rng):
-        pop = params.population
-        users = [int(rng.integers(pop.num_users)) for _ in range(3)]
-        x, x0, x1 = (oracle.sample(u) for u in users)
-        return x, x0, x1, None
-
-    def phase2(self, state, view, view_prime, oracle, rng):
-        return int(rng.integers(2))
-
     def phase1_batch(self, params, leak, oracle, rng):
         return (*_random_triples(params.population, oracle, rng), None)
 
@@ -341,45 +280,18 @@ class CoinFlipUnlinkAdversary(UnlinkAdversary):
         return rng.integers(2, size=oracle.trials)
 
 
-def match_test_rule(params, state_xs, view, view_prime, oracle, rng) -> int:
-    """Default cross-comparator rule; degrades to a coin when the leak set
-    hides a field the acceptance test needs."""
-    if not (view_prime.has_pi and view_prime.has_ad):
-        return int(rng.integers(2))
-    _, x0, x1 = state_xs
-    return _match_test_decision(params.scheme, view_prime, x0, x1, rng)
-
-
-def always_zero_rule(params, state_xs, view, view_prime, oracle, rng) -> int:
-    return 0
-
-
-def always_one_rule(params, state_xs, view, view_prime, oracle, rng) -> int:
-    return 1
-
-
-def coin_rule(params, state_xs, view, view_prime, oracle, rng) -> int:
-    return int(rng.integers(2))
-
-
-COMPARATOR_RULES = {
-    "match-test": match_test_rule,
-    "always-0": always_zero_rule,
-    "always-1": always_one_rule,
-    "coin": coin_rule,
-}
-
-
-def _match_test_rule_batch(params, xs, view, view_prime, oracle, rng):
+def _match_test_rule(params, xs, view, view_prime, oracle, rng):
+    """Degrades to a coin when the leak set hides a field the acceptance
+    test needs."""
     if not (view_prime.has_pi and view_prime.has_ad):
         return rng.integers(2, size=oracle.trials)
     _, x0, x1 = xs
     return _match_test_batch(params.scheme, view_prime, x0, x1, rng)
 
 
-# The same rules, deciding every trial of a chunk at once.
-BATCH_COMPARATOR_RULES = {
-    "match-test": _match_test_rule_batch,
+# Decision rules of the cross-comparator, deciding every trial of a chunk.
+COMPARATOR_RULES = {
+    "match-test": _match_test_rule,
     "always-0": lambda params, xs, view, view_prime, oracle, rng:
         np.zeros(oracle.trials, dtype=np.int64),
     "always-1": lambda params, xs, view, view_prime, oracle, rng:
@@ -403,28 +315,8 @@ class CrossComparatorAdversary(UnlinkAdversary):
         self.rule_name = rule
         self.name = f"cross-comparator[{rule}]"
 
-    def phase1(self, params, leak, oracle, rng):
-        pop = params.population
-        if pop.num_users < 2:
-            raise ConfigError("cross-comparison needs at least two users")
-        u = int(rng.integers(pop.num_users))
-        v = int(rng.integers(pop.num_users - 1))
-        if v >= u:
-            v += 1
-        x = oracle.sample(u)
-        x0 = oracle.sample(u)
-        x1 = oracle.sample(v)
-        return x, x0, x1, (params, (x, x0, x1))
-
-    def phase2(self, state, view, view_prime, oracle, rng):
-        params, xs = state
-        return COMPARATOR_RULES[self.rule_name](params, xs, view, view_prime,
-                                                oracle, rng)
-
     def phase1_batch(self, params, leak, oracle, rng):
         pop = params.population
-        if pop.num_users < 2:
-            raise ConfigError("cross-comparison needs at least two users")
         u = rng.integers(pop.num_users, size=oracle.trials)
         v = rng.integers(pop.num_users - 1, size=oracle.trials)
         v += v >= u
@@ -433,8 +325,8 @@ class CrossComparatorAdversary(UnlinkAdversary):
 
     def phase2_batch(self, state, view, view_prime, oracle, rng):
         params, xs = state
-        return BATCH_COMPARATOR_RULES[self.rule_name](params, xs, view,
-                                                      view_prime, oracle, rng)
+        return COMPARATOR_RULES[self.rule_name](params, xs, view, view_prime,
+                                                oracle, rng)
 
 
 class ReductionUnlinkAdversary(UnlinkAdversary):
@@ -453,24 +345,6 @@ class ReductionUnlinkAdversary(UnlinkAdversary):
         self.inner = inner
         self.tau = tau
         self.name = f"reduction[{getattr(inner, 'name', 'custom')}]"
-
-    def phase1(self, params, leak, oracle, rng):
-        inner_state = self.inner.phase1(params, leak, self.tau, oracle, rng)
-        pop = params.population
-        users = [int(rng.integers(pop.num_users)) for _ in range(3)]
-        x, x0, x1 = (oracle.sample(u) for u in users)
-        return x, x0, x1, ((x, x0, x1), inner_state)
-
-    def phase2(self, state, view, view_prime, oracle, rng):
-        (x, x0, x1), inner_state = state
-        if neighborhood_overlap(x0, x1, self.tau):
-            return int(rng.integers(2))
-        guess = self.inner.phase2(inner_state, view_prime, oracle, rng)
-        if hamming_distance(x0, guess) <= self.tau:
-            return 0
-        if hamming_distance(x1, guess) <= self.tau:
-            return 1
-        return int(rng.integers(2))
 
     def phase1_batch(self, params, leak, oracle, rng):
         inner_state = self.inner.phase1_batch(params, leak, self.tau, oracle,

@@ -357,7 +357,9 @@ def main(argv=None) -> int:
         if args.leak is not None:
             overrides["lambda"] = args.leak
         cfg = load_config(args.config, overrides)
-        jobs = max(1, args.jobs)
+        jobs = args.jobs
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         scheme, pop = _build(cfg)
         if args.cmd == "metrics":
             body, code = cmd_metrics(cfg, scheme, pop, jobs)

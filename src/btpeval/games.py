@@ -8,21 +8,19 @@ its leaked view.  All state between the stages travels through the
 explicit state value returned by phase 1.  A trial that exhausts its
 oracle budget counts as a loss and is flagged.
 
-Two engines play the same protocol.  The batch engine plays an adversary
-that has batch phases (every built-in the theorem checks use): a chunk of
-`GAME_CHUNK` trials draws from three streams keyed by the chunk, for the
-challenger, the adversary and the sampling oracles, and runs each step as
-array operations on the scheme's batch contract.  One of its trials is
-replayed by re-running its chunk.  The scalar engine plays any other
-adversary, one trial at a time, each trial on its own three streams, so
-one trial replays alone.  Either way a result depends only on (inputs,
-seed, trials), never on how chunks were scheduled across workers.
+One engine plays every adversary: a chunk of `GAME_CHUNK` trials draws
+from three streams keyed by the chunk, for the challenger, the adversary
+and the sampling oracles, and runs each step as array operations on the
+scheme's batch contract.  An adversary written trial by trial is played
+through its base class, which runs its scalar phases on each trial of the
+chunk in turn.  A trial is replayed by re-running its chunk, and a result
+depends only on (inputs, seed, trials), never on how chunks were
+scheduled across workers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 
@@ -37,15 +35,9 @@ from .metrics import (
     extremal_rmr,
     run_chunks,
 )
-from .population import (
-    BatchSamplingOracle,
-    FeatureElement,
-    Population,
-    SamplingOracle,
-    hamming_distance,
-)
+from .population import BatchSamplingOracle, FeatureElement, Population
 from .rng import substream
-from .schemes import REJECT, BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
+from .schemes import BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
 
 GAME_CHUNK = 512
 _ROLES = ("ch", "adv", "samp")
@@ -63,52 +55,160 @@ class GameParams:
     population: Population
 
 
-class IrrAdversary(ABC):
+_PAIRS = (("phase1", "phase2"), ("phase1_batch", "phase2_batch"))
+
+
+class _Adversary:
+    """Base of both adversary kinds: a subclass implements the scalar pair
+    of phases or the batch pair, and one that implements neither fails
+    when instantiated."""
+
+    def __new__(cls, *args, **kwargs):
+        kind = next(c for c in cls.__mro__ if _Adversary in c.__bases__)
+        if not any(all(getattr(cls, p) is not getattr(kind, p) for p in pair)
+                   for pair in _PAIRS):
+            raise TypeError(f"{cls.__name__} implements neither phase1/phase2 "
+                            "nor phase1_batch/phase2_batch")
+        return super().__new__(cls)
+
+
+class IrrAdversary(_Adversary):
     """Two-stage inversion adversary.
 
     Stateless by contract: anything phase 2 needs must be in the state
-    value phase 1 returns.
+    value phase 1 returns.  A subclass implements one of two pairs.
 
-    An adversary may also play a chunk of trials at once, with
-    `phase1_batch(params, leak, tau, oracle, rng)` and
-    `phase2_batch(state, view, oracle, rng)`.  The oracle is a
+    The scalar pair plays one trial: `phase1(params, leak, tau, oracle,
+    rng)` returns the state for `phase2(state, view, oracle, rng)`, which
+    returns the guessed `FeatureElement`.  The oracle is the trial's
+    `SamplingOracle` and the view holds the scheme's template objects.
+
+    The batch pair plays a chunk: `phase1_batch(params, leak, tau, oracle,
+    rng)` and `phase2_batch(state, view, oracle, rng)`.  The oracle is a
     `BatchSamplingOracle` over the chunk's `oracle.trials` trials, the
     view's fields are arrays of template codes (None where hidden), and
-    phase 2 returns one packed guess per trial.  Its state holds nothing
-    per trial: phase 2 may be called on a subset of the trials.
+    phase 2 returns one packed guess per trial.  Phase 2 may be called on
+    a subset of the trials, so what the state holds per trial it keys by
+    trial row (`oracle.rows`).
+
+    The games call the batch pair only.  Its default plays the scalar pair
+    on each trial of the chunk in turn, on the chunk's streams: a trial
+    whose oracle refuses a query is cut there.
     """
 
     name = "irr-adversary"
 
-    @abstractmethod
     def phase1(self, params: GameParams, leak: LeakSet, tau, oracle, rng):
         """Receive the public parameters, optionally probe the oracle,
         return the state for phase 2.  `tau` is None in the
         pseudo-authorized-leakage variant."""
+        raise NotImplementedError
 
-    @abstractmethod
     def phase2(self, state, view: PtView, oracle, rng) -> FeatureElement:
         """Receive the leaked view, return the feature-element guess."""
+        raise NotImplementedError
+
+    def phase1_batch(self, params, leak, tau, oracle, rng):
+        states = {}
+
+        def play(j, one, _):
+            states[one.row] = self.phase1(params, leak, tau, one, rng)
+
+        _each_trial(oracle, play)
+        return params, states
+
+    def phase2_batch(self, state, view, oracle, rng) -> np.ndarray:
+        params, states = state
+        guesses = np.zeros(oracle.trials, dtype=np.uint64)
+
+        def play(j, one, trial_state):
+            guess = self.phase2(trial_state, _trial_view(params.scheme, view, j),
+                                one, rng)
+            guesses[j] = _packed(params.population.n, guess, "guess")
+
+        _each_trial(oracle, play, states)
+        return guesses
 
 
-class UnlinkAdversary(ABC):
+class UnlinkAdversary(_Adversary):
     """Two-stage distinguishing adversary for the unlinkability game.
 
-    Its batch phases, if any, are `phase1_batch(params, leak, oracle,
-    rng)`, returning packed (x, x0, x1) arrays and a state, and
-    `phase2_batch(state, view, view_prime, oracle, rng)`, returning one
-    bit per trial (see `IrrAdversary`).
+    The scalar pair: `phase1(params, leak, oracle, rng)` returns (x, x0,
+    x1, state), and the challenger encodes x and x_b;
+    `phase2(state, view, view_prime, oracle, rng)` returns the guessed
+    bit.  The batch pair: `phase1_batch(params, leak, oracle, rng)` returns
+    packed (x, x0, x1) arrays and a state, and `phase2_batch(state, view,
+    view_prime, oracle, rng)` one bit per trial.  See `IrrAdversary` for
+    the two pairs and the default batch pair.
     """
 
     name = "unlink-adversary"
 
-    @abstractmethod
     def phase1(self, params: GameParams, leak: LeakSet, oracle, rng):
         """Return (x, x0, x1, state); the challenger encodes x and x_b."""
+        raise NotImplementedError
 
-    @abstractmethod
     def phase2(self, state, view: PtView, view_prime: PtView, oracle, rng) -> int:
         """Return the guessed bit."""
+        raise NotImplementedError
+
+    def phase1_batch(self, params, leak, oracle, rng):
+        n = params.population.n
+        xs = np.zeros((3, oracle.trials), dtype=np.uint64)
+        states = {}
+
+        def play(j, one, _):
+            *features, states[one.row] = self.phase1(params, leak, one, rng)
+            xs[:, j] = [_packed(n, x, "challenge feature") for x in features]
+
+        _each_trial(oracle, play)
+        return (*xs, (params, states))
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng) -> np.ndarray:
+        params, states = state
+        bits = np.zeros(oracle.trials, dtype=np.int64)
+
+        def play(j, one, trial_state):
+            bit = self.phase2(trial_state, _trial_view(params.scheme, view, j),
+                              _trial_view(params.scheme, view_prime, j), one,
+                              rng)
+            if bit not in (0, 1):
+                raise ProtocolError(f"guess must be 0 or 1, got {bit!r}")
+            bits[j] = bit
+
+        _each_trial(oracle, play, states)
+        return bits
+
+
+def _each_trial(oracle, play, states=None):
+    """Call `play(j, trial_oracle, state)` on each trial j of a chunk.
+
+    `states` holds each trial's phase-1 state by trial row; a trial cut in
+    phase 1 has none and is skipped.  A play that exhausts the budget ends
+    there: the trial's oracle has cut it.
+    """
+    for j, row in enumerate(oracle.rows):
+        if states is not None and row not in states:
+            continue
+        try:
+            play(j, oracle.trial(j), None if states is None else states[row])
+        except BudgetExceededError:
+            pass
+
+
+def _trial_view(scheme, view: PtView, j) -> PtView:
+    """Trial j of a chunk's coded view, as the scheme's template objects.
+    A hidden field is decoded from code 0, then dropped."""
+    pt = scheme.template_of_codes(view.pi[j] if view.has_pi else 0,
+                                  view.alpha[j] if view.has_ad else 0)
+    return leak_view(pt, LeakSet(view.has_pi, view.has_ad))
+
+
+def _packed(n, x, what) -> int:
+    if not isinstance(x, FeatureElement) or x.n != n:
+        raise ProtocolError(f"the {what} must be a {n}-bit FeatureElement, "
+                            f"got {x!r}")
+    return x.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,48 +251,12 @@ class GameResult:
         return out
 
 
-def _canon(obj) -> str:
-    if obj is REJECT:
-        return "REJECT"
-    if isinstance(obj, FeatureElement):
-        return f"fe:{str(obj)}"
-    if isinstance(obj, bytes):
-        return f"b:{obj.hex()}"
-    if obj is None:
-        return "-"
-    if isinstance(obj, (int, np.integer)):
-        return f"i:{int(obj)}"
-    raise ProtocolError(f"cannot canonicalize {type(obj).__name__} for transcripts")
-
-
-def _transcript_digest(*parts) -> str:
-    data = "|".join(_canon(p) if not isinstance(p, str) else p for p in parts)
-    return hashlib.blake2b(data.encode(), digest_size=12).hexdigest()
+def _transcript_digest(*parts: str) -> str:
+    return hashlib.blake2b("|".join(parts).encode(), digest_size=12).hexdigest()
 
 
 # --------------------------------------------------------------------------
 # trial machinery
-
-
-def _owner(cls, name):
-    return next((c for c in cls.__mro__ if name in c.__dict__), object)
-
-
-def runs_batched(adversary) -> bool:
-    """Whether the batch engine plays `adversary`.
-
-    It must define `phase1_batch` and `phase2_batch` no higher in its class
-    tree than the scalar phases they mirror, so that a subclass overriding
-    only a scalar phase is played by the scalar engine; an adversary that
-    wraps an `inner` one also needs the inner one batched.
-    """
-    cls = type(adversary)
-    for phase in ("phase1", "phase2"):
-        batch = _owner(cls, phase + "_batch")
-        if batch is object or not issubclass(batch, _owner(cls, phase)):
-            return False
-    inner = getattr(adversary, "inner", None)
-    return inner is None or runs_batched(inner)
 
 
 def _chunk_streams(seed, label, lo):
@@ -206,7 +270,7 @@ def _step(trace, name):
 
 
 def _fe(n, value) -> str:
-    return _canon(FeatureElement(n, int(value)))
+    return f"fe:{FeatureElement(n, int(value))}"
 
 
 @dataclass
@@ -232,49 +296,6 @@ class _IrrSpec:
     record: bool = False
 
     def run_range(self, seed, lo, hi, trace=None):
-        if runs_batched(self.adversary):
-            return self._run_batch(seed, lo, hi, trace)
-        params = GameParams(self.scheme, self.pop)
-        dist = np.full(hi - lo, -1, dtype=np.int64)
-        accepted = np.zeros(hi - lo, dtype=bool)
-        flagged = np.zeros(hi - lo, dtype=bool)
-        queries = {"adv_phase1": 0, "adv_phase2": 0, "challenger": 0}
-        transcripts = [] if self.record else None
-        for i in range(lo, hi):
-            rng_ch = substream(seed, self.label, i, "ch")
-            rng_adv = substream(seed, self.label, i, "adv")
-            rng_samp = substream(seed, self.label, i, "samp")
-            oracle1 = SamplingOracle(self.pop, rng_samp, self.budget)
-            oracle2 = SamplingOracle(self.pop, rng_samp, self.budget)
-            oracle_ch = SamplingOracle(self.pop, rng_ch, self.budget)
-            guess = None
-            x = None
-            try:
-                _step(trace, "phase1")
-                state = self.adversary.phase1(params, self.leak, self.tau,
-                                              oracle1, rng_adv)
-                _step(trace, "challenge")
-                u = int(rng_ch.integers(self.pop.num_users))
-                x = oracle_ch.sample(u)
-                pt = self.scheme.pie(x, rng_ch)
-                view = leak_view(pt, self.leak)
-                _step(trace, "phase2")
-                guess = self.adversary.phase2(state, view, oracle2, rng_adv)
-                _step(trace, "decide")
-                dist[i - lo] = hamming_distance(x, guess)
-                if self.score_pic:
-                    accepted[i - lo] = self.scheme.pic(
-                        pt.pi, self.scheme.pir(pt.alpha, guess))
-            except BudgetExceededError:
-                flagged[i - lo] = True
-            queries["adv_phase1"] += oracle1.query_count
-            queries["adv_phase2"] += oracle2.query_count
-            queries["challenger"] += oracle_ch.query_count
-            if transcripts is not None:
-                transcripts.append((_canon(x), _canon(guess)))
-        return dist, accepted, flagged, queries, transcripts
-
-    def _run_batch(self, seed, lo, hi, trace):
         m = hi - lo
         rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
         oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
@@ -324,52 +345,6 @@ class _UnlinkSpec:
     record: bool = False
 
     def run_range(self, seed, lo, hi, trace=None):
-        if runs_batched(self.adversary):
-            return self._run_batch(seed, lo, hi, trace)
-        params = GameParams(self.scheme, self.pop)
-        wins = np.zeros(hi - lo, dtype=bool)
-        answers = np.zeros(hi - lo, dtype=np.int8)
-        flagged = np.zeros(hi - lo, dtype=bool)
-        queries = {"adv_phase1": 0, "adv_phase2": 0, "challenger": 0}
-        digests = [] if self.record else None
-        for i in range(lo, hi):
-            rng_ch = substream(seed, self.label, i, "ch")
-            rng_adv = substream(seed, self.label, i, "adv")
-            rng_samp = substream(seed, self.label, i, "samp")
-            oracle1 = SamplingOracle(self.pop, rng_samp, self.budget)
-            oracle2 = SamplingOracle(self.pop, rng_samp, self.budget)
-            win = False
-            b_prime = -1
-            b = -1
-            try:
-                _step(trace, "phase1")
-                x, x0, x1, state = self.adversary.phase1(params, self.leak,
-                                                         oracle1, rng_adv)
-                _step(trace, "challenge")
-                b = int(rng_ch.integers(2)) if self.force_b is None else self.force_b
-                pt = self.scheme.pie(x, rng_ch)
-                pt_prime = self.scheme.pie(x0 if b == 0 else x1, rng_ch)
-                view = leak_view(pt, self.leak)
-                view_prime = leak_view(pt_prime, self.leak)
-                _step(trace, "phase2")
-                b_prime = self.adversary.phase2(state, view, view_prime,
-                                                oracle2, rng_adv)
-                _step(trace, "decide")
-                if b_prime not in (0, 1):
-                    raise ProtocolError(f"guess must be 0 or 1, got {b_prime!r}")
-                win = b_prime == b
-            except BudgetExceededError:
-                flagged[i - lo] = True
-            wins[i - lo] = win
-            answers[i - lo] = b_prime
-            queries["adv_phase1"] += oracle1.query_count
-            queries["adv_phase2"] += oracle2.query_count
-            if digests is not None:
-                digests.append(_transcript_digest(f"b{b}", f"g{b_prime}",
-                                                  "w" if win else "l"))
-        return wins, answers, flagged, queries, digests
-
-    def _run_batch(self, seed, lo, hi, trace):
         m = hi - lo
         rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
         oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
@@ -560,8 +535,6 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
     unlinkability advantage, which is measured independently and returned
     alongside.
     """
-    if pop.num_users < 2:
-        raise ConfigError("cross-comparison needs at least two users")
     results = {}
     for b, label in ((1, "fcmr"), (0, "fncmr")):
         spec = _UnlinkSpec(scheme, pop, leak, comparator, budget,

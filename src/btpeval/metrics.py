@@ -142,9 +142,11 @@ def run_chunks(work, trials: int, chunk: int, jobs: int = 1) -> list:
     (scheduling independent)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     los = range(0, trials, chunk)
     his = [min(lo + chunk, trials) for lo in los]
-    if jobs <= 1 or len(los) == 1:
+    if jobs == 1 or len(los) == 1:
         return [work(lo, hi) for lo, hi in zip(los, his)]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(work, los, his))
@@ -254,8 +256,6 @@ class _PtStatsKernel:
 def est_baseline_rates(pop: Population, tau: int, trials: int, seed: int = 0,
                        level: float = 0.95, jobs: int = 1) -> tuple:
     """(FNMR, FMR) of the raw distance comparator at threshold tau."""
-    if pop.num_users < 2:
-        raise ConfigError("FMR needs at least two users")
     fnmr = _count_rate(_AcceptKernel(pop, tau=tau, count_rejects=True),
                        trials, seed, f"fnmr_d<={tau}", level, jobs)
     fmr = _count_rate(_AcceptKernel(pop, tau=tau, owners=("v",)),
@@ -276,8 +276,6 @@ def est_fmr_tp(scheme, pop, factor: str, trials, seed=0, level=0.95, jobs=1):
     """
     if factor not in ("ad", "pi"):
         raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
-    if pop.num_users < 2:
-        raise ConfigError("total-performance FMR needs at least two users")
     pi_from = 1 if factor == "ad" else 0
     kernel = _AcceptKernel(pop, scheme, owners=("u", "v"), pi_from=pi_from,
                            alpha_from=1 - pi_from)
@@ -285,8 +283,6 @@ def est_fmr_tp(scheme, pop, factor: str, trials, seed=0, level=0.95, jobs=1):
 
 
 def est_fmr_bp(scheme, pop, trials, seed=0, level=0.95, jobs=1):
-    if pop.num_users < 2:
-        raise ConfigError("biometric-performance FMR needs at least two users")
     return _count_rate(_AcceptKernel(pop, scheme, owners=("v",)), trials, seed,
                        "fmr_bp", level, jobs)
 

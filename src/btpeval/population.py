@@ -4,9 +4,11 @@ The feature space is the n-cube {0,1}^n with the Hamming distance (a
 semimetric: non-negative, zero exactly on equal points, symmetric).  Each
 user u owns a center template c_u; a fresh capture from u flips every bit
 of c_u independently with probability p.  `SamplingOracle` wraps the
-population behind a query-counted interface so games can charge adversary
-queries against a budget; `BatchSamplingOracle` does the same for a chunk
-of trials at once, charging every query to its trial.
+population behind a query-counted interface for one trial, so games can
+charge adversary queries against a budget; `BatchSamplingOracle` does the
+same for a chunk of trials at once, charging every query to its trial.  It
+keeps the only count: a scalar oracle is one trial's row of a chunk's
+oracle.
 """
 
 from __future__ import annotations
@@ -220,28 +222,45 @@ def generate_population(
 
 
 class SamplingOracle:
-    """Query-counted access to the population's capture distributions.
+    """Query-counted access to the population's capture distributions, for
+    one trial.
 
-    One oracle per game role per trial; `query_count` is monotone and may
-    never pass `query_budget`.
+    The oracle is one row of a `BatchSamplingOracle`, which keeps the
+    count: `BatchSamplingOracle.trial(j)` gives the row of a chunk's trial,
+    and an oracle built directly is the row of a one-trial chunk of its
+    own.  `query_count` is monotone and never passes `query_budget`; the
+    query that would pass it is refused with `BudgetExceededError`, and
+    the trial is cut.
     """
 
     def __init__(self, population: Population, rng: np.random.Generator,
                  query_budget: int = 10**6):
-        self.population = population
-        self.rng = rng
-        self.query_budget = int(query_budget)
-        self.query_count = 0
+        self._chunk = BatchSamplingOracle(population, rng, query_budget, 1)
+        self.row = 0
+
+    @classmethod
+    def _of_row(cls, chunk: "BatchSamplingOracle", row: int) -> "SamplingOracle":
+        oracle = cls.__new__(cls)
+        oracle._chunk, oracle.row = chunk, row
+        return oracle
+
+    @property
+    def population(self) -> Population:
+        return self._chunk.population
+
+    @property
+    def query_budget(self) -> int:
+        return self._chunk.query_budget
+
+    @property
+    def query_count(self) -> int:
+        return int(self._chunk._counts[self.row])
 
     def sample(self, u: int) -> FeatureElement:
         if not 0 <= u < self.population.num_users:
             raise IndexError(f"unknown user {u}")
-        if self.query_count >= self.query_budget:
-            raise BudgetExceededError(
-                f"query budget of {self.query_budget} exhausted"
-            )
-        self.query_count += 1
-        return self.population.sample(u, self.rng)
+        self._chunk._charge(self.row)
+        return self.population.sample(u, self._chunk.rng)
 
 
 class BatchSamplingOracle:
@@ -251,7 +270,8 @@ class BatchSamplingOracle:
     charges each to its trial.  A trial whose demand passes
     `query_budget` is `cut`, and its count stops at the budget, just as a
     per-trial oracle stops at the query it refuses.  `subset` gives an
-    oracle over some of the trials that charges this one.
+    oracle over some of the trials that charges this one, and `trial` the
+    scalar oracle of one of them.
     """
 
     def __init__(self, population: Population, rng: np.random.Generator,
@@ -268,6 +288,11 @@ class BatchSamplingOracle:
         return len(self._index)
 
     @property
+    def rows(self) -> np.ndarray:
+        """Each trial's row in the chunk, kept by `subset`."""
+        return self._index
+
+    @property
     def counts(self) -> np.ndarray:
         """Queries charged to each trial, at most the budget."""
         return self._counts[self._index]
@@ -281,6 +306,19 @@ class BatchSamplingOracle:
         sub = copy.copy(self)
         sub._index = self._index[sel]
         return sub
+
+    def trial(self, j: int) -> SamplingOracle:
+        """The scalar oracle of the j-th trial, charging row `rows[j]`."""
+        return SamplingOracle._of_row(self, int(self._index[j]))
+
+    def _charge(self, row: int):
+        """Charge one query to `row`, or refuse it and cut the trial."""
+        if self._counts[row] >= self.query_budget:
+            self._cut[row] = True
+            raise BudgetExceededError(
+                f"query budget of {self.query_budget} exhausted"
+            )
+        self._counts[row] += 1
 
     def sample(self, trials, users) -> np.ndarray:
         """Packed captures of `users`, the i-th charged to trial `trials[i]`."""

@@ -3,9 +3,8 @@
 Every random draw in the package comes from a numpy Generator created by
 `substream(seed, *path)`, where the path is a sequence of labels (strings
 or integers) naming the consumer: e.g. ``substream(42, "unlink:pi+ad",
-chunk_index, "adv")``.  Estimators and the games' batch engine key a
-stream per chunk of trials; the games' per-trial engine, which plays
-custom adversaries, keys one per trial.  String labels are folded to
+chunk_index, "adv")``.  Estimators and games key their streams by chunk
+of trials, never by trial.  String labels are folded to
 64-bit integers with BLAKE2 so the derivation never depends on Python's
 salted `hash()`.  Identical (seed, path) gives an identical stream in any
 process, which is what makes results independent of worker count.

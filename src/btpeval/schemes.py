@@ -19,7 +19,7 @@ Three reference schemes are provided:
 
 Beside the scalar algorithms every scheme offers an integer-coded batch
 contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`,
-`template_codes`): captures are packed uint64 values, identifiers and
+`template_codes` and its inverse `template_of_codes`): captures are packed uint64 values, identifiers and
 auxiliary data are uint64 codes.  The base class implements it on the
 scalar methods; the reference schemes override it with array arithmetic.
 """
@@ -117,15 +117,12 @@ def leak_view(pt, leak: LeakSet) -> PtView:
     Also accepts an existing view, in which case the requested fields must
     be present (so re-projecting with the same leak set is the identity).
     """
-    if isinstance(pt, PtView):
-        if (leak.pi and not pt.has_pi) or (leak.ad and not pt.has_ad):
-            raise ContractError("view does not carry the requested fields")
-        src_pi, src_ad = pt.pi, pt.alpha
-    else:
-        src_pi, src_ad = pt.pi, pt.alpha
+    if isinstance(pt, PtView) and ((leak.pi and not pt.has_pi)
+                                   or (leak.ad and not pt.has_ad)):
+        raise ContractError("view does not carry the requested fields")
     return PtView(
-        pi=src_pi if leak.pi else None,
-        alpha=src_ad if leak.ad else None,
+        pi=pt.pi if leak.pi else None,
+        alpha=pt.alpha if leak.ad else None,
         has_pi=leak.pi,
         has_ad=leak.ad,
     )
@@ -342,6 +339,11 @@ class BtpScheme(ABC):
         """(pi code, alpha code) of one fixed template."""
         return self._encode_templates([pt], ())
 
+    def template_of_codes(self, pi_code, alpha_code) -> ProtectedTemplate:
+        """The template whose `template_codes` are (pi_code, alpha_code)."""
+        objs = self._codebook().objects
+        return ProtectedTemplate(objs[int(pi_code)], objs[int(alpha_code)])
+
     def _codebook(self) -> "_CodeBook":
         if "_codes" not in self.__dict__:
             self._codes = _CodeBook()
@@ -449,6 +451,11 @@ class FuzzyCommitmentScheme(BtpScheme):
         pi = REJECT_CODE if pt.pi is REJECT else np.uint64(self._index_of[pt.pi])
         return pi, np.uint64(pt.alpha.value)
 
+    def template_of_codes(self, pi_code, alpha_code):
+        pi = REJECT if pi_code == REJECT_CODE else self._digests[int(pi_code)]
+        return ProtectedTemplate(pi, FeatureElement(self.feature_dim,
+                                                    int(alpha_code)))
+
     def guaranteed_match_radius(self):
         return self.code.t
 
@@ -522,6 +529,10 @@ class RotationScheme(BtpScheme):
     def template_codes(self, pt):
         return np.uint64(pt.pi.value), np.uint64(int(pt.alpha) % self.feature_dim)
 
+    def template_of_codes(self, pi_code, alpha_code):
+        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
+                                 int(alpha_code))
+
     def guaranteed_match_radius(self):
         return self.tau
 
@@ -578,6 +589,10 @@ class PlaintextScheme(BtpScheme):
 
     def template_codes(self, pt):
         return np.uint64(pt.pi.value), np.uint64(0)
+
+    def template_of_codes(self, pi_code, alpha_code):
+        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
+                                 None)
 
     def guaranteed_match_radius(self):
         return self.tau

@@ -20,9 +20,9 @@ from btpeval.adversaries import (
 from btpeval.errors import ConfigError, ContractError, VariationTooHighError
 from btpeval.games import GameParams, _UnlinkSpec, run_pal_irr_game, run_unlink_game
 from btpeval.metrics import MatchRateStats
-from btpeval.population import SamplingOracle
+from btpeval.population import BatchSamplingOracle
 from btpeval.rng import substream
-from btpeval.schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, leak_view
+from btpeval.schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, leak_view
 
 
 class TestNDelta:
@@ -143,13 +143,15 @@ class TestCrossComparator:
         with pytest.raises(ConfigError):
             CrossComparatorAdversary("nope")
 
-    def test_distinct_pair_sampling(self, fc_scheme, default_pop):
+    def test_distinct_pair_sampling(self, fc_scheme, noiseless_pop):
+        # noiseless captures are their owners' (distinct) centers
         adv = CrossComparatorAdversary()
-        params = GameParams(fc_scheme, default_pop)
+        params = GameParams(fc_scheme, noiseless_pop)
         rng = substream(0, "cc")
-        oracle = SamplingOracle(default_pop, substream(1, "cc"), 100)
-        x, x0, x1, state = adv.phase1(params, LEAK_BOTH, oracle, rng)
-        assert oracle.query_count == 3
+        oracle = BatchSamplingOracle(noiseless_pop, substream(1, "cc"), 100, 500)
+        x, x0, x1, state = adv.phase1_batch(params, LEAK_BOTH, oracle, rng)
+        assert (oracle.counts == 3).all()
+        assert (x == x0).all() and (x0 != x1).all()
 
 
 class SpyView:
@@ -164,26 +166,24 @@ class CountingInner(SamplerIrrAdversary):
         super().__init__(**kw)
         self.calls = 0
 
-    def phase2(self, state, view, oracle, rng):
+    def phase2_batch(self, state, view, oracle, rng):
         self.calls += 1
-        return super().phase2(state, view, oracle, rng)
+        return super().phase2_batch(state, view, oracle, rng)
 
 
 class TestReductionAdversary:
-    def _phase1(self, scheme, pop, inner, tau, leak=LEAK_AD):
-        adv = ReductionUnlinkAdversary(inner, tau)
-        params = GameParams(scheme, pop)
-        rng = substream(2, "red")
-        oracle = SamplingOracle(pop, substream(3, "red"), 100)
-        return adv, adv.phase1(params, leak, oracle, rng), rng, oracle
-
     def test_first_view_never_inspected(self, fc_scheme, default_pop):
-        inner = SamplerIrrAdversary(num_queries=4, fallback_tau=1)
-        adv, (x, x0, x1, state), rng, oracle = self._phase1(
-            fc_scheme, default_pop, inner, tau=1)
-        view_prime = leak_view(fc_scheme.pie(x0, rng), LEAK_AD)
-        bit = adv.phase2(state, SpyView(), view_prime, oracle, rng)
-        assert bit in (0, 1)
+        inner = CountingInner(num_queries=4, fallback_tau=1)
+        adv = ReductionUnlinkAdversary(inner, 1)
+        rng = substream(2, "red")
+        oracle = BatchSamplingOracle(default_pop, substream(3, "red"), 100, 50)
+        x, x0, x1, state = adv.phase1_batch(GameParams(fc_scheme, default_pop),
+                                            LEAK_AD, oracle, rng)
+        view_prime = leak_view(ProtectedTemplate(*fc_scheme.pie_batch(x0, rng)),
+                               LEAK_AD)
+        bits = adv.phase2_batch(state, SpyView(), view_prime, oracle, rng)
+        assert set(bits.tolist()) <= {0, 1}
+        assert inner.calls == 1     # some balls were apart
 
     def test_overlap_branch_skips_inner(self, fc_scheme, default_pop):
         # 2*tau >= n: every ball pair intersects, so only coins are thrown

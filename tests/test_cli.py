@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from btpeval import cli, verify
+from btpeval import cli, metrics, verify
+from btpeval.errors import ConfigError
 from btpeval.report import strip_timings
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
@@ -55,6 +56,24 @@ class TestExitCodes:
                                 "--trials", "10"], capsys)
         assert code == 2
         assert "pi+ad" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("cmd", [
+        ["metrics"],
+        ["game", "unlink", "--adversary", "coin"],
+        ["verify", "--theorem", "t2"],
+    ])
+    def test_jobs_below_one_is_usage_error(self, capsys, cmd, jobs):
+        code, out, err = run_cli(cmd + ["--jobs", jobs, "--trials", "10"],
+                                 capsys)
+        assert code == 2
+        assert "--jobs must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_library_refuses_jobs_below_one(self, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            metrics.run_chunks(lambda lo, hi: hi - lo, 10, 5, jobs=jobs)
 
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         failing = verify.TheoremVerdict(

@@ -1,5 +1,6 @@
 """Game protocol mechanics: fidelity, budgets, determinism, known rates,
-and the batch engine against the scalar one and the exact oracles."""
+and the built-ins' batch phases against their scalar twins and the exact
+oracles."""
 
 import hashlib
 import math
@@ -29,7 +30,6 @@ from btpeval.games import (
     run_coupled_irr_trials,
     run_pal_irr_game,
     run_unlink_game,
-    runs_batched,
     trace_irr_trial,
     trace_unlink_trial,
 )
@@ -42,26 +42,13 @@ from btpeval.schemes import (
     RotationScheme,
     build_scheme,
 )
-
-
-class ScalarEngine:
-    """Hides an adversary's batch phases, so the scalar engine plays it."""
-
-    def __init__(self, adversary):
-        self.adversary = adversary
-        self.name = adversary.name
-
-    def phase1(self, *args):
-        return self.adversary.phase1(*args)
-
-    def phase2(self, *args):
-        return self.adversary.phase2(*args)
+from reference_adversaries import scalar_twin
 
 
 def engines(adversary):
-    """The adversary as the batch engine and as the scalar engine play it."""
-    assert runs_batched(adversary)
-    return {"batch": adversary, "scalar": ScalarEngine(adversary)}
+    """A built-in adversary and its scalar twin, which the games play
+    trial by trial."""
+    return {"batch": adversary, "scalar": scalar_twin(adversary)}
 
 
 class GreedySampler(IrrAdversary):
@@ -159,18 +146,52 @@ class TestProtocolFidelity:
             run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, WideGuess(),
                             trials=3, seed=0)
 
-    def test_scalar_override_keeps_scalar_engine(self, default_pop):
-        class Overridden(SamplerIrrAdversary):
-            def phase2(self, state, view, oracle, rng):
-                return super().phase2(state, view, oracle, rng)
+    @pytest.mark.parametrize("guess", [FeatureElement(6, 0), 5, None])
+    def test_scalar_guess_must_be_a_feature_element(self, fc_scheme,
+                                                    default_pop, guess):
+        class BadGuess(IrrAdversary):
+            def phase1(self, params, leak, tau, oracle, rng):
+                return None
 
-        assert runs_batched(SamplerIrrAdversary())
-        assert not runs_batched(Overridden())
-        assert not runs_batched(ReductionUnlinkAdversary(Overridden(), 1))
-        assert not runs_batched(ReductionUnlinkAdversary(
-            ReadViewAdversary("pi"), 1))
-        assert runs_batched(ReductionUnlinkAdversary(
-            blind_al_adversary(default_pop, 1), 1))
+            def phase2(self, state, view, oracle, rng):
+                return guess
+
+        with pytest.raises(ProtocolError):
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, BadGuess(),
+                            trials=3, seed=0)
+
+    def test_scalar_inner_keeps_its_trial_state(self, fc_scheme, default_pop):
+        # the reduction hands its inner adversary only the trials whose
+        # balls are apart; each must get the state its own phase 1 made
+        class RowChecker(IrrAdversary):
+            def phase1(self, params, leak, tau, oracle, rng):
+                return oracle.row
+
+            def phase2(self, state, view, oracle, rng):
+                assert state == oracle.row
+                return FeatureElement(7, 0)
+
+        result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
+                                 ReductionUnlinkAdversary(RowChecker(), 1),
+                                 trials=700, seed=6)
+        assert result.flagged == 0
+
+    def test_adversary_needs_a_phase_pair(self):
+        class NoPhases(IrrAdversary):
+            pass
+
+        class HalfPairs(UnlinkAdversary):
+            def phase1(self, params, leak, oracle, rng):
+                return None
+
+            def phase2_batch(self, state, view, view_prime, oracle, rng):
+                return None
+
+        for cls in (NoPhases, HalfPairs):
+            with pytest.raises(TypeError):
+                cls()
+        ReadViewAdversary("pi")         # the scalar pair is enough
+        SamplerIrrAdversary(4, 1)       # and so is the batch pair
 
 
 class TestBudgets:
@@ -251,11 +272,13 @@ class TestBudgets:
         assert result.queries == {"adv_phase1": 2 * trials, "adv_phase2": 0,
                                   "challenger": 0}
 
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    @pytest.mark.parametrize("engine", ["batch", "scalar", "scalar-inner"])
     def test_reduction_charges_inner_only_when_balls_apart(
             self, fc_scheme, default_pop, engine):
         inner = SamplerIrrAdversary(16, 1)
-        adv = engines(ReductionUnlinkAdversary(inner, 1))[engine]
+        adv = {**engines(ReductionUnlinkAdversary(inner, 1)),
+               "scalar-inner": ReductionUnlinkAdversary(scalar_twin(inner), 1),
+               }[engine]
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD, adv,
                                  trials=700, seed=6, budget=5)
         # a trial is cut exactly when the inner adversary ran on it
@@ -297,19 +320,19 @@ class TestDeterminism:
 
     def test_scalar_engine_keeps_per_trial_streams(self, fc_scheme,
                                                    default_pop):
-        # reference digests of the per-trial engine, as it played before
-        # the batch engine existed
+        # reference digests of adversaries written trial by trial: their
+        # phases run on each trial in turn, drawing from the chunk's streams
         def digest(result):
             text = "".join(result.transcript_digests)
             return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
         kw = dict(trials=300, seed=7, record_transcripts=True)
         u = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            ScalarEngine(MatchTestUnlinkAdversary()), **kw)
+                            scalar_twin(MatchTestUnlinkAdversary()), **kw)
         a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
-                            ScalarEngine(SamplerIrrAdversary(4, 1)), **kw)
-        assert (u.wins, digest(u)) == (277, "1035ebc8295a4d19")
-        assert (a.wins, digest(a)) == (59, "b46ba8d5b12d7299")
+                            scalar_twin(SamplerIrrAdversary(4, 1)), **kw)
+        assert (u.wins, digest(u)) == (281, "2e7681c6c957134a")
+        assert (a.wins, digest(a)) == (49, "d4a0273defde6bda")
 
     def test_batched_game_derives_three_streams_per_chunk(
             self, fc_scheme, default_pop, monkeypatch):
@@ -458,8 +481,8 @@ Z99 = metrics.z_value(0.99)
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 class TestEngineDifferential:
-    """Batch engine against scalar engine against the exact oracle, each
-    within its 99% interval, at fixed seeds."""
+    """Batch phases against their scalar twins against the exact oracle,
+    each within its 99% interval, at fixed seeds."""
 
     TRIALS = 2000
 
@@ -506,8 +529,8 @@ class TestEngineDifferential:
         self._hits(results, target)
 
     def _two_sample(self, results):
-        """No closed form: the engines' win rates agree within a 99%
-        two-sample test."""
+        """No closed form: the two win rates agree within a 99% two-sample
+        test."""
         p_b = results["batch"].win_rate.point
         p_s = results["scalar"].win_rate.point
         pooled = (p_b + p_s) / 2

@@ -28,6 +28,7 @@ from btpeval.schemes import (
     hamming_7_4,
     leak_view,
 )
+from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
 def fe(s):
@@ -297,6 +298,17 @@ BATCH_SCHEMES = {
 }
 
 
+ROUND_TRIP_SCHEMES = {
+    "fc": BATCH_SCHEMES["fc"],
+    "rot": lambda: RotationScheme(7, tau=1),
+    "plain": lambda: PlaintextScheme(7, tau=1),
+    "broken": BATCH_SCHEMES["broken"],
+    "always-match": lambda: AlwaysMatchScheme(7),
+    "never-match": lambda: NeverMatchScheme(7),
+    "lottery": lambda: LotteryScheme(7, 0.3),
+}
+
+
 def _packed(data, n, shape):
     size = shape[0] * shape[1]
     values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
@@ -346,6 +358,19 @@ class TestBatchContract:
             assert probs[i].tolist() == [p for p, _ in support]
             assert [scheme.template_codes(pt) for _, pt in support] == list(
                 zip(pis[i], alphas[i]))
+
+    @pytest.mark.parametrize("name", list(ROUND_TRIP_SCHEMES))
+    @settings(max_examples=20, deadline=None)
+    @given(x=st.integers(0, 127), seed=st.integers(0, 2**32))
+    def test_template_of_codes_inverts_template_codes(self, name, x, seed):
+        scheme = ROUND_TRIP_SCHEMES[name]()
+        x = FeatureElement(scheme.feature_dim, x)
+        drawn = scheme.pie(x, substream(seed, "pie"))
+        pts = [drawn] + [pt for _, pt in scheme.pie_support(x)]
+        if name not in ("rot", "plain"):    # packed-feature codes hold no REJECT
+            pts.append(ProtectedTemplate(REJECT, drawn.alpha))
+        for pt in pts:
+            assert scheme.template_of_codes(*scheme.template_codes(pt)) == pt
 
     def test_default_codes_number_equal_objects_alike(self):
         scheme = BrokenScheme(7)
