@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Recognition and protection metrics, Monte Carlo versus exact enumeration.
+"""Recognition and protection metrics, Monte Carlo versus exact values.
 
-Every estimator has an enumeration twin: the sampled value should sit
+Every estimator has an exact twin: the sampled value should sit
 inside its interval around the exact number.  The diversity rate also
 yields the renewability entropy -log2(rate): for the [7,4] fuzzy
 commitment it is exactly the 4 message bits.

@@ -3,8 +3,8 @@
 The package models a Hamming feature space with noisy per-user capture
 distributions, three reference protection schemes (fuzzy commitment,
 cancelable rotation, plaintext), the irreversibility and unlinkability
-games with their constructive adversaries, exact enumeration oracles for
-every metric at desk scale, and empirical checkers for the four relation
+games with their constructive adversaries, exact oracles (closed forms
+and full enumeration) for every metric at desk scale, and empirical checkers for the four relation
 theorems connecting the notions.
 """
 

@@ -197,18 +197,9 @@ class SamplerIrrAdversary(IrrAdversary):
             raise ConfigError("num_queries must be >= 1")
         self.num_queries = num_queries
         self.fallback_tau = fallback_tau
-        self._scores = {}
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
         return (params, self.fallback_tau if tau is None else tau)
-
-    def _score(self, pop, value: int, tau: int) -> float:
-        key = (value, tau)
-        score = self._scores.get(key)
-        if score is None:
-            score = exact.mr_of_feature(pop, FeatureElement(pop.n, value), tau)
-            self._scores[key] = score
-        return score
 
     def phase2_batch(self, state, view, oracle, rng):
         params, tau = state
@@ -217,7 +208,7 @@ class SamplerIrrAdversary(IrrAdversary):
         users = rng.integers(pop.num_users, size=m * q)
         cands = oracle.sample(np.repeat(np.arange(m), q), users)
         values, inverse = np.unique(cands, return_inverse=True)
-        scores = np.array([self._score(pop, int(v), tau) for v in values])
+        scores = exact.mr_of(pop, values, tau)
         # the first best candidate in query order
         best = np.argmax(scores[inverse].reshape(m, q), axis=1)
         return cands.reshape(m, q)[np.arange(m), best]

@@ -30,7 +30,7 @@ from .adversaries import (
     blind_al_adversary,
     blind_pal_adversary,
 )
-from .errors import BtpEvalError, ConfigError
+from .errors import BtpEvalError, ConfigError, ModeError
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
 from .population import Population
 from .report import make_report, write_report
@@ -195,8 +195,10 @@ def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
     seed = cfg["seed"]
     tau = cfg["tau"]
     budgeted = dict(seed=seed, jobs=jobs)
-    exact_ok = pop.n <= exact.ENUM_N_CAP
-    en = exact.enumerator(scheme, pop) if exact_ok else None
+    try:
+        en = exact.enumerator(scheme, pop)
+    except ModeError:
+        en = None
 
     entries = []
 
@@ -210,9 +212,9 @@ def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
         entries.append(entry)
 
     fnmr_b, fmr_b = metrics.est_baseline_rates(pop, tau, trials, **budgeted)
-    exact_b = exact.baseline_rates(pop, tau) if pop.n <= exact.EXACT_N_CAP else (None, None)
-    add(f"fnmr_d<={tau}", fnmr_b, exact_b[0])
-    add(f"fmr_d<={tau}", fmr_b, exact_b[1])
+    fnmr_e, fmr_e = exact.baseline_rates(pop, tau)
+    add(f"fnmr_d<={tau}", fnmr_b, fnmr_e)
+    add(f"fmr_d<={tau}", fmr_b, fmr_e)
     add("fnmr_scheme", metrics.est_scheme_fnmr(scheme, pop, trials, **budgeted),
         en.fnmr() if en else None)
     add("fmr_tp_ad", metrics.est_fmr_tp(scheme, pop, "ad", trials, **budgeted),

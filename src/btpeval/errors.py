@@ -28,7 +28,7 @@ class VariationTooHighError(ContractError):
 
 
 class ModeError(BtpEvalError):
-    """An exact enumeration was requested at a scale where it is not
+    """An exact oracle was requested at a scale where it is not
     supported; callers should fall back to the Monte Carlo variant."""
 
 

@@ -1,28 +1,40 @@
-"""Exhaustive-enumeration twins for every Monte Carlo estimator.
+"""Exact twins for every Monte Carlo estimator.
 
-At desk scale (n <= 12 for distance sums, n <= 10 for full scheme
-enumeration) every rate in the package has an exact value: probe
-distributions are explicit pmf vectors over {0,1}^n, enrollment randomness
-is enumerated through `pie_support`, and expectations become weighted
-sums.  These functions are the reference oracles the test suite holds the
-samplers to; they share the scheme objects with the samplers but never
-share the sampling path.
+Every rate in the package has an exact value, from one of two engines.
+
+* Closed forms.  A capture of user u flips each bit of c_u independently
+  with probability p, so Pr[d(x, X_u) <= r] depends on x only through
+  h = d(x, c_u), and two independent captures differ bit by bit with
+  probability 2p(1 - p).  `_ball_table` tabulates that probability for
+  every h by a convolution of two binomials; the raw-distance rates
+  (`mr_of`, `mr_vector`, `overlap_vector`, `baseline_rates`) and
+  `LawOracle`, the oracle of every scheme that declares a `match_law()`
+  (fc, rot, plain), read it.  Recognition rates cost O(U^2 |offsets|),
+  per-feature vectors O(U 2^n); feature scans stop at n <= 20.
+* `SchemeEnumerator`, for every other scheme (toy, `broken`, custom):
+  probe distributions are explicit pmf vectors over {0,1}^n, enrollment
+  randomness is enumerated through `pie_support`, and expectations become
+  weighted sums, for n <= 10.  It is also the differential twin of
+  `LawOracle`.
+
+`enumerator(scheme, pop)` picks the engine.  These are the reference
+oracles the test suite holds the samplers to; they share the scheme
+objects with the samplers but never share the sampling path.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ModeError
-from .population import FeatureElement, Population
+from .population import Population
 from .schemes import BtpScheme
 
-EXACT_N_CAP = 12
+EXACT_N_CAP = 20
 ENUM_N_CAP = 10
-_CHUNK_ROWS = 2048
 
 
 def _require(n: int, cap: int, what: str):
@@ -49,74 +61,168 @@ def mixture_pmf(pop: Population) -> np.ndarray:
     return out / pop.num_users
 
 
-def threshold_matvec(n: int, tau: int, vec: np.ndarray) -> np.ndarray:
-    """out[x] = sum over y with d(x, y) <= tau of vec[y], for all x.
+@lru_cache(maxsize=64)
+def _ball_table(n: int, p: float, radius: int) -> np.ndarray:
+    """f[h] = Pr[d(x, Y) <= radius] for h = d(x, c), every h in 0..n, where
+    Y flips each bit of c independently with probability p.
 
-    Row-chunked so the full 2^n x 2^n distance matrix is never stored.
+    d(x, Y) = (h - A) + B with A ~ Bin(h, p) and B ~ Bin(n - h, p).
     """
-    _require(n, EXACT_N_CAP, "distance enumeration")
-    size = 1 << n
-    ys = np.arange(size, dtype=np.uint64)
-    out = np.empty(size)
-    for lo in range(0, size, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, size)
-        d = np.bitwise_count(ys[lo:hi, None] ^ ys[None, :])
-        out[lo:hi] = (d <= tau) @ vec
-    return out
+    f = np.empty(n + 1)
+    for h in range(n + 1):
+        pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
+                          for a in range(h + 1)])
+        nb = n - h
+        pmf_b = np.array([math.comb(nb, b) * p**b * (1 - p) ** (nb - b)
+                          for b in range(nb + 1)])
+        acc = 0.0
+        for a in range(h + 1):
+            room = radius - (h - a)
+            if room >= 0:
+                acc += pmf_a[a] * pmf_b[: min(room, nb) + 1].sum()
+        f[h] = acc
+    f.flags.writeable = False
+    return f
 
 
-def baseline_rates(pop: Population, tau: int) -> tuple:
-    """(FNMR, FMR) of the raw threshold comparator, by full enumeration."""
-    U = pop.num_users
-    pmfs = [user_pmf(pop, u) for u in range(U)]
-    ball = [threshold_matvec(pop.n, tau, pmfs[v]) for v in range(U)]
-    fnmr = 1.0 - float(np.mean([pmfs[u] @ ball[u] for u in range(U)]))
-    total = 0.0
-    for u in range(U):
-        for v in range(U):
-            if u != v:
-                total += pmfs[u] @ ball[v]
-    fmr = total / (U * (U - 1))
-    return fnmr, fmr
+def _centers(pop: Population) -> np.ndarray:
+    return np.array([c.value for c in pop.centers], dtype=np.uint64)
+
+
+def mr_of(pop: Population, values, tau: int) -> np.ndarray:
+    """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
+    in `values`, summed user by user from one ball table."""
+    f = _ball_table(pop.n, pop.flip_prob, tau)
+    values = np.asarray(values, dtype=np.uint64)
+    total = np.zeros(values.shape)
+    for c in _centers(pop):
+        total += f[np.bitwise_count(values ^ c)]
+    return total / pop.num_users
 
 
 def mr_vector(pop: Population, tau: int) -> np.ndarray:
-    """MR(x) = Pr[d(x, capture from random user) <= tau] for every x."""
-    return threshold_matvec(pop.n, tau, mixture_pmf(pop))
+    """MR(x) for every x."""
+    _require(pop.n, EXACT_N_CAP, "feature scan")
+    return mr_of(pop, np.arange(1 << pop.n, dtype=np.uint64), tau)
 
 
 def overlap_vector(pop: Population, tau: int) -> np.ndarray:
     """P(x) = Pr[tau-balls of x and a random capture intersect], every x."""
-    return threshold_matvec(pop.n, 2 * tau, mixture_pmf(pop))
+    return mr_vector(pop, 2 * tau)
 
 
-def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
-    """Exact MR(x) from per-user binomial ball sums; works to n = 20.
+def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:
+    """G[t, u] = Pr[d(X_t, g(X_u)) <= radius] for independent captures,
+    averaged over the isometries g of `offsets` (the identity if None).
 
-    d(x, X_u) = (h - A) + B with A ~ Bin(h, p), B ~ Bin(n - h, p) and
-    h = d(x, c_u), so the distance pmf is a convolution of two binomials.
+    Two captures differ bit by bit with probability 2p(1 - p).
     """
-    if pop.n > 20:
-        raise ModeError("closed-form ball sums support n <= 20")
-    if x.n != pop.n:
-        raise ConfigError("feature dimension mismatch")
     p = pop.flip_prob
-    total = 0.0
-    for u in range(pop.num_users):
-        h = (x.value ^ pop.center(u).value).bit_count()
-        pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
-                          for a in range(h + 1)])
-        nb = pop.n - h
-        pmf_b = np.array([math.comb(nb, b) * p**b * (1 - p) ** (nb - b)
-                          for b in range(nb + 1)])
-        # distance = (h - A) + B; accumulate Pr[distance <= tau]
-        acc = 0.0
-        for a in range(h + 1):
-            room = tau - (h - a)
-            if room >= 0:
-                acc += pmf_a[a] * pmf_b[: min(room, nb) + 1].sum()
-        total += acc
-    return total / pop.num_users
+    pair, c = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius), _centers(pop)
+    images = c[:, None] if offsets is None else offsets(c)   # (U, offsets)
+    return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
+                     for ct in c])
+
+
+def _diag_mean(G: np.ndarray) -> float:
+    return float(np.mean(np.diag(G)))
+
+
+def _off_diag_mean(G: np.ndarray) -> float:
+    U = len(G)
+    return float((G.sum() - np.trace(G)) / (U * (U - 1)))
+
+
+def baseline_rates(pop: Population, tau: int) -> tuple:
+    """(FNMR, FMR) of the raw threshold comparator."""
+    G = _pair_rates(pop, tau)
+    return 1.0 - _diag_mean(G), _off_diag_mean(G)
+
+
+def _pt_rate(scheme: BtpScheme, pmf_mix: np.ndarray, pt) -> float:
+    """Acceptance rate of one fixed template against random captures."""
+    pi, alpha = scheme.template_codes(pt)
+    xs = np.arange(len(pmf_mix), dtype=np.uint64)
+    row = scheme.pic_batch(pi, scheme.pir_batch(alpha, xs))
+    return float(row.astype(np.float64) @ pmf_mix)
+
+
+class LawOracle:
+    """Exact rates of a scheme with a `match_law()`, from ball tables.
+
+    The one-enrollment rates read the two-capture table at d(c_v, c_u)
+    (`_same`); the rates that mix the parts of two enrollments read it at
+    d(c_t, g(c_u)), averaged over the law's offsets g (`_cross`).  Rows
+    are the user whose capture the decision is tied to, columns the probe
+    owner.  Per-feature rates read the one-capture table at d(x, c_u).
+    Same methods as `SchemeEnumerator`.
+    """
+
+    def __init__(self, scheme: BtpScheme, pop: Population):
+        if scheme.feature_dim != pop.n:
+            raise ConfigError("scheme and population disagree on n")
+        _require(pop.n, EXACT_N_CAP, "ball-law oracle")
+        self.scheme = scheme
+        self.pop = pop
+        self.law = scheme.match_law()
+        self.U = pop.num_users
+        self._same = _pair_rates(pop, self.law.radius)
+        self._cross = _pair_rates(pop, self.law.radius, self.law.offsets)
+
+    @cached_property
+    def pmf_mix(self) -> np.ndarray:
+        return mixture_pmf(self.pop)
+
+    @cached_property
+    def _rmr(self) -> np.ndarray:
+        vec = mr_vector(self.pop, self.law.radius)
+        vec.flags.writeable = False
+        return vec
+
+    # -- recognition metrics -------------------------------------------------
+
+    def fnmr(self) -> float:
+        return 1.0 - _diag_mean(self._same)
+
+    def fmr_bp(self) -> float:
+        return _off_diag_mean(self._same)
+
+    def fmr_tp(self, factor: str) -> float:
+        """Total-performance false match rate; factor is "ad" or "pi"."""
+        if factor not in ("ad", "pi"):
+            raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
+        # the factor's part comes from the probe owner's own enrollment
+        if factor == self.law.tied:
+            return _diag_mean(self._cross)
+        return _off_diag_mean(self._cross)
+
+    def fmr_div(self) -> float:
+        return _diag_mean(self._cross)
+
+    # -- protection metrics --------------------------------------------------
+
+    def rmr_vector(self) -> np.ndarray:
+        """rMR(x) for every probe x: the template's capture within the radius."""
+        return self._rmr
+
+    def pt_rate(self, pt) -> float:
+        """Acceptance rate of one fixed template against random captures."""
+        return _pt_rate(self.scheme, self.pmf_mix, pt)
+
+    def pt_match_stats(self) -> tuple:
+        """(mean, population std dev) of the per-template match rate.
+
+        A template of x accepts a random capture with rate MR(x) at the
+        law's radius, and x is distributed as a random capture.
+        """
+        w, r = self.pmf_mix, self._rmr
+        mean = float(w @ r)
+        var = float(w @ (r - mean) ** 2)
+        return mean, math.sqrt(max(var, 0.0))
+
+    def hypothesis_own_match(self) -> bool:
+        """Whether every template accepts the exact feature it encodes."""
+        return self.law.radius >= 0
 
 
 def _first_seen(values: np.ndarray) -> tuple:
@@ -195,13 +301,12 @@ class SchemeEnumerator:
         return self._K
 
     def fnmr(self) -> float:
-        hit = np.einsum("uk,kx,ux->", self.W, self.M_pt, self.P) / self.U
-        return 1.0 - float(hit)
+        A = self.W @ self.M_pt                         # (U, probes), own template
+        return 1.0 - float(np.einsum("ux,ux->", A, self.P)) / self.U
 
     def fmr_bp(self) -> float:
         A = self.W @ self.M_pt                         # (U, probes), template owner v
-        G = A @ self.P.T                               # G[v, u] = accept prob
-        return float((G.sum() - np.trace(G)) / (self.U * (self.U - 1)))
+        return _off_diag_mean(A @ self.P.T)            # [v, u] = accept prob
 
     def _part_marginals(self) -> tuple:
         """W summed over the templates that share a pi, and an alpha."""
@@ -244,9 +349,7 @@ class SchemeEnumerator:
 
     def pt_rate(self, pt) -> float:
         """Acceptance rate of one fixed template against random captures."""
-        pi, alpha = self.scheme.template_codes(pt)
-        row = self.scheme.pic_batch(pi, self.scheme.pir_batch(alpha, self.xs))
-        return float(row.astype(np.float64) @ self.pmf_mix)
+        return _pt_rate(self.scheme, self.pmf_mix, pt)
 
     def pt_match_stats(self) -> tuple:
         """(mean, population std dev) of the per-template match rate."""
@@ -262,5 +365,9 @@ class SchemeEnumerator:
 
 
 @lru_cache(maxsize=8)
-def enumerator(scheme: BtpScheme, pop: Population) -> SchemeEnumerator:
+def enumerator(scheme: BtpScheme, pop: Population):
+    """The exact oracle of (scheme, population): `LawOracle` when the
+    scheme declares a match law, `SchemeEnumerator` otherwise."""
+    if scheme.match_law() is not None:
+        return LawOracle(scheme, pop)
     return SchemeEnumerator(scheme, pop)

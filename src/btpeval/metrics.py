@@ -1,6 +1,6 @@
 """Recognition and protection metrics: Monte Carlo estimators + exact modes.
 
-Every estimator here has an exhaustive twin in `exact` that the tests hold
+Every estimator here has an exact twin in `exact` that the tests hold
 it to.  Estimators draw all randomness from streams derived via
 (seed, label, chunk_index) with a fixed chunk size, so a result depends
 only on (inputs, seed, trials) and never on how chunks were scheduled
@@ -299,8 +299,12 @@ def est_mr_of_feature(pop, x, tau, trials, seed=0, level=0.95, jobs=1):
 
 
 def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
-    """Exact per-feature match rate; delegates to the closed-form oracle."""
-    return exact.mr_of_feature(pop, x, tau)
+    """Exact per-feature match rate by the closed form; n <= 20."""
+    if pop.n > exact.EXACT_N_CAP:
+        raise ModeError(f"closed-form ball sums support n <= {exact.EXACT_N_CAP}")
+    if x.n != pop.n:
+        raise ConfigError("feature dimension mismatch")
+    return float(exact.mr_of(pop, [x.value], tau)[0])
 
 
 def rmr_of_feature(scheme, pop, x, trials, seed=0, level=0.95, jobs=1):
@@ -330,29 +334,50 @@ class MValue:
     mode: str
 
 
+# Exact rates within this of the extreme tie; the witness is the lowest
+# packed feature among them, whatever the summation order.
+TIE_TOL = 1e-12
+
+
+def _extreme(values, rates, lowest: bool = False) -> tuple:
+    """(rate, packed value) of the lowest value whose rate is within TIE_TOL
+    of the max (the min with `lowest`)."""
+    values, rates = np.asarray(values), np.asarray(rates)
+    target = rates.min() if lowest else rates.max()
+    near = np.flatnonzero(np.abs(rates - target) <= TIE_TOL)
+    i = near[np.argmin(values[near])]
+    return float(rates[i]), int(values[i])
+
+
+def _scan(n: int, vec, lowest: bool = False) -> tuple:
+    """`_extreme` over every feature: (rate, witness)."""
+    rate, value = _extreme(np.arange(len(vec)), vec, lowest)
+    return rate, FeatureElement(n, value)
+
+
 def extremal_mr(pop: Population, tau: int, seed: int = 0,
                 candidate_draws: int = 256) -> MValue:
-    """max over x of MR(x), exact for n <= 12, candidate-set beyond."""
+    """max over x of MR(x), exact for n <= 20, candidate-set beyond."""
     if pop.n <= exact.EXACT_N_CAP:
-        vec = exact.mr_vector(pop, tau)
-        best = int(np.argmax(vec))
-        return MValue(float(vec[best]), FeatureElement(pop.n, best), "exact")
+        return MValue(*_scan(pop.n, exact.mr_vector(pop, tau)), "exact")
     rng = substream(seed, "extremal-mr-candidates")
     candidates = list(pop.centers)
     candidates += [pop.sample_mixture(rng) for _ in range(candidate_draws)]
-    scored = [(exact.mr_of_feature(pop, c, tau), c) for c in candidates]
-    value, witness = max(scored, key=lambda t: t[0])
-    return MValue(value, witness, "lower_bound")
+    values = [c.value for c in candidates]
+    value, witness = _extreme(values, exact.mr_of(pop, values, tau))
+    return MValue(value, FeatureElement(pop.n, witness), "lower_bound")
 
 
 def extremal_rmr(scheme: BtpScheme, pop: Population, seed: int = 0,
                  trials: int = 4000, candidate_draws: int = 64,
                  jobs: int = 1) -> MValue:
-    """max over x of rMR(x), exact via enumeration for n <= 10."""
-    if pop.n <= exact.ENUM_N_CAP:
+    """max over x of rMR(x), exact where the scheme has an exact oracle."""
+    try:
         vec = exact.enumerator(scheme, pop).rmr_vector()
-        best = int(np.argmax(vec))
-        return MValue(float(vec[best]), FeatureElement(pop.n, best), "exact")
+    except ModeError:
+        pass
+    else:
+        return MValue(*_scan(pop.n, vec), "exact")
     rng = substream(seed, "extremal-rmr-candidates")
     candidates = list(pop.centers)
     candidates += [pop.sample_mixture(rng) for _ in range(candidate_draws)]
@@ -376,11 +401,10 @@ class OverlapRates:
 
 
 def overlap_rates(pop: Population, tau: int) -> OverlapRates:
-    """Exact (p_tau, q_tau) by scanning all features; n <= 12."""
+    """Exact (p_tau, q_tau) by scanning all features; n <= 20."""
     vec = exact.overlap_vector(pop, tau)
-    imax, imin = int(np.argmax(vec)), int(np.argmin(vec))
-    return OverlapRates(float(vec[imax]), float(vec[imin]),
-                        FeatureElement(pop.n, imax), FeatureElement(pop.n, imin))
+    (p_tau, w_max), (q_tau, w_min) = _scan(pop.n, vec), _scan(pop.n, vec, True)
+    return OverlapRates(p_tau, q_tau, w_max, w_min)
 
 
 @dataclass(frozen=True)
@@ -400,7 +424,8 @@ def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
     "overlap-estimate" stream, and `queries` counts those captures.
     """
     if pop.n > exact.EXACT_N_CAP:
-        raise ModeError("overlap estimation scans all features; n <= 12 only")
+        raise ModeError("overlap estimation scans all features; "
+                        f"n <= {exact.EXACT_N_CAP} only")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     ov = overlap_rates(pop, tau)

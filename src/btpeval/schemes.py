@@ -22,12 +22,15 @@ contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`,
 `template_codes` and its inverse `template_of_codes`): captures are packed uint64 values, identifiers and
 auxiliary data are uint64 codes.  The base class implements it on the
 scalar methods; the reference schemes override it with array arithmetic.
+They also declare a `match_law()`: their comparator decides on one
+Hamming distance, which the exact oracles turn into closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,6 +112,24 @@ class PtView:
     def __post_init__(self):
         if not (self.has_pi or self.has_ad):
             raise ContractError("view must carry at least one field")
+
+
+@dataclass(frozen=True)
+class MatchLaw:
+    """Acceptance as a Hamming ball, for comparators that decide on distance.
+
+    One enrollment of x accepts a capture x' iff d(x, x') <= radius.  The
+    pi of one enrollment and the alpha of another accept x' iff
+    d(x_tied, g(x')) <= radius, where x_tied is the capture enrolled for
+    the `tied` part ("pi" or "ad") and g is uniform over the isometries
+    `offsets(xs)` lists along a new last axis.  Each g is an XOR by a
+    constant or a coordinate permutation, so it maps i.i.d. bit-flip noise
+    to i.i.d. bit-flip noise.
+    """
+
+    radius: int
+    tied: str
+    offsets: Callable
 
 
 def leak_view(pt, leak: LeakSet) -> PtView:
@@ -357,8 +378,15 @@ class BtpScheme(ABC):
     def guaranteed_match_radius(self):
         """Largest tau with: d(x, x') <= tau implies pic accepts a template of x.
 
-        None when the scheme carries no such guarantee.
+        None when the scheme carries no such guarantee; by default the
+        radius of the scheme's match law.
         """
+        law = self.match_law()
+        return None if law is None else law.radius
+
+    def match_law(self) -> MatchLaw | None:
+        """The scheme's acceptance rule as a `MatchLaw`, or None when its
+        comparator does not decide on a Hamming distance alone."""
         return None
 
     def threshold_compatible(self, tau: int) -> bool:
@@ -456,8 +484,12 @@ class FuzzyCommitmentScheme(BtpScheme):
         return ProtectedTemplate(pi, FeatureElement(self.feature_dim,
                                                     int(alpha_code)))
 
-    def guaranteed_match_radius(self):
-        return self.code.t
+    def match_law(self):
+        # pi of codeword w, alpha = x ^ w' decodes x' to w iff x' lies within
+        # t of x ^ w ^ w' (unique since 2t + 1 <= d_min); w ^ w' is uniform
+        return MatchLaw(self.code.t, "ad",
+                        lambda xs: np.asarray(xs, dtype=np.uint64)[..., None]
+                        ^ self._cw)
 
     def describe(self):
         return {
@@ -533,8 +565,12 @@ class RotationScheme(BtpScheme):
         return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
                                  int(alpha_code))
 
-    def guaranteed_match_radius(self):
-        return self.tau
+    def match_law(self):
+        # rotations are isometries; r' - r is uniform over the offsets
+        n = self.feature_dim
+        return MatchLaw(self.tau, "pi", lambda xs: _rotate(
+            np.asarray(xs, dtype=np.uint64)[..., None],
+            np.arange(n, dtype=np.uint64), n))
 
     def describe(self):
         return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}
@@ -594,8 +630,9 @@ class PlaintextScheme(BtpScheme):
         return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
                                  None)
 
-    def guaranteed_match_radius(self):
-        return self.tau
+    def match_law(self):
+        return MatchLaw(self.tau, "pi",
+                        lambda xs: np.asarray(xs, dtype=np.uint64)[..., None])
 
     def describe(self):
         return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}

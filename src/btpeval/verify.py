@@ -128,9 +128,9 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     inverter must win the acceptance game with rate above 1 - gamma.
 
     Hypotheses gate applicability: the measured per-template rate spread
-    must satisfy C < 1 and C^2 < delta.  Where the scheme can be
-    enumerated, the details also give the exact statistics and the
-    n_delta they would set, beside the estimated ones the check uses.
+    must satisfy C < 1 and C^2 < delta.  Where the scheme has an exact
+    oracle, the details also give the exact statistics and the n_delta
+    they would set, beside the estimated ones the check uses.
     """
     st = metrics.pt_match_stats(scheme, pop, stats_outer, stats_inner,
                                 seed=seed, jobs=jobs)
@@ -195,14 +195,14 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     """Full-template linkage is unachievable: the match-test distinguisher
     reaches advantage 1 - MR when every template accepts its own feature.
 
-    The own-feature hypothesis is checked exhaustively first; MR comes
-    from the exact oracle when enumeration is feasible.
+    The own-feature hypothesis is checked exactly first; MR comes from
+    the exact oracle, and without one the check does not apply.
     """
     details = {"trials": trials}
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError as e:
-        details["reason"] = f"exact enumeration unavailable: {e}"
+        details["reason"] = f"no exact oracle: {e}"
         return TheoremVerdict("T3", NOT_APPLICABLE, "~~", None, None, None,
                               leak=str(LEAK_BOTH), details=details)
     if not en.hypothesis_own_match():

@@ -7,7 +7,6 @@ hold the built-ins' batch phases against these twins and the exact
 oracles.
 """
 
-from btpeval import exact
 from btpeval.adversaries import (
     BlindArgmaxAdversary,
     CoinFlipUnlinkAdversary,
@@ -22,6 +21,7 @@ from btpeval.errors import ContractError
 from btpeval.games import IrrAdversary, UnlinkAdversary
 from btpeval.population import hamming_distance, neighborhood_overlap
 from btpeval.schemes import LEAK_BOTH
+from reference_exact import closed_form_mr
 
 
 class PalSampler(IrrAdversary):
@@ -85,7 +85,7 @@ class Sampler(IrrAdversary):
             cand = oracle.sample(int(rng.integers(pop.num_users)))
             key = (cand, tau)
             if key not in self._scores:
-                self._scores[key] = exact.mr_of_feature(pop, cand, tau)
+                self._scores[key] = closed_form_mr(pop, cand, tau)
             score = self._scores[key]
             if score > best_score:
                 best, best_score = cand, score

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from btpeval import cli, metrics, verify
+from btpeval import cli, exact, metrics, verify
 from btpeval.errors import ConfigError
 from btpeval.report import strip_timings
 
@@ -162,6 +162,40 @@ class TestMetricsCommand:
         report = load_json(out)
         by_name = {m["metric"]: m for m in report["metrics"]}
         assert by_name["fmr_tp_ad"]["exact"] == pytest.approx(1 / 16)
+
+
+def _rot_metrics(n, tmp_path, capsys, *args) -> dict:
+    cfg = tmp_path / "rot.json"
+    cfg.write_text(json.dumps({"population": {"n": n},
+                               "scheme": {"scheme": "rot"}}))
+    code, out, _ = run_cli(["metrics", "--config", str(cfg), *args], capsys)
+    assert code == 0
+    return {m["metric"]: m for m in load_json(out)["metrics"]}
+
+
+class TestClosedFormOracles:
+    def test_rot_metrics_build_no_enumerator(self, tmp_path, capsys,
+                                             monkeypatch):
+        def refuse(self, scheme, pop):
+            raise AssertionError("SchemeEnumerator built")
+        monkeypatch.setattr(exact.SchemeEnumerator, "__init__", refuse)
+        by_name = _rot_metrics(10, tmp_path, capsys, "--trials", "500")
+        assert all("exact" in m for m in by_name.values())
+
+    def test_rot14_exact_values_in_99_intervals(self, tmp_path, capsys):
+        by_name = _rot_metrics(14, tmp_path, capsys, "--trials", "10000",
+                               "--seed", "1")
+        stats = by_name.pop("mr_pi_stats")
+        for name, m in by_name.items():
+            wins = round(m["estimate"] * m["trials"])
+            lo, hi = metrics.wilson_interval(wins, m["trials"], 0.99)
+            assert lo <= m["exact"] <= hi, name
+        assert {m.get("mode") for m in by_name.values()} == {None, "exact"}
+        # the report's mean interval is at 95%; widen it to 99%
+        lo95, hi95 = stats["stats"]["mean_ci"]
+        half = (hi95 - lo95) / 2 * metrics.z_value(0.99) / metrics.z_value(0.95)
+        mean = (lo95 + hi95) / 2
+        assert mean - half <= stats["exact"]["mean"] <= mean + half
 
 
 class TestDeterminism:

@@ -1,0 +1,176 @@
+"""The closed-form oracles: ball tables, match laws and `LawOracle`.
+
+`LawOracle` serves every scheme that declares a `match_law()`; it is held
+here to the scheme contract it summarises (property tests) and to
+`SchemeEnumerator`, its differential twin at n <= 10.  `exact.mr_of` is
+held bit for bit to the scalar closed form it replaced.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from btpeval import exact
+from btpeval.errors import ModeError
+from btpeval.population import FeatureElement, generate_population
+from btpeval.rng import substream
+from btpeval.schemes import (
+    BrokenScheme,
+    FuzzyCommitmentScheme,
+    LinearCode,
+    PlaintextScheme,
+    RotationScheme,
+    hamming_7_4,
+)
+from reference_exact import closed_form_mr
+from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
+
+# Agreement of two exact engines that sum in different orders.
+TOL = 1e-12
+
+LAW_SCHEMES = {
+    "fc[7,4]": lambda: FuzzyCommitmentScheme(hamming_7_4(t=1)),
+    # not perfect: a capture can fall outside every decoding ball
+    "fc[10,4]": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
+        ["1000111000", "0100100110", "0010010101", "0001001011"], t=1)),
+    "fc[5,2]": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
+        ["10110", "01011"], t=1)),
+    "rot": lambda: RotationScheme(8, tau=2),
+    "plain": lambda: PlaintextScheme(6, tau=1),
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [7, 10, 12, 20])
+    def test_mr_of_bitwise_equals_scalar_closed_form(self, n):
+        pop = generate_population(n, 16, 0.03, seed=n)
+        rng = substream(n, "mr-of-features")
+        values = rng.integers(1 << n, size=300).astype(np.uint64)
+        for tau in (0, 1, 3):
+            got = exact.mr_of(pop, values, tau)
+            want = [closed_form_mr(pop, FeatureElement(n, int(v)), tau)
+                    for v in values]
+            assert got.tolist() == want
+
+    def test_baseline_is_the_pair_table(self):
+        # with p = 0 the rates count center pairs within tau
+        pop = generate_population(8, 6, 0.0, seed=4)
+        c = [x.value for x in pop.centers]
+        close = [[(a ^ b).bit_count() <= 2 for b in c] for a in c]
+        fnmr, fmr = exact.baseline_rates(pop, 2)
+        assert fnmr == 0.0
+        assert fmr == pytest.approx(
+            (np.sum(close) - len(c)) / (len(c) * (len(c) - 1)), abs=TOL)
+
+
+def _law_accepts(law, x_tied, probes, offset_axis=False):
+    """d(x_tied, g(x')) <= radius for every offset g (last axis), or for
+    the identity."""
+    images = law.offsets(probes) if offset_axis else probes
+    return np.bitwise_count(images ^ np.uint64(x_tied)) <= law.radius
+
+
+class TestMatchLaw:
+    """The law's decision equals the scheme contract's."""
+
+    @pytest.mark.parametrize("name", list(LAW_SCHEMES))
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_same_enrollment(self, name, seed, data):
+        scheme = LAW_SCHEMES[name]()
+        n = scheme.feature_dim
+        law = scheme.match_law()
+        x = data.draw(st.integers(0, (1 << n) - 1))
+        probes = np.array(data.draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=1, max_size=16)),
+            dtype=np.uint64)
+        pi, alpha = scheme.pie_batch(np.full(len(probes), x, dtype=np.uint64),
+                                     substream(seed, "law"))
+        got = scheme.pic_batch(pi, scheme.pir_batch(alpha, probes))
+        assert got.tolist() == _law_accepts(law, x, probes).tolist()
+
+    @pytest.mark.parametrize("name", list(LAW_SCHEMES))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_cross_enrollment(self, name, data):
+        # pi of an enrollment of x_pi, alpha of one of x_ad: over all
+        # encoder outcomes, the share that accepts x' is the share of
+        # offsets g with d(x_tied, g(x')) <= radius
+        scheme = LAW_SCHEMES[name]()
+        n = scheme.feature_dim
+        law = scheme.match_law()
+        draw = lambda: data.draw(st.integers(0, (1 << n) - 1))  # noqa: E731
+        x_pi, x_ad, probe = draw(), draw(), draw()
+        w_pi, pis, _ = scheme.pie_support_batch(np.uint64(x_pi))
+        w_ad, _, alphas = scheme.pie_support_batch(np.uint64(x_ad))
+        vids = scheme.pir_batch(alphas, np.uint64(probe))
+        accept = scheme.pic_batch(pis[:, None], vids[None, :])
+        share = float(w_pi @ accept @ w_ad)
+        x_tied = x_pi if law.tied == "pi" else x_ad
+        want = _law_accepts(law, x_tied, np.uint64(probe), True).mean()
+        assert share == pytest.approx(want, abs=TOL)
+
+
+# (scheme, users, p); every n <= ENUM_N_CAP, so the enumerator can answer
+DIFFERENTIAL = [
+    ("fc[7,4]", 16, 0.03), ("fc[7,4]", 8, 0.0), ("fc[7,4]", 6, 0.2),
+    ("fc[10,4]", 8, 0.05), ("fc[5,2]", 4, 0.1),
+    ("rot", 12, 0.04), ("rot", 5, 0.0),
+    ("plain", 10, 0.1), ("plain", 3, 0.0),
+]
+
+
+@pytest.mark.parametrize("name,users,p", DIFFERENTIAL)
+def test_law_oracle_matches_enumerator(name, users, p):
+    scheme = LAW_SCHEMES[name]()
+    pop = generate_population(scheme.feature_dim, users, p, seed=users)
+    law = exact.LawOracle(scheme, pop)
+    en = exact.SchemeEnumerator(scheme, pop)
+    for method in ("fnmr", "fmr_bp", "fmr_div"):
+        assert getattr(law, method)() == pytest.approx(
+            getattr(en, method)(), abs=TOL), method
+    for factor in ("ad", "pi"):
+        assert law.fmr_tp(factor) == pytest.approx(en.fmr_tp(factor), abs=TOL)
+    assert np.abs(law.rmr_vector() - en.rmr_vector()).max() <= TOL
+    assert law.pt_match_stats() == pytest.approx(en.pt_match_stats(), abs=TOL)
+    pt = scheme.pie(pop.center(1), substream(4, "pt"))
+    assert law.pt_rate(pt) == pytest.approx(en.pt_rate(pt), abs=TOL)
+    assert law.hypothesis_own_match() == en.hypothesis_own_match()
+
+
+class TestEnumeratorFnmr:
+    @pytest.mark.parametrize("scheme", [
+        AlwaysMatchScheme(5), NeverMatchScheme(5), LotteryScheme(5, 0.3),
+        BrokenScheme(5)], ids=lambda s: s.name)
+    def test_per_template_loop(self, scheme):
+        pop = generate_population(5, 4, 0.1, seed=2)
+        en = exact.SchemeEnumerator(scheme, pop)
+        hit = 0.0
+        for u in range(en.U):
+            for k in range(en.W.shape[1]):
+                hit += en.W[u, k] * (en.M_pt[k] @ en.P[u])
+        assert en.fnmr() == pytest.approx(1.0 - hit / en.U, abs=TOL)
+
+
+class TestOracleChoice:
+    def test_law_schemes_skip_the_enumerator(self):
+        for make in LAW_SCHEMES.values():
+            scheme = make()
+            pop = generate_population(scheme.feature_dim, 4, 0.03, seed=1)
+            assert isinstance(exact.enumerator(scheme, pop), exact.LawOracle)
+
+    def test_toy_scheme_is_enumerated(self, default_pop, monkeypatch):
+        assert isinstance(exact.enumerator(AlwaysMatchScheme(7), default_pop),
+                          exact.SchemeEnumerator)
+
+        def refuse(self, scheme, pop):
+            raise AssertionError("SchemeEnumerator built")
+        monkeypatch.setattr(exact.SchemeEnumerator, "__init__", refuse)
+        with pytest.raises(AssertionError, match="built"):
+            exact.enumerator(LotteryScheme(7, 0.3), default_pop)
+
+    def test_law_oracle_cap(self):
+        pop = generate_population(exact.EXACT_N_CAP + 1, 2, 0.03, seed=1)
+        with pytest.raises(ModeError):
+            exact.enumerator(RotationScheme(pop.n, tau=1), pop)

@@ -517,7 +517,7 @@ class TestEngineDifferential:
 
     def test_pal_sampler(self, default_pop, scheme_name):
         scheme = build_scheme(SCHEMES[scheme_name], 7)
-        en = exact.enumerator(scheme, default_pop)
+        en = exact.SchemeEnumerator(scheme, default_pop)
         n_delta = 3
         cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
                                mu=0.5, n_delta=n_delta)

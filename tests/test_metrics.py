@@ -378,7 +378,8 @@ class TestExtremal:
         assert m.mode == "exact"
 
     def test_lower_bound_mode_flagged(self):
-        pop = generate_population(14, 4, 0.02, seed=2)
+        # the full feature scan stops at EXACT_N_CAP
+        pop = generate_population(exact.EXACT_N_CAP + 1, 4, 0.02, seed=2)
         m = metrics.extremal_mr(pop, 1, seed=0, candidate_draws=16)
         assert m.mode == "lower_bound"
         assert m.value <= 1.0
@@ -387,6 +388,35 @@ class TestExtremal:
         m = metrics.extremal_rmr(fc_scheme, default_pop)
         vec = exact.enumerator(fc_scheme, default_pop).rmr_vector()
         assert m.value == pytest.approx(float(vec.max()), abs=1e-12)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_tied_extremes_take_the_lowest_feature(self, order):
+        # rotating coordinates by 2 permutes the centers, so every rate
+        # ties across each rotation orbit, summed in a different user order
+        # at each member; reordering the users changes every sum again
+        centers = [FeatureElement(6, v) for v in (0b000011, 0b001100, 0b110000)]
+        pop = Population(n=6, flip_prob=0.05, seed=0,
+                         centers=tuple(centers[i] for i in order))
+
+        def lowest(vec, pick):
+            return int(np.flatnonzero(np.abs(vec - pick(vec)) <= 1e-12)[0])
+
+        mr = exact.mr_vector(pop, 1)
+        assert metrics.extremal_mr(pop, 1).witness.value == lowest(mr, np.max)
+        ov_vec = exact.overlap_vector(pop, 1)
+        ov = metrics.overlap_rates(pop, 1)
+        assert ov.witness_max.value == lowest(ov_vec, np.max)
+        assert ov.witness_min.value == lowest(ov_vec, np.min)
+        scheme = RotationScheme(6, tau=1)
+        rmr = exact.SchemeEnumerator(scheme, pop).rmr_vector()
+        m = metrics.extremal_rmr(scheme, pop)
+        assert m.witness.value == lowest(rmr, np.max)
+        assert m.value == pytest.approx(float(rmr.max()), abs=1e-12)
+        # the rotation orbit of each witness holds tied features
+        for vec, w in ((mr, lowest(mr, np.max)), (ov_vec, lowest(ov_vec, np.min))):
+            orbit = [FeatureElement(6, w).rotate(2 * k).value for k in range(3)]
+            assert np.ptp(vec[orbit]) <= 1e-12
+            assert w == min(orbit)
 
 
 class TestPtMatchRate:

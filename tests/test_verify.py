@@ -92,7 +92,8 @@ class TestT2:
         assert "standard error" in d["tolerance_note"]
 
     def test_no_exact_statistics_beyond_enumeration(self):
-        pop = generate_population(exact.ENUM_N_CAP + 1, 16, 0.03, seed=1)
+        # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
+        pop = generate_population(exact.EXACT_N_CAP + 1, 16, 0.03, seed=1)
         scheme = PlaintextScheme(pop.n, tau=1)
         v = verify.check_thm_pal_unachievable(scheme, pop, trials=200, seed=9,
                                             stats_outer=50, stats_inner=40)
