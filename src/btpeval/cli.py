@@ -52,13 +52,13 @@ DEFAULT_CONFIG = {
 
 
 # Every key some code path reads; a nested dict lists a block's keys.
-# `int` marks an integer value, `float` any number (neither a bool), None
-# a value checked where it is used.
+# `int` marks an integer value, `float` any number (neither a bool), `list`
+# a non-empty list of bitstrings, None a value checked where it is used.
 CONFIG_KEYS = {
     "population": {"n": int, "U": int, "p": float, "seed": int,
-                   "centers": None},
-    "scheme": {"scheme": None, "tau": None,
-               "code": {"n": None, "k": None, "t": None, "generator": None}},
+                   "centers": list},
+    "scheme": {"scheme": None, "tau": int,
+               "code": {"n": int, "k": int, "t": int, "generator": list}},
     **dict.fromkeys(("tau", "trials", "query_budget", "seed", "stats_outer",
                      "stats_inner", "sampler_queries"), int),
     **dict.fromkeys(("delta", "gamma"), float),
@@ -80,6 +80,13 @@ def _check_keys(block, allowed: dict, where: str):
             _check_keys(block[key], sub, f"{where}.{key}")
             continue
         value = block[key]
+        if sub is list:
+            if not (isinstance(value, list) and value and all(
+                    isinstance(s, str) and re.fullmatch("[01]+", s)
+                    for s in value)):
+                raise ConfigError(f"{where}.{key} must be a non-empty list "
+                                  f"of bitstrings, got {value!r}")
+            continue
         types = int if sub is int else (int, float)
         if isinstance(value, bool) or not isinstance(value, types):
             kind = "an integer" if sub is int else "a number"
@@ -109,6 +116,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
+    if cfg["tau"] < 0:
+        raise ConfigError(f"tau must be >= 0, got {cfg['tau']}")
     return cfg
 
 

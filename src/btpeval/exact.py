@@ -1,25 +1,39 @@
 """Exact twins for every Monte Carlo estimator.
 
-Every rate in the package has an exact value, from one of two engines.
+Each rate is written once, in `_Oracle`, from tables an engine supplies:
 
-* Closed forms.  A capture of user u flips each bit of c_u independently
-  with probability p, so Pr[d(x, X_u) <= r] depends on x only through
+* `same[v, u]` = Pr[an enrollment of v accepts a capture of u];
+* `mixed(own)[v, u]` = Pr[the `own` part ("ad" or "pi") of an enrollment
+  of u, with the other part of an enrollment of v, accepts a capture of u];
+* `templates()`, the weight and the match rate of every template;
+* `rmr_vector()` and `hypothesis_own_match()`.
+
+FNMR and FMR-BP are the diagonal and off-diagonal means of `same`; FMR-TP
+for a factor is the off-diagonal mean of `mixed(factor)` and FMR-DIV the
+diagonal mean; the per-template statistics are the weighted moments of
+`templates()`.  Rows index the enrolled user v, columns the probe owner
+u.  Two engines supply the tables.
+
+* `LawOracle`, for a scheme that declares a `match_law()` (fc, rot,
+  plain).  A capture of user u flips each bit of c_u independently with
+  probability p, so Pr[d(x, X_u) <= r] depends on x only through
   h = d(x, c_u), and two independent captures differ bit by bit with
   probability 2p(1 - p).  `_ball_table` tabulates that probability for
-  every h by a convolution of two binomials; the raw-distance rates
-  (`mr_of`, `mr_vector`, `overlap_vector`, `baseline_rates`) and
-  `LawOracle`, the oracle of every scheme that declares a `match_law()`
-  (fc, rot, plain), read it.  Recognition rates cost O(U^2 |offsets|),
-  per-feature vectors O(U 2^n); feature scans stop at n <= 20.
+  every h by a convolution of two binomials; the tables, and the raw-
+  distance rates (`mr_of`, `mr_vector`, `overlap_vector`,
+  `baseline_rates`), read it.  Tables cost O(U^2 |offsets|), per-feature
+  vectors O(U 2^n); feature scans stop at n <= 20.
 * `SchemeEnumerator`, for every other scheme (toy, `broken`, custom):
   probe distributions are explicit pmf vectors over {0,1}^n, enrollment
-  randomness is enumerated through `pie_support`, and expectations become
-  weighted sums, for n <= 10.  It is also the differential twin of
+  randomness is enumerated through `pie_support`, and the tables are
+  matrix products, for n <= 10.  It is also the differential twin of
   `LawOracle`.
 
-`enumerator(scheme, pop)` picks the engine.  These are the reference
-oracles the test suite holds the samplers to; they share the scheme
-objects with the samplers but never share the sampling path.
+Every per-feature sum over the population (`mr_of`, the capture pmf) is
+one `_center_sum` of a per-distance table.  `enumerator(scheme, pop)`
+picks the engine.  These are the reference oracles the test suite holds
+the samplers to; they share the scheme objects with the samplers but never
+share the sampling path.
 """
 
 from __future__ import annotations
@@ -40,25 +54,6 @@ ENUM_N_CAP = 10
 def _require(n: int, cap: int, what: str):
     if n > cap:
         raise ModeError(f"{what} supports n <= {cap}, got n = {n}")
-
-
-def user_pmf(pop: Population, u: int) -> np.ndarray:
-    """P(X_u = x) for every x, as a length-2^n vector."""
-    _require(pop.n, EXACT_N_CAP, "exact pmf")
-    xs = np.arange(1 << pop.n, dtype=np.uint64)
-    d = np.bitwise_count(xs ^ np.uint64(pop.center(u).value))
-    p = pop.flip_prob
-    dd = np.arange(pop.n + 1)
-    powers = (p ** dd) * ((1.0 - p) ** (pop.n - dd))
-    return powers[d]
-
-
-def mixture_pmf(pop: Population) -> np.ndarray:
-    """pmf of a capture from a uniformly random user."""
-    out = np.zeros(1 << pop.n)
-    for u in range(pop.num_users):
-        out += user_pmf(pop, u)
-    return out / pop.num_users
 
 
 @lru_cache(maxsize=64)
@@ -85,19 +80,30 @@ def _ball_table(n: int, p: float, radius: int) -> np.ndarray:
     return f
 
 
+def _capture_table(pop: Population) -> np.ndarray:
+    """q[h] = Pr[X_u = x] for h = d(x, c_u), every h in 0..n."""
+    h = np.arange(pop.n + 1)
+    return (pop.flip_prob ** h) * ((1.0 - pop.flip_prob) ** (pop.n - h))
+
+
 def _centers(pop: Population) -> np.ndarray:
     return np.array([c.value for c in pop.centers], dtype=np.uint64)
 
 
-def mr_of(pop: Population, values, tau: int) -> np.ndarray:
-    """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
-    in `values`, summed user by user from one ball table."""
-    f = _ball_table(pop.n, pop.flip_prob, tau)
+def _center_sum(pop: Population, values, table: np.ndarray) -> np.ndarray:
+    """The mean over users u of table[d(x, c_u)], for every packed x in
+    `values`, summed user by user."""
     values = np.asarray(values, dtype=np.uint64)
     total = np.zeros(values.shape)
     for c in _centers(pop):
-        total += f[np.bitwise_count(values ^ c)]
+        total += table[np.bitwise_count(values ^ c)]
     return total / pop.num_users
+
+
+def mr_of(pop: Population, values, tau: int) -> np.ndarray:
+    """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
+    in `values`."""
+    return _center_sum(pop, values, _ball_table(pop.n, pop.flip_prob, tau))
 
 
 def mr_vector(pop: Population, tau: int) -> np.ndarray:
@@ -139,39 +145,86 @@ def baseline_rates(pop: Population, tau: int) -> tuple:
     return 1.0 - _diag_mean(G), _off_diag_mean(G)
 
 
-def _pt_rate(scheme: BtpScheme, pmf_mix: np.ndarray, pt) -> float:
-    """Acceptance rate of one fixed template against random captures."""
-    pi, alpha = scheme.template_codes(pt)
-    xs = np.arange(len(pmf_mix), dtype=np.uint64)
-    row = scheme.pic_batch(pi, scheme.pir_batch(alpha, xs))
-    return float(row.astype(np.float64) @ pmf_mix)
+class _Oracle:
+    """The exact rates of (scheme, population), each written once.
 
-
-class LawOracle:
-    """Exact rates of a scheme with a `match_law()`, from ball tables.
-
-    The one-enrollment rates read the two-capture table at d(c_v, c_u)
-    (`_same`); the rates that mix the parts of two enrollments read it at
-    d(c_t, g(c_u)), averaged over the law's offsets g (`_cross`).  Rows
-    are the user whose capture the decision is tied to, columns the probe
-    owner.  Per-feature rates read the one-capture table at d(x, c_u).
-    Same methods as `SchemeEnumerator`.
+    An engine supplies `same`, `mixed(own)`, `templates()`, `rmr_vector()`
+    and `hypothesis_own_match()`; see the module docstring.
     """
 
-    def __init__(self, scheme: BtpScheme, pop: Population):
+    def __init__(self, scheme: BtpScheme, pop: Population, cap: int,
+                 what: str):
         if scheme.feature_dim != pop.n:
             raise ConfigError("scheme and population disagree on n")
-        _require(pop.n, EXACT_N_CAP, "ball-law oracle")
+        _require(pop.n, cap, what)
         self.scheme = scheme
         self.pop = pop
-        self.law = scheme.match_law()
         self.U = pop.num_users
-        self._same = _pair_rates(pop, self.law.radius)
-        self._cross = _pair_rates(pop, self.law.radius, self.law.offsets)
 
     @cached_property
     def pmf_mix(self) -> np.ndarray:
-        return mixture_pmf(self.pop)
+        """pmf of a capture from a uniformly random user, every x."""
+        xs = np.arange(1 << self.pop.n, dtype=np.uint64)
+        return _center_sum(self.pop, xs, _capture_table(self.pop))
+
+    # -- recognition metrics -------------------------------------------------
+
+    def fnmr(self) -> float:
+        return 1.0 - _diag_mean(self.same)
+
+    def fmr_bp(self) -> float:
+        return _off_diag_mean(self.same)
+
+    def fmr_tp(self, factor: str) -> float:
+        """Total-performance false match rate; factor is "ad" or "pi", the
+        part that comes from the probe owner's own enrollment."""
+        if factor not in ("ad", "pi"):
+            raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
+        return _off_diag_mean(self.mixed(factor))
+
+    def fmr_div(self) -> float:
+        # both parts from independent enrollments of the probe owner: the
+        # diagonal of either mixed table
+        return _diag_mean(self.mixed("ad"))
+
+    # -- protection metrics --------------------------------------------------
+
+    def pt_rate(self, pt) -> float:
+        """Acceptance rate of one fixed template against random captures."""
+        pi, alpha = self.scheme.template_codes(pt)
+        xs = np.arange(len(self.pmf_mix), dtype=np.uint64)
+        row = self.scheme.pic_batch(pi, self.scheme.pir_batch(alpha, xs))
+        return float(row.astype(np.float64) @ self.pmf_mix)
+
+    def pt_match_stats(self) -> tuple:
+        """(mean, population std dev) of the per-template match rate."""
+        w, r = self.templates()
+        mean = float(w @ r)
+        var = float(w @ (r - mean) ** 2)
+        return mean, math.sqrt(max(var, 0.0))
+
+
+class LawOracle(_Oracle):
+    """Exact tables of a scheme with a `match_law()`, from ball tables.
+
+    `same` reads the two-capture table at d(c_v, c_u).  A mixed decision
+    is tied to one enrollment's capture: it reads the table at
+    d(c_t, g(c_u)), averaged over the law's offsets g (`_cross`), where t
+    is u when the tied part is the probe owner's own and v otherwise.
+    A template of x accepts a random capture with rate MR(x) at the law's
+    radius, and x is distributed as a random capture.
+    """
+
+    def __init__(self, scheme: BtpScheme, pop: Population):
+        super().__init__(scheme, pop, EXACT_N_CAP, "ball-law oracle")
+        self.law = scheme.match_law()
+        self.same = _pair_rates(pop, self.law.radius)
+        self._cross = _pair_rates(pop, self.law.radius, self.law.offsets)
+
+    def mixed(self, own: str) -> np.ndarray:
+        if own == self.law.tied:
+            return np.tile(np.diag(self._cross), (self.U, 1))
+        return self._cross
 
     @cached_property
     def _rmr(self) -> np.ndarray:
@@ -179,46 +232,12 @@ class LawOracle:
         vec.flags.writeable = False
         return vec
 
-    # -- recognition metrics -------------------------------------------------
-
-    def fnmr(self) -> float:
-        return 1.0 - _diag_mean(self._same)
-
-    def fmr_bp(self) -> float:
-        return _off_diag_mean(self._same)
-
-    def fmr_tp(self, factor: str) -> float:
-        """Total-performance false match rate; factor is "ad" or "pi"."""
-        if factor not in ("ad", "pi"):
-            raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
-        # the factor's part comes from the probe owner's own enrollment
-        if factor == self.law.tied:
-            return _diag_mean(self._cross)
-        return _off_diag_mean(self._cross)
-
-    def fmr_div(self) -> float:
-        return _diag_mean(self._cross)
-
-    # -- protection metrics --------------------------------------------------
+    def templates(self) -> tuple:
+        return self.pmf_mix, self._rmr
 
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x: the template's capture within the radius."""
         return self._rmr
-
-    def pt_rate(self, pt) -> float:
-        """Acceptance rate of one fixed template against random captures."""
-        return _pt_rate(self.scheme, self.pmf_mix, pt)
-
-    def pt_match_stats(self) -> tuple:
-        """(mean, population std dev) of the per-template match rate.
-
-        A template of x accepts a random capture with rate MR(x) at the
-        law's radius, and x is distributed as a random capture.
-        """
-        w, r = self.pmf_mix, self._rmr
-        mean = float(w @ r)
-        var = float(w @ (r - mean) ** 2)
-        return mean, math.sqrt(max(var, 0.0))
 
     def hypothesis_own_match(self) -> bool:
         """Whether every template accepts the exact feature it encodes."""
@@ -236,50 +255,40 @@ def _first_seen(values: np.ndarray) -> tuple:
     return uniq[order], rank[inverse.ravel()]
 
 
-class SchemeEnumerator:
+class SchemeEnumerator(_Oracle):
     """Joint exact model of (scheme, population).
 
     Enumerates the template distribution per user (enrollment capture x
     encoder randomness), tabulates pic(pi, pir(alpha, probe)) over all
-    identifier/auxiliary-data/probe combinations, and reduces every metric
-    to small einsums.  Everything goes through the scheme's batch contract:
-    `pi_codes`/`alpha_codes` are the codes that occur, numbered in the
-    order a scan of users, their possible captures and the encoder
+    identifier/auxiliary-data/probe combinations, and builds every table
+    by matrix products.  Everything goes through the scheme's batch
+    contract: `pi_codes`/`alpha_codes` are the codes that occur, numbered
+    in the order a scan of users, their possible captures and the encoder
     outcomes first meets them; template k is (pt_pi[k], pt_alpha[k]).
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
-        if scheme.feature_dim != pop.n:
-            raise ConfigError("scheme and population disagree on n")
-        _require(pop.n, ENUM_N_CAP, "scheme enumeration")
-        self.scheme = scheme
-        self.pop = pop
-        self.n = pop.n
+        super().__init__(scheme, pop, ENUM_N_CAP, "scheme enumeration")
         self.size = 1 << pop.n
-        self.U = pop.num_users
-        self.P = np.stack([user_pmf(pop, u) for u in range(self.U)])
-        self.pmf_mix = self.P.mean(axis=0)
         self.xs = np.arange(self.size, dtype=np.uint64)
+        self.P = _capture_table(pop)[
+            np.bitwise_count(_centers(pop)[:, None] ^ self.xs)]
         probs, self.support_pi, self.support_alpha = (
             scheme.pie_support_batch(self.xs))
 
         # templates, in scan order: users, their possible captures, outcomes
-        seen = [np.flatnonzero(self.P[u]) for u in range(self.U)]
-        rows = np.concatenate(seen)
+        users, rows = np.nonzero(self.P)
         self.pi_codes, pi_idx = _first_seen(self.support_pi[rows].ravel())
         self.alpha_codes, alpha_idx = _first_seen(
             self.support_alpha[rows].ravel())
         n_alpha = len(self.alpha_codes)
         pt_keys, pt_idx = _first_seen(pi_idx * n_alpha + alpha_idx)
         self.pt_pi, self.pt_alpha = np.divmod(pt_keys, n_alpha)
-        self.W = np.zeros((self.U, len(pt_keys)))
-        lo = 0
-        for u, xu in enumerate(seen):
-            hi = lo + probs[xu].size
-            weights = (self.P[u, xu, None] * probs[xu]).ravel()
-            self.W[u] = np.bincount(pt_idx[lo:hi], weights=weights,
-                                    minlength=len(pt_keys))
-            lo = hi
+        n_pt = len(pt_keys)
+        weights = self.P[users, rows, None] * probs[rows]
+        cells = users[:, None] * n_pt + pt_idx.reshape(weights.shape)
+        self.W = np.bincount(cells.ravel(), weights=weights.ravel(),
+                             minlength=self.U * n_pt).reshape(self.U, n_pt)
         self.w_mix = self.W.mean(axis=0)
 
         # match[i, j, x] = pic(pi_i, pir(alpha_j, x)), one alpha row at a time
@@ -290,73 +299,33 @@ class SchemeEnumerator:
             self.match[:, j] = scheme.pic_batch(self.pi_codes[:, None], vids)
         # per-template match indicator over probes
         self.M_pt = self.match[self.pt_pi, self.pt_alpha].astype(np.float64)
-        self._K = None
 
-    # -- recognition metrics -------------------------------------------------
+    @cached_property
+    def same(self) -> np.ndarray:
+        return (self.W @ self.M_pt) @ self.P.T
 
-    def _cross_accept(self) -> np.ndarray:
-        """K[i, j, u] = Pr over x ~ X_u of pic(pi_i, pir(alpha_j, x))."""
-        if self._K is None:
-            self._K = np.einsum("ijx,ux->iju", self.match, self.P)
-        return self._K
+    @cached_property
+    def _mixed(self) -> dict:
+        """mixed(own) for both parts, through K[i, j, u] = Pr over x ~ X_u
+        of pic(pi_i, pir(alpha_j, x)) and each user's part marginals
+        Wpi[i, u], Wal[j, u] (W summed over the templates sharing a part)."""
+        K = np.einsum("ijx,ux->iju", self.match, self.P)
+        Wpi = np.zeros((len(self.pi_codes), self.U))
+        Wal = np.zeros((len(self.alpha_codes), self.U))
+        np.add.at(Wpi, self.pt_pi, self.W.T)
+        np.add.at(Wal, self.pt_alpha, self.W.T)
+        return {"ad": Wpi.T @ np.einsum("iju,ju->iu", K, Wal),
+                "pi": Wal.T @ np.einsum("iu,iju->ju", Wpi, K)}
 
-    def fnmr(self) -> float:
-        A = self.W @ self.M_pt                         # (U, probes), own template
-        return 1.0 - float(np.einsum("ux,ux->", A, self.P)) / self.U
+    def mixed(self, own: str) -> np.ndarray:
+        return self._mixed[own]
 
-    def fmr_bp(self) -> float:
-        A = self.W @ self.M_pt                         # (U, probes), template owner v
-        return _off_diag_mean(A @ self.P.T)            # [v, u] = accept prob
-
-    def _part_marginals(self) -> tuple:
-        """W summed over the templates that share a pi, and an alpha."""
-        out = []
-        for index, count in ((self.pt_pi, len(self.pi_codes)),
-                             (self.pt_alpha, len(self.alpha_codes))):
-            acc = np.zeros((count, self.U))
-            np.add.at(acc, index, self.W.T)
-            out.append(np.ascontiguousarray(acc.T))
-        return tuple(out)
-
-    def fmr_tp(self, factor: str) -> float:
-        """Total-performance false match rate; factor is "ad" or "pi"."""
-        Wpi, Wal = self._part_marginals()
-        K = self._cross_accept()
-        total = 0.0
-        for u in range(self.U):
-            for v in range(self.U):
-                if u == v:
-                    continue
-                if factor == "ad":
-                    total += Wpi[v] @ K[:, :, u] @ Wal[u]
-                elif factor == "pi":
-                    total += Wpi[u] @ K[:, :, u] @ Wal[v]
-                else:
-                    raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
-        return float(total / (self.U * (self.U - 1)))
-
-    def fmr_div(self) -> float:
-        Wpi, Wal = self._part_marginals()
-        K = self._cross_accept()
-        vals = [Wpi[u] @ K[:, :, u] @ Wal[u] for u in range(self.U)]
-        return float(np.mean(vals))
-
-    # -- protection metrics --------------------------------------------------
+    def templates(self) -> tuple:
+        return self.w_mix, self.M_pt @ self.pmf_mix
 
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x."""
         return self.w_mix @ self.M_pt
-
-    def pt_rate(self, pt) -> float:
-        """Acceptance rate of one fixed template against random captures."""
-        return _pt_rate(self.scheme, self.pmf_mix, pt)
-
-    def pt_match_stats(self) -> tuple:
-        """(mean, population std dev) of the per-template match rate."""
-        w, r = self.w_mix, self.M_pt @ self.pmf_mix
-        mean = float(w @ r)
-        var = float(w @ (r - mean) ** 2)
-        return mean, math.sqrt(max(var, 0.0))
 
     def hypothesis_own_match(self) -> bool:
         """Whether every template accepts the exact feature it encodes."""

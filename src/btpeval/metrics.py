@@ -12,7 +12,6 @@ runner of metrics and games.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
@@ -148,6 +147,8 @@ def run_chunks(work, trials: int, chunk: int, jobs: int = 1) -> list:
     his = [min(lo + chunk, trials) for lo in los]
     if jobs == 1 or len(los) == 1:
         return [work(lo, hi) for lo, hi in zip(los, his)]
+    # imported here, so a run at --jobs 1 never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(work, los, his))
 

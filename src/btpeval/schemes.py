@@ -164,7 +164,7 @@ class LinearCode:
 
     Codewords are packed ints (coordinate i = bit i).  Construction
     enumerates all 2^k codewords, measures the true minimum distance, and
-    refuses decoding radii t with 2t + 1 > d_min.
+    refuses decoding radii t < 0 or with 2t + 1 > d_min.
     """
 
     n_code: int
@@ -177,6 +177,8 @@ class LinearCode:
             raise ConfigError("code dimensions must be positive")
         if self.k_code > 16:
             raise ConfigError("codeword enumeration is capped at k <= 16")
+        if self.t < 0:
+            raise ConfigError(f"decoding radius t must be >= 0, got {self.t}")
         if len(self.generator_rows) != self.k_code:
             raise ConfigError("generator must have k rows")
         for row in self.generator_rows:

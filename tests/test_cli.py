@@ -286,10 +286,11 @@ class TestSingleDispatch:
 
 class TestImportCost:
     def test_cli_import_leaves_scipy_out(self, subprocess_env):
-        probe = "import sys, btpeval.cli; print('scipy' in sys.modules)"
+        probe = ("import sys, btpeval.cli; print('scipy' in sys.modules, "
+                 "'concurrent.futures.process' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
 
 class TestConfigHandling:
@@ -393,6 +394,19 @@ class TestConfigHandling:
         ({"population": {"U": "16"}}, "config.population.U"),
         ({"population": {"seed": [1]}}, "config.population.seed"),
         ({"population": {"p": "0.03"}}, "config.population.p"),
+        ({"scheme": {"scheme": "rot", "tau": "x"}}, "config.scheme.tau"),
+        ({"scheme": {"scheme": "rot", "tau": 1.5}}, "config.scheme.tau"),
+        ({"scheme": {"scheme": "rot", "tau": True}}, "config.scheme.tau"),
+        ({"scheme": {"code": {"n": "7"}}}, "config.scheme.code.n"),
+        ({"scheme": {"code": {"k": 4.0}}}, "config.scheme.code.k"),
+        ({"scheme": {"code": {"t": "x"}}}, "config.scheme.code.t"),
+        ({"scheme": {"code": {"generator": []}}}, "config.scheme.code.generator"),
+        ({"scheme": {"code": {"generator": "1000110"}}},
+         "config.scheme.code.generator"),
+        ({"population": {"centers": [5, 6]}}, "config.population.centers"),
+        ({"population": {"centers": "0101"}}, "config.population.centers"),
+        ({"population": {"centers": ["0101", "01x1"]}},
+         "config.population.centers"),
     ])
     def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, user,
                                              where):
@@ -402,6 +416,26 @@ class TestConfigHandling:
                                 "--trials", "10"], capsys)
         assert code == 2
         assert where in err
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["game", "al-irr", "--adversary", "sampler"],
+        ["verify", "--theorem", "t1"]], ids=["metrics", "game", "verify"])
+    def test_negative_tau_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv + ["--tau", "-1", "--trials", "10"],
+                                 capsys)
+        assert code == 2
+        assert "tau must be >= 0" in err
+        assert out == ""
+
+    def test_negative_decoding_radius_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": {"scheme": "fc",
+                                              "code": {"t": -1}}}))
+        code, out, err = run_cli(["metrics", "--config", str(cfg),
+                                  "--trials", "10"], capsys)
+        assert code == 2
+        assert "t must be >= 0" in err
+        assert out == ""
 
     def test_numbers_accept_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"

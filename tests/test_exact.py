@@ -2,8 +2,9 @@
 
 `LawOracle` serves every scheme that declares a `match_law()`; it is held
 here to the scheme contract it summarises (property tests) and to
-`SchemeEnumerator`, its differential twin at n <= 10.  `exact.mr_of` is
-held bit for bit to the scalar closed form it replaced.
+`SchemeEnumerator`, its differential twin at n <= 10, table by table and
+rate by rate.  `exact.mr_of` is held bit for bit to the scalar closed form
+it replaced.
 """
 
 import numpy as np
@@ -127,6 +128,11 @@ def test_law_oracle_matches_enumerator(name, users, p):
     pop = generate_population(scheme.feature_dim, users, p, seed=users)
     law = exact.LawOracle(scheme, pop)
     en = exact.SchemeEnumerator(scheme, pop)
+    # entry by entry: the rates are means, blind to a transposed or
+    # permuted off-diagonal
+    assert np.abs(law.same - en.same).max() <= TOL
+    for own in ("ad", "pi"):
+        assert np.abs(law.mixed(own) - en.mixed(own)).max() <= TOL, own
     for method in ("fnmr", "fmr_bp", "fmr_div"):
         assert getattr(law, method)() == pytest.approx(
             getattr(en, method)(), abs=TOL), method

@@ -517,12 +517,11 @@ class TestEngineDifferential:
 
     def test_pal_sampler(self, default_pop, scheme_name):
         scheme = build_scheme(SCHEMES[scheme_name], 7)
-        en = exact.SchemeEnumerator(scheme, default_pop)
+        w, r = exact.enumerator(scheme, default_pop).templates()
         n_delta = 3
         cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
                                mu=0.5, n_delta=n_delta)
-        r = en.M_pt @ en.pmf_mix
-        target = float(en.w_mix @ (1.0 - (1.0 - r) ** n_delta))
+        target = float(w @ (1.0 - (1.0 - r) ** n_delta))
         results = self._play(lambda adv: run_pal_irr_game(
             scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=55,
             level=0.99), PalSamplerAdversary(cfg))
