@@ -228,9 +228,23 @@ class _AcceptKernel:
         return int(scheme.pic_batch(pi, scheme.pir_batch(alpha, x)).sum())
 
 
+# Probes (templates x captures) rated per array block of `_PtStatsKernel`:
+# bounds its (probes, n) uniforms at 2^12 x n doubles.
+PT_BLOCK_PROBES = 1 << 12
+
+
 @dataclass
 class _PtStatsKernel:
-    """Per-template match rates: enroll one capture, rate its template."""
+    """Per-template match rates: enroll one capture, rate its template.
+
+    Template i of a chunk draws, in this order: its user
+    (`integers(U)`), the enrolled capture (`random(n)`), the encoder's
+    draws (`pie` of that capture), the users of its k = `trials_inner`
+    probes (`integers(U, size=k)`) and their (k, n) uniforms.  Those
+    draws and the template's codes are the only per-template work; the
+    probes of a block of templates are packed by `captures` and rated in
+    one `pir_batch` and one `pic_batch`.
+    """
 
     scheme: BtpScheme
     pop: Population
@@ -241,12 +255,25 @@ class _PtStatsKernel:
         return 1 + self.trials_inner
 
     def __call__(self, rng, m):
+        scheme, pop, k = self.scheme, self.pop, self.trials_inner
+        block = min(m, max(1, PT_BLOCK_PROBES // k))
+        users = np.empty((block, k), dtype=np.int64)
+        noise = np.empty((block, k, pop.n))
+        pi = np.empty(block, dtype=np.uint64)
+        alpha = np.empty(block, dtype=np.uint64)
         rates = np.empty(m)
-        for i in range(m):
-            u = int(rng.integers(self.pop.num_users))
-            pt = self.scheme.pie(self.pop.sample(u, rng), rng)
-            rate = _AcceptKernel(self.pop, self.scheme, owners=(), template=pt)
-            rates[i] = rate(rng, self.trials_inner) / self.trials_inner
+        for lo in range(0, m, block):
+            b = min(block, m - lo)
+            for i in range(b):
+                u = int(rng.integers(pop.num_users))
+                pi[i], alpha[i] = scheme.template_codes(
+                    scheme.pie(pop.sample(u, rng), rng))
+                users[i] = rng.integers(pop.num_users, size=k)
+                rng.random(out=noise[i])
+            probes = pop.captures(users[:b], noise[:b])
+            vid = scheme.pir_batch(alpha[:b, None], probes)
+            accepts = scheme.pic_batch(pi[:b, None], vid)
+            rates[lo:lo + b] = accepts.sum(axis=1) / k
         return rates
 
 

@@ -122,6 +122,11 @@ class Population:
         for c in self.centers:
             if c.n != self.n:
                 raise DimensionError(f"center has {c.n} bits, expected {self.n}")
+        # the packer's tables, built once: packed centers and bit weights
+        object.__setattr__(self, "_center_values", np.array(
+            [c.value for c in self.centers], dtype=np.uint64))
+        object.__setattr__(self, "_bit_weights",
+                           np.uint64(1) << np.arange(self.n, dtype=np.uint64))
 
     @property
     def num_users(self) -> int:
@@ -130,16 +135,16 @@ class Population:
     def center(self, u: int) -> FeatureElement:
         return self.centers[u]
 
-    def _noise_mask(self, rng: np.random.Generator) -> int:
-        bits = rng.random(self.n) < self.flip_prob
-        if not bits.any():
-            return 0
-        return int((bits * (1 << np.arange(self.n, dtype=np.uint64))).sum())
+    def captures(self, us, uniforms: np.ndarray) -> np.ndarray:
+        """Packed captures (uint64) of users `us`, of any shape: bit i of a
+        capture flips where its uniform i (the last axis of `uniforms`)
+        falls below `flip_prob`.  Exact for every n <= 64."""
+        flips = (uniforms < self.flip_prob).astype(np.uint64) @ self._bit_weights
+        return self._center_values[us] ^ flips
 
     def sample(self, u: int, rng: np.random.Generator) -> FeatureElement:
         """One capture from user u: the center with independent bit flips."""
-        c = self.centers[u]
-        return FeatureElement(self.n, c.value ^ self._noise_mask(rng))
+        return FeatureElement(self.n, int(self.captures(u, rng.random(self.n))))
 
     def sample_mixture(self, rng: np.random.Generator) -> FeatureElement:
         """One capture from a uniformly random user."""
@@ -147,12 +152,8 @@ class Population:
 
     def sample_batch(self, us: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized captures (packed uint64 values) for a user-index array."""
-        m = len(us)
-        bits = rng.random((m, self.n)) < self.flip_prob
-        powers = (1 << np.arange(self.n, dtype=np.uint64))
-        masks = (bits.astype(np.uint64) * powers).sum(axis=1)
-        cvals = np.array([c.value for c in self.centers], dtype=np.uint64)
-        return cvals[np.asarray(us)] ^ masks
+        us = np.asarray(us)
+        return self.captures(us, rng.random(us.shape + (self.n,)))
 
     def feature_probability(self, u: int, x: FeatureElement) -> float:
         """P(X_u = x) = p^d * (1-p)^(n-d) with d = d(x, c_u)."""

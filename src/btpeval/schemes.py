@@ -678,6 +678,10 @@ def build_scheme(cfg: dict, n: int) -> BtpScheme:
             code = LinearCode.from_bitstrings(
                 code_cfg["generator"], t=int(code_cfg.get("t", 1))
             )
+            for key, value in (("n", code.n_code), ("k", code.k_code)):
+                if key in code_cfg and int(code_cfg[key]) != value:
+                    raise ConfigError(f"code says {key}={code_cfg[key]} but "
+                                      f"the generator gives {key}={value}")
         elif code_cfg.get("n", 7) == 7 and code_cfg.get("k", 4) == 4:
             code = hamming_7_4(t=int(code_cfg.get("t", 1)))
         else:

@@ -427,6 +427,31 @@ class TestConfigHandling:
         assert "tau must be >= 0" in err
         assert out == ""
 
+    @pytest.mark.parametrize("dims", [{"n": 9}, {"k": 2}, {"n": 9, "k": 2}])
+    def test_code_dimensions_disagreeing_with_generator_rejected(
+            self, tmp_path, capsys, dims):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": {"scheme": "fc", "code": {
+            "t": 1, **dims,
+            "generator": ["1000110", "0100101", "0010011", "0001111"]}}}))
+        code, out, err = run_cli(["metrics", "--config", str(cfg),
+                                  "--trials", "50"], capsys)
+        assert code == 2
+        assert "generator gives" in err
+        assert out == ""
+
+    def test_code_dimensions_agreeing_with_generator_accepted(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": {"scheme": "fc", "code": {
+            "n": 7, "k": 4, "t": 1,
+            "generator": ["1000110", "0100101", "0010011", "0001111"]}}}))
+        code, out, err = run_cli(["metrics", "--config", str(cfg),
+                                  "--trials", "50"], capsys)
+        assert code == 0, err
+        assert load_json(out)["config"]["scheme"]["code"] == {"n": 7, "k": 4,
+                                                              "t": 1}
+
     def test_negative_decoding_radius_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scheme": {"scheme": "fc",

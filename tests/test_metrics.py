@@ -6,6 +6,7 @@ the exact engine on the default configuration.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,6 +662,77 @@ class TestAcceptKernelAgainstLoop:
         batch_rng, loop_rng = substream(5, "kernel"), substream(5, "kernel")
         assert kernel(batch_rng, 700) == loop_accepts(kernel, loop_rng, 700)
         assert batch_rng.random() == loop_rng.random()
+
+
+def loop_pt_rates(kernel, rng, m):
+    """`_PtStatsKernel`'s rates by a per-template loop: enroll one capture,
+    then rate its template with an `_AcceptKernel` of its own."""
+    pop, scheme, k = kernel.pop, kernel.scheme, kernel.trials_inner
+    rates = np.empty(m)
+    for i in range(m):
+        u = int(rng.integers(pop.num_users))
+        pt = scheme.pie(pop.sample(u, rng), rng)
+        rate = metrics._AcceptKernel(pop, scheme, owners=(), template=pt)
+        rates[i] = rate(rng, k) / k
+    return rates
+
+
+class TestPtStatsKernelAgainstLoop:
+    """The block kernel rates what the per-template loop rates, bit for
+    bit, and leaves the stream where the loop leaves it."""
+
+    # (templates, captures per template, probes per block): a last block
+    # shorter than the others, and templates of more captures than a block
+    SHAPES = [(23, 10, 64), (5, 100, 64), (700, 7, metrics.PT_BLOCK_PROBES)]
+
+    @pytest.mark.parametrize("m, k, block", SHAPES)
+    @pytest.mark.parametrize("name", list(ENUMERATED_SCHEMES))
+    def test_rates_equal_template_loop(self, monkeypatch, default_pop, name,
+                                       m, k, block):
+        monkeypatch.setattr(metrics, "PT_BLOCK_PROBES", block)
+        kernel = metrics._PtStatsKernel(ENUMERATED_SCHEMES[name](),
+                                        default_pop, k)
+        batch_rng, loop_rng = substream(6, "pt"), substream(6, "pt")
+        rates = kernel(batch_rng, m)
+        assert rates.view(np.uint64).tolist() == \
+            loop_pt_rates(kernel, loop_rng, m).view(np.uint64).tolist()
+        assert batch_rng.random() == loop_rng.random()
+
+
+class TestPtStatsKernelCost:
+    """Guards on what the kernel does, not on how long it takes."""
+
+    def test_one_rating_call_per_block(self, monkeypatch, default_pop):
+        scheme = ENUMERATED_SCHEMES["fc"]()
+        calls = {"pir_batch": 0, "pic_batch": 0, "sample_batch": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return f(*args, **kw)
+            return wrapper
+
+        for name in ("pir_batch", "pic_batch"):
+            monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
+        monkeypatch.setattr(Population, "sample_batch",
+                            counted("sample_batch", Population.sample_batch))
+        metrics.pt_match_stats(scheme, default_pop, 600, 400, seed=2)
+        blocks = math.ceil(600 / (metrics.PT_BLOCK_PROBES // 400))
+        assert calls["pir_batch"] == calls["pic_batch"] <= blocks
+        assert calls["sample_batch"] == 0
+
+    def test_peak_memory_bounded(self):
+        # the (probes, n) uniforms of one block dominate: about 0.8 MB here
+        pop = generate_population(10, 16, 0.03, seed=1)
+        scheme = RotationScheme(10, tau=1)
+        metrics.pt_match_stats(scheme, pop, 20, 400, seed=1)
+        tracemalloc.start()
+        try:
+            metrics.pt_match_stats(scheme, pop, 600, 400, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestParallelDeterminism:

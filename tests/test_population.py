@@ -135,6 +135,47 @@ class TestGeneratePopulation:
             Population.from_config(cfg)
 
 
+def loop_captures(pop, us, uniforms):
+    """Captures packed bit by bit in Python, from the same uniforms."""
+    return [pop.center(int(u)).value
+            ^ sum(1 << i for i, r in enumerate(row) if r < pop.flip_prob)
+            for u, row in zip(us, uniforms)]
+
+
+class TestCapturePacker:
+    """`captures` and `sample_batch` against a per-bit Python packing."""
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 64])
+    def test_batch_equals_per_bit_packing(self, n):
+        pop = generate_population(n, 8, 0.3, seed=2)
+        us = substream(1, "us").integers(8, size=200)
+        batch = pop.sample_batch(us, substream(n, "pack"))
+        uniforms = substream(n, "pack").random((200, n))
+        expected = loop_captures(pop, us, uniforms)
+        assert [int(v) for v in batch] == expected
+        assert [int(v) for v in pop.captures(us, uniforms)] == expected
+        if n == 64:
+            assert any((v ^ pop.center(int(u)).value) >> 63
+                       for u, v in zip(us, expected))
+
+    def test_captures_keep_the_users_shape(self):
+        pop = generate_population(33, 8, 0.3, seed=2)
+        us = substream(2, "us").integers(8, size=(4, 5))
+        uniforms = substream(2, "u").random((4, 5, 33))
+        out = pop.captures(us, uniforms)
+        assert out.shape == (4, 5) and out.dtype == np.uint64
+        assert [int(v) for v in out.ravel()] == loop_captures(
+            pop, us.ravel(), uniforms.reshape(20, 33))
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_scalar_sample_equals_one_row_batch(self, n):
+        pop = generate_population(n, 8, 0.3, seed=2)
+        for u in range(pop.num_users):
+            scalar = pop.sample(u, substream(u, "one"))
+            row = pop.sample_batch(np.array([u]), substream(u, "one"))
+            assert scalar == FeatureElement(n, int(row[0]))
+
+
 class TestSampling:
     def test_noiseless_returns_center(self, noiseless_pop):
         rng = substream(0, "t")
