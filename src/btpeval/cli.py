@@ -53,7 +53,8 @@ DEFAULT_CONFIG = {
 
 # Every key some code path reads; a nested dict lists a block's keys.
 # `int` marks an integer value, `float` any number (neither a bool), `list`
-# a non-empty list of bitstrings, None a value checked where it is used.
+# a non-empty list of bitstrings, None a value checked elsewhere (`lambda`
+# in `load_config`, the scheme name in `build_scheme`).
 CONFIG_KEYS = {
     "population": {"n": int, "U": int, "p": float, "seed": int,
                    "centers": list},
@@ -118,6 +119,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg[key] = value
     if cfg["tau"] < 0:
         raise ConfigError(f"tau must be >= 0, got {cfg['tau']}")
+    if cfg["lambda"] is not None:
+        if not isinstance(cfg["lambda"], str):
+            raise ConfigError("config.lambda must be a string such as "
+                              f"'pi+ad', got {cfg['lambda']!r}")
+        LeakSet.parse(cfg["lambda"])
     return cfg
 
 
@@ -274,6 +280,8 @@ def cmd_game(cfg: dict, scheme, pop, game: str, adversary_name: str, jobs: int,
     trials = cfg["trials"]
     seed = cfg["seed"]
     budget = cfg["query_budget"]
+    if cross_rates and game != "unlink":
+        raise ConfigError(f"--cross-rates applies to the unlink game, not {game}")
     if game in ("al-irr", "pal-irr"):
         adv = make_irr_adversary(adversary_name, scheme, pop, leak, tau,
                                  game, cfg)

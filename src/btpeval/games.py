@@ -13,15 +13,20 @@ from three streams keyed by the chunk, for the challenger, the adversary
 and the sampling oracles, and runs each step as array operations on the
 scheme's batch contract.  An adversary written trial by trial is played
 through its base class, which runs its scalar phases on each trial of the
-chunk in turn.  A trial is replayed by re-running its chunk, and a result
-depends only on (inputs, seed, trials), never on how chunks were
-scheduled across workers.
+chunk in turn.
+
+Each chunk returns one record of per-trial arrays: the game's own fields,
+the flag, the queries charged to each role and, with
+`record_transcripts`, each trial's transcript.  The records are joined in
+trial order and scored once, so a result depends only on (inputs, seed,
+trials), never on how chunks were scheduled across workers.  A trial is
+replayed by re-running its chunk with `record_transcripts`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -259,167 +264,168 @@ def _transcript_digest(*parts: str) -> str:
 # trial machinery
 
 
-def _chunk_streams(seed, label, lo):
-    """Challenger, adversary and sampling streams of the chunk at `lo`."""
-    return [substream(seed, label, lo // GAME_CHUNK, role) for role in _ROLES]
-
-
-def _step(trace, name):
-    if trace is not None:
-        trace.append(name)
-
-
 def _fe(n, value) -> str:
     return f"fe:{FeatureElement(n, int(value))}"
 
 
 @dataclass
-class _IrrSpec:
-    """Inversion trials, scored once for every win rule.
+class _GameSpec:
+    """A game's trials, played a chunk at a time by `run_range`.
 
-    Each trial records the Hamming distance of the guess to the challenge
-    feature (-1 where the budget cut the trial) and, when `score_pic` is
-    set, whether the comparator accepts the guess against the challenge
-    template.  Exact recovery (d = 0), within-tau (d <= tau) and
-    acceptance wins are reductions over those arrays.  `tau` is None in
-    the pseudo-authorized-leakage variant.
+    A chunk returns its record: a dict of per-trial arrays holding the
+    game's own fields, `flagged`, the queries charged to each role
+    (`adv_phase1`, `adv_phase2`, `challenger`) and, when `record` is set,
+    the trial's `transcript` without its win mark.
     """
 
     scheme: BtpScheme
     pop: Population
     leak: LeakSet
-    tau: int | None
-    adversary: IrrAdversary
+    adversary: IrrAdversary | UnlinkAdversary
     budget: int
     label: str
-    score_pic: bool
-    record: bool = False
+    record: bool = field(default=False, kw_only=True)
 
-    def run_range(self, seed, lo, hi, trace=None):
-        m = hi - lo
-        rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
-        oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
-        oracle2 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
-        _step(trace, "phase1")
+    def _chunk(self, seed, lo, hi):
+        """The challenger and adversary streams of the chunk at `lo`, and
+        one sampling oracle per phase, both on the chunk's sampling
+        stream."""
+        rng_ch, rng_adv, rng_samp = (
+            substream(seed, self.label, lo // GAME_CHUNK, role)
+            for role in _ROLES)
+        oracles = [BatchSamplingOracle(self.pop, rng_samp, self.budget, hi - lo)
+                   for _ in range(2)]
+        return rng_ch, rng_adv, oracles
+
+    @staticmethod
+    def _charges(oracle1, oracle2, challenger: int) -> dict:
+        """`flagged` and the queries of each trial by role; the challenger
+        charges `challenger` queries to a trial that reached the
+        challenge."""
+        cut1 = oracle1.cut          # such a trial never reached the challenge
+        return {"flagged": cut1 | oracle2.cut,
+                "adv_phase1": oracle1.counts,
+                "adv_phase2": np.where(cut1, 0, oracle2.counts),
+                "challenger": np.where(cut1, 0, challenger)}
+
+
+@dataclass
+class _IrrSpec(_GameSpec):
+    """Inversion trials, scored once for every win rule.
+
+    Each trial records the Hamming distance `dist` of the guess to the
+    challenge feature (-1 where the budget cut the trial) and, when
+    `score_pic` is set, whether the comparator `accepted` the guess
+    against the challenge template.  Exact recovery (d = 0), within-tau
+    (d <= tau) and acceptance wins are reductions over those arrays.
+    `tau` is None in the pseudo-authorized-leakage variant.
+    """
+
+    tau: int | None = field(kw_only=True)
+    score_pic: bool = field(kw_only=True)
+
+    def run_range(self, seed, lo, hi) -> dict:
+        m, n = hi - lo, self.pop.n
+        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(seed, lo, hi)
         state = self.adversary.phase1_batch(GameParams(self.scheme, self.pop),
                                             self.leak, self.tau, oracle1,
                                             rng_adv)
-        _step(trace, "challenge")
         users = rng_ch.integers(self.pop.num_users, size=m)
         x = self.pop.sample_batch(users, rng_ch)
         pi, alpha = self.scheme.pie_batch(x, rng_ch)
         view = leak_view(ProtectedTemplate(pi, alpha), self.leak)
-        _step(trace, "phase2")
         guess = np.asarray(self.adversary.phase2_batch(state, view, oracle2,
                                                        rng_adv)).astype(np.uint64)
-        _step(trace, "decide")
-        if guess.shape != (m,) or (guess >> np.uint64(self.pop.n)).any():
-            raise ProtocolError(f"need {m} packed {self.pop.n}-bit guesses")
-        cut1 = oracle1.cut          # such a trial never reached the challenge
-        flagged = cut1 | oracle2.cut
-        dist = np.where(flagged, -1, np.bitwise_count(x ^ guess)).astype(np.int64)
-        accepted = np.zeros(m, dtype=bool)
+        if guess.shape != (m,) or (guess >> np.uint64(n)).any():
+            raise ProtocolError(f"need {m} packed {n}-bit guesses")
+        rec = self._charges(oracle1, oracle2, challenger=1)
+        flagged = rec["flagged"]
+        rec["dist"] = np.where(flagged, -1, np.bitwise_count(x ^ guess)).astype(np.int64)
+        rec["accepted"] = np.zeros(m, dtype=bool)
         if self.score_pic:
             vid = self.scheme.pir_batch(alpha, guess)
-            accepted = self.scheme.pic_batch(pi, vid) & ~flagged
-        queries = {"adv_phase1": int(oracle1.counts.sum()),
-                   "adv_phase2": int(oracle2.counts[~cut1].sum()),
-                   "challenger": int(m - cut1.sum())}
-        transcripts = None
+            rec["accepted"] = self.scheme.pic_batch(pi, vid) & ~flagged
         if self.record:
-            n = self.pop.n
-            transcripts = [("-" if c else _fe(n, xi), "-" if f else _fe(n, g))
-                           for c, f, xi, g in zip(cut1, flagged, x, guess)]
-        return dist, accepted, flagged, queries, transcripts
+            rec["transcript"] = [
+                f"{'-' if c else _fe(n, xi)}|{'-' if f else _fe(n, g)}"
+                for c, f, xi, g in zip(oracle1.cut, flagged, x, guess)]
+        return rec
 
 
 @dataclass
-class _UnlinkSpec:
-    scheme: BtpScheme
-    pop: Population
-    leak: LeakSet
-    adversary: UnlinkAdversary
-    budget: int
-    label: str
-    force_b: int | None = None
-    record: bool = False
+class _UnlinkSpec(_GameSpec):
+    """Distinguishing trials: the challenger encodes x and x_b, with b
+    drawn per trial unless `force_b` fixes it.  Each trial records its
+    `answers` (-1 where the budget cut the trial) and `wins`."""
 
-    def run_range(self, seed, lo, hi, trace=None):
+    force_b: int | None = field(default=None, kw_only=True)
+
+    def run_range(self, seed, lo, hi) -> dict:
         m = hi - lo
-        rng_ch, rng_adv, rng_samp = _chunk_streams(seed, self.label, lo)
-        oracle1 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
-        oracle2 = BatchSamplingOracle(self.pop, rng_samp, self.budget, m)
-        _step(trace, "phase1")
+        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(seed, lo, hi)
         x, x0, x1, state = self.adversary.phase1_batch(
             GameParams(self.scheme, self.pop), self.leak, oracle1, rng_adv)
-        _step(trace, "challenge")
         b = (rng_ch.integers(2, size=m) if self.force_b is None
              else np.full(m, self.force_b))
         pis, alphas = self.scheme.pie_batch(
             np.stack([x, np.where(b == 0, x0, x1)], axis=1), rng_ch)
         view, view_prime = (leak_view(ProtectedTemplate(pis[:, j], alphas[:, j]),
                                       self.leak) for j in (0, 1))
-        _step(trace, "phase2")
         b_prime = np.asarray(self.adversary.phase2_batch(
             state, view, view_prime, oracle2, rng_adv))
-        _step(trace, "decide")
-        cut1 = oracle1.cut          # such a trial never reached the challenge
-        flagged = cut1 | oracle2.cut
+        rec = self._charges(oracle1, oracle2, challenger=0)
+        flagged = rec["flagged"]
         if b_prime.shape != (m,):
             raise ProtocolError(f"need {m} guesses, got shape {b_prime.shape}")
         bad = ~flagged & (b_prime != 0) & (b_prime != 1)
         if bad.any():
             raise ProtocolError(f"guess must be 0 or 1, got {b_prime[bad][0]!r}")
-        answers = np.where(flagged, -1, b_prime).astype(np.int8)
-        wins = answers == b
-        queries = {"adv_phase1": int(oracle1.counts.sum()),
-                   "adv_phase2": int(oracle2.counts[~cut1].sum()),
-                   "challenger": 0}
-        digests = None
+        rec["answers"] = np.where(flagged, -1, b_prime).astype(np.int8)
+        rec["wins"] = rec["answers"] == b
         if self.record:
-            shown_b = np.where(cut1, -1, b)
-            digests = [_transcript_digest(f"b{bb}", f"g{g}", "w" if w else "l")
-                       for bb, g, w in zip(shown_b, answers, wins)]
-        return wins, answers, flagged, queries, digests
+            shown_b = np.where(oracle1.cut, -1, b)
+            rec["transcript"] = [f"b{bb}|g{g}"
+                                 for bb, g in zip(shown_b, rec["answers"])]
+        return rec
 
 
-def _run_spec(spec, trials, seed, jobs):
+def _run_spec(spec: _GameSpec, trials, seed, jobs) -> dict:
+    """The game's record over all trials: each chunk's fields joined in
+    trial order."""
     if spec.budget < 1:
         raise ConfigError(f"query_budget must be >= 1, got {spec.budget}")
-    return run_chunks(partial(spec.run_range, seed), trials, GAME_CHUNK, jobs)
+    parts = run_chunks(partial(spec.run_range, seed), trials, GAME_CHUNK, jobs)
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def _merge_queries(parts_queries):
-    out = {}
-    for q in parts_queries:
-        for k, v in q.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class _IrrRecord:
-    """Per-trial arrays of an `_IrrSpec` run, merged over its chunks."""
-
-    dist: np.ndarray
-    accepted: np.ndarray
-    flagged: np.ndarray
-    queries: dict
-    transcripts: list | None
-
-    def within(self, tau: int) -> np.ndarray:
-        return (self.dist >= 0) & (self.dist <= tau)
-
-
-def _run_irr(spec: _IrrSpec, trials, seed, jobs) -> _IrrRecord:
-    parts = _run_spec(spec, trials, seed, jobs)
-    return _IrrRecord(
-        dist=np.concatenate([p[0] for p in parts]),
-        accepted=np.concatenate([p[1] for p in parts]),
-        flagged=np.concatenate([p[2] for p in parts]),
-        queries=_merge_queries(p[3] for p in parts),
-        transcripts=[t for p in parts for t in p[4]] if spec.record else None,
+def _game_result(game, spec: _GameSpec, rec: dict, wins: np.ndarray, level,
+                 baseline: MValue | None = None) -> GameResult:
+    """Score a record's `wins`: the win rate less the baseline's value, or
+    |2 * win_rate - 1| without one."""
+    queries = {role: int(rec[role].sum())
+               for role in ("adv_phase1", "adv_phase2", "challenger")}
+    win_rate = AdvantageEstimate.from_counts(
+        int(wins.sum()), len(wins), level,
+        queries_used=queries["adv_phase1"] + queries["adv_phase2"])
+    digests = None
+    if "transcript" in rec:
+        digests = [_transcript_digest(t, "w" if w else "l")
+                   for t, w in zip(rec["transcript"], wins)]
+    return GameResult(
+        game=game, leak=str(spec.leak), trials=len(wins), wins=int(wins.sum()),
+        win_rate=win_rate,
+        advantage=(absolute_advantage(win_rate) if baseline is None
+                   else win_rate.shifted(-baseline.value)),
+        baseline=None if baseline is None else baseline.value,
+        baseline_mode=None if baseline is None else baseline.mode,
+        flagged=int(rec["flagged"].sum()), queries=queries,
+        adversary=getattr(spec.adversary, "name", "custom"),
+        transcript_digests=digests,
     )
+
+
+def _within(rec: dict, tau: int) -> np.ndarray:
+    return (rec["dist"] >= 0) & (rec["dist"] <= tau)
 
 
 # --------------------------------------------------------------------------
@@ -437,10 +443,10 @@ def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversar
         raise ConfigError("tau must be >= 0")
     if baseline is None:
         baseline = extremal_mr(pop, tau)
-    spec = _IrrSpec(scheme, pop, leak, tau, adversary, budget,
-                    f"al{tau}:{leak}", score_pic=False, record=record_transcripts)
-    rec = _run_irr(spec, trials, seed, jobs)
-    return _irr_result("al-irr", spec, rec, rec.within(tau), level, baseline)
+    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"al{tau}:{leak}",
+                    tau=tau, score_pic=False, record=record_transcripts)
+    rec = _run_spec(spec, trials, seed, jobs)
+    return _game_result("al-irr", spec, rec, _within(rec, tau), level, baseline)
 
 
 def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
@@ -452,29 +458,10 @@ def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
     the challenger regardless of the leak set)."""
     if baseline is None:
         baseline = extremal_rmr(scheme, pop)
-    spec = _IrrSpec(scheme, pop, leak, None, adversary, budget,
-                    f"pal:{leak}", score_pic=True, record=record_transcripts)
-    rec = _run_irr(spec, trials, seed, jobs)
-    return _irr_result("pal-irr", spec, rec, rec.accepted, level, baseline)
-
-
-def _irr_result(game, spec, rec: _IrrRecord, wins: np.ndarray, level,
-                baseline) -> GameResult:
-    digests = None
-    if rec.transcripts is not None:
-        digests = [_transcript_digest(x, guess, "w" if w else "l")
-                   for (x, guess), w in zip(rec.transcripts, wins)]
-    win_rate = AdvantageEstimate.from_counts(
-        int(wins.sum()), len(wins), level,
-        queries_used=rec.queries["adv_phase1"] + rec.queries["adv_phase2"])
-    return GameResult(
-        game=game, leak=str(spec.leak), trials=len(wins), wins=int(wins.sum()),
-        win_rate=win_rate, advantage=win_rate.shifted(-baseline.value),
-        baseline=baseline.value, baseline_mode=baseline.mode,
-        flagged=int(rec.flagged.sum()), queries=rec.queries,
-        adversary=getattr(spec.adversary, "name", "custom"),
-        transcript_digests=digests,
-    )
+    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"pal:{leak}",
+                    tau=None, score_pic=True, record=record_transcripts)
+    rec = _run_spec(spec, trials, seed, jobs)
+    return _game_result("pal-irr", spec, rec, rec["accepted"], level, baseline)
 
 
 def run_unlink_game(scheme, pop, leak: LeakSet, adversary: UnlinkAdversary,
@@ -483,25 +470,10 @@ def run_unlink_game(scheme, pop, leak: LeakSet, adversary: UnlinkAdversary,
                     record_transcripts: bool = False) -> GameResult:
     """Distinguishing game: the challenger encodes x and x_b; the adversary
     guesses b from the two leaked views.  Advantage is |2*win_rate - 1|."""
-    spec = _UnlinkSpec(scheme, pop, leak, adversary, budget,
-                       f"unlink:{leak}", record=record_transcripts)
-    parts = _run_spec(spec, trials, seed, jobs)
-    wins = int(sum(p[0].sum() for p in parts))
-    flagged = int(sum(p[2].sum() for p in parts))
-    queries = _merge_queries(p[3] for p in parts)
-    digests = None
-    if record_transcripts:
-        digests = [d for p in parts for d in p[4]]
-    win_rate = AdvantageEstimate.from_counts(
-        wins, trials, level,
-        queries_used=queries["adv_phase1"] + queries["adv_phase2"])
-    return GameResult(
-        game="unlink", leak=str(leak), trials=trials, wins=wins,
-        win_rate=win_rate, advantage=absolute_advantage(win_rate),
-        baseline=None, baseline_mode=None, flagged=flagged, queries=queries,
-        adversary=getattr(adversary, "name", "custom"),
-        transcript_digests=digests,
-    )
+    spec = _UnlinkSpec(scheme, pop, leak, adversary, budget, f"unlink:{leak}",
+                       record=record_transcripts)
+    rec = _run_spec(spec, trials, seed, jobs)
+    return _game_result("unlink", spec, rec, rec["wins"], level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,14 +511,11 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
     for b, label in ((1, "fcmr"), (0, "fncmr")):
         spec = _UnlinkSpec(scheme, pop, leak, comparator, budget,
                            f"cross:{label}:{leak}", force_b=b)
-        parts = _run_spec(spec, trials, seed, jobs)
-        answers = np.concatenate([p[1] for p in parts])
+        rec = _run_spec(spec, trials, seed, jobs)
         false_answer = 0 if b == 1 else 1
-        count = int((answers == false_answer).sum())
-        queries = _merge_queries(p[3] for p in parts)
-        results[label] = AdvantageEstimate.from_counts(
-            count, trials, level,
-            queries_used=queries["adv_phase1"] + queries["adv_phase2"])
+        results[label] = _game_result(label, spec, rec,
+                                      rec["answers"] == false_answer,
+                                      level).win_rate
     identity = abs(1.0 - (results["fcmr"].point + results["fncmr"].point))
     game = run_unlink_game(scheme, pop, leak, comparator, trials,
                            seed=seed + 1, budget=budget, level=level, jobs=jobs)
@@ -599,33 +568,14 @@ def run_coupled_irr_trials(scheme, pop, leak: LeakSet, tau: int,
                            budget: int = 10**6, jobs: int = 1) -> CoupledIrrResult:
     """One authorized-leakage transcript per trial, scored under all three
     win rules with shared randomness."""
-    spec = _IrrSpec(scheme, pop, leak, tau, adversary, budget,
-                    f"coupled{tau}:{leak}", score_pic=True)
-    rec = _run_irr(spec, trials, seed, jobs)
+    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"coupled{tau}:{leak}",
+                    tau=tau, score_pic=True)
+    rec = _run_spec(spec, trials, seed, jobs)
     return CoupledIrrResult(
         tau=tau,
         trials=trials,
-        wins_fl=rec.within(0),
-        wins_al=rec.within(tau),
-        wins_pal=rec.accepted,
-        flagged=int(rec.flagged.sum()),
+        wins_fl=_within(rec, 0),
+        wins_al=_within(rec, tau),
+        wins_pal=rec["accepted"],
+        flagged=int(rec["flagged"].sum()),
     )
-
-
-def trace_irr_trial(scheme, pop, leak: LeakSet, tau, adversary: IrrAdversary,
-                    seed: int = 0, pal: bool = False, budget: int = 10**6) -> list:
-    """Step order of a single inversion-game trial, for fidelity checks."""
-    spec = _IrrSpec(scheme, pop, leak, None if pal else tau, adversary, budget,
-                    "trace", score_pic=pal)
-    trace = []
-    spec.run_range(seed, 0, 1, trace=trace)
-    return trace
-
-
-def trace_unlink_trial(scheme, pop, leak: LeakSet, adversary: UnlinkAdversary,
-                       seed: int = 0, budget: int = 10**6) -> list:
-    """Step order of a single unlinkability-game trial."""
-    spec = _UnlinkSpec(scheme, pop, leak, adversary, budget, "trace")
-    trace = []
-    spec.run_range(seed, 0, 1, trace=trace)
-    return trace

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import exact
-from .errors import ConfigError, ModeError
+from .errors import ConfigError, DimensionError, ModeError
 from .population import FeatureElement, Population
 from .rng import substream
 from .schemes import BtpScheme
@@ -197,6 +197,11 @@ class _AcceptKernel:
     pi_from: int = 0
     alpha_from: int = 0
     count_rejects: bool = False
+
+    def __post_init__(self):
+        if self.probe is not None and self.probe.n != self.pop.n:
+            raise DimensionError(f"probe has {self.probe.n} bits, "
+                                 f"population has {self.pop.n}")
 
     @property
     def queries_per_trial(self) -> int:

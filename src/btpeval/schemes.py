@@ -154,7 +154,7 @@ def _int_to_bytes(value: int, n_bits: int) -> bytes:
 
 
 def blake128(data: bytes) -> bytes:
-    """Default 128-bit digest used for pseudonymous identifiers."""
+    """The 128-bit digest of pseudonymous identifiers."""
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
@@ -406,7 +406,8 @@ class BtpScheme(ABC):
 
 
 class FuzzyCommitmentScheme(BtpScheme):
-    """Code-offset construction: pi = H(w), alpha = x XOR w for random w.
+    """Code-offset construction: pi = H(w), alpha = x XOR w for random w,
+    with H = `blake128`.
 
     With the perfect [7,4] default, verification matches exactly when
     d(x, x') <= t, independent of the codeword draw.
@@ -414,12 +415,11 @@ class FuzzyCommitmentScheme(BtpScheme):
 
     name = "fc"
 
-    def __init__(self, code: LinearCode, hash_fn=blake128):
+    def __init__(self, code: LinearCode):
         self.code = code
         self.feature_dim = code.n_code
-        self.hash_fn = hash_fn
         self._digests = tuple(
-            hash_fn(_int_to_bytes(w, code.n_code)) for w in code.codewords
+            blake128(_int_to_bytes(w, code.n_code)) for w in code.codewords
         )
         self._digest_of = dict(zip(code.codewords, self._digests))
         self._index_of = {d: m for m, d in enumerate(self._digests)}

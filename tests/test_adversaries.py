@@ -109,7 +109,7 @@ class TestMatchTestAdversary:
                            MatchTestUnlinkAdversary(), 10**6,
                            f"cond{forced_b}", force_b=forced_b)
         trials = 8000
-        wins, answers, flagged, _, _ = spec.run_range(31, 0, trials)
+        answers = spec.run_range(31, 0, trials)["answers"]
         rate = (answers == forced_b).mean()
         target = 1.0 - mr / 2.0
         se = math.sqrt(target * (1 - target) / trials)

@@ -124,6 +124,14 @@ class TestGameCommand:
         report = load_json(out)
         assert {"fcmr", "fncmr", "identity_advantage"} <= set(report["cross_match"])
 
+    @pytest.mark.parametrize("game", ["al-irr", "pal-irr"])
+    def test_cross_rates_on_inversion_game_is_usage_error(self, capsys, game):
+        code, out, err = run_cli(["game", game, "--adversary", "blind",
+                                  "--cross-rates", "--trials", "10"], capsys)
+        assert code == 2
+        assert "--cross-rates" in err
+        assert out == ""
+
     def test_al_game_with_read_pi_on_plaintext(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scheme": {"scheme": "plain"}, "tau": 0}))
@@ -407,6 +415,11 @@ class TestConfigHandling:
         ({"population": {"centers": "0101"}}, "config.population.centers"),
         ({"population": {"centers": ["0101", "01x1"]}},
          "config.population.centers"),
+        ({"lambda": 5}, "config.lambda"),
+        ({"lambda": ["pi"]}, "config.lambda"),
+        ({"lambda": True}, "config.lambda"),
+        ({"lambda": "pix"}, "cannot parse leak set 'pix'"),
+        ({"lambda": ""}, "cannot parse leak set ''"),
     ])
     def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, user,
                                              where):
@@ -416,6 +429,26 @@ class TestConfigHandling:
                                 "--trials", "10"], capsys)
         assert code == 2
         assert where in err
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["game", "al-irr", "--adversary", "sampler"],
+        ["verify", "--theorem", "t1"]], ids=["metrics", "game", "verify"])
+    @pytest.mark.parametrize("leak, message", [
+        (5, "config.lambda"), (["pi"], "config.lambda"),
+        ("", "cannot parse leak set ''"), (None, "cannot parse leak set ''"),
+    ], ids=["int", "list", "empty", "empty-flag"])
+    def test_bad_lambda_is_usage_error(self, tmp_path, capsys, argv, leak,
+                                       message):
+        if leak is None:            # the empty string given on the command line
+            argv = argv + ["--lambda", ""]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lambda": leak}))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run_cli(argv + ["--trials", "10"], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ["metrics"], ["game", "al-irr", "--adversary", "sampler"],

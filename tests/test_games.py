@@ -10,6 +10,7 @@ import pytest
 
 from btpeval import exact, games, metrics
 from btpeval.adversaries import (
+    BlindArgmaxAdversary,
     CoinFlipUnlinkAdversary,
     CrossComparatorAdversary,
     MatchTestUnlinkAdversary,
@@ -30,14 +31,13 @@ from btpeval.games import (
     run_coupled_irr_trials,
     run_pal_irr_game,
     run_unlink_game,
-    trace_irr_trial,
-    trace_unlink_trial,
 )
 from btpeval.population import FeatureElement, Population
 from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
     LEAK_PI,
+    FuzzyCommitmentScheme,
     PlaintextScheme,
     RotationScheme,
     build_scheme,
@@ -75,6 +75,46 @@ class BadBitAdversary(UnlinkAdversary):
         return 2
 
 
+class ThriftyIrr(IrrAdversary):
+    """Asks for 0-3 captures in each phase, so a budget of 2 cuts some
+    trials before the challenge, some after it, and leaves the rest."""
+
+    name = "thrifty"
+
+    def phase1(self, params, leak, tau, oracle, rng):
+        for _ in range(int(rng.integers(4))):
+            oracle.sample(0)
+
+    def phase2(self, state, view, oracle, rng):
+        guess = FeatureElement(7, 0)
+        for _ in range(int(rng.integers(4))):
+            guess = oracle.sample(int(rng.integers(16)))
+        return guess
+
+
+class ThriftyUnlink(UnlinkAdversary):
+    """Asks for 3-5 captures in phase 1 and 0-5 in phase 2: a budget of 4
+    cuts trials in either phase."""
+
+    name = "thrifty"
+
+    def phase1(self, params, leak, oracle, rng):
+        for _ in range(int(rng.integers(3))):
+            oracle.sample(0)
+        x, x0, x1 = (oracle.sample(int(u)) for u in rng.integers(16, size=3))
+        return x, x0, x1, None
+
+    def phase2(self, state, view, view_prime, oracle, rng):
+        for _ in range(int(rng.integers(6))):
+            oracle.sample(0)
+        return int(rng.integers(2))
+
+
+def transcripts_digest(result):
+    text = "".join(result.transcript_digests)
+    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
 class UnrotateAdversary(UnlinkAdversary):
     """Rotation-specific distinguisher: invert the leaked template and
     compare with the submitted features."""
@@ -97,36 +137,73 @@ class UnrotateAdversary(UnlinkAdversary):
         return int(rng.integers(2))
 
 
+class RecordingFc(FuzzyCommitmentScheme):
+    """fc that logs each call of `pie_batch` and `pic_batch`."""
+
+    def __init__(self, code, log):
+        super().__init__(code)
+        self.log = log
+
+    def pie_batch(self, *args):
+        self.log.append("pie_batch")
+        return super().pie_batch(*args)
+
+    def pic_batch(self, *args):
+        self.log.append("pic_batch")
+        return super().pic_batch(*args)
+
+
+def logging_phases(adversary, log):
+    """The adversary, with each call of a batch phase logged."""
+    for phase in ("phase1", "phase2"):
+        play = getattr(adversary, f"{phase}_batch")
+
+        def logged(*args, phase=phase, play=play):
+            log.append(phase)
+            return play(*args)
+
+        setattr(adversary, f"{phase}_batch", logged)
+    return adversary
+
+
 class TestProtocolFidelity:
-    def test_irr_step_order(self, fc_scheme, default_pop):
-        trace = trace_irr_trial(fc_scheme, default_pop, LEAK_PI, 1,
-                                blind_al_adversary(default_pop, 1))
-        assert trace == ["phase1", "challenge", "phase2", "decide"]
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_protocol_order_seen_from_outside(self, fc_scheme, default_pop,
+                                              engine):
+        # the adversaries chosen never call the scheme themselves and a
+        # given baseline is not rated on it, so the log holds the phases
+        # and the challenger's encoding and decision only
+        log = []
+        scheme = RecordingFc(fc_scheme.code, log)
+        pop = default_pop
+        baseline = metrics.MValue(0.0, FeatureElement(7, 0), "exact")
 
-    def test_pal_step_order(self, fc_scheme, default_pop):
-        trace = trace_irr_trial(fc_scheme, default_pop, LEAK_BOTH, None,
-                                blind_pal_adversary(fc_scheme, default_pop),
-                                pal=True)
-        assert trace == ["phase1", "challenge", "phase2", "decide"]
+        def adversary(adv):
+            return logging_phases(engines(adv)[engine], log)
 
-    def test_unlink_step_order(self, fc_scheme, default_pop):
-        trace = trace_unlink_trial(fc_scheme, default_pop, LEAK_BOTH,
-                                   MatchTestUnlinkAdversary())
-        assert trace == ["phase1", "challenge", "phase2", "decide"]
+        runs = {
+            "al-irr": lambda: run_al_irr_game(
+                scheme, pop, LEAK_PI, 1, adversary(blind_al_adversary(pop, 1)),
+                trials=3, baseline=baseline),
+            "pal-irr": lambda: run_pal_irr_game(
+                scheme, pop, LEAK_BOTH,
+                adversary(BlindArgmaxAdversary(FeatureElement(7, 5))),
+                trials=3, baseline=baseline),
+            "unlink": lambda: run_unlink_game(
+                scheme, pop, LEAK_BOTH, adversary(CoinFlipUnlinkAdversary()),
+                trials=3),
+        }
+        decisions = {"al-irr": [], "pal-irr": ["pic_batch"], "unlink": []}
+        for game, run in runs.items():
+            log.clear()
+            run()
+            assert log == ["phase1", "pie_batch", "phase2",
+                           *decisions[game]], game
 
     def test_bad_guess_bit_raises(self, fc_scheme, default_pop):
         with pytest.raises(ProtocolError):
             run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
                             BadBitAdversary(), trials=3, seed=0)
-
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_step_order_on_both_engines(self, fc_scheme, default_pop, engine):
-        steps = ["phase1", "challenge", "phase2", "decide"]
-        irr = engines(blind_al_adversary(default_pop, 1))[engine]
-        unlink = engines(MatchTestUnlinkAdversary())[engine]
-        assert trace_irr_trial(fc_scheme, default_pop, LEAK_PI, 1, irr) == steps
-        assert trace_unlink_trial(fc_scheme, default_pop, LEAK_BOTH,
-                                  unlink) == steps
 
     def test_batch_guess_bit_checked(self, fc_scheme, default_pop):
         class BadBatchBit(CoinFlipUnlinkAdversary):
@@ -322,17 +399,61 @@ class TestDeterminism:
                                                    default_pop):
         # reference digests of adversaries written trial by trial: their
         # phases run on each trial in turn, drawing from the chunk's streams
-        def digest(result):
-            text = "".join(result.transcript_digests)
-            return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
-
         kw = dict(trials=300, seed=7, record_transcripts=True)
         u = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
                             scalar_twin(MatchTestUnlinkAdversary()), **kw)
         a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
                             scalar_twin(SamplerIrrAdversary(4, 1)), **kw)
-        assert (u.wins, digest(u)) == (281, "2e7681c6c957134a")
-        assert (a.wins, digest(a)) == (49, "d4a0273defde6bda")
+        assert (u.wins, transcripts_digest(u)) == (281, "2e7681c6c957134a")
+        assert (a.wins, transcripts_digest(a)) == (49, "d4a0273defde6bda")
+
+    PINNED = {
+        # wins, flagged, queries (adv_phase1, adv_phase2, challenger), digest
+        "pal-sampler": (118, 0, 0, 2800, 700, "af6dcd0b95a549c5"),
+        "pal-pal-sampler-cut": (235, 465, 0, 1837, 700, "efbcc289718b711b"),
+        "al-cut-in-both-phases": (38, 311, 886, 645, 522, "7a9e7a0ad0869ae4"),
+        "unlink-cut-in-both-phases": (210, 307, 2578, 1052, 0,
+                                      "b9c465f036bd323e"),
+        "unlink-reduction-cut": (102, 503, 2100, 2515, 0, "40d252fd21f71de5"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_transcripts(self, fc_scheme, default_pop, case):
+        # reference digests of pal-irr runs and of runs whose budget cuts
+        # trials, so their transcripts hold "-" entries
+        fc, pop = fc_scheme, default_pop
+        kw = dict(trials=700, seed=11, record_transcripts=True)
+        pal_cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16,
+                                   gamma=0.5, mu=0.5, n_delta=4)
+        runs = {
+            "pal-sampler": lambda: run_pal_irr_game(
+                fc, pop, LEAK_BOTH, SamplerIrrAdversary(4, 1), **kw),
+            "pal-pal-sampler-cut": lambda: run_pal_irr_game(
+                fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), budget=3,
+                **kw),
+            "al-cut-in-both-phases": lambda: run_al_irr_game(
+                fc, pop, LEAK_AD, 1, ThriftyIrr(), budget=2, **kw),
+            "unlink-cut-in-both-phases": lambda: run_unlink_game(
+                fc, pop, LEAK_BOTH, ThriftyUnlink(), budget=4, **kw),
+            "unlink-reduction-cut": lambda: run_unlink_game(
+                fc, pop, LEAK_AD,
+                ReductionUnlinkAdversary(SamplerIrrAdversary(16, 1), 1),
+                budget=5, **kw),
+        }
+        r = runs[case]()
+        assert (r.wins, r.flagged, r.queries["adv_phase1"],
+                r.queries["adv_phase2"], r.queries["challenger"],
+                transcripts_digest(r)) == self.PINNED[case]
+
+    def test_pinned_cross_match_counts(self, fc_scheme, default_pop):
+        trials = 1100
+        res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
+                                    CrossComparatorAdversary(), trials=trials,
+                                    seed=25)
+        assert round(res.fcmr.point * trials) == 51
+        assert round(res.fncmr.point * trials) == 43
+        assert res.fcmr.queries_used == res.fncmr.queries_used == 3 * trials
+        assert res.unlink_advantage.point == pytest.approx(0.92, abs=1e-12)
 
     def test_batched_game_derives_three_streams_per_chunk(
             self, fc_scheme, default_pop, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btpeval import exact, metrics
-from btpeval.errors import ConfigError, ModeError
+from btpeval.errors import ConfigError, DimensionError, ModeError
 from btpeval.population import FeatureElement, Population, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
@@ -354,6 +354,17 @@ class TestRmrOfFeature:
                                      level=0.99)
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop) \
             .rmr_vector()[x.value] <= est.ci_high
+
+
+class TestProbeDimension:
+    @pytest.mark.parametrize("estimate", [
+        lambda scheme, pop, x: metrics.est_mr_of_feature(pop, x, 1, 100),
+        lambda scheme, pop, x: metrics.rmr_of_feature(scheme, pop, x, 100),
+    ], ids=["est_mr_of_feature", "rmr_of_feature"])
+    def test_probe_of_another_dimension_rejected(self, fc_scheme, default_pop,
+                                                 estimate):
+        with pytest.raises(DimensionError, match="probe has 9 bits"):
+            estimate(fc_scheme, default_pop, FeatureElement(9, 300))
 
 
 class TestExtremal:
