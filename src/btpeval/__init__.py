@@ -39,7 +39,6 @@ from .schemes import (
     ProtectedTemplate,
     PtView,
     RotationScheme,
-    bounded_distance_decode,
     build_scheme,
     hamming_7_4,
     leak_view,

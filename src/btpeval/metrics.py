@@ -244,11 +244,11 @@ class _PtStatsKernel:
 
     Template i of a chunk draws, in this order: its user
     (`integers(U)`), the enrolled capture (`random(n)`), the encoder's
-    draws (`pie` of that capture), the users of its k = `trials_inner`
-    probes (`integers(U, size=k)`) and their (k, n) uniforms.  Those
-    draws and the template's codes are the only per-template work; the
-    probes of a block of templates are packed by `captures` and rated in
-    one `pir_batch` and one `pic_batch`.
+    draws (`pie_batch` of that one capture), the users of its k =
+    `trials_inner` probes (`integers(U, size=k)`) and their (k, n)
+    uniforms.  Those draws and the template's codes are the only
+    per-template work; the probes of a block of templates are packed by
+    `captures` and rated in one `pir_batch` and one `pic_batch`.
     """
 
     scheme: BtpScheme
@@ -271,8 +271,8 @@ class _PtStatsKernel:
             b = min(block, m - lo)
             for i in range(b):
                 u = int(rng.integers(pop.num_users))
-                pi[i], alpha[i] = scheme.template_codes(
-                    scheme.pie(pop.sample(u, rng), rng))
+                pi[i], alpha[i] = scheme.pie_batch(
+                    pop.captures(u, rng.random(pop.n)), rng)
                 users[i] = rng.integers(pop.num_users, size=k)
                 rng.random(out=noise[i])
             probes = pop.captures(users[:b], noise[:b])
@@ -336,7 +336,7 @@ def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
     if pop.n > exact.EXACT_N_CAP:
         raise ModeError(f"closed-form ball sums support n <= {exact.EXACT_N_CAP}")
     if x.n != pop.n:
-        raise ConfigError("feature dimension mismatch")
+        raise DimensionError(f"probe has {x.n} bits, population has {pop.n}")
     return float(exact.mr_of(pop, [x.value], tau)[0])
 
 

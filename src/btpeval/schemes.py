@@ -17,19 +17,20 @@ Three reference schemes are provided:
   baseline for irreversibility experiments).
 * plaintext: stores the feature verbatim; the worst case.
 
-Beside the scalar algorithms every scheme offers an integer-coded batch
-contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`,
-`template_codes` and its inverse `template_of_codes`): captures are packed uint64 values, identifiers and
-auxiliary data are uint64 codes.  The base class implements it on the
-scalar methods; the reference schemes override it with array arithmetic.
-They also declare a `match_law()`: their comparator decides on one
-Hamming distance, which the exact oracles turn into closed forms.
+A scheme implements either the scalar algorithms or an integer-coded
+batch contract (`pie_batch`, `pir_batch`, `pic_batch`,
+`pie_support_batch`, `template_codes` and its inverse
+`template_of_codes`): captures are packed uint64 values, identifiers and
+auxiliary data are uint64 codes.  The base class derives each method set
+from the other.  The three reference schemes implement the batch
+contract with array arithmetic, and the scalar algorithms come from the
+base class.  They also declare a `match_law()`: their comparator decides
+on one Hamming distance, which the exact oracles turn into closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .population import FeatureElement, hamming_distance
+from .population import FeatureElement
 
 
 class _RejectId:
@@ -222,16 +223,6 @@ class LinearCode:
             idx[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
         return idx
 
-    def decode_int(self, y: int):
-        """Unique codeword within distance t of y, or None."""
-        if self._decode_table is not None:
-            idx = int(self._decode_table[y])
-            return None if idx < 0 else self._codewords[idx]
-        for w in self._codewords:
-            if (w ^ y).bit_count() <= self.t:
-                return w
-        return None
-
     @classmethod
     def from_bitstrings(cls, rows, t: int) -> "LinearCode":
         n_code = len(rows[0])
@@ -249,14 +240,6 @@ def hamming_7_4(t: int = 1) -> LinearCode:
     return LinearCode.from_bitstrings(
         ["1000110", "0100101", "0010011", "0001111"], t=t
     )
-
-
-def bounded_distance_decode(code: LinearCode, y: FeatureElement):
-    """Decode y to the unique codeword within distance t, or None (reject)."""
-    if y.n != code.n_code:
-        raise DimensionError(f"received word has {y.n} bits, code expects {code.n_code}")
-    w = code.decode_int(y.value)
-    return None if w is None else FeatureElement(code.n_code, w)
 
 
 class _CodeBook:
@@ -285,34 +268,71 @@ def _rotate(xs, r, n: int) -> np.ndarray:
     return ((xs << r) & mask) | (xs >> ((np.uint64(n) - r) % np.uint64(n)))
 
 
-class BtpScheme(ABC):
-    """Contract shared by all schemes; `pir` and `pic` are deterministic."""
+_SCALAR = ("pie", "pir", "pic", "pie_support")
+_BATCH = ("pie_batch", "pir_batch", "pic_batch", "pie_support_batch",
+          "template_codes", "template_of_codes")
+
+
+class BtpScheme:
+    """Contract shared by all schemes; `pir` and `pic` are deterministic.
+
+    A subclass implements the scalar methods (`pie`, `pir`, `pic`,
+    `pie_support`) or the batch contract (the four `*_batch` methods,
+    `template_codes` and `template_of_codes`); the base class derives the
+    other set, and a subclass that implements neither fails when
+    instantiated.
+    """
 
     name: str
     feature_dim: int
 
-    @abstractmethod
+    def __new__(cls, *args, **kwargs):
+        if not any(all(getattr(cls, m) is not getattr(BtpScheme, m) for m in group)
+                   for group in (_SCALAR, _BATCH)):
+            raise TypeError(f"{cls.__name__} implements neither "
+                            f"{'/'.join(_SCALAR)} nor {'/'.join(_BATCH)}")
+        return super().__new__(cls)
+
+    # -- scalar methods ------------------------------------------------------
+    # These defaults run the batch contract on one capture.  An identifier
+    # or alpha passes through `template_codes` beside the other field of
+    # the template of code 0, as a hidden view field does.
+
     def pie(self, x: FeatureElement, rng: np.random.Generator) -> ProtectedTemplate:
         """Randomized enrollment: feature element -> protected template."""
+        self._check_dim(x)
+        return self.template_of_codes(*self.pie_batch(np.uint64(x.value), rng))
 
-    @abstractmethod
     def pir(self, alpha, x_prime: FeatureElement):
         """Deterministic verification identifier from (alpha, fresh capture)."""
+        self._check_dim(x_prime)
+        blank = self.template_of_codes(0, 0)
+        _, code = self.template_codes(ProtectedTemplate(blank.pi, alpha))
+        vid = self.pir_batch(code, np.uint64(x_prime.value))
+        return self.template_of_codes(vid, 0).pi
 
-    @abstractmethod
     def pic(self, pi, pi_prime) -> bool:
         """True for match, False for non-match."""
+        if pi is REJECT or pi_prime is REJECT:
+            return False
+        alpha = self.template_of_codes(0, 0).alpha
+        a, b = (self.template_codes(ProtectedTemplate(p, alpha))[0]
+                for p in (pi, pi_prime))
+        return bool(self.pic_batch(a, b))
 
-    @abstractmethod
     def pie_support(self, x: FeatureElement):
         """All (probability, template) outcomes of pie(x); exact enumeration hook."""
+        self._check_dim(x)
+        probs, pis, alphas = self.pie_support_batch(np.uint64(x.value))
+        return [(float(p), self.template_of_codes(a, b))
+                for p, a, b in zip(probs, pis, alphas)]
 
     # -- integer-coded batch contract ----------------------------------------
     # Captures are packed uint64 arrays; pi, alpha and verification
     # identifiers are uint64 codes, and arguments broadcast like numpy
     # operands.  These defaults run the scalar methods element by element
     # and number each object they meet, so their codes hold only within
-    # this process.  A scheme may override them with array arithmetic.
+    # this process.
 
     def pie_batch(self, xs: np.ndarray, rng: np.random.Generator) -> tuple:
         """`pie` on every capture in C order (the same draws as that many
@@ -421,47 +441,17 @@ class FuzzyCommitmentScheme(BtpScheme):
         self._digests = tuple(
             blake128(_int_to_bytes(w, code.n_code)) for w in code.codewords
         )
-        self._digest_of = dict(zip(code.codewords, self._digests))
         self._index_of = {d: m for m, d in enumerate(self._digests)}
         self._cw = np.array(code.codewords, dtype=np.uint64)
-
-    def pie(self, x, rng):
-        self._check_dim(x)
-        m = int(rng.integers(1 << self.code.k_code))
-        w = self.code.codewords[m]
-        return ProtectedTemplate(
-            pi=self._digests[m], alpha=FeatureElement(x.n, x.value ^ w)
-        )
-
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        if alpha.n != self.feature_dim:
-            raise DimensionError("auxiliary data has wrong length")
-        w = self.code.decode_int(x_prime.value ^ alpha.value)
-        if w is None:
-            return REJECT
-        return self._digest_of[w]
-
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return pi == pi_prime
-
-    def pie_support(self, x):
-        self._check_dim(x)
-        p = 1.0 / (1 << self.code.k_code)
-        return [
-            (p, ProtectedTemplate(pi=self._digests[m],
-                                  alpha=FeatureElement(x.n, x.value ^ w)))
-            for m, w in enumerate(self.code.codewords)
-        ]
 
     # Codes: pi is the codeword index (the digest is a bijection of it),
     # alpha the packed offset, a failed decode REJECT_CODE.
 
     def pie_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.uint64)
-        m = rng.integers(1 << self.code.k_code, size=xs.shape).astype(np.uint64)
+        # a 0-d capture draws a scalar, the same draw at a third of the cost
+        m = rng.integers(1 << self.code.k_code,
+                         size=xs.shape or None).astype(np.uint64)
         return m, xs ^ self._cw[m]
 
     def pir_batch(self, alpha, xs):
@@ -478,6 +468,8 @@ class FuzzyCommitmentScheme(BtpScheme):
         return np.full(shape, 1.0 / len(self._cw)), m, xs ^ self._cw
 
     def template_codes(self, pt):
+        if pt.alpha.n != self.feature_dim:
+            raise DimensionError("auxiliary data has wrong length")
         pi = REJECT_CODE if pt.pi is REJECT else np.uint64(self._index_of[pt.pi])
         return pi, np.uint64(pt.alpha.value)
 
@@ -518,33 +510,11 @@ class RotationScheme(BtpScheme):
         self.feature_dim = n
         self.tau = tau
 
-    def pie(self, x, rng):
-        self._check_dim(x)
-        r = int(rng.integers(self.feature_dim))
-        return ProtectedTemplate(pi=x.rotate(r), alpha=r)
-
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        return x_prime.rotate(int(alpha))
-
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return hamming_distance(pi, pi_prime) <= self.tau
-
-    def pie_support(self, x):
-        self._check_dim(x)
-        p = 1.0 / self.feature_dim
-        return [
-            (p, ProtectedTemplate(pi=x.rotate(r), alpha=r))
-            for r in range(self.feature_dim)
-        ]
-
     # Codes: pi is the packed rotated feature, alpha the offset r.
 
     def pie_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.uint64)
-        r = rng.integers(self.feature_dim, size=xs.shape).astype(np.uint64)
+        r = rng.integers(self.feature_dim, size=xs.shape or None).astype(np.uint64)
         return _rotate(xs, r, self.feature_dim), r
 
     def pir_batch(self, alpha, xs):
@@ -561,6 +531,7 @@ class RotationScheme(BtpScheme):
                 _rotate(xs, r, self.feature_dim), r)
 
     def template_codes(self, pt):
+        self._check_dim(pt.pi)
         return np.uint64(pt.pi.value), np.uint64(int(pt.alpha) % self.feature_dim)
 
     def template_of_codes(self, pi_code, alpha_code):
@@ -591,23 +562,6 @@ class PlaintextScheme(BtpScheme):
         self.feature_dim = n
         self.tau = tau
 
-    def pie(self, x, rng):
-        self._check_dim(x)
-        return ProtectedTemplate(pi=x, alpha=None)
-
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        return x_prime
-
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return hamming_distance(pi, pi_prime) <= self.tau
-
-    def pie_support(self, x):
-        self._check_dim(x)
-        return [(1.0, ProtectedTemplate(pi=x, alpha=None))]
-
     # Codes: pi and the identifier are the packed feature, alpha is 0.
 
     def pie_batch(self, xs, rng):
@@ -626,6 +580,7 @@ class PlaintextScheme(BtpScheme):
         return np.ones(xs.shape), xs, np.zeros_like(xs)
 
     def template_codes(self, pt):
+        self._check_dim(pt.pi)
         return np.uint64(pt.pi.value), np.uint64(0)
 
     def template_of_codes(self, pi_code, alpha_code):

@@ -234,14 +234,19 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     advantage >= (1 - p_tau) * Adv(A) - (p_tau - q_tau) * m_tau."""
     if inner_adversary is None:
         inner_adversary = SamplerIrrAdversary(num_queries=16, fallback_tau=tau)
-    ov = metrics.overlap_rates(pop, tau)
-    m_tau = metrics.extremal_mr(pop, tau)
     details = {
         "tau": tau, "trials": trials,
-        "p_tau": ov.p_tau, "q_tau": ov.q_tau, "m_tau": m_tau.value,
         "inner": getattr(inner_adversary, "name", "custom"),
         "quantification": "per-adversary reduction check",
     }
+    try:
+        ov = metrics.overlap_rates(pop, tau)
+    except ModeError as e:
+        details["reason"] = f"no exact overlap rates: {e}"
+        return TheoremVerdict("T4", NOT_APPLICABLE, ">=", None, None, None,
+                              leak=str(leak), details=details)
+    m_tau = metrics.extremal_mr(pop, tau)
+    details.update(p_tau=ov.p_tau, q_tau=ov.q_tau, m_tau=m_tau.value)
     if ov.p_tau >= 1.0 - 1e-12:
         details["reason"] = "p_tau = 1 makes the bound vacuous"
         return TheoremVerdict("T4", VACUOUS, ">=", None, None, None,

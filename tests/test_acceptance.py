@@ -35,7 +35,7 @@ from btpeval.games import (
     run_unlink_game,
 )
 from btpeval.adversaries import CrossComparatorAdversary
-from btpeval.population import FeatureElement, generate_population, hamming_distance
+from btpeval.population import FeatureElement, generate_population
 from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
@@ -46,6 +46,7 @@ from btpeval.schemes import (
     ProtectedTemplate,
     leak_view,
 )
+from reference_schemes import decisions_and_ball
 
 
 def gate(number, label, ok, detail=""):
@@ -256,36 +257,25 @@ class TestCriterion5EstimatorOracleAgreement:
 
 
 class TestCriterion6StructuralLaws:
+    # Every (x, template of x, probe) triple, decided in the batch
+    # contract that the games and estimators call.
+
     def test_fc_match_law_exhaustive_n7(self, fc_scheme):
-        n = 7
-        for xv in range(1 << n):
-            x = FeatureElement(n, xv)
-            for _, pt in fc_scheme.pie_support(x):
-                for pv in range(1 << n):
-                    probe = FeatureElement(n, pv)
-                    matched = fc_scheme.pic(pt.pi,
-                                            fc_scheme.pir(pt.alpha, probe))
-                    if matched != (hamming_distance(x, probe) <= 1):
-                        gate(6, "fc match law n=7", False,
-                             f"x={x} probe={probe}")
-        gate(6, "fc match law n=7 (all pairs x codewords)", True,
-             "2^7 x 16 x 2^7 checks")
+        accepts, within = decisions_and_ball(fc_scheme, 1)
+        assert accepts.shape == (128, 16, 128)
+        bad = np.argwhere(accepts != within)
+        detail = ("2^7 x 16 x 2^7 checks" if not len(bad) else
+                  f"x={FeatureElement(7, int(bad[0][0]))} "
+                  f"probe={FeatureElement(7, int(bad[0][2]))}")
+        gate(6, "fc match law n=7 (all pairs x codewords)", not len(bad), detail)
 
     def test_fc_match_law_exhaustive_n8(self):
         code = LinearCode.from_bitstrings(
             ["10001101", "01001011", "00100111", "00011110"], t=1)
         assert code.min_distance == 4
-        scheme = FuzzyCommitmentScheme(code)
-        n = 8
-        bad = 0
-        for xv in range(1 << n):
-            x = FeatureElement(n, xv)
-            for _, pt in scheme.pie_support(x):
-                for pv in range(1 << n):
-                    probe = FeatureElement(n, pv)
-                    matched = scheme.pic(pt.pi, scheme.pir(pt.alpha, probe))
-                    if matched != (hamming_distance(x, probe) <= 1):
-                        bad += 1
+        accepts, within = decisions_and_ball(FuzzyCommitmentScheme(code), 1)
+        assert accepts.shape == (256, 16, 256)
+        bad = int((accepts != within).sum())
         gate(6, "fc match law n=8 (extended code)", bad == 0,
              f"violations={bad}")
 

@@ -98,6 +98,21 @@ class TestExitCodes:
         assert "reason" in verdict["details"]
 
 
+    def test_t4_beyond_feature_scan_not_applicable(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "population": {"n": exact.EXACT_N_CAP + 1, "U": 4},
+            "scheme": {"scheme": "rot"}}))
+        code, out, _ = run_cli(["verify", "--theorem", "t4", "--config",
+                                str(cfg), "--trials", "50"], capsys)
+        assert code == 0
+        verdicts = load_json(out)["theorems"]
+        assert [v["lambda"] for v in verdicts] == ["pi", "ad"]
+        for verdict in verdicts:
+            assert verdict["status"] == "not-applicable"
+            assert "no exact overlap rates" in verdict["details"]["reason"]
+
+
 class TestGameCommand:
     def test_unlink_with_match_test(self, capsys):
         code, out, _ = run_cli(["game", "unlink", "--lambda", "pi+ad",

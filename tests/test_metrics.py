@@ -24,6 +24,11 @@ from btpeval.schemes import (
     PlaintextScheme,
     RotationScheme,
 )
+from reference_schemes import (
+    RefFuzzyCommitmentScheme,
+    RefPlaintextScheme,
+    RefRotationScheme,
+)
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
@@ -103,7 +108,8 @@ class TestBaselineRates:
 
 def loop_oracle_scheme_metric(scheme, pop, kind):
     """Plain-loop expectation over users, enrollments, encoder randomness,
-    and probes; quadruple loop, so keep the space tiny."""
+    and probes; quadruple loop, so keep the space tiny.  Pass a scheme
+    whose scalar methods are a reference (`reference_schemes`)."""
     size = 1 << pop.n
     U = pop.num_users
     probes = [FeatureElement(pop.n, v) for v in range(size)]
@@ -136,7 +142,7 @@ def loop_oracle_scheme_metric(scheme, pop, kind):
 def tiny_setup():
     # [5,2] code with minimum distance 3; 4 users over a 32-point cube
     code = LinearCode.from_bitstrings(["10110", "01011"], t=1)
-    scheme = FuzzyCommitmentScheme(code)
+    scheme = RefFuzzyCommitmentScheme(code)
     pop = generate_population(5, 4, 0.05, seed=3)
     return scheme, pop
 
@@ -199,7 +205,7 @@ class TestExactEngineRandomTinyConfigs:
     @settings(max_examples=10, deadline=None)
     def test_plaintext_agreement_with_loops(self, seed, users, p, tau):
         pop = generate_population(4, users, p, seed=seed)
-        scheme = PlaintextScheme(4, tau=tau)
+        scheme = RefPlaintextScheme(4, tau=tau)
         en = exact.SchemeEnumerator(scheme, pop)
         assert en.fnmr() == pytest.approx(
             loop_oracle_scheme_metric(scheme, pop, "fnmr"), abs=1e-10)
@@ -360,7 +366,8 @@ class TestProbeDimension:
     @pytest.mark.parametrize("estimate", [
         lambda scheme, pop, x: metrics.est_mr_of_feature(pop, x, 1, 100),
         lambda scheme, pop, x: metrics.rmr_of_feature(scheme, pop, x, 100),
-    ], ids=["est_mr_of_feature", "rmr_of_feature"])
+        lambda scheme, pop, x: metrics.mr_of_feature(pop, x, 1),
+    ], ids=["est_mr_of_feature", "rmr_of_feature", "mr_of_feature"])
     def test_probe_of_another_dimension_rejected(self, fc_scheme, default_pop,
                                                  estimate):
         with pytest.raises(DimensionError, match="probe has 9 bits"):
@@ -542,7 +549,8 @@ class TestOverlapRates:
 def scalar_enumeration(scheme, pop):
     """(pt_pi, pt_alpha, W, match) from the scalar methods alone: templates
     numbered as a scan over users, their possible captures and encoder
-    outcomes first meets them."""
+    outcomes first meets them.  fc, rot and plain are passed as their
+    reference twins, so these methods do not run the batch contract."""
     probes = [FeatureElement(pop.n, v) for v in range(1 << pop.n)]
     P = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
     pi_index, alpha_index, pt_index, weights = {}, {}, {}, {}
@@ -565,11 +573,14 @@ def scalar_enumeration(scheme, pop):
             [alpha_index[alpha] for _, alpha in pt_index], W, match)
 
 
+# fc, rot and plain as their scalar reference twins: the loops below call
+# their scalar methods, the kernels and the enumerator the library's batch
+# methods
 ENUMERATED_SCHEMES = {
-    "fc": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
+    "fc": lambda: RefFuzzyCommitmentScheme(LinearCode.from_bitstrings(
         ["1000110", "0100101", "0010011", "0001111"], t=1)),
-    "rot": lambda: RotationScheme(7, tau=1),
-    "plain": lambda: PlaintextScheme(7, tau=2),
+    "rot": lambda: RefRotationScheme(7, tau=1),
+    "plain": lambda: RefPlaintextScheme(7, tau=2),
     "broken": lambda: BrokenScheme(7),
     "always-match": lambda: AlwaysMatchScheme(7),
     "never-match": lambda: NeverMatchScheme(7),

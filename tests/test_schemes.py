@@ -17,22 +17,35 @@ from btpeval.schemes import (
     REJECT,
     REJECT_CODE,
     BrokenScheme,
+    BtpScheme,
     FuzzyCommitmentScheme,
     LeakSet,
     LinearCode,
     PlaintextScheme,
     ProtectedTemplate,
     RotationScheme,
-    bounded_distance_decode,
     build_scheme,
     hamming_7_4,
     leak_view,
+)
+from reference_schemes import (
+    RefFuzzyCommitmentScheme,
+    RefPlaintextScheme,
+    RefRotationScheme,
+    bounded_distance_decode,
+    decisions_and_ball,
+    decode_int,
 )
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
 def fe(s):
     return FeatureElement.from_string(s)
+
+
+# n = 20 > 16: decoded by scanning codewords, not through a table
+UNTABLED_CODE = LinearCode.from_bitstrings(
+    ["11111111110000000000", "00000000001111111111"], t=4)
 
 
 class TestLeakProjection:
@@ -121,6 +134,19 @@ class TestLinearCode:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             bounded_distance_decode(hamming_7_4(), fe("000000"))
+
+    @pytest.mark.parametrize("code", [
+        hamming_7_4(), LinearCode.from_bitstrings(["1111"], t=1), UNTABLED_CODE,
+    ], ids=["hamming", "repetition", "untabled"])
+    def test_decode_index_matches_scalar_decoder(self, code):
+        rng = substream(9, "decode")
+        ys = (np.arange(1 << code.n_code, dtype=np.uint64) if code.n_code <= 8
+              else rng.integers(1 << code.n_code, size=2000).astype(np.uint64))
+        idx = code.decode_index(ys)
+        for y, m in zip(ys.tolist(), idx.tolist()):
+            w = decode_int(code, y)
+            assert (m < 0) == (w is None)
+            assert w is None or code.codewords[m] == w
 
     def test_degenerate_generator_rejected(self):
         with pytest.raises(ConfigError):
@@ -249,23 +275,15 @@ class TestThresholdCompatibility:
     def test_rotation_exhaustive(self):
         scheme = RotationScheme(7, tau=1)
         assert scheme.threshold_compatible(1)
-        for xv in range(128):
-            x = FeatureElement(7, xv)
-            for _, pt in scheme.pie_support(x):
-                for pv in range(128):
-                    probe = FeatureElement(7, pv)
-                    if hamming_distance(x, probe) <= 1:
-                        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, probe))
+        accepts, within = decisions_and_ball(scheme, 1)
+        assert accepts.shape == (128, 7, 128)
+        assert accepts[within].all()
 
     def test_plaintext_exhaustive(self):
         scheme = PlaintextScheme(7, tau=1)
-        for xv in range(128):
-            x = FeatureElement(7, xv)
-            pt = scheme.pie_support(x)[0][1]
-            for pv in range(128):
-                probe = FeatureElement(7, pv)
-                if hamming_distance(x, probe) <= 1:
-                    assert scheme.pic(pt.pi, scheme.pir(pt.alpha, probe))
+        accepts, within = decisions_and_ball(scheme, 1)
+        assert accepts.shape == (128, 1, 128)
+        assert accepts[within].all()
 
 
 class TestRegistry:
@@ -287,21 +305,21 @@ class TestRegistry:
             build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4}}, 8)
 
 
+# fc, rot and plain as their scalar reference twins: the batch methods
+# are the library's, the scalar ones independent of them
 BATCH_SCHEMES = {
-    "fc": lambda: build_scheme({"scheme": "fc", "code": {"t": 1}}, 7),
-    # n = 20 > 16: decoded by scanning codewords, not through a table
-    "fc-untabled": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
-        ["11111111110000000000", "00000000001111111111"], t=4)),
-    "rot": lambda: RotationScheme(9, tau=2),
-    "plain": lambda: PlaintextScheme(8, tau=1),
+    "fc": lambda: RefFuzzyCommitmentScheme(hamming_7_4()),
+    "fc-untabled": lambda: RefFuzzyCommitmentScheme(UNTABLED_CODE),
+    "rot": lambda: RefRotationScheme(9, tau=2),
+    "plain": lambda: RefPlaintextScheme(8, tau=1),
     "broken": lambda: BrokenScheme(7),
 }
 
 
 ROUND_TRIP_SCHEMES = {
     "fc": BATCH_SCHEMES["fc"],
-    "rot": lambda: RotationScheme(7, tau=1),
-    "plain": lambda: PlaintextScheme(7, tau=1),
+    "rot": lambda: RefRotationScheme(7, tau=1),
+    "plain": lambda: RefPlaintextScheme(7, tau=1),
     "broken": BATCH_SCHEMES["broken"],
     "always-match": lambda: AlwaysMatchScheme(7),
     "never-match": lambda: NeverMatchScheme(7),
@@ -317,7 +335,8 @@ def _packed(data, n, shape):
 
 
 class TestBatchContract:
-    """Batch pie/pir/pic/pie_support against the scalar methods."""
+    """Batch pie/pir/pic/pie_support against the scalar methods: the
+    reference twins' for fc, rot and plain, the scheme's own for broken."""
 
     @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
     @settings(max_examples=30, deadline=None)
@@ -387,3 +406,147 @@ class TestBatchContract:
         vid = fc_scheme.pir_batch(alpha, far)
         assert not fc_scheme.pic_batch(pi, vid).any()
         assert not fc_scheme.pic_batch(REJECT_CODE, np.array([REJECT_CODE])).any()
+
+
+# The library schemes beside their reference twins, at the same parameters
+DERIVED_PAIRS = {
+    "fc": (lambda: build_scheme({"scheme": "fc"}, 7),
+           lambda: RefFuzzyCommitmentScheme(hamming_7_4())),
+    "fc-untabled": (lambda: FuzzyCommitmentScheme(UNTABLED_CODE),
+                    lambda: RefFuzzyCommitmentScheme(UNTABLED_CODE)),
+    "fc-rejecting": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"generator": ["1111"], "t": 1}}, 4),
+        lambda: RefFuzzyCommitmentScheme(
+            LinearCode.from_bitstrings(["1111"], t=1))),
+    "rot": (lambda: RotationScheme(9, tau=2), lambda: RefRotationScheme(9, tau=2)),
+    "plain": (lambda: PlaintextScheme(8, tau=1),
+              lambda: RefPlaintextScheme(8, tau=1)),
+}
+
+
+class TestDerivedScalarMethods:
+    """fc, rot and plain implement only the batch contract; the scalar
+    methods the base class derives from it equal the reference twins'."""
+
+    @pytest.mark.parametrize("name", list(DERIVED_PAIRS))
+    def test_equal_reference_methods(self, name):
+        lib, ref = (make() for make in DERIVED_PAIRS[name])
+        n = lib.feature_dim
+        draw = substream(3, "derived")
+        lib_rng, ref_rng = substream(4, "pie"), substream(4, "pie")
+        rejects = 0
+        for _ in range(200):
+            x = FeatureElement(n, int(draw.integers(1 << n)))
+            probe = FeatureElement(n, int(draw.integers(1 << n)))
+            pt = lib.pie(x, lib_rng)
+            assert pt == ref.pie(x, ref_rng)
+            vid = lib.pir(pt.alpha, probe)
+            assert vid == ref.pir(pt.alpha, probe)
+            rejects += vid is REJECT
+            assert lib.pic(pt.pi, vid) == ref.pic(pt.pi, vid)
+            assert lib.pic(vid, pt.pi) == ref.pic(vid, pt.pi)
+            assert lib.pie_support(x) == ref.pie_support(x)
+        # the same draws, and nothing more
+        assert lib_rng.random() == ref_rng.random()
+        assert (rejects > 0) == name.startswith("fc-")
+        if rejects:
+            assert not lib.pic(REJECT, REJECT)
+
+    @pytest.mark.parametrize("name", ["fc", "rot", "plain"])
+    def test_wrong_dimension_rejected(self, name):
+        scheme = DERIVED_PAIRS[name][0]()
+        n = scheme.feature_dim
+        x, short = FeatureElement(n, 1), FeatureElement(n - 1, 1)
+        pt = scheme.pie(x, substream(0, "pie"))
+        calls = [lambda: scheme.pie(short, substream(0, "pie")),
+                 lambda: scheme.pie_support(short),
+                 lambda: scheme.pir(pt.alpha, short)]
+        if name == "fc":
+            calls.append(lambda: scheme.pir(FeatureElement(n - 1, 0), x))
+        else:   # pi is a feature here
+            calls.append(lambda: scheme.pic(short, x))
+        for call in calls:
+            with pytest.raises(DimensionError):
+                call()
+
+
+class _XorKeyScheme(BtpScheme):
+    """A scheme written in the batch contract alone: pi = x ^ k for a key
+    k drawn from {0, ~0}, alpha = 1 when k = ~0; match within tau."""
+
+    name = "xor-key"
+
+    def __init__(self, n, tau):
+        self.feature_dim, self.tau = n, tau
+        self._ones = np.uint64((1 << n) - 1)
+
+    def pie_batch(self, xs, rng):
+        xs = np.asarray(xs, dtype=np.uint64)
+        alpha = rng.integers(2, size=xs.shape).astype(np.uint64)
+        return self.pir_batch(alpha, xs), alpha
+
+    def pir_batch(self, alpha, xs):
+        return np.asarray(xs, dtype=np.uint64) ^ (alpha * self._ones)
+
+    def pic_batch(self, pi, vid):
+        return np.bitwise_count(pi ^ vid) <= self.tau
+
+    def pie_support_batch(self, xs):
+        xs = np.asarray(xs, dtype=np.uint64)[..., None]
+        alpha = np.broadcast_to(np.arange(2, dtype=np.uint64),
+                                xs.shape[:-1] + (2,))
+        return np.full(alpha.shape, 0.5), self.pir_batch(alpha, xs), alpha
+
+    def template_codes(self, pt):
+        return np.uint64(pt.pi.value), np.uint64(pt.alpha)
+
+    def template_of_codes(self, pi_code, alpha_code):
+        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
+                                 int(alpha_code))
+
+
+class TestMethodSets:
+    def test_neither_set_fails_at_instantiation(self):
+        class Nothing(BtpScheme):
+            name = "nothing"
+
+        class HalfBatch(BtpScheme):
+            name = "half"
+
+            def pie_batch(self, xs, rng):
+                return xs, xs
+
+        class HalfScalar(AlwaysMatchScheme):
+            pie_support = BtpScheme.pie_support
+
+        for cls in (BtpScheme, Nothing, HalfBatch):
+            with pytest.raises(TypeError, match="implements neither"):
+                cls()
+        with pytest.raises(TypeError, match="implements neither"):
+            HalfScalar(7)
+        AlwaysMatchScheme(7)
+        BrokenScheme(7)
+
+    def test_batch_only_scheme_runs_everywhere(self, default_pop):
+        from btpeval import exact, metrics
+        from btpeval.verify import PASS, check_thm_unlink_unachievable
+
+        scheme = _XorKeyScheme(7, tau=1)
+        x = FeatureElement(7, 0b1010101)
+        pt = scheme.pie(x, substream(0, "pie"))
+        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
+        assert not scheme.pic(pt.pi, scheme.pir(1 - pt.alpha, x))
+        assert [p for p, _ in scheme.pie_support(x)] == [0.5, 0.5]
+
+        en = exact.SchemeEnumerator(scheme, default_pop)
+        fnmr, _ = exact.baseline_rates(default_pop, 1)
+        assert en.fnmr() == pytest.approx(fnmr, abs=1e-12)
+        est = metrics.est_scheme_fnmr(scheme, default_pop, 4000, seed=3,
+                                      level=0.99)
+        assert est.ci_low <= en.fnmr() <= est.ci_high
+        stats = metrics.pt_match_stats(scheme, default_pop, 200, 100, seed=3,
+                                       level=0.99)
+        mean, _ = en.pt_match_stats()
+        assert stats.mean_ci[0] <= mean <= stats.mean_ci[1]
+        assert check_thm_unlink_unachievable(scheme, default_pop, trials=4000,
+                                             seed=3).status == PASS

@@ -156,6 +156,16 @@ class TestT4:
                                               4, trials=100, seed=16)
         assert v.status == verify.VACUOUS
 
+    def test_not_applicable_beyond_feature_scan(self):
+        # the exact overlap rates scan every feature, up to EXACT_N_CAP
+        pop = generate_population(exact.EXACT_N_CAP + 1, 4, 0.02, seed=2)
+        v = verify.check_thm_unlink_irr_bound(RotationScheme(pop.n, tau=1),
+                                              pop, LEAK_PI, 1, trials=100,
+                                              seed=20)
+        assert v.status == verify.NOT_APPLICABLE
+        assert v.passed
+        assert f"n <= {exact.EXACT_N_CAP}" in v.details["reason"]
+
 
 class TestReproducibility:
     def test_identical_verdicts_on_rerun(self, fc_scheme, default_pop):
