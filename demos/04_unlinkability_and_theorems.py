@@ -32,7 +32,8 @@ print(f"identity |1-(FCMR+FNCMR)| = {cm.identity_advantage:.4f}  "
       f"(gap {cm.identity_gap:.4f})")
 
 print("\nrelation checks on the default configuration:")
-for v in verify.verify_all(fc, pop, tau=1, trials=5000, seed=12):
+settings = verify.VerifySettings(tau=1, trials=5000, seed=12)
+for v in verify.verify_all(fc, pop, settings):
     lhs = "-" if v.lhs is None else f"{v.lhs:8.4f}"
     rhs = "-" if v.rhs is None else f"{v.rhs:8.4f}"
     print(f"  {v.theorem}[{v.leak}] {v.status:6s} lhs={lhs} {v.relation} "

@@ -9,6 +9,10 @@ accept/reject behavior into linkage with advantage 1 - MR.  The reduction
 wrapper turns any inversion adversary into a distinguisher, which is what
 the unlinkability-implies-irreversibility bound exercises.
 
+`build_adversary` builds each built-in by name from the run settings in
+`VerifySettings`, for `btpeval game` and the theorem checks alike.  An
+adversary refuses a leak set it cannot use when the game runs.
+
 Each adversary has one implementation.  The view readers have scalar
 phases, which the games play trial by trial through the adversary base
 class; every other adversary has batch phases and plays a chunk of trials
@@ -18,16 +22,48 @@ in array operations (see `games`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import exact
 from .errors import ConfigError, ContractError, VariationTooHighError
 from .games import IrrAdversary, UnlinkAdversary
-from .metrics import MatchRateStats, extremal_mr, extremal_rmr
+from .metrics import MatchRateStats, extremal_mr, extremal_rmr, pt_match_stats
 from .population import FeatureElement
 from .schemes import LEAK_BOTH, PtView
+
+
+# --------------------------------------------------------------------------
+# run settings
+
+
+@dataclass(frozen=True)
+class VerifySettings:
+    """Run settings of the games, theorem checks and built-in adversaries,
+    named and defaulted as the CLI config keys; `jobs` is `--jobs`."""
+
+    tau: int = 1
+    trials: int = 10000
+    query_budget: int = 10**6
+    seed: int = 1
+    delta: float = 0.16
+    gamma: float = 0.5
+    stats_outer: int = 600
+    stats_inner: int = 400
+    sampler_queries: int = 16
+    jobs: int = 1
+
+    @classmethod
+    def from_config(cls, cfg: dict, jobs: int = 1) -> "VerifySettings":
+        """The settings of a CLI config; a key it lacks keeps its default."""
+        return cls(jobs=jobs, **{f.name: cfg[f.name] for f in fields(cls)
+                                 if f.name in cfg})
+
+    @property
+    def game_kw(self) -> dict:
+        return dict(trials=self.trials, seed=self.seed,
+                    budget=self.query_budget, jobs=self.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +146,7 @@ class PalSamplerAdversary(IrrAdversary):
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
         if leak != LEAK_BOTH:
-            raise ContractError("the sampling inverter needs both template parts")
+            raise ContractError(f"{self.name} needs lambda pi+ad, got {leak}")
         return params
 
     def phase2_batch(self, state, view, oracle, rng):
@@ -170,14 +206,13 @@ class ReadViewAdversary(IrrAdversary):
         self.name = f"read-{'pi' if which == 'pi' else 'alpha'}"
 
     def phase1(self, params, leak, tau, oracle, rng):
+        part = "pi" if self.which == "pi" else "ad"
+        if not getattr(leak, part):
+            raise ContractError(f"{self.name} needs {part} in lambda, got {leak}")
         return None
 
     def phase2(self, state, view, oracle, rng):
         value = view.pi if self.which == "pi" else view.alpha
-        if self.which == "pi" and not view.has_pi:
-            raise ContractError("view does not carry the identifier")
-        if self.which == "alpha" and not view.has_ad:
-            raise ContractError("view does not carry the auxiliary data")
         if not isinstance(value, FeatureElement):
             raise ContractError(f"leaked {self.which} is not a feature element")
         return value
@@ -192,7 +227,8 @@ class SamplerIrrAdversary(IrrAdversary):
 
     name = "sampler"
 
-    def __init__(self, num_queries: int = 16, fallback_tau: int = 0):
+    def __init__(self, num_queries: int = VerifySettings.sampler_queries,
+                 fallback_tau: int = 0):
         if num_queries < 1:
             raise ConfigError("num_queries must be >= 1")
         self.num_queries = num_queries
@@ -250,7 +286,7 @@ class MatchTestUnlinkAdversary(UnlinkAdversary):
 
     def phase1_batch(self, params, leak, oracle, rng):
         if leak != LEAK_BOTH:
-            raise ContractError("the match-test distinguisher needs both parts")
+            raise ContractError(f"{self.name} needs lambda pi+ad, got {leak}")
         x, x0, x1 = _random_triples(params.population, oracle, rng)
         return x, x0, x1, (params, x0, x1)
 
@@ -364,3 +400,55 @@ def _view_subset(view: PtView, sel) -> PtView:
     return PtView(pi=None if view.pi is None else view.pi[sel],
                   alpha=None if view.alpha is None else view.alpha[sel],
                   has_pi=view.has_pi, has_ad=view.has_ad)
+
+
+# --------------------------------------------------------------------------
+# the adversary factory
+
+
+IRR_ADVERSARIES = ("blind", "pal-sampler", "sampler", "read-pi", "read-alpha")
+
+
+def adversary_names(game: str) -> tuple:
+    """Every name `build_adversary` accepts for `game`."""
+    if game != "unlink":
+        return IRR_ADVERSARIES
+    return ("match-test", "appendix-b", "coin", "cross-comparator",
+            *(f"cross-comparator[{rule}]" for rule in COMPARATOR_RULES),
+            *(f"reduction(inner={inner})" for inner in IRR_ADVERSARIES))
+
+
+def build_adversary(name: str, game: str, scheme, pop,
+                    settings: VerifySettings):
+    """The built-in adversary `name` for `game` ("al-irr", "pal-irr" or
+    "unlink"), set up from `settings`: `pal-sampler` is sized from
+    `stats_outer` x `stats_inner` measured template statistics, `sampler`
+    draws `sampler_queries` candidates."""
+    names = adversary_names(game)
+    if name not in names:
+        raise ConfigError(f"unknown adversary {name!r} for the {game} game; "
+                          f"choose from {', '.join(names)}")
+    s = settings
+    if name.startswith("reduction("):
+        inner = name[len("reduction(inner="):-1]
+        return ReductionUnlinkAdversary(
+            build_adversary(inner, "al-irr", scheme, pop, s), s.tau)
+    if name.startswith("cross-comparator"):
+        return CrossComparatorAdversary(
+            name[len("cross-comparator["):-1] or "match-test")
+    if name in ("match-test", "appendix-b"):
+        return MatchTestUnlinkAdversary()
+    if name == "coin":
+        return CoinFlipUnlinkAdversary()
+    if name == "blind":
+        if game == "pal-irr":
+            return blind_pal_adversary(scheme, pop)
+        return blind_al_adversary(pop, s.tau)
+    if name == "pal-sampler":
+        st = pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
+                            seed=s.seed, jobs=s.jobs)
+        return PalSamplerAdversary(
+            PalSamplerConfig.from_stats(st.stats, s.delta, s.gamma))
+    if name == "sampler":
+        return SamplerIrrAdversary(s.sampler_queries, fallback_tau=s.tau)
+    return ReadViewAdversary("pi" if name == "read-pi" else "alpha")

@@ -4,6 +4,10 @@
     btpeval game {al-irr,pal-irr,unlink} --adversary NAME [--lambda pi+ad] ...
     btpeval verify --theorem {t1,t2,t3,t4,all} ...
 
+Every subcommand reads its run settings from one `VerifySettings` record;
+`game` builds its adversary with `build_adversary`, `verify` runs
+`verify_all`.
+
 Exit codes: 0 success, 1 a theorem check failed, 2 configuration or usage
 error.  Reports are deterministic given --seed and independent of --jobs.
 """
@@ -16,38 +20,26 @@ import json
 import re
 import sys
 import time
+from dataclasses import fields
 
 from . import exact, metrics, verify
-from .adversaries import (
-    CoinFlipUnlinkAdversary,
-    CrossComparatorAdversary,
-    MatchTestUnlinkAdversary,
-    PalSamplerAdversary,
-    PalSamplerConfig,
-    ReadViewAdversary,
-    ReductionUnlinkAdversary,
-    SamplerIrrAdversary,
-    blind_al_adversary,
-    blind_pal_adversary,
-)
+from .adversaries import VerifySettings, adversary_names, build_adversary
 from .errors import BtpEvalError, ConfigError, ModeError
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
 from .population import Population
 from .report import make_report, write_report
 from .schemes import LEAK_BOTH, LeakSet, build_scheme
 
+# The run settings and their defaults are the fields of `VerifySettings`:
+# every one but `jobs` (a flag) is a config key, and every one but
+# `sampler_queries` (echoed only when a config sets it) has a default here.
+_SETTINGS = [f for f in fields(VerifySettings) if f.name != "jobs"]
+
 DEFAULT_CONFIG = {
     "population": {"n": 7, "U": 16, "p": 0.03, "seed": 1},
     "scheme": {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}},
-    "tau": 1,
     "lambda": None,  # games use pi+ad; verify runs T1/T4 on pi, then on ad
-    "trials": 10000,
-    "query_budget": 10**6,
-    "seed": 1,
-    "delta": 0.16,
-    "gamma": 0.5,
-    "stats_outer": 600,
-    "stats_inner": 400,
+    **{f.name: f.default for f in _SETTINGS if f.name != "sampler_queries"},
 }
 
 
@@ -60,9 +52,7 @@ CONFIG_KEYS = {
                    "centers": list},
     "scheme": {"scheme": None, "tau": int,
                "code": {"n": int, "k": int, "t": int, "generator": list}},
-    **dict.fromkeys(("tau", "trials", "query_budget", "seed", "stats_outer",
-                     "stats_inner", "sampler_queries"), int),
-    **dict.fromkeys(("delta", "gamma"), float),
+    **{f.name: type(f.default) for f in _SETTINGS},
     "lambda": None,
 }
 
@@ -130,7 +120,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def _build(cfg):
     pop = Population.from_config(cfg["population"])
     scheme_cfg = dict(cfg["scheme"])
-    scheme_cfg.setdefault("tau", cfg.get("tau", 1))
+    scheme_cfg.setdefault("tau", cfg["tau"])
     scheme = build_scheme(scheme_cfg, pop.n)
     return scheme, pop
 
@@ -143,73 +133,18 @@ def _config_echo(cfg, scheme, pop) -> dict:
     return echo
 
 
-_IRR_ADVERSARIES = ("blind", "pal-sampler", "sampler", "read-pi", "read-alpha")
-_UNLINK_ADVERSARIES = ("appendix-b", "match-test", "cross-comparator", "coin")
-
-
-def _measure_sampler_config(scheme, pop, cfg) -> PalSamplerConfig:
-    st = metrics.pt_match_stats(scheme, pop, cfg["stats_outer"],
-                                cfg["stats_inner"], seed=cfg["seed"])
-    return PalSamplerConfig.from_stats(st.stats, cfg["delta"], cfg["gamma"])
-
-
-def make_irr_adversary(name: str, scheme, pop, leak: LeakSet, tau: int,
-                       game: str, cfg: dict):
-    if name == "blind":
-        if game == "pal-irr":
-            return blind_pal_adversary(scheme, pop)
-        return blind_al_adversary(pop, tau)
-    if name == "pal-sampler":
-        if leak != LEAK_BOTH:
-            raise ConfigError("pal-sampler needs --lambda pi+ad")
-        return PalSamplerAdversary(_measure_sampler_config(scheme, pop, cfg))
-    if name == "sampler":
-        return SamplerIrrAdversary(num_queries=int(cfg.get("sampler_queries", 16)),
-                                   fallback_tau=tau)
-    if name == "read-pi":
-        if not leak.pi:
-            raise ConfigError("read-pi needs a leak set containing pi")
-        return ReadViewAdversary("pi")
-    if name == "read-alpha":
-        if not leak.ad:
-            raise ConfigError("read-alpha needs a leak set containing ad")
-        return ReadViewAdversary("alpha")
-    raise ConfigError(
-        f"unknown inversion adversary {name!r}; choose from {_IRR_ADVERSARIES}"
-    )
-
-
-def make_unlink_adversary(name: str, scheme, pop, leak: LeakSet, tau: int,
-                          cfg: dict):
-    reduction = re.fullmatch(r"reduction\(inner=([a-z-]+)\)", name)
-    if reduction:
-        inner = make_irr_adversary(reduction.group(1), scheme, pop, leak, tau,
-                                   "al-irr", cfg)
-        return ReductionUnlinkAdversary(inner, tau)
-    if name in ("appendix-b", "match-test"):
-        if leak != LEAK_BOTH:
-            raise ConfigError(f"{name} needs --lambda pi+ad")
-        return MatchTestUnlinkAdversary()
-    comparator = re.fullmatch(r"cross-comparator(?:\[([a-z0-9-]+)\])?", name)
-    if comparator:
-        return CrossComparatorAdversary(comparator.group(1) or "match-test")
-    if name == "coin":
-        return CoinFlipUnlinkAdversary()
-    raise ConfigError(
-        f"unknown distinguishing adversary {name!r}; choose from "
-        f"{_UNLINK_ADVERSARIES} or reduction(inner=...)"
-    )
+def _entropy_bits(rate):
+    """`metrics.entropy_bits`, or None (strict JSON) for a zero or unknown rate."""
+    return metrics.entropy_bits(rate) if rate else None
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
-    trials = cfg["trials"]
-    seed = cfg["seed"]
-    tau = cfg["tau"]
-    budgeted = dict(seed=seed, jobs=jobs)
+def cmd_metrics(s: VerifySettings, scheme, pop) -> tuple:
+    trials, tau = s.trials, s.tau
+    budgeted = dict(seed=s.seed, jobs=s.jobs)
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError:
@@ -241,29 +176,27 @@ def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
     div = metrics.est_fmr_div(scheme, pop, trials, **budgeted)
     div_exact = en.fmr_div() if en else None
     add("fmr_div", div, div_exact,
-        extra={"entropy_bits": metrics.entropy_bits(div.point),
-               "entropy_bits_exact": metrics.entropy_bits(div_exact)
-               if div_exact is not None else None})
+        extra={"entropy_bits": _entropy_bits(div.point),
+               "entropy_bits_exact": _entropy_bits(div_exact)})
 
-    m_mr = metrics.extremal_mr(pop, tau, seed=seed)
+    m_mr = metrics.extremal_mr(pop, tau, seed=s.seed)
     add(f"m_d<={tau}", metrics.est_mr_of_feature(pop, m_mr.witness, tau, trials,
                                                  **budgeted),
         m_mr.value, extra={"witness": str(m_mr.witness), "mode": m_mr.mode})
-    m_rmr = metrics.extremal_rmr(scheme, pop, seed=seed)
+    m_rmr = metrics.extremal_rmr(scheme, pop, seed=s.seed)
     add("m_rmr", metrics.rmr_of_feature(scheme, pop, m_rmr.witness, trials,
                                         **budgeted),
         m_rmr.value, extra={"witness": str(m_rmr.witness), "mode": m_rmr.mode})
 
     if pop.n <= exact.EXACT_N_CAP:
-        ov_est = metrics.est_overlap_rates(pop, tau, trials, seed=seed)
-        ov = metrics.overlap_rates(pop, tau)
-        add(f"p_tau{tau}", ov_est.p_tau, ov.p_tau,
-            extra={"witness": str(ov_est.witness_max)})
-        add(f"q_tau{tau}", ov_est.q_tau, ov.q_tau,
-            extra={"witness": str(ov_est.witness_min)})
+        ov = metrics.est_overlap_rates(pop, tau, trials, seed=s.seed)
+        add(f"p_tau{tau}", ov.p_tau, ov.exact.p_tau,
+            extra={"witness": str(ov.exact.witness_max)})
+        add(f"q_tau{tau}", ov.q_tau, ov.exact.q_tau,
+            extra={"witness": str(ov.exact.witness_min)})
 
-    st = metrics.pt_match_stats(scheme, pop, cfg["stats_outer"],
-                                cfg["stats_inner"], seed=seed, jobs=jobs)
+    st = metrics.pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
+                                **budgeted)
     stats_entry = {"metric": "mr_pi_stats", "stats": st.to_dict()}
     if en:
         mean, sigma = en.pt_match_stats()
@@ -273,53 +206,27 @@ def cmd_metrics(cfg: dict, scheme, pop, jobs: int) -> tuple:
     return {"metrics": entries}, 0
 
 
-def cmd_game(cfg: dict, scheme, pop, game: str, adversary_name: str, jobs: int,
-             cross_rates: bool = False) -> tuple:
-    leak = LeakSet.parse(cfg["lambda"] or str(LEAK_BOTH))
-    tau = cfg["tau"]
-    trials = cfg["trials"]
-    seed = cfg["seed"]
-    budget = cfg["query_budget"]
+def cmd_game(s: VerifySettings, scheme, pop, game: str, adversary_name: str,
+             leak: LeakSet, cross_rates: bool = False) -> tuple:
     if cross_rates and game != "unlink":
         raise ConfigError(f"--cross-rates applies to the unlink game, not {game}")
-    if game in ("al-irr", "pal-irr"):
-        adv = make_irr_adversary(adversary_name, scheme, pop, leak, tau,
-                                 game, cfg)
-        if game == "al-irr":
-            result = run_al_irr_game(scheme, pop, leak, tau, adv, trials,
-                                     seed=seed, budget=budget, jobs=jobs)
-        else:
-            result = run_pal_irr_game(scheme, pop, leak, adv, trials,
-                                      seed=seed, budget=budget, jobs=jobs)
-        return {"game_result": result.to_dict()}, 0
-    if game == "unlink":
-        adv = make_unlink_adversary(adversary_name, scheme, pop, leak, tau, cfg)
-        result = run_unlink_game(scheme, pop, leak, adv, trials, seed=seed,
-                                 budget=budget, jobs=jobs)
-        body = {"game_result": result.to_dict()}
-        if cross_rates:
-            cm = est_cross_match_rates(scheme, pop, leak, adv, trials,
-                                       seed=seed, budget=budget, jobs=jobs)
-            body["cross_match"] = cm.to_dict()
-        return body, 0
-    raise ConfigError(f"unknown game {game!r}")
+    adv = build_adversary(adversary_name, game, scheme, pop, s)
+    if game == "al-irr":
+        result = run_al_irr_game(scheme, pop, leak, s.tau, adv, **s.game_kw)
+    elif game == "pal-irr":
+        result = run_pal_irr_game(scheme, pop, leak, adv, **s.game_kw)
+    else:
+        result = run_unlink_game(scheme, pop, leak, adv, **s.game_kw)
+    body = {"game_result": result.to_dict()}
+    if cross_rates:
+        body["cross_match"] = est_cross_match_rates(
+            scheme, pop, leak, adv, **s.game_kw).to_dict()
+    return body, 0
 
 
-_THEOREMS = (*verify.THEOREMS, "all")
-
-
-def cmd_verify(cfg: dict, scheme, pop, theorem: str, jobs: int) -> tuple:
-    if theorem not in _THEOREMS:
-        raise ConfigError(f"unknown theorem {theorem!r}; choose from {_THEOREMS}")
-    checks = (verify.THEOREMS.values() if theorem == "all"
-              else [verify.THEOREMS[theorem]])
-    leaks = ([LeakSet.parse(cfg["lambda"])] if cfg["lambda"]
-             else verify.SINGLE_PART_LEAKS)
-    settings = verify.VerifySettings(
-        tau=cfg["tau"], delta=cfg["delta"], gamma=cfg["gamma"],
-        trials=cfg["trials"], seed=cfg["seed"], budget=cfg["query_budget"],
-        jobs=jobs, stats_outer=cfg["stats_outer"], stats_inner=cfg["stats_inner"])
-    verdicts = [v for check in checks for v in check(scheme, pop, leaks, settings)]
+def cmd_verify(s: VerifySettings, scheme, pop, theorem: str,
+               leak: LeakSet | None) -> tuple:
+    verdicts = verify.verify_all(scheme, pop, s, theorem, leak)
     body = {"theorems": [v.to_dict() for v in verdicts]}
     code = 0 if all(v.status != verify.FAIL for v in verdicts) else 1
     return body, code
@@ -353,13 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_game = sub.add_parser("game", help="run one game")
     p_game.add_argument("game", choices=("al-irr", "pal-irr", "unlink"))
-    p_game.add_argument("--adversary", required=True)
+    p_game.add_argument(
+        "--adversary", required=True,
+        help=f"al-irr, pal-irr: {', '.join(adversary_names('al-irr'))}; "
+             f"unlink: {', '.join(adversary_names('unlink'))}")
     p_game.add_argument("--cross-rates", action="store_true",
                         help="also estimate FCMR/FNCMR (unlink only)")
     _common_flags(p_game)
 
     p_verify = sub.add_parser("verify", help="check the relation theorems")
-    p_verify.add_argument("--theorem", choices=_THEOREMS, default="all")
+    p_verify.add_argument("--theorem", choices=(*verify.THEOREMS, "all"),
+                          default="all")
     _common_flags(p_verify)
 
     return parser
@@ -376,17 +287,19 @@ def main(argv=None) -> int:
         if args.leak is not None:
             overrides["lambda"] = args.leak
         cfg = load_config(args.config, overrides)
-        jobs = args.jobs
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        settings = VerifySettings.from_config(cfg, args.jobs)
+        leak = LeakSet.parse(cfg["lambda"]) if cfg["lambda"] else None
         scheme, pop = _build(cfg)
         if args.cmd == "metrics":
-            body, code = cmd_metrics(cfg, scheme, pop, jobs)
+            body, code = cmd_metrics(settings, scheme, pop)
         elif args.cmd == "game":
-            body, code = cmd_game(cfg, scheme, pop, args.game, args.adversary,
-                                  jobs, cross_rates=args.cross_rates)
+            body, code = cmd_game(settings, scheme, pop, args.game,
+                                  args.adversary, leak or LEAK_BOTH,
+                                  cross_rates=args.cross_rates)
         else:
-            body, code = cmd_verify(cfg, scheme, pop, args.theorem, jobs)
+            body, code = cmd_verify(settings, scheme, pop, args.theorem, leak)
         report = make_report(args.cmd, _config_echo(cfg, scheme, pop), body,
                              timings={"wall_s": round(time.time() - t0, 3)})
         write_report(report, args.out, args.format)

@@ -444,17 +444,17 @@ def overlap_rates(pop: Population, tau: int) -> OverlapRates:
 class OverlapEstimate:
     p_tau: AdvantageEstimate
     q_tau: AdvantageEstimate
-    witness_max: FeatureElement
-    witness_min: FeatureElement
+    exact: OverlapRates
 
 
 def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
                       level: float = 0.95) -> OverlapEstimate:
     """Monte Carlo (p_tau, q_tau) at the exact extremal features.
 
-    The witnesses come from the exact scan (`overlap_rates`); their rates
-    are estimated on the same trials - trials // 2 captures of the
-    "overlap-estimate" stream, and `queries` counts those captures.
+    The witnesses come from the exact scan (`overlap_rates`), which the
+    result carries as `exact`; their rates are estimated on the same
+    trials - trials // 2 captures of the "overlap-estimate" stream, and
+    `queries` counts those captures.
     """
     if pop.n > exact.EXACT_N_CAP:
         raise ModeError("overlap estimation scans all features; "
@@ -472,7 +472,7 @@ def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
                                              queries_used=t_est)
 
     return OverlapEstimate(p_tau=rate(ov.witness_max), q_tau=rate(ov.witness_min),
-                           witness_max=ov.witness_max, witness_min=ov.witness_min)
+                           exact=ov)
 
 
 # --------------------------------------------------------------------------
@@ -540,25 +540,24 @@ def pt_match_stats(scheme, pop, trials_outer: int, trials_inner: int,
     template deviation by the inner binomial noise; the reported std_dev
     subtracts that noise term (clipped at zero).
     """
+    if trials_outer < 2:
+        raise ConfigError(f"trials_outer must be >= 2, got {trials_outer}")
     if trials_inner < 2:
-        raise ConfigError("trials_inner must be >= 2")
+        raise ConfigError(f"trials_inner must be >= 2, got {trials_inner}")
     kernel = _PtStatsKernel(scheme, pop, trials_inner)
     parts = _run_kernel(kernel, trials_outer, seed, "pt_stats", jobs)
     rates = np.concatenate(parts)
     no = len(rates)
     mean = float(rates.mean())
     z = z_value(level)
-    if no > 1:
-        se_mean = float(rates.std(ddof=1)) / math.sqrt(no)
-    else:
-        se_mean = float("inf")
-    s2 = float(rates.var(ddof=1)) if no > 1 else 0.0
+    se_mean = float(rates.std(ddof=1)) / math.sqrt(no)
+    s2 = float(rates.var(ddof=1))
     noise = float(np.mean(rates * (1.0 - rates))) / (trials_inner - 1)
     sigma2 = max(s2 - noise, 0.0)
     sigma = math.sqrt(sigma2)
     centered = rates - mean
     m4 = float(np.mean(centered ** 4))
-    se_s2 = math.sqrt(max(m4 - s2 * s2, 0.0) / no) if no > 0 else float("inf")
+    se_s2 = math.sqrt(max(m4 - s2 * s2, 0.0) / no)
     lo2, hi2 = max(sigma2 - z * se_s2, 0.0), sigma2 + z * se_s2
     return PtMatchStatsResult(
         stats=MatchRateStats(mean=min(mean, 1.0), std_dev=sigma),

@@ -154,9 +154,12 @@ def _int_to_bytes(value: int, n_bits: int) -> bytes:
     return value.to_bytes((n_bits + 7) // 8, "little")
 
 
+DIGEST_BYTES = 16
+
+
 def blake128(data: bytes) -> bytes:
     """The 128-bit digest of pseudonymous identifiers."""
-    return hashlib.blake2b(data, digest_size=16).digest()
+    return hashlib.blake2b(data, digest_size=DIGEST_BYTES).digest()
 
 
 @dataclass(frozen=True)
@@ -470,8 +473,13 @@ class FuzzyCommitmentScheme(BtpScheme):
     def template_codes(self, pt):
         if pt.alpha.n != self.feature_dim:
             raise DimensionError("auxiliary data has wrong length")
-        pi = REJECT_CODE if pt.pi is REJECT else np.uint64(self._index_of[pt.pi])
-        return pi, np.uint64(pt.alpha.value)
+        if pt.pi is not REJECT and not (isinstance(pt.pi, bytes)
+                                        and len(pt.pi) == DIGEST_BYTES):
+            raise ContractError(f"fc identifier must be a {DIGEST_BYTES}-byte "
+                                f"digest, got {pt.pi!r}")
+        # a digest of no codeword, like REJECT, matches nothing
+        return (np.uint64(self._index_of.get(pt.pi, REJECT_CODE)),
+                np.uint64(pt.alpha.value))
 
     def template_of_codes(self, pi_code, alpha_code):
         pi = REJECT if pi_code == REJECT_CODE else self._digests[int(pi_code)]

@@ -11,6 +11,9 @@ Universal quantification over adversaries is not executable; the
 unachievability claims are checked in full strength by running the
 constructive adversary they posit, while the implication bounds are
 checked per adversary and labeled as such in the verdict details.
+
+The checks take one `VerifySettings` record and build their adversaries
+with `build_adversary`, as `btpeval game` does; `verify_all` drives them.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from dataclasses import dataclass, field
 
 from . import exact, metrics
 from .adversaries import (
-    MatchTestUnlinkAdversary,
     PalSamplerAdversary,
     PalSamplerConfig,
     ReductionUnlinkAdversary,
-    SamplerIrrAdversary,
-    blind_al_adversary,
+    VerifySettings,
+    build_adversary,
 )
 from .errors import ConfigError, ModeError, VariationTooHighError
 from .games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game, run_unlink_game
@@ -72,9 +74,8 @@ class TheoremVerdict:
 
 
 def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
-                            tau: int, adversary=None, trials: int = 10000,
-                            seed: int = 0, budget: int = 10**6,
-                            jobs: int = 1) -> TheoremVerdict:
+                            settings: VerifySettings = VerifySettings(),
+                            adversary=None) -> TheoremVerdict:
     """Irreversibility relation chain, checked as exact per-trial
     inclusions on coupled transcripts.
 
@@ -83,10 +84,11 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
     (b) for threshold-compatible schemes a within-tau win is an
     acceptance win.  Both inclusions carry zero tolerance.
     """
+    tau = settings.tau
     if adversary is None:
-        adversary = blind_al_adversary(pop, tau)
-    coupled = run_coupled_irr_trials(scheme, pop, leak, tau, adversary, trials,
-                                     seed=seed, budget=budget, jobs=jobs)
+        adversary = build_adversary("blind", "al-irr", scheme, pop, settings)
+    coupled = run_coupled_irr_trials(scheme, pop, leak, tau, adversary,
+                                     **settings.game_kw)
     violations = coupled.inclusion_violations()
     pal_applies = scheme.threshold_compatible(tau)
     total = violations["fl_subset_al"]
@@ -98,7 +100,7 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
     rates = coupled.rates
     details = {
         "adversary": getattr(adversary, "name", "custom"),
-        "trials": trials,
+        "trials": settings.trials,
         "tau": tau,
         "violations": violations,
         "rates": {k: float(v) for k, v in rates.items()},
@@ -119,26 +121,26 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
 
 
 def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
-                               delta: float = 0.16, gamma: float = 0.5,
-                               trials: int = 5000, seed: int = 0,
-                               stats_outer: int = 600, stats_inner: int = 400,
-                               budget: int = 10**6,
-                               jobs: int = 1) -> TheoremVerdict:
+                               settings: VerifySettings = VerifySettings()
+                               ) -> TheoremVerdict:
     """Full-template inversion is unachievable: the repeated-sampling
     inverter must win the acceptance game with rate above 1 - gamma.
 
     Hypotheses gate applicability: the measured per-template rate spread
     must satisfy C < 1 and C^2 < delta.  Where the scheme has an exact
     oracle, the details also give the exact statistics and the n_delta
-    they would set, beside the estimated ones the check uses.
+    they would set, beside the estimated ones the check uses.  The sampler
+    game runs at most 5000 trials.
     """
-    st = metrics.pt_match_stats(scheme, pop, stats_outer, stats_inner,
-                                seed=seed, jobs=jobs)
+    s = settings
+    delta, gamma, trials = s.delta, s.gamma, min(s.trials, 5000)
+    st = metrics.pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
+                                seed=s.seed, jobs=s.jobs)
     stats = st.stats
     details = {
         "delta": delta, "gamma": gamma, "trials": trials,
         "measured_mr": stats.mean, "measured_sigma": stats.std_dev,
-        "stats_outer": stats_outer, "stats_inner": stats_inner,
+        "stats_outer": s.stats_outer, "stats_inner": s.stats_inner,
         "tolerance_note": "the tolerance counts only the sampler game's "
                           "standard error, not the error of the estimated "
                           "statistics that set n_delta",
@@ -175,7 +177,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     details["mu"] = cfg.mu
     details["n_delta"] = cfg.n_delta
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
-                            trials, seed=seed, budget=budget, jobs=jobs)
+                            **dict(s.game_kw, trials=trials))
     tol = 3.0 * game.win_rate.std_error
     details["win_rate"] = game.win_rate.point
     details["advantage"] = game.advantage.point
@@ -189,16 +191,15 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
 
 
 def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
-                                  trials: int = 20000, seed: int = 0,
-                                  budget: int = 10**6,
-                                  jobs: int = 1) -> TheoremVerdict:
+                                  settings: VerifySettings = VerifySettings()
+                                  ) -> TheoremVerdict:
     """Full-template linkage is unachievable: the match-test distinguisher
     reaches advantage 1 - MR when every template accepts its own feature.
 
     The own-feature hypothesis is checked exactly first; MR comes from
     the exact oracle, and without one the check does not apply.
     """
-    details = {"trials": trials}
+    details = {"trials": settings.trials}
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError as e:
@@ -211,8 +212,9 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
                               leak=str(LEAK_BOTH), details=details)
     mr_mean, _ = en.pt_match_stats()
     details["mr_exact"] = mr_mean
-    game = run_unlink_game(scheme, pop, LEAK_BOTH, MatchTestUnlinkAdversary(),
-                           trials, seed=seed, budget=budget, jobs=jobs)
+    adversary = build_adversary("match-test", "unlink", scheme, pop, settings)
+    game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary,
+                           **settings.game_kw)
     tol = 3.0 * 2.0 * game.win_rate.std_error
     details["advantage"] = game.advantage.point
     details["win_rate"] = game.win_rate.point
@@ -226,16 +228,19 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
 
 
 def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
-                               leak: LeakSet, tau: int, inner_adversary=None,
-                               trials: int = 10000, seed: int = 0,
-                               budget: int = 10**6, jobs: int = 1) -> TheoremVerdict:
+                               leak: LeakSet,
+                               settings: VerifySettings = VerifySettings(),
+                               inner_adversary=None) -> TheoremVerdict:
     """Unlinkability dominates within-tau irreversibility: the reduction
     distinguisher built from an inversion adversary A must reach
-    advantage >= (1 - p_tau) * Adv(A) - (p_tau - q_tau) * m_tau."""
+    advantage >= (1 - p_tau) * Adv(A) - (p_tau - q_tau) * m_tau; A
+    defaults to the built-in `sampler`."""
+    tau = settings.tau
     if inner_adversary is None:
-        inner_adversary = SamplerIrrAdversary(num_queries=16, fallback_tau=tau)
+        inner_adversary = build_adversary("sampler", "al-irr", scheme, pop,
+                                          settings)
     details = {
-        "tau": tau, "trials": trials,
+        "tau": tau, "trials": settings.trials,
         "inner": getattr(inner_adversary, "name", "custom"),
         "quantification": "per-adversary reduction check",
     }
@@ -251,11 +256,10 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
         details["reason"] = "p_tau = 1 makes the bound vacuous"
         return TheoremVerdict("T4", VACUOUS, ">=", None, None, None,
                               leak=str(leak), details=details)
-    game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary, trials,
-                             seed=seed, budget=budget, jobs=jobs)
+    game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary,
+                             **settings.game_kw)
     reduction = ReductionUnlinkAdversary(inner_adversary, tau)
-    game_b = run_unlink_game(scheme, pop, leak, reduction, trials,
-                             seed=seed, budget=budget, jobs=jobs)
+    game_b = run_unlink_game(scheme, pop, leak, reduction, **settings.game_kw)
     adv_a = game_a.advantage.point
     adv_b = game_b.advantage.point
     rhs = (1.0 - ov.p_tau) * adv_a - (ov.p_tau - ov.q_tau) * m_tau.value
@@ -272,50 +276,33 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     )
 
 
-@dataclass(frozen=True)
-class VerifySettings:
-    """Settings shared by every theorem check, named as in the CLI config
-    (`budget` is its `query_budget`)."""
-
-    tau: int = 1
-    delta: float = 0.16
-    gamma: float = 0.5
-    trials: int = 10000
-    seed: int = 0
-    budget: int = 10**6
-    jobs: int = 1
-    stats_outer: int = 600
-    stats_inner: int = 400
-
-    @property
-    def game_kw(self) -> dict:
-        return dict(trials=self.trials, seed=self.seed, budget=self.budget,
-                    jobs=self.jobs)
-
-
 SINGLE_PART_LEAKS = (LEAK_PI, LEAK_AD)
 
 # The relation diagram in report order.  Each entry maps (scheme, pop,
 # leaks, settings) to its verdicts; T1 and T4 run once per leak set, T2
-# and T3 on the full template.
+# and T3 on the full template.  The lambdas look each check up at call
+# time, so a rebound module attribute takes effect.
 THEOREMS = {
     "t1": lambda scheme, pop, leaks, s: [
-        check_thm_irr_relations(scheme, pop, leak, s.tau, **s.game_kw)
-        for leak in leaks],
-    "t2": lambda scheme, pop, leaks, s: [check_thm_pal_unachievable(
-        scheme, pop, delta=s.delta, gamma=s.gamma, trials=min(s.trials, 5000),
-        seed=s.seed, stats_outer=s.stats_outer, stats_inner=s.stats_inner,
-        budget=s.budget, jobs=s.jobs)],
+        check_thm_irr_relations(scheme, pop, leak, s) for leak in leaks],
+    "t2": lambda scheme, pop, leaks, s: [
+        check_thm_pal_unachievable(scheme, pop, s)],
     "t3": lambda scheme, pop, leaks, s: [
-        check_thm_unlink_unachievable(scheme, pop, **s.game_kw)],
+        check_thm_unlink_unachievable(scheme, pop, s)],
     "t4": lambda scheme, pop, leaks, s: [
-        check_thm_unlink_irr_bound(scheme, pop, leak, s.tau, **s.game_kw)
-        for leak in leaks],
+        check_thm_unlink_irr_bound(scheme, pop, leak, s) for leak in leaks],
 }
 
 
-def verify_all(scheme: BtpScheme, pop: Population, **settings) -> list:
-    """The full relation diagram; `settings` are `VerifySettings` fields."""
-    s = VerifySettings(**settings)
-    return [v for check in THEOREMS.values()
-            for v in check(scheme, pop, SINGLE_PART_LEAKS, s)]
+def verify_all(scheme: BtpScheme, pop: Population,
+               settings: VerifySettings = VerifySettings(),
+               theorem: str = "all", leak: LeakSet | None = None) -> list:
+    """The verdicts of `theorem` ("t1" ... "t4"), or of the full relation
+    diagram for "all"; T1 and T4 run on `leak`, or on pi and then on ad
+    when it is None."""
+    if theorem != "all" and theorem not in THEOREMS:
+        raise ConfigError(f"unknown theorem {theorem!r}; choose from "
+                          f"{(*THEOREMS, 'all')}")
+    checks = THEOREMS.values() if theorem == "all" else [THEOREMS[theorem]]
+    leaks = SINGLE_PART_LEAKS if leak is None else (leak,)
+    return [v for check in checks for v in check(scheme, pop, leaks, settings)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from btpeval import cli, exact, metrics, verify
+from btpeval.adversaries import VerifySettings, adversary_names
 from btpeval.errors import ConfigError
 from btpeval.report import strip_timings
 
@@ -20,8 +21,13 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 def load_json(text):
-    return json.loads(text)
+    """A report, parsed as strict JSON: NaN and +-Infinity are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +119,99 @@ class TestExitCodes:
             assert "no exact overlap rates" in verdict["details"]["reason"]
 
 
+    @pytest.mark.parametrize("outer", [0, 1])
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["game", "pal-irr", "--adversary", "pal-sampler"],
+        ["verify", "--theorem", "t2"]], ids=["metrics", "game", "verify"])
+    def test_stats_outer_below_two_is_usage_error(self, tmp_path, capsys,
+                                                  argv, outer):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stats_outer": outer}))
+        code, out, err = run_cli(argv + ["--config", str(cfg), "--trials",
+                                         "20"], capsys)
+        assert code == 2
+        assert "trials_outer must be >= 2" in err
+        assert out == ""
+
+
+# Template parts each built-in adversary needs; every other one runs on
+# any leak set.  A reduction needs what its inner adversary needs.
+NEEDS = {"pal-sampler": "pi+ad", "match-test": "pi+ad", "appendix-b": "pi+ad",
+         "read-pi": "pi", "read-alpha": "ad"}
+
+
+def _needs(name):
+    inner = name.removeprefix("reduction(inner=").removesuffix(")")
+    return NEEDS.get(inner)
+
+
+class TestAdversaryFactory:
+    @pytest.mark.parametrize("leak", ["pi", "ad", "pi+ad"])
+    @pytest.mark.parametrize("game, name", [
+        (game, name) for game in ("al-irr", "pal-irr", "unlink")
+        for name in adversary_names(game)])
+    def test_every_name_on_every_leak_set(self, tmp_path, capsys, game, name,
+                                          leak):
+        # read-pi reads a feature-valued pi, which rot has and fc has not
+        argv = ["game", game, "--adversary", name, "--lambda", leak,
+                "--trials", "20"]
+        if "read-pi" in name:
+            cfg = tmp_path / "rot.json"
+            cfg.write_text(json.dumps({"scheme": {"scheme": "rot"}}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        needs = _needs(name)
+        if needs is None or set(needs.split("+")) <= set(leak.split("+")):
+            assert code == 0, err
+            assert load_json(out)["game_result"]["trials"] == 20
+        else:
+            assert code == 2
+            assert out == ""
+            message = ("needs lambda pi+ad" if needs == "pi+ad"
+                       else f"needs {needs} in lambda")
+            assert f"{message}, got {leak}" in err
+
+    @pytest.mark.parametrize("game", ["al-irr", "pal-irr", "unlink"])
+    def test_unknown_name_lists_the_names(self, capsys, game):
+        code, _, err = run_cli(["game", game, "--adversary", "oracle",
+                                "--trials", "20"], capsys)
+        assert code == 2
+        assert "unknown adversary 'oracle'" in err
+        assert all(name in err for name in adversary_names(game))
+
+    def test_help_lists_every_name(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["game", "--help"])
+        help_text = "".join(capsys.readouterr().out.split())  # unwrapped
+        for name in adversary_names("al-irr") + adversary_names("unlink"):
+            assert name in help_text
+
+    def test_default_config_gives_the_default_settings(self):
+        assert VerifySettings.from_config(cli.DEFAULT_CONFIG) == VerifySettings()
+
+    def test_t4_inner_sampler_reads_sampler_queries(self, tmp_path, capsys):
+        # T4's inner adversary is the sampler `game` builds from the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler_queries": 2}))
+        common = ["--lambda", "pi", "--trials", "500", "--seed", "1"]
+
+        def t4(*extra):
+            code, out, err = run_cli(["verify", "--theorem", "t4", *common,
+                                      *extra], capsys)
+            assert code == 0, err
+            (verdict,) = load_json(out)["theorems"]
+            return verdict
+
+        default, two = t4(), t4("--config", str(cfg))
+        assert two["lhs"] != default["lhs"]
+        code, out, err = run_cli(["game", "al-irr", "--adversary", "sampler",
+                                  "--config", str(cfg), *common], capsys)
+        assert code == 0, err
+        game = load_json(out)["game_result"]
+        assert two["details"]["adv_inner"] == game["advantage"]["estimate"]
+        assert two["details"]["inner"] == game["adversary"] == "sampler"
+
+
 class TestGameCommand:
     def test_unlink_with_match_test(self, capsys):
         code, out, _ = run_cli(["game", "unlink", "--lambda", "pi+ad",
@@ -185,6 +284,32 @@ class TestMetricsCommand:
         report = load_json(out)
         by_name = {m["metric"]: m for m in report["metrics"]}
         assert by_name["fmr_tp_ad"]["exact"] == pytest.approx(1 / 16)
+
+
+    def test_unbounded_entropy_is_null(self, tmp_path, capsys, schema):
+        # broken never matches: fmr_div is 0, so -log2 is unbounded
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": {"scheme": "broken"}}))
+        code, out, _ = run_cli(["metrics", "--config", str(cfg), "--trials",
+                                "200", "--seed", "3"], capsys)
+        assert code == 0
+        report = load_json(out)
+        div = next(m for m in report["metrics"] if m["metric"] == "fmr_div")
+        assert (div["estimate"], div["exact"]) == (0.0, 0.0)
+        assert div["entropy_bits"] is None
+        assert div["entropy_bits_exact"] is None
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, schema)
+
+    def test_overlap_vector_scanned_once(self, capsys, monkeypatch):
+        calls = []
+        scan = exact.overlap_vector
+        monkeypatch.setattr(exact, "overlap_vector",
+                            lambda *a: calls.append(a) or scan(*a))
+        code, _, _ = run_cli(["metrics", "--trials", "200", "--seed", "3"],
+                             capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 def _rot_metrics(n, tmp_path, capsys, *args) -> dict:

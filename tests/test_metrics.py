@@ -481,6 +481,12 @@ class TestPtMatchStats:
         frac = float((st.rates > floor).mean())
         assert frac >= 0.75
 
+    @pytest.mark.parametrize("outer", [0, 1])
+    def test_fewer_than_two_templates_rejected(self, fc_scheme, default_pop,
+                                               outer):
+        with pytest.raises(ConfigError, match="trials_outer must be >= 2"):
+            metrics.pt_match_stats(fc_scheme, default_pop, outer, 40, seed=1)
+
     def test_matches_exact_enumeration(self, fc_scheme, default_pop):
         st = metrics.pt_match_stats(fc_scheme, default_pop, 600, 400, seed=13,
                                     level=0.99)
@@ -529,6 +535,7 @@ class TestOverlapRates:
         ov = metrics.overlap_rates(default_pop, 1)
         est = metrics.est_overlap_rates(default_pop, 1, 30000, seed=17,
                                         level=0.99)
+        assert est.exact == ov
         assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
 
@@ -539,8 +546,8 @@ class TestOverlapRates:
         vec = exact.overlap_vector(pop, 1)
         ov = metrics.overlap_rates(pop, 1)
         est = metrics.est_overlap_rates(pop, 1, 10000, seed=1, level=0.99)
-        assert est.witness_min.value == int(np.argmin(vec))
-        assert est.witness_max.value == int(np.argmax(vec))
+        assert est.exact.witness_min.value == int(np.argmin(vec))
+        assert est.exact.witness_max.value == int(np.argmax(vec))
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
         assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
         assert est.q_tau.queries_used == est.q_tau.trials == 5000

@@ -186,6 +186,26 @@ class TestFuzzyCommitment:
         assert vid is REJECT
         assert not scheme.pic(scheme.pie_support(fe("0000"))[0][1].pi, vid)
 
+    def test_foreign_identifier_never_matches(self, fc_scheme, default_pop):
+        # a 16-byte identifier that is no codeword's digest
+        from btpeval import metrics
+
+        x = FeatureElement(7, 0b1011001)
+        pt = fc_scheme.pie(x, substream(3, "foreign"))
+        vid = fc_scheme.pir(pt.alpha, x)
+        assert fc_scheme.pic(pt.pi, vid)
+        assert not fc_scheme.pic(b"x" * 16, vid)
+        foreign = ProtectedTemplate(b"x" * 16, pt.alpha)
+        assert metrics.pt_match_rate(fc_scheme, default_pop, foreign,
+                                     100).point == 0.0
+
+    @pytest.mark.parametrize("pi", [b"x" * 15, "x" * 16, 5, None],
+                             ids=["short", "str", "int", "none"])
+    def test_malformed_identifier_names_it(self, fc_scheme, pi):
+        x = FeatureElement(7, 3)
+        with pytest.raises(ContractError, match=f"got {pi!r}"):
+            fc_scheme.pic(pi, fc_scheme.pir(FeatureElement(7, 0), x))
+
     def test_pir_pic_deterministic(self, fc_scheme):
         rng = substream(2, "det")
         x = FeatureElement(7, 77)
@@ -529,7 +549,7 @@ class TestMethodSets:
 
     def test_batch_only_scheme_runs_everywhere(self, default_pop):
         from btpeval import exact, metrics
-        from btpeval.verify import PASS, check_thm_unlink_unachievable
+        from btpeval.verify import PASS, VerifySettings, check_thm_unlink_unachievable
 
         scheme = _XorKeyScheme(7, tau=1)
         x = FeatureElement(7, 0b1010101)
@@ -548,5 +568,6 @@ class TestMethodSets:
                                        level=0.99)
         mean, _ = en.pt_match_stats()
         assert stats.mean_ci[0] <= mean <= stats.mean_ci[1]
-        assert check_thm_unlink_unachievable(scheme, default_pop, trials=4000,
-                                             seed=3).status == PASS
+        assert check_thm_unlink_unachievable(
+            scheme, default_pop, VerifySettings(trials=4000, seed=3)
+        ).status == PASS

@@ -14,11 +14,13 @@ from btpeval.population import generate_population
 from btpeval.schemes import LEAK_AD, LEAK_PI, PlaintextScheme, RotationScheme, build_scheme
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
+S = verify.VerifySettings
+
 
 class TestT1:
     def test_fc_default_passes(self, fc_scheme, default_pop):
-        v = verify.check_thm_irr_relations(fc_scheme, default_pop, LEAK_PI, 1,
-                                           trials=3000, seed=1)
+        v = verify.check_thm_irr_relations(fc_scheme, default_pop, LEAK_PI,
+                                           S(tau=1, trials=3000, seed=1))
         assert v.status == verify.PASS
         assert v.tolerance == 0.0
         assert v.details["violations"] == {"fl_subset_al": 0, "al_subset_pal": 0}
@@ -26,9 +28,9 @@ class TestT1:
 
     def test_plaintext_read_pi_equality_case(self, default_pop):
         scheme = PlaintextScheme(7, tau=1)
-        v = verify.check_thm_irr_relations(scheme, default_pop, LEAK_PI, 1,
-                                           adversary=ReadViewAdversary("pi"),
-                                           trials=1500, seed=2)
+        v = verify.check_thm_irr_relations(scheme, default_pop, LEAK_PI,
+                                           S(tau=1, trials=1500, seed=2),
+                                           adversary=ReadViewAdversary("pi"))
         assert v.status == verify.PASS
         # a perfect inverter wins every variant, so the full-leakage
         # advantage meets its bound with equality
@@ -37,8 +39,8 @@ class TestT1:
 
     def test_pal_part_skipped_when_not_threshold_compatible(self, fc_scheme,
                                                             default_pop):
-        v = verify.check_thm_irr_relations(fc_scheme, default_pop, LEAK_PI, 2,
-                                           trials=800, seed=3)
+        v = verify.check_thm_irr_relations(fc_scheme, default_pop, LEAK_PI,
+                                           S(tau=2, trials=800, seed=3))
         assert v.status == verify.PASS
         assert v.details["pal_part"].startswith("skipped")
 
@@ -46,33 +48,33 @@ class TestT1:
 class TestT2:
     def test_fc_default_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
-                                            trials=2500, seed=4)
+                                            S(trials=2500, seed=4))
         assert v.status == verify.PASS
         assert v.lhs > v.rhs - v.tolerance
         assert v.details["measured_c2"] < 0.16
 
     def test_weaker_gamma_easier(self, fc_scheme, default_pop):
-        v = verify.check_thm_pal_unachievable(fc_scheme, default_pop, gamma=0.9,
-                                            trials=1500, seed=5)
+        v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
+                                            S(gamma=0.9, trials=1500, seed=5))
         assert v.status == verify.PASS
 
     def test_high_variation_not_applicable(self, default_pop):
         # Bernoulli per-template rates at w=0.2: C = 2 >= 1
         scheme = LotteryScheme(7, win_prob=0.2)
-        v = verify.check_thm_pal_unachievable(scheme, default_pop, trials=500,
-                                            seed=6)
+        v = verify.check_thm_pal_unachievable(scheme, default_pop,
+                                            S(trials=500, seed=6))
         assert v.status == verify.NOT_APPLICABLE
         assert "C" in v.details["reason"]
 
     def test_delta_below_c2_not_applicable(self, fc_scheme, default_pop):
         v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
-                                            delta=0.001, gamma=0.5,
-                                            trials=500, seed=7)
+                                            S(delta=0.001, gamma=0.5,
+                                              trials=500, seed=7))
         assert v.status == verify.NOT_APPLICABLE
 
     def test_zero_mean_not_applicable(self, default_pop):
         v = verify.check_thm_pal_unachievable(NeverMatchScheme(7), default_pop,
-                                            trials=500, seed=8)
+                                            S(trials=500, seed=8))
         assert v.status == verify.NOT_APPLICABLE
         # the exact statistics cannot size the sampler either
         assert v.details["exact_mr"] == 0.0
@@ -81,7 +83,7 @@ class TestT2:
 
     def test_exact_statistics_beside_estimated(self, fc_scheme, default_pop):
         v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
-                                            trials=500, seed=4)
+                                            S(trials=500, seed=4))
         mean, sigma = exact.enumerator(fc_scheme, default_pop).pt_match_stats()
         d = v.details
         assert (d["exact_mr"], d["exact_sigma"]) == (mean, sigma)
@@ -95,8 +97,8 @@ class TestT2:
         # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
         pop = generate_population(exact.EXACT_N_CAP + 1, 16, 0.03, seed=1)
         scheme = PlaintextScheme(pop.n, tau=1)
-        v = verify.check_thm_pal_unachievable(scheme, pop, trials=200, seed=9,
-                                            stats_outer=50, stats_inner=40)
+        v = verify.check_thm_pal_unachievable(scheme, pop, S(
+            trials=200, seed=9, stats_outer=50, stats_inner=40))
         assert "exact_mr" not in v.details
         assert "tolerance_note" in v.details
 
@@ -104,25 +106,25 @@ class TestT2:
 class TestT3:
     def test_fc_default_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_unachievable(fc_scheme, default_pop,
-                                           trials=8000, seed=9)
+                                           S(trials=8000, seed=9))
         assert v.status == verify.PASS
         assert abs(v.lhs - v.rhs) <= v.tolerance
 
     def test_rotation_passes(self, default_pop):
         v = verify.check_thm_unlink_unachievable(RotationScheme(7, tau=1),
-                                           default_pop, trials=8000, seed=10)
+                                           default_pop, S(trials=8000, seed=10))
         assert v.status == verify.PASS
 
     def test_always_match_degenerate_passes(self, default_pop):
         v = verify.check_thm_unlink_unachievable(AlwaysMatchScheme(7), default_pop,
-                                           trials=3000, seed=11)
+                                           S(trials=3000, seed=11))
         assert v.status == verify.PASS
         assert v.rhs == pytest.approx(0.0)
 
     def test_broken_scheme_not_applicable(self, default_pop):
         broken = build_scheme({"scheme": "broken"}, 7)
-        v = verify.check_thm_unlink_unachievable(broken, default_pop, trials=500,
-                                           seed=12)
+        v = verify.check_thm_unlink_unachievable(broken, default_pop,
+                                           S(trials=500, seed=12))
         assert v.status == verify.NOT_APPLICABLE
         assert "rejects" in v.details["reason"]
 
@@ -131,37 +133,35 @@ class TestT4:
     def test_plaintext_perfect_inverter_large_margin(self, default_pop):
         scheme = PlaintextScheme(7, tau=0)
         v = verify.check_thm_unlink_irr_bound(
-            scheme, default_pop, LEAK_PI, 0,
-            inner_adversary=ReadViewAdversary("pi"), trials=4000, seed=13)
+            scheme, default_pop, LEAK_PI, S(tau=0, trials=4000, seed=13),
+            inner_adversary=ReadViewAdversary("pi"))
         assert v.status == verify.PASS
         assert v.lhs > 0.9
         assert v.lhs >= v.rhs  # holds even without the tolerance
 
     def test_blind_inner_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_irr_bound(
-            fc_scheme, default_pop, LEAK_PI, 1,
-            inner_adversary=blind_al_adversary(default_pop, 1),
-            trials=3000, seed=14)
+            fc_scheme, default_pop, LEAK_PI, S(tau=1, trials=3000, seed=14),
+            inner_adversary=blind_al_adversary(default_pop, 1))
         assert v.status == verify.PASS
 
     def test_fc_ad_sampler_inner_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_irr_bound(
-            fc_scheme, default_pop, LEAK_AD, 1,
-            inner_adversary=SamplerIrrAdversary(num_queries=16, fallback_tau=1),
-            trials=3000, seed=15)
+            fc_scheme, default_pop, LEAK_AD, S(tau=1, trials=3000, seed=15),
+            inner_adversary=SamplerIrrAdversary(num_queries=16, fallback_tau=1))
         assert v.status == verify.PASS
 
     def test_vacuous_when_balls_always_intersect(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_irr_bound(fc_scheme, default_pop, LEAK_AD,
-                                              4, trials=100, seed=16)
+                                              S(tau=4, trials=100, seed=16))
         assert v.status == verify.VACUOUS
 
     def test_not_applicable_beyond_feature_scan(self):
         # the exact overlap rates scan every feature, up to EXACT_N_CAP
         pop = generate_population(exact.EXACT_N_CAP + 1, 4, 0.02, seed=2)
         v = verify.check_thm_unlink_irr_bound(RotationScheme(pop.n, tau=1),
-                                              pop, LEAK_PI, 1, trials=100,
-                                              seed=20)
+                                              pop, LEAK_PI,
+                                              S(tau=1, trials=100, seed=20))
         assert v.status == verify.NOT_APPLICABLE
         assert v.passed
         assert f"n <= {exact.EXACT_N_CAP}" in v.details["reason"]
@@ -169,16 +169,16 @@ class TestT4:
 
 class TestReproducibility:
     def test_identical_verdicts_on_rerun(self, fc_scheme, default_pop):
-        kw = dict(trials=1200, seed=17)
-        a = verify.check_thm_unlink_unachievable(fc_scheme, default_pop, **kw)
-        b = verify.check_thm_unlink_unachievable(fc_scheme, default_pop, **kw)
+        s = S(trials=1200, seed=17)
+        a = verify.check_thm_unlink_unachievable(fc_scheme, default_pop, s)
+        b = verify.check_thm_unlink_unachievable(fc_scheme, default_pop, s)
         assert a.lhs == b.lhs
         assert a.rhs == b.rhs
         assert a.tolerance == b.tolerance
 
     def test_verify_all_covers_relation_diagram(self, fc_scheme, default_pop):
-        verdicts = verify.verify_all(fc_scheme, default_pop, trials=600,
-                                     seed=18)
+        verdicts = verify.verify_all(fc_scheme, default_pop,
+                                     S(trials=600, seed=18))
         labels = [(v.theorem, v.leak) for v in verdicts]
         assert labels == [
             ("T1", "pi"), ("T1", "ad"),
@@ -191,6 +191,7 @@ class TestReproducibility:
                                             {"scheme": "plain", "tau": 1}])
     def test_verify_all_other_schemes(self, default_pop, scheme_cfg):
         scheme = build_scheme(scheme_cfg, 7)
-        verdicts = verify.verify_all(scheme, default_pop, trials=1500, seed=19)
+        verdicts = verify.verify_all(scheme, default_pop,
+                                     S(trials=1500, seed=19))
         assert len(verdicts) == 6
         assert all(v.status != verify.FAIL for v in verdicts)
