@@ -11,7 +11,8 @@ the unlinkability-implies-irreversibility bound exercises.
 
 `build_adversary` builds each built-in by name from the run settings in
 `VerifySettings`, for `btpeval game` and the theorem checks alike.  An
-adversary refuses a leak set it cannot use when the game runs.
+adversary refuses a leak set it cannot use when the game runs, and
+`pal-sampler` already when it is built.
 
 Each adversary has one implementation.  The view readers have scalar
 phases, which the games play trial by trial through the adversary base
@@ -29,9 +30,10 @@ import numpy as np
 from . import exact
 from .errors import ConfigError, ContractError, VariationTooHighError
 from .games import IrrAdversary, UnlinkAdversary
-from .metrics import MatchRateStats, extremal_mr, extremal_rmr, pt_match_stats
+from .metrics import (MatchRateStats, check_stats_sizes, extremal_mr,
+                      extremal_rmr, pt_match_stats)
 from .population import FeatureElement
-from .schemes import LEAK_BOTH, PtView
+from .schemes import LEAK_BOTH, LeakSet, PtView
 
 
 # --------------------------------------------------------------------------
@@ -53,6 +55,9 @@ class VerifySettings:
     stats_inner: int = 400
     sampler_queries: int = 16
     jobs: int = 1
+
+    def __post_init__(self):
+        check_stats_sizes(self.stats_outer, self.stats_inner)
 
     @classmethod
     def from_config(cls, cfg: dict, jobs: int = 1) -> "VerifySettings":
@@ -134,6 +139,12 @@ class PalSamplerConfig:
             raise ConfigError("n_delta must be >= 1")
 
 
+def _require_both(name: str, leak):
+    """Refuse a leak set without both template parts."""
+    if leak != LEAK_BOTH:
+        raise ContractError(f"{name} needs lambda pi+ad, got {leak}")
+
+
 class PalSamplerAdversary(IrrAdversary):
     """Full-leakage inverter: resample random users' captures until the
     comparator accepts one against the leaked template, up to n_delta
@@ -145,8 +156,7 @@ class PalSamplerAdversary(IrrAdversary):
         self.cfg = cfg
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
-        if leak != LEAK_BOTH:
-            raise ContractError(f"{self.name} needs lambda pi+ad, got {leak}")
+        _require_both(self.name, leak)
         return params
 
     def phase2_batch(self, state, view, oracle, rng):
@@ -243,10 +253,9 @@ class SamplerIrrAdversary(IrrAdversary):
         m, q = oracle.trials, self.num_queries
         users = rng.integers(pop.num_users, size=m * q)
         cands = oracle.sample(np.repeat(np.arange(m), q), users)
-        values, inverse = np.unique(cands, return_inverse=True)
-        scores = exact.mr_of(pop, values, tau)
+        scores = exact.mr_scores(pop, cands, tau).reshape(m, q)
         # the first best candidate in query order
-        best = np.argmax(scores[inverse].reshape(m, q), axis=1)
+        best = np.argmax(scores, axis=1)
         return cands.reshape(m, q)[np.arange(m), best]
 
 
@@ -285,8 +294,7 @@ class MatchTestUnlinkAdversary(UnlinkAdversary):
     name = "match-test"
 
     def phase1_batch(self, params, leak, oracle, rng):
-        if leak != LEAK_BOTH:
-            raise ContractError(f"{self.name} needs lambda pi+ad, got {leak}")
+        _require_both(self.name, leak)
         x, x0, x1 = _random_triples(params.population, oracle, rng)
         return x, x0, x1, (params, x0, x1)
 
@@ -419,11 +427,13 @@ def adversary_names(game: str) -> tuple:
 
 
 def build_adversary(name: str, game: str, scheme, pop,
-                    settings: VerifySettings):
+                    settings: VerifySettings, leak: LeakSet):
     """The built-in adversary `name` for `game` ("al-irr", "pal-irr" or
-    "unlink"), set up from `settings`: `pal-sampler` is sized from
-    `stats_outer` x `stats_inner` measured template statistics, `sampler`
-    draws `sampler_queries` candidates."""
+    "unlink") on leak set `leak`, set up from `settings`: `pal-sampler` is
+    sized from `stats_outer` x `stats_inner` measured template statistics,
+    `sampler` draws `sampler_queries` candidates.  `pal-sampler`, the one
+    built-in with set-up work, refuses a leak set it cannot use before
+    that work; the others refuse one when the game runs."""
     names = adversary_names(game)
     if name not in names:
         raise ConfigError(f"unknown adversary {name!r} for the {game} game; "
@@ -432,7 +442,7 @@ def build_adversary(name: str, game: str, scheme, pop,
     if name.startswith("reduction("):
         inner = name[len("reduction(inner="):-1]
         return ReductionUnlinkAdversary(
-            build_adversary(inner, "al-irr", scheme, pop, s), s.tau)
+            build_adversary(inner, "al-irr", scheme, pop, s, leak), s.tau)
     if name.startswith("cross-comparator"):
         return CrossComparatorAdversary(
             name[len("cross-comparator["):-1] or "match-test")
@@ -445,6 +455,7 @@ def build_adversary(name: str, game: str, scheme, pop,
             return blind_pal_adversary(scheme, pop)
         return blind_al_adversary(pop, s.tau)
     if name == "pal-sampler":
+        _require_both(name, leak)
         st = pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
                             seed=s.seed, jobs=s.jobs)
         return PalSamplerAdversary(

@@ -210,7 +210,7 @@ def cmd_game(s: VerifySettings, scheme, pop, game: str, adversary_name: str,
              leak: LeakSet, cross_rates: bool = False) -> tuple:
     if cross_rates and game != "unlink":
         raise ConfigError(f"--cross-rates applies to the unlink game, not {game}")
-    adv = build_adversary(adversary_name, game, scheme, pop, s)
+    adv = build_adversary(adversary_name, game, scheme, pop, s, leak)
     if game == "al-irr":
         result = run_al_irr_game(scheme, pop, leak, s.tau, adv, **s.game_kw)
     elif game == "pal-irr":

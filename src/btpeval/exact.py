@@ -22,15 +22,20 @@ u.  Two engines supply the tables.
   every h by a convolution of two binomials; the tables, and the raw-
   distance rates (`mr_of`, `mr_vector`, `overlap_vector`,
   `baseline_rates`), read it.  Tables cost O(U^2 |offsets|), per-feature
-  vectors O(U 2^n); feature scans stop at n <= 20.
+  vectors O(U 2^n); feature scans stop at n <= 20.  `mr_vector` is built
+  once per (population, tau) and kept read-only, 8 bytes per feature
+  (8 MB at n = 20), as `enumerator` keeps its oracles; `mr_scores` reads
+  it to score any set of features.
 * `SchemeEnumerator`, for every other scheme (toy, `broken`, custom):
   probe distributions are explicit pmf vectors over {0,1}^n, enrollment
   randomness is enumerated through `pie_support`, and the tables are
   matrix products, for n <= 10.  It is also the differential twin of
   `LawOracle`.
 
-Every per-feature sum over the population (`mr_of`, the capture pmf) is
-one `_center_sum` of a per-distance table.  `enumerator(scheme, pop)`
+Every per-feature sum over the population (`mr_of`, `mr_vector`, the
+capture pmf) adds a per-distance table over the users, user by user:
+`mr_of` for any features, `_cube_sum` for every feature at once, with the
+same float64 for the same feature.  `enumerator(scheme, pop)`
 picks the engine.  These are the reference oracles the test suite holds
 the samplers to; they share the scheme objects with the samplers but never
 share the sampling path.
@@ -86,30 +91,59 @@ def _capture_table(pop: Population) -> np.ndarray:
     return (pop.flip_prob ** h) * ((1.0 - pop.flip_prob) ** (pop.n - h))
 
 
-def _centers(pop: Population) -> np.ndarray:
-    return np.array([c.value for c in pop.centers], dtype=np.uint64)
-
-
-def _center_sum(pop: Population, values, table: np.ndarray) -> np.ndarray:
-    """The mean over users u of table[d(x, c_u)], for every packed x in
-    `values`, summed user by user."""
+def mr_of(pop: Population, values, tau: int) -> np.ndarray:
+    """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
+    in `values`: the mean over users u of the ball table at d(x, c_u),
+    summed user by user."""
+    table = _ball_table(pop.n, pop.flip_prob, tau)
     values = np.asarray(values, dtype=np.uint64)
     total = np.zeros(values.shape)
-    for c in _centers(pop):
+    for c in pop.center_values:
         total += table[np.bitwise_count(values ^ c)]
     return total / pop.num_users
 
 
-def mr_of(pop: Population, values, tau: int) -> np.ndarray:
-    """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
-    in `values`."""
-    return _center_sum(pop, values, _ball_table(pop.n, pop.flip_prob, tau))
+def _cube_sum(pop: Population, table: np.ndarray) -> np.ndarray:
+    """The mean over users u of table[d(x, c_u)], for every x in {0,1}^n in
+    packed order, summed user by user as `mr_of` sums it.
+
+    x splits into a high half h and a low half l, and d(x, c) = d(h, c_h)
+    + d(l, c_l).  So row h of a user's term is row d(h, c_h) of the small
+    table rows[k, l] = table[k + d(l, c_l)]: one row copy per h in place
+    of a table lookup per x.
+    """
+    lo = pop.n // 2
+    low = np.arange(1 << lo, dtype=np.uint64)
+    high = np.arange(1 << (pop.n - lo), dtype=np.uint64)
+    total = np.zeros((len(high), len(low)))
+    for c in pop.center_values:
+        d_low = np.bitwise_count(low ^ (c & np.uint64((1 << lo) - 1)))
+        d_high = np.bitwise_count(high ^ (c >> np.uint64(lo)))
+        rows = table[np.arange(pop.n - lo + 1)[:, None] + d_low]
+        total += rows[d_high]
+    return total.ravel() / pop.num_users
 
 
+@lru_cache(maxsize=8)
 def mr_vector(pop: Population, tau: int) -> np.ndarray:
-    """MR(x) for every x."""
+    """MR(x) for every x, read-only: built once per (population, tau) and
+    shared by `extremal_mr`, `overlap_vector`, `LawOracle.rmr_vector` and
+    `mr_scores`."""
     _require(pop.n, EXACT_N_CAP, "feature scan")
-    return mr_of(pop, np.arange(1 << pop.n, dtype=np.uint64), tau)
+    vec = _cube_sum(pop, _ball_table(pop.n, pop.flip_prob, tau))
+    vec.flags.writeable = False
+    return vec
+
+
+def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
+    """MR(x) for every packed x in `values`, bit for bit `mr_of`: read from
+    `mr_vector` up to EXACT_N_CAP, by the closed form over the distinct
+    values beyond it."""
+    values = np.asarray(values, dtype=np.uint64)
+    if pop.n <= EXACT_N_CAP:
+        return mr_vector(pop, tau)[values]
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
 
 
 def overlap_vector(pop: Population, tau: int) -> np.ndarray:
@@ -124,7 +158,8 @@ def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:
     Two captures differ bit by bit with probability 2p(1 - p).
     """
     p = pop.flip_prob
-    pair, c = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius), _centers(pop)
+    pair = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
+    c = pop.center_values
     images = c[:, None] if offsets is None else offsets(c)   # (U, offsets)
     return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
                      for ct in c])
@@ -164,8 +199,7 @@ class _Oracle:
     @cached_property
     def pmf_mix(self) -> np.ndarray:
         """pmf of a capture from a uniformly random user, every x."""
-        xs = np.arange(1 << self.pop.n, dtype=np.uint64)
-        return _center_sum(self.pop, xs, _capture_table(self.pop))
+        return _cube_sum(self.pop, _capture_table(self.pop))
 
     # -- recognition metrics -------------------------------------------------
 
@@ -226,18 +260,12 @@ class LawOracle(_Oracle):
             return np.tile(np.diag(self._cross), (self.U, 1))
         return self._cross
 
-    @cached_property
-    def _rmr(self) -> np.ndarray:
-        vec = mr_vector(self.pop, self.law.radius)
-        vec.flags.writeable = False
-        return vec
-
     def templates(self) -> tuple:
-        return self.pmf_mix, self._rmr
+        return self.pmf_mix, self.rmr_vector()
 
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x: the template's capture within the radius."""
-        return self._rmr
+        return mr_vector(self.pop, self.law.radius)
 
     def hypothesis_own_match(self) -> bool:
         """Whether every template accepts the exact feature it encodes."""
@@ -272,7 +300,7 @@ class SchemeEnumerator(_Oracle):
         self.size = 1 << pop.n
         self.xs = np.arange(self.size, dtype=np.uint64)
         self.P = _capture_table(pop)[
-            np.bitwise_count(_centers(pop)[:, None] ^ self.xs)]
+            np.bitwise_count(pop.center_values[:, None] ^ self.xs)]
         probs, self.support_pi, self.support_alpha = (
             scheme.pie_support_batch(self.xs))
 

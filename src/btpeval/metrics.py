@@ -531,6 +531,15 @@ class PtMatchStatsResult:
         }
 
 
+def check_stats_sizes(trials_outer: int, trials_inner: int):
+    """Refuse fewer than two templates, or two captures per template: a
+    sample variance needs two of each."""
+    if trials_outer < 2:
+        raise ConfigError(f"trials_outer must be >= 2, got {trials_outer}")
+    if trials_inner < 2:
+        raise ConfigError(f"trials_inner must be >= 2, got {trials_inner}")
+
+
 def pt_match_stats(scheme, pop, trials_outer: int, trials_inner: int,
                    seed: int = 0, level: float = 0.95,
                    jobs: int = 1) -> PtMatchStatsResult:
@@ -540,10 +549,7 @@ def pt_match_stats(scheme, pop, trials_outer: int, trials_inner: int,
     template deviation by the inner binomial noise; the reported std_dev
     subtracts that noise term (clipped at zero).
     """
-    if trials_outer < 2:
-        raise ConfigError(f"trials_outer must be >= 2, got {trials_outer}")
-    if trials_inner < 2:
-        raise ConfigError(f"trials_inner must be >= 2, got {trials_inner}")
+    check_stats_sizes(trials_outer, trials_inner)
     kernel = _PtStatsKernel(scheme, pop, trials_inner)
     parts = _run_kernel(kernel, trials_outer, seed, "pt_stats", jobs)
     rates = np.concatenate(parts)

@@ -103,9 +103,10 @@ def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bo
 class Population:
     """The user set with its per-user capture distributions.
 
-    `centers` holds one template per user; `flip_prob` is the per-bit
-    capture noise.  Immutable after construction and safe to share across
-    workers; all sampling goes through caller-supplied Generators.
+    `centers` holds one template per user, and `center_values` the same
+    centers packed into a read-only uint64 array; `flip_prob` is the
+    per-bit capture noise.  Immutable after construction and safe to share
+    across workers; all sampling goes through caller-supplied Generators.
     """
 
     n: int
@@ -122,9 +123,12 @@ class Population:
         for c in self.centers:
             if c.n != self.n:
                 raise DimensionError(f"center has {c.n} bits, expected {self.n}")
-        # the packer's tables, built once: packed centers and bit weights
-        object.__setattr__(self, "_center_values", np.array(
-            [c.value for c in self.centers], dtype=np.uint64))
+        # built once: the packed centers (public, read-only) and the
+        # packer's bit weights
+        center_values = np.array([c.value for c in self.centers],
+                                 dtype=np.uint64)
+        center_values.flags.writeable = False
+        object.__setattr__(self, "center_values", center_values)
         object.__setattr__(self, "_bit_weights",
                            np.uint64(1) << np.arange(self.n, dtype=np.uint64))
 
@@ -140,7 +144,7 @@ class Population:
         capture flips where its uniform i (the last axis of `uniforms`)
         falls below `flip_prob`.  Exact for every n <= 64."""
         flips = (uniforms < self.flip_prob).astype(np.uint64) @ self._bit_weights
-        return self._center_values[us] ^ flips
+        return self.center_values[us] ^ flips
 
     def sample(self, u: int, rng: np.random.Generator) -> FeatureElement:
         """One capture from user u: the center with independent bit flips."""

@@ -86,7 +86,8 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
     """
     tau = settings.tau
     if adversary is None:
-        adversary = build_adversary("blind", "al-irr", scheme, pop, settings)
+        adversary = build_adversary("blind", "al-irr", scheme, pop, settings,
+                                    leak)
     coupled = run_coupled_irr_trials(scheme, pop, leak, tau, adversary,
                                      **settings.game_kw)
     violations = coupled.inclusion_violations()
@@ -212,7 +213,8 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
                               leak=str(LEAK_BOTH), details=details)
     mr_mean, _ = en.pt_match_stats()
     details["mr_exact"] = mr_mean
-    adversary = build_adversary("match-test", "unlink", scheme, pop, settings)
+    adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
+                                LEAK_BOTH)
     game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary,
                            **settings.game_kw)
     tol = 3.0 * 2.0 * game.win_rate.std_error
@@ -238,7 +240,7 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     tau = settings.tau
     if inner_adversary is None:
         inner_adversary = build_adversary("sampler", "al-irr", scheme, pop,
-                                          settings)
+                                          settings, leak)
     details = {
         "tau": tau, "trials": settings.trials,
         "inner": getattr(inner_adversary, "name", "custom"),

@@ -4,8 +4,17 @@ from pathlib import Path
 import pytest
 
 import btpeval
+from btpeval import exact
 from btpeval.population import generate_population
 from btpeval.schemes import build_scheme
+
+
+@pytest.fixture(autouse=True)
+def fresh_exact_caches():
+    """Each test starts with empty exact-oracle caches, so a test that
+    counts builds does not depend on the tests run before it."""
+    for cached in (exact.enumerator, exact.mr_vector, exact._ball_table):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,14 @@ The built-ins play a chunk of trials in array operations.  Each twin
 plays the same strategy one trial at a time with scalar phases, which the
 games run through the adversary base class, trial by trial.  The tests
 hold the built-ins' batch phases against these twins and the exact
-oracles.
+oracles.  `UniqueSampler` is a batch reference: the sampler scored by the
+closed form over a chunk's distinct candidates, as it was before it read
+the cached match-rate vector.
 """
 
+import numpy as np
+
+from btpeval import exact
 from btpeval.adversaries import (
     BlindArgmaxAdversary,
     CoinFlipUnlinkAdversary,
@@ -90,6 +95,24 @@ class Sampler(IrrAdversary):
             if score > best_score:
                 best, best_score = cand, score
         return best
+
+
+class UniqueSampler(SamplerIrrAdversary):
+    """The batch sampler scored by the closed form over a chunk's distinct
+    candidates, spread back through `np.unique`'s inverse: the reference
+    the lookup in `exact.mr_scores` must equal bit for bit."""
+
+    def phase2_batch(self, state, view, oracle, rng):
+        params, tau = state
+        pop = params.population
+        m, q = oracle.trials, self.num_queries
+        users = rng.integers(pop.num_users, size=m * q)
+        cands = oracle.sample(np.repeat(np.arange(m), q), users)
+        values, inverse = np.unique(cands, return_inverse=True)
+        scores = exact.mr_of(pop, values, tau)
+        # the first best candidate in query order
+        best = np.argmax(scores[inverse].reshape(m, q), axis=1)
+        return cands.reshape(m, q)[np.arange(m), best]
 
 
 def _random_triple(params, oracle, rng):

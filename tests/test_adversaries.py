@@ -17,12 +17,19 @@ from btpeval.adversaries import (
     blind_al_adversary,
     compute_n_delta,
 )
-from btpeval.errors import ConfigError, ContractError, VariationTooHighError
-from btpeval.games import GameParams, _UnlinkSpec, run_pal_irr_game, run_unlink_game
+from btpeval.errors import ConfigError, ContractError, ModeError, VariationTooHighError
+from btpeval.games import (GameParams, _UnlinkSpec, run_al_irr_game, run_pal_irr_game,
+                           run_unlink_game)
 from btpeval.metrics import MatchRateStats
-from btpeval.population import BatchSamplingOracle
+from btpeval.population import BatchSamplingOracle, generate_population
 from btpeval.rng import substream
-from btpeval.schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, leak_view
+from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, build_scheme,
+                             leak_view)
+from reference_adversaries import UniqueSampler
+
+# a [10,4] code, for fc past the default [7,4]
+FC10 = {"scheme": "fc", "code": {"generator": [
+    "1000111000", "0100100110", "0010010101", "0001001011"], "t": 1}}
 
 
 class TestNDelta:
@@ -207,8 +214,6 @@ class TestReductionAdversary:
 
 class TestSamplerAdversary:
     def test_success_cannot_beat_blind_optimum(self, fc_scheme, default_pop):
-        from btpeval.games import run_al_irr_game
-
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
                                  SamplerIrrAdversary(num_queries=16,
                                                      fallback_tau=1),
@@ -219,3 +224,36 @@ class TestSamplerAdversary:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SamplerIrrAdversary(num_queries=0)
+
+    @staticmethod
+    def _same_guesses(scheme, pop, tau):
+        """The sampler and its closed-form reference play the same chunk
+        streams (three chunks) and give the same guesses, trial by trial."""
+        kw = dict(trials=1100, seed=17, record_transcripts=True)
+        got, want = (run_al_irr_game(scheme, pop, LEAK_AD, tau, adv, **kw)
+                     for adv in (SamplerIrrAdversary(16, tau),
+                                 UniqueSampler(16, tau)))
+        assert got.transcript_digests == want.transcript_digests
+        assert got.queries == want.queries
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    @pytest.mark.parametrize("p", [0.0, 0.03])
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("scheme_name", ["fc", "rot", "plain"])
+    def test_lookup_equals_closed_form_reference(self, scheme_name, n, p, tau):
+        cfg = FC10 if (scheme_name, n) == ("fc", 10) else {"scheme": scheme_name}
+        pop = generate_population(n, 16, p, seed=n)
+        if p == 0.0:
+            # every candidate is a center, scored (centers within tau) / U,
+            # so distinct centers tie: the first in query order must win
+            scores = exact.mr_vector(pop, tau)[pop.center_values]
+            assert (scores == scores.max()).sum() > 1
+        self._same_guesses(build_scheme(cfg, n), pop, tau)
+
+    def test_past_the_feature_scan_cap(self):
+        # no vector is built past EXACT_N_CAP; the closed form scores there
+        n = exact.EXACT_N_CAP + 4
+        pop = generate_population(n, 16, 0.03, seed=3)
+        with pytest.raises(ModeError):
+            exact.mr_vector(pop, 1)
+        self._same_guesses(build_scheme({"scheme": "rot"}, n), pop, 1)

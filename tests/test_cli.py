@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from btpeval import cli, exact, metrics, verify
-from btpeval.adversaries import VerifySettings, adversary_names
-from btpeval.errors import ConfigError
+from btpeval import adversaries, cli, exact, games, metrics, verify
+from btpeval.adversaries import VerifySettings, adversary_names, build_adversary
+from btpeval.errors import ConfigError, ContractError
 from btpeval.report import strip_timings
+from btpeval.schemes import LeakSet
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 
@@ -33,6 +34,26 @@ def load_json(text):
 @pytest.fixture(scope="module")
 def schema():
     return json.loads(SCHEMA_PATH.read_text())
+
+
+MEASUREMENTS = ("est_baseline_rates", "est_scheme_fnmr", "est_fmr_tp",
+                "est_fmr_bp", "est_fmr_div", "est_mr_of_feature",
+                "rmr_of_feature", "est_overlap_rates", "pt_match_stats",
+                "extremal_mr", "extremal_rmr")
+
+
+@pytest.fixture
+def no_measurement(monkeypatch):
+    """Every estimator raises, in every module that bound it: a refusal
+    must come before any of them runs."""
+    def measured(*args, **kwargs):
+        raise AssertionError("measured before refusing")
+
+    for name in MEASUREMENTS:
+        original = getattr(metrics, name)
+        for module in (metrics, adversaries, games, verify, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, measured)
 
 
 class TestExitCodes:
@@ -124,7 +145,7 @@ class TestExitCodes:
         ["metrics"], ["game", "pal-irr", "--adversary", "pal-sampler"],
         ["verify", "--theorem", "t2"]], ids=["metrics", "game", "verify"])
     def test_stats_outer_below_two_is_usage_error(self, tmp_path, capsys,
-                                                  argv, outer):
+                                                  argv, outer, no_measurement):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"stats_outer": outer}))
         code, out, err = run_cli(argv + ["--config", str(cfg), "--trials",
@@ -132,6 +153,33 @@ class TestExitCodes:
         assert code == 2
         assert "trials_outer must be >= 2" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["game", "al-irr", "--adversary", "blind"],
+        ["verify", "--theorem", "t1"]], ids=["metrics", "game", "verify"])
+    def test_stats_inner_below_two_refused_when_read(self, tmp_path, capsys,
+                                                     argv, no_measurement):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stats_inner": 1}))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "trials_inner must be >= 2, got 1" in err
+        with pytest.raises(ConfigError, match="trials_inner must be >= 2"):
+            VerifySettings(stats_inner=1)
+
+    @pytest.mark.parametrize("game, name, leak", [
+        ("pal-irr", "pal-sampler", "pi"), ("al-irr", "pal-sampler", "ad"),
+        ("unlink", "reduction(inner=pal-sampler)", "ad")])
+    def test_pal_sampler_refuses_leak_before_measuring(
+            self, capsys, fc_scheme, default_pop, game, name, leak,
+            no_measurement):
+        code, out, err = run_cli(["game", game, "--adversary", name,
+                                  "--lambda", leak], capsys)
+        assert (code, out) == (2, "")
+        assert f"pal-sampler needs lambda pi+ad, got {leak}" in err
+        with pytest.raises(ContractError, match="needs lambda pi\\+ad"):
+            build_adversary(name, game, fc_scheme, default_pop,
+                            VerifySettings(), LeakSet.parse(leak))
 
 
 # Template parts each built-in adversary needs; every other one runs on

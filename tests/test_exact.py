@@ -4,7 +4,8 @@
 here to the scheme contract it summarises (property tests) and to
 `SchemeEnumerator`, its differential twin at n <= 10, table by table and
 rate by rate.  `exact.mr_of` is held bit for bit to the scalar closed form
-it replaced.
+it replaced, and the cached `mr_vector` and `mr_scores` bit for bit to
+`mr_of`.
 """
 
 import numpy as np
@@ -53,6 +54,36 @@ class TestClosedForm:
             want = [closed_form_mr(pop, FeatureElement(n, int(v)), tau)
                     for v in values]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 7, 10])
+    def test_mr_vector_bitwise_equals_mr_of(self, n):
+        pop = generate_population(n, 16, 0.03, seed=n)
+        for tau in (0, 1, 2):
+            want = [exact.mr_of(pop, [x], tau)[0] for x in range(1 << n)]
+            assert exact.mr_vector(pop, tau).tolist() == want
+
+    @pytest.mark.parametrize("n", [7, exact.EXACT_N_CAP + 1])
+    def test_mr_scores_bitwise_equals_mr_of(self, n):
+        # a lookup up to the cap, the closed form over distinct values past it
+        pop = generate_population(n, 16, 0.03, seed=n)
+        rng = substream(n, "mr-scores")
+        values = pop.sample_batch(rng.integers(16, size=(40, 8)), rng)
+        for tau in (0, 1, 2):
+            got = exact.mr_scores(pop, values, tau)
+            assert got.shape == values.shape
+            assert got.tolist() == exact.mr_of(pop, values.ravel(), tau
+                                               ).reshape(values.shape).tolist()
+
+    def test_mr_vector_cached_and_read_only(self, default_pop):
+        vec = exact.mr_vector(default_pop, 2)
+        assert exact.mr_vector(default_pop, 2) is vec
+        assert exact.overlap_vector(default_pop, 1) is vec
+        law = exact.enumerator(RotationScheme(7, tau=2), default_pop)
+        assert law.rmr_vector() is vec
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        with pytest.raises(ValueError):
+            default_pop.center_values[0] = 0
 
     def test_baseline_is_the_pair_table(self):
         # with p = 0 the rates count center pairs within tau

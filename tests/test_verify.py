@@ -1,5 +1,6 @@
 """Theorem checkers: pass paths, hypothesis gates, vacuous bounds."""
 
+import numpy as np
 import pytest
 
 from btpeval import exact, verify
@@ -195,3 +196,46 @@ class TestReproducibility:
                                      S(trials=1500, seed=19))
         assert len(verdicts) == 6
         assert all(v.status != verify.FAIL for v in verdicts)
+
+
+class TestCostGuard:
+    """Counts calls, times nothing."""
+
+    @pytest.mark.parametrize("scheme_cfg, n", [
+        ({"scheme": "fc"}, 7), ({"scheme": "rot"}, 10)], ids=["fc7", "rot10"])
+    def test_one_vector_per_tau_and_sampler_sorts_nothing(self, monkeypatch,
+                                                          scheme_cfg, n):
+        pop = generate_population(n, 16, 0.03, seed=1)
+        scheme = build_scheme(scheme_cfg, n)
+        sums, sorts, sampling = [], [], []
+        cube_sum, unique = exact._cube_sum, np.unique
+        phase2 = SamplerIrrAdversary.phase2_batch
+
+        def counting_cube_sum(pop, table):
+            sums.append(table)
+            return cube_sum(pop, table)
+
+        def counting_unique(*args, **kwargs):
+            sorts.extend(sampling)
+            return unique(*args, **kwargs)
+
+        def watched_phase2(self, *args):
+            sampling.append(self)
+            try:
+                return phase2(self, *args)
+            finally:
+                sampling.pop()
+
+        monkeypatch.setattr(exact, "_cube_sum", counting_cube_sum)
+        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(SamplerIrrAdversary, "phase2_batch", watched_phase2)
+        verify.verify_all(scheme, pop, S(trials=600, seed=3, stats_outer=50,
+                                         stats_inner=40))
+        # the full-feature closed form runs once per distinct tau: 0 (T1's
+        # m_0), 1 (m_tau, T4's sampler, the law radius) and 2 (overlap);
+        # the one other full-feature sum is the capture pmf's
+        taus = [tau for table in sums for tau in range(n + 1)
+                if table is exact._ball_table(n, pop.flip_prob, tau)]
+        assert sorted(taus) == [0, 1, 2]
+        assert len(sums) == 4
+        assert sorts == []
