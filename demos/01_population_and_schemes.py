@@ -59,6 +59,6 @@ pt = plain.pie(capture, rng)
 print("\nplaintext baseline: pi IS the capture ->", pt.pi == capture)
 
 # -- raw comparator baselines ----------------------------------------------
-fnmr, fmr = metrics.est_baseline_rates(pop, tau=1, trials=20000, seed=2)
+fnmr, fmr = metrics.est_baseline_rates(pop, 1, metrics.RunSettings(trials=20000, seed=2))
 print(f"\nraw threshold comparator at tau=1: "
       f"FNMR {fnmr.point:.4f}  FMR {fmr.point:.4f}")

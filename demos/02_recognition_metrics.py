@@ -14,16 +14,16 @@ from btpeval.schemes import build_scheme
 pop = generate_population(7, 16, 0.03, seed=1)
 fc = build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}, 7)
 en = exact.enumerator(fc, pop)
-TRIALS = 20000
+S = metrics.RunSettings(trials=20000, seed=3)
 
 rows = [
-    ("FNMR (scheme)", metrics.est_scheme_fnmr(fc, pop, TRIALS, seed=3), en.fnmr()),
-    ("FMR total perf, AD factor", metrics.est_fmr_tp(fc, pop, "ad", TRIALS, seed=3),
+    ("FNMR (scheme)", metrics.est_scheme_fnmr(fc, pop, S), en.fnmr()),
+    ("FMR total perf, AD factor", metrics.est_fmr_tp(fc, pop, "ad", S),
      en.fmr_tp("ad")),
-    ("FMR total perf, PI factor", metrics.est_fmr_tp(fc, pop, "pi", TRIALS, seed=3),
+    ("FMR total perf, PI factor", metrics.est_fmr_tp(fc, pop, "pi", S),
      en.fmr_tp("pi")),
-    ("FMR biometric perf", metrics.est_fmr_bp(fc, pop, TRIALS, seed=3), en.fmr_bp()),
-    ("FMR diversity", metrics.est_fmr_div(fc, pop, TRIALS, seed=3), en.fmr_div()),
+    ("FMR biometric perf", metrics.est_fmr_bp(fc, pop, S), en.fmr_bp()),
+    ("FMR diversity", metrics.est_fmr_div(fc, pop, S), en.fmr_div()),
 ]
 print(f"{'metric':28s} {'estimate':>9s} {'95% interval':>22s} {'exact':>9s}")
 for name, est, ex in rows:

@@ -17,6 +17,7 @@ from btpeval.adversaries import (
     blind_pal_adversary,
 )
 from btpeval.games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game
+from btpeval.metrics import RunSettings
 from btpeval.population import generate_population
 from btpeval.schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, PlaintextScheme, build_scheme
 
@@ -34,22 +35,22 @@ def show(label, result):
 # Blind baselines: no view at all, success equals the extremal rate.
 show("blind argmax, distance game (tau=1, leak pi)",
      run_al_irr_game(fc, pop, LEAK_PI, 1, blind_al_adversary(pop, 1),
-                     TRIALS, seed=4))
+                     RunSettings(trials=TRIALS, seed=4)))
 show("blind argmax, acceptance game (leak pi)",
      run_pal_irr_game(fc, pop, LEAK_PI, blind_pal_adversary(fc, pop),
-                      TRIALS, seed=5))
+                      RunSettings(trials=TRIALS, seed=5)))
 
 # The plaintext scheme hands the adversary everything.
 plain = PlaintextScheme(7, tau=0)
 show("plaintext, read-pi inverter (tau=0)",
      run_al_irr_game(plain, pop, LEAK_PI, 0, ReadViewAdversary("pi"),
-                     TRIALS, seed=6))
+                     RunSettings(trials=TRIALS, seed=6)))
 
 # Reading the fuzzy-commitment offset only wins when the zero codeword
 # was drawn: rate 2^-4.
 show("fc, read-alpha guess (tau=0, leak ad)",
      run_al_irr_game(fc, pop, LEAK_AD, 0, ReadViewAdversary("alpha"),
-                     TRIALS, seed=7))
+                     RunSettings(trials=TRIALS, seed=7)))
 
 # Full leakage: the repeated-sampling inverter replays random users'
 # captures against the leaked template until one is accepted.
@@ -58,14 +59,14 @@ cfg = PalSamplerConfig.from_stats(stats, delta=0.16, gamma=0.5)
 print(f"\nsampling inverter setup: mean rate {stats.mean:.4f}, "
       f"C^2 {stats.variation_coeff**2:.4f}, rounds {cfg.n_delta}")
 result = run_pal_irr_game(fc, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
-                          5000, seed=8)
+                          RunSettings(trials=5000, seed=8))
 print(f"acceptance-game win rate with the full template: "
       f"{result.win_rate.point:.4f} (target > {1 - cfg.gamma})")
 
 # Coupled transcripts: an exact-recovery win is a within-tau win is an
 # acceptance win; the inclusions hold trial by trial.
-coupled = run_coupled_irr_trials(fc, pop, LEAK_PI, 1,
-                                 blind_al_adversary(pop, 1), 10000, seed=9)
+coupled = run_coupled_irr_trials(fc, pop, LEAK_PI, 1, blind_al_adversary(pop, 1),
+                                 RunSettings(trials=10000, seed=9))
 print(f"\ncoupled win rates: exact {coupled.rates['fl']:.4f} <= "
       f"within-tau {coupled.rates['al']:.4f} <= "
       f"accepted {coupled.rates['pal']:.4f}; "

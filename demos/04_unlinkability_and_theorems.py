@@ -12,6 +12,7 @@ The final block runs all four relation checks the way `btpeval verify
 from btpeval import exact, verify
 from btpeval.adversaries import CrossComparatorAdversary, MatchTestUnlinkAdversary
 from btpeval.games import est_cross_match_rates, run_unlink_game
+from btpeval.metrics import RunSettings
 from btpeval.population import generate_population
 from btpeval.schemes import LEAK_BOTH, build_scheme
 
@@ -20,19 +21,19 @@ fc = build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}, 7)
 
 mr, _ = exact.enumerator(fc, pop).pt_match_stats()
 game = run_unlink_game(fc, pop, LEAK_BOTH, MatchTestUnlinkAdversary(),
-                       trials=20000, seed=10)
+                       RunSettings(trials=20000, seed=10))
 print(f"match-test distinguisher: advantage {game.advantage.point:.4f}, "
       f"predicted 1 - MR = {1 - mr:.4f}")
 
 cm = est_cross_match_rates(fc, pop, LEAK_BOTH, CrossComparatorAdversary(),
-                           trials=10000, seed=11)
+                           RunSettings(trials=10000, seed=11))
 print(f"cross-comparator: FCMR {cm.fcmr.point:.4f}  FNCMR {cm.fncmr.point:.4f}")
 print(f"identity |1-(FCMR+FNCMR)| = {cm.identity_advantage:.4f}  "
       f"vs game advantage {cm.unlink_advantage.point:.4f}  "
       f"(gap {cm.identity_gap:.4f})")
 
 print("\nrelation checks on the default configuration:")
-settings = verify.VerifySettings(tau=1, trials=5000, seed=12)
+settings = RunSettings(tau=1, trials=5000, seed=12)
 for v in verify.verify_all(fc, pop, settings):
     lhs = "-" if v.lhs is None else f"{v.lhs:8.4f}"
     rhs = "-" if v.rhs is None else f"{v.rhs:8.4f}"

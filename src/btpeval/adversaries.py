@@ -10,7 +10,7 @@ wrapper turns any inversion adversary into a distinguisher, which is what
 the unlinkability-implies-irreversibility bound exercises.
 
 `build_adversary` builds each built-in by name from the run settings in
-`VerifySettings`, for `btpeval game` and the theorem checks alike.  An
+`metrics.RunSettings`, for `btpeval game` and the theorem checks alike.  An
 adversary refuses a leak set it cannot use when the game runs, and
 `pal-sampler` already when it is built.
 
@@ -23,52 +23,17 @@ in array operations (see `games`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact
 from .errors import ConfigError, ContractError, VariationTooHighError
 from .games import IrrAdversary, UnlinkAdversary
-from .metrics import (MatchRateStats, check_stats_sizes, extremal_mr,
-                      extremal_rmr, pt_match_stats)
+from .metrics import (MatchRateStats, RunSettings, extremal_mr, extremal_rmr,
+                      pt_match_stats)
 from .population import FeatureElement
 from .schemes import LEAK_BOTH, LeakSet, PtView
-
-
-# --------------------------------------------------------------------------
-# run settings
-
-
-@dataclass(frozen=True)
-class VerifySettings:
-    """Run settings of the games, theorem checks and built-in adversaries,
-    named and defaulted as the CLI config keys; `jobs` is `--jobs`."""
-
-    tau: int = 1
-    trials: int = 10000
-    query_budget: int = 10**6
-    seed: int = 1
-    delta: float = 0.16
-    gamma: float = 0.5
-    stats_outer: int = 600
-    stats_inner: int = 400
-    sampler_queries: int = 16
-    jobs: int = 1
-
-    def __post_init__(self):
-        check_stats_sizes(self.stats_outer, self.stats_inner)
-
-    @classmethod
-    def from_config(cls, cfg: dict, jobs: int = 1) -> "VerifySettings":
-        """The settings of a CLI config; a key it lacks keeps its default."""
-        return cls(jobs=jobs, **{f.name: cfg[f.name] for f in fields(cls)
-                                 if f.name in cfg})
-
-    @property
-    def game_kw(self) -> dict:
-        return dict(trials=self.trials, seed=self.seed,
-                    budget=self.query_budget, jobs=self.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -195,14 +160,16 @@ class BlindArgmaxAdversary(IrrAdversary):
         return np.full(oracle.trials, self.guess.value, dtype=np.uint64)
 
 
-def blind_al_adversary(pop, tau: int) -> BlindArgmaxAdversary:
+def blind_al_adversary(pop, tau: int,
+                       settings: RunSettings = RunSettings()) -> BlindArgmaxAdversary:
     """Blind baseline for the distance game: argmax of the match rate."""
-    return BlindArgmaxAdversary(extremal_mr(pop, tau).witness)
+    return BlindArgmaxAdversary(extremal_mr(pop, tau, settings).witness)
 
 
-def blind_pal_adversary(scheme, pop) -> BlindArgmaxAdversary:
+def blind_pal_adversary(scheme, pop,
+                        settings: RunSettings = RunSettings()) -> BlindArgmaxAdversary:
     """Blind baseline for the acceptance game: argmax of the reverse match rate."""
-    return BlindArgmaxAdversary(extremal_rmr(scheme, pop).witness)
+    return BlindArgmaxAdversary(extremal_rmr(scheme, pop, settings).witness)
 
 
 class ReadViewAdversary(IrrAdversary):
@@ -237,7 +204,7 @@ class SamplerIrrAdversary(IrrAdversary):
 
     name = "sampler"
 
-    def __init__(self, num_queries: int = VerifySettings.sampler_queries,
+    def __init__(self, num_queries: int = RunSettings.sampler_queries,
                  fallback_tau: int = 0):
         if num_queries < 1:
             raise ConfigError("num_queries must be >= 1")
@@ -427,7 +394,7 @@ def adversary_names(game: str) -> tuple:
 
 
 def build_adversary(name: str, game: str, scheme, pop,
-                    settings: VerifySettings, leak: LeakSet):
+                    settings: RunSettings, leak: LeakSet):
     """The built-in adversary `name` for `game` ("al-irr", "pal-irr" or
     "unlink") on leak set `leak`, set up from `settings`: `pal-sampler` is
     sized from `stats_outer` x `stats_inner` measured template statistics,
@@ -452,12 +419,11 @@ def build_adversary(name: str, game: str, scheme, pop,
         return CoinFlipUnlinkAdversary()
     if name == "blind":
         if game == "pal-irr":
-            return blind_pal_adversary(scheme, pop)
-        return blind_al_adversary(pop, s.tau)
+            return blind_pal_adversary(scheme, pop, s)
+        return blind_al_adversary(pop, s.tau, s)
     if name == "pal-sampler":
         _require_both(name, leak)
-        st = pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
-                            seed=s.seed, jobs=s.jobs)
+        st = pt_match_stats(scheme, pop, s)
         return PalSamplerAdversary(
             PalSamplerConfig.from_stats(st.stats, s.delta, s.gamma))
     if name == "sampler":

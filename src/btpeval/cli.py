@@ -4,7 +4,7 @@
     btpeval game {al-irr,pal-irr,unlink} --adversary NAME [--lambda pi+ad] ...
     btpeval verify --theorem {t1,t2,t3,t4,all} ...
 
-Every subcommand reads its run settings from one `VerifySettings` record;
+Every subcommand reads its run settings from one `RunSettings` record;
 `game` builds its adversary with `build_adversary`, `verify` runs
 `verify_all`.
 
@@ -23,17 +23,18 @@ import time
 from dataclasses import fields
 
 from . import exact, metrics, verify
-from .adversaries import VerifySettings, adversary_names, build_adversary
+from .adversaries import adversary_names, build_adversary
 from .errors import BtpEvalError, ConfigError, ModeError
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
+from .metrics import RunSettings
 from .population import Population
 from .report import make_report, write_report
 from .schemes import LEAK_BOTH, LeakSet, build_scheme
 
-# The run settings and their defaults are the fields of `VerifySettings`:
-# every one but `jobs` (a flag) is a config key, and every one but
-# `sampler_queries` (echoed only when a config sets it) has a default here.
-_SETTINGS = [f for f in fields(VerifySettings) if f.name != "jobs"]
+# The run settings and their defaults are the fields of `RunSettings`: all
+# but `jobs` (a flag) and `level` are config keys, and all but
+# `sampler_queries` (echoed only when a config sets it) have a default here.
+_SETTINGS = [f for f in fields(RunSettings) if f.name not in ("jobs", "level")]
 
 DEFAULT_CONFIG = {
     "population": {"n": 7, "U": 16, "p": 0.03, "seed": 1},
@@ -107,8 +108,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    if cfg["tau"] < 0:
-        raise ConfigError(f"tau must be >= 0, got {cfg['tau']}")
     if cfg["lambda"] is not None:
         if not isinstance(cfg["lambda"], str):
             raise ConfigError("config.lambda must be a string such as "
@@ -142,9 +141,8 @@ def _entropy_bits(rate):
 # subcommands
 
 
-def cmd_metrics(s: VerifySettings, scheme, pop) -> tuple:
-    trials, tau = s.trials, s.tau
-    budgeted = dict(seed=s.seed, jobs=s.jobs)
+def cmd_metrics(s: RunSettings, scheme, pop) -> tuple:
+    tau = s.tau
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError:
@@ -161,42 +159,39 @@ def cmd_metrics(s: VerifySettings, scheme, pop) -> tuple:
             entry.update(extra)
         entries.append(entry)
 
-    fnmr_b, fmr_b = metrics.est_baseline_rates(pop, tau, trials, **budgeted)
+    fnmr_b, fmr_b = metrics.est_baseline_rates(pop, tau, s)
     fnmr_e, fmr_e = exact.baseline_rates(pop, tau)
     add(f"fnmr_d<={tau}", fnmr_b, fnmr_e)
     add(f"fmr_d<={tau}", fmr_b, fmr_e)
-    add("fnmr_scheme", metrics.est_scheme_fnmr(scheme, pop, trials, **budgeted),
+    add("fnmr_scheme", metrics.est_scheme_fnmr(scheme, pop, s),
         en.fnmr() if en else None)
-    add("fmr_tp_ad", metrics.est_fmr_tp(scheme, pop, "ad", trials, **budgeted),
+    add("fmr_tp_ad", metrics.est_fmr_tp(scheme, pop, "ad", s),
         en.fmr_tp("ad") if en else None)
-    add("fmr_tp_pi", metrics.est_fmr_tp(scheme, pop, "pi", trials, **budgeted),
+    add("fmr_tp_pi", metrics.est_fmr_tp(scheme, pop, "pi", s),
         en.fmr_tp("pi") if en else None)
-    add("fmr_bp", metrics.est_fmr_bp(scheme, pop, trials, **budgeted),
+    add("fmr_bp", metrics.est_fmr_bp(scheme, pop, s),
         en.fmr_bp() if en else None)
-    div = metrics.est_fmr_div(scheme, pop, trials, **budgeted)
+    div = metrics.est_fmr_div(scheme, pop, s)
     div_exact = en.fmr_div() if en else None
     add("fmr_div", div, div_exact,
         extra={"entropy_bits": _entropy_bits(div.point),
                "entropy_bits_exact": _entropy_bits(div_exact)})
 
-    m_mr = metrics.extremal_mr(pop, tau, seed=s.seed)
-    add(f"m_d<={tau}", metrics.est_mr_of_feature(pop, m_mr.witness, tau, trials,
-                                                 **budgeted),
+    m_mr = metrics.extremal_mr(pop, tau, s)
+    add(f"m_d<={tau}", metrics.est_mr_of_feature(pop, m_mr.witness, tau, s),
         m_mr.value, extra={"witness": str(m_mr.witness), "mode": m_mr.mode})
-    m_rmr = metrics.extremal_rmr(scheme, pop, seed=s.seed)
-    add("m_rmr", metrics.rmr_of_feature(scheme, pop, m_rmr.witness, trials,
-                                        **budgeted),
+    m_rmr = metrics.extremal_rmr(scheme, pop, s)
+    add("m_rmr", metrics.rmr_of_feature(scheme, pop, m_rmr.witness, s),
         m_rmr.value, extra={"witness": str(m_rmr.witness), "mode": m_rmr.mode})
 
     if pop.n <= exact.EXACT_N_CAP:
-        ov = metrics.est_overlap_rates(pop, tau, trials, seed=s.seed)
+        ov = metrics.est_overlap_rates(pop, tau, s)
         add(f"p_tau{tau}", ov.p_tau, ov.exact.p_tau,
             extra={"witness": str(ov.exact.witness_max)})
         add(f"q_tau{tau}", ov.q_tau, ov.exact.q_tau,
             extra={"witness": str(ov.exact.witness_min)})
 
-    st = metrics.pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
-                                **budgeted)
+    st = metrics.pt_match_stats(scheme, pop, s)
     stats_entry = {"metric": "mr_pi_stats", "stats": st.to_dict()}
     if en:
         mean, sigma = en.pt_match_stats()
@@ -206,25 +201,25 @@ def cmd_metrics(s: VerifySettings, scheme, pop) -> tuple:
     return {"metrics": entries}, 0
 
 
-def cmd_game(s: VerifySettings, scheme, pop, game: str, adversary_name: str,
+def cmd_game(s: RunSettings, scheme, pop, game: str, adversary_name: str,
              leak: LeakSet, cross_rates: bool = False) -> tuple:
     if cross_rates and game != "unlink":
         raise ConfigError(f"--cross-rates applies to the unlink game, not {game}")
     adv = build_adversary(adversary_name, game, scheme, pop, s, leak)
     if game == "al-irr":
-        result = run_al_irr_game(scheme, pop, leak, s.tau, adv, **s.game_kw)
+        result = run_al_irr_game(scheme, pop, leak, s.tau, adv, s)
     elif game == "pal-irr":
-        result = run_pal_irr_game(scheme, pop, leak, adv, **s.game_kw)
+        result = run_pal_irr_game(scheme, pop, leak, adv, s)
     else:
-        result = run_unlink_game(scheme, pop, leak, adv, **s.game_kw)
+        result = run_unlink_game(scheme, pop, leak, adv, s)
     body = {"game_result": result.to_dict()}
     if cross_rates:
-        body["cross_match"] = est_cross_match_rates(
-            scheme, pop, leak, adv, **s.game_kw).to_dict()
+        body["cross_match"] = est_cross_match_rates(scheme, pop, leak, adv,
+                                                    s).to_dict()
     return body, 0
 
 
-def cmd_verify(s: VerifySettings, scheme, pop, theorem: str,
+def cmd_verify(s: RunSettings, scheme, pop, theorem: str,
                leak: LeakSet | None) -> tuple:
     verdicts = verify.verify_all(scheme, pop, s, theorem, leak)
     body = {"theorems": [v.to_dict() for v in verdicts]}
@@ -289,7 +284,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        settings = VerifySettings.from_config(cfg, args.jobs)
+        settings = RunSettings.from_config(cfg, args.jobs)
         leak = LeakSet.parse(cfg["lambda"]) if cfg["lambda"] else None
         scheme, pop = _build(cfg)
         if args.cmd == "metrics":

@@ -26,8 +26,7 @@ replayed by re-running its chunk with `record_transcripts`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import BudgetExceededError, ConfigError, ProtocolError
 from .metrics import (
     AdvantageEstimate,
     MValue,
+    RunSettings,
     absolute_advantage,
     extremal_mr,
     extremal_rmr,
@@ -282,18 +282,19 @@ class _GameSpec:
     pop: Population
     leak: LeakSet
     adversary: IrrAdversary | UnlinkAdversary
-    budget: int
+    settings: RunSettings
     label: str
     record: bool = field(default=False, kw_only=True)
 
-    def _chunk(self, seed, lo, hi):
+    def _chunk(self, lo, hi):
         """The challenger and adversary streams of the chunk at `lo`, and
         one sampling oracle per phase, both on the chunk's sampling
         stream."""
         rng_ch, rng_adv, rng_samp = (
-            substream(seed, self.label, lo // GAME_CHUNK, role)
+            substream(self.settings.seed, self.label, lo // GAME_CHUNK, role)
             for role in _ROLES)
-        oracles = [BatchSamplingOracle(self.pop, rng_samp, self.budget, hi - lo)
+        oracles = [BatchSamplingOracle(self.pop, rng_samp,
+                                       self.settings.query_budget, hi - lo)
                    for _ in range(2)]
         return rng_ch, rng_adv, oracles
 
@@ -324,9 +325,9 @@ class _IrrSpec(_GameSpec):
     tau: int | None = field(kw_only=True)
     score_pic: bool = field(kw_only=True)
 
-    def run_range(self, seed, lo, hi) -> dict:
+    def run_range(self, lo, hi) -> dict:
         m, n = hi - lo, self.pop.n
-        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(seed, lo, hi)
+        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(lo, hi)
         state = self.adversary.phase1_batch(GameParams(self.scheme, self.pop),
                                             self.leak, self.tau, oracle1,
                                             rng_adv)
@@ -360,9 +361,9 @@ class _UnlinkSpec(_GameSpec):
 
     force_b: int | None = field(default=None, kw_only=True)
 
-    def run_range(self, seed, lo, hi) -> dict:
+    def run_range(self, lo, hi) -> dict:
         m = hi - lo
-        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(seed, lo, hi)
+        rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(lo, hi)
         x, x0, x1, state = self.adversary.phase1_batch(
             GameParams(self.scheme, self.pop), self.leak, oracle1, rng_adv)
         b = (rng_ch.integers(2, size=m) if self.force_b is None
@@ -389,23 +390,22 @@ class _UnlinkSpec(_GameSpec):
         return rec
 
 
-def _run_spec(spec: _GameSpec, trials, seed, jobs) -> dict:
+def _run_spec(spec: _GameSpec) -> dict:
     """The game's record over all trials: each chunk's fields joined in
     trial order."""
-    if spec.budget < 1:
-        raise ConfigError(f"query_budget must be >= 1, got {spec.budget}")
-    parts = run_chunks(partial(spec.run_range, seed), trials, GAME_CHUNK, jobs)
+    parts = run_chunks(spec.run_range, spec.settings.trials, GAME_CHUNK,
+                       spec.settings.jobs)
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def _game_result(game, spec: _GameSpec, rec: dict, wins: np.ndarray, level,
+def _game_result(game, spec: _GameSpec, rec: dict, wins: np.ndarray,
                  baseline: MValue | None = None) -> GameResult:
     """Score a record's `wins`: the win rate less the baseline's value, or
     |2 * win_rate - 1| without one."""
     queries = {role: int(rec[role].sum())
                for role in ("adv_phase1", "adv_phase2", "challenger")}
     win_rate = AdvantageEstimate.from_counts(
-        int(wins.sum()), len(wins), level,
+        int(wins.sum()), len(wins), spec.settings.level,
         queries_used=queries["adv_phase1"] + queries["adv_phase2"])
     digests = None
     if "transcript" in rec:
@@ -433,8 +433,8 @@ def _within(rec: dict, tau: int) -> np.ndarray:
 
 
 def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversary,
-                    trials: int, seed: int = 0, baseline: MValue | None = None,
-                    budget: int = 10**6, level: float = 0.95, jobs: int = 1,
+                    settings: RunSettings = RunSettings(),
+                    baseline: MValue | None = None,
                     record_transcripts: bool = False) -> GameResult:
     """Authorized-leakage inversion game: win when the guess lands within
     tau of the challenge feature.  Advantage is the win rate minus the
@@ -442,38 +442,37 @@ def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversar
     if tau < 0:
         raise ConfigError("tau must be >= 0")
     if baseline is None:
-        baseline = extremal_mr(pop, tau)
-    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"al{tau}:{leak}",
+        baseline = extremal_mr(pop, tau, settings)
+    spec = _IrrSpec(scheme, pop, leak, adversary, settings, f"al{tau}:{leak}",
                     tau=tau, score_pic=False, record=record_transcripts)
-    rec = _run_spec(spec, trials, seed, jobs)
-    return _game_result("al-irr", spec, rec, _within(rec, tau), level, baseline)
+    rec = _run_spec(spec)
+    return _game_result("al-irr", spec, rec, _within(rec, tau), baseline)
 
 
 def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
-                     trials: int, seed: int = 0, baseline: MValue | None = None,
-                     budget: int = 10**6, level: float = 0.95, jobs: int = 1,
+                     settings: RunSettings = RunSettings(),
+                     baseline: MValue | None = None,
                      record_transcripts: bool = False) -> GameResult:
     """Pseudo-authorized-leakage variant: win when the comparator accepts
     the guess against the challenge template (full template retained by
     the challenger regardless of the leak set)."""
     if baseline is None:
-        baseline = extremal_rmr(scheme, pop)
-    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"pal:{leak}",
+        baseline = extremal_rmr(scheme, pop, settings)
+    spec = _IrrSpec(scheme, pop, leak, adversary, settings, f"pal:{leak}",
                     tau=None, score_pic=True, record=record_transcripts)
-    rec = _run_spec(spec, trials, seed, jobs)
-    return _game_result("pal-irr", spec, rec, rec["accepted"], level, baseline)
+    rec = _run_spec(spec)
+    return _game_result("pal-irr", spec, rec, rec["accepted"], baseline)
 
 
 def run_unlink_game(scheme, pop, leak: LeakSet, adversary: UnlinkAdversary,
-                    trials: int, seed: int = 0, budget: int = 10**6,
-                    level: float = 0.95, jobs: int = 1,
+                    settings: RunSettings = RunSettings(),
                     record_transcripts: bool = False) -> GameResult:
     """Distinguishing game: the challenger encodes x and x_b; the adversary
     guesses b from the two leaked views.  Advantage is |2*win_rate - 1|."""
-    spec = _UnlinkSpec(scheme, pop, leak, adversary, budget, f"unlink:{leak}",
+    spec = _UnlinkSpec(scheme, pop, leak, adversary, settings, f"unlink:{leak}",
                        record=record_transcripts)
-    rec = _run_spec(spec, trials, seed, jobs)
-    return _game_result("unlink", spec, rec, rec["wins"], level)
+    rec = _run_spec(spec)
+    return _game_result("unlink", spec, rec, rec["wins"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,28 +496,26 @@ class CrossMatchResult:
 
 
 def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversary,
-                          trials: int, seed: int = 0, budget: int = 10**6,
-                          level: float = 0.95, jobs: int = 1) -> CrossMatchResult:
+                          settings: RunSettings = RunSettings()) -> CrossMatchResult:
     """False cross-match / false non-cross-match rates of a comparator.
 
     FCMR conditions on non-mated challenges (b = 1) and counts answers of
     0; FNCMR conditions on mated challenges (b = 0) and counts answers of
     1.  |1 - (FCMR + FNCMR)| must agree with the comparator's own
-    unlinkability advantage, which is measured independently and returned
-    alongside.
+    unlinkability advantage, which is measured independently, on seed
+    `settings.seed + 1`, and returned alongside.
     """
     results = {}
     for b, label in ((1, "fcmr"), (0, "fncmr")):
-        spec = _UnlinkSpec(scheme, pop, leak, comparator, budget,
+        spec = _UnlinkSpec(scheme, pop, leak, comparator, settings,
                            f"cross:{label}:{leak}", force_b=b)
-        rec = _run_spec(spec, trials, seed, jobs)
+        rec = _run_spec(spec)
         false_answer = 0 if b == 1 else 1
         results[label] = _game_result(label, spec, rec,
-                                      rec["answers"] == false_answer,
-                                      level).win_rate
+                                      rec["answers"] == false_answer).win_rate
     identity = abs(1.0 - (results["fcmr"].point + results["fncmr"].point))
-    game = run_unlink_game(scheme, pop, leak, comparator, trials,
-                           seed=seed + 1, budget=budget, level=level, jobs=jobs)
+    game = run_unlink_game(scheme, pop, leak, comparator,
+                           replace(settings, seed=settings.seed + 1))
     return CrossMatchResult(
         fcmr=results["fcmr"], fncmr=results["fncmr"],
         identity_advantage=identity,
@@ -564,16 +561,16 @@ class CoupledIrrResult:
 
 
 def run_coupled_irr_trials(scheme, pop, leak: LeakSet, tau: int,
-                           adversary: IrrAdversary, trials: int, seed: int = 0,
-                           budget: int = 10**6, jobs: int = 1) -> CoupledIrrResult:
+                           adversary: IrrAdversary,
+                           settings: RunSettings = RunSettings()) -> CoupledIrrResult:
     """One authorized-leakage transcript per trial, scored under all three
     win rules with shared randomness."""
-    spec = _IrrSpec(scheme, pop, leak, adversary, budget, f"coupled{tau}:{leak}",
-                    tau=tau, score_pic=True)
-    rec = _run_spec(spec, trials, seed, jobs)
+    spec = _IrrSpec(scheme, pop, leak, adversary, settings,
+                    f"coupled{tau}:{leak}", tau=tau, score_pic=True)
+    rec = _run_spec(spec)
     return CoupledIrrResult(
         tau=tau,
-        trials=trials,
+        trials=settings.trials,
         wins_fl=_within(rec, 0),
         wins_al=_within(rec, tau),
         wins_pal=rec["accepted"],

@@ -6,13 +6,14 @@ it to.  Estimators draw all randomness from streams derived via
 only on (inputs, seed, trials) and never on how chunks were scheduled
 across workers.  Every rate that counts comparator decisions is one
 configuration of `_AcceptKernel`, and `run_chunks` is the one chunk
-runner of metrics and games.
+runner of metrics and games.  Each estimator and game takes its run
+settings whole, as one `RunSettings` record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from statistics import NormalDist
 
@@ -132,6 +133,49 @@ def entropy_bits(rate: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# run settings
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Run settings of the estimators, games, theorem checks and built-in
+    adversaries, named and defaulted as the CLI config keys; `jobs` is
+    `--jobs` and `level` the confidence level of every interval (neither
+    is a config key).  Each setting is checked here, before any work."""
+
+    tau: int = 1
+    trials: int = 10000
+    query_budget: int = 10**6
+    seed: int = 1
+    delta: float = 0.16
+    gamma: float = 0.5
+    stats_outer: int = 600
+    stats_inner: int = 400
+    sampler_queries: int = 16
+    jobs: int = 1
+    level: float = 0.95
+
+    def __post_init__(self):
+        if self.tau < 0:
+            raise ConfigError(f"tau must be >= 0, got {self.tau}")
+        for key in ("trials", "query_budget", "sampler_queries", "jobs"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        z_value(self.level)     # refuses a level outside (0, 1)
+        # a sample variance needs two templates and two captures of each
+        if self.stats_outer < 2:
+            raise ConfigError(f"trials_outer must be >= 2, got {self.stats_outer}")
+        if self.stats_inner < 2:
+            raise ConfigError(f"trials_inner must be >= 2, got {self.stats_inner}")
+
+    @classmethod
+    def from_config(cls, cfg: dict, jobs: int = 1) -> "RunSettings":
+        """The settings of a CLI config; a key it lacks keeps its default."""
+        return cls(jobs=jobs, **{f.name: cfg[f.name] for f in fields(cls)
+                                 if f.name in cfg})
+
+
+# --------------------------------------------------------------------------
 # chunked deterministic trial runner
 
 
@@ -157,17 +201,16 @@ def _kernel_range(kernel, seed, label, lo, hi):
     return kernel(substream(seed, label, lo // CHUNK_TRIALS), hi - lo)
 
 
-def _run_kernel(kernel, trials, seed, label, jobs) -> list:
+def _run_kernel(kernel, trials, s: RunSettings, label) -> list:
     """Chunk results of `kernel`, each chunk on its own derived stream."""
-    return run_chunks(partial(_kernel_range, kernel, seed, label), trials,
-                      CHUNK_TRIALS, jobs)
+    return run_chunks(partial(_kernel_range, kernel, s.seed, label), trials,
+                      CHUNK_TRIALS, s.jobs)
 
 
-def _count_rate(kernel, trials, seed, label, level, jobs) -> AdvantageEstimate:
-    wins = sum(_run_kernel(kernel, trials, seed, label, jobs))
+def _count_rate(kernel, s: RunSettings, label) -> AdvantageEstimate:
+    wins = sum(_run_kernel(kernel, s.trials, s, label))
     return AdvantageEstimate.from_counts(
-        wins, trials, level, queries_used=trials * kernel.queries_per_trial
-    )
+        wins, s.trials, s.level, queries_used=s.trials * kernel.queries_per_trial)
 
 
 # --------------------------------------------------------------------------
@@ -286,22 +329,22 @@ class _PtStatsKernel:
 # public estimators
 
 
-def est_baseline_rates(pop: Population, tau: int, trials: int, seed: int = 0,
-                       level: float = 0.95, jobs: int = 1) -> tuple:
+def est_baseline_rates(pop: Population, tau: int,
+                       settings: RunSettings = RunSettings()) -> tuple:
     """(FNMR, FMR) of the raw distance comparator at threshold tau."""
     fnmr = _count_rate(_AcceptKernel(pop, tau=tau, count_rejects=True),
-                       trials, seed, f"fnmr_d<={tau}", level, jobs)
-    fmr = _count_rate(_AcceptKernel(pop, tau=tau, owners=("v",)),
-                      trials, seed, f"fmr_d<={tau}", level, jobs)
+                       settings, f"fnmr_d<={tau}")
+    fmr = _count_rate(_AcceptKernel(pop, tau=tau, owners=("v",)), settings,
+                      f"fmr_d<={tau}")
     return fnmr, fmr
 
 
-def est_scheme_fnmr(scheme, pop, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_AcceptKernel(pop, scheme, count_rejects=True), trials,
-                       seed, "fnmr_scheme", level, jobs)
+def est_scheme_fnmr(scheme, pop, settings: RunSettings = RunSettings()):
+    return _count_rate(_AcceptKernel(pop, scheme, count_rejects=True),
+                       settings, "fnmr_scheme")
 
 
-def est_fmr_tp(scheme, pop, factor: str, trials, seed=0, level=0.95, jobs=1):
+def est_fmr_tp(scheme, pop, factor: str, settings: RunSettings = RunSettings()):
     """False match rate for total performance; factor is "ad" or "pi".
 
     The factor names the part taken from the probe owner's own
@@ -312,23 +355,23 @@ def est_fmr_tp(scheme, pop, factor: str, trials, seed=0, level=0.95, jobs=1):
     pi_from = 1 if factor == "ad" else 0
     kernel = _AcceptKernel(pop, scheme, owners=("u", "v"), pi_from=pi_from,
                            alpha_from=1 - pi_from)
-    return _count_rate(kernel, trials, seed, f"fmr_tp_{factor}", level, jobs)
+    return _count_rate(kernel, settings, f"fmr_tp_{factor}")
 
 
-def est_fmr_bp(scheme, pop, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_AcceptKernel(pop, scheme, owners=("v",)), trials, seed,
-                       "fmr_bp", level, jobs)
+def est_fmr_bp(scheme, pop, settings: RunSettings = RunSettings()):
+    return _count_rate(_AcceptKernel(pop, scheme, owners=("v",)), settings,
+                       "fmr_bp")
 
 
-def est_fmr_div(scheme, pop, trials, seed=0, level=0.95, jobs=1):
+def est_fmr_div(scheme, pop, settings: RunSettings = RunSettings()):
     """The old enrollment's pi against the new enrollment's alpha."""
     kernel = _AcceptKernel(pop, scheme, owners=("u", "u"), alpha_from=1)
-    return _count_rate(kernel, trials, seed, "fmr_div", level, jobs)
+    return _count_rate(kernel, settings, "fmr_div")
 
 
-def est_mr_of_feature(pop, x, tau, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_AcceptKernel(pop, tau=tau, probe=x), trials, seed,
-                       f"mr_x_{x.value}_tau{tau}", level, jobs)
+def est_mr_of_feature(pop, x, tau, settings: RunSettings = RunSettings()):
+    return _count_rate(_AcceptKernel(pop, tau=tau, probe=x), settings,
+                       f"mr_x_{x.value}_tau{tau}")
 
 
 def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
@@ -340,14 +383,14 @@ def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
     return float(exact.mr_of(pop, [x.value], tau)[0])
 
 
-def rmr_of_feature(scheme, pop, x, trials, seed=0, level=0.95, jobs=1):
-    return _count_rate(_AcceptKernel(pop, scheme, probe=x), trials, seed,
-                       f"rmr_x_{x.value}", level, jobs)
+def rmr_of_feature(scheme, pop, x, settings: RunSettings = RunSettings()):
+    return _count_rate(_AcceptKernel(pop, scheme, probe=x), settings,
+                       f"rmr_x_{x.value}")
 
 
-def pt_match_rate(scheme, pop, pt, trials, seed=0, level=0.95, jobs=1):
+def pt_match_rate(scheme, pop, pt, settings: RunSettings = RunSettings()):
     return _count_rate(_AcceptKernel(pop, scheme, owners=(), template=pt),
-                       trials, seed, "pt_rate", level, jobs)
+                       settings, "pt_rate")
 
 
 # --------------------------------------------------------------------------
@@ -388,35 +431,47 @@ def _scan(n: int, vec, lowest: bool = False) -> tuple:
     return rate, FeatureElement(n, value)
 
 
-def extremal_mr(pop: Population, tau: int, seed: int = 0,
-                candidate_draws: int = 256) -> MValue:
+# Mixture draws beside the centers in a candidate-set extreme, and the
+# trials that rate each candidate of a scheme without an exact oracle.
+EXTREMAL_MR_DRAWS = 256
+EXTREMAL_RMR_DRAWS = 64
+EXTREMAL_RMR_TRIALS = 4000
+
+
+def extremal_mr(pop: Population, tau: int,
+                settings: RunSettings = RunSettings()) -> MValue:
     """max over x of MR(x), exact for n <= 20, candidate-set beyond."""
     if pop.n <= exact.EXACT_N_CAP:
         return MValue(*_scan(pop.n, exact.mr_vector(pop, tau)), "exact")
-    rng = substream(seed, "extremal-mr-candidates")
-    candidates = list(pop.centers)
-    candidates += [pop.sample_mixture(rng) for _ in range(candidate_draws)]
-    values = [c.value for c in candidates]
+    rng = substream(settings.seed, "extremal-mr-candidates")
+    values = [c.value for c in pop.centers]
+    values += [pop.sample_mixture(rng).value for _ in range(EXTREMAL_MR_DRAWS)]
     value, witness = _extreme(values, exact.mr_of(pop, values, tau))
     return MValue(value, FeatureElement(pop.n, witness), "lower_bound")
 
 
-def extremal_rmr(scheme: BtpScheme, pop: Population, seed: int = 0,
-                 trials: int = 4000, candidate_draws: int = 64,
-                 jobs: int = 1) -> MValue:
-    """max over x of rMR(x), exact where the scheme has an exact oracle."""
+def extremal_rmr(scheme: BtpScheme, pop: Population,
+                 settings: RunSettings = RunSettings()) -> MValue:
+    """max over x of rMR(x), exact where the scheme has an exact oracle;
+    under a match law rMR is MR at the law's radius, at every n."""
+    if scheme.feature_dim != pop.n:
+        raise ConfigError("scheme and population disagree on n")
+    law = scheme.match_law()
+    if law is not None:
+        return extremal_mr(pop, law.radius, settings)
     try:
         vec = exact.enumerator(scheme, pop).rmr_vector()
     except ModeError:
         pass
     else:
         return MValue(*_scan(pop.n, vec), "exact")
-    rng = substream(seed, "extremal-rmr-candidates")
+    rng = substream(settings.seed, "extremal-rmr-candidates")
     candidates = list(pop.centers)
-    candidates += [pop.sample_mixture(rng) for _ in range(candidate_draws)]
+    candidates += [pop.sample_mixture(rng) for _ in range(EXTREMAL_RMR_DRAWS)]
+    rate_settings = replace(settings, trials=EXTREMAL_RMR_TRIALS)
     best_val, best_x = -1.0, None
     for c in candidates:
-        est = rmr_of_feature(scheme, pop, c, trials, seed=seed, jobs=jobs)
+        est = rmr_of_feature(scheme, pop, c, rate_settings)
         if est.point > best_val:
             best_val, best_x = est.point, c
     return MValue(best_val, best_x, "lower_bound")
@@ -447,8 +502,8 @@ class OverlapEstimate:
     exact: OverlapRates
 
 
-def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
-                      level: float = 0.95) -> OverlapEstimate:
+def est_overlap_rates(pop: Population, tau: int,
+                      settings: RunSettings = RunSettings()) -> OverlapEstimate:
     """Monte Carlo (p_tau, q_tau) at the exact extremal features.
 
     The witnesses come from the exact scan (`overlap_rates`), which the
@@ -459,16 +514,14 @@ def est_overlap_rates(pop: Population, tau: int, trials: int, seed: int = 0,
     if pop.n > exact.EXACT_N_CAP:
         raise ModeError("overlap estimation scans all features; "
                         f"n <= {exact.EXACT_N_CAP} only")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     ov = overlap_rates(pop, tau)
-    t_est = trials - trials // 2
-    rng = substream(seed, "overlap-estimate")
+    t_est = settings.trials - settings.trials // 2
+    rng = substream(settings.seed, "overlap-estimate")
     est = pop.sample_batch(rng.integers(pop.num_users, size=t_est), rng)
 
     def rate(x):
         wins = int((np.bitwise_count(est ^ np.uint64(x.value)) <= 2 * tau).sum())
-        return AdvantageEstimate.from_counts(wins, t_est, level,
+        return AdvantageEstimate.from_counts(wins, t_est, settings.level,
                                              queries_used=t_est)
 
     return OverlapEstimate(p_tau=rate(ov.witness_max), q_tau=rate(ov.witness_min),
@@ -531,31 +584,22 @@ class PtMatchStatsResult:
         }
 
 
-def check_stats_sizes(trials_outer: int, trials_inner: int):
-    """Refuse fewer than two templates, or two captures per template: a
-    sample variance needs two of each."""
-    if trials_outer < 2:
-        raise ConfigError(f"trials_outer must be >= 2, got {trials_outer}")
-    if trials_inner < 2:
-        raise ConfigError(f"trials_inner must be >= 2, got {trials_inner}")
-
-
-def pt_match_stats(scheme, pop, trials_outer: int, trials_inner: int,
-                   seed: int = 0, level: float = 0.95,
-                   jobs: int = 1) -> PtMatchStatsResult:
-    """Draw templates, rate each against random captures, summarize.
+def pt_match_stats(scheme, pop,
+                   settings: RunSettings = RunSettings()) -> PtMatchStatsResult:
+    """Draw `settings.stats_outer` templates, rate each against
+    `settings.stats_inner` random captures, summarize.
 
     The spread of the estimated rates overstates the true template-to-
     template deviation by the inner binomial noise; the reported std_dev
     subtracts that noise term (clipped at zero).
     """
-    check_stats_sizes(trials_outer, trials_inner)
+    trials_inner = settings.stats_inner
     kernel = _PtStatsKernel(scheme, pop, trials_inner)
-    parts = _run_kernel(kernel, trials_outer, seed, "pt_stats", jobs)
+    parts = _run_kernel(kernel, settings.stats_outer, settings, "pt_stats")
     rates = np.concatenate(parts)
     no = len(rates)
     mean = float(rates.mean())
-    z = z_value(level)
+    z = z_value(settings.level)
     se_mean = float(rates.std(ddof=1)) / math.sqrt(no)
     s2 = float(rates.var(ddof=1))
     noise = float(np.mean(rates * (1.0 - rates))) / (trials_inner - 1)

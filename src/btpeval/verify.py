@@ -12,25 +12,25 @@ unachievability claims are checked in full strength by running the
 constructive adversary they posit, while the implication bounds are
 checked per adversary and labeled as such in the verdict details.
 
-The checks take one `VerifySettings` record and build their adversaries
+The checks take one `metrics.RunSettings` record and build their adversaries
 with `build_adversary`, as `btpeval game` does; `verify_all` drives them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import exact, metrics
 from .adversaries import (
     PalSamplerAdversary,
     PalSamplerConfig,
     ReductionUnlinkAdversary,
-    VerifySettings,
     build_adversary,
 )
 from .errors import ConfigError, ModeError, VariationTooHighError
 from .games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game, run_unlink_game
+from .metrics import RunSettings
 from .population import Population
 from .schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, BtpScheme, LeakSet
 
@@ -74,7 +74,7 @@ class TheoremVerdict:
 
 
 def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
-                            settings: VerifySettings = VerifySettings(),
+                            settings: RunSettings = RunSettings(),
                             adversary=None) -> TheoremVerdict:
     """Irreversibility relation chain, checked as exact per-trial
     inclusions on coupled transcripts.
@@ -89,15 +89,15 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
         adversary = build_adversary("blind", "al-irr", scheme, pop, settings,
                                     leak)
     coupled = run_coupled_irr_trials(scheme, pop, leak, tau, adversary,
-                                     **settings.game_kw)
+                                     settings)
     violations = coupled.inclusion_violations()
     pal_applies = scheme.threshold_compatible(tau)
     total = violations["fl_subset_al"]
     if pal_applies:
         total += violations["al_subset_pal"]
-    m0 = metrics.extremal_mr(pop, 0)
-    m_tau = metrics.extremal_mr(pop, tau)
-    m_pal = metrics.extremal_rmr(scheme, pop)
+    m0 = metrics.extremal_mr(pop, 0, settings)
+    m_tau = metrics.extremal_mr(pop, tau, settings)
+    m_pal = metrics.extremal_rmr(scheme, pop, settings)
     rates = coupled.rates
     details = {
         "adversary": getattr(adversary, "name", "custom"),
@@ -122,7 +122,7 @@ def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
 
 
 def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
-                               settings: VerifySettings = VerifySettings()
+                               settings: RunSettings = RunSettings()
                                ) -> TheoremVerdict:
     """Full-template inversion is unachievable: the repeated-sampling
     inverter must win the acceptance game with rate above 1 - gamma.
@@ -135,8 +135,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     """
     s = settings
     delta, gamma, trials = s.delta, s.gamma, min(s.trials, 5000)
-    st = metrics.pt_match_stats(scheme, pop, s.stats_outer, s.stats_inner,
-                                seed=s.seed, jobs=s.jobs)
+    st = metrics.pt_match_stats(scheme, pop, s)
     stats = st.stats
     details = {
         "delta": delta, "gamma": gamma, "trials": trials,
@@ -178,7 +177,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     details["mu"] = cfg.mu
     details["n_delta"] = cfg.n_delta
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
-                            **dict(s.game_kw, trials=trials))
+                            replace(s, trials=trials))
     tol = 3.0 * game.win_rate.std_error
     details["win_rate"] = game.win_rate.point
     details["advantage"] = game.advantage.point
@@ -192,7 +191,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
 
 
 def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
-                                  settings: VerifySettings = VerifySettings()
+                                  settings: RunSettings = RunSettings()
                                   ) -> TheoremVerdict:
     """Full-template linkage is unachievable: the match-test distinguisher
     reaches advantage 1 - MR when every template accepts its own feature.
@@ -215,8 +214,7 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     details["mr_exact"] = mr_mean
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
                                 LEAK_BOTH)
-    game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary,
-                           **settings.game_kw)
+    game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary, settings)
     tol = 3.0 * 2.0 * game.win_rate.std_error
     details["advantage"] = game.advantage.point
     details["win_rate"] = game.win_rate.point
@@ -231,7 +229,7 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
 
 def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
                                leak: LeakSet,
-                               settings: VerifySettings = VerifySettings(),
+                               settings: RunSettings = RunSettings(),
                                inner_adversary=None) -> TheoremVerdict:
     """Unlinkability dominates within-tau irreversibility: the reduction
     distinguisher built from an inversion adversary A must reach
@@ -252,16 +250,15 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
         details["reason"] = f"no exact overlap rates: {e}"
         return TheoremVerdict("T4", NOT_APPLICABLE, ">=", None, None, None,
                               leak=str(leak), details=details)
-    m_tau = metrics.extremal_mr(pop, tau)
+    m_tau = metrics.extremal_mr(pop, tau, settings)
     details.update(p_tau=ov.p_tau, q_tau=ov.q_tau, m_tau=m_tau.value)
     if ov.p_tau >= 1.0 - 1e-12:
         details["reason"] = "p_tau = 1 makes the bound vacuous"
         return TheoremVerdict("T4", VACUOUS, ">=", None, None, None,
                               leak=str(leak), details=details)
-    game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary,
-                             **settings.game_kw)
+    game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary, settings)
     reduction = ReductionUnlinkAdversary(inner_adversary, tau)
-    game_b = run_unlink_game(scheme, pop, leak, reduction, **settings.game_kw)
+    game_b = run_unlink_game(scheme, pop, leak, reduction, settings)
     adv_a = game_a.advantage.point
     adv_b = game_b.advantage.point
     rhs = (1.0 - ov.p_tau) * adv_a - (ov.p_tau - ov.q_tau) * m_tau.value
@@ -297,7 +294,7 @@ THEOREMS = {
 
 
 def verify_all(scheme: BtpScheme, pop: Population,
-               settings: VerifySettings = VerifySettings(),
+               settings: RunSettings = RunSettings(),
                theorem: str = "all", leak: LeakSet | None = None) -> list:
     """The verdicts of `theorem` ("t1" ... "t4"), or of the full relation
     diagram for "all"; T1 and T4 run on `leak`, or on pi and then on ad

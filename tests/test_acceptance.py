@@ -35,6 +35,7 @@ from btpeval.games import (
     run_unlink_game,
 )
 from btpeval.adversaries import CrossComparatorAdversary
+from btpeval.metrics import RunSettings
 from btpeval.population import FeatureElement, generate_population
 from btpeval.schemes import (
     LEAK_AD,
@@ -61,8 +62,8 @@ class TestCriterion1TheoremThree:
         hypothesis = en.hypothesis_own_match()
         mr_exact, _ = en.pt_match_stats()
         game = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                               MatchTestUnlinkAdversary(), trials=20000,
-                               seed=101, jobs=1)
+                               MatchTestUnlinkAdversary(),
+                               RunSettings(trials=20000, seed=101, jobs=1))
         elapsed = time.monotonic() - start
         gap = abs(game.advantage.point - (1.0 - mr_exact))
         ok = hypothesis and gap <= 0.03 and elapsed <= 60.0
@@ -73,13 +74,15 @@ class TestCriterion1TheoremThree:
 
 class TestCriterion2TheoremTwo:
     def test_sampler_beats_target(self, fc_scheme, default_pop):
-        st = metrics.pt_match_stats(fc_scheme, default_pop, 600, 400, seed=103)
+        st = metrics.pt_match_stats(fc_scheme, default_pop,
+                                    RunSettings(stats_outer=600, stats_inner=400,
+                                                seed=103))
         c2 = st.stats.variation_coeff ** 2
         assert c2 < 0.16, f"measured C^2 = {c2:.4f} violates the premise"
         cfg = PalSamplerConfig.from_stats(st.stats, delta=0.16, gamma=0.5)
         game = run_pal_irr_game(fc_scheme, default_pop, LEAK_BOTH,
-                                PalSamplerAdversary(cfg), trials=5000,
-                                seed=105)
+                                PalSamplerAdversary(cfg),
+                                RunSettings(trials=5000, seed=105))
         se = game.win_rate.std_error
         ok = game.win_rate.point > 0.5 - 3 * se
         gate(2, "theorem-2 sampler win rate", ok,
@@ -116,11 +119,11 @@ class TestCriterion3TheoremFour:
     def _check(self, scheme, pop, leak, tau, inner, trials, seed):
         ov = metrics.overlap_rates(pop, tau)
         m = metrics.extremal_mr(pop, tau)
-        game_a = run_al_irr_game(scheme, pop, leak, tau, inner, trials,
-                                 seed=seed)
+        game_a = run_al_irr_game(scheme, pop, leak, tau, inner,
+                                 RunSettings(trials=trials, seed=seed))
         game_b = run_unlink_game(scheme, pop, leak,
-                                 ReductionUnlinkAdversary(inner, tau), trials,
-                                 seed=seed)
+                                 ReductionUnlinkAdversary(inner, tau),
+                                 RunSettings(trials=trials, seed=seed))
         rhs = ((1.0 - ov.p_tau) * game_a.advantage.point
                - (ov.p_tau - ov.q_tau) * m.value)
         tol = 3.0 * math.sqrt(
@@ -147,7 +150,7 @@ class TestCriterion4TheoremOneCouplings:
     def test_per_trial_inclusions(self, fc_scheme, default_pop):
         res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
                                      blind_al_adversary(default_pop, 1),
-                                     trials=10000, seed=113)
+                                     RunSettings(trials=10000, seed=113))
         v = res.inclusion_violations()
         ok = v["fl_subset_al"] == 0 and v["al_subset_pal"] == 0
         gate(4, "theorem-1 couplings 10000 trials", ok,
@@ -156,8 +159,8 @@ class TestCriterion4TheoremOneCouplings:
 
     def test_view_reading_adversary_couples_too(self, fc_scheme, default_pop):
         res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_AD, 1,
-                                     ReadViewAdversary("alpha"), trials=2000,
-                                     seed=115)
+                                     ReadViewAdversary("alpha"),
+                                     RunSettings(trials=2000, seed=115))
         v = res.inclusion_violations()
         assert v == {"fl_subset_al": 0, "al_subset_pal": 0}
 
@@ -181,13 +184,15 @@ class TestCriterion5EstimatorOracleAgreement:
         fnmr_e, fmr_e = exact.baseline_rates(default_pop, 1)
 
         def run_fnmr(seed):
-            est, _ = metrics.est_baseline_rates(default_pop, 1, 4000,
-                                                seed=seed, level=0.99)
+            est, _ = metrics.est_baseline_rates(default_pop, 1,
+                                                RunSettings(trials=4000, seed=seed,
+                                                            level=0.99))
             return est.ci_low <= fnmr_e <= est.ci_high
 
         def run_fmr(seed):
-            _, est = metrics.est_baseline_rates(default_pop, 1, 4000,
-                                                seed=seed, level=0.99)
+            _, est = metrics.est_baseline_rates(default_pop, 1,
+                                                RunSettings(trials=4000, seed=seed,
+                                                            level=0.99))
             return est.ci_low <= fmr_e <= est.ci_high
 
         self._report("baseline FNMR", self._coverage(run_fnmr))
@@ -198,22 +203,27 @@ class TestCriterion5EstimatorOracleAgreement:
         cases = {
             "scheme FNMR": (en.fnmr(),
                             lambda s: metrics.est_scheme_fnmr(
-                                fc_scheme, default_pop, 1500, seed=s, level=0.99)),
+                                fc_scheme, default_pop,
+                                RunSettings(trials=1500, seed=s, level=0.99))),
             "FMR TP (ad factor)": (en.fmr_tp("ad"),
                                    lambda s: metrics.est_fmr_tp(
-                                       fc_scheme, default_pop, "ad", 1500,
-                                       seed=s, level=0.99)),
+                                       fc_scheme, default_pop, "ad",
+                                       RunSettings(trials=1500, seed=s,
+                                                   level=0.99))),
             "FMR TP (pi factor)": (en.fmr_tp("pi"),
                                    lambda s: metrics.est_fmr_tp(
-                                       fc_scheme, default_pop, "pi", 1500,
-                                       seed=s, level=0.99)),
+                                       fc_scheme, default_pop, "pi",
+                                       RunSettings(trials=1500, seed=s,
+                                                   level=0.99))),
             "FMR BP": (en.fmr_bp(),
                        lambda s: metrics.est_fmr_bp(
-                           fc_scheme, default_pop, 1500, seed=s, level=0.99)),
+                           fc_scheme, default_pop,
+                           RunSettings(trials=1500, seed=s, level=0.99))),
             "FMR diversity": (en.fmr_div(),
                               lambda s: metrics.est_fmr_div(
-                                  fc_scheme, default_pop, 1500, seed=s,
-                                  level=0.99)),
+                                  fc_scheme, default_pop,
+                                  RunSettings(trials=1500, seed=s,
+                                              level=0.99))),
         }
         for name, (target, estimator) in cases.items():
             hits = self._coverage(
@@ -228,7 +238,8 @@ class TestCriterion5EstimatorOracleAgreement:
 
         def run_one(seed):
             est = metrics.rmr_of_feature(fc_scheme, default_pop, witness,
-                                         1500, seed=seed, level=0.99)
+                                         RunSettings(trials=1500, seed=seed,
+                                                     level=0.99))
             return est.ci_low <= target <= est.ci_high
 
         self._report("rMR at extremal feature", self._coverage(run_one))
@@ -237,8 +248,9 @@ class TestCriterion5EstimatorOracleAgreement:
         mean_e, sig_e = exact.enumerator(fc_scheme, default_pop).pt_match_stats()
         hits_mean = hits_sig = 0
         for s in range(self.RUNS):
-            st = metrics.pt_match_stats(fc_scheme, default_pop, 220, 130,
-                                        seed=8000 + s, level=0.99)
+            st = metrics.pt_match_stats(fc_scheme, default_pop,
+                                        RunSettings(stats_outer=220, stats_inner=130,
+                                                    seed=8000 + s, level=0.99))
             hits_mean += st.mean_ci[0] <= mean_e <= st.mean_ci[1]
             hits_sig += st.std_ci[0] <= sig_e <= st.std_ci[1]
         self._report("template match-rate mean", hits_mean)
@@ -248,8 +260,9 @@ class TestCriterion5EstimatorOracleAgreement:
         ov = metrics.overlap_rates(default_pop, 1)
         hits_p = hits_q = 0
         for s in range(self.RUNS):
-            est = metrics.est_overlap_rates(default_pop, 1, 3000,
-                                            seed=9000 + s, level=0.99)
+            est = metrics.est_overlap_rates(default_pop, 1,
+                                            RunSettings(trials=3000, seed=9000 + s,
+                                                        level=0.99))
             hits_p += est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
             hits_q += est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
         self._report("p_tau", hits_p)
@@ -322,8 +335,8 @@ class TestCriterion6StructuralLaws:
 class TestCriterion7CrossComparatorIdentity:
     def test_identity_matches_game_advantage(self, fc_scheme, default_pop):
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
-                                    CrossComparatorAdversary(), trials=10000,
-                                    seed=117)
+                                    CrossComparatorAdversary(),
+                                    RunSettings(trials=10000, seed=117))
         se_adv = res.unlink_advantage.half_width / metrics.z_value(0.95)
         tol = 3.0 * math.sqrt(res.fcmr.std_error ** 2
                               + res.fncmr.std_error ** 2 + se_adv ** 2)

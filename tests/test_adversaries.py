@@ -20,7 +20,7 @@ from btpeval.adversaries import (
 from btpeval.errors import ConfigError, ContractError, ModeError, VariationTooHighError
 from btpeval.games import (GameParams, _UnlinkSpec, run_al_irr_game, run_pal_irr_game,
                            run_unlink_game)
-from btpeval.metrics import MatchRateStats
+from btpeval.metrics import MatchRateStats, RunSettings
 from btpeval.population import BatchSamplingOracle, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, build_scheme,
@@ -79,16 +79,16 @@ class TestPalSampler:
         cfg = PalSamplerConfig.from_stats(MatchRateStats(0.2, 0.02), 0.16, 0.5)
         adv = PalSamplerAdversary(cfg)
         with pytest.raises(ContractError):
-            run_pal_irr_game(fc_scheme, default_pop, LEAK_PI, adv, trials=2,
-                             seed=0)
+            run_pal_irr_game(fc_scheme, default_pop, LEAK_PI, adv,
+                             RunSettings(trials=2, seed=0))
 
     def test_query_cap_is_n_delta(self, fc_scheme, default_pop):
         stats = metrics.exact_pt_match_stats(fc_scheme, default_pop)
         cfg = PalSamplerConfig.from_stats(stats, 0.16, 0.5)
         trials = 400
         result = run_pal_irr_game(fc_scheme, default_pop, LEAK_BOTH,
-                                  PalSamplerAdversary(cfg), trials=trials,
-                                  seed=1)
+                                  PalSamplerAdversary(cfg),
+                                  RunSettings(trials=trials, seed=1))
         assert result.queries["adv_phase2"] <= trials * cfg.n_delta
         assert result.queries["adv_phase1"] == 0
         assert result.flagged == 0
@@ -97,26 +97,27 @@ class TestPalSampler:
         stats = metrics.exact_pt_match_stats(fc_scheme, default_pop)
         cfg = PalSamplerConfig.from_stats(stats, 0.16, 0.5)
         result = run_pal_irr_game(fc_scheme, default_pop, LEAK_BOTH,
-                                  PalSamplerAdversary(cfg), trials=3000,
-                                  seed=2)
+                                  PalSamplerAdversary(cfg),
+                                  RunSettings(trials=3000, seed=2))
         assert result.win_rate.point > 1.0 - 0.5
 
 
 class TestMatchTestAdversary:
     def test_needs_full_template(self, fc_scheme, default_pop):
         with pytest.raises(ContractError):
-            run_unlink_game(fc_scheme, default_pop, LEAK_PI,
-                            MatchTestUnlinkAdversary(), trials=2, seed=0)
+            run_unlink_game(fc_scheme, default_pop, LEAK_PI, MatchTestUnlinkAdversary(),
+                            RunSettings(trials=2, seed=0))
 
     @pytest.mark.parametrize("forced_b", [0, 1])
     def test_conditional_success_is_one_minus_half_mr(self, fc_scheme,
                                                       default_pop, forced_b):
         mr, _ = exact.enumerator(fc_scheme, default_pop).pt_match_stats()
         spec = _UnlinkSpec(fc_scheme, default_pop, LEAK_BOTH,
-                           MatchTestUnlinkAdversary(), 10**6,
+                           MatchTestUnlinkAdversary(),
+                           RunSettings(seed=31, query_budget=10**6),
                            f"cond{forced_b}", force_b=forced_b)
         trials = 8000
-        answers = spec.run_range(31, 0, trials)["answers"]
+        answers = spec.run_range(0, trials)["answers"]
         rate = (answers == forced_b).mean()
         target = 1.0 - mr / 2.0
         se = math.sqrt(target * (1 - target) / trials)
@@ -125,16 +126,16 @@ class TestMatchTestAdversary:
     def test_advantage_equals_one_minus_mr(self, fc_scheme, default_pop):
         mr, _ = exact.enumerator(fc_scheme, default_pop).pt_match_stats()
         result = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                                 MatchTestUnlinkAdversary(), trials=10000,
-                                 seed=33, level=0.99)
+                                 MatchTestUnlinkAdversary(),
+                                 RunSettings(trials=10000, seed=33, level=0.99))
         assert result.advantage.ci_low <= 1.0 - mr <= result.advantage.ci_high
 
     def test_degenerate_always_match_scheme(self, default_pop):
         from toy_schemes import AlwaysMatchScheme
 
         result = run_unlink_game(AlwaysMatchScheme(7), default_pop, LEAK_BOTH,
-                                 MatchTestUnlinkAdversary(), trials=6000,
-                                 seed=35, level=0.99)
+                                 MatchTestUnlinkAdversary(),
+                                 RunSettings(trials=6000, seed=35, level=0.99))
         assert result.advantage.point < 0.05
 
 
@@ -142,8 +143,8 @@ class TestCrossComparator:
     def test_pi_only_leak_degenerates(self, fc_scheme, default_pop):
         # fresh digests of independent codewords carry no linkage signal
         result = run_unlink_game(fc_scheme, default_pop, LEAK_PI,
-                                 CrossComparatorAdversary(), trials=8000,
-                                 seed=37)
+                                 CrossComparatorAdversary(),
+                                 RunSettings(trials=8000, seed=37))
         assert result.advantage.point < 0.03
 
     def test_unknown_rule_rejected(self):
@@ -197,7 +198,7 @@ class TestReductionAdversary:
         inner = CountingInner(num_queries=4, fallback_tau=4)
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(inner, tau=4),
-                                 trials=300, seed=39)
+                                 RunSettings(trials=300, seed=39))
         assert inner.calls == 0
         assert result.advantage.point < 0.15
 
@@ -205,7 +206,7 @@ class TestReductionAdversary:
         inner = blind_al_adversary(default_pop, 1)
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(inner, tau=1),
-                                 trials=8000, seed=41, level=0.99)
+                                 RunSettings(trials=8000, seed=41, level=0.99))
         ov = metrics.overlap_rates(default_pop, 1)
         m1 = metrics.extremal_mr(default_pop, 1)
         lower = -(ov.p_tau - ov.q_tau) * m1.value
@@ -217,7 +218,7 @@ class TestSamplerAdversary:
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
                                  SamplerIrrAdversary(num_queries=16,
                                                      fallback_tau=1),
-                                 trials=6000, seed=43, level=0.99)
+                                 RunSettings(trials=6000, seed=43, level=0.99))
         assert result.advantage.ci_low <= 0.0
         assert result.queries["adv_phase2"] == 6000 * 16
 
@@ -229,8 +230,9 @@ class TestSamplerAdversary:
     def _same_guesses(scheme, pop, tau):
         """The sampler and its closed-form reference play the same chunk
         streams (three chunks) and give the same guesses, trial by trial."""
-        kw = dict(trials=1100, seed=17, record_transcripts=True)
-        got, want = (run_al_irr_game(scheme, pop, LEAK_AD, tau, adv, **kw)
+        got, want = (run_al_irr_game(scheme, pop, LEAK_AD, tau, adv,
+                                     RunSettings(trials=1100, seed=17),
+                                     record_transcripts=True)
                      for adv in (SamplerIrrAdversary(16, tau),
                                  UniqueSampler(16, tau)))
         assert got.transcript_digests == want.transcript_digests

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from btpeval import adversaries, cli, exact, games, metrics, verify
-from btpeval.adversaries import VerifySettings, adversary_names, build_adversary
+from btpeval.adversaries import adversary_names, build_adversary
 from btpeval.errors import ConfigError, ContractError
+from btpeval.metrics import RunSettings
 from btpeval.report import strip_timings
 from btpeval.schemes import LeakSet
 
@@ -165,7 +166,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "trials_inner must be >= 2, got 1" in err
         with pytest.raises(ConfigError, match="trials_inner must be >= 2"):
-            VerifySettings(stats_inner=1)
+            RunSettings(stats_inner=1)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["verify", "--theorem", "all"], "sampler_queries"),
+        (["verify", "--theorem", "t2"], "trials"),
+        (["game", "pal-irr", "--adversary", "pal-sampler"], "query_budget"),
+        (["metrics"], "query_budget"),
+        (["metrics"], "sampler_queries")],
+        ids=["verify-all", "verify-t2", "game", "metrics-budget",
+             "metrics-sampler"])
+    def test_setting_below_one_refused_before_measuring(
+            self, tmp_path, capsys, argv, key, no_measurement):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert f"{key} must be >= 1, got 0" in err
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
+            RunSettings(**{key: 0})
 
     @pytest.mark.parametrize("game, name, leak", [
         ("pal-irr", "pal-sampler", "pi"), ("al-irr", "pal-sampler", "ad"),
@@ -179,7 +198,7 @@ class TestExitCodes:
         assert f"pal-sampler needs lambda pi+ad, got {leak}" in err
         with pytest.raises(ContractError, match="needs lambda pi\\+ad"):
             build_adversary(name, game, fc_scheme, default_pop,
-                            VerifySettings(), LeakSet.parse(leak))
+                            RunSettings(), LeakSet.parse(leak))
 
 
 # Template parts each built-in adversary needs; every other one runs on
@@ -235,7 +254,7 @@ class TestAdversaryFactory:
             assert name in help_text
 
     def test_default_config_gives_the_default_settings(self):
-        assert VerifySettings.from_config(cli.DEFAULT_CONFIG) == VerifySettings()
+        assert RunSettings.from_config(cli.DEFAULT_CONFIG) == RunSettings()
 
     def test_t4_inner_sampler_reads_sampler_queries(self, tmp_path, capsys):
         # T4's inner adversary is the sampler `game` builds from the config
@@ -392,6 +411,20 @@ class TestClosedFormOracles:
         half = (hi95 - lo95) / 2 * metrics.z_value(0.99) / metrics.z_value(0.95)
         mean = (lo95 + hi95) / 2
         assert mean - half <= stats["exact"]["mean"] <= mean + half
+
+    def test_rot24_m_rmr_is_the_blind_pal_baseline(self, tmp_path, capsys):
+        # past the feature scan both are candidate-set extremes, drawn from
+        # --seed by `metrics` and `game` alike
+        args = ("--trials", "200", "--seed", "5")
+        m_rmr = _rot_metrics(24, tmp_path, capsys, *args)["m_rmr"]
+        code, out, err = run_cli(["game", "pal-irr", "--adversary", "blind",
+                                  "--config", str(tmp_path / "rot.json"),
+                                  *args], capsys)
+        assert code == 0, err
+        game = load_json(out)["game_result"]
+        assert (m_rmr["exact"], m_rmr["mode"]) == (game["baseline"],
+                                                   game["baseline_mode"])
+        assert game["baseline_mode"] == "lower_bound"
 
 
 class TestDeterminism:
@@ -647,6 +680,8 @@ class TestConfigHandling:
         assert code == 2
         assert "tau must be >= 0" in err
         assert out == ""
+        with pytest.raises(ConfigError, match="tau must be >= 0, got -1"):
+            RunSettings(tau=-1)
 
     @pytest.mark.parametrize("dims", [{"n": 9}, {"k": 2}, {"n": 9, "k": 2}])
     def test_code_dimensions_disagreeing_with_generator_rejected(

@@ -32,7 +32,8 @@ from btpeval.games import (
     run_pal_irr_game,
     run_unlink_game,
 )
-from btpeval.population import FeatureElement, Population
+from btpeval.metrics import RunSettings
+from btpeval.population import FeatureElement, Population, generate_population
 from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
@@ -43,6 +44,7 @@ from btpeval.schemes import (
     build_scheme,
 )
 from reference_adversaries import scalar_twin
+from toy_schemes import LotteryScheme
 
 
 def engines(adversary):
@@ -184,14 +186,14 @@ class TestProtocolFidelity:
         runs = {
             "al-irr": lambda: run_al_irr_game(
                 scheme, pop, LEAK_PI, 1, adversary(blind_al_adversary(pop, 1)),
-                trials=3, baseline=baseline),
+                RunSettings(trials=3, seed=0), baseline=baseline),
             "pal-irr": lambda: run_pal_irr_game(
                 scheme, pop, LEAK_BOTH,
                 adversary(BlindArgmaxAdversary(FeatureElement(7, 5))),
-                trials=3, baseline=baseline),
+                RunSettings(trials=3, seed=0), baseline=baseline),
             "unlink": lambda: run_unlink_game(
                 scheme, pop, LEAK_BOTH, adversary(CoinFlipUnlinkAdversary()),
-                trials=3),
+                RunSettings(trials=3, seed=0)),
         }
         decisions = {"al-irr": [], "pal-irr": ["pic_batch"], "unlink": []}
         for game, run in runs.items():
@@ -202,8 +204,8 @@ class TestProtocolFidelity:
 
     def test_bad_guess_bit_raises(self, fc_scheme, default_pop):
         with pytest.raises(ProtocolError):
-            run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            BadBitAdversary(), trials=3, seed=0)
+            run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadBitAdversary(),
+                            RunSettings(trials=3, seed=0))
 
     def test_batch_guess_bit_checked(self, fc_scheme, default_pop):
         class BadBatchBit(CoinFlipUnlinkAdversary):
@@ -212,7 +214,7 @@ class TestProtocolFidelity:
 
         with pytest.raises(ProtocolError):
             run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadBatchBit(),
-                            trials=3, seed=0)
+                            RunSettings(trials=3, seed=0))
 
     def test_batch_guess_checked(self, fc_scheme, default_pop):
         class WideGuess(SamplerIrrAdversary):
@@ -221,7 +223,7 @@ class TestProtocolFidelity:
 
         with pytest.raises(ProtocolError):
             run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, WideGuess(),
-                            trials=3, seed=0)
+                            RunSettings(trials=3, seed=0))
 
     @pytest.mark.parametrize("guess", [FeatureElement(6, 0), 5, None])
     def test_scalar_guess_must_be_a_feature_element(self, fc_scheme,
@@ -235,7 +237,7 @@ class TestProtocolFidelity:
 
         with pytest.raises(ProtocolError):
             run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, BadGuess(),
-                            trials=3, seed=0)
+                            RunSettings(trials=3, seed=0))
 
     def test_scalar_inner_keeps_its_trial_state(self, fc_scheme, default_pop):
         # the reduction hands its inner adversary only the trials whose
@@ -250,7 +252,7 @@ class TestProtocolFidelity:
 
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(RowChecker(), 1),
-                                 trials=700, seed=6)
+                                 RunSettings(trials=700, seed=6))
         assert result.flagged == 0
 
     def test_adversary_needs_a_phase_pair(self):
@@ -273,8 +275,8 @@ class TestProtocolFidelity:
 
 class TestBudgets:
     def test_exhausted_trial_is_flagged_loss(self, fc_scheme, default_pop):
-        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
-                                 GreedySampler(), trials=5, seed=0, budget=10)
+        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, GreedySampler(),
+                                 RunSettings(trials=5, seed=0, query_budget=10))
         assert result.flagged == 5
         assert result.wins == 0
         assert result.queries["adv_phase2"] == 50  # budget consumed, then cut
@@ -282,7 +284,7 @@ class TestBudgets:
     def test_blind_adversary_uses_no_queries(self, fc_scheme, default_pop):
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
                                  blind_al_adversary(default_pop, 1),
-                                 trials=50, seed=0)
+                                 RunSettings(trials=50, seed=0))
         assert result.queries["adv_phase1"] == 0
         assert result.queries["adv_phase2"] == 0
         assert result.queries["challenger"] == 50
@@ -294,13 +296,13 @@ class TestBudgets:
         if adversary == "unlink":
             with pytest.raises(ConfigError):
                 run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                                MatchTestUnlinkAdversary(), trials=5,
-                                budget=budget)
+                                MatchTestUnlinkAdversary(),
+                                RunSettings(trials=5, seed=0, query_budget=budget))
             return
         adv = engines(SamplerIrrAdversary(4, 1))[adversary]
         with pytest.raises(ConfigError):
-            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv, trials=5,
-                            budget=budget)
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv,
+                            RunSettings(trials=5, seed=0, query_budget=budget))
 
     def _both(self, run, adversary):
         results = [run(adv) for adv in engines(adversary).values()]
@@ -313,8 +315,9 @@ class TestBudgets:
                                                    default_pop):
         trials = 700
         result = self._both(lambda adv: run_al_irr_game(
-            fc_scheme, default_pop, LEAK_AD, 1, adv, trials=trials, seed=3,
-            budget=5), SamplerIrrAdversary(16, 1))
+            fc_scheme, default_pop, LEAK_AD, 1, adv,
+            RunSettings(trials=trials, seed=3, query_budget=5)),
+            SamplerIrrAdversary(16, 1))
         assert result.flagged == trials
         assert result.wins == 0
         assert result.queries == {"adv_phase1": 0, "adv_phase2": 5 * trials,
@@ -332,8 +335,9 @@ class TestBudgets:
                                mu=0.5, n_delta=n_delta)
         trials = 700
         result = self._both(lambda adv: run_pal_irr_game(
-            scheme, default_pop, LEAK_BOTH, adv, trials=trials, seed=4,
-            budget=1), PalSamplerAdversary(cfg))
+            scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=trials, seed=4, query_budget=1)),
+            PalSamplerAdversary(cfg))
         assert result.flagged == flagged
         assert result.queries == {"adv_phase1": 0, "adv_phase2": trials,
                                   "challenger": trials}
@@ -343,8 +347,9 @@ class TestBudgets:
         # a challenge, and phase 2 is never charged
         trials = 700
         result = self._both(lambda adv: run_unlink_game(
-            fc_scheme, default_pop, LEAK_BOTH, adv, trials=trials, seed=5,
-            budget=2), MatchTestUnlinkAdversary())
+            fc_scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=trials, seed=5, query_budget=2)),
+            MatchTestUnlinkAdversary())
         assert (result.flagged, result.wins) == (trials, 0)
         assert result.queries == {"adv_phase1": 2 * trials, "adv_phase2": 0,
                                   "challenger": 0}
@@ -357,7 +362,7 @@ class TestBudgets:
                "scalar-inner": ReductionUnlinkAdversary(scalar_twin(inner), 1),
                }[engine]
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD, adv,
-                                 trials=700, seed=6, budget=5)
+                                 RunSettings(trials=700, seed=6, query_budget=5))
         # a trial is cut exactly when the inner adversary ran on it
         assert result.queries["adv_phase2"] == 5 * result.flagged
         assert result.queries["adv_phase1"] == 3 * 700
@@ -366,20 +371,22 @@ class TestBudgets:
 
 class TestDeterminism:
     def test_same_seed_same_result(self, fc_scheme, default_pop):
-        kw = dict(trials=300, seed=7, record_transcripts=True)
+        s = RunSettings(trials=300, seed=7)
         a = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), **kw)
+                            MatchTestUnlinkAdversary(), s,
+                            record_transcripts=True)
         b = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), **kw)
+                            MatchTestUnlinkAdversary(), s,
+                            record_transcripts=True)
         assert a.wins == b.wins
         assert a.transcript_digests == b.transcript_digests
 
     def test_jobs_invariance(self, fc_scheme, default_pop):
-        kw = dict(trials=1200, seed=9, record_transcripts=True)
-        a = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), jobs=1, **kw)
-        b = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), jobs=2, **kw)
+        a, b = (run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
+                                MatchTestUnlinkAdversary(),
+                                RunSettings(trials=1200, seed=9, jobs=jobs),
+                                record_transcripts=True)
+                for jobs in (1, 2))
         assert a.wins == b.wins
         assert a.transcript_digests == b.transcript_digests
 
@@ -387,11 +394,10 @@ class TestDeterminism:
     def test_irr_transcripts_jobs_invariant(self, fc_scheme, default_pop,
                                             engine):
         adv = engines(SamplerIrrAdversary(4, 1))[engine]
-        kw = dict(trials=1100, seed=9, record_transcripts=True)
-        a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv, jobs=1,
-                            **kw)
-        b = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv, jobs=2,
-                            **kw)
+        a, b = (run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv,
+                                RunSettings(trials=1100, seed=9, jobs=jobs),
+                                record_transcripts=True)
+                for jobs in (1, 2))
         assert len(a.transcript_digests) == 1100
         assert a.transcript_digests == b.transcript_digests
 
@@ -399,11 +405,13 @@ class TestDeterminism:
                                                    default_pop):
         # reference digests of adversaries written trial by trial: their
         # phases run on each trial in turn, drawing from the chunk's streams
-        kw = dict(trials=300, seed=7, record_transcripts=True)
+        s = RunSettings(trials=300, seed=7)
         u = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            scalar_twin(MatchTestUnlinkAdversary()), **kw)
+                            scalar_twin(MatchTestUnlinkAdversary()), s,
+                            record_transcripts=True)
         a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
-                            scalar_twin(SamplerIrrAdversary(4, 1)), **kw)
+                            scalar_twin(SamplerIrrAdversary(4, 1)), s,
+                            record_transcripts=True)
         assert (u.wins, transcripts_digest(u)) == (281, "2e7681c6c957134a")
         assert (a.wins, transcripts_digest(a)) == (49, "d4a0273defde6bda")
 
@@ -422,23 +430,28 @@ class TestDeterminism:
         # reference digests of pal-irr runs and of runs whose budget cuts
         # trials, so their transcripts hold "-" entries
         fc, pop = fc_scheme, default_pop
-        kw = dict(trials=700, seed=11, record_transcripts=True)
+        kw = dict(record_transcripts=True)
+
+        def budget(b):
+            return RunSettings(trials=700, seed=11, query_budget=b)
+
         pal_cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16,
                                    gamma=0.5, mu=0.5, n_delta=4)
         runs = {
             "pal-sampler": lambda: run_pal_irr_game(
-                fc, pop, LEAK_BOTH, SamplerIrrAdversary(4, 1), **kw),
+                fc, pop, LEAK_BOTH, SamplerIrrAdversary(4, 1), budget(10**6),
+                **kw),
             "pal-pal-sampler-cut": lambda: run_pal_irr_game(
-                fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), budget=3,
+                fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), budget(3),
                 **kw),
             "al-cut-in-both-phases": lambda: run_al_irr_game(
-                fc, pop, LEAK_AD, 1, ThriftyIrr(), budget=2, **kw),
+                fc, pop, LEAK_AD, 1, ThriftyIrr(), budget(2), **kw),
             "unlink-cut-in-both-phases": lambda: run_unlink_game(
-                fc, pop, LEAK_BOTH, ThriftyUnlink(), budget=4, **kw),
+                fc, pop, LEAK_BOTH, ThriftyUnlink(), budget(4), **kw),
             "unlink-reduction-cut": lambda: run_unlink_game(
                 fc, pop, LEAK_AD,
                 ReductionUnlinkAdversary(SamplerIrrAdversary(16, 1), 1),
-                budget=5, **kw),
+                budget(5), **kw),
         }
         r = runs[case]()
         assert (r.wins, r.flagged, r.queries["adv_phase1"],
@@ -448,8 +461,8 @@ class TestDeterminism:
     def test_pinned_cross_match_counts(self, fc_scheme, default_pop):
         trials = 1100
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
-                                    CrossComparatorAdversary(), trials=trials,
-                                    seed=25)
+                                    CrossComparatorAdversary(),
+                                    RunSettings(trials=trials, seed=25))
         assert round(res.fcmr.point * trials) == 51
         assert round(res.fncmr.point * trials) == 43
         assert res.fcmr.queries_used == res.fncmr.queries_used == 3 * trials
@@ -465,16 +478,18 @@ class TestDeterminism:
             return derive(*args)
 
         monkeypatch.setattr(games, "substream", counted)
-        run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                        MatchTestUnlinkAdversary(), trials=1200, seed=3)
+        run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, MatchTestUnlinkAdversary(),
+                        RunSettings(trials=1200, seed=3))
         assert games.GAME_CHUNK == 512
         assert len(calls) == 9           # 3 chunks x (ch, adv, samp)
 
     def test_seed_changes_outcomes(self, fc_scheme, default_pop):
         a = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), trials=500, seed=1)
+                            MatchTestUnlinkAdversary(),
+                            RunSettings(trials=500, seed=1))
         b = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                            MatchTestUnlinkAdversary(), trials=500, seed=2)
+                            MatchTestUnlinkAdversary(),
+                            RunSettings(trials=500, seed=2))
         assert a.wins != b.wins
 
 
@@ -482,7 +497,8 @@ class TestKnownRates:
     def test_plaintext_read_pi_always_wins(self, default_pop):
         scheme = PlaintextScheme(7, tau=0)
         result = run_al_irr_game(scheme, default_pop, LEAK_PI, 0,
-                                 ReadViewAdversary("pi"), trials=1500, seed=3)
+                                 ReadViewAdversary("pi"),
+                                 RunSettings(trials=1500, seed=3))
         assert result.win_rate.point == 1.0
         m0 = metrics.extremal_mr(default_pop, 0)
         assert result.advantage.point == pytest.approx(1.0 - m0.value)
@@ -492,28 +508,43 @@ class TestKnownRates:
         # exact win probability over the codeword draw: the guess equals
         # the feature only when the zero codeword was drawn
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 0,
-                                 ReadViewAdversary("alpha"), trials=8000,
-                                 seed=5, level=0.99)
+                                 ReadViewAdversary("alpha"),
+                                 RunSettings(trials=8000, seed=5, level=0.99))
         assert result.win_rate.ci_low <= 1 / 16 <= result.win_rate.ci_high
 
     def test_blind_al_advantage_near_zero(self, fc_scheme, default_pop):
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
                                  blind_al_adversary(default_pop, 1),
-                                 trials=8000, seed=7, level=0.99)
+                                 RunSettings(trials=8000, seed=7, level=0.99))
         assert result.advantage.ci_low <= 0.0 <= result.advantage.ci_high
         assert result.baseline_mode == "exact"
 
     def test_blind_pal_advantage_near_zero(self, fc_scheme, default_pop):
         result = run_pal_irr_game(fc_scheme, default_pop, LEAK_PI,
                                   blind_pal_adversary(fc_scheme, default_pop),
-                                  trials=8000, seed=9, level=0.99)
+                                  RunSettings(trials=8000, seed=9, level=0.99))
         assert result.advantage.ci_low <= 0.0 <= result.advantage.ci_high
+
+    def test_candidate_set_baseline_follows_the_seed(self):
+        # past ENUM_N_CAP the lottery scheme has no exact oracle: the
+        # baseline is a Monte Carlo candidate-set extreme, drawn from the
+        # run's seed as a direct `extremal_rmr` call draws it
+        pop = generate_population(12, 16, 0.03, seed=1)
+        scheme = LotteryScheme(12, 0.3)
+        s = RunSettings(trials=200, seed=3)
+        m = metrics.extremal_rmr(scheme, pop, s)
+        result = run_pal_irr_game(scheme, pop, LEAK_BOTH,
+                                  BlindArgmaxAdversary(m.witness), s)
+        assert (result.baseline, result.baseline_mode) == (m.value,
+                                                           "lower_bound")
 
     def test_coin_flip_advantage_shrinks(self, fc_scheme, default_pop):
         small = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                                CoinFlipUnlinkAdversary(), trials=200, seed=11)
+                                CoinFlipUnlinkAdversary(),
+                                RunSettings(trials=200, seed=11))
         large = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
-                                CoinFlipUnlinkAdversary(), trials=20000, seed=11)
+                                CoinFlipUnlinkAdversary(),
+                                RunSettings(trials=20000, seed=11))
         assert large.advantage.point < 0.02
         assert large.advantage.half_width < small.advantage.half_width
 
@@ -524,7 +555,7 @@ class TestKnownRates:
                          centers=tuple(FeatureElement(7, int(v)) for v in vals))
         scheme = RotationScheme(7, tau=0)
         result = run_unlink_game(scheme, pop, LEAK_BOTH, UnrotateAdversary(),
-                                 trials=6000, seed=13, level=0.99)
+                                 RunSettings(trials=6000, seed=13, level=0.99))
         # wrong only when the two candidate users coincide: advantage 1 - 1/U
         expected = 1.0 - 1.0 / pop.num_users
         assert result.advantage.point > 0.85
@@ -535,7 +566,7 @@ class TestCoupledTrials:
     def test_inclusions_and_pal_equality_for_fc(self, fc_scheme, default_pop):
         res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
                                      blind_al_adversary(default_pop, 1),
-                                     trials=4000, seed=15)
+                                     RunSettings(trials=4000, seed=15))
         v = res.inclusion_violations()
         assert v == {"fl_subset_al": 0, "al_subset_pal": 0}
         # at tau = t the acceptance test IS the distance test
@@ -544,7 +575,7 @@ class TestCoupledTrials:
     def test_read_alpha_coupling(self, fc_scheme, default_pop):
         res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_AD, 1,
                                      ReadViewAdversary("alpha"),
-                                     trials=4000, seed=17)
+                                     RunSettings(trials=4000, seed=17))
         v = res.inclusion_violations()
         assert v == {"fl_subset_al": 0, "al_subset_pal": 0}
 
@@ -553,7 +584,7 @@ class TestCrossMatchRates:
     def test_always_zero_rule(self, fc_scheme, default_pop):
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
                                     CrossComparatorAdversary("always-0"),
-                                    trials=400, seed=19)
+                                    RunSettings(trials=400, seed=19))
         assert res.fcmr.point == 1.0
         assert res.fncmr.point == 0.0
         assert res.identity_advantage == pytest.approx(0.0)
@@ -561,7 +592,7 @@ class TestCrossMatchRates:
     def test_always_one_rule(self, fc_scheme, default_pop):
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
                                     CrossComparatorAdversary("always-1"),
-                                    trials=400, seed=21)
+                                    RunSettings(trials=400, seed=21))
         assert res.fcmr.point == 0.0
         assert res.fncmr.point == 1.0
         assert res.identity_advantage == pytest.approx(0.0)
@@ -575,15 +606,15 @@ class TestCrossMatchRates:
 
         target = exact.enumerator(fc_scheme, default_pop).fmr_bp() / 2.0
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
-                                    CrossComparatorAdversary(), trials=8000,
-                                    seed=25, level=0.99)
+                                    CrossComparatorAdversary(),
+                                    RunSettings(trials=8000, seed=25, level=0.99))
         assert res.fcmr.ci_low <= target <= res.fcmr.ci_high
         assert res.fncmr.ci_low <= target <= res.fncmr.ci_high
 
     def test_default_rule_identity_matches_game(self, fc_scheme, default_pop):
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
-                                    CrossComparatorAdversary(), trials=6000,
-                                    seed=23)
+                                    CrossComparatorAdversary(),
+                                    RunSettings(trials=6000, seed=23))
         se_adv = res.unlink_advantage.half_width / metrics.z_value(0.95)
         se = (res.fcmr.std_error ** 2 + res.fncmr.std_error ** 2
               + se_adv ** 2) ** 0.5
@@ -620,16 +651,18 @@ class TestEngineDifferential:
     def test_blind_al_irr(self, default_pop, scheme_name):
         scheme = build_scheme(SCHEMES[scheme_name], 7)
         results = self._play(lambda adv: run_al_irr_game(
-            scheme, default_pop, LEAK_PI, 1, adv, trials=self.TRIALS,
-            seed=51, level=0.99), blind_al_adversary(default_pop, 1))
+            scheme, default_pop, LEAK_PI, 1, adv,
+            RunSettings(trials=self.TRIALS, seed=51, level=0.99)),
+            blind_al_adversary(default_pop, 1))
         self._hits(results, metrics.extremal_mr(default_pop, 1).value)
 
     def test_match_test_unlink(self, default_pop, scheme_name):
         scheme = build_scheme(SCHEMES[scheme_name], 7)
         en = exact.enumerator(scheme, default_pop)
         results = self._play(lambda adv: run_unlink_game(
-            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=53,
-            level=0.99), MatchTestUnlinkAdversary())
+            scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=self.TRIALS, seed=53, level=0.99)),
+            MatchTestUnlinkAdversary())
         if en.hypothesis_own_match():
             self._hits(results, 1.0 - en.pt_match_stats()[0], "advantage")
         else:
@@ -644,8 +677,9 @@ class TestEngineDifferential:
                                mu=0.5, n_delta=n_delta)
         target = float(w @ (1.0 - (1.0 - r) ** n_delta))
         results = self._play(lambda adv: run_pal_irr_game(
-            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=55,
-            level=0.99), PalSamplerAdversary(cfg))
+            scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=self.TRIALS, seed=55, level=0.99)),
+            PalSamplerAdversary(cfg))
         self._hits(results, target)
 
     def _two_sample(self, results):
@@ -660,7 +694,8 @@ class TestEngineDifferential:
     def test_sampler_two_sample(self, default_pop, scheme_name):
         scheme = build_scheme(SCHEMES[scheme_name], 7)
         self._two_sample(self._play(lambda adv: run_al_irr_game(
-            scheme, default_pop, LEAK_AD, 1, adv, trials=self.TRIALS, seed=57),
+            scheme, default_pop, LEAK_AD, 1, adv,
+            RunSettings(trials=self.TRIALS, seed=57)),
             SamplerIrrAdversary(8, 1)))
 
     def test_reduction_two_sample(self, default_pop, scheme_name):
@@ -670,5 +705,6 @@ class TestEngineDifferential:
         cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
                                mu=0.5, n_delta=4)
         self._two_sample(self._play(lambda adv: run_unlink_game(
-            scheme, default_pop, LEAK_BOTH, adv, trials=self.TRIALS, seed=59),
+            scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=self.TRIALS, seed=59)),
             ReductionUnlinkAdversary(PalSamplerAdversary(cfg), 1)))

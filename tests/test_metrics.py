@@ -5,6 +5,7 @@ scale where quadruple loops are feasible; the samplers are then held to
 the exact engine on the default configuration.
 """
 
+import inspect
 import math
 import tracemalloc
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btpeval import exact, metrics
+from btpeval import exact, games, metrics
 from btpeval.errors import ConfigError, DimensionError, ModeError
+from btpeval.metrics import RunSettings
 from btpeval.population import FeatureElement, Population, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
@@ -23,6 +25,7 @@ from btpeval.schemes import (
     FuzzyCommitmentScheme,
     PlaintextScheme,
     RotationScheme,
+    build_scheme,
 )
 from reference_schemes import (
     RefFuzzyCommitmentScheme,
@@ -72,11 +75,13 @@ class TestIntervals:
 
 class TestBaselineRates:
     def test_tau_n_extremes(self, default_pop):
-        fnmr, fmr = metrics.est_baseline_rates(default_pop, 7, 2000, seed=0)
+        fnmr, fmr = metrics.est_baseline_rates(default_pop, 7,
+                                               RunSettings(trials=2000, seed=0))
         assert fmr.point == 1.0 and fnmr.point == 0.0
 
     def test_noiseless_tau0_fnmr_zero(self, noiseless_pop):
-        fnmr, _ = metrics.est_baseline_rates(noiseless_pop, 0, 2000, seed=0)
+        fnmr, _ = metrics.est_baseline_rates(noiseless_pop, 0,
+                                             RunSettings(trials=2000, seed=0))
         assert fnmr.point == 0.0
 
     def test_exact_against_pair_sum_oracle(self, default_pop):
@@ -99,8 +104,9 @@ class TestBaselineRates:
         assert fmr_exact == pytest.approx(fmr_oracle, abs=1e-12)
 
     def test_estimates_within_ci_of_exact(self, default_pop):
-        fnmr, fmr = metrics.est_baseline_rates(default_pop, 1, 20000, seed=11,
-                                               level=0.99)
+        fnmr, fmr = metrics.est_baseline_rates(default_pop, 1,
+                                               RunSettings(trials=20000, seed=11,
+                                                           level=0.99))
         fnmr_exact, fmr_exact = exact.baseline_rates(default_pop, 1)
         assert fnmr.ci_low <= fnmr_exact <= fnmr.ci_high
         assert fmr.ci_low <= fmr_exact <= fmr.ci_high
@@ -215,7 +221,8 @@ class TestExactEngineRandomTinyConfigs:
 
 class TestSchemeFnmr:
     def test_fc_noiseless_is_zero(self, fc_scheme, noiseless_pop):
-        est = metrics.est_scheme_fnmr(fc_scheme, noiseless_pop, 2000, seed=1)
+        est = metrics.est_scheme_fnmr(fc_scheme, noiseless_pop,
+                                      RunSettings(trials=2000, seed=1))
         assert est.point == 0.0
 
     def test_plaintext_equals_baseline_exactly(self, default_pop):
@@ -225,8 +232,8 @@ class TestSchemeFnmr:
         assert en.fnmr() == pytest.approx(fnmr_exact, abs=1e-12)
 
     def test_fc_estimate_matches_exact(self, fc_scheme, default_pop):
-        est = metrics.est_scheme_fnmr(fc_scheme, default_pop, 20000, seed=21,
-                                      level=0.99)
+        est = metrics.est_scheme_fnmr(fc_scheme, default_pop,
+                                      RunSettings(trials=20000, seed=21, level=0.99))
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop).fnmr() \
             <= est.ci_high
 
@@ -249,8 +256,10 @@ class TestFmrVariants:
         assert en.fmr_tp("pi") == pytest.approx(1 / 16, abs=1e-12)
 
     def test_fc_tp_below_bp_paired(self, fc_scheme, default_pop):
-        tp = metrics.est_fmr_tp(fc_scheme, default_pop, "ad", 20000, seed=31)
-        bp = metrics.est_fmr_bp(fc_scheme, default_pop, 20000, seed=31)
+        tp = metrics.est_fmr_tp(fc_scheme, default_pop, "ad",
+                                RunSettings(trials=20000, seed=31))
+        bp = metrics.est_fmr_bp(fc_scheme, default_pop,
+                                RunSettings(trials=20000, seed=31))
         assert tp.point <= bp.point
         en = exact.enumerator(fc_scheme, default_pop)
         assert en.fmr_tp("ad") <= en.fmr_bp()
@@ -263,18 +272,19 @@ class TestFmrVariants:
         # and alpha from the wrong enrollments shows
         en = exact.enumerator(scheme, default_pop)
         for factor in ("ad", "pi"):
-            est = metrics.est_fmr_tp(scheme, default_pop, factor, 4000,
-                                     seed=37, level=0.99)
+            est = metrics.est_fmr_tp(scheme, default_pop, factor,
+                                     RunSettings(trials=4000, seed=37, level=0.99))
             assert est.ci_low <= en.fmr_tp(factor) <= est.ci_high
 
     def test_rotation_full_threshold_matches_everything(self, default_pop):
         scheme = RotationScheme(7, tau=7)
-        est = metrics.est_fmr_tp(scheme, default_pop, "ad", 500, seed=2)
+        est = metrics.est_fmr_tp(scheme, default_pop, "ad",
+                                 RunSettings(trials=500, seed=2))
         assert est.point == 1.0
 
     def test_fc_bp_estimate_matches_exact(self, fc_scheme, default_pop):
-        est = metrics.est_fmr_bp(fc_scheme, default_pop, 20000, seed=41,
-                                 level=0.99)
+        est = metrics.est_fmr_bp(fc_scheme, default_pop,
+                                 RunSettings(trials=20000, seed=41, level=0.99))
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop).fmr_bp() \
             <= est.ci_high
 
@@ -284,7 +294,7 @@ class TestFmrVariants:
         code = FuzzyCommitmentScheme(
             LinearCode.from_bitstrings(
                 ["1000110", "0100101", "0010011", "0001111"], t=1))
-        est = metrics.est_fmr_bp(code, pop, 1000, seed=5)
+        est = metrics.est_fmr_bp(code, pop, RunSettings(trials=1000, seed=5))
         assert est.point == 0.0
 
     def test_div_plaintext_equals_mated_rate(self, default_pop):
@@ -295,14 +305,15 @@ class TestFmrVariants:
     def test_div_fc_exact_and_entropy(self, fc_scheme, default_pop):
         en = exact.enumerator(fc_scheme, default_pop)
         assert en.fmr_div() == pytest.approx(1 / 16, abs=1e-12)
-        est = metrics.est_fmr_div(fc_scheme, default_pop, 20000, seed=51,
-                                  level=0.99)
+        est = metrics.est_fmr_div(fc_scheme, default_pop,
+                                  RunSettings(trials=20000, seed=51, level=0.99))
         assert est.ci_low <= 1 / 16 <= est.ci_high
         assert metrics.entropy_bits(en.fmr_div()) == pytest.approx(4.0)
 
     def test_factor_validation(self, fc_scheme, default_pop):
         with pytest.raises(ConfigError):
-            metrics.est_fmr_tp(fc_scheme, default_pop, "xx", 100)
+            metrics.est_fmr_tp(fc_scheme, default_pop, "xx",
+                               RunSettings(trials=100, seed=0))
 
 
 class TestMrOfFeature:
@@ -336,7 +347,8 @@ class TestMrOfFeature:
         pop = generate_population(22, 2, 0.01, seed=0)
         with pytest.raises(ModeError):
             metrics.mr_of_feature(pop, FeatureElement(22, 0), 1)
-        est = metrics.est_mr_of_feature(pop, FeatureElement(22, 0), 1, 500, seed=1)
+        est = metrics.est_mr_of_feature(pop, FeatureElement(22, 0), 1,
+                                        RunSettings(trials=500, seed=1))
         assert 0.0 <= est.point <= 1.0
 
 
@@ -351,21 +363,24 @@ class TestRmrOfFeature:
         centers = (FeatureElement(7, 0), FeatureElement(7, 3))
         pop = Population(n=7, flip_prob=0.0, seed=0, centers=centers)
         x = FeatureElement(7, 0b1111000)  # distance >= 3 from both centers
-        est = metrics.rmr_of_feature(fc_scheme, pop, x, 500, seed=3)
+        est = metrics.rmr_of_feature(fc_scheme, pop, x, RunSettings(trials=500, seed=3))
         assert est.point == 0.0
 
     def test_estimate_matches_enumeration(self, fc_scheme, default_pop):
         x = default_pop.center(2)
-        est = metrics.rmr_of_feature(fc_scheme, default_pop, x, 20000, seed=61,
-                                     level=0.99)
+        est = metrics.rmr_of_feature(fc_scheme, default_pop, x,
+                                     RunSettings(trials=20000, seed=61, level=0.99))
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop) \
             .rmr_vector()[x.value] <= est.ci_high
 
 
 class TestProbeDimension:
     @pytest.mark.parametrize("estimate", [
-        lambda scheme, pop, x: metrics.est_mr_of_feature(pop, x, 1, 100),
-        lambda scheme, pop, x: metrics.rmr_of_feature(scheme, pop, x, 100),
+        lambda scheme, pop, x: metrics.est_mr_of_feature(pop, x, 1,
+                                                         RunSettings(trials=100,
+                                                                     seed=0)),
+        lambda scheme, pop, x: metrics.rmr_of_feature(scheme, pop, x,
+                                                      RunSettings(trials=100, seed=0)),
         lambda scheme, pop, x: metrics.mr_of_feature(pop, x, 1),
     ], ids=["est_mr_of_feature", "rmr_of_feature", "mr_of_feature"])
     def test_probe_of_another_dimension_rejected(self, fc_scheme, default_pop,
@@ -399,7 +414,7 @@ class TestExtremal:
     def test_lower_bound_mode_flagged(self):
         # the full feature scan stops at EXACT_N_CAP
         pop = generate_population(exact.EXACT_N_CAP + 1, 4, 0.02, seed=2)
-        m = metrics.extremal_mr(pop, 1, seed=0, candidate_draws=16)
+        m = metrics.extremal_mr(pop, 1, RunSettings(seed=0))
         assert m.mode == "lower_bound"
         assert m.value <= 1.0
 
@@ -437,12 +452,39 @@ class TestExtremal:
             assert np.ptp(vec[orbit]) <= 1e-12
             assert w == min(orbit)
 
+    @pytest.mark.parametrize("cfg, n", [
+        ({"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}, 7),
+        ({"scheme": "plain", "tau": 1}, 7), ({"scheme": "rot", "tau": 2}, 7),
+        ({"scheme": "rot", "tau": 1}, 12)],
+        ids=["fc7", "plain7", "rot7", "rot12"])
+    def test_match_law_rmr_is_the_oracle_scan(self, cfg, n):
+        # rMR of a match-law scheme is MR at the law's radius: the same
+        # cached vector and the same scan as the oracle's rmr_vector
+        pop = generate_population(n, 16, 0.03, seed=1)
+        scheme = build_scheme(cfg, n)
+        vec = exact.enumerator(scheme, pop).rmr_vector()
+        want = metrics.MValue(*metrics._scan(n, vec), "exact")
+        assert metrics.extremal_rmr(scheme, pop) == want
+
+    def test_rmr_scheme_of_another_dimension_rejected(self, default_pop):
+        with pytest.raises(ConfigError, match="disagree on n"):
+            metrics.extremal_rmr(RotationScheme(9, tau=1), default_pop)
+
+    def test_match_law_rmr_beyond_the_scan_is_exact_per_candidate(self):
+        pop = generate_population(24, 16, 0.03, seed=1)
+        m = metrics.extremal_rmr(RotationScheme(24, tau=1), pop,
+                                 RunSettings(seed=5))
+        assert m.mode == "lower_bound"
+        assert m.value == float(exact.mr_of(pop, [m.witness.value], 1)[0])
+        assert m == metrics.extremal_mr(pop, 1, RunSettings(seed=5))
+
 
 class TestPtMatchRate:
     def test_plaintext_counts_centers(self, noiseless_pop):
         scheme = PlaintextScheme(7, tau=0)
         pt = scheme.pie(noiseless_pop.center(0), substream(0, "x"))
-        est = metrics.pt_match_rate(scheme, noiseless_pop, pt, 4000, seed=7)
+        est = metrics.pt_match_rate(scheme, noiseless_pop, pt,
+                                    RunSettings(trials=4000, seed=7))
         same = sum(1 for c in noiseless_pop.centers
                    if c == noiseless_pop.center(0))
         assert est.ci_low <= same / noiseless_pop.num_users <= est.ci_high
@@ -450,33 +492,36 @@ class TestPtMatchRate:
     def test_rotation_full_threshold(self, default_pop):
         scheme = RotationScheme(7, tau=7)
         pt = scheme.pie(FeatureElement(7, 5), substream(0, "x"))
-        est = metrics.pt_match_rate(scheme, default_pop, pt, 300, seed=7)
+        est = metrics.pt_match_rate(scheme, default_pop, pt,
+                                    RunSettings(trials=300, seed=7))
         assert est.point == 1.0
 
     def test_fc_matches_enumeration(self, fc_scheme, default_pop):
         pt = fc_scheme.pie(default_pop.center(1), substream(4, "pt"))
-        est = metrics.pt_match_rate(fc_scheme, default_pop, pt, 20000, seed=71,
-                                    level=0.99)
+        est = metrics.pt_match_rate(fc_scheme, default_pop, pt,
+                                    RunSettings(trials=20000, seed=71, level=0.99))
         rate = exact.enumerator(fc_scheme, default_pop).pt_rate(pt)
         assert est.ci_low <= rate <= est.ci_high
 
 
 class TestPtMatchStats:
     def test_always_match_scheme(self, default_pop):
-        st = metrics.pt_match_stats(AlwaysMatchScheme(7), default_pop, 50, 40,
-                                    seed=1)
+        st = metrics.pt_match_stats(AlwaysMatchScheme(7), default_pop,
+                                    RunSettings(stats_outer=50, stats_inner=40, seed=1))
         assert st.stats.mean == pytest.approx(1.0)
         assert st.stats.std_dev == pytest.approx(0.0)
         assert st.stats.variation_coeff == pytest.approx(0.0)
 
     def test_zero_mean_variation_undefined(self, default_pop):
-        st = metrics.pt_match_stats(NeverMatchScheme(7), default_pop, 30, 20,
-                                    seed=1)
+        st = metrics.pt_match_stats(NeverMatchScheme(7), default_pop,
+                                    RunSettings(stats_outer=30, stats_inner=20, seed=1))
         with pytest.raises(ConfigError):
             _ = st.stats.variation_coeff
 
     def test_chebyshev_always_holds(self, fc_scheme, default_pop):
-        st = metrics.pt_match_stats(fc_scheme, default_pop, 400, 250, seed=9)
+        st = metrics.pt_match_stats(fc_scheme, default_pop,
+                                    RunSettings(stats_outer=400, stats_inner=250,
+                                                seed=9))
         floor = st.stats.chebyshev_threshold(0.25)
         frac = float((st.rates > floor).mean())
         assert frac >= 0.75
@@ -485,11 +530,14 @@ class TestPtMatchStats:
     def test_fewer_than_two_templates_rejected(self, fc_scheme, default_pop,
                                                outer):
         with pytest.raises(ConfigError, match="trials_outer must be >= 2"):
-            metrics.pt_match_stats(fc_scheme, default_pop, outer, 40, seed=1)
+            metrics.pt_match_stats(fc_scheme, default_pop,
+                                   RunSettings(stats_outer=outer, stats_inner=40,
+                                               seed=1))
 
     def test_matches_exact_enumeration(self, fc_scheme, default_pop):
-        st = metrics.pt_match_stats(fc_scheme, default_pop, 600, 400, seed=13,
-                                    level=0.99)
+        st = metrics.pt_match_stats(fc_scheme, default_pop,
+                                    RunSettings(stats_outer=600, stats_inner=400,
+                                                seed=13, level=0.99))
         stats = metrics.exact_pt_match_stats(fc_scheme, default_pop)
         assert st.mean_ci[0] <= stats.mean <= st.mean_ci[1]
         assert st.std_ci[0] <= stats.std_dev <= st.std_ci[1]
@@ -533,8 +581,8 @@ class TestOverlapRates:
 
     def test_estimates_cover_exact(self, default_pop):
         ov = metrics.overlap_rates(default_pop, 1)
-        est = metrics.est_overlap_rates(default_pop, 1, 30000, seed=17,
-                                        level=0.99)
+        est = metrics.est_overlap_rates(default_pop, 1,
+                                        RunSettings(trials=30000, seed=17, level=0.99))
         assert est.exact == ov
         assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
@@ -545,7 +593,8 @@ class TestOverlapRates:
         pop = generate_population(10, 16, 0.03, seed=1)
         vec = exact.overlap_vector(pop, 1)
         ov = metrics.overlap_rates(pop, 1)
-        est = metrics.est_overlap_rates(pop, 1, 10000, seed=1, level=0.99)
+        est = metrics.est_overlap_rates(pop, 1,
+                                        RunSettings(trials=10000, seed=1, level=0.99))
         assert est.exact.witness_min.value == int(np.argmin(vec))
         assert est.exact.witness_max.value == int(np.argmax(vec))
         assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
@@ -624,22 +673,22 @@ def _fixed_template(scheme, pop):
     return scheme.pie(pop.center(1), substream(4, "pt"))
 
 
-# Every count estimator, called as f(scheme, pop, trials, **kw), with the
+# Every count estimator, called as f(scheme, pop, settings), with the
 # captures one of its trials draws.
 COUNT_ESTIMATORS = {
-    "fnmr_d": (lambda s, p, t, **kw: metrics.est_baseline_rates(p, 1, t, **kw)[0], 2),
-    "fmr_d": (lambda s, p, t, **kw: metrics.est_baseline_rates(p, 1, t, **kw)[1], 2),
+    "fnmr_d": (lambda s, p, rs: metrics.est_baseline_rates(p, 1, rs)[0], 2),
+    "fmr_d": (lambda s, p, rs: metrics.est_baseline_rates(p, 1, rs)[1], 2),
     "fnmr_scheme": (metrics.est_scheme_fnmr, 2),
-    "fmr_tp_ad": (lambda s, p, t, **kw: metrics.est_fmr_tp(s, p, "ad", t, **kw), 3),
-    "fmr_tp_pi": (lambda s, p, t, **kw: metrics.est_fmr_tp(s, p, "pi", t, **kw), 3),
+    "fmr_tp_ad": (lambda s, p, rs: metrics.est_fmr_tp(s, p, "ad", rs), 3),
+    "fmr_tp_pi": (lambda s, p, rs: metrics.est_fmr_tp(s, p, "pi", rs), 3),
     "fmr_bp": (metrics.est_fmr_bp, 2),
     "fmr_div": (metrics.est_fmr_div, 3),
-    "mr": (lambda s, p, t, **kw:
-           metrics.est_mr_of_feature(p, p.center(0), 1, t, **kw), 1),
-    "rmr": (lambda s, p, t, **kw:
-            metrics.rmr_of_feature(s, p, p.center(0), t, **kw), 1),
-    "pt_rate": (lambda s, p, t, **kw:
-                metrics.pt_match_rate(s, p, _fixed_template(s, p), t, **kw), 1),
+    "mr": (lambda s, p, rs:
+           metrics.est_mr_of_feature(p, p.center(0), 1, rs), 1),
+    "rmr": (lambda s, p, rs:
+            metrics.rmr_of_feature(s, p, p.center(0), rs), 1),
+    "pt_rate": (lambda s, p, rs:
+                metrics.pt_match_rate(s, p, _fixed_template(s, p), rs), 1),
 }
 
 
@@ -745,7 +794,8 @@ class TestPtStatsKernelCost:
             monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
         monkeypatch.setattr(Population, "sample_batch",
                             counted("sample_batch", Population.sample_batch))
-        metrics.pt_match_stats(scheme, default_pop, 600, 400, seed=2)
+        metrics.pt_match_stats(scheme, default_pop,
+                               RunSettings(stats_outer=600, stats_inner=400, seed=2))
         blocks = math.ceil(600 / (metrics.PT_BLOCK_PROBES // 400))
         assert calls["pir_batch"] == calls["pic_batch"] <= blocks
         assert calls["sample_batch"] == 0
@@ -754,10 +804,13 @@ class TestPtStatsKernelCost:
         # the (probes, n) uniforms of one block dominate: about 0.8 MB here
         pop = generate_population(10, 16, 0.03, seed=1)
         scheme = RotationScheme(10, tau=1)
-        metrics.pt_match_stats(scheme, pop, 20, 400, seed=1)
+        metrics.pt_match_stats(scheme, pop,
+                               RunSettings(stats_outer=20, stats_inner=400, seed=1))
         tracemalloc.start()
         try:
-            metrics.pt_match_stats(scheme, pop, 600, 400, seed=1)
+            metrics.pt_match_stats(scheme, pop,
+                                   RunSettings(stats_outer=600, stats_inner=400,
+                                               seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -768,12 +821,51 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("name", list(COUNT_ESTIMATORS))
     def test_jobs_do_not_change_counts(self, fc_scheme, default_pop, name):
         estimator, captures = COUNT_ESTIMATORS[name]
-        a = estimator(fc_scheme, default_pop, 3000, seed=23, jobs=1)
-        b = estimator(fc_scheme, default_pop, 3000, seed=23, jobs=2)
+        a = estimator(fc_scheme, default_pop,
+                      RunSettings(trials=3000, seed=23, jobs=1))
+        b = estimator(fc_scheme, default_pop,
+                      RunSettings(trials=3000, seed=23, jobs=2))
         assert a == b
         assert a.queries_used == 3000 * captures
 
     def test_stats_jobs_identical(self, fc_scheme, default_pop):
-        a = metrics.pt_match_stats(fc_scheme, default_pop, 300, 100, seed=3, jobs=1)
-        b = metrics.pt_match_stats(fc_scheme, default_pop, 300, 100, seed=3, jobs=2)
+        a = metrics.pt_match_stats(fc_scheme, default_pop,
+                                   RunSettings(stats_outer=300, stats_inner=100,
+                                               seed=3, jobs=1))
+        b = metrics.pt_match_stats(fc_scheme, default_pop,
+                                   RunSettings(stats_outer=300, stats_inner=100,
+                                               seed=3, jobs=2))
         assert np.array_equal(a.rates, b.rates)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("jobs", 0, "jobs must be >= 1, got 0"),
+    ("level", 1.5, r"confidence level must be in \(0,1\), got 1.5")])
+def test_run_settings_refuse_jobs_and_level_before_any_work(key, value,
+                                                             message):
+    with pytest.raises(ConfigError, match=message):
+        RunSettings(**{key: value})
+
+
+# Public functions of `games` and `metrics` that draw nothing: interval
+# arithmetic, the chunk runner and the exact scans.
+PURE_HELPERS = {"z_value", "wilson_interval", "proportion_se",
+                "absolute_advantage", "entropy_bits", "run_chunks",
+                "mr_of_feature", "overlap_rates", "exact_pt_match_stats"}
+SETTING_NAMES = {"seed", "budget", "level", "jobs", "trials",
+                 "candidate_draws"}
+
+
+@pytest.mark.parametrize("module", [games, metrics], ids=["games", "metrics"])
+def test_trial_runners_take_one_settings_record(module):
+    """Every public function that runs trials takes its run settings as one
+    `RunSettings` record, and none of them one by one."""
+    runners = {name: fn for name, fn in inspect.getmembers(module,
+                                                            inspect.isfunction)
+               if fn.__module__ == module.__name__
+               and not name.startswith("_") and name not in PURE_HELPERS}
+    assert runners
+    for name, fn in runners.items():
+        params = set(inspect.signature(fn).parameters)
+        assert "settings" in params, name
+        assert not params & SETTING_NAMES, name

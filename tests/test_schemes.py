@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btpeval.errors import ConfigError, ContractError, DimensionError
+from btpeval.metrics import RunSettings
 from btpeval.population import FeatureElement, hamming_distance
 from btpeval.rng import substream
 from btpeval.schemes import (
@@ -197,7 +198,7 @@ class TestFuzzyCommitment:
         assert not fc_scheme.pic(b"x" * 16, vid)
         foreign = ProtectedTemplate(b"x" * 16, pt.alpha)
         assert metrics.pt_match_rate(fc_scheme, default_pop, foreign,
-                                     100).point == 0.0
+                                     RunSettings(trials=100, seed=0)).point == 0.0
 
     @pytest.mark.parametrize("pi", [b"x" * 15, "x" * 16, 5, None],
                              ids=["short", "str", "int", "none"])
@@ -549,7 +550,7 @@ class TestMethodSets:
 
     def test_batch_only_scheme_runs_everywhere(self, default_pop):
         from btpeval import exact, metrics
-        from btpeval.verify import PASS, VerifySettings, check_thm_unlink_unachievable
+        from btpeval.verify import PASS, check_thm_unlink_unachievable
 
         scheme = _XorKeyScheme(7, tau=1)
         x = FeatureElement(7, 0b1010101)
@@ -561,13 +562,14 @@ class TestMethodSets:
         en = exact.SchemeEnumerator(scheme, default_pop)
         fnmr, _ = exact.baseline_rates(default_pop, 1)
         assert en.fnmr() == pytest.approx(fnmr, abs=1e-12)
-        est = metrics.est_scheme_fnmr(scheme, default_pop, 4000, seed=3,
-                                      level=0.99)
+        est = metrics.est_scheme_fnmr(scheme, default_pop,
+                                      RunSettings(trials=4000, seed=3, level=0.99))
         assert est.ci_low <= en.fnmr() <= est.ci_high
-        stats = metrics.pt_match_stats(scheme, default_pop, 200, 100, seed=3,
-                                       level=0.99)
+        stats = metrics.pt_match_stats(scheme, default_pop,
+                                       RunSettings(stats_outer=200, stats_inner=100,
+                                                   seed=3, level=0.99))
         mean, _ = en.pt_match_stats()
         assert stats.mean_ci[0] <= mean <= stats.mean_ci[1]
         assert check_thm_unlink_unachievable(
-            scheme, default_pop, VerifySettings(trials=4000, seed=3)
+            scheme, default_pop, RunSettings(trials=4000, seed=3)
         ).status == PASS

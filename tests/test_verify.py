@@ -10,12 +10,12 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
     blind_al_adversary,
 )
-from btpeval.metrics import MatchRateStats
+from btpeval.metrics import MatchRateStats, RunSettings
 from btpeval.population import generate_population
 from btpeval.schemes import LEAK_AD, LEAK_PI, PlaintextScheme, RotationScheme, build_scheme
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
-S = verify.VerifySettings
+S = RunSettings
 
 
 class TestT1:
