@@ -185,11 +185,12 @@ def cmd_metrics(s: RunSettings, scheme, pop) -> tuple:
         m_rmr.value, extra={"witness": str(m_rmr.witness), "mode": m_rmr.mode})
 
     if pop.n <= exact.EXACT_N_CAP:
-        ov = metrics.est_overlap_rates(pop, tau, s)
-        add(f"p_tau{tau}", ov.p_tau, ov.exact.p_tau,
-            extra={"witness": str(ov.exact.witness_max)})
-        add(f"q_tau{tau}", ov.q_tau, ov.exact.q_tau,
-            extra={"witness": str(ov.exact.witness_min)})
+        # the tau-balls of x and a capture meet iff they lie within 2 tau
+        ov = metrics.overlap_rates(pop, tau)
+        for name, rate, witness in ((f"p_tau{tau}", ov.p_tau, ov.witness_max),
+                                    (f"q_tau{tau}", ov.q_tau, ov.witness_min)):
+            add(name, metrics.est_mr_of_feature(pop, witness, 2 * tau, s),
+                rate, extra={"witness": str(witness)})
 
     st = metrics.pt_match_stats(scheme, pop, s)
     stats_entry = {"metric": "mr_pi_stats", "stats": st.to_dict()}
@@ -282,8 +283,6 @@ def main(argv=None) -> int:
         if args.leak is not None:
             overrides["lambda"] = args.leak
         cfg = load_config(args.config, overrides)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         settings = RunSettings.from_config(cfg, args.jobs)
         leak = LeakSet.parse(cfg["lambda"]) if cfg["lambda"] else None
         scheme, pop = _build(cfg)

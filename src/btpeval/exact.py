@@ -20,12 +20,14 @@ u.  Two engines supply the tables.
   h = d(x, c_u), and two independent captures differ bit by bit with
   probability 2p(1 - p).  `_ball_table` tabulates that probability for
   every h by a convolution of two binomials; the tables, and the raw-
-  distance rates (`mr_of`, `mr_vector`, `overlap_vector`,
-  `baseline_rates`), read it.  Tables cost O(U^2 |offsets|), per-feature
-  vectors O(U 2^n); feature scans stop at n <= 20.  `mr_vector` is built
-  once per (population, tau) and kept read-only, 8 bytes per feature
-  (8 MB at n = 20), as `enumerator` keeps its oracles; `mr_scores` reads
-  it to score any set of features.
+  distance rates (`mr_of`, `mr_vector`, `baseline_rates`), read it.  The
+  raw comparator d(x, x') <= tau is `PlaintextScheme(n, tau)`, so
+  `baseline_rates` are that scheme's FNMR and FMR-BP, and the ball-overlap
+  probability at tau is `mr_vector` at radius 2 tau.  Tables cost
+  O(U^2 |offsets|), per-feature vectors O(U 2^n); feature scans stop at
+  n <= 20.  `mr_vector` is built once per (population, tau) and kept
+  read-only, 8 bytes per feature (8 MB at n = 20), as `enumerator` keeps
+  its oracles; `mr_scores` reads it to score any set of features.
 * `SchemeEnumerator`, for every other scheme (toy, `broken`, custom):
   probe distributions are explicit pmf vectors over {0,1}^n, enrollment
   randomness is enumerated through `pie_support`, and the tables are
@@ -127,8 +129,8 @@ def _cube_sum(pop: Population, table: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def mr_vector(pop: Population, tau: int) -> np.ndarray:
     """MR(x) for every x, read-only: built once per (population, tau) and
-    shared by `extremal_mr`, `overlap_vector`, `LawOracle.rmr_vector` and
-    `mr_scores`."""
+    shared by `extremal_mr`, `overlap_rates` (at radius 2 tau),
+    `LawOracle.rmr_vector` and `mr_scores`."""
     _require(pop.n, EXACT_N_CAP, "feature scan")
     vec = _cube_sum(pop, _ball_table(pop.n, pop.flip_prob, tau))
     vec.flags.writeable = False
@@ -144,11 +146,6 @@ def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
         return mr_vector(pop, tau)[values]
     uniq, inverse = np.unique(values, return_inverse=True)
     return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
-
-
-def overlap_vector(pop: Population, tau: int) -> np.ndarray:
-    """P(x) = Pr[tau-balls of x and a random capture intersect], every x."""
-    return mr_vector(pop, 2 * tau)
 
 
 def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:

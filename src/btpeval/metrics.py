@@ -5,9 +5,11 @@ it to.  Estimators draw all randomness from streams derived via
 (seed, label, chunk_index) with a fixed chunk size, so a result depends
 only on (inputs, seed, trials) and never on how chunks were scheduled
 across workers.  Every rate that counts comparator decisions is one
-configuration of `_AcceptKernel`, and `run_chunks` is the one chunk
-runner of metrics and games.  Each estimator and game takes its run
-settings whole, as one `RunSettings` record.
+configuration of `_AcceptKernel`: the raw comparator d(x, x') <= tau is
+`PlaintextScheme(n, tau)`, and the ball-overlap rates p_tau and q_tau are
+match rates at radius 2 tau.  `run_chunks` is the one chunk runner of
+metrics and games.  Each estimator and game takes its run settings
+whole, as one `RunSettings` record.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import exact
 from .errors import ConfigError, DimensionError, ModeError
 from .population import FeatureElement, Population
 from .rng import substream
-from .schemes import BtpScheme
+from .schemes import BtpScheme, PlaintextScheme
 
 CHUNK_TRIALS = 1024
 
@@ -136,6 +138,12 @@ def entropy_bits(rate: float) -> float:
 # run settings
 
 
+# The least value of each integer setting, checked in this order; a sample
+# variance needs two templates and two captures of each.
+_MINIMUMS = {"tau": 0, "trials": 1, "query_budget": 1, "sampler_queries": 1,
+             "jobs": 1, "stats_outer": 2, "stats_inner": 2}
+
+
 @dataclass(frozen=True)
 class RunSettings:
     """Run settings of the estimators, games, theorem checks and built-in
@@ -156,17 +164,10 @@ class RunSettings:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ConfigError(f"tau must be >= 0, got {self.tau}")
-        for key in ("trials", "query_budget", "sampler_queries", "jobs"):
-            if (value := getattr(self, key)) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
+        for key, least in _MINIMUMS.items():
+            if (value := getattr(self, key)) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
         z_value(self.level)     # refuses a level outside (0, 1)
-        # a sample variance needs two templates and two captures of each
-        if self.stats_outer < 2:
-            raise ConfigError(f"trials_outer must be >= 2, got {self.stats_outer}")
-        if self.stats_inner < 2:
-            raise ConfigError(f"trials_inner must be >= 2, got {self.stats_inner}")
 
     @classmethod
     def from_config(cls, cfg: dict, jobs: int = 1) -> "RunSettings":
@@ -226,14 +227,12 @@ class _AcceptKernel:
     `probe` is fixed), then one enrollment capture per entry of `owners`.
     The comparator enrolls each capture and probes with the `alpha` of
     enrollment `alpha_from` against the `pi` of enrollment `pi_from`; a
-    fixed `template` replaces enrollment.  With `scheme` None it is the
-    raw distance d(probe, enrollment 0) <= tau.  Either way a chunk is
-    counted in array ops; a scheme is driven through its batch contract.
+    fixed `template` replaces enrollment.  A chunk is counted in array
+    ops, through the scheme's batch contract.
     """
 
     pop: Population
-    scheme: BtpScheme | None = None
-    tau: int = 0
+    scheme: BtpScheme
     owners: tuple = ("u",)
     probe: FeatureElement | None = None
     template: object = None
@@ -258,13 +257,6 @@ class _AcceptKernel:
         x = (self.pop.sample_batch(users["u"], rng) if self.probe is None
              else np.full(m, self.probe.value, dtype=np.uint64))
         enrolls = [self.pop.sample_batch(users[o], rng) for o in self.owners]
-        if self.scheme is None:
-            accepts = int((np.bitwise_count(x ^ enrolls[0]) <= self.tau).sum())
-        else:
-            accepts = self._scheme_accepts(x, enrolls, rng)
-        return m - accepts if self.count_rejects else accepts
-
-    def _scheme_accepts(self, x, enrolls, rng) -> int:
         scheme = self.scheme
         if self.template is None:
             # a trial's enrollments are adjacent in C order, so the encoder
@@ -273,7 +265,8 @@ class _AcceptKernel:
             pi, alpha = pis[:, self.pi_from], alphas[:, self.alpha_from]
         else:
             pi, alpha = scheme.template_codes(self.template)
-        return int(scheme.pic_batch(pi, scheme.pir_batch(alpha, x)).sum())
+        accepts = int(scheme.pic_batch(pi, scheme.pir_batch(alpha, x)).sum())
+        return m - accepts if self.count_rejects else accepts
 
 
 # Probes (templates x captures) rated per array block of `_PtStatsKernel`:
@@ -331,10 +324,12 @@ class _PtStatsKernel:
 
 def est_baseline_rates(pop: Population, tau: int,
                        settings: RunSettings = RunSettings()) -> tuple:
-    """(FNMR, FMR) of the raw distance comparator at threshold tau."""
-    fnmr = _count_rate(_AcceptKernel(pop, tau=tau, count_rejects=True),
-                       settings, f"fnmr_d<={tau}")
-    fmr = _count_rate(_AcceptKernel(pop, tau=tau, owners=("v",)), settings,
+    """(FNMR, FMR) of the raw distance comparator at threshold tau: the
+    plaintext scheme's."""
+    raw = PlaintextScheme(pop.n, tau)
+    fnmr = _count_rate(_AcceptKernel(pop, raw, count_rejects=True), settings,
+                       f"fnmr_d<={tau}")
+    fmr = _count_rate(_AcceptKernel(pop, raw, owners=("v",)), settings,
                       f"fmr_d<={tau}")
     return fnmr, fmr
 
@@ -370,8 +365,9 @@ def est_fmr_div(scheme, pop, settings: RunSettings = RunSettings()):
 
 
 def est_mr_of_feature(pop, x, tau, settings: RunSettings = RunSettings()):
-    return _count_rate(_AcceptKernel(pop, tau=tau, probe=x), settings,
-                       f"mr_x_{x.value}_tau{tau}")
+    """MR(x) = Pr[d(x, capture of a random user) <= tau]."""
+    kernel = _AcceptKernel(pop, PlaintextScheme(pop.n, tau), probe=x)
+    return _count_rate(kernel, settings, f"mr_x_{x.value}_tau{tau}")
 
 
 def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
@@ -485,47 +481,17 @@ class OverlapRates:
     q_tau: float
     witness_max: FeatureElement
     witness_min: FeatureElement
-    mode: str = "exact"
 
 
 def overlap_rates(pop: Population, tau: int) -> OverlapRates:
-    """Exact (p_tau, q_tau) by scanning all features; n <= 20."""
-    vec = exact.overlap_vector(pop, tau)
+    """Exact (p_tau, q_tau) by scanning all features; n <= 20.
+
+    The tau-balls of x and x' intersect iff d(x, x') <= 2 tau, so the
+    probability at x is MR(x) at radius 2 tau.
+    """
+    vec = exact.mr_vector(pop, 2 * tau)
     (p_tau, w_max), (q_tau, w_min) = _scan(pop.n, vec), _scan(pop.n, vec, True)
     return OverlapRates(p_tau, q_tau, w_max, w_min)
-
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    p_tau: AdvantageEstimate
-    q_tau: AdvantageEstimate
-    exact: OverlapRates
-
-
-def est_overlap_rates(pop: Population, tau: int,
-                      settings: RunSettings = RunSettings()) -> OverlapEstimate:
-    """Monte Carlo (p_tau, q_tau) at the exact extremal features.
-
-    The witnesses come from the exact scan (`overlap_rates`), which the
-    result carries as `exact`; their rates are estimated on the same
-    trials - trials // 2 captures of the "overlap-estimate" stream, and
-    `queries` counts those captures.
-    """
-    if pop.n > exact.EXACT_N_CAP:
-        raise ModeError("overlap estimation scans all features; "
-                        f"n <= {exact.EXACT_N_CAP} only")
-    ov = overlap_rates(pop, tau)
-    t_est = settings.trials - settings.trials // 2
-    rng = substream(settings.seed, "overlap-estimate")
-    est = pop.sample_batch(rng.integers(pop.num_users, size=t_est), rng)
-
-    def rate(x):
-        wins = int((np.bitwise_count(est ^ np.uint64(x.value)) <= 2 * tau).sum())
-        return AdvantageEstimate.from_counts(wins, t_est, settings.level,
-                                             queries_used=t_est)
-
-    return OverlapEstimate(p_tau=rate(ov.witness_max), q_tau=rate(ov.witness_min),
-                           exact=ov)
 
 
 # --------------------------------------------------------------------------

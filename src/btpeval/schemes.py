@@ -501,14 +501,9 @@ class FuzzyCommitmentScheme(BtpScheme):
         }
 
 
-class RotationScheme(BtpScheme):
-    """Cancelable transform: pi = rotate(x, r), alpha = r, match on distance.
-
-    Rotations are Hamming isometries, so recognition survives the
-    transform; the full template inverts trivially via rotate(pi, -alpha).
-    """
-
-    name = "rot"
+class _ThresholdScheme(BtpScheme):
+    """A scheme whose comparator accepts the identifiers within Hamming
+    distance `tau` of the reference identifier."""
 
     def __init__(self, n: int, tau: int):
         if n < 1:
@@ -517,6 +512,22 @@ class RotationScheme(BtpScheme):
             raise ConfigError("tau must be >= 0")
         self.feature_dim = n
         self.tau = tau
+
+    def pic_batch(self, pi, vid):
+        return np.bitwise_count(pi ^ vid) <= self.tau
+
+    def describe(self):
+        return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}
+
+
+class RotationScheme(_ThresholdScheme):
+    """Cancelable transform: pi = rotate(x, r), alpha = r, match on distance.
+
+    Rotations are Hamming isometries, so recognition survives the
+    transform; the full template inverts trivially via rotate(pi, -alpha).
+    """
+
+    name = "rot"
 
     # Codes: pi is the packed rotated feature, alpha the offset r.
 
@@ -527,9 +538,6 @@ class RotationScheme(BtpScheme):
 
     def pir_batch(self, alpha, xs):
         return _rotate(xs, alpha, self.feature_dim)
-
-    def pic_batch(self, pi, vid):
-        return np.bitwise_count(pi ^ vid) <= self.tau
 
     def pie_support_batch(self, xs):
         xs = np.asarray(xs, dtype=np.uint64)[..., None]
@@ -553,22 +561,11 @@ class RotationScheme(BtpScheme):
             np.asarray(xs, dtype=np.uint64)[..., None],
             np.arange(n, dtype=np.uint64), n))
 
-    def describe(self):
-        return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}
 
-
-class PlaintextScheme(BtpScheme):
+class PlaintextScheme(_ThresholdScheme):
     """No protection at all: pi is the feature, alpha an empty sentinel."""
 
     name = "plain"
-
-    def __init__(self, n: int, tau: int):
-        if n < 1:
-            raise ConfigError("n must be >= 1")
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
-        self.feature_dim = n
-        self.tau = tau
 
     # Codes: pi and the identifier are the packed feature, alpha is 0.
 
@@ -579,9 +576,6 @@ class PlaintextScheme(BtpScheme):
     def pir_batch(self, alpha, xs):
         xs = np.asarray(xs, dtype=np.uint64)
         return np.broadcast_to(xs, np.broadcast_shapes(np.shape(alpha), xs.shape))
-
-    def pic_batch(self, pi, vid):
-        return np.bitwise_count(pi ^ vid) <= self.tau
 
     def pie_support_batch(self, xs):
         xs = np.asarray(xs, dtype=np.uint64)[..., None]
@@ -598,9 +592,6 @@ class PlaintextScheme(BtpScheme):
     def match_law(self):
         return MatchLaw(self.tau, "pi",
                         lambda xs: np.asarray(xs, dtype=np.uint64)[..., None])
-
-    def describe(self):
-        return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}
 
 
 class BrokenScheme(BtpScheme):

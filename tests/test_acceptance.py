@@ -260,11 +260,14 @@ class TestCriterion5EstimatorOracleAgreement:
         ov = metrics.overlap_rates(default_pop, 1)
         hits_p = hits_q = 0
         for s in range(self.RUNS):
-            est = metrics.est_overlap_rates(default_pop, 1,
-                                            RunSettings(trials=3000, seed=9000 + s,
-                                                        level=0.99))
-            hits_p += est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
-            hits_q += est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
+            # p_tau and q_tau are match rates at radius 2 tau
+            settings = RunSettings(trials=3000, seed=9000 + s, level=0.99)
+            p = metrics.est_mr_of_feature(default_pop, ov.witness_max, 2,
+                                          settings)
+            q = metrics.est_mr_of_feature(default_pop, ov.witness_min, 2,
+                                          settings)
+            hits_p += p.ci_low <= ov.p_tau <= p.ci_high
+            hits_q += q.ci_low <= ov.q_tau <= q.ci_high
         self._report("p_tau", hits_p)
         self._report("q_tau", hits_q)
 

@@ -39,7 +39,7 @@ def schema():
 
 MEASUREMENTS = ("est_baseline_rates", "est_scheme_fnmr", "est_fmr_tp",
                 "est_fmr_bp", "est_fmr_div", "est_mr_of_feature",
-                "rmr_of_feature", "est_overlap_rates", "pt_match_stats",
+                "rmr_of_feature", "pt_match_stats",
                 "extremal_mr", "extremal_rmr")
 
 
@@ -95,7 +95,7 @@ class TestExitCodes:
         code, out, err = run_cli(cmd + ["--jobs", jobs, "--trials", "10"],
                                  capsys)
         assert code == 2
-        assert "--jobs must be >= 1" in err
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
         assert out == ""
 
     @pytest.mark.parametrize("jobs", [0, -2])
@@ -152,7 +152,7 @@ class TestExitCodes:
         code, out, err = run_cli(argv + ["--config", str(cfg), "--trials",
                                          "20"], capsys)
         assert code == 2
-        assert "trials_outer must be >= 2" in err
+        assert "stats_outer must be >= 2" in err
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -164,8 +164,8 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"stats_inner": 1}))
         code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
-        assert "trials_inner must be >= 2, got 1" in err
-        with pytest.raises(ConfigError, match="trials_inner must be >= 2"):
+        assert "stats_inner must be >= 2, got 1" in err
+        with pytest.raises(ConfigError, match="stats_inner must be >= 2"):
             RunSettings(stats_inner=1)
 
     @pytest.mark.parametrize("argv, key", [
@@ -369,14 +369,27 @@ class TestMetricsCommand:
         jsonschema.validate(report, schema)
 
     def test_overlap_vector_scanned_once(self, capsys, monkeypatch):
+        # the overlap rates at tau = 1 are the match rates at radius 2
         calls = []
-        scan = exact.overlap_vector
-        monkeypatch.setattr(exact, "overlap_vector",
+        scan = exact.mr_vector
+        monkeypatch.setattr(exact, "mr_vector",
                             lambda *a: calls.append(a) or scan(*a))
         code, _, _ = run_cli(["metrics", "--trials", "200", "--seed", "3"],
                              capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert [tau for _, tau in calls].count(2) == 1
+
+    def test_every_rate_row_runs_the_trials(self, capsys):
+        # a fixed-probe row draws one capture per trial
+        code, out, _ = run_cli(["metrics", "--trials", "401", "--seed", "3"],
+                               capsys)
+        assert code == 0
+        rows = [m for m in load_json(out)["metrics"] if "trials" in m]
+        assert {m["metric"] for m in rows} >= {"p_tau1", "q_tau1", "fnmr_d<=1"}
+        for m in rows:
+            assert m["trials"] == 401, m["metric"]
+            if "witness" in m:
+                assert m["queries"] == 401, m["metric"]
 
 
 def _rot_metrics(n, tmp_path, capsys, *args) -> dict:

@@ -77,7 +77,6 @@ class TestClosedForm:
     def test_mr_vector_cached_and_read_only(self, default_pop):
         vec = exact.mr_vector(default_pop, 2)
         assert exact.mr_vector(default_pop, 2) is vec
-        assert exact.overlap_vector(default_pop, 1) is vec
         law = exact.enumerator(RotationScheme(7, tau=2), default_pop)
         assert law.rmr_vector() is vec
         with pytest.raises(ValueError):
@@ -94,6 +93,14 @@ class TestClosedForm:
         assert fnmr == 0.0
         assert fmr == pytest.approx(
             (np.sum(close) - len(c)) / (len(c) * (len(c) - 1)), abs=TOL)
+
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_baseline_is_the_plaintext_oracle(self, n, tau):
+        # the raw comparator is the plaintext scheme, bit for bit
+        pop = generate_population(n, 16, 0.03, seed=n)
+        law = exact.LawOracle(PlaintextScheme(n, tau), pop)
+        assert exact.baseline_rates(pop, tau) == (law.fnmr(), law.fmr_bp())
 
 
 def _law_accepts(law, x_tied, probes, offset_axis=False):

@@ -437,7 +437,7 @@ class TestExtremal:
 
         mr = exact.mr_vector(pop, 1)
         assert metrics.extremal_mr(pop, 1).witness.value == lowest(mr, np.max)
-        ov_vec = exact.overlap_vector(pop, 1)
+        ov_vec = exact.mr_vector(pop, 2)
         ov = metrics.overlap_rates(pop, 1)
         assert ov.witness_max.value == lowest(ov_vec, np.max)
         assert ov.witness_min.value == lowest(ov_vec, np.min)
@@ -529,7 +529,7 @@ class TestPtMatchStats:
     @pytest.mark.parametrize("outer", [0, 1])
     def test_fewer_than_two_templates_rejected(self, fc_scheme, default_pop,
                                                outer):
-        with pytest.raises(ConfigError, match="trials_outer must be >= 2"):
+        with pytest.raises(ConfigError, match="stats_outer must be >= 2"):
             metrics.pt_match_stats(fc_scheme, default_pop,
                                    RunSettings(stats_outer=outer, stats_inner=40,
                                                seed=1))
@@ -580,26 +580,28 @@ class TestOverlapRates:
         assert ov.q_tau == pytest.approx(float(vec.min()), abs=1e-12)
 
     def test_estimates_cover_exact(self, default_pop):
+        # p_tau and q_tau are match rates at radius 2 tau
         ov = metrics.overlap_rates(default_pop, 1)
-        est = metrics.est_overlap_rates(default_pop, 1,
-                                        RunSettings(trials=30000, seed=17, level=0.99))
-        assert est.exact == ov
-        assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
-        assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
+        settings = RunSettings(trials=30000, seed=17, level=0.99)
+        p = metrics.est_mr_of_feature(default_pop, ov.witness_max, 2, settings)
+        q = metrics.est_mr_of_feature(default_pop, ov.witness_min, 2, settings)
+        assert p.ci_low <= ov.p_tau <= p.ci_high
+        assert q.ci_low <= ov.q_tau <= q.ci_high
 
     def test_witnesses_are_exact_extremes_at_n10(self):
         # Witnesses picked from noisy counts missed q_tau here: 3/5000 hits
         # against an exact 5.9e-5.
         pop = generate_population(10, 16, 0.03, seed=1)
-        vec = exact.overlap_vector(pop, 1)
+        vec = exact.mr_vector(pop, 2)
         ov = metrics.overlap_rates(pop, 1)
-        est = metrics.est_overlap_rates(pop, 1,
-                                        RunSettings(trials=10000, seed=1, level=0.99))
-        assert est.exact.witness_min.value == int(np.argmin(vec))
-        assert est.exact.witness_max.value == int(np.argmax(vec))
-        assert est.q_tau.ci_low <= ov.q_tau <= est.q_tau.ci_high
-        assert est.p_tau.ci_low <= ov.p_tau <= est.p_tau.ci_high
-        assert est.q_tau.queries_used == est.q_tau.trials == 5000
+        settings = RunSettings(trials=10000, seed=1, level=0.99)
+        p = metrics.est_mr_of_feature(pop, ov.witness_max, 2, settings)
+        q = metrics.est_mr_of_feature(pop, ov.witness_min, 2, settings)
+        assert ov.witness_min.value == int(np.argmin(vec))
+        assert ov.witness_max.value == int(np.argmax(vec))
+        assert q.ci_low <= ov.q_tau <= q.ci_high
+        assert p.ci_low <= ov.p_tau <= p.ci_high
+        assert q.queries_used == q.trials == 10000
 
 
 def scalar_enumeration(scheme, pop):
@@ -740,6 +742,54 @@ class TestAcceptKernelAgainstLoop:
         batch_rng, loop_rng = substream(5, "kernel"), substream(5, "kernel")
         assert kernel(batch_rng, 700) == loop_accepts(kernel, loop_rng, 700)
         assert batch_rng.random() == loop_rng.random()
+
+
+def raw_accepts(pop, tau, rng, m, owners=("u",), probe=None,
+                count_rejects=False):
+    """The raw comparator d(probe, enrollment 0) <= tau, counted on the
+    draws of `_AcceptKernel`: the reference of the plaintext kernel."""
+    users = {"u": rng.integers(pop.num_users, size=m)}
+    if "v" in owners:
+        vs = rng.integers(pop.num_users - 1, size=m)
+        users["v"] = vs + (vs >= users["u"])
+    x = (pop.sample_batch(users["u"], rng) if probe is None
+         else np.full(m, probe.value, dtype=np.uint64))
+    enrolls = [pop.sample_batch(users[o], rng) for o in owners]
+    accepts = int((np.bitwise_count(x ^ enrolls[0]) <= tau).sum())
+    return m - accepts if count_rejects else accepts
+
+
+# _AcceptKernel fields of each raw-distance rate, given the population
+RAW_CONFIGS = {
+    "fnmr": lambda p: dict(count_rejects=True),
+    "fmr": lambda p: dict(owners=("v",)),
+    "fixed_probe": lambda p: dict(probe=p.center(2)),
+}
+
+
+class TestPlaintextKernelIsTheRawComparator:
+    """The plaintext scheme counts what the raw distance comparator counts,
+    and leaves the stream where it leaves it."""
+
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("config", list(RAW_CONFIGS))
+    def test_counts_equal_raw_comparator(self, config, n, tau):
+        pop = generate_population(n, 16, 0.1, seed=n)
+        fields = RAW_CONFIGS[config](pop)
+        kernel = metrics._AcceptKernel(pop, PlaintextScheme(n, tau), **fields)
+        kernel_rng, raw_rng = substream(8, "raw"), substream(8, "raw")
+        assert kernel(kernel_rng, 700) == raw_accepts(pop, tau, raw_rng, 700,
+                                                      **fields)
+        assert kernel_rng.random() == raw_rng.random()
+
+    @pytest.mark.parametrize("estimate", [
+        lambda pop, s: metrics.est_baseline_rates(pop, -1, s),
+        lambda pop, s: metrics.est_mr_of_feature(pop, pop.center(0), -1, s),
+    ], ids=["est_baseline_rates", "est_mr_of_feature"])
+    def test_negative_tau_refused(self, default_pop, estimate):
+        with pytest.raises(ConfigError, match="tau must be >= 0"):
+            estimate(default_pop, RunSettings(trials=100, seed=0))
 
 
 def loop_pt_rates(kernel, rng, m):
