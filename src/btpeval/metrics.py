@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -270,21 +270,20 @@ class _AcceptKernel:
 
 
 # Probes (templates x captures) rated per array block of `_PtStatsKernel`:
-# bounds its (probes, n) uniforms at 2^12 x n doubles.
-PT_BLOCK_PROBES = 1 << 12
+# bounds its (probes, words) uniforms at 2^13 x ceil(n / 10) doubles.
+PT_BLOCK_PROBES = 1 << 13
 
 
 @dataclass
 class _PtStatsKernel:
     """Per-template match rates: enroll one capture, rate its template.
 
-    Template i of a chunk draws, in this order: its user
-    (`integers(U)`), the enrolled capture (`random(n)`), the encoder's
-    draws (`pie_batch` of that one capture), the users of its k =
-    `trials_inner` probes (`integers(U, size=k)`) and their (k, n)
-    uniforms.  Those draws and the template's codes are the only
-    per-template work; the probes of a block of templates are packed by
-    `captures` and rated in one `pir_batch` and one `pic_batch`.
+    A chunk's templates go in blocks of b = max(1, PT_BLOCK_PROBES // k),
+    where k = `trials_inner`.  A block draws, in this order: its templates'
+    users (`integers(U, size=b)`), their enrolled captures, the
+    encoder's draws (one `pie_batch`), the users of each template's k
+    probes (`integers(U, size=(b, k))`) and the probes; the probes are
+    rated in one `pir_batch` and one `pic_batch`.
     """
 
     scheme: BtpScheme
@@ -297,24 +296,16 @@ class _PtStatsKernel:
 
     def __call__(self, rng, m):
         scheme, pop, k = self.scheme, self.pop, self.trials_inner
-        block = min(m, max(1, PT_BLOCK_PROBES // k))
-        users = np.empty((block, k), dtype=np.int64)
-        noise = np.empty((block, k, pop.n))
-        pi = np.empty(block, dtype=np.uint64)
-        alpha = np.empty(block, dtype=np.uint64)
+        block = max(1, PT_BLOCK_PROBES // k)
         rates = np.empty(m)
         for lo in range(0, m, block):
             b = min(block, m - lo)
-            for i in range(b):
-                u = int(rng.integers(pop.num_users))
-                pi[i], alpha[i] = scheme.pie_batch(
-                    pop.captures(u, rng.random(pop.n)), rng)
-                users[i] = rng.integers(pop.num_users, size=k)
-                rng.random(out=noise[i])
-            probes = pop.captures(users[:b], noise[:b])
-            vid = scheme.pir_batch(alpha[:b, None], probes)
-            accepts = scheme.pic_batch(pi[:b, None], vid)
-            rates[lo:lo + b] = accepts.sum(axis=1) / k
+            users = rng.integers(pop.num_users, size=b)
+            pi, alpha = scheme.pie_batch(pop.sample_batch(users, rng), rng)
+            probes = pop.sample_batch(rng.integers(pop.num_users, size=(b, k)),
+                                      rng)
+            vid = scheme.pir_batch(alpha[:, None], probes)
+            rates[lo:lo + b] = scheme.pic_batch(pi[:, None], vid).sum(axis=1) / k
         return rates
 
 
@@ -427,6 +418,13 @@ def _scan(n: int, vec, lowest: bool = False) -> tuple:
     return rate, FeatureElement(n, value)
 
 
+@lru_cache(maxsize=16)
+def _mr_scan(pop: Population, tau: int, lowest: bool) -> tuple:
+    """`_scan` of `exact.mr_vector(pop, tau)`: made once per (population,
+    tau, lowest) and kept, as the vector is."""
+    return _scan(pop.n, exact.mr_vector(pop, tau), lowest)
+
+
 # Mixture draws beside the centers in a candidate-set extreme, and the
 # trials that rate each candidate of a scheme without an exact oracle.
 EXTREMAL_MR_DRAWS = 256
@@ -438,10 +436,11 @@ def extremal_mr(pop: Population, tau: int,
                 settings: RunSettings = RunSettings()) -> MValue:
     """max over x of MR(x), exact for n <= 20, candidate-set beyond."""
     if pop.n <= exact.EXACT_N_CAP:
-        return MValue(*_scan(pop.n, exact.mr_vector(pop, tau)), "exact")
+        return MValue(*_mr_scan(pop, tau, False), "exact")
     rng = substream(settings.seed, "extremal-mr-candidates")
-    values = [c.value for c in pop.centers]
-    values += [pop.sample_mixture(rng).value for _ in range(EXTREMAL_MR_DRAWS)]
+    draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_MR_DRAWS),
+                             rng)
+    values = np.concatenate([pop.center_values, draws])
     value, witness = _extreme(values, exact.mr_of(pop, values, tau))
     return MValue(value, FeatureElement(pop.n, witness), "lower_bound")
 
@@ -462,8 +461,9 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
     else:
         return MValue(*_scan(pop.n, vec), "exact")
     rng = substream(settings.seed, "extremal-rmr-candidates")
-    candidates = list(pop.centers)
-    candidates += [pop.sample_mixture(rng) for _ in range(EXTREMAL_RMR_DRAWS)]
+    draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_RMR_DRAWS),
+                             rng)
+    candidates = list(pop.centers) + [FeatureElement(pop.n, int(v)) for v in draws]
     rate_settings = replace(settings, trials=EXTREMAL_RMR_TRIALS)
     best_val, best_x = -1.0, None
     for c in candidates:
@@ -489,8 +489,8 @@ def overlap_rates(pop: Population, tau: int) -> OverlapRates:
     The tau-balls of x and x' intersect iff d(x, x') <= 2 tau, so the
     probability at x is MR(x) at radius 2 tau.
     """
-    vec = exact.mr_vector(pop, 2 * tau)
-    (p_tau, w_max), (q_tau, w_min) = _scan(pop.n, vec), _scan(pop.n, vec, True)
+    p_tau, w_max = _mr_scan(pop, 2 * tau, False)
+    q_tau, w_min = _mr_scan(pop, 2 * tau, True)
     return OverlapRates(p_tau, q_tau, w_max, w_min)
 
 

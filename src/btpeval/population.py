@@ -9,12 +9,17 @@ charge adversary queries against a budget; `BatchSamplingOracle` does the
 same for a chunk of trials at once, charging every query to its trial.  It
 keeps the only count: a scalar oracle is one trial's row of a chunk's
 oracle.
+
+A capture draws one uniform per word of up to `WORD_BITS` bits: the
+word's flip mask is read from an alias table of its Bernoulli(p)^w law
+(Walker 1977, in the layout of Vose 1991).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .errors import BudgetExceededError, ConfigError, DimensionError
 from .rng import substream
 
 MAX_N = 64  # captures are packed into one uint64 word
+WORD_BITS = 10  # flip-mask bits drawn per uniform
 
 
 def _check_dimension(n: int):
@@ -99,6 +105,57 @@ def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bo
     return hamming_distance(x0, x1) <= 2 * tau
 
 
+def _word_masses(w: int, p: float) -> np.ndarray:
+    """Pr[mask] of each w-bit flip mask in integer units of 2^-53, summing
+    to 2^53: the exact p^h (1 - p)^(w - h) of a mask of weight h rounded
+    down, plus one unit for the masks of the largest remainders (ties to
+    the lower weight, then the lower mask), so every mask is within one
+    unit of its exact probability."""
+    num, den = p.as_integer_ratio()
+    floor_rem = [divmod(num**h * (den - num)**(w - h) << 53, den**w)
+                 for h in range(w + 1)]
+    weight = np.bitwise_count(np.arange(1 << w, dtype=np.uint64))
+    mass = np.array([q for q, _ in floor_rem], dtype=np.int64)[weight]
+    short = (1 << 53) - int(mass.sum())
+    for h in sorted(range(w + 1), key=lambda h: -floor_rem[h][1]):
+        lifted = np.flatnonzero(weight == h)[:short]
+        mass[lifted] += 1
+        short -= len(lifted)
+    return mass
+
+
+@lru_cache(maxsize=64)
+def _alias_table(w: int, p: float) -> tuple:
+    """(cut, alias) of the alias table of a w-bit flip mask, read-only.
+
+    A uniform u = k / 2^53 picks cell floor(u 2^w) and keeps it where
+    u < cut[cell], else takes alias[cell]; each cell holds 2^(53 - w) of
+    the 2^53 values of k, so every mask gets exactly its `_word_masses`.
+    The table is built without a loop: small cells (mass below a cell)
+    lay their deficits end to end, large ones their surpluses, and a
+    deficit goes to the large cell whose surplus holds its start.  A
+    large cell that gives more than its surplus takes the overflow from
+    the next large cell, as in Vose's sequential pairing.
+    """
+    mass = _word_masses(w, p)
+    cell = 1 << (53 - w)
+    small, large = np.flatnonzero(mass < cell), np.flatnonzero(mass > cell)
+    deficit = cell - mass[small]
+    deficit_end = np.cumsum(deficit)
+    surplus_end = np.cumsum(mass[large] - cell)
+    keep = np.full(len(mass), cell, dtype=np.int64)
+    alias = np.arange(len(mass))
+    keep[small] = mass[small]
+    alias[small] = large[np.searchsorted(surplus_end, deficit_end - deficit,
+                                         side="right")]
+    overflow = deficit_end[np.searchsorted(deficit_end, surplus_end)] - surplus_end
+    keep[large] = cell - overflow
+    alias[large[:-1]] = large[1:]
+    cut = (np.arange(len(mass)) * cell + keep) / 2.0**53   # exact: <= 2^53
+    cut.flags.writeable = alias.flags.writeable = False
+    return cut, alias
+
+
 @dataclass(frozen=True)
 class Population:
     """The user set with its per-user capture distributions.
@@ -123,41 +180,53 @@ class Population:
         for c in self.centers:
             if c.n != self.n:
                 raise DimensionError(f"center has {c.n} bits, expected {self.n}")
-        # built once: the packed centers (public, read-only) and the
-        # packer's bit weights
+        # built once: the packed centers, public and read-only
         center_values = np.array([c.value for c in self.centers],
                                  dtype=np.uint64)
         center_values.flags.writeable = False
         object.__setattr__(self, "center_values", center_values)
-        object.__setattr__(self, "_bit_weights",
-                           np.uint64(1) << np.arange(self.n, dtype=np.uint64))
 
     @property
     def num_users(self) -> int:
         return len(self.centers)
 
+    @property
+    def words(self) -> int:
+        """Uniforms per capture: one per word of min(n, WORD_BITS) bits."""
+        return -(-self.n // WORD_BITS)
+
     def center(self, u: int) -> FeatureElement:
         return self.centers[u]
 
     def captures(self, us, uniforms: np.ndarray) -> np.ndarray:
-        """Packed captures (uint64) of users `us`, of any shape: bit i of a
-        capture flips where its uniform i (the last axis of `uniforms`)
-        falls below `flip_prob`.  Exact for every n <= 64."""
-        flips = (uniforms < self.flip_prob).astype(np.uint64) @ self._bit_weights
+        """Packed captures (uint64) of users `us`, of any shape, from
+        uniforms of shape `us.shape + (words,)`.
+
+        Word j of the flip mask, bits 10 j onward, is read from uniform j
+        through the alias table of min(n, WORD_BITS) independent
+        Bernoulli(p) bits; the last word is cut to the bits it has left,
+        which keeps their law.  Each mask of a word is within 2^-53 of its
+        exact probability, so a word's law is within total variation
+        2^(w - 54) <= 2^-44 of the exact one.
+        """
+        cut, alias = _alias_table(min(self.n, WORD_BITS), self.flip_prob)
+        cells = (uniforms * len(cut)).astype(np.intp)
+        masks = np.where(uniforms < cut[cells], cells, alias[cells]).view(np.uint64)
+        flips = masks[..., -1]
+        if self.words > 1:
+            for j in range(self.words - 2, -1, -1):
+                flips = (flips << np.uint64(WORD_BITS)) | masks[..., j]
+            flips &= np.uint64((1 << self.n) - 1)
         return self.center_values[us] ^ flips
 
     def sample(self, u: int, rng: np.random.Generator) -> FeatureElement:
         """One capture from user u: the center with independent bit flips."""
-        return FeatureElement(self.n, int(self.captures(u, rng.random(self.n))))
-
-    def sample_mixture(self, rng: np.random.Generator) -> FeatureElement:
-        """One capture from a uniformly random user."""
-        return self.sample(int(rng.integers(self.num_users)), rng)
+        return FeatureElement(self.n, int(self.captures(u, rng.random(self.words))))
 
     def sample_batch(self, us: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized captures (packed uint64 values) for a user-index array."""
         us = np.asarray(us)
-        return self.captures(us, rng.random(us.shape + (self.n,)))
+        return self.captures(us, rng.random(us.shape + (self.words,)))
 
     def feature_probability(self, u: int, x: FeatureElement) -> float:
         """P(X_u = x) = p^d * (1-p)^(n-d) with d = d(x, c_u)."""

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import btpeval
-from btpeval import exact
+from btpeval import exact, metrics
 from btpeval.population import generate_population
 from btpeval.schemes import build_scheme
 
@@ -13,7 +13,8 @@ from btpeval.schemes import build_scheme
 def fresh_exact_caches():
     """Each test starts with empty exact-oracle caches, so a test that
     counts builds does not depend on the tests run before it."""
-    for cached in (exact.enumerator, exact.mr_vector, exact._ball_table):
+    for cached in (exact.enumerator, exact.mr_vector, exact._ball_table,
+                   metrics._mr_scan):
         cached.cache_clear()
 
 

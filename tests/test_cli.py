@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -369,11 +370,13 @@ class TestMetricsCommand:
         jsonschema.validate(report, schema)
 
     def test_overlap_vector_scanned_once(self, capsys, monkeypatch):
-        # the overlap rates at tau = 1 are the match rates at radius 2
+        # the overlap rates at tau = 1 are the match rates at radius 2,
+        # built once however many scans read them: `calls` records the
+        # builds of a fresh cache around the same function
         calls = []
-        scan = exact.mr_vector
-        monkeypatch.setattr(exact, "mr_vector",
-                            lambda *a: calls.append(a) or scan(*a))
+        build = exact.mr_vector.__wrapped__
+        monkeypatch.setattr(exact, "mr_vector", lru_cache(maxsize=8)(
+            lambda *a: calls.append(a) or build(*a)))
         code, _, _ = run_cli(["metrics", "--trials", "200", "--seed", "3"],
                              capsys)
         assert code == 0

@@ -452,6 +452,26 @@ class TestExtremal:
             assert np.ptp(vec[orbit]) <= 1e-12
             assert w == min(orbit)
 
+    def test_each_feature_scan_is_made_once(self, monkeypatch, fc_scheme,
+                                            default_pop):
+        # the vector at radius 1 (MR, and rMR under fc's law) is scanned
+        # for its max only, the one at radius 2 (the overlap rates at
+        # tau = 1) for its max and its min
+        want = (metrics.extremal_mr(default_pop, 1),
+                metrics.extremal_rmr(fc_scheme, default_pop),
+                metrics.overlap_rates(default_pop, 1))
+        metrics._mr_scan.cache_clear()
+        scans = []
+        scan = metrics._scan
+        monkeypatch.setattr(metrics, "_scan",
+                            lambda n, vec, lowest=False:
+                            scans.append((len(vec), lowest)) or scan(n, vec, lowest))
+        for _ in range(3):
+            assert (metrics.extremal_mr(default_pop, 1),
+                    metrics.extremal_rmr(fc_scheme, default_pop),
+                    metrics.overlap_rates(default_pop, 1)) == want
+        assert sorted(scans) == [(128, False), (128, False), (128, True)]
+
     @pytest.mark.parametrize("cfg, n", [
         ({"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}, 7),
         ({"scheme": "plain", "tau": 1}, 7), ({"scheme": "rot", "tau": 2}, 7),
@@ -793,21 +813,28 @@ class TestPlaintextKernelIsTheRawComparator:
 
 
 def loop_pt_rates(kernel, rng, m):
-    """`_PtStatsKernel`'s rates by a per-template loop: enroll one capture,
-    then rate its template with an `_AcceptKernel` of its own."""
-    pop, scheme, k = kernel.pop, kernel.scheme, kernel.trials_inner
-    rates = np.empty(m)
-    for i in range(m):
-        u = int(rng.integers(pop.num_users))
-        pt = scheme.pie(pop.sample(u, rng), rng)
-        rate = metrics._AcceptKernel(pop, scheme, owners=(), template=pt)
-        rates[i] = rate(rng, k) / k
-    return rates
+    """`_PtStatsKernel`'s rates by a per-template loop of scalar scheme
+    calls, on the same block draws: a block's users, enrolled captures,
+    one `pie` per template in turn, probe users and probes."""
+    pop, scheme, k, n = kernel.pop, kernel.scheme, kernel.trials_inner, kernel.pop.n
+    block = max(1, metrics.PT_BLOCK_PROBES // k)
+    rates = []
+    for lo in range(0, m, block):
+        b = min(block, m - lo)
+        enrolls = pop.sample_batch(rng.integers(pop.num_users, size=b), rng)
+        pts = [scheme.pie(FeatureElement(n, int(x)), rng) for x in enrolls]
+        probes = pop.sample_batch(rng.integers(pop.num_users, size=(b, k)), rng)
+        for pt, row in zip(pts, probes):
+            hits = sum(scheme.pic(pt.pi, scheme.pir(pt.alpha,
+                                                    FeatureElement(n, int(x))))
+                       for x in row)
+            rates.append(hits / k)
+    return np.array(rates)
 
 
 class TestPtStatsKernelAgainstLoop:
-    """The block kernel rates what the per-template loop rates, bit for
-    bit, and leaves the stream where the loop leaves it."""
+    """The block kernel rates what the per-template scalar loop rates, bit
+    for bit, and leaves the stream where the loop leaves it."""
 
     # (templates, captures per template, probes per block): a last block
     # shorter than the others, and templates of more captures than a block
@@ -832,7 +859,8 @@ class TestPtStatsKernelCost:
 
     def test_one_rating_call_per_block(self, monkeypatch, default_pop):
         scheme = ENUMERATED_SCHEMES["fc"]()
-        calls = {"pir_batch": 0, "pic_batch": 0, "sample_batch": 0}
+        calls = {"pir_batch": 0, "pic_batch": 0, "sample_batch": 0,
+                 "sample": 0}
 
         def counted(name, f):
             def wrapper(*args, **kw):
@@ -842,16 +870,18 @@ class TestPtStatsKernelCost:
 
         for name in ("pir_batch", "pic_batch"):
             monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
-        monkeypatch.setattr(Population, "sample_batch",
-                            counted("sample_batch", Population.sample_batch))
+        for name in ("sample_batch", "sample"):
+            monkeypatch.setattr(Population, name,
+                                counted(name, getattr(Population, name)))
         metrics.pt_match_stats(scheme, default_pop,
                                RunSettings(stats_outer=600, stats_inner=400, seed=2))
         blocks = math.ceil(600 / (metrics.PT_BLOCK_PROBES // 400))
         assert calls["pir_batch"] == calls["pic_batch"] <= blocks
-        assert calls["sample_batch"] == 0
+        assert calls["sample_batch"] <= 2 * blocks
+        assert calls["sample"] == 0
 
     def test_peak_memory_bounded(self):
-        # the (probes, n) uniforms of one block dominate: about 0.8 MB here
+        # the (probes, words) arrays of one block dominate: about 0.5 MB here
         pop = generate_population(10, 16, 0.03, seed=1)
         scheme = RotationScheme(10, tau=1)
         metrics.pt_match_stats(scheme, pop,

@@ -1,6 +1,8 @@
 """Feature space, population model, and sampling oracle."""
 
 import math
+from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from btpeval.errors import BudgetExceededError, ConfigError, DimensionError
 from btpeval.population import (
+    WORD_BITS,
     FeatureElement,
     Population,
     SamplingOracle,
+    _alias_table,
     generate_population,
     hamming_distance,
     neighborhood_overlap,
@@ -136,21 +140,32 @@ class TestGeneratePopulation:
 
 
 def loop_captures(pop, us, uniforms):
-    """Captures packed bit by bit in Python, from the same uniforms."""
-    return [pop.center(int(u)).value
-            ^ sum(1 << i for i, r in enumerate(row) if r < pop.flip_prob)
-            for u, row in zip(us, uniforms)]
+    """Captures packed word by word in Python, from the same uniforms: the
+    53 bits k of each uniform pick cell k >> (53 - w) of the alias table,
+    kept where k is below the cell's cut, and word j lands at bit 10 j."""
+    w = min(pop.n, WORD_BITS)
+    cut, alias = _alias_table(w, pop.flip_prob)
+    out = []
+    for u, row in zip(us, uniforms):
+        flips = 0
+        for j, r in enumerate(row):
+            k = int(r * 2**53)
+            cell = k >> (53 - w)
+            mask = cell if k < int(cut[cell] * 2**53) else int(alias[cell])
+            flips |= mask << (WORD_BITS * j)
+        out.append(pop.center(int(u)).value ^ (flips & ((1 << pop.n) - 1)))
+    return out
 
 
 class TestCapturePacker:
-    """`captures` and `sample_batch` against a per-bit Python packing."""
+    """`captures` and `sample_batch` against a per-word Python lookup."""
 
     @pytest.mark.parametrize("n", [1, 7, 33, 64])
-    def test_batch_equals_per_bit_packing(self, n):
+    def test_batch_equals_per_word_lookup(self, n):
         pop = generate_population(n, 8, 0.3, seed=2)
         us = substream(1, "us").integers(8, size=200)
         batch = pop.sample_batch(us, substream(n, "pack"))
-        uniforms = substream(n, "pack").random((200, n))
+        uniforms = substream(n, "pack").random((200, math.ceil(n / 10)))
         expected = loop_captures(pop, us, uniforms)
         assert [int(v) for v in batch] == expected
         assert [int(v) for v in pop.captures(us, uniforms)] == expected
@@ -161,19 +176,96 @@ class TestCapturePacker:
     def test_captures_keep_the_users_shape(self):
         pop = generate_population(33, 8, 0.3, seed=2)
         us = substream(2, "us").integers(8, size=(4, 5))
-        uniforms = substream(2, "u").random((4, 5, 33))
+        uniforms = substream(2, "u").random((4, 5, 4))
         out = pop.captures(us, uniforms)
         assert out.shape == (4, 5) and out.dtype == np.uint64
         assert [int(v) for v in out.ravel()] == loop_captures(
-            pop, us.ravel(), uniforms.reshape(20, 33))
+            pop, us.ravel(), uniforms.reshape(20, 4))
 
-    @pytest.mark.parametrize("n", [7, 64])
+    @pytest.mark.parametrize("n", [1, 7, 33, 64])
     def test_scalar_sample_equals_one_row_batch(self, n):
         pop = generate_population(n, 8, 0.3, seed=2)
         for u in range(pop.num_users):
             scalar = pop.sample(u, substream(u, "one"))
             row = pop.sample_batch(np.array([u]), substream(u, "one"))
             assert scalar == FeatureElement(n, int(row[0]))
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 11, 33, 64])
+    def test_a_capture_draws_one_double_per_word(self, n):
+        pop = generate_population(n, 8, 0.3, seed=2)
+        assert pop.words == math.ceil(n / 10)
+        us = substream(3, "us").integers(8, size=(30, 7))
+        rng, ref = substream(n, "words"), substream(n, "words")
+        pop.sample_batch(us, rng)
+        pop.sample(5, rng)
+        ref.random(211 * pop.words)
+        assert rng.random() == ref.random()
+
+
+def exact_word_pmf(w, p):
+    """Pr[mask] of every w-bit mask of Bernoulli(p) bits, as fractions."""
+    p = Fraction(p)
+    return [p ** m.bit_count() * (1 - p) ** (w - m.bit_count())
+            for m in range(1 << w)]
+
+
+def table_pmf(w, p):
+    """Pr[mask] that the alias table gives each w-bit mask, as fractions:
+    cell i keeps itself on cut[i] - i / 2^w and yields the rest of its
+    1 / 2^w to alias[i]."""
+    cut, alias = _alias_table(w, p)
+    size = 1 << w
+    assert all(c * 2**53 == int(c * 2**53) for c in cut)
+    mass = [Fraction(0)] * size
+    for i in range(size):
+        keep = Fraction(cut[i]) - Fraction(i, size)
+        assert 0 <= keep <= Fraction(1, size)
+        mass[i] += keep
+        mass[int(alias[i])] += Fraction(1, size) - keep
+    assert sum(mass) == 1
+    return mass
+
+
+class TestAliasTable:
+    """The alias table of a word rebuilds the word's exact law."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.3, 0.49])
+    @pytest.mark.parametrize("w", [1, 3, 7, 10])
+    def test_table_rebuilds_the_exact_word_pmf(self, w, p):
+        for got, want in zip(table_pmf(w, p), exact_word_pmf(w, p)):
+            assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [33, 64])
+    @pytest.mark.parametrize("p", [0.03, 0.3, 0.49])
+    def test_cut_last_word_keeps_the_law_of_its_bits(self, n, p):
+        # the last word of an n-bit capture keeps its n mod 10 low bits;
+        # each kept mask sums 2^(10 - bits) masks, each within 2^-53
+        bits = n % WORD_BITS
+        kept = [Fraction(0)] * (1 << bits)
+        for mask, mass in enumerate(table_pmf(WORD_BITS, p)):
+            kept[mask & ((1 << bits) - 1)] += mass
+        for got, want in zip(kept, exact_word_pmf(bits, p)):
+            assert abs(got - want) < Fraction(1 << (WORD_BITS - bits), 2**53)
+
+    def test_capture_law_chi_square(self):
+        # 400,000 captures of one user at n = 12 (a word of 10 bits and
+        # one cut to 2) against its exact pmf; outcomes expected fewer
+        # than 5 times share one cell.  The bound is the Wilson-Hilferty
+        # approximation of the chi-square 99.9% point.
+        pop = generate_population(12, 4, 0.2, seed=3)
+        draws = 400_000
+        vals = pop.sample_batch(np.full(draws, 1), substream(4, "chi2"))
+        counts = np.bincount(vals.astype(np.int64), minlength=1 << 12)
+        d = np.bitwise_count(np.arange(1 << 12) ^ pop.center(1).value)
+        expected = draws * 0.2 ** d * 0.8 ** (12 - d)
+        big = expected >= 5
+        obs = np.append(counts[big], counts[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        df = len(obs) - 1
+        z = NormalDist().inv_cdf(0.999)
+        critical = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+        assert stat < critical, (stat, df)
 
 
 class TestSampling:
