@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         overrides = {"seed": args.seed, "trials": args.trials}
         if args.tau is not None:
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         else:
             body, code = cmd_verify(settings, scheme, pop, args.theorem, leak)
         report = make_report(args.cmd, _config_echo(cfg, scheme, pop), body,
-                             timings={"wall_s": round(time.time() - t0, 3)})
+                             timings={"wall_s": round(time.perf_counter() - t0, 3)})
         write_report(report, args.out, args.format)
         return code
     except BtpEvalError as e:

@@ -8,10 +8,11 @@ its leaked view.  All state between the stages travels through the
 explicit state value returned by phase 1.  A trial that exhausts its
 oracle budget counts as a loss and is flagged.
 
-One engine plays every adversary: a chunk of `GAME_CHUNK` trials draws
-from three streams keyed by the chunk, for the challenger, the adversary
-and the sampling oracles, and runs each step as array operations on the
-scheme's batch contract.  An adversary written trial by trial is played
+One engine plays every adversary: a chunk of `metrics.CHUNK_TRIALS`
+trials, the one chunk size of every Monte Carlo loop, draws from three
+streams keyed by the chunk, for the challenger, the adversary and the
+sampling oracles, and runs each step as array operations on the scheme's
+batch contract.  An adversary written trial by trial is played
 through its base class, which runs its scalar phases on each trial of the
 chunk in turn.
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, ProtocolError
 from .metrics import (
+    CHUNK_TRIALS,
     AdvantageEstimate,
     MValue,
     RunSettings,
@@ -44,7 +46,6 @@ from .population import BatchSamplingOracle, FeatureElement, Population
 from .rng import substream
 from .schemes import BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
 
-GAME_CHUNK = 512
 _ROLES = ("ch", "adv", "samp")
 
 
@@ -291,7 +292,7 @@ class _GameSpec:
         one sampling oracle per phase, both on the chunk's sampling
         stream."""
         rng_ch, rng_adv, rng_samp = (
-            substream(self.settings.seed, self.label, lo // GAME_CHUNK, role)
+            substream(self.settings.seed, self.label, lo // CHUNK_TRIALS, role)
             for role in _ROLES)
         oracles = [BatchSamplingOracle(self.pop, rng_samp,
                                        self.settings.query_budget, hi - lo)
@@ -393,8 +394,7 @@ class _UnlinkSpec(_GameSpec):
 def _run_spec(spec: _GameSpec) -> dict:
     """The game's record over all trials: each chunk's fields joined in
     trial order."""
-    parts = run_chunks(spec.run_range, spec.settings.trials, GAME_CHUNK,
-                       spec.settings.jobs)
+    parts = run_chunks(spec.run_range, spec.settings.trials, spec.settings.jobs)
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 

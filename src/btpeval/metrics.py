@@ -7,9 +7,9 @@ only on (inputs, seed, trials) and never on how chunks were scheduled
 across workers.  Every rate that counts comparator decisions is one
 configuration of `_AcceptKernel`: the raw comparator d(x, x') <= tau is
 `PlaintextScheme(n, tau)`, and the ball-overlap rates p_tau and q_tau are
-match rates at radius 2 tau.  `run_chunks` is the one chunk runner of
-metrics and games.  Each estimator and game takes its run settings
-whole, as one `RunSettings` record.
+match rates at radius 2 tau.  `run_chunks` is the one chunk runner and
+`CHUNK_TRIALS` the one chunk size of metrics and games.  Each estimator
+and game takes its run settings whole, as one `RunSettings` record.
 """
 
 from __future__ import annotations
@@ -180,16 +180,16 @@ class RunSettings:
 # chunked deterministic trial runner
 
 
-def run_chunks(work, trials: int, chunk: int, jobs: int = 1) -> list:
-    """Call `work(lo, hi)` on consecutive ranges of at most `chunk` trials;
-    returns the results in range order, serially or on `jobs` processes
-    (scheduling independent)."""
+def run_chunks(work, trials: int, jobs: int = 1) -> list:
+    """Call `work(lo, hi)` on consecutive ranges of at most `CHUNK_TRIALS`
+    trials; returns the results in range order, serially or on `jobs`
+    processes (scheduling independent)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    los = range(0, trials, chunk)
-    his = [min(lo + chunk, trials) for lo in los]
+    los = range(0, trials, CHUNK_TRIALS)
+    his = [min(lo + CHUNK_TRIALS, trials) for lo in los]
     if jobs == 1 or len(los) == 1:
         return [work(lo, hi) for lo, hi in zip(los, his)]
     # imported here, so a run at --jobs 1 never loads the process pool
@@ -205,7 +205,7 @@ def _kernel_range(kernel, seed, label, lo, hi):
 def _run_kernel(kernel, trials, s: RunSettings, label) -> list:
     """Chunk results of `kernel`, each chunk on its own derived stream."""
     return run_chunks(partial(_kernel_range, kernel, s.seed, label), trials,
-                      CHUNK_TRIALS, s.jobs)
+                      s.jobs)
 
 
 def _count_rate(kernel, s: RunSettings, label) -> AdvantageEstimate:

@@ -1,10 +1,12 @@
 import os
+from concurrent import futures
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import btpeval
-from btpeval import exact, metrics
+from btpeval import exact, games, metrics
 from btpeval.population import generate_population
 from btpeval.schemes import build_scheme
 
@@ -39,3 +41,26 @@ def subprocess_env():
     src = str(Path(btpeval.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def chunk_runs(monkeypatch):
+    """Watches the chunk runner in this process: `trials` records the
+    trial count of each `run_chunks` call, `pools` counts the process
+    pools they open."""
+    seen = SimpleNamespace(trials=[], pools=0)
+    run_chunks = metrics.run_chunks
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            seen.pools += 1
+            super().__init__(*args, **kwargs)
+
+    def recorded(work, trials, jobs=1):
+        seen.trials.append(trials)
+        return run_chunks(work, trials, jobs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    for module in (metrics, games):
+        monkeypatch.setattr(module, "run_chunks", recorded)
+    return seen

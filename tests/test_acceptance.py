@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from btpeval import exact, metrics
+from btpeval import cli, exact, metrics
 from btpeval.adversaries import (
     MatchTestUnlinkAdversary,
     PalSamplerConfig,
@@ -351,28 +351,48 @@ class TestCriterion7CrossComparatorIdentity:
 
 
 class TestCriterion8Determinism:
-    def _run(self, out_path, extra, env):
-        cmd = [sys.executable, "-m", "btpeval.cli", "verify", "--theorem",
-               "all", "--seed", "42", "--trials", "600", "--out",
-               str(out_path)] + extra
+    # Every chunked loop of this run spans several chunks: the games play
+    # 2500 trials and T2 draws 1100 templates, so a --jobs run reaches
+    # the process pool in each of them.
+    CONFIG = {"stats_outer": metrics.CHUNK_TRIALS + 76}
+
+    def _args(self, tmp_path, out_path, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        return ["verify", "--theorem", "all", "--seed", "42", "--trials",
+                "2500", "--config", str(cfg), "--out", str(out_path)] + extra
+
+    def _run(self, tmp_path, out_path, extra, env):
+        cmd = [sys.executable, "-m", "btpeval.cli"] + self._args(
+            tmp_path, out_path, extra)
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300,
                               env=env)
         assert proc.returncode == 0, proc.stderr
         return out_path.read_text()
 
-    def test_byte_identical_over_runs_and_jobs(self, tmp_path, subprocess_env):
+    def test_byte_identical_over_runs_and_jobs(self, tmp_path, subprocess_env,
+                                               chunk_runs):
         texts = [
-            self._run(tmp_path / "a.json", [], subprocess_env),
-            self._run(tmp_path / "b.json", [], subprocess_env),
-            self._run(tmp_path / "c.json", ["--jobs", "8"], subprocess_env),
+            self._run(tmp_path, tmp_path / "a.json", [], subprocess_env),
+            self._run(tmp_path, tmp_path / "b.json", [], subprocess_env),
+            self._run(tmp_path, tmp_path / "c.json", ["--jobs", "8"],
+                      subprocess_env),
         ]
+        # the in-process twin of the --jobs 8 run, whose pools are counted
+        twin = tmp_path / "d.json"
+        assert cli.main(self._args(tmp_path, twin, ["--jobs", "8"])) == 0
+        texts.append(twin.read_text())
 
         def canonical(text):
             data = json.loads(text)
             data.pop("timings", None)
             return json.dumps(data, sort_keys=True, indent=2)
 
-        a, b, c = (canonical(t) for t in texts)
-        ok = a == b == c
+        a, b, c, d = (canonical(t) for t in texts)
+        least = min(chunk_runs.trials)
+        ok = (a == b == c == d and least > metrics.CHUNK_TRIALS
+              and chunk_runs.pools == len(chunk_runs.trials))
         gate(8, "verify --theorem all determinism", ok,
-             "run-to-run and jobs-1-vs-8 byte-identical (timings excluded)")
+             "run-to-run and jobs-1-vs-8 byte-identical (timings excluded); "
+             f"{chunk_runs.pools} pools for {len(chunk_runs.trials)} chunked "
+             f"loops of >= {least} trials")

@@ -102,7 +102,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_library_refuses_jobs_below_one(self, jobs):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            metrics.run_chunks(lambda lo, hi: hi - lo, 10, 5, jobs=jobs)
+            metrics.run_chunks(lambda lo, hi: hi - lo, 10, jobs=jobs)
 
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         failing = verify.TheoremVerdict(
@@ -444,12 +444,17 @@ class TestClosedFormOracles:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, tmp_path, capsys):
+    def test_byte_identical_reports(self, tmp_path, capsys, chunk_runs):
         paths = [tmp_path / f"r{i}.json" for i in range(3)]
-        base = ["verify", "--theorem", "t1", "--trials", "400", "--seed", "42"]
+        base = ["verify", "--theorem", "t1", "--trials", "2500", "--seed", "42"]
         assert cli.main(base + ["--out", str(paths[0])]) == 0
         assert cli.main(base + ["--out", str(paths[1])]) == 0
+        assert chunk_runs.pools == 0
+        chunk_runs.trials.clear()
         assert cli.main(base + ["--jobs", "2", "--out", str(paths[2])]) == 0
+        # every call spans several chunks, so each opens its pool
+        assert min(chunk_runs.trials) > metrics.CHUNK_TRIALS
+        assert chunk_runs.pools == len(chunk_runs.trials) > 0
         capsys.readouterr()
         texts = [
             json.dumps(strip_timings(json.loads(p.read_text())),

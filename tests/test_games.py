@@ -4,6 +4,7 @@ oracles."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
     blind_al_adversary,
     blind_pal_adversary,
+    build_adversary,
 )
 from btpeval.errors import ConfigError, ProtocolError
 from btpeval.games import (
@@ -417,12 +419,12 @@ class TestDeterminism:
 
     PINNED = {
         # wins, flagged, queries (adv_phase1, adv_phase2, challenger), digest
-        "pal-sampler": (117, 0, 0, 2800, 700, "1109c447a6cecd45"),
-        "pal-pal-sampler-cut": (259, 441, 0, 1812, 700, "bb5f3e7d3b6cf046"),
-        "al-cut-in-both-phases": (39, 311, 886, 645, 522, "6ec1358bb2aef431"),
-        "unlink-cut-in-both-phases": (210, 307, 2578, 1052, 0,
-                                      "b9c465f036bd323e"),
-        "unlink-reduction-cut": (110, 490, 2100, 2450, 0, "9245e1c560459901"),
+        "pal-sampler": (114, 0, 0, 2800, 700, "fe794db2f011fa9a"),
+        "pal-pal-sampler-cut": (234, 466, 0, 1821, 700, "e677ebe93fb980f5"),
+        "al-cut-in-both-phases": (40, 302, 868, 643, 530, "59d65c41e0ae8114"),
+        "unlink-cut-in-both-phases": (226, 307, 2572, 1103, 0,
+                                      "1c91b6ad8758e824"),
+        "unlink-reduction-cut": (96, 486, 2100, 2430, 0, "c2e072ae1ec5ecc7"),
     }
 
     @pytest.mark.parametrize("case", PINNED)
@@ -463,10 +465,55 @@ class TestDeterminism:
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
                                     CrossComparatorAdversary(),
                                     RunSettings(trials=trials, seed=25))
-        assert round(res.fcmr.point * trials) == 39
-        assert round(res.fncmr.point * trials) == 39
+        assert round(res.fcmr.point * trials) == 43
+        assert round(res.fncmr.point * trials) == 38
         assert res.fcmr.queries_used == res.fncmr.queries_used == 3 * trials
-        assert res.unlink_advantage.point == pytest.approx(998 / 1100, abs=1e-12)
+        assert res.unlink_advantage.point == pytest.approx(1022 / 1100, abs=1e-12)
+
+    # A run of at most 512 trials is chunk 0 alone, with one key and one
+    # range, at a chunk size of 512 or of 1024 trials, so these reference
+    # values hold under either layout.
+    SINGLE_CHUNK = {
+        # wins, flagged, queries (adv_phase1, adv_phase2, challenger), digest
+        "al-irr": (98, 0, 0, 2048, 512, "a33f2c30d5b3905d"),
+        "pal-irr": (214, 0, 0, 1660, 512, "8414d3899e24a138"),
+        "unlink": (465, 0, 1536, 0, 0, "ba0d0dec69ae7195"),
+    }
+
+    @pytest.mark.parametrize("game", SINGLE_CHUNK)
+    def test_single_chunk_transcripts_keep_their_layout(self, fc_scheme,
+                                                        default_pop, game):
+        fc, pop, s = fc_scheme, default_pop, RunSettings(trials=512, seed=13)
+        kw = dict(record_transcripts=True)
+        pal_cfg = PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16,
+                                   gamma=0.5, mu=0.5, n_delta=4)
+        runs = {
+            "al-irr": lambda: run_al_irr_game(
+                fc, pop, LEAK_AD, 1, SamplerIrrAdversary(4, 1), s, **kw),
+            "pal-irr": lambda: run_pal_irr_game(
+                fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), s, **kw),
+            "unlink": lambda: run_unlink_game(
+                fc, pop, LEAK_BOTH, MatchTestUnlinkAdversary(), s, **kw),
+        }
+        r = runs[game]()
+        assert (r.wins, r.flagged, r.queries["adv_phase1"],
+                r.queries["adv_phase2"], r.queries["challenger"],
+                transcripts_digest(r)) == self.SINGLE_CHUNK[game]
+
+    def test_single_chunk_coupled_and_cross_match_keep_their_layout(
+            self, fc_scheme, default_pop):
+        s = RunSettings(trials=512, seed=13)
+        c = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
+                                   SamplerIrrAdversary(4, 1), s)
+        wins = np.concatenate([c.wins_fl, c.wins_al, c.wins_pal])
+        assert [int(w.sum()) for w in (c.wins_fl, c.wins_al, c.wins_pal)] == [
+            27, 86, 86]
+        assert hashlib.blake2b(wins.astype(np.uint8).tobytes(),
+                               digest_size=8).hexdigest() == "b8d59aed6fc77392"
+        res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
+                                    CrossComparatorAdversary(), s)
+        assert round(res.fcmr.point * 512) == round(res.fncmr.point * 512) == 18
+        assert res.unlink_advantage.point == pytest.approx(478 / 512, abs=1e-12)
 
     def test_batched_game_derives_three_streams_per_chunk(
             self, fc_scheme, default_pop, monkeypatch):
@@ -480,8 +527,10 @@ class TestDeterminism:
         monkeypatch.setattr(games, "substream", counted)
         run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, MatchTestUnlinkAdversary(),
                         RunSettings(trials=1200, seed=3))
-        assert games.GAME_CHUNK == 512
-        assert len(calls) == 9           # 3 chunks x (ch, adv, samp)
+        assert metrics.CHUNK_TRIALS == 1024
+        assert len(calls) == 6           # 2 chunks x (ch, adv, samp)
+        assert [c[2:] for c in calls] == [(i, role) for i in (0, 1)
+                                          for role in ("ch", "adv", "samp")]
 
     def test_seed_changes_outcomes(self, fc_scheme, default_pop):
         a = run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
@@ -491,6 +540,24 @@ class TestDeterminism:
                             MatchTestUnlinkAdversary(),
                             RunSettings(trials=500, seed=2))
         assert a.wins != b.wins
+
+
+class TestChunkCost:
+    def test_sampler_chunk_peak_memory_bounded(self, fc_scheme, default_pop):
+        # a chunk holds its trials' candidate captures, m x 16 of them:
+        # about 1 MB at 1024 trials, 1.75 MB at 2048
+        s = RunSettings(trials=metrics.CHUNK_TRIALS, seed=1)
+        adv = build_adversary("sampler", "al-irr", fc_scheme, default_pop, s,
+                              LEAK_PI)
+        run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv,
+                        RunSettings(trials=10, seed=2))
+        tracemalloc.start()
+        try:
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestKnownRates:

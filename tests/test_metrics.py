@@ -908,13 +908,15 @@ class TestParallelDeterminism:
         assert a == b
         assert a.queries_used == 3000 * captures
 
-    def test_stats_jobs_identical(self, fc_scheme, default_pop):
+    def test_stats_jobs_identical(self, fc_scheme, default_pop, chunk_runs):
+        outer = metrics.CHUNK_TRIALS + 76          # two chunks
         a = metrics.pt_match_stats(fc_scheme, default_pop,
-                                   RunSettings(stats_outer=300, stats_inner=100,
+                                   RunSettings(stats_outer=outer, stats_inner=100,
                                                seed=3, jobs=1))
         b = metrics.pt_match_stats(fc_scheme, default_pop,
-                                   RunSettings(stats_outer=300, stats_inner=100,
+                                   RunSettings(stats_outer=outer, stats_inner=100,
                                                seed=3, jobs=2))
+        assert chunk_runs.pools == 1
         assert np.array_equal(a.rates, b.rates)
 
 
