@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .errors import ConfigError, ContractError, VariationTooHighError
+from .errors import ConfigError, ContractError, ModeError, VariationTooHighError
 from .games import IrrAdversary, UnlinkAdversary
-from .metrics import (MatchRateStats, RunSettings, extremal_mr, extremal_rmr,
-                      pt_match_stats)
+from .metrics import (MatchRateStats, RunSettings, exact_pt_match_stats,
+                      extremal_mr, extremal_rmr, pt_match_stats)
 from .population import FeatureElement
 from .schemes import LEAK_BOTH, LeakSet, PtView
 
@@ -83,15 +83,16 @@ class PalSamplerConfig:
     @classmethod
     def from_stats(cls, stats: MatchRateStats, delta: float,
                    gamma: float) -> "PalSamplerConfig":
+        """The inverter's one gate and sizing: refuses a zero mean or C^2 >= delta."""
+        if not 0.0 < delta < gamma < 1.0:
+            raise ConfigError(f"need 0 < delta < gamma < 1, got {delta}, {gamma}")
         if stats.mean <= 0.0:
-            raise ConfigError("mean match rate must be positive")
+            raise VariationTooHighError("mean match rate must be positive")
         c2 = stats.variation_coeff ** 2
         if delta <= c2:
             raise VariationTooHighError(
                 f"delta = {delta} must exceed C^2 = {c2:.6f}"
             )
-        if not delta < gamma < 1.0:
-            raise ConfigError(f"need delta < gamma < 1, got {delta}, {gamma}")
         mu = stats.chebyshev_threshold(delta)
         n_delta = compute_n_delta(mu, delta, gamma)
         return cls(mr_mean=stats.mean, sigma=stats.std_dev, delta=delta,
@@ -102,6 +103,15 @@ class PalSamplerConfig:
             raise ConfigError(f"mu = {self.mu} out of (0, 1]")
         if self.n_delta < 1:
             raise ConfigError("n_delta must be >= 1")
+
+
+def inverter_stats(scheme, pop, settings: RunSettings) -> tuple:
+    """(statistics, "exact" or "measured") sizing the inverter: exact wherever
+    `exact.enumerator` serves (scheme, pop), else a `pt_match_stats` estimate."""
+    try:
+        return exact_pt_match_stats(scheme, pop), "exact"
+    except ModeError:
+        return pt_match_stats(scheme, pop, settings).stats, "measured"
 
 
 def _require_both(name: str, leak):
@@ -397,10 +407,10 @@ def build_adversary(name: str, game: str, scheme, pop,
                     settings: RunSettings, leak: LeakSet):
     """The built-in adversary `name` for `game` ("al-irr", "pal-irr" or
     "unlink") on leak set `leak`, set up from `settings`: `pal-sampler` is
-    sized from `stats_outer` x `stats_inner` measured template statistics,
-    `sampler` draws `sampler_queries` candidates.  `pal-sampler`, the one
-    built-in with set-up work, refuses a leak set it cannot use before
-    that work; the others refuse one when the game runs."""
+    sized from the template statistics `inverter_stats` chooses, `sampler`
+    draws `sampler_queries` candidates.  `pal-sampler`, the one built-in
+    with set-up work, refuses a leak set it cannot use before that work;
+    the others refuse one when the game runs."""
     names = adversary_names(game)
     if name not in names:
         raise ConfigError(f"unknown adversary {name!r} for the {game} game; "
@@ -423,9 +433,9 @@ def build_adversary(name: str, game: str, scheme, pop,
         return blind_al_adversary(pop, s.tau, s)
     if name == "pal-sampler":
         _require_both(name, leak)
-        st = pt_match_stats(scheme, pop, s)
+        stats, _ = inverter_stats(scheme, pop, s)
         return PalSamplerAdversary(
-            PalSamplerConfig.from_stats(st.stats, s.delta, s.gamma))
+            PalSamplerConfig.from_stats(stats, s.delta, s.gamma))
     if name == "sampler":
         return SamplerIrrAdversary(s.sampler_queries, fallback_tau=s.tau)
     return ReadViewAdversary("pi" if name == "read-pi" else "alpha")

@@ -23,8 +23,8 @@ class ContractError(BtpEvalError):
 
 
 class VariationTooHighError(ContractError):
-    """The match-rate variation coefficient is too large for the
-    requested sampler parameters (delta <= C^2)."""
+    """The per-template match rates fail the repeated-sampling inverter's
+    hypothesis: a zero mean, or a variation coefficient with C^2 >= delta."""
 
 
 class ModeError(BtpEvalError):

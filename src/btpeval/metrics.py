@@ -167,6 +167,8 @@ class RunSettings:
         for key, least in _MINIMUMS.items():
             if (value := getattr(self, key)) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if not 0.0 < self.delta < self.gamma < 1.0:
+            raise ConfigError(f"need 0 < delta < gamma < 1, got {self.delta}, {self.gamma}")
         z_value(self.level)     # refuses a level outside (0, 1)
 
     @classmethod

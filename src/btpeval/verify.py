@@ -13,7 +13,8 @@ constructive adversary they posit, while the implication bounds are
 checked per adversary and labeled as such in the verdict details.
 
 The checks take one `metrics.RunSettings` record and build their adversaries
-with `build_adversary`, as `btpeval game` does; `verify_all` drives them.
+as `btpeval game` does: with `build_adversary`, and T2's inverter from the
+statistics `adversaries.inverter_stats` chooses.  `verify_all` drives them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .adversaries import (
     PalSamplerConfig,
     ReductionUnlinkAdversary,
     build_adversary,
+    inverter_stats,
 )
 from .errors import ConfigError, ModeError, VariationTooHighError
 from .games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game, run_unlink_game
@@ -71,6 +73,14 @@ class TheoremVerdict:
         if self.leak is not None:
             out["lambda"] = self.leak
         return out
+
+
+def _unchecked(theorem: str, status: str, relation: str, leak: LeakSet,
+               details: dict, reason: str) -> TheoremVerdict:
+    """The verdict of a check that did not run, `reason` closing its details."""
+    details["reason"] = reason
+    return TheoremVerdict(theorem, status, relation, None, None, None,
+                          leak=str(leak), details=details)
 
 
 def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
@@ -127,65 +137,45 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     """Full-template inversion is unachievable: the repeated-sampling
     inverter must win the acceptance game with rate above 1 - gamma.
 
-    Hypotheses gate applicability: the measured per-template rate spread
-    must satisfy C < 1 and C^2 < delta.  Where the scheme has an exact
-    oracle, the details also give the exact statistics and the n_delta
-    they would set, beside the estimated ones the check uses.  The sampler
+    The hypothesis C^2 < delta gates applicability: `PalSamplerConfig.
+    from_stats` checks it and sizes the inverter from the template statistics
+    `inverter_stats` chooses, as `btpeval game` does, exact wherever an oracle
+    serves the scheme; the details also give the measured ones.  The sampler
     game runs at most 5000 trials.
     """
     s = settings
-    delta, gamma, trials = s.delta, s.gamma, min(s.trials, 5000)
-    st = metrics.pt_match_stats(scheme, pop, s)
-    stats = st.stats
+    trials = min(s.trials, 5000)
+    stats, source = inverter_stats(scheme, pop, s)
+    measured = (stats if source == "measured"
+                else metrics.pt_match_stats(scheme, pop, s).stats)
     details = {
-        "delta": delta, "gamma": gamma, "trials": trials,
-        "measured_mr": stats.mean, "measured_sigma": stats.std_dev,
+        "delta": s.delta, "gamma": s.gamma, "trials": trials,
+        "measured_mr": measured.mean, "measured_sigma": measured.std_dev,
         "stats_outer": s.stats_outer, "stats_inner": s.stats_inner,
-        "tolerance_note": "the tolerance counts only the sampler game's "
-                          "standard error, not the error of the estimated "
-                          "statistics that set n_delta",
+        "statistics": source,
     }
-    try:
-        exact_mr, exact_sigma = exact.enumerator(scheme, pop).pt_match_stats()
-    except ModeError:
-        pass
+    if measured.mean > 0.0:
+        details["measured_c2"] = measured.variation_coeff ** 2
+    if source == "exact":
+        details.update(exact_mr=stats.mean, exact_sigma=stats.std_dev)
     else:
-        details["exact_mr"] = exact_mr
-        details["exact_sigma"] = exact_sigma
-        try:
-            details["exact_n_delta"] = PalSamplerConfig.from_stats(
-                metrics.MatchRateStats(exact_mr, exact_sigma), delta,
-                gamma).n_delta
-        except (ConfigError, VariationTooHighError) as e:
-            details["exact_n_delta"] = None
-            details["exact_n_delta_reason"] = str(e)
-    if stats.mean <= 0.0:
-        details["reason"] = "mean match rate is zero; variation coefficient undefined"
-        return TheoremVerdict("T2", NOT_APPLICABLE, ">=", None, None, None,
-                              leak=str(LEAK_BOTH), details=details)
-    c = stats.variation_coeff
-    details["measured_c2"] = c * c
-    if c >= 1.0:
-        details["reason"] = f"variation coefficient C = {c:.3f} >= 1"
-        return TheoremVerdict("T2", NOT_APPLICABLE, ">=", None, None, None,
-                              leak=str(LEAK_BOTH), details=details)
-    if delta <= c * c:
-        details["reason"] = f"delta = {delta} <= measured C^2 = {c*c:.4f}"
-        return TheoremVerdict("T2", NOT_APPLICABLE, ">=", None, None, None,
-                              leak=str(LEAK_BOTH), details=details)
-    cfg = PalSamplerConfig.from_stats(stats, delta, gamma)
-    details["mu"] = cfg.mu
-    details["n_delta"] = cfg.n_delta
+        details["tolerance_note"] = ("the tolerance counts only the sampler "
+                                     "game's standard error, not the error of "
+                                     "the estimated statistics that set n_delta")
+    try:
+        cfg = PalSamplerConfig.from_stats(stats, s.delta, s.gamma)
+    except VariationTooHighError as e:
+        return _unchecked("T2", NOT_APPLICABLE, ">=", LEAK_BOTH, details, str(e))
+    details.update(mu=cfg.mu, n_delta=cfg.n_delta)
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
                             replace(s, trials=trials))
     tol = 3.0 * game.win_rate.std_error
-    details["win_rate"] = game.win_rate.point
-    details["advantage"] = game.advantage.point
-    details["flagged"] = game.flagged
-    ok = game.win_rate.point > (1.0 - gamma) - tol
+    details.update(win_rate=game.win_rate.point,
+                   advantage=game.advantage.point, flagged=game.flagged)
+    ok = game.win_rate.point > (1.0 - s.gamma) - tol
     return TheoremVerdict(
         theorem="T2", status=PASS if ok else FAIL, relation=">=",
-        lhs=game.win_rate.point, rhs=1.0 - gamma, tolerance=tol,
+        lhs=game.win_rate.point, rhs=1.0 - s.gamma, tolerance=tol,
         leak=str(LEAK_BOTH), details=details,
     )
 
@@ -203,13 +193,11 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError as e:
-        details["reason"] = f"no exact oracle: {e}"
-        return TheoremVerdict("T3", NOT_APPLICABLE, "~~", None, None, None,
-                              leak=str(LEAK_BOTH), details=details)
+        return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
+                          f"no exact oracle: {e}")
     if not en.hypothesis_own_match():
-        details["reason"] = "some template rejects the very feature it encodes"
-        return TheoremVerdict("T3", NOT_APPLICABLE, "~~", None, None, None,
-                              leak=str(LEAK_BOTH), details=details)
+        return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
+                          "some template rejects the very feature it encodes")
     mr_mean, _ = en.pt_match_stats()
     details["mr_exact"] = mr_mean
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
@@ -247,15 +235,13 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     try:
         ov = metrics.overlap_rates(pop, tau)
     except ModeError as e:
-        details["reason"] = f"no exact overlap rates: {e}"
-        return TheoremVerdict("T4", NOT_APPLICABLE, ">=", None, None, None,
-                              leak=str(leak), details=details)
+        return _unchecked("T4", NOT_APPLICABLE, ">=", leak, details,
+                          f"no exact overlap rates: {e}")
     m_tau = metrics.extremal_mr(pop, tau, settings)
     details.update(p_tau=ov.p_tau, q_tau=ov.q_tau, m_tau=m_tau.value)
     if ov.p_tau >= 1.0 - 1e-12:
-        details["reason"] = "p_tau = 1 makes the bound vacuous"
-        return TheoremVerdict("T4", VACUOUS, ">=", None, None, None,
-                              leak=str(leak), details=details)
+        return _unchecked("T4", VACUOUS, ">=", leak, details,
+                          "p_tau = 1 makes the bound vacuous")
     game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary, settings)
     reduction = ReductionUnlinkAdversary(inner_adversary, tau)
     game_b = run_unlink_game(scheme, pop, leak, reduction, settings)

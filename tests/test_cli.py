@@ -187,6 +187,22 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
             RunSettings(**{key: 0})
 
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["game", "pal-irr", "--adversary", "pal-sampler"],
+        ["verify", "--theorem", "all"]], ids=["metrics", "game", "verify"])
+    @pytest.mark.parametrize("setting", [
+        {"delta": -0.5}, {"delta": 0}, {"delta": 0.7}, {"gamma": 1.5},
+        {"delta": 0.3, "gamma": 0.3}])
+    def test_delta_gamma_out_of_range_refused_before_measuring(
+            self, tmp_path, capsys, argv, setting, no_measurement):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "need 0 < delta < gamma < 1" in err
+        with pytest.raises(ConfigError, match="need 0 < delta < gamma < 1"):
+            RunSettings(**setting)
+
     @pytest.mark.parametrize("game, name, leak", [
         ("pal-irr", "pal-sampler", "pi"), ("al-irr", "pal-sampler", "ad"),
         ("unlink", "reduction(inner=pal-sampler)", "ad")])

@@ -1,18 +1,23 @@
 """Theorem checkers: pass paths, hypothesis gates, vacuous bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from btpeval import exact, verify
+from btpeval import adversaries, exact, metrics, verify
 from btpeval.adversaries import (
     PalSamplerConfig,
     ReadViewAdversary,
     SamplerIrrAdversary,
     blind_al_adversary,
+    build_adversary,
 )
+from btpeval.errors import VariationTooHighError
 from btpeval.metrics import MatchRateStats, RunSettings
 from btpeval.population import generate_population
-from btpeval.schemes import LEAK_AD, LEAK_PI, PlaintextScheme, RotationScheme, build_scheme
+from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, PlaintextScheme, RotationScheme,
+                             build_scheme)
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 S = RunSettings
@@ -77,10 +82,10 @@ class TestT2:
         v = verify.check_thm_pal_unachievable(NeverMatchScheme(7), default_pop,
                                             S(trials=500, seed=8))
         assert v.status == verify.NOT_APPLICABLE
-        # the exact statistics cannot size the sampler either
+        # the exact statistics cannot size the sampler
+        assert v.details["statistics"] == "exact"
         assert v.details["exact_mr"] == 0.0
-        assert v.details["exact_n_delta"] is None
-        assert "positive" in v.details["exact_n_delta_reason"]
+        assert "positive" in v.details["reason"]
 
     def test_exact_statistics_beside_estimated(self, fc_scheme, default_pop):
         v = verify.check_thm_pal_unachievable(fc_scheme, default_pop,
@@ -90,9 +95,9 @@ class TestT2:
         assert (d["exact_mr"], d["exact_sigma"]) == (mean, sigma)
         cfg = PalSamplerConfig.from_stats(MatchRateStats(mean, sigma), 0.16,
                                           0.5)
-        assert d["exact_n_delta"] == cfg.n_delta
-        assert d["n_delta"] >= 1
-        assert "standard error" in d["tolerance_note"]
+        assert d["n_delta"] == cfg.n_delta
+        assert d["statistics"] == "exact"
+        assert "tolerance_note" not in d
 
     def test_no_exact_statistics_beyond_enumeration(self):
         # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
@@ -102,6 +107,24 @@ class TestT2:
             trials=200, seed=9, stats_outer=50, stats_inner=40))
         assert "exact_mr" not in v.details
         assert "tolerance_note" in v.details
+        assert v.details["statistics"] == "measured"
+
+    def test_status_does_not_depend_on_seed(self):
+        # rot at n = 18 meets C^2 < delta = 0.16, and at n = 20 does not
+        # (exact C^2 0.137 and 0.169); the measured C^2 straddles both
+        small = dict(trials=200, stats_outer=50, stats_inner=40)
+        for n, status in ((18, verify.PASS), (20, verify.NOT_APPLICABLE)):
+            pop = generate_population(n, 16, 0.03, seed=1)
+            scheme = RotationScheme(n, tau=1)
+            c2 = metrics.exact_pt_match_stats(scheme, pop).variation_coeff ** 2
+            for seed in range(1, 6):
+                v = verify.check_thm_pal_unachievable(
+                    scheme, pop, S(seed=seed, **small))
+                assert (v.status, v.details["statistics"]) == (status, "exact")
+                if n == 18:
+                    assert v.details["n_delta"] == 268
+                else:
+                    assert f"C^2 = {c2:.6f}" in v.details["reason"]
 
 
 class TestT3:
@@ -239,3 +262,72 @@ class TestCostGuard:
         assert sorted(taus) == [0, 1, 2]
         assert len(sums) == 4
         assert sorts == []
+
+
+@pytest.fixture
+def measurements(monkeypatch):
+    """Records each `metrics.pt_match_stats` call, wherever it is bound."""
+    calls = []
+    measure = metrics.pt_match_stats
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    for module in (metrics, adversaries):
+        monkeypatch.setattr(module, "pt_match_stats", counted)
+    return calls
+
+
+def _plain21():
+    # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
+    pop = generate_population(exact.EXACT_N_CAP + 1, 16, 0.03, seed=1)
+    return PlaintextScheme(pop.n, tau=1), pop
+
+
+class TestInverterStatistics:
+    """T2 and `build_adversary("pal-sampler")` size the inverter from one
+    choice of statistics; counts calls, times nothing."""
+
+    SMALL = S(trials=200, seed=5, stats_outer=50, stats_inner=40)
+
+    def test_t2_measures_once(self, measurements, fc_scheme, default_pop):
+        verify.verify_all(fc_scheme, default_pop, self.SMALL)
+        assert len(measurements) == 1
+        verify.check_thm_pal_unachievable(*_plain21(), self.SMALL)
+        assert len(measurements) == 2
+
+    def test_pal_sampler_measures_only_without_oracle(
+            self, measurements, fc_scheme, default_pop):
+        build_adversary("pal-sampler", "pal-irr", fc_scheme, default_pop, S(),
+                        LEAK_BOTH)
+        assert measurements == []
+        scheme, pop = _plain21()
+        adv = build_adversary("pal-sampler", "pal-irr", scheme, pop,
+                              self.SMALL, LEAK_BOTH)
+        assert len(measurements) == 1
+        v = verify.check_thm_pal_unachievable(scheme, pop, self.SMALL)
+        assert v.details["n_delta"] == adv.cfg.n_delta
+
+    # rot at n = 10 has an exact C^2 of 0.169: delta 0.16 refuses it
+    @pytest.mark.parametrize("scheme_cfg, n, delta, status", [
+        ({"scheme": "fc"}, 7, 0.16, verify.PASS),
+        ({"scheme": "rot"}, 10, 0.16, verify.NOT_APPLICABLE),
+        ({"scheme": "rot"}, 10, 0.25, verify.PASS)],
+        ids=["fc7", "rot10", "rot10-wide"])
+    def test_t2_sizes_the_inverter_as_game_does(self, scheme_cfg, n, delta,
+                                                status):
+        pop = generate_population(n, 16, 0.03, seed=1)
+        scheme = build_scheme(scheme_cfg, n)
+        s = replace(self.SMALL, delta=delta)
+        v = verify.check_thm_pal_unachievable(scheme, pop, s)
+        assert (v.status, v.details["statistics"]) == (status, "exact")
+        if status == verify.PASS:
+            adv = build_adversary("pal-sampler", "pal-irr", scheme, pop, s,
+                                  LEAK_BOTH)
+            assert v.details["n_delta"] == adv.cfg.n_delta
+        else:
+            with pytest.raises(VariationTooHighError) as refusal:
+                build_adversary("pal-sampler", "pal-irr", scheme, pop, s,
+                                LEAK_BOTH)
+            assert v.details["reason"] == str(refusal.value)
