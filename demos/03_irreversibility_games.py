@@ -13,8 +13,7 @@ from btpeval.adversaries import (
     PalSamplerAdversary,
     PalSamplerConfig,
     ReadViewAdversary,
-    blind_al_adversary,
-    blind_pal_adversary,
+    build_adversary,
 )
 from btpeval.games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game
 from btpeval.metrics import RunSettings
@@ -32,12 +31,18 @@ def show(label, result):
           f"advantage {result.advantage.point:+7.4f}")
 
 
-# Blind baselines: no view at all, success equals the extremal rate.
+# Blind baselines: no view at all, success equals the extremal rate.  The
+# blind adversary answers the argmax of MR at tau (distance game) or of
+# rMR (acceptance game).
+def blind(game):
+    return build_adversary("blind", game, fc, pop, RunSettings(tau=1), LEAK_PI)
+
+
 show("blind argmax, distance game (tau=1, leak pi)",
-     run_al_irr_game(fc, pop, LEAK_PI, 1, blind_al_adversary(pop, 1),
+     run_al_irr_game(fc, pop, LEAK_PI, 1, blind("al-irr"),
                      RunSettings(trials=TRIALS, seed=4)))
 show("blind argmax, acceptance game (leak pi)",
-     run_pal_irr_game(fc, pop, LEAK_PI, blind_pal_adversary(fc, pop),
+     run_pal_irr_game(fc, pop, LEAK_PI, blind("pal-irr"),
                       RunSettings(trials=TRIALS, seed=5)))
 
 # The plaintext scheme hands the adversary everything.
@@ -65,7 +70,7 @@ print(f"acceptance-game win rate with the full template: "
 
 # Coupled transcripts: an exact-recovery win is a within-tau win is an
 # acceptance win; the inclusions hold trial by trial.
-coupled = run_coupled_irr_trials(fc, pop, LEAK_PI, 1, blind_al_adversary(pop, 1),
+coupled = run_coupled_irr_trials(fc, pop, LEAK_PI, 1, blind("al-irr"),
                                  RunSettings(trials=10000, seed=9))
 print(f"\ncoupled win rates: exact {coupled.rates['fl']:.4f} <= "
       f"within-tau {coupled.rates['al']:.4f} <= "

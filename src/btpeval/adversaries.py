@@ -170,18 +170,6 @@ class BlindArgmaxAdversary(IrrAdversary):
         return np.full(oracle.trials, self.guess.value, dtype=np.uint64)
 
 
-def blind_al_adversary(pop, tau: int,
-                       settings: RunSettings = RunSettings()) -> BlindArgmaxAdversary:
-    """Blind baseline for the distance game: argmax of the match rate."""
-    return BlindArgmaxAdversary(extremal_mr(pop, tau, settings).witness)
-
-
-def blind_pal_adversary(scheme, pop,
-                        settings: RunSettings = RunSettings()) -> BlindArgmaxAdversary:
-    """Blind baseline for the acceptance game: argmax of the reverse match rate."""
-    return BlindArgmaxAdversary(extremal_rmr(scheme, pop, settings).witness)
-
-
 class ReadViewAdversary(IrrAdversary):
     """Returns one leaked field verbatim as the guess (only meaningful for
     schemes whose template fields live in the feature space)."""
@@ -208,21 +196,22 @@ class ReadViewAdversary(IrrAdversary):
 class SamplerIrrAdversary(IrrAdversary):
     """Oracle-driven candidate picker: draws `num_queries` captures from
     random users and answers the candidate with the highest exact match
-    rate at the game threshold.  Works for any leak set (never reads the
+    rate at the game threshold, or at the comparator's radius (0 without
+    one) in the acceptance game.  Works for any leak set (never reads the
     view), so its success can only approach the blind optimum from below.
     """
 
     name = "sampler"
 
-    def __init__(self, num_queries: int = RunSettings.sampler_queries,
-                 fallback_tau: int = 0):
+    def __init__(self, num_queries: int = RunSettings.sampler_queries):
         if num_queries < 1:
             raise ConfigError("num_queries must be >= 1")
         self.num_queries = num_queries
-        self.fallback_tau = fallback_tau
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
-        return (params, self.fallback_tau if tau is None else tau)
+        if tau is None:
+            tau = params.scheme.guaranteed_match_radius() or 0
+        return (params, tau)
 
     def phase2_batch(self, state, view, oracle, rng):
         params, tau = state
@@ -428,14 +417,14 @@ def build_adversary(name: str, game: str, scheme, pop,
     if name == "coin":
         return CoinFlipUnlinkAdversary()
     if name == "blind":
-        if game == "pal-irr":
-            return blind_pal_adversary(scheme, pop, s)
-        return blind_al_adversary(pop, s.tau, s)
+        best = (extremal_rmr(scheme, pop, s) if game == "pal-irr"
+                else extremal_mr(pop, s.tau, s))
+        return BlindArgmaxAdversary(best.witness)
     if name == "pal-sampler":
         _require_both(name, leak)
         stats, _ = inverter_stats(scheme, pop, s)
         return PalSamplerAdversary(
             PalSamplerConfig.from_stats(stats, s.delta, s.gamma))
     if name == "sampler":
-        return SamplerIrrAdversary(s.sampler_queries, fallback_tau=s.tau)
+        return SamplerIrrAdversary(s.sampler_queries)
     return ReadViewAdversary("pi" if name == "read-pi" else "alpha")

@@ -37,10 +37,10 @@ from .metrics import (
     AdvantageEstimate,
     MValue,
     RunSettings,
+    _run_chunks,
     absolute_advantage,
     extremal_mr,
     extremal_rmr,
-    run_chunks,
 )
 from .population import BatchSamplingOracle, FeatureElement, Population
 from .rng import substream
@@ -394,7 +394,7 @@ class _UnlinkSpec(_GameSpec):
 def _run_spec(spec: _GameSpec) -> dict:
     """The game's record over all trials: each chunk's fields joined in
     trial order."""
-    parts = run_chunks(spec.run_range, spec.settings.trials, spec.settings.jobs)
+    parts = _run_chunks(spec.run_range, spec.settings.trials, spec.settings.jobs)
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 

@@ -7,7 +7,7 @@ only on (inputs, seed, trials) and never on how chunks were scheduled
 across workers.  Every rate that counts comparator decisions is one
 configuration of `_AcceptKernel`: the raw comparator d(x, x') <= tau is
 `PlaintextScheme(n, tau)`, and the ball-overlap rates p_tau and q_tau are
-match rates at radius 2 tau.  `run_chunks` is the one chunk runner and
+match rates at radius 2 tau.  `_run_chunks` is the one chunk runner and
 `CHUNK_TRIALS` the one chunk size of metrics and games.  Each estimator
 and game takes its run settings whole, as one `RunSettings` record.
 """
@@ -182,14 +182,11 @@ class RunSettings:
 # chunked deterministic trial runner
 
 
-def run_chunks(work, trials: int, jobs: int = 1) -> list:
+def _run_chunks(work, trials: int, jobs: int) -> list:
     """Call `work(lo, hi)` on consecutive ranges of at most `CHUNK_TRIALS`
     trials; returns the results in range order, serially or on `jobs`
-    processes (scheduling independent)."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    processes (scheduling independent).  `trials` and `jobs` come from a
+    `RunSettings`, which has checked them."""
     los = range(0, trials, CHUNK_TRIALS)
     his = [min(lo + CHUNK_TRIALS, trials) for lo in los]
     if jobs == 1 or len(los) == 1:
@@ -206,8 +203,8 @@ def _kernel_range(kernel, seed, label, lo, hi):
 
 def _run_kernel(kernel, trials, s: RunSettings, label) -> list:
     """Chunk results of `kernel`, each chunk on its own derived stream."""
-    return run_chunks(partial(_kernel_range, kernel, s.seed, label), trials,
-                      s.jobs)
+    return _run_chunks(partial(_kernel_range, kernel, s.seed, label), trials,
+                       s.jobs)
 
 
 def _count_rate(kernel, s: RunSettings, label) -> AdvantageEstimate:
@@ -361,15 +358,6 @@ def est_mr_of_feature(pop, x, tau, settings: RunSettings = RunSettings()):
     """MR(x) = Pr[d(x, capture of a random user) <= tau]."""
     kernel = _AcceptKernel(pop, PlaintextScheme(pop.n, tau), probe=x)
     return _count_rate(kernel, settings, f"mr_x_{x.value}_tau{tau}")
-
-
-def mr_of_feature(pop: Population, x: FeatureElement, tau: int) -> float:
-    """Exact per-feature match rate by the closed form; n <= 20."""
-    if pop.n > exact.EXACT_N_CAP:
-        raise ModeError(f"closed-form ball sums support n <= {exact.EXACT_N_CAP}")
-    if x.n != pop.n:
-        raise DimensionError(f"probe has {x.n} bits, population has {pop.n}")
-    return float(exact.mr_of(pop, [x.value], tau)[0])
 
 
 def rmr_of_feature(scheme, pop, x, settings: RunSettings = RunSettings()):

@@ -71,11 +71,6 @@ class FeatureElement:
     def bits(self) -> tuple:
         return tuple((self.value >> i) & 1 for i in range(self.n))
 
-    def __xor__(self, other: "FeatureElement") -> "FeatureElement":
-        if self.n != other.n:
-            raise DimensionError(f"dimension mismatch: {self.n} != {other.n}")
-        return FeatureElement(self.n, self.value ^ other.value)
-
     def rotate(self, r: int) -> "FeatureElement":
         """Cyclic coordinate shift: coordinate i moves to (i + r) mod n."""
         r %= self.n

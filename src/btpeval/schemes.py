@@ -212,11 +212,6 @@ class LinearCode:
     def codewords(self) -> tuple:
         return self._codewords
 
-    def encode(self, message: int) -> int:
-        if not 0 <= message < (1 << self.k_code):
-            raise ConfigError(f"message {message} out of range")
-        return self._codewords[message]
-
     def decode_index(self, ys: np.ndarray) -> np.ndarray:
         """Index of the codeword within distance t of each packed word, or -1."""
         if self._decode_table is not None:

@@ -46,21 +46,21 @@ def subprocess_env():
 @pytest.fixture
 def chunk_runs(monkeypatch):
     """Watches the chunk runner in this process: `trials` records the
-    trial count of each `run_chunks` call, `pools` counts the process
+    trial count of each `_run_chunks` call, `pools` counts the process
     pools they open."""
     seen = SimpleNamespace(trials=[], pools=0)
-    run_chunks = metrics.run_chunks
+    run_chunks = metrics._run_chunks
 
     class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             seen.pools += 1
             super().__init__(*args, **kwargs)
 
-    def recorded(work, trials, jobs=1):
+    def recorded(work, trials, jobs):
         seen.trials.append(trials)
         return run_chunks(work, trials, jobs)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     for module in (metrics, games):
-        monkeypatch.setattr(module, "run_chunks", recorded)
+        monkeypatch.setattr(module, "_run_chunks", recorded)
     return seen

@@ -70,17 +70,19 @@ class Blind(IrrAdversary):
 
 class Sampler(IrrAdversary):
     """Answers the first of `num_queries` random captures with the highest
-    exact match rate at the game threshold."""
+    exact match rate at the game threshold, or in the acceptance game at
+    the comparator's radius (0 for a scheme without one)."""
 
     name = "sampler"
 
-    def __init__(self, num_queries, fallback_tau):
+    def __init__(self, num_queries):
         self.num_queries = num_queries
-        self.fallback_tau = fallback_tau
         self._scores = {}
 
     def phase1(self, params, leak, tau, oracle, rng):
-        return params, self.fallback_tau if tau is None else tau
+        if tau is None:
+            tau = params.scheme.guaranteed_match_radius() or 0
+        return params, tau
 
     def phase2(self, state, view, oracle, rng):
         params, tau = state
@@ -225,7 +227,7 @@ def scalar_twin(adversary):
     twins = {
         PalSamplerAdversary: lambda a: PalSampler(a.cfg),
         BlindArgmaxAdversary: lambda a: Blind(a.guess),
-        SamplerIrrAdversary: lambda a: Sampler(a.num_queries, a.fallback_tau),
+        SamplerIrrAdversary: lambda a: Sampler(a.num_queries),
         MatchTestUnlinkAdversary: lambda a: MatchTest(),
         CoinFlipUnlinkAdversary: lambda a: Coin(),
         CrossComparatorAdversary: lambda a: CrossComparator(a.rule_name),

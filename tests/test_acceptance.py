@@ -18,13 +18,13 @@ import pytest
 
 from btpeval import cli, exact, metrics
 from btpeval.adversaries import (
+    BlindArgmaxAdversary,
     MatchTestUnlinkAdversary,
     PalSamplerConfig,
     PalSamplerAdversary,
     ReadViewAdversary,
     ReductionUnlinkAdversary,
     SamplerIrrAdversary,
-    blind_al_adversary,
     compute_n_delta,
 )
 from btpeval.games import (
@@ -139,7 +139,7 @@ class TestCriterion3TheoremFour:
              f"adv_B={lhs:.4f} >= bound={rhs:.4f} (tol {tol:.4f})")
 
     def test_fc_sampler_inner(self, fc_scheme, default_pop):
-        inner = SamplerIrrAdversary(num_queries=16, fallback_tau=1)
+        inner = SamplerIrrAdversary(num_queries=16)
         lhs, rhs, tol = self._check(fc_scheme, default_pop, LEAK_AD, 1, inner,
                                     trials=6000, seed=111)
         gate(3, "theorem-4 fc sampler inner", lhs >= rhs - tol,
@@ -148,8 +148,8 @@ class TestCriterion3TheoremFour:
 
 class TestCriterion4TheoremOneCouplings:
     def test_per_trial_inclusions(self, fc_scheme, default_pop):
-        res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
-                                     blind_al_adversary(default_pop, 1),
+        blind = BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness)
+        res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1, blind,
                                      RunSettings(trials=10000, seed=113))
         v = res.inclusion_violations()
         ok = v["fl_subset_al"] == 0 and v["al_subset_pal"] == 0

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from btpeval import exact, metrics
 from btpeval.adversaries import (
+    BlindArgmaxAdversary,
     CrossComparatorAdversary,
     MatchTestUnlinkAdversary,
     PalSamplerAdversary,
     PalSamplerConfig,
     ReductionUnlinkAdversary,
     SamplerIrrAdversary,
-    blind_al_adversary,
+    build_adversary,
     compute_n_delta,
 )
 from btpeval.errors import ConfigError, ContractError, ModeError, VariationTooHighError
@@ -181,7 +182,7 @@ class CountingInner(SamplerIrrAdversary):
 
 class TestReductionAdversary:
     def test_first_view_never_inspected(self, fc_scheme, default_pop):
-        inner = CountingInner(num_queries=4, fallback_tau=1)
+        inner = CountingInner(num_queries=4)
         adv = ReductionUnlinkAdversary(inner, 1)
         rng = substream(2, "red")
         oracle = BatchSamplingOracle(default_pop, substream(3, "red"), 100, 50)
@@ -195,7 +196,7 @@ class TestReductionAdversary:
 
     def test_overlap_branch_skips_inner(self, fc_scheme, default_pop):
         # 2*tau >= n: every ball pair intersects, so only coins are thrown
-        inner = CountingInner(num_queries=4, fallback_tau=4)
+        inner = CountingInner(num_queries=4)
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(inner, tau=4),
                                  RunSettings(trials=300, seed=39))
@@ -203,7 +204,7 @@ class TestReductionAdversary:
         assert result.advantage.point < 0.15
 
     def test_blind_inner_consistent_with_zero(self, fc_scheme, default_pop):
-        inner = blind_al_adversary(default_pop, 1)
+        inner = BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness)
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(inner, tau=1),
                                  RunSettings(trials=8000, seed=41, level=0.99))
@@ -213,11 +214,25 @@ class TestReductionAdversary:
         assert result.advantage.point >= lower - 3 * 2 * result.win_rate.std_error
 
 
+class TestBlindAdversary:
+    @pytest.mark.parametrize("n, cfg", [
+        (7, {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}),
+        (exact.EXACT_N_CAP + 1, {"scheme": "rot"}),   # candidate-set extremes
+    ], ids=["fc7", "rot21"])
+    def test_guess_is_the_extremal_witness(self, n, cfg):
+        pop = generate_population(n, 16, 0.03, seed=1)
+        scheme = build_scheme(cfg, n)
+        s = RunSettings(tau=2, seed=5)
+        al = build_adversary("blind", "al-irr", scheme, pop, s, LEAK_PI)
+        pal = build_adversary("blind", "pal-irr", scheme, pop, s, LEAK_PI)
+        assert al.guess == metrics.extremal_mr(pop, 2, s).witness
+        assert pal.guess == metrics.extremal_rmr(scheme, pop, s).witness
+
+
 class TestSamplerAdversary:
     def test_success_cannot_beat_blind_optimum(self, fc_scheme, default_pop):
         result = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
-                                 SamplerIrrAdversary(num_queries=16,
-                                                     fallback_tau=1),
+                                 SamplerIrrAdversary(num_queries=16),
                                  RunSettings(trials=6000, seed=43, level=0.99))
         assert result.advantage.ci_low <= 0.0
         assert result.queries["adv_phase2"] == 6000 * 16
@@ -226,6 +241,22 @@ class TestSamplerAdversary:
         with pytest.raises(ConfigError):
             SamplerIrrAdversary(num_queries=0)
 
+    @pytest.mark.parametrize("cfg, radius", [
+        ({"scheme": "rot", "tau": 2}, 2), ({"scheme": "broken"}, 0)])
+    def test_acceptance_game_scores_at_comparator_radius(self, default_pop,
+                                                         cfg, radius):
+        # the acceptance game has no threshold: the run's tau must not
+        # reach the sampler's scores, the comparator's radius must
+        scheme = build_scheme(cfg, 7)
+
+        def guesses(tau):
+            adv = build_adversary("sampler", "pal-irr", scheme, default_pop,
+                                  RunSettings(tau=tau), LEAK_BOTH)
+            return run_pal_irr_game(scheme, default_pop, LEAK_BOTH, adv,
+                                    RunSettings(trials=1100, seed=7),
+                                    record_transcripts=True).transcript_digests
+        assert guesses(1) == guesses(radius) == guesses(radius + 3)
+
     @staticmethod
     def _same_guesses(scheme, pop, tau):
         """The sampler and its closed-form reference play the same chunk
@@ -233,8 +264,7 @@ class TestSamplerAdversary:
         got, want = (run_al_irr_game(scheme, pop, LEAK_AD, tau, adv,
                                      RunSettings(trials=1100, seed=17),
                                      record_transcripts=True)
-                     for adv in (SamplerIrrAdversary(16, tau),
-                                 UniqueSampler(16, tau)))
+                     for adv in (SamplerIrrAdversary(16), UniqueSampler(16)))
         assert got.transcript_digests == want.transcript_digests
         assert got.queries == want.queries
 

@@ -99,11 +99,6 @@ class TestExitCodes:
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
         assert out == ""
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_library_refuses_jobs_below_one(self, jobs):
-        with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            metrics.run_chunks(lambda lo, hi: hi - lo, 10, jobs=jobs)
-
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         failing = verify.TheoremVerdict(
             theorem="T3", status=verify.FAIL, relation="~~",

@@ -20,8 +20,6 @@ from btpeval.adversaries import (
     ReadViewAdversary,
     ReductionUnlinkAdversary,
     SamplerIrrAdversary,
-    blind_al_adversary,
-    blind_pal_adversary,
     build_adversary,
 )
 from btpeval.errors import ConfigError, ProtocolError
@@ -187,7 +185,8 @@ class TestProtocolFidelity:
 
         runs = {
             "al-irr": lambda: run_al_irr_game(
-                scheme, pop, LEAK_PI, 1, adversary(blind_al_adversary(pop, 1)),
+                scheme, pop, LEAK_PI, 1, adversary(
+                    BlindArgmaxAdversary(metrics.extremal_mr(pop, 1).witness)),
                 RunSettings(trials=3, seed=0), baseline=baseline),
             "pal-irr": lambda: run_pal_irr_game(
                 scheme, pop, LEAK_BOTH,
@@ -272,7 +271,7 @@ class TestProtocolFidelity:
             with pytest.raises(TypeError):
                 cls()
         ReadViewAdversary("pi")         # the scalar pair is enough
-        SamplerIrrAdversary(4, 1)       # and so is the batch pair
+        SamplerIrrAdversary(4)       # and so is the batch pair
 
 
 class TestBudgets:
@@ -284,8 +283,8 @@ class TestBudgets:
         assert result.queries["adv_phase2"] == 50  # budget consumed, then cut
 
     def test_blind_adversary_uses_no_queries(self, fc_scheme, default_pop):
-        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
-                                 blind_al_adversary(default_pop, 1),
+        blind = BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness)
+        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, blind,
                                  RunSettings(trials=50, seed=0))
         assert result.queries["adv_phase1"] == 0
         assert result.queries["adv_phase2"] == 0
@@ -301,7 +300,7 @@ class TestBudgets:
                                 MatchTestUnlinkAdversary(),
                                 RunSettings(trials=5, seed=0, query_budget=budget))
             return
-        adv = engines(SamplerIrrAdversary(4, 1))[adversary]
+        adv = engines(SamplerIrrAdversary(4))[adversary]
         with pytest.raises(ConfigError):
             run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, adv,
                             RunSettings(trials=5, seed=0, query_budget=budget))
@@ -319,7 +318,7 @@ class TestBudgets:
         result = self._both(lambda adv: run_al_irr_game(
             fc_scheme, default_pop, LEAK_AD, 1, adv,
             RunSettings(trials=trials, seed=3, query_budget=5)),
-            SamplerIrrAdversary(16, 1))
+            SamplerIrrAdversary(16))
         assert result.flagged == trials
         assert result.wins == 0
         assert result.queries == {"adv_phase1": 0, "adv_phase2": 5 * trials,
@@ -359,7 +358,7 @@ class TestBudgets:
     @pytest.mark.parametrize("engine", ["batch", "scalar", "scalar-inner"])
     def test_reduction_charges_inner_only_when_balls_apart(
             self, fc_scheme, default_pop, engine):
-        inner = SamplerIrrAdversary(16, 1)
+        inner = SamplerIrrAdversary(16)
         adv = {**engines(ReductionUnlinkAdversary(inner, 1)),
                "scalar-inner": ReductionUnlinkAdversary(scalar_twin(inner), 1),
                }[engine]
@@ -395,7 +394,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_irr_transcripts_jobs_invariant(self, fc_scheme, default_pop,
                                             engine):
-        adv = engines(SamplerIrrAdversary(4, 1))[engine]
+        adv = engines(SamplerIrrAdversary(4))[engine]
         a, b = (run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv,
                                 RunSettings(trials=1100, seed=9, jobs=jobs),
                                 record_transcripts=True)
@@ -412,7 +411,7 @@ class TestDeterminism:
                             scalar_twin(MatchTestUnlinkAdversary()), s,
                             record_transcripts=True)
         a = run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1,
-                            scalar_twin(SamplerIrrAdversary(4, 1)), s,
+                            scalar_twin(SamplerIrrAdversary(4)), s,
                             record_transcripts=True)
         assert (u.wins, transcripts_digest(u)) == (281, "8a8f79658665ed46")
         assert (a.wins, transcripts_digest(a)) == (48, "56f2ed5468113a7e")
@@ -441,7 +440,7 @@ class TestDeterminism:
                                    gamma=0.5, mu=0.5, n_delta=4)
         runs = {
             "pal-sampler": lambda: run_pal_irr_game(
-                fc, pop, LEAK_BOTH, SamplerIrrAdversary(4, 1), budget(10**6),
+                fc, pop, LEAK_BOTH, SamplerIrrAdversary(4), budget(10**6),
                 **kw),
             "pal-pal-sampler-cut": lambda: run_pal_irr_game(
                 fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), budget(3),
@@ -452,7 +451,7 @@ class TestDeterminism:
                 fc, pop, LEAK_BOTH, ThriftyUnlink(), budget(4), **kw),
             "unlink-reduction-cut": lambda: run_unlink_game(
                 fc, pop, LEAK_AD,
-                ReductionUnlinkAdversary(SamplerIrrAdversary(16, 1), 1),
+                ReductionUnlinkAdversary(SamplerIrrAdversary(16), 1),
                 budget(5), **kw),
         }
         r = runs[case]()
@@ -489,7 +488,7 @@ class TestDeterminism:
                                    gamma=0.5, mu=0.5, n_delta=4)
         runs = {
             "al-irr": lambda: run_al_irr_game(
-                fc, pop, LEAK_AD, 1, SamplerIrrAdversary(4, 1), s, **kw),
+                fc, pop, LEAK_AD, 1, SamplerIrrAdversary(4), s, **kw),
             "pal-irr": lambda: run_pal_irr_game(
                 fc, pop, LEAK_BOTH, PalSamplerAdversary(pal_cfg), s, **kw),
             "unlink": lambda: run_unlink_game(
@@ -504,7 +503,7 @@ class TestDeterminism:
             self, fc_scheme, default_pop):
         s = RunSettings(trials=512, seed=13)
         c = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
-                                   SamplerIrrAdversary(4, 1), s)
+                                   SamplerIrrAdversary(4), s)
         wins = np.concatenate([c.wins_fl, c.wins_al, c.wins_pal])
         assert [int(w.sum()) for w in (c.wins_fl, c.wins_al, c.wins_pal)] == [
             27, 86, 86]
@@ -580,15 +579,16 @@ class TestKnownRates:
         assert result.win_rate.ci_low <= 1 / 16 <= result.win_rate.ci_high
 
     def test_blind_al_advantage_near_zero(self, fc_scheme, default_pop):
-        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
-                                 blind_al_adversary(default_pop, 1),
+        blind = BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness)
+        result = run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, blind,
                                  RunSettings(trials=8000, seed=7, level=0.99))
         assert result.advantage.ci_low <= 0.0 <= result.advantage.ci_high
         assert result.baseline_mode == "exact"
 
     def test_blind_pal_advantage_near_zero(self, fc_scheme, default_pop):
-        result = run_pal_irr_game(fc_scheme, default_pop, LEAK_PI,
-                                  blind_pal_adversary(fc_scheme, default_pop),
+        blind = build_adversary("blind", "pal-irr", fc_scheme, default_pop,
+                                RunSettings(), LEAK_PI)
+        result = run_pal_irr_game(fc_scheme, default_pop, LEAK_PI, blind,
                                   RunSettings(trials=8000, seed=9, level=0.99))
         assert result.advantage.ci_low <= 0.0 <= result.advantage.ci_high
 
@@ -631,8 +631,8 @@ class TestKnownRates:
 
 class TestCoupledTrials:
     def test_inclusions_and_pal_equality_for_fc(self, fc_scheme, default_pop):
-        res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1,
-                                     blind_al_adversary(default_pop, 1),
+        blind = BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness)
+        res = run_coupled_irr_trials(fc_scheme, default_pop, LEAK_PI, 1, blind,
                                      RunSettings(trials=4000, seed=15))
         v = res.inclusion_violations()
         assert v == {"fl_subset_al": 0, "al_subset_pal": 0}
@@ -720,7 +720,7 @@ class TestEngineDifferential:
         results = self._play(lambda adv: run_al_irr_game(
             scheme, default_pop, LEAK_PI, 1, adv,
             RunSettings(trials=self.TRIALS, seed=51, level=0.99)),
-            blind_al_adversary(default_pop, 1))
+            BlindArgmaxAdversary(metrics.extremal_mr(default_pop, 1).witness))
         self._hits(results, metrics.extremal_mr(default_pop, 1).value)
 
     def test_match_test_unlink(self, default_pop, scheme_name):
@@ -763,7 +763,7 @@ class TestEngineDifferential:
         self._two_sample(self._play(lambda adv: run_al_irr_game(
             scheme, default_pop, LEAK_AD, 1, adv,
             RunSettings(trials=self.TRIALS, seed=57)),
-            SamplerIrrAdversary(8, 1)))
+            SamplerIrrAdversary(8)))
 
     def test_reduction_two_sample(self, default_pop, scheme_name):
         # an inner inverter that reads the template, so the reduction's

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btpeval import exact, games, metrics
-from btpeval.errors import ConfigError, DimensionError, ModeError
+from btpeval.errors import ConfigError, DimensionError
 from btpeval.metrics import RunSettings
 from btpeval.population import FeatureElement, Population, generate_population
 from btpeval.rng import substream
@@ -27,6 +27,7 @@ from btpeval.schemes import (
     RotationScheme,
     build_scheme,
 )
+from reference_exact import closed_form_mr
 from reference_schemes import (
     RefFuzzyCommitmentScheme,
     RefPlaintextScheme,
@@ -318,8 +319,7 @@ class TestFmrVariants:
 
 class TestMrOfFeature:
     def test_tau_n_is_one(self, default_pop):
-        assert metrics.mr_of_feature(default_pop, FeatureElement(7, 0), 7) \
-            == pytest.approx(1.0)
+        assert exact.mr_scores(default_pop, [0], 7)[0] == pytest.approx(1.0)
 
     def test_noiseless_counts_users_in_ball(self, noiseless_pop):
         x = noiseless_pop.center(0)
@@ -327,7 +327,8 @@ class TestMrOfFeature:
             1 for u in range(noiseless_pop.num_users)
             if (noiseless_pop.center(u).value ^ x.value).bit_count() <= 1
         ) / noiseless_pop.num_users
-        assert metrics.mr_of_feature(noiseless_pop, x, 1) == pytest.approx(expect)
+        assert exact.mr_scores(noiseless_pop, [x.value], 1)[0] \
+            == pytest.approx(expect)
 
     def test_against_weighted_sum_oracle(self, default_pop):
         # brute force over all 2^7 probe values weighted by feature_probability
@@ -340,14 +341,18 @@ class TestMrOfFeature:
                 if (v ^ x.value).bit_count() <= tau:
                     oracle += pop.feature_probability(u, FeatureElement(7, v))
         oracle /= pop.num_users
-        assert metrics.mr_of_feature(pop, x, tau) == pytest.approx(oracle, abs=1e-12)
-        assert exact.mr_vector(pop, tau)[x.value] == pytest.approx(oracle, abs=1e-12)
+        assert exact.mr_scores(pop, [x.value], tau)[0] \
+            == pytest.approx(oracle, abs=1e-12)
+        assert exact.mr_of(pop, [x.value], tau)[0] \
+            == pytest.approx(oracle, abs=1e-12)
 
-    def test_mode_error_large_n(self):
+    def test_large_n_by_closed_form(self):
+        # past EXACT_N_CAP no vector is built, yet the exact rate is given
         pop = generate_population(22, 2, 0.01, seed=0)
-        with pytest.raises(ModeError):
-            metrics.mr_of_feature(pop, FeatureElement(22, 0), 1)
-        est = metrics.est_mr_of_feature(pop, FeatureElement(22, 0), 1,
+        x = FeatureElement(22, 0)
+        assert exact.mr_scores(pop, [x.value], 1).tolist() \
+            == [closed_form_mr(pop, x, 1)]
+        est = metrics.est_mr_of_feature(pop, x, 1,
                                         RunSettings(trials=500, seed=1))
         assert 0.0 <= est.point <= 1.0
 
@@ -381,8 +386,7 @@ class TestProbeDimension:
                                                                      seed=0)),
         lambda scheme, pop, x: metrics.rmr_of_feature(scheme, pop, x,
                                                       RunSettings(trials=100, seed=0)),
-        lambda scheme, pop, x: metrics.mr_of_feature(pop, x, 1),
-    ], ids=["est_mr_of_feature", "rmr_of_feature", "mr_of_feature"])
+    ], ids=["est_mr_of_feature", "rmr_of_feature"])
     def test_probe_of_another_dimension_rejected(self, fc_scheme, default_pop,
                                                  estimate):
         with pytest.raises(DimensionError, match="probe has 9 bits"):
@@ -404,10 +408,7 @@ class TestExtremal:
 
     def test_exact_agrees_with_feature_scan(self, default_pop):
         m = metrics.extremal_mr(default_pop, 1)
-        scan = max(
-            metrics.mr_of_feature(default_pop, FeatureElement(7, v), 1)
-            for v in range(128)
-        )
+        scan = exact.mr_of(default_pop, np.arange(128), 1).max()
         assert m.value == pytest.approx(scan, abs=1e-12)
         assert m.mode == "exact"
 
@@ -930,10 +931,10 @@ def test_run_settings_refuse_jobs_and_level_before_any_work(key, value,
 
 
 # Public functions of `games` and `metrics` that draw nothing: interval
-# arithmetic, the chunk runner and the exact scans.
+# arithmetic and the exact scans.
 PURE_HELPERS = {"z_value", "wilson_interval", "proportion_se",
-                "absolute_advantage", "entropy_bits", "run_chunks",
-                "mr_of_feature", "overlap_rates", "exact_pt_match_stats"}
+                "absolute_advantage", "entropy_bits", "overlap_rates",
+                "exact_pt_match_stats"}
 SETTING_NAMES = {"seed", "budget", "level", "jobs", "trials",
                  "candidate_draws"}
 

@@ -7,10 +7,10 @@ import pytest
 
 from btpeval import adversaries, exact, metrics, verify
 from btpeval.adversaries import (
+    BlindArgmaxAdversary,
     PalSamplerConfig,
     ReadViewAdversary,
     SamplerIrrAdversary,
-    blind_al_adversary,
     build_adversary,
 )
 from btpeval.errors import VariationTooHighError
@@ -166,13 +166,14 @@ class TestT4:
     def test_blind_inner_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_irr_bound(
             fc_scheme, default_pop, LEAK_PI, S(tau=1, trials=3000, seed=14),
-            inner_adversary=blind_al_adversary(default_pop, 1))
+            inner_adversary=BlindArgmaxAdversary(
+                metrics.extremal_mr(default_pop, 1).witness))
         assert v.status == verify.PASS
 
     def test_fc_ad_sampler_inner_passes(self, fc_scheme, default_pop):
         v = verify.check_thm_unlink_irr_bound(
             fc_scheme, default_pop, LEAK_AD, S(tau=1, trials=3000, seed=15),
-            inner_adversary=SamplerIrrAdversary(num_queries=16, fallback_tau=1))
+            inner_adversary=SamplerIrrAdversary(num_queries=16))
         assert v.status == verify.PASS
 
     def test_vacuous_when_balls_always_intersect(self, fc_scheme, default_pop):
