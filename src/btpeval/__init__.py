@@ -24,7 +24,6 @@ from .population import (
     SamplingOracle,
     generate_population,
     hamming_distance,
-    neighborhood_overlap,
 )
 from .schemes import (
     LEAK_AD,

@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ModeError
+from .errors import ConfigError, DimensionError, ModeError
 from .population import Population
 from .schemes import BtpScheme
 
@@ -140,8 +140,10 @@ def mr_vector(pop: Population, tau: int) -> np.ndarray:
 def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
     """MR(x) for every packed x in `values`, bit for bit `mr_of`: read from
     `mr_vector` up to EXACT_N_CAP, by the closed form over the distinct
-    values beyond it."""
+    values beyond it.  A value of more than n bits is refused."""
     values = np.asarray(values, dtype=np.uint64)
+    if pop.n < 64 and np.any(values >> np.uint64(pop.n)):
+        raise DimensionError(f"a value has more than {pop.n} bits")
     if pop.n <= EXACT_N_CAP:
         return mr_vector(pop, tau)[values]
     uniq, inverse = np.unique(values, return_inverse=True)

@@ -34,6 +34,7 @@ CHUNK_TRIALS = 1024
 # interval arithmetic
 
 
+@lru_cache(maxsize=16)
 def z_value(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ConfigError(f"confidence level must be in (0,1), got {level}")
@@ -92,10 +93,6 @@ class AdvantageEstimate:
             ci_low=self.ci_low + offset, ci_high=self.ci_high + offset,
             queries_used=self.queries_used,
         )
-
-    @property
-    def half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
 
     @property
     def std_error(self) -> float:
@@ -227,7 +224,9 @@ class _AcceptKernel:
     The comparator enrolls each capture and probes with the `alpha` of
     enrollment `alpha_from` against the `pi` of enrollment `pi_from`; a
     fixed `template` replaces enrollment.  A chunk is counted in array
-    ops, through the scheme's batch contract.
+    ops, through the scheme's batch contract: one `sample_batch` for the
+    probe and every enrollment, then one `pie_batch`, `pir_batch` and
+    `pic_batch`.
     """
 
     pop: Population
@@ -253,14 +252,19 @@ class _AcceptKernel:
         if "v" in self.owners:
             vs = rng.integers(self.pop.num_users - 1, size=m)
             users["v"] = vs + (vs >= users["u"])
-        x = (self.pop.sample_batch(users["u"], rng) if self.probe is None
-             else np.full(m, self.probe.value, dtype=np.uint64))
-        enrolls = [self.pop.sample_batch(users[o], rng) for o in self.owners]
+        # one (rows, m) draw, whose uniforms are row by row those of one
+        # draw per row
+        rows = self.owners if self.probe is not None else ("u", *self.owners)
+        captures = self.pop.sample_batch(np.array([users[o] for o in rows]), rng)
+        if self.probe is None:
+            x, enrolls = captures[0], captures[1:]
+        else:
+            x, enrolls = np.full(m, self.probe.value, dtype=np.uint64), captures
         scheme = self.scheme
         if self.template is None:
-            # a trial's enrollments are adjacent in C order, so the encoder
-            # draws come trial by trial, as in a per-trial loop
-            pis, alphas = scheme.pie_batch(np.stack(enrolls, axis=1), rng)
+            # a trial's enrollments are adjacent in C order of the (m, k)
+            # view, so the encoder draws come trial by trial, as in a loop
+            pis, alphas = scheme.pie_batch(enrolls.T, rng)
             pi, alpha = pis[:, self.pi_from], alphas[:, self.alpha_from]
         else:
             pi, alpha = scheme.template_codes(self.template)

@@ -64,13 +64,6 @@ class FeatureElement:
             raise ConfigError(f"not a bitstring: {s!r}")
         return cls.from_bits(int(c) for c in s)
 
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
-
-    @property
-    def bits(self) -> tuple:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
-
     def rotate(self, r: int) -> "FeatureElement":
         """Cyclic coordinate shift: coordinate i moves to (i + r) mod n."""
         r %= self.n
@@ -87,17 +80,6 @@ def hamming_distance(a: FeatureElement, b: FeatureElement) -> int:
     if a.n != b.n:
         raise DimensionError(f"dimension mismatch: {a.n} != {b.n}")
     return (a.value ^ b.value).bit_count()
-
-
-def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bool:
-    """Whether the radius-tau balls around x0 and x1 intersect.
-
-    On the Hamming cube two balls of radius tau intersect exactly when
-    d(x0, x1) <= 2*tau (walk from x0 toward x1 and stop at a midpoint).
-    """
-    if tau < 0:
-        raise ConfigError(f"tau must be >= 0, got {tau}")
-    return hamming_distance(x0, x1) <= 2 * tau
 
 
 def _word_masses(w: int, p: float) -> np.ndarray:

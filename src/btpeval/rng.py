@@ -13,17 +13,23 @@ process, which is what makes results independent of worker count.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=1024)
+def _digest(label: str) -> int:
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 def _label_to_int(label) -> int:
     if isinstance(label, (int, np.integer)):
         return int(label) & _MASK64
-    digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return _digest(str(label))
 
 
 def seed_sequence(seed: int, *path) -> np.random.SeedSequence:

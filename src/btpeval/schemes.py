@@ -198,7 +198,7 @@ class LinearCode:
         object.__setattr__(self, "_decode_table", None)
         if self.n_code <= 16:
             ys = np.arange(1 << self.n_code, dtype=np.uint64)
-            object.__setattr__(self, "_decode_table", self.decode_index(ys))
+            object.__setattr__(self, "_decode_table", self.decode_codes(ys))
 
     def _enumerate(self):
         for m in range(1 << self.k_code):
@@ -212,14 +212,15 @@ class LinearCode:
     def codewords(self) -> tuple:
         return self._codewords
 
-    def decode_index(self, ys: np.ndarray) -> np.ndarray:
-        """Index of the codeword within distance t of each packed word, or -1."""
+    def decode_codes(self, ys: np.ndarray) -> np.ndarray:
+        """Index of the codeword within distance t of each packed word, or
+        REJECT_CODE: the fc scheme's identifier codes."""
         if self._decode_table is not None:
             return self._decode_table[ys]
-        idx = np.full(np.shape(ys), -1, dtype=np.int32)
+        codes = np.full(np.shape(ys), REJECT_CODE, dtype=np.uint64)
         for m, w in enumerate(self._codewords):
-            idx[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
-        return idx
+            codes[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
+        return codes
 
     @classmethod
     def from_bitstrings(cls, rows, t: int) -> "LinearCode":
@@ -259,11 +260,12 @@ class _CodeBook:
 
 
 def _rotate(xs, r, n: int) -> np.ndarray:
-    """Packed cyclic shift of every x by its r (FeatureElement.rotate)."""
+    """Packed cyclic shift of every x by its r (FeatureElement.rotate), for
+    r in [0, n): at r = 0 the right shift by n clears the n-bit x."""
     xs = np.asarray(xs, dtype=np.uint64)
-    r = np.asarray(r, dtype=np.uint64) % np.uint64(n)
+    r = np.asarray(r, dtype=np.uint64)
     mask = np.uint64((1 << n) - 1)
-    return ((xs << r) & mask) | (xs >> ((np.uint64(n) - r) % np.uint64(n)))
+    return ((xs << r) & mask) | (xs >> (np.uint64(n) - r))
 
 
 _SCALAR = ("pie", "pir", "pic", "pie_support")
@@ -453,8 +455,7 @@ class FuzzyCommitmentScheme(BtpScheme):
         return m, xs ^ self._cw[m]
 
     def pir_batch(self, alpha, xs):
-        idx = self.code.decode_index(np.asarray(xs, dtype=np.uint64) ^ alpha)
-        return np.where(idx < 0, REJECT_CODE, idx.astype(np.uint64))
+        return self.code.decode_codes(np.asarray(xs, dtype=np.uint64) ^ alpha)
 
     def pic_batch(self, pi, vid):
         return (pi == vid) & (pi != REJECT_CODE)
@@ -532,7 +533,8 @@ class RotationScheme(_ThresholdScheme):
         return _rotate(xs, r, self.feature_dim), r
 
     def pir_batch(self, alpha, xs):
-        return _rotate(xs, alpha, self.feature_dim)
+        return _rotate(xs, np.asarray(alpha, dtype=np.uint64)
+                       % np.uint64(self.feature_dim), self.feature_dim)
 
     def pie_support_batch(self, xs):
         xs = np.asarray(xs, dtype=np.uint64)[..., None]

@@ -55,10 +55,6 @@ class TheoremVerdict:
     leak: str | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status in (PASS, NOT_APPLICABLE, VACUOUS)
-
     def to_dict(self) -> dict:
         out = {
             "id": self.theorem,

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from concurrent import futures
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import pytest
 
 import btpeval
 from btpeval import exact, games, metrics
-from btpeval.population import generate_population
+from btpeval.population import Population, generate_population
 from btpeval.schemes import build_scheme
 
 
@@ -64,3 +65,28 @@ def chunk_runs(monkeypatch):
     for module in (metrics, games):
         monkeypatch.setattr(module, "_run_chunks", recorded)
     return seen
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts batch calls in this process, by method name, in one
+    `Counter`: every population's `sample_batch` and `sample` at once, and
+    a scheme's `pie_batch`, `pir_batch` and `pic_batch` once the test
+    calls `batch_calls(scheme)`, which returns the counter."""
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_batch", "sample"):
+        monkeypatch.setattr(Population, name,
+                            counted(name, getattr(Population, name)))
+
+    def watch(scheme):
+        for name in ("pie_batch", "pir_batch", "pic_batch"):
+            monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
+        return calls
+    return watch

@@ -24,9 +24,10 @@ from btpeval.adversaries import (
 )
 from btpeval.errors import ContractError
 from btpeval.games import IrrAdversary, UnlinkAdversary
-from btpeval.population import hamming_distance, neighborhood_overlap
+from btpeval.population import hamming_distance
 from btpeval.schemes import LEAK_BOTH
 from reference_exact import closed_form_mr
+from reference_population import neighborhood_overlap
 
 
 class PalSampler(IrrAdversary):

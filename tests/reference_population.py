@@ -1,0 +1,22 @@
+"""Feature-element helpers that only the tests use, beside the package's
+own: one coordinate of a packed feature, and the ball-overlap predicate
+that the reference adversaries apply trial by trial."""
+
+from btpeval.errors import ConfigError
+from btpeval.population import FeatureElement, hamming_distance
+
+
+def bit(x: FeatureElement, i: int) -> int:
+    """Coordinate i of x."""
+    return (x.value >> i) & 1
+
+
+def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bool:
+    """Whether the radius-tau balls around x0 and x1 intersect.
+
+    On the Hamming cube two balls of radius tau intersect exactly when
+    d(x0, x1) <= 2*tau (walk from x0 toward x1 and stop at a midpoint).
+    """
+    if tau < 0:
+        raise ConfigError(f"tau must be >= 0, got {tau}")
+    return hamming_distance(x0, x1) <= 2 * tau

@@ -47,6 +47,7 @@ from btpeval.schemes import (
     ProtectedTemplate,
     leak_view,
 )
+from reference_results import half_width
 from reference_schemes import decisions_and_ball
 
 
@@ -340,7 +341,7 @@ class TestCriterion7CrossComparatorIdentity:
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
                                     CrossComparatorAdversary(),
                                     RunSettings(trials=10000, seed=117))
-        se_adv = res.unlink_advantage.half_width / metrics.z_value(0.95)
+        se_adv = half_width(res.unlink_advantage) / metrics.z_value(0.95)
         tol = 3.0 * math.sqrt(res.fcmr.std_error ** 2
                               + res.fncmr.std_error ** 2 + se_adv ** 2)
         ok = res.identity_gap <= tol

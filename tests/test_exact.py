@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btpeval import exact
-from btpeval.errors import ModeError
+from btpeval.errors import DimensionError, ModeError
 from btpeval.population import FeatureElement, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
@@ -73,6 +73,19 @@ class TestClosedForm:
             assert got.shape == values.shape
             assert got.tolist() == exact.mr_of(pop, values.ravel(), tau
                                                ).reshape(values.shape).tolist()
+
+    @pytest.mark.parametrize("n, value", [(7, 300), (22, 1 << 30)])
+    def test_mr_scores_refuse_a_value_past_n_bits(self, n, value):
+        # the lookup (n = 7) and the closed form (n = 22) refuse alike
+        pop = generate_population(n, 16, 0.03, seed=n)
+        with pytest.raises(DimensionError, match=f"more than {n} bits"):
+            exact.mr_scores(pop, [1, value], 1)
+
+    def test_mr_scores_take_every_value_at_n_64(self):
+        pop = generate_population(64, 4, 0.03, seed=1)
+        values = [0, 2**64 - 1]
+        assert exact.mr_scores(pop, values, 1).tolist() \
+            == exact.mr_of(pop, values, 1).tolist()
 
     def test_mr_vector_cached_and_read_only(self, default_pop):
         vec = exact.mr_vector(default_pop, 2)

@@ -8,6 +8,7 @@ the exact engine on the default configuration.
 import inspect
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -855,25 +856,33 @@ class TestPtStatsKernelAgainstLoop:
         assert batch_rng.random() == loop_rng.random()
 
 
+class TestAcceptKernelCost:
+    """Guards on what the kernel does, not on how long it takes: one
+    `sample_batch` for the probe and every enrollment, and one call of
+    each scheme stage, per kernel call."""
+
+    @pytest.mark.parametrize("config", list(KERNEL_CONFIGS))
+    @pytest.mark.parametrize("name", ["fc", "rot", "plain", "broken", "lottery"])
+    def test_one_call_of_each_stage(self, batch_calls, default_pop, name,
+                                    config):
+        scheme = ENUMERATED_SCHEMES[name]()
+        fields = KERNEL_CONFIGS[config](scheme, default_pop)
+        kernel = metrics._AcceptKernel(default_pop, scheme, **fields)
+        calls = batch_calls(scheme)
+        rng = substream(5, "kernel-cost")
+        for _ in range(3):
+            kernel(rng, 300)
+        enrolls = 3 if kernel.template is None else 0
+        assert calls == Counter(sample_batch=3, pie_batch=enrolls,
+                                pir_batch=3, pic_batch=3)
+
+
 class TestPtStatsKernelCost:
     """Guards on what the kernel does, not on how long it takes."""
 
-    def test_one_rating_call_per_block(self, monkeypatch, default_pop):
+    def test_one_rating_call_per_block(self, batch_calls, default_pop):
         scheme = ENUMERATED_SCHEMES["fc"]()
-        calls = {"pir_batch": 0, "pic_batch": 0, "sample_batch": 0,
-                 "sample": 0}
-
-        def counted(name, f):
-            def wrapper(*args, **kw):
-                calls[name] += 1
-                return f(*args, **kw)
-            return wrapper
-
-        for name in ("pir_batch", "pic_batch"):
-            monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
-        for name in ("sample_batch", "sample"):
-            monkeypatch.setattr(Population, name,
-                                counted(name, getattr(Population, name)))
+        calls = batch_calls(scheme)
         metrics.pt_match_stats(scheme, default_pop,
                                RunSettings(stats_outer=600, stats_inner=400, seed=2))
         blocks = math.ceil(600 / (metrics.PT_BLOCK_PROBES // 400))

@@ -25,6 +25,7 @@ from btpeval.schemes import (
     PlaintextScheme,
     ProtectedTemplate,
     RotationScheme,
+    _rotate,
     build_scheme,
     hamming_7_4,
     leak_view,
@@ -139,14 +140,15 @@ class TestLinearCode:
     @pytest.mark.parametrize("code", [
         hamming_7_4(), LinearCode.from_bitstrings(["1111"], t=1), UNTABLED_CODE,
     ], ids=["hamming", "repetition", "untabled"])
-    def test_decode_index_matches_scalar_decoder(self, code):
+    def test_decode_codes_match_scalar_decoder(self, code):
         rng = substream(9, "decode")
         ys = (np.arange(1 << code.n_code, dtype=np.uint64) if code.n_code <= 8
               else rng.integers(1 << code.n_code, size=2000).astype(np.uint64))
-        idx = code.decode_index(ys)
-        for y, m in zip(ys.tolist(), idx.tolist()):
+        codes = code.decode_codes(ys)
+        assert codes.dtype == np.uint64
+        for y, m in zip(ys.tolist(), codes.tolist()):
             w = decode_int(code, y)
-            assert (m < 0) == (w is None)
+            assert (m == REJECT_CODE) == (w is None)
             assert w is None or code.codewords[m] == w
 
     def test_degenerate_generator_rejected(self):
@@ -261,6 +263,28 @@ class TestRotationScheme:
         support = scheme.pie_support(FeatureElement(7, 3))
         assert len(support) == 7
         assert {pt.alpha for _, pt in support} == set(range(7))
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 63, 64])
+    def test_packed_rotate_is_feature_rotate(self, n):
+        # every r in [0, n), the precondition of `_rotate`; at n = 64, r = 0
+        # shifts right by 64
+        rng = substream(n, "rotate")
+        xs = (rng.integers(0, 2**64, size=6, dtype=np.uint64)
+              & np.uint64((1 << n) - 1)).tolist() + [0, (1 << n) - 1]
+        got = _rotate(np.array(xs, dtype=np.uint64)[:, None],
+                      np.arange(n, dtype=np.uint64), n)
+        assert got.tolist() == [[FeatureElement(n, x).rotate(r).value
+                                 for r in range(n)] for x in xs]
+        assert _rotate(np.uint64(xs[0]), 0, n) == xs[0]
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_pir_batch_reduces_alpha_mod_n(self, n):
+        scheme = RotationScheme(n, tau=1)
+        xs = substream(n, "pir-alpha").integers(0, 2**64, size=5, dtype=np.uint64) \
+            & np.uint64((1 << n) - 1)
+        alphas = np.array([*range(n, 3 * n), 2**64 - 1], dtype=np.uint64)[:, None]
+        assert np.array_equal(scheme.pir_batch(alphas, xs),
+                              scheme.pir_batch(alphas % np.uint64(n), xs))
 
 
 class TestPlaintextScheme:
