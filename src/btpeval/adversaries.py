@@ -30,8 +30,9 @@ import numpy as np
 from . import exact
 from .errors import ConfigError, ContractError, ModeError, VariationTooHighError
 from .games import IrrAdversary, UnlinkAdversary
-from .metrics import (MatchRateStats, RunSettings, exact_pt_match_stats,
-                      extremal_mr, extremal_rmr, pt_match_stats)
+from .metrics import (PT_BLOCK_PROBES, MatchRateStats, RunSettings,
+                      exact_pt_match_stats, extremal_mr, extremal_rmr,
+                      pt_match_stats)
 from .population import FeatureElement
 from .schemes import LEAK_BOTH, LeakSet, PtView
 
@@ -199,6 +200,12 @@ class SamplerIrrAdversary(IrrAdversary):
     rate at the game threshold, or at the comparator's radius (0 without
     one) in the acceptance game.  Works for any leak set (never reads the
     view), so its success can only approach the blind optimum from below.
+
+    A chunk draws all its trials' users in one `integers` call, then
+    captures and scores its candidates in blocks of trials, each of at
+    most `metrics.PT_BLOCK_PROBES` captures (one trial's q where q is
+    larger).  The oracle's stream yields a block's captures as one draw
+    of the whole chunk would, so the guesses do not depend on the block.
     """
 
     name = "sampler"
@@ -217,12 +224,16 @@ class SamplerIrrAdversary(IrrAdversary):
         params, tau = state
         pop = params.population
         m, q = oracle.trials, self.num_queries
-        users = rng.integers(pop.num_users, size=m * q)
-        cands = oracle.sample(np.repeat(np.arange(m), q), users)
-        scores = exact.mr_scores(pop, cands, tau).reshape(m, q)
-        # the first best candidate in query order
-        best = np.argmax(scores, axis=1)
-        return cands.reshape(m, q)[np.arange(m), best]
+        users = rng.integers(pop.num_users, size=(m, q))
+        guess = np.empty(m, dtype=np.uint64)
+        rows = max(1, PT_BLOCK_PROBES // q)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            cands = oracle.sample(np.repeat(np.arange(lo, hi), q), users[lo:hi])
+            # the first best candidate in query order
+            best = np.argmax(exact.mr_scores(pop, cands, tau), axis=1)
+            guess[lo:hi] = cands[np.arange(hi - lo), best]
+        return guess
 
 
 # --------------------------------------------------------------------------

@@ -9,10 +9,10 @@ explicit state value returned by phase 1.  A trial that exhausts its
 oracle budget counts as a loss and is flagged.
 
 One engine plays every adversary: a chunk of `metrics.CHUNK_TRIALS`
-trials, the one chunk size of every Monte Carlo loop, draws from three
-streams keyed by the chunk, for the challenger, the adversary and the
-sampling oracles, and runs each step as array operations on the scheme's
-batch contract.  An adversary written trial by trial is played
+(4096) trials, the one chunk size of every Monte Carlo loop, draws from
+three streams keyed by the chunk, for the challenger, the adversary and
+the sampling oracles, and runs each step as array operations on the
+scheme's batch contract.  An adversary written trial by trial is played
 through its base class, which runs its scalar phases on each trial of the
 chunk in turn.
 

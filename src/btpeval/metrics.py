@@ -8,8 +8,11 @@ across workers.  Every rate that counts comparator decisions is one
 configuration of `_AcceptKernel`: the raw comparator d(x, x') <= tau is
 `PlaintextScheme(n, tau)`, and the ball-overlap rates p_tau and q_tau are
 match rates at radius 2 tau.  `_run_chunks` is the one chunk runner and
-`CHUNK_TRIALS` the one chunk size of metrics and games.  Each estimator
-and game takes its run settings whole, as one `RunSettings` record.
+`CHUNK_TRIALS` (4096) the one chunk size of metrics and games; where a
+chunk needs many captures per trial (the template statistics, the
+`sampler`'s candidates), it takes them in blocks of at most
+`PT_BLOCK_PROBES` (2^13).  Each estimator and game takes its run settings
+whole, as one `RunSettings` record.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .population import FeatureElement, Population
 from .rng import substream
 from .schemes import BtpScheme, PlaintextScheme
 
-CHUNK_TRIALS = 1024
+CHUNK_TRIALS = 4096
 
 
 # --------------------------------------------------------------------------
@@ -272,8 +275,9 @@ class _AcceptKernel:
         return m - accepts if self.count_rejects else accepts
 
 
-# Probes (templates x captures) rated per array block of `_PtStatsKernel`:
-# bounds its (probes, words) uniforms at 2^13 x ceil(n / 10) doubles.
+# Captures per array block of `_PtStatsKernel` (templates x probes) and of
+# the `sampler` adversary (trials x candidates): bounds their (captures,
+# words) uniforms at 2^13 x ceil(n / 10) doubles.
 PT_BLOCK_PROBES = 1 << 13
 
 

@@ -4,6 +4,7 @@ from concurrent import futures
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import btpeval
@@ -72,12 +73,16 @@ def batch_calls(monkeypatch):
     """Counts batch calls in this process, by method name, in one
     `Counter`: every population's `sample_batch` and `sample` at once, and
     a scheme's `pie_batch`, `pir_batch` and `pic_batch` once the test
-    calls `batch_calls(scheme)`, which returns the counter."""
+    calls `batch_calls(scheme)`, which returns the counter.
+    `batch_calls.captures` lists the captures asked of each `sample_batch`
+    call, in call order."""
     calls = Counter()
 
     def counted(name, method):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "sample_batch":
+                watch.captures.append(np.size(args[1]))
             return method(*args, **kwargs)
         return wrapper
 
@@ -89,4 +94,5 @@ def batch_calls(monkeypatch):
         for name in ("pie_batch", "pir_batch", "pic_batch"):
             monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
         return calls
+    watch.captures = []
     return watch

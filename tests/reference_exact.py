@@ -1,13 +1,17 @@
-"""Scalar closed-form reference for the per-feature match rate.
+"""Scalar closed-form references: the per-feature match rate, and the
+`sampler` adversary's al-irr win rate.
 
 `exact.mr_of` tabulates the ball probabilities once per (n, p, tau) and
-sums them user by user; this is the per-feature loop it replaced, kept as
-the reference it must equal bit for bit.
+sums them user by user; `closed_form_mr` is the per-feature loop it
+replaced, kept as the reference it must equal bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from btpeval import exact
+from btpeval.population import FeatureElement
 
 
 def closed_form_mr(pop, x, tau: int) -> float:
@@ -33,3 +37,21 @@ def closed_form_mr(pop, x, tau: int) -> float:
                 acc += pmf_a[a] * pmf_b[: min(room, nb) + 1].sum()
         total += acc
     return total / pop.num_users
+
+
+def sampler_al_irr_win_rate(pop, tau: int, q: int) -> float:
+    """The `sampler`'s exact al-irr win rate with q queries.
+
+    Its guess never reads the view, so it wins with probability MR(guess):
+    the best of q i.i.d. scores MR(X) of captures X from a uniformly random
+    user.  Over the distinct scores s, with F the scores' distribution
+    function, that is sum_s (F(<= s)^q - F(< s)^q) * s.
+    """
+    n, users = pop.n, range(pop.num_users)
+    pmf = np.array([np.mean([pop.feature_probability(u, FeatureElement(n, x))
+                             for u in users]) for x in range(1 << n)])
+    scores, inverse = np.unique(exact.mr_vector(pop, tau), return_inverse=True)
+    mass = np.bincount(inverse, weights=pmf)
+    at_most = np.cumsum(mass)
+    below = at_most - mass
+    return float(scores @ (at_most ** q - below ** q))

@@ -353,15 +353,15 @@ class TestCriterion7CrossComparatorIdentity:
 
 class TestCriterion8Determinism:
     # Every chunked loop of this run spans several chunks: the games play
-    # 2500 trials and T2 draws 1100 templates, so a --jobs run reaches
-    # the process pool in each of them.
+    # 5000 trials and T2 draws CHUNK_TRIALS + 76 templates, so a --jobs
+    # run reaches the process pool in each of them.
     CONFIG = {"stats_outer": metrics.CHUNK_TRIALS + 76}
 
     def _args(self, tmp_path, out_path, extra):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
         return ["verify", "--theorem", "all", "--seed", "42", "--trials",
-                "2500", "--config", str(cfg), "--out", str(out_path)] + extra
+                "5000", "--config", str(cfg), "--out", str(out_path)] + extra
 
     def _run(self, tmp_path, out_path, extra, env):
         cmd = [sys.executable, "-m", "btpeval.cli"] + self._args(

@@ -260,9 +260,11 @@ class TestSamplerAdversary:
     @staticmethod
     def _same_guesses(scheme, pop, tau):
         """The sampler and its closed-form reference play the same chunk
-        streams (three chunks) and give the same guesses, trial by trial."""
+        streams and give the same guesses, trial by trial: two chunks, the
+        first in several of the sampler's blocks of captures."""
         got, want = (run_al_irr_game(scheme, pop, LEAK_AD, tau, adv,
-                                     RunSettings(trials=1100, seed=17),
+                                     RunSettings(trials=metrics.CHUNK_TRIALS + 76,
+                                                 seed=17),
                                      record_transcripts=True)
                      for adv in (SamplerIrrAdversary(16), UniqueSampler(16)))
         assert got.transcript_digests == want.transcript_digests

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -457,7 +458,7 @@ class TestClosedFormOracles:
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys, chunk_runs):
         paths = [tmp_path / f"r{i}.json" for i in range(3)]
-        base = ["verify", "--theorem", "t1", "--trials", "2500", "--seed", "42"]
+        base = ["verify", "--theorem", "t1", "--trials", "5000", "--seed", "42"]
         assert cli.main(base + ["--out", str(paths[0])]) == 0
         assert cli.main(base + ["--out", str(paths[1])]) == 0
         assert chunk_runs.pools == 0
@@ -473,6 +474,23 @@ class TestDeterminism:
             for p in paths
         ]
         assert texts[0] == texts[1] == texts[2]
+
+    # Digests of stripped reports whose every chunked loop fits in 1024
+    # trials, taken at a chunk size of 1024: such a run is chunk 0 alone
+    # at either chunk size, so these hold at 4096 too.
+    SINGLE_CHUNK_DIGESTS = {
+        "metrics": (["metrics"], "722c3ef40f7e928c"),
+        "verify": (["verify", "--theorem", "all"], "9995dfc207cc11ff"),
+    }
+
+    @pytest.mark.parametrize("command", SINGLE_CHUNK_DIGESTS)
+    def test_single_chunk_reports_keep_their_digest(self, capsys, command):
+        args, digest = self.SINGLE_CHUNK_DIGESTS[command]
+        code, out, _ = run_cli(args + ["--trials", "1000", "--seed", "3"],
+                               capsys)
+        assert code == 0
+        text = json.dumps(strip_timings(load_json(out)), sort_keys=True)
+        assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == digest
 
 
 class TestSchema:

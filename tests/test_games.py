@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from btpeval import exact, games, metrics
+from btpeval import adversaries, exact, games, metrics
 from btpeval.adversaries import (
     BlindArgmaxAdversary,
     CoinFlipUnlinkAdversary,
@@ -24,6 +24,7 @@ from btpeval.adversaries import (
 )
 from btpeval.errors import ConfigError, ProtocolError
 from btpeval.games import (
+    GameParams,
     IrrAdversary,
     UnlinkAdversary,
     est_cross_match_rates,
@@ -33,7 +34,13 @@ from btpeval.games import (
     run_unlink_game,
 )
 from btpeval.metrics import RunSettings
-from btpeval.population import FeatureElement, Population, generate_population
+from btpeval.population import (
+    BatchSamplingOracle,
+    FeatureElement,
+    Population,
+    generate_population,
+)
+from btpeval.rng import substream
 from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
@@ -44,6 +51,7 @@ from btpeval.schemes import (
     build_scheme,
 )
 from reference_adversaries import scalar_twin
+from reference_exact import sampler_al_irr_win_rate
 from reference_results import half_width
 from toy_schemes import LotteryScheme
 
@@ -383,24 +391,28 @@ class TestDeterminism:
         assert a.wins == b.wins
         assert a.transcript_digests == b.transcript_digests
 
-    def test_jobs_invariance(self, fc_scheme, default_pop):
+    def test_jobs_invariance(self, fc_scheme, default_pop, chunk_runs):
         a, b = (run_unlink_game(fc_scheme, default_pop, LEAK_BOTH,
                                 MatchTestUnlinkAdversary(),
-                                RunSettings(trials=1200, seed=9, jobs=jobs),
+                                RunSettings(trials=metrics.CHUNK_TRIALS + 176,
+                                            seed=9, jobs=jobs),
                                 record_transcripts=True)
                 for jobs in (1, 2))
+        assert chunk_runs.pools == 1
         assert a.wins == b.wins
         assert a.transcript_digests == b.transcript_digests
 
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_irr_transcripts_jobs_invariant(self, fc_scheme, default_pop,
-                                            engine):
+                                            engine, chunk_runs):
         adv = engines(SamplerIrrAdversary(4))[engine]
+        trials = metrics.CHUNK_TRIALS + 76         # two chunks
         a, b = (run_al_irr_game(fc_scheme, default_pop, LEAK_AD, 1, adv,
-                                RunSettings(trials=1100, seed=9, jobs=jobs),
+                                RunSettings(trials=trials, seed=9, jobs=jobs),
                                 record_transcripts=True)
                 for jobs in (1, 2))
-        assert len(a.transcript_digests) == 1100
+        assert chunk_runs.pools == 1
+        assert len(a.transcript_digests) == trials
         assert a.transcript_digests == b.transcript_digests
 
     def test_scalar_engine_keeps_per_trial_streams(self, fc_scheme,
@@ -465,10 +477,10 @@ class TestDeterminism:
         res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
                                     CrossComparatorAdversary(),
                                     RunSettings(trials=trials, seed=25))
-        assert round(res.fcmr.point * trials) == 43
-        assert round(res.fncmr.point * trials) == 38
+        assert round(res.fcmr.point * trials) == 42
+        assert round(res.fncmr.point * trials) == 46
         assert res.fcmr.queries_used == res.fncmr.queries_used == 3 * trials
-        assert res.unlink_advantage.point == pytest.approx(1022 / 1100, abs=1e-12)
+        assert res.unlink_advantage.point == pytest.approx(1010 / 1100, abs=1e-12)
 
     # A run of at most 512 trials is chunk 0 alone, with one key and one
     # range, at a chunk size of 512 or of 1024 trials, so these reference
@@ -526,8 +538,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(games, "substream", counted)
         run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, MatchTestUnlinkAdversary(),
-                        RunSettings(trials=1200, seed=3))
-        assert metrics.CHUNK_TRIALS == 1024
+                        RunSettings(trials=metrics.CHUNK_TRIALS + 176, seed=3))
         assert len(calls) == 6           # 2 chunks x (ch, adv, samp)
         assert [c[2:] for c in calls] == [(i, role) for i in (0, 1)
                                           for role in ("ch", "adv", "samp")]
@@ -543,9 +554,13 @@ class TestDeterminism:
 
 
 class TestChunkCost:
+    """Guards on what a chunk holds and asks for, not on how long it
+    takes."""
+
     def test_sampler_chunk_peak_memory_bounded(self, fc_scheme, default_pop):
-        # a chunk holds its trials' candidate captures, m x 16 of them:
-        # about 1 MB at 1024 trials, 1.75 MB at 2048
+        # a chunk holds its trials' users, m x 16 of them, and one block of
+        # candidate captures: about 0.95 MiB at 1024 trials in one block,
+        # 1.24 MiB at 4096 trials in blocks of PT_BLOCK_PROBES captures
         s = RunSettings(trials=metrics.CHUNK_TRIALS, seed=1)
         adv = build_adversary("sampler", "al-irr", fc_scheme, default_pop, s,
                               LEAK_PI)
@@ -558,6 +573,35 @@ class TestChunkCost:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("q", [1, 16, 100])
+    def test_sampler_captures_in_bounded_blocks(self, batch_calls, fc_scheme,
+                                                default_pop, q):
+        run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1,
+                        SamplerIrrAdversary(q),
+                        RunSettings(trials=metrics.CHUNK_TRIALS, seed=3))
+        sizes = batch_calls.captures
+        assert sum(sizes) >= metrics.CHUNK_TRIALS * q
+        assert max(sizes) <= metrics.PT_BLOCK_PROBES
+
+    @pytest.mark.parametrize("block", [16, 100, metrics.PT_BLOCK_PROBES,
+                                       16 * metrics.CHUNK_TRIALS])
+    def test_sampler_guesses_do_not_depend_on_the_block(
+            self, monkeypatch, fc_scheme, default_pop, block):
+        # the last bound puts the whole chunk of m x 16 captures in one block
+        def guesses():
+            m = metrics.CHUNK_TRIALS
+            oracle = BatchSamplingOracle(default_pop, substream(4, "samp"),
+                                         10**6, m)
+            adv_rng = substream(4, "adv")
+            guess = SamplerIrrAdversary(16).phase2_batch(
+                (GameParams(fc_scheme, default_pop), 1), None, oracle, adv_rng)
+            return (guess.tolist(), oracle.counts.tolist(),
+                    oracle.rng.random(), adv_rng.random())
+
+        reference = guesses()
+        monkeypatch.setattr(adversaries, "PT_BLOCK_PROBES", block)
+        assert guesses() == reference
 
 
 class TestKnownRates:
@@ -759,12 +803,15 @@ class TestEngineDifferential:
         se = math.sqrt(pooled * (1 - pooled) * 2 / self.TRIALS)
         assert abs(p_b - p_s) <= Z99 * se, (p_b, p_s)
 
-    def test_sampler_two_sample(self, default_pop, scheme_name):
+    def test_sampler_al_irr(self, default_pop, scheme_name):
+        # over two chunks, so the batch phases cross a chunk boundary
         scheme = build_scheme(SCHEMES[scheme_name], 7)
-        self._two_sample(self._play(lambda adv: run_al_irr_game(
+        results = self._play(lambda adv: run_al_irr_game(
             scheme, default_pop, LEAK_AD, 1, adv,
-            RunSettings(trials=self.TRIALS, seed=57)),
-            SamplerIrrAdversary(8)))
+            RunSettings(trials=metrics.CHUNK_TRIALS + 176, seed=61,
+                        level=0.99)),
+            SamplerIrrAdversary(16))
+        self._hits(results, sampler_al_irr_win_rate(default_pop, 1, 16))
 
     def test_reduction_two_sample(self, default_pop, scheme_name):
         # an inner inverter that reads the template, so the reduction's

@@ -909,14 +909,18 @@ class TestPtStatsKernelCost:
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("name", list(COUNT_ESTIMATORS))
-    def test_jobs_do_not_change_counts(self, fc_scheme, default_pop, name):
+    def test_jobs_do_not_change_counts(self, fc_scheme, default_pop, name,
+                                       chunk_runs):
         estimator, captures = COUNT_ESTIMATORS[name]
+        trials = metrics.CHUNK_TRIALS + 176        # two chunks
         a = estimator(fc_scheme, default_pop,
-                      RunSettings(trials=3000, seed=23, jobs=1))
+                      RunSettings(trials=trials, seed=23, jobs=1))
+        assert chunk_runs.pools == 0
         b = estimator(fc_scheme, default_pop,
-                      RunSettings(trials=3000, seed=23, jobs=2))
+                      RunSettings(trials=trials, seed=23, jobs=2))
+        assert chunk_runs.pools == len(chunk_runs.trials) // 2 >= 1
         assert a == b
-        assert a.queries_used == 3000 * captures
+        assert a.queries_used == trials * captures
 
     def test_stats_jobs_identical(self, fc_scheme, default_pop, chunk_runs):
         outer = metrics.CHUNK_TRIALS + 76          # two chunks
