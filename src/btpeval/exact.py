@@ -222,13 +222,6 @@ class _Oracle:
 
     # -- protection metrics --------------------------------------------------
 
-    def pt_rate(self, pt) -> float:
-        """Acceptance rate of one fixed template against random captures."""
-        pi, alpha = self.scheme.template_codes(pt)
-        xs = np.arange(len(self.pmf_mix), dtype=np.uint64)
-        row = self.scheme.pic_batch(pi, self.scheme.pir_batch(alpha, xs))
-        return float(row.astype(np.float64) @ self.pmf_mix)
-
     def pt_match_stats(self) -> tuple:
         """(mean, population std dev) of the per-template match rate."""
         w, r = self.templates()

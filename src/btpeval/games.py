@@ -434,15 +434,13 @@ def _within(rec: dict, tau: int) -> np.ndarray:
 
 def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversary,
                     settings: RunSettings = RunSettings(),
-                    baseline: MValue | None = None,
                     record_transcripts: bool = False) -> GameResult:
     """Authorized-leakage inversion game: win when the guess lands within
     tau of the challenge feature.  Advantage is the win rate minus the
     best blind success rate m (signed)."""
     if tau < 0:
         raise ConfigError("tau must be >= 0")
-    if baseline is None:
-        baseline = extremal_mr(pop, tau, settings)
+    baseline = extremal_mr(pop, tau, settings)
     spec = _IrrSpec(scheme, pop, leak, adversary, settings, f"al{tau}:{leak}",
                     tau=tau, score_pic=False, record=record_transcripts)
     rec = _run_spec(spec)
@@ -451,13 +449,11 @@ def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversar
 
 def run_pal_irr_game(scheme, pop, leak: LeakSet, adversary: IrrAdversary,
                      settings: RunSettings = RunSettings(),
-                     baseline: MValue | None = None,
                      record_transcripts: bool = False) -> GameResult:
     """Pseudo-authorized-leakage variant: win when the comparator accepts
     the guess against the challenge template (full template retained by
     the challenger regardless of the leak set)."""
-    if baseline is None:
-        baseline = extremal_rmr(scheme, pop, settings)
+    baseline = extremal_rmr(scheme, pop, settings)
     spec = _IrrSpec(scheme, pop, leak, adversary, settings, f"pal:{leak}",
                     tau=None, score_pic=True, record=record_transcripts)
     rec = _run_spec(spec)

@@ -225,18 +225,16 @@ class _AcceptKernel:
     enrollment is owned by "v", then the probe (a capture of u unless
     `probe` is fixed), then one enrollment capture per entry of `owners`.
     The comparator enrolls each capture and probes with the `alpha` of
-    enrollment `alpha_from` against the `pi` of enrollment `pi_from`; a
-    fixed `template` replaces enrollment.  A chunk is counted in array
-    ops, through the scheme's batch contract: one `sample_batch` for the
-    probe and every enrollment, then one `pie_batch`, `pir_batch` and
-    `pic_batch`.
+    enrollment `alpha_from` against the `pi` of enrollment `pi_from`.  A
+    chunk is counted in array ops, through the scheme's batch contract:
+    one `sample_batch` for the probe and every enrollment, then one
+    `pie_batch`, `pir_batch` and `pic_batch`.
     """
 
     pop: Population
     scheme: BtpScheme
     owners: tuple = ("u",)
     probe: FeatureElement | None = None
-    template: object = None
     pi_from: int = 0
     alpha_from: int = 0
     count_rejects: bool = False
@@ -264,13 +262,10 @@ class _AcceptKernel:
         else:
             x, enrolls = np.full(m, self.probe.value, dtype=np.uint64), captures
         scheme = self.scheme
-        if self.template is None:
-            # a trial's enrollments are adjacent in C order of the (m, k)
-            # view, so the encoder draws come trial by trial, as in a loop
-            pis, alphas = scheme.pie_batch(enrolls.T, rng)
-            pi, alpha = pis[:, self.pi_from], alphas[:, self.alpha_from]
-        else:
-            pi, alpha = scheme.template_codes(self.template)
+        # a trial's enrollments are adjacent in C order of the (m, k) view,
+        # so the encoder draws come trial by trial, as in a loop
+        pis, alphas = scheme.pie_batch(enrolls.T, rng)
+        pi, alpha = pis[:, self.pi_from], alphas[:, self.alpha_from]
         accepts = int(scheme.pic_batch(pi, scheme.pir_batch(alpha, x)).sum())
         return m - accepts if self.count_rejects else accepts
 
@@ -371,11 +366,6 @@ def est_mr_of_feature(pop, x, tau, settings: RunSettings = RunSettings()):
 def rmr_of_feature(scheme, pop, x, settings: RunSettings = RunSettings()):
     return _count_rate(_AcceptKernel(pop, scheme, probe=x), settings,
                        f"rmr_x_{x.value}")
-
-
-def pt_match_rate(scheme, pop, pt, settings: RunSettings = RunSettings()):
-    return _count_rate(_AcceptKernel(pop, scheme, owners=(), template=pt),
-                       settings, "pt_rate")
 
 
 # --------------------------------------------------------------------------

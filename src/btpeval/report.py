@@ -30,12 +30,12 @@ def make_report(command: str, config_echo: dict, body: dict,
     return report
 
 
-def strip_timings(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timings"}
-
-
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _estimate_row(name: str, e: dict) -> tuple:
+    return (name, e["estimate"], e["ci"][0], e["ci"][1], e["trials"])
 
 
 def _csv_rows(report: dict):
@@ -49,14 +49,15 @@ def _csv_rows(report: dict):
             rows.append((f"{name}.std_dev", s["std_dev"], s["std_ci"][0],
                          s["std_ci"][1], s["trials_outer"]))
         else:
-            rows.append((name, m["estimate"], m["ci"][0], m["ci"][1],
-                         m["trials"]))
+            rows.append(_estimate_row(name, m))
     if "game_result" in report:
         g = report["game_result"]
         for key in ("win_rate", "advantage"):
-            e = g[key]
-            rows.append((f"{g['game']}.{key}", e["estimate"], e["ci"][0],
-                         e["ci"][1], e["trials"]))
+            rows.append(_estimate_row(f"{g['game']}.{key}", g[key]))
+    if "cross_match" in report:
+        c = report["cross_match"]
+        for key in ("fcmr", "fncmr", "unlink_advantage"):
+            rows.append(_estimate_row(f"cross_match.{key}", c[key]))
     for t in report.get("theorems", []):
         name = t["id"] + (f"[{t['lambda']}]" if "lambda" in t else "")
         lhs = t["lhs"] if t["lhs"] is not None else ""

@@ -1,5 +1,6 @@
 """Readings of result records that only the tests use: the half width of
-an estimate's interval and whether a theorem verdict passed."""
+an estimate's interval, whether a theorem verdict passed, and a report
+without its volatile timings."""
 
 from btpeval import verify
 
@@ -12,3 +13,8 @@ def half_width(estimate) -> float:
 def passed(verdict) -> bool:
     """Whether a `TheoremVerdict` held or did not apply."""
     return verdict.status in (verify.PASS, verify.NOT_APPLICABLE, verify.VACUOUS)
+
+
+def strip_timings(report: dict) -> dict:
+    """A report without its "timings" block: equal for equal seeds."""
+    return {k: v for k, v in report.items() if k != "timings"}

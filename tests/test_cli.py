@@ -13,8 +13,8 @@ from btpeval import adversaries, cli, exact, games, metrics, verify
 from btpeval.adversaries import adversary_names, build_adversary
 from btpeval.errors import ConfigError, ContractError
 from btpeval.metrics import RunSettings
-from btpeval.report import strip_timings
 from btpeval.schemes import LeakSet
+from reference_results import strip_timings
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 
@@ -318,6 +318,23 @@ class TestGameCommand:
         report = load_json(out)
         assert {"fcmr", "fncmr", "identity_advantage"} <= set(report["cross_match"])
 
+    def test_cross_rates_csv_rows(self, capsys):
+        args = ["game", "unlink", "--lambda", "pi+ad", "--adversary",
+                "cross-comparator", "--cross-rates", "--trials", "300",
+                "--seed", "5"]
+        _, out, _ = run_cli(args, capsys)
+        cross = load_json(out)["cross_match"]
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()]
+        assert [row[0] for row in rows[1:]] == [
+            "unlink.win_rate", "unlink.advantage", "cross_match.fcmr",
+            "cross_match.fncmr", "cross_match.unlink_advantage"]
+        for row in rows[3:]:
+            e = cross[row[0].removeprefix("cross_match.")]
+            assert row[1:] == [str(e["estimate"]), str(e["ci"][0]),
+                               str(e["ci"][1]), str(e["trials"])]
+
     @pytest.mark.parametrize("game", ["al-irr", "pal-irr"])
     def test_cross_rates_on_inversion_game_is_usage_error(self, capsys, game):
         code, out, err = run_cli(["game", game, "--adversary", "blind",
@@ -514,6 +531,35 @@ class TestSchema:
         assert [t["id"] for t in ts] == ["T1", "T1", "T2", "T3", "T4", "T4"]
         assert [t.get("lambda") for t in ts] == [
             "pi", "ad", "pi+ad", "pi+ad", "pi", "ad"]
+
+
+class TestVerifyCsv:
+    def test_one_row_per_verdict(self, tmp_path, capsys):
+        # broken: T2 and T3 do not apply at n = 7, T1 and T4 do
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": {"scheme": "broken"}}))
+        args = ["verify", "--config", str(cfg), "--trials", "300", "--seed",
+                "3"]
+        _, out, _ = run_cli(args, capsys)
+        verdicts = load_json(out)["theorems"]
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "name,estimate,ci_low,ci_high,trials"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["T1[pi]", "T1[ad]", "T2[pi+ad]",
+                                            "T3[pi+ad]", "T4[pi]", "T4[ad]"]
+        assert [t["status"] for t in verdicts] == [
+            verify.PASS, verify.PASS, verify.NOT_APPLICABLE,
+            verify.NOT_APPLICABLE, verify.PASS, verify.PASS]
+        for row, t in zip(rows, verdicts):
+            assert row[4] == str(t["details"]["trials"])
+            if t["status"] == verify.NOT_APPLICABLE:
+                assert row[1:4] == ["", "", ""]
+            else:
+                assert [float(c) for c in row[1:4]] == [
+                    t["lhs"], t["rhs"] - t["tolerance"],
+                    t["rhs"] + t["tolerance"]]
 
 
 class TestSingleDispatch:

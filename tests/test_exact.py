@@ -191,8 +191,6 @@ def test_law_oracle_matches_enumerator(name, users, p):
         assert law.fmr_tp(factor) == pytest.approx(en.fmr_tp(factor), abs=TOL)
     assert np.abs(law.rmr_vector() - en.rmr_vector()).max() <= TOL
     assert law.pt_match_stats() == pytest.approx(en.pt_match_stats(), abs=TOL)
-    pt = scheme.pie(pop.center(1), substream(4, "pt"))
-    assert law.pt_rate(pt) == pytest.approx(en.pt_rate(pt), abs=TOL)
     assert law.hypothesis_own_match() == en.hypothesis_own_match()
 
 

@@ -181,13 +181,13 @@ class TestProtocolFidelity:
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_protocol_order_seen_from_outside(self, fc_scheme, default_pop,
                                               engine):
-        # the adversaries chosen never call the scheme themselves and a
-        # given baseline is not rated on it, so the log holds the phases
-        # and the challenger's encoding and decision only
+        # the adversaries chosen never call the scheme themselves, and fc's
+        # blind baselines come from its match law, not from scheme calls,
+        # so the log holds the phases and the challenger's encoding and
+        # decision only
         log = []
         scheme = RecordingFc(fc_scheme.code, log)
         pop = default_pop
-        baseline = metrics.MValue(0.0, FeatureElement(7, 0), "exact")
 
         def adversary(adv):
             return logging_phases(engines(adv)[engine], log)
@@ -196,11 +196,11 @@ class TestProtocolFidelity:
             "al-irr": lambda: run_al_irr_game(
                 scheme, pop, LEAK_PI, 1, adversary(
                     BlindArgmaxAdversary(metrics.extremal_mr(pop, 1).witness)),
-                RunSettings(trials=3, seed=0), baseline=baseline),
+                RunSettings(trials=3, seed=0)),
             "pal-irr": lambda: run_pal_irr_game(
                 scheme, pop, LEAK_BOTH,
                 adversary(BlindArgmaxAdversary(FeatureElement(7, 5))),
-                RunSettings(trials=3, seed=0), baseline=baseline),
+                RunSettings(trials=3, seed=0)),
             "unlink": lambda: run_unlink_game(
                 scheme, pop, LEAK_BOTH, adversary(CoinFlipUnlinkAdversary()),
                 RunSettings(trials=3, seed=0)),
@@ -793,6 +793,21 @@ class TestEngineDifferential:
             RunSettings(trials=self.TRIALS, seed=55, level=0.99)),
             PalSamplerAdversary(cfg))
         self._hits(results, target)
+
+    # Unlink adversaries whose answers never depend on the challenge bit:
+    # each wins exactly half the time
+    VIEW_BLIND = ("coin", "cross-comparator[coin]",
+                  "cross-comparator[always-0]", "cross-comparator[always-1]",
+                  "reduction(inner=blind)", "reduction(inner=sampler)")
+
+    @pytest.mark.parametrize("name", VIEW_BLIND)
+    def test_view_blind_unlink_wins_half(self, default_pop, scheme_name, name):
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        settings = RunSettings(trials=self.TRIALS, seed=57, level=0.99)
+        adversary = build_adversary(name, "unlink", scheme, default_pop,
+                                    settings, LEAK_BOTH)
+        self._hits(self._play(lambda adv: run_unlink_game(
+            scheme, default_pop, LEAK_BOTH, adv, settings), adversary), 0.5)
 
     def _two_sample(self, results):
         """No closed form: the two win rates agree within a 99% two-sample

@@ -1,6 +1,8 @@
-"""Static check of the source tree: no module imports a name it never uses.
+"""Static checks of the source tree: no module imports a name it never
+uses, and the package defines nothing that only the tests read.
 
-The package's `__init__.py` re-exports its public names and is exempt.
+The package's `__init__.py` re-exports its public names and is exempt
+from the first check.
 """
 
 import ast
@@ -39,3 +41,62 @@ def test_check_sees_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names_read(tree) -> set:
+    """Every name, attribute and imported name a module reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_definitions(package: dict, readers: list) -> list:
+    """(module, line, name) of each function, class and method that a
+    module of `package` (module name -> source) defines, dunder names
+    aside, and that no module of `package` or `readers` (sources) reads.
+
+    Definitions and reads are matched by name alone, so a name read
+    anywhere counts for every definition of it: the check is a floor on
+    dead code, not a proof that the rest is live.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = set().union(*map(_names_read, trees.values()),
+                       *(_names_read(ast.parse(source)) for source in readers))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, defs) and node.name not in read
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__")))
+
+
+def test_check_sees_an_unread_definition():
+    package = {
+        "a": "def used():\n    pass\n\n\ndef unused():\n    pass\n\n\n"
+             "class Kind:\n    def __init__(self):\n        self.x = 1\n\n"
+             "    def method(self):\n        pass\n\n"
+             "    def dropped(self):\n        pass\n",
+        "b": "from a import used\n\nKind().method()\n",
+    }
+    assert unread_definitions(package, []) == [("a", 5, "unused"),
+                                               ("a", 16, "dropped")]
+    assert unread_definitions(package, ["import a\na.unused()\n"]) == [
+        ("a", 16, "dropped")]
+
+
+def test_package_defines_nothing_only_the_tests_read():
+    """What `src/btpeval` defines is read by the package, a demo or the
+    benchmark harness; code that only a test reads belongs in `tests/`."""
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src/btpeval").glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8")
+               for tree in ("demos", "bench")
+               for path in sorted((ROOT / tree).glob("*.py"))]
+    assert unread_definitions(package, readers) == []

@@ -372,6 +372,20 @@ class TestRmrOfFeature:
         est = metrics.rmr_of_feature(fc_scheme, pop, x, RunSettings(trials=500, seed=3))
         assert est.point == 0.0
 
+    def test_plaintext_counts_centers(self, noiseless_pop):
+        # noiseless enrollments are the centers; tau = 0 accepts equal ones
+        x = noiseless_pop.center(0)
+        est = metrics.rmr_of_feature(PlaintextScheme(7, tau=0), noiseless_pop,
+                                     x, RunSettings(trials=4000, seed=7))
+        same = sum(1 for c in noiseless_pop.centers if c == x)
+        assert est.ci_low <= same / noiseless_pop.num_users <= est.ci_high
+
+    def test_rotation_full_threshold(self, default_pop):
+        est = metrics.rmr_of_feature(RotationScheme(7, tau=7), default_pop,
+                                     FeatureElement(7, 5),
+                                     RunSettings(trials=300, seed=7))
+        assert est.point == 1.0
+
     def test_estimate_matches_enumeration(self, fc_scheme, default_pop):
         x = default_pop.center(2)
         est = metrics.rmr_of_feature(fc_scheme, default_pop, x,
@@ -499,31 +513,6 @@ class TestExtremal:
         assert m.mode == "lower_bound"
         assert m.value == float(exact.mr_of(pop, [m.witness.value], 1)[0])
         assert m == metrics.extremal_mr(pop, 1, RunSettings(seed=5))
-
-
-class TestPtMatchRate:
-    def test_plaintext_counts_centers(self, noiseless_pop):
-        scheme = PlaintextScheme(7, tau=0)
-        pt = scheme.pie(noiseless_pop.center(0), substream(0, "x"))
-        est = metrics.pt_match_rate(scheme, noiseless_pop, pt,
-                                    RunSettings(trials=4000, seed=7))
-        same = sum(1 for c in noiseless_pop.centers
-                   if c == noiseless_pop.center(0))
-        assert est.ci_low <= same / noiseless_pop.num_users <= est.ci_high
-
-    def test_rotation_full_threshold(self, default_pop):
-        scheme = RotationScheme(7, tau=7)
-        pt = scheme.pie(FeatureElement(7, 5), substream(0, "x"))
-        est = metrics.pt_match_rate(scheme, default_pop, pt,
-                                    RunSettings(trials=300, seed=7))
-        assert est.point == 1.0
-
-    def test_fc_matches_enumeration(self, fc_scheme, default_pop):
-        pt = fc_scheme.pie(default_pop.center(1), substream(4, "pt"))
-        est = metrics.pt_match_rate(fc_scheme, default_pop, pt,
-                                    RunSettings(trials=20000, seed=71, level=0.99))
-        rate = exact.enumerator(fc_scheme, default_pop).pt_rate(pt)
-        assert est.ci_low <= rate <= est.ci_high
 
 
 class TestPtMatchStats:
@@ -686,15 +675,9 @@ class TestEnumeratorTables:
                   for x in (FeatureElement(7, v) for v in range(128))
                   for _, pt in scheme.pie_support(x))
         assert en.hypothesis_own_match() == own
-        pt = scheme.pie(pop.center(1), substream(4, "pt"))
-        row = [scheme.pic(pt.pi, scheme.pir(pt.alpha, FeatureElement(7, v)))
-               for v in range(128)]
-        assert en.pt_rate(pt) == pytest.approx(float(np.dot(row, en.pmf_mix)),
-                                               abs=1e-15)
-
-
-def _fixed_template(scheme, pop):
-    return scheme.pie(pop.center(1), substream(4, "pt"))
+        mix = [np.mean([pop.feature_probability(u, FeatureElement(7, v))
+                        for u in range(pop.num_users)]) for v in range(128)]
+        assert en.pmf_mix == pytest.approx(mix, abs=1e-15)
 
 
 # Every count estimator, called as f(scheme, pop, settings), with the
@@ -711,8 +694,6 @@ COUNT_ESTIMATORS = {
            metrics.est_mr_of_feature(p, p.center(0), 1, rs), 1),
     "rmr": (lambda s, p, rs:
             metrics.rmr_of_feature(s, p, p.center(0), rs), 1),
-    "pt_rate": (lambda s, p, rs:
-                metrics.pt_match_rate(s, p, _fixed_template(s, p), rs), 1),
 }
 
 
@@ -728,10 +709,7 @@ def loop_accepts(kernel, rng, m):
     enrolls = [pop.sample_batch(users[o], rng) for o in kernel.owners]
     accepts = 0
     for i in range(m):
-        if kernel.template is None:
-            pts = [scheme.pie(FeatureElement(n, int(e[i])), rng) for e in enrolls]
-        else:
-            pts = [kernel.template]
+        pts = [scheme.pie(FeatureElement(n, int(e[i])), rng) for e in enrolls]
         x = (FeatureElement(n, int(probes[i])) if kernel.probe is None
              else kernel.probe)
         vid = scheme.pir(pts[kernel.alpha_from].alpha, x)
@@ -739,15 +717,14 @@ def loop_accepts(kernel, rng, m):
     return m - accepts if kernel.count_rejects else accepts
 
 
-# _AcceptKernel fields of each count estimator, given (scheme, pop)
+# _AcceptKernel fields of each count estimator, given the population
 KERNEL_CONFIGS = {
-    "fnmr": lambda s, p: dict(count_rejects=True),
-    "fmr_tp_ad": lambda s, p: dict(owners=("u", "v"), pi_from=1),
-    "fmr_tp_pi": lambda s, p: dict(owners=("u", "v"), alpha_from=1),
-    "fmr_bp": lambda s, p: dict(owners=("v",)),
-    "fmr_div": lambda s, p: dict(owners=("u", "u"), alpha_from=1),
-    "rmr": lambda s, p: dict(probe=p.center(2)),
-    "pt_rate": lambda s, p: dict(owners=(), template=_fixed_template(s, p)),
+    "fnmr": lambda p: dict(count_rejects=True),
+    "fmr_tp_ad": lambda p: dict(owners=("u", "v"), pi_from=1),
+    "fmr_tp_pi": lambda p: dict(owners=("u", "v"), alpha_from=1),
+    "fmr_bp": lambda p: dict(owners=("v",)),
+    "fmr_div": lambda p: dict(owners=("u", "u"), alpha_from=1),
+    "rmr": lambda p: dict(probe=p.center(2)),
 }
 
 
@@ -759,7 +736,7 @@ class TestAcceptKernelAgainstLoop:
     @pytest.mark.parametrize("name", ["fc", "rot", "broken", "lottery"])
     def test_counts_equal_scalar_loop(self, default_pop, name, config):
         scheme = ENUMERATED_SCHEMES[name]()
-        fields = KERNEL_CONFIGS[config](scheme, default_pop)
+        fields = KERNEL_CONFIGS[config](default_pop)
         kernel = metrics._AcceptKernel(default_pop, scheme, **fields)
         batch_rng, loop_rng = substream(5, "kernel"), substream(5, "kernel")
         assert kernel(batch_rng, 700) == loop_accepts(kernel, loop_rng, 700)
@@ -866,15 +843,14 @@ class TestAcceptKernelCost:
     def test_one_call_of_each_stage(self, batch_calls, default_pop, name,
                                     config):
         scheme = ENUMERATED_SCHEMES[name]()
-        fields = KERNEL_CONFIGS[config](scheme, default_pop)
+        fields = KERNEL_CONFIGS[config](default_pop)
         kernel = metrics._AcceptKernel(default_pop, scheme, **fields)
         calls = batch_calls(scheme)
         rng = substream(5, "kernel-cost")
         for _ in range(3):
             kernel(rng, 300)
-        enrolls = 3 if kernel.template is None else 0
-        assert calls == Counter(sample_batch=3, pie_batch=enrolls,
-                                pir_batch=3, pic_batch=3)
+        assert calls == Counter(sample_batch=3, pie_batch=3, pir_batch=3,
+                                pic_batch=3)
 
 
 class TestPtStatsKernelCost:

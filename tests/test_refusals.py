@@ -1,0 +1,121 @@
+"""Boundary refusals: each input check the package makes raises its error
+type with a message that names what is wrong."""
+
+import numpy as np
+import pytest
+
+from btpeval import cli, exact
+from btpeval.adversaries import (
+    BlindArgmaxAdversary,
+    CoinFlipUnlinkAdversary,
+    PalSamplerConfig,
+    ReadViewAdversary,
+    ReductionUnlinkAdversary,
+    compute_n_delta,
+)
+from btpeval.errors import ConfigError, ProtocolError
+from btpeval.games import run_al_irr_game, run_unlink_game
+from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
+from btpeval.population import (
+    BatchSamplingOracle,
+    FeatureElement,
+    Population,
+    generate_population,
+)
+from btpeval.rng import substream
+from btpeval.schemes import (
+    LEAK_BOTH,
+    LEAK_PI,
+    BrokenScheme,
+    LinearCode,
+    RotationScheme,
+    build_scheme,
+)
+from btpeval.verify import verify_all
+
+POP = generate_population(7, 16, 0.03, seed=1)
+FC = build_scheme({"scheme": "fc"}, 7)
+ZERO = FeatureElement(7, 0)
+
+
+class WrongShapeGuess(CoinFlipUnlinkAdversary):
+    def phase2_batch(self, state, view, view_prime, oracle, rng):
+        return np.zeros((oracle.trials, 2), dtype=np.int64)
+
+
+def _config(mu=0.5, n_delta=3):
+    return PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
+                            mu=mu, n_delta=n_delta)
+
+
+# (call, error type, message fragment)
+REFUSALS = {
+    "n_delta mu=0": (lambda: compute_n_delta(0.0, 0.1, 0.5), ConfigError,
+                     "mu must be in (0, 1], got 0.0"),
+    "n_delta target": (lambda: compute_n_delta(0.5, 0.5, 0.4), ConfigError,
+                       "out of range"),
+    "config mu": (lambda: _config(mu=0.0), ConfigError,
+                  "mu = 0.0 out of (0, 1]"),
+    "config n_delta": (lambda: _config(n_delta=0), ConfigError,
+                       "n_delta must be >= 1"),
+    "read-view field": (lambda: ReadViewAdversary("x"), ConfigError,
+                        "which must be 'pi' or 'alpha'"),
+    "reduction tau": (lambda: ReductionUnlinkAdversary(
+        BlindArgmaxAdversary(ZERO), -1), ConfigError, "tau must be >= 0"),
+    "al-irr tau": (lambda: run_al_irr_game(
+        FC, POP, LEAK_PI, -1, BlindArgmaxAdversary(ZERO),
+        RunSettings(trials=3, seed=0)), ConfigError, "tau must be >= 0"),
+    "unlink guess shape": (lambda: run_unlink_game(
+        FC, POP, LEAK_BOTH, WrongShapeGuess(), RunSettings(trials=3, seed=0)),
+        ProtocolError, "need 3 guesses, got shape (3, 2)"),
+    "config block": (lambda: cli._check_keys(
+        {"population": [7]}, cli.CONFIG_KEYS, "config"), ConfigError,
+        "config.population must be a JSON object"),
+    "exact fmr_tp factor": (lambda: exact.enumerator(FC, POP).fmr_tp("xx"),
+                            ConfigError, "factor must be 'ad' or 'pi'"),
+    "exact n": (lambda: exact.LawOracle(RotationScheme(9, 1), POP),
+                ConfigError, "scheme and population disagree on n"),
+    "estimate trials": (lambda: AdvantageEstimate(0.0, -1, 0.0, 0.0),
+                        ConfigError, "trials must be >= 0"),
+    "stats mean": (lambda: MatchRateStats(1.5, 0.0), ConfigError,
+                   "mean rate 1.5 outside [0, 1]"),
+    "stats std": (lambda: MatchRateStats(0.5, -0.1), ConfigError,
+                  "standard deviation must be >= 0"),
+    "chebyshev delta": (lambda: MatchRateStats(0.5, 0.1).chebyshev_threshold(0),
+                        ConfigError, "delta must be positive"),
+    "bitstring": (lambda: FeatureElement.from_string("012"), ConfigError,
+                  "not a bitstring: '012'"),
+    "one user": (lambda: Population(7, 0.03, 0, (ZERO,)), ConfigError,
+                 "need at least 2 users, got 1"),
+    "flip_prob": (lambda: Population(7, 0.5, 0, (ZERO, ZERO)), ConfigError,
+                  "flip_prob must be in [0, 0.5), got 0.5"),
+    "oracle user": (lambda: BatchSamplingOracle(
+        POP, substream(0, "x"), 10, 2).sample(np.array([0]), np.array([16])),
+        IndexError, "unknown user in batch query"),
+    "code k=0": (lambda: LinearCode(7, 0, (), 1), ConfigError,
+                 "code dimensions must be positive"),
+    "code k=17": (lambda: LinearCode(20, 17, (), 0), ConfigError,
+                  "capped at k <= 16"),
+    "code rows": (lambda: LinearCode(7, 4, (1, 2, 4), 1), ConfigError,
+                  "generator must have k rows"),
+    "code row range": (lambda: LinearCode(3, 1, (8,), 0), ConfigError,
+                       "generator row out of range"),
+    "code row lengths": (lambda: LinearCode.from_bitstrings(["101", "10"], 0),
+                         ConfigError, "generator rows have unequal length"),
+    "fc n=8": (lambda: build_scheme({"scheme": "fc", "code": {"n": 8}}, 8),
+               ConfigError, "fc needs an explicit generator matrix"),
+    "threshold n": (lambda: RotationScheme(0, 1), ConfigError,
+                    "n must be >= 1"),
+    "broken n": (lambda: BrokenScheme(0), ConfigError, "n must be >= 1"),
+    "theorem": (lambda: verify_all(FC, POP, theorem="t9"), ConfigError,
+                "unknown theorem 't9'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused_with_its_reason(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+

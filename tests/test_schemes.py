@@ -189,18 +189,19 @@ class TestFuzzyCommitment:
         assert vid is REJECT
         assert not scheme.pic(scheme.pie_support(fe("0000"))[0][1].pi, vid)
 
-    def test_foreign_identifier_never_matches(self, fc_scheme, default_pop):
-        # a 16-byte identifier that is no codeword's digest
-        from btpeval import metrics
-
+    def test_foreign_identifier_never_matches(self, fc_scheme):
+        # a 16-byte identifier that is no codeword's digest codes as
+        # REJECT_CODE, so no probe matches it on either path
         x = FeatureElement(7, 0b1011001)
         pt = fc_scheme.pie(x, substream(3, "foreign"))
         vid = fc_scheme.pir(pt.alpha, x)
         assert fc_scheme.pic(pt.pi, vid)
         assert not fc_scheme.pic(b"x" * 16, vid)
-        foreign = ProtectedTemplate(b"x" * 16, pt.alpha)
-        assert metrics.pt_match_rate(fc_scheme, default_pop, foreign,
-                                     RunSettings(trials=100, seed=0)).point == 0.0
+        pi, alpha = fc_scheme.template_codes(ProtectedTemplate(b"x" * 16,
+                                                               pt.alpha))
+        assert pi == REJECT_CODE
+        xs = np.arange(128, dtype=np.uint64)
+        assert not fc_scheme.pic_batch(pi, fc_scheme.pir_batch(alpha, xs)).any()
 
     @pytest.mark.parametrize("pi", [b"x" * 15, "x" * 16, 5, None],
                              ids=["short", "str", "int", "none"])
