@@ -145,8 +145,8 @@ class PalSamplerAdversary(IrrAdversary):
             if not live.size:
                 break
             users = rng.integers(pop.num_users, size=live.size)
-            guess[live] = oracle.sample(live, users)
-            vid = scheme.pir_batch(view.alpha[live], guess[live])
+            guess[live] = cands = oracle.sample(live, users)
+            vid = scheme.pir_batch(view.alpha[live], cands)
             accepted = scheme.pic_batch(view.pi[live], vid)
             live = live[~accepted & ~oracle.cut[live]]
         return guess
@@ -229,7 +229,7 @@ class SamplerIrrAdversary(IrrAdversary):
         rows = max(1, PT_BLOCK_PROBES // q)
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
-            cands = oracle.sample(np.repeat(np.arange(lo, hi), q), users[lo:hi])
+            cands = oracle.sample(np.arange(lo, hi), users[lo:hi])
             # the first best candidate in query order
             best = np.argmax(exact.mr_scores(pop, cands, tau), axis=1)
             guess[lo:hi] = cands[np.arange(hi - lo), best]
@@ -253,9 +253,7 @@ def _match_test_batch(scheme, view_prime, x0, x1, rng) -> np.ndarray:
 def _capture_triples(owners, oracle):
     """Per trial, captures of the users in each row of `owners` (trials x
     3), charged to the trial: the columns x, x0 and x1."""
-    m = oracle.trials
-    xs = oracle.sample(np.repeat(np.arange(m), 3), owners.ravel())
-    return tuple(xs.reshape(m, 3).T)
+    return tuple(oracle.sample(np.arange(oracle.trials), owners).T)
 
 
 def _random_triples(pop, oracle, rng):

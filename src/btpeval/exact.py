@@ -142,10 +142,10 @@ def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
     `mr_vector` up to EXACT_N_CAP, by the closed form over the distinct
     values beyond it.  A value of more than n bits is refused."""
     values = np.asarray(values, dtype=np.uint64)
-    if pop.n < 64 and np.any(values >> np.uint64(pop.n)):
+    if values.size and int(values.max()) >> pop.n:
         raise DimensionError(f"a value has more than {pop.n} bits")
     if pop.n <= EXACT_N_CAP:
-        return mr_vector(pop, tau)[values]
+        return mr_vector(pop, tau)[values.view(np.int64)]
     uniq, inverse = np.unique(values, return_inverse=True)
     return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
 
@@ -160,8 +160,8 @@ def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:
     pair = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
     c = pop.center_values
     images = c[:, None] if offsets is None else offsets(c)   # (U, offsets)
-    return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
-                     for ct in c])
+    return np.stack([pair[np.bitwise_count(images ^ ct).astype(np.intp)]
+                     .mean(axis=1) for ct in c])
 
 
 def _diag_mean(G: np.ndarray) -> float:

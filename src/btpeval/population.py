@@ -6,9 +6,10 @@ user u owns a center template c_u; a fresh capture from u flips every bit
 of c_u independently with probability p.  `SamplingOracle` wraps the
 population behind a query-counted interface for one trial, so games can
 charge adversary queries against a budget; `BatchSamplingOracle` does the
-same for a chunk of trials at once, charging every query to its trial.  It
-keeps the only count: a scalar oracle is one trial's row of a chunk's
-oracle.
+same for a chunk of trials at once, charging every query to its trial:
+`sample(trials, users)` charges trial `trials[i]` one query per user in
+row `users[i]`.  It keeps the only count: a scalar oracle is one
+trial's row of a chunk's oracle.
 
 A capture draws one uniform per word of up to `WORD_BITS` bits: the
 word's flip mask is read from an alias table of its Bernoulli(p)^w law
@@ -23,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, DimensionError
+from .errors import (BudgetExceededError, ConfigError, ContractError,
+                     DimensionError)
 from .rng import substream
 
 MAX_N = 64  # captures are packed into one uint64 word
@@ -317,8 +319,8 @@ class SamplingOracle:
 class BatchSamplingOracle:
     """`SamplingOracle` for a chunk of trials, counted per trial.
 
-    `sample(trials, users)` draws one capture per (trial, user) pair and
-    charges each to its trial.  A trial whose demand passes
+    `sample(trials, users)` draws one capture per user and charges each
+    to the trial of its row.  A trial whose demand passes
     `query_budget` is `cut`, and its count stops at the budget, just as a
     per-trial oracle stops at the query it refuses.  `subset` gives an
     oracle over some of the trials that charges this one, and `trial` the
@@ -372,13 +374,21 @@ class BatchSamplingOracle:
         self._counts[row] += 1
 
     def sample(self, trials, users) -> np.ndarray:
-        """Packed captures of `users`, the i-th charged to trial `trials[i]`."""
-        users = np.asarray(users)
+        """Packed captures of `users`, in its shape.  Row `users[i]` is
+        charged to trial `trials[i]`, one query per capture, so `users`
+        has one row per entry of `trials` (flat parallel arrays charge one
+        query per entry, and a lone user is the row of one trial); any
+        other shape is refused."""
+        users, rows = np.asarray(users), np.size(trials)
+        if (users.shape[:1] or (1,)) != (rows,):
+            raise ContractError(f"users of shape {users.shape} do not give "
+                                f"one row to each of {rows} trials")
+        per_trial = users.size // rows if rows else 0
         if users.size and not (0 <= users.min()
                                and users.max() < self.population.num_users):
             raise IndexError("unknown user in batch query")
-        self._counts += np.bincount(self._index[trials],
-                                    minlength=len(self._counts))
+        self._counts += per_trial * np.bincount(self._index[trials],
+                                                minlength=len(self._counts))
         self._cut |= self._counts > self.query_budget
         np.minimum(self._counts, self.query_budget, out=self._counts)
         return self.population.sample_batch(users, self.rng)

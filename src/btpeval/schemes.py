@@ -216,7 +216,10 @@ class LinearCode:
         """Index of the codeword within distance t of each packed word, or
         REJECT_CODE: the fc scheme's identifier codes."""
         if self._decode_table is not None:
-            return self._decode_table[ys]
+            ys = np.asarray(ys, dtype=np.uint64)
+            # an array of words indexes as its int64 view, the cast numpy
+            # would make; a lone word keeps numpy's own bounds check
+            return self._decode_table[ys.view(np.int64) if ys.ndim else ys]
         codes = np.full(np.shape(ys), REJECT_CODE, dtype=np.uint64)
         for m, w in enumerate(self._codewords):
             codes[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
@@ -450,9 +453,8 @@ class FuzzyCommitmentScheme(BtpScheme):
     def pie_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.uint64)
         # a 0-d capture draws a scalar, the same draw at a third of the cost
-        m = rng.integers(1 << self.code.k_code,
-                         size=xs.shape or None).astype(np.uint64)
-        return m, xs ^ self._cw[m]
+        m = rng.integers(1 << self.code.k_code, size=xs.shape or None)
+        return m.astype(np.uint64), xs ^ self._cw[m]
 
     def pir_batch(self, alpha, xs):
         return self.code.decode_codes(np.asarray(xs, dtype=np.uint64) ^ alpha)

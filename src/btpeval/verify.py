@@ -145,7 +145,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     measured = (stats if source == "measured"
                 else metrics.pt_match_stats(scheme, pop, s).stats)
     details = {
-        "delta": s.delta, "gamma": s.gamma, "trials": trials,
+        "delta": s.delta, "gamma": s.gamma,
         "measured_mr": measured.mean, "measured_sigma": measured.std_dev,
         "stats_outer": s.stats_outer, "stats_inner": s.stats_inner,
         "statistics": source,
@@ -162,7 +162,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
         cfg = PalSamplerConfig.from_stats(stats, s.delta, s.gamma)
     except VariationTooHighError as e:
         return _unchecked("T2", NOT_APPLICABLE, ">=", LEAK_BOTH, details, str(e))
-    details.update(mu=cfg.mu, n_delta=cfg.n_delta)
+    details.update(mu=cfg.mu, n_delta=cfg.n_delta, trials=trials)
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
                             replace(s, trials=trials))
     tol = 3.0 * game.win_rate.std_error
@@ -185,7 +185,7 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     The own-feature hypothesis is checked exactly first; MR comes from
     the exact oracle, and without one the check does not apply.
     """
-    details = {"trials": settings.trials}
+    details = {}
     try:
         en = exact.enumerator(scheme, pop)
     except ModeError as e:
@@ -195,7 +195,7 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
         return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
                           "some template rejects the very feature it encodes")
     mr_mean, _ = en.pt_match_stats()
-    details["mr_exact"] = mr_mean
+    details.update(mr_exact=mr_mean, trials=settings.trials)
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
                                 LEAK_BOTH)
     game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary, settings)

@@ -1,5 +1,6 @@
 """Scalar closed-form references: the per-feature match rate, and the
-`sampler` adversary's al-irr win rate.
+`sampler` adversary's al-irr win rate; and the table gathers of `schemes`
+and `exact` indexed by the packed words and distances themselves.
 
 `exact.mr_of` tabulates the ball probabilities once per (n, p, tau) and
 sums them user by user; `closed_form_mr` is the per-feature loop it
@@ -12,6 +13,7 @@ import numpy as np
 
 from btpeval import exact
 from btpeval.population import FeatureElement
+from btpeval.schemes import REJECT_CODE
 
 
 def closed_form_mr(pop, x, tau: int) -> float:
@@ -55,3 +57,46 @@ def sampler_al_irr_win_rate(pop, tau: int, q: int) -> float:
     at_most = np.cumsum(mass)
     below = at_most - mass
     return float(scores @ (at_most ** q - below ** q))
+
+
+# Table gathers indexed by the packed words or the distances themselves
+# (uint64, uint8), as numpy casts them on every call: the references the
+# native-index lookups of `schemes` and `exact` must equal bit for bit.
+
+
+def decode_codes_by_word(code, ys) -> np.ndarray:
+    """fc identifier codes: the codeword scan over every word, tabled and
+    indexed by the uint64 words."""
+    words = np.arange(1 << code.n_code, dtype=np.uint64)
+    table = np.full(len(words), REJECT_CODE, dtype=np.uint64)
+    for m, w in enumerate(code.codewords):
+        table[np.bitwise_count(words ^ np.uint64(w)) <= code.t] = m
+    return table[np.asarray(ys, dtype=np.uint64)]
+
+
+def fc_pie_by_word(scheme, xs, rng) -> tuple:
+    """fc `pie_batch` with the codeword index drawn and gathered as uint64."""
+    xs = np.asarray(xs, dtype=np.uint64)
+    m = rng.integers(1 << scheme.code.k_code,
+                     size=xs.shape or None).astype(np.uint64)
+    return m, xs ^ np.array(scheme.code.codewords, dtype=np.uint64)[m]
+
+
+def mr_scores_by_word(pop, values, tau: int) -> np.ndarray:
+    """`exact.mr_scores`: the cached vector indexed by the uint64 values up
+    to the cap, `exact.mr_of` over the distinct values past it."""
+    values = np.asarray(values, dtype=np.uint64)
+    if pop.n <= exact.EXACT_N_CAP:
+        return exact.mr_vector(pop, tau)[values]
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return exact.mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
+
+
+def pair_rates_per_center(pop, radius: int, offsets=None) -> np.ndarray:
+    """`exact._pair_rates`, each row gathered by the uint8 distances."""
+    p = pop.flip_prob
+    pair = exact._ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
+    c = pop.center_values
+    images = c[:, None] if offsets is None else offsets(c)
+    return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
+                     for ct in c])

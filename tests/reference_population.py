@@ -1,6 +1,9 @@
 """Feature-element helpers that only the tests use, beside the package's
-own: one coordinate of a packed feature, and the ball-overlap predicate
-that the reference adversaries apply trial by trial."""
+own: one coordinate of a packed feature, the ball-overlap predicate that
+the reference adversaries apply trial by trial, and the per-query charge
+of a batch oracle."""
+
+import numpy as np
 
 from btpeval.errors import ConfigError
 from btpeval.population import FeatureElement, hamming_distance
@@ -20,3 +23,12 @@ def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bo
     if tau < 0:
         raise ConfigError(f"tau must be >= 0, got {tau}")
     return hamming_distance(x0, x1) <= 2 * tau
+
+
+def per_query_sample(oracle, trials, users) -> np.ndarray:
+    """`oracle.sample(trials, users)` as one query per entry: each trial
+    repeated once per user of its row, beside the raveled users."""
+    users = np.asarray(users)
+    per_trial = users.size // len(trials)
+    return oracle.sample(np.repeat(trials, per_trial),
+                         users.ravel()).reshape(users.shape)

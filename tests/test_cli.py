@@ -496,13 +496,31 @@ class TestDeterminism:
     # trials, taken at a chunk size of 1024: such a run is chunk 0 alone
     # at either chunk size, so these hold at 4096 too.
     SINGLE_CHUNK_DIGESTS = {
-        "metrics": (["metrics"], "722c3ef40f7e928c"),
-        "verify": (["verify", "--theorem", "all"], "9995dfc207cc11ff"),
+        "metrics": (["metrics"], None, "722c3ef40f7e928c"),
+        "verify": (["verify", "--theorem", "all"], None, "9995dfc207cc11ff"),
+        "al-irr sampler": (["game", "al-irr", "--adversary", "sampler"],
+                           None, "5eb0b52507e6ad93"),
+        "pal-irr pal-sampler": (["game", "pal-irr", "--adversary",
+                                 "pal-sampler"], None, "21eef4e4865b5543"),
+        "unlink reduction": (["game", "unlink", "--adversary",
+                              "reduction(inner=sampler)"],
+                             None, "4ca7a6c59b5c7e0d"),
+        "unlink cross-rates": (["game", "unlink", "--adversary",
+                                "cross-comparator", "--cross-rates"],
+                               None, "a62ca7575be78177"),
+        "metrics rot10": (["metrics"], {"population": {"n": 10},
+                                        "scheme": {"scheme": "rot"}},
+                          "809f9ea7716d8e6a"),
     }
 
     @pytest.mark.parametrize("command", SINGLE_CHUNK_DIGESTS)
-    def test_single_chunk_reports_keep_their_digest(self, capsys, command):
-        args, digest = self.SINGLE_CHUNK_DIGESTS[command]
+    def test_single_chunk_reports_keep_their_digest(self, tmp_path, capsys,
+                                                    command):
+        args, config, digest = self.SINGLE_CHUNK_DIGESTS[command]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
         code, out, _ = run_cli(args + ["--trials", "1000", "--seed", "3"],
                                capsys)
         assert code == 0
@@ -553,9 +571,10 @@ class TestVerifyCsv:
             verify.PASS, verify.PASS, verify.NOT_APPLICABLE,
             verify.NOT_APPLICABLE, verify.PASS, verify.PASS]
         for row, t in zip(rows, verdicts):
-            assert row[4] == str(t["details"]["trials"])
+            assert row[4] == str(t["details"].get("trials", ""))
             if t["status"] == verify.NOT_APPLICABLE:
-                assert row[1:4] == ["", "", ""]
+                # no game ran, so no trials are reported
+                assert row[1:5] == ["", "", "", ""]
             else:
                 assert [float(c) for c in row[1:4]] == [
                     t["lhs"], t["rhs"] - t["tolerance"],

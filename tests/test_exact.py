@@ -25,7 +25,13 @@ from btpeval.schemes import (
     RotationScheme,
     hamming_7_4,
 )
-from reference_exact import closed_form_mr
+from reference_exact import (
+    closed_form_mr,
+    decode_codes_by_word,
+    fc_pie_by_word,
+    mr_scores_by_word,
+    pair_rates_per_center,
+)
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 # Agreement of two exact engines that sum in different orders.
@@ -121,6 +127,67 @@ def _law_accepts(law, x_tied, probes, offset_axis=False):
     the identity."""
     images = law.offsets(probes) if offset_axis else probes
     return np.bitwise_count(images ^ np.uint64(x_tied)) <= law.radius
+
+
+class TestNativeIndexLookups:
+    """Each table gather of `schemes` and `exact` indexes with intp, and
+    equals with no tolerance the same gather indexed by the packed words
+    or the distances themselves."""
+
+    @pytest.mark.parametrize("code", [
+        hamming_7_4(), LinearCode.from_bitstrings(["10110", "01011"], t=1),
+    ], ids=["hamming", "[5,2]"])
+    def test_decode_codes_over_every_word(self, code):
+        ys = np.arange(1 << code.n_code, dtype=np.uint64)
+        got = code.decode_codes(ys)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, decode_codes_by_word(code, ys))
+        for y in ys[:4]:   # a lone word, as the scalar `pir` passes it
+            assert code.decode_codes(y) == decode_codes_by_word(code, y)
+
+    @pytest.mark.parametrize("word,lone", [
+        (1 << 7, False), (1 << 63, False), (1 << 7, True), (1 << 63, True),
+        (2**64 - 1, True),
+        pytest.param(2**64 - 1, False, marks=pytest.mark.xfail(
+            strict=True, reason="known defect (CHANGES.md FOUND): an array "
+            "word in [2^64 - 2^n, 2^64) wraps to another word's code")),
+    ])
+    def test_decode_codes_refuses_a_word_of_more_than_n_bits(self, word,
+                                                              lone):
+        ys = np.uint64(word) if lone else np.array([0, word], dtype=np.uint64)
+        with pytest.raises((IndexError, OverflowError)):
+            hamming_7_4().decode_codes(ys)
+
+    def test_fc_pie_batch_on_one_stream(self):
+        fc = FuzzyCommitmentScheme(hamming_7_4())
+        xs = np.arange(128, dtype=np.uint64).reshape(16, 8)
+        for x in (xs, xs[0, 3]):   # a chunk's captures, one capture
+            got_rng, want_rng = substream(4, "pie"), substream(4, "pie")
+            got, want = fc.pie_batch(x, got_rng), fc_pie_by_word(fc, x, want_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.uint64
+                assert np.array_equal(g, w)
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("n", [7, exact.EXACT_N_CAP + 2])
+    def test_mr_scores(self, n):
+        # the cached vector up to the cap, the closed form past it
+        pop = generate_population(n, 16, 0.03, seed=n)
+        rng = substream(n, "native-scores")
+        values = pop.sample_batch(rng.integers(16, size=(30, 8)), rng)
+        for tau in (0, 2):
+            assert np.array_equal(exact.mr_scores(pop, values, tau),
+                                  mr_scores_by_word(pop, values, tau))
+
+    @pytest.mark.parametrize("law", ["identity", "fc", "rot"])
+    def test_pair_rates(self, law):
+        pop = generate_population(7, 300, 0.03, seed=3)
+        schemes = {"fc": FuzzyCommitmentScheme(hamming_7_4()),
+                   "rot": RotationScheme(7, tau=1)}
+        offsets = schemes[law].match_law().offsets if law in schemes else None
+        for radius in (1, 2):
+            assert np.array_equal(exact._pair_rates(pop, radius, offsets),
+                                  pair_rates_per_center(pop, radius, offsets))
 
 
 class TestMatchLaw:

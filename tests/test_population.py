@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from btpeval.errors import BudgetExceededError, ConfigError, DimensionError
 from btpeval.population import (
     WORD_BITS,
+    BatchSamplingOracle,
     FeatureElement,
     Population,
     SamplingOracle,
@@ -20,7 +21,7 @@ from btpeval.population import (
     hamming_distance,
 )
 from btpeval.rng import substream
-from reference_population import bit, neighborhood_overlap
+from reference_population import bit, neighborhood_overlap, per_query_sample
 
 
 def fe(s):
@@ -367,6 +368,47 @@ class TestSamplingOracle:
             oracle.sample(1)
             seen.append(oracle.query_count)
         assert seen == sorted(seen) == [1, 2, 3, 4, 5]
+
+
+# (budget, trials, rows kept by `subset` or None, calls as (trials, users
+# shape)); in "cut", trial 2 runs out of budget partway through its row
+CHARGE_CASES = {
+    "rows": (10, 8, None, [(np.arange(2, 6), (4, 3))]),
+    "flat": (10, 8, None, [([0, 1, 1, 3], (4,))]),
+    "duplicates": (10, 8, None, [([1, 1, 2], (3, 2)), ([2, 2], (2, 3))]),
+    "subset": (10, 8, [1, 3, 4, 6], [(np.arange(4), (4, 2)),
+                                     ([0, 3], (2, 3))]),
+    "cut": (5, 4, None, [([0, 1], (2, 3)), ([1, 0, 2], (3, 2)),
+                         ([2], (1, 4))]),
+}
+
+
+class TestBatchOracleCharge:
+    """`BatchSamplingOracle.sample` charges each trial one query per user of
+    its row: bit for bit the per-query charge of `per_query_sample`."""
+
+    @pytest.mark.parametrize("case", CHARGE_CASES)
+    def test_row_charge_equals_per_query_charge(self, default_pop, case):
+        budget, trials, sel, calls = CHARGE_CASES[case]
+        user_rng = substream(6, "charge-users")
+        chunks = [BatchSamplingOracle(default_pop, substream(6, "charge"),
+                                      budget, trials) for _ in range(2)]
+        by_row, by_query = (c if sel is None else c.subset(sel)
+                            for c in chunks)
+        for rows, shape in calls:
+            users = user_rng.integers(default_pop.num_users, size=shape)
+            got = by_row.sample(np.asarray(rows), users)
+            assert got.shape == users.shape
+            assert np.array_equal(got, per_query_sample(by_query, rows, users))
+        assert np.array_equal(chunks[0].counts, chunks[1].counts)
+        assert np.array_equal(chunks[0].cut, chunks[1].cut)
+        assert chunks[0].cut.any() == (case == "cut")
+        assert chunks[0].rng.random() == chunks[1].rng.random()
+
+    def test_each_row_is_charged_its_width(self, default_pop):
+        oracle = BatchSamplingOracle(default_pop, substream(6, "w"), 10, 4)
+        oracle.sample(np.array([3, 1, 3]), np.zeros((3, 2), dtype=np.int64))
+        assert oracle.counts.tolist() == [0, 2, 0, 4]
 
 
 def brute_force_overlap(x0, x1, tau):

@@ -13,7 +13,7 @@ from btpeval.adversaries import (
     ReductionUnlinkAdversary,
     compute_n_delta,
 )
-from btpeval.errors import ConfigError, ProtocolError
+from btpeval.errors import ConfigError, ContractError, ProtocolError
 from btpeval.games import run_al_irr_game, run_unlink_game
 from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
 from btpeval.population import (
@@ -92,6 +92,16 @@ REFUSALS = {
     "oracle user": (lambda: BatchSamplingOracle(
         POP, substream(0, "x"), 10, 2).sample(np.array([0]), np.array([16])),
         IndexError, "unknown user in batch query"),
+    "oracle rows": (lambda: BatchSamplingOracle(
+        POP, substream(0, "x"), 10, 2).sample(np.array([0, 1]),
+                                              np.zeros(3, dtype=np.int64)),
+        ContractError, "users of shape (3,) do not give one row to each "
+                       "of 2 trials"),
+    "oracle flat rows": (lambda: BatchSamplingOracle(
+        POP, substream(0, "x"), 10, 2).sample(np.array([0, 1]),
+                                              np.zeros(4, dtype=np.int64)),
+        ContractError, "users of shape (4,) do not give one row to each "
+                       "of 2 trials"),
     "code k=0": (lambda: LinearCode(7, 0, (), 1), ConfigError,
                  "code dimensions must be positive"),
     "code k=17": (lambda: LinearCode(20, 17, (), 0), ConfigError,
