@@ -23,7 +23,6 @@ in array operations (see `games`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .metrics import (PT_BLOCK_PROBES, MatchRateStats, RunSettings,
                       exact_pt_match_stats, extremal_mr, extremal_rmr,
                       pt_match_stats)
 from .population import FeatureElement
+from .records import Record
 from .schemes import LEAK_BOTH, LeakSet, PtView
 
 
@@ -63,8 +63,7 @@ def compute_n_delta(mu: float, delta: float, gamma: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PalSamplerConfig:
+class PalSamplerConfig(Record):
     """Parameters of the repeated-sampling inverter.
 
     Requires C^2 < delta < gamma < 1 where C is the variation coefficient
@@ -99,7 +98,7 @@ class PalSamplerConfig:
         return cls(mr_mean=stats.mean, sigma=stats.std_dev, delta=delta,
                    gamma=gamma, mu=mu, n_delta=n_delta)
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 < self.mu <= 1.0:
             raise ConfigError(f"mu = {self.mu} out of (0, 1]")
         if self.n_delta < 1:

@@ -20,7 +20,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import fields
 
 from . import exact, metrics, verify
 from .adversaries import adversary_names, build_adversary
@@ -34,13 +33,15 @@ from .schemes import LEAK_BOTH, LeakSet, build_scheme
 # The run settings and their defaults are the fields of `RunSettings`: all
 # but `jobs` (a flag) and `level` are config keys, and all but
 # `sampler_queries` (echoed only when a config sets it) have a default here.
-_SETTINGS = [f for f in fields(RunSettings) if f.name not in ("jobs", "level")]
+_SETTINGS = {name: getattr(RunSettings, name) for name in RunSettings._fields
+             if name not in ("jobs", "level")}
 
 DEFAULT_CONFIG = {
     "population": {"n": 7, "U": 16, "p": 0.03, "seed": 1},
     "scheme": {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}},
     "lambda": None,  # games use pi+ad; verify runs T1/T4 on pi, then on ad
-    **{f.name: f.default for f in _SETTINGS if f.name != "sampler_queries"},
+    **{name: default for name, default in _SETTINGS.items()
+       if name != "sampler_queries"},
 }
 
 
@@ -53,7 +54,7 @@ CONFIG_KEYS = {
                    "centers": list},
     "scheme": {"scheme": None, "tau": int,
                "code": {"n": int, "k": int, "t": int, "generator": list}},
-    **{f.name: type(f.default) for f in _SETTINGS},
+    **{name: type(default) for name, default in _SETTINGS.items()},
     "lambda": None,
 }
 

@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModeError
+from .errors import ConfigError, ContractError, DimensionError, ModeError
 from .population import Population
 from .schemes import BtpScheme
 
@@ -295,6 +295,10 @@ class SchemeEnumerator(_Oracle):
             np.bitwise_count(pop.center_values[:, None] ^ self.xs)]
         probs, self.support_pi, self.support_alpha = (
             scheme.pie_support_batch(self.xs))
+        if not ((probs >= 0.0).all()
+                and (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12).all()):
+            raise ContractError("pie_support_batch must give every feature "
+                                "probabilities >= 0 that sum to 1")
 
         # templates, in scan order: users, their possible captures, outcomes
         users, rows = np.nonzero(self.P)

@@ -27,7 +27,6 @@ replayed by re-running its chunk with `record_transcripts`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,14 +42,14 @@ from .metrics import (
     extremal_rmr,
 )
 from .population import BatchSamplingOracle, FeatureElement, Population
+from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
 
 _ROLES = ("ch", "adv", "samp")
 
 
-@dataclass(frozen=True)
-class GameParams:
+class GameParams(Record):
     """Public game parameters handed to adversaries.
 
     The population model (user count, noise level, distribution family)
@@ -217,8 +216,7 @@ def _packed(n, x, what) -> int:
     return x.value
 
 
-@dataclass(frozen=True, eq=False)
-class GameResult:
+class GameResult(Record):
     """Outcome of a game run: counts, rates, advantage, query accounting."""
 
     game: str
@@ -233,6 +231,9 @@ class GameResult:
     queries: dict
     adversary: str
     transcript_digests: list | None = None
+
+    # a result is equal only to itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def to_dict(self) -> dict:
         out = {
@@ -269,8 +270,7 @@ def _fe(n, value) -> str:
     return f"fe:{FeatureElement(n, int(value))}"
 
 
-@dataclass
-class _GameSpec:
+class _GameSpec(Record):
     """A game's trials, played a chunk at a time by `run_range`.
 
     A chunk returns its record: a dict of per-trial arrays holding the
@@ -285,7 +285,7 @@ class _GameSpec:
     adversary: IrrAdversary | UnlinkAdversary
     settings: RunSettings
     label: str
-    record: bool = field(default=False, kw_only=True)
+    record: bool = False
 
     def _chunk(self, lo, hi):
         """The challenger and adversary streams of the chunk at `lo`, and
@@ -311,7 +311,6 @@ class _GameSpec:
                 "challenger": np.where(cut1, 0, challenger)}
 
 
-@dataclass
 class _IrrSpec(_GameSpec):
     """Inversion trials, scored once for every win rule.
 
@@ -323,8 +322,8 @@ class _IrrSpec(_GameSpec):
     `tau` is None in the pseudo-authorized-leakage variant.
     """
 
-    tau: int | None = field(kw_only=True)
-    score_pic: bool = field(kw_only=True)
+    tau: int | None
+    score_pic: bool
 
     def run_range(self, lo, hi) -> dict:
         m, n = hi - lo, self.pop.n
@@ -354,13 +353,12 @@ class _IrrSpec(_GameSpec):
         return rec
 
 
-@dataclass
 class _UnlinkSpec(_GameSpec):
     """Distinguishing trials: the challenger encodes x and x_b, with b
     drawn per trial unless `force_b` fixes it.  Each trial records its
     `answers` (-1 where the budget cut the trial) and `wins`."""
 
-    force_b: int | None = field(default=None, kw_only=True)
+    force_b: int | None = None
 
     def run_range(self, lo, hi) -> dict:
         m = hi - lo
@@ -471,8 +469,7 @@ def run_unlink_game(scheme, pop, leak: LeakSet, adversary: UnlinkAdversary,
     return _game_result("unlink", spec, rec, rec["wins"])
 
 
-@dataclass(frozen=True, eq=False)
-class CrossMatchResult:
+class CrossMatchResult(Record):
     """Cross-comparator error rates and the advantage identity check."""
 
     fcmr: AdvantageEstimate
@@ -480,6 +477,9 @@ class CrossMatchResult:
     identity_advantage: float
     unlink_advantage: AdvantageEstimate
     identity_gap: float
+
+    # a result is equal only to itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def to_dict(self) -> dict:
         return {
@@ -511,7 +511,7 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
                                       rec["answers"] == false_answer).win_rate
     identity = abs(1.0 - (results["fcmr"].point + results["fncmr"].point))
     game = run_unlink_game(scheme, pop, leak, comparator,
-                           replace(settings, seed=settings.seed + 1))
+                           settings.replace(seed=settings.seed + 1))
     return CrossMatchResult(
         fcmr=results["fcmr"], fncmr=results["fncmr"],
         identity_advantage=identity,
@@ -524,8 +524,7 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
 # coupled trials for the irreversibility relation checks
 
 
-@dataclass(frozen=True, eq=False)
-class CoupledIrrResult:
+class CoupledIrrResult(Record):
     """Per-trial win indicators of the three win rules on one transcript.
 
     Each trial runs the authorized-leakage protocol once; the exact guess
@@ -539,6 +538,9 @@ class CoupledIrrResult:
     wins_al: np.ndarray
     wins_pal: np.ndarray
     flagged: int
+
+    # a result is equal only to itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
     def rates(self) -> dict:

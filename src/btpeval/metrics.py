@@ -18,7 +18,6 @@ whole, as one `RunSettings` record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from statistics import NormalDist
 
@@ -27,6 +26,7 @@ import numpy as np
 from . import exact
 from .errors import ConfigError, DimensionError, ModeError
 from .population import FeatureElement, Population
+from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, PlaintextScheme
 
@@ -65,8 +65,7 @@ def proportion_se(phat: float, trials: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 0.0) / trials)
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(Record):
     """A point estimate with its interval and oracle-query accounting."""
 
     point: float
@@ -75,7 +74,7 @@ class AdvantageEstimate:
     ci_high: float
     queries_used: int = 0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
         if not (self.ci_low - 1e-12 <= self.point <= self.ci_high + 1e-12):
@@ -144,8 +143,7 @@ _MINIMUMS = {"tau": 0, "trials": 1, "query_budget": 1, "sampler_queries": 1,
              "jobs": 1, "stats_outer": 2, "stats_inner": 2}
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(Record):
     """Run settings of the estimators, games, theorem checks and built-in
     adversaries, named and defaulted as the CLI config keys; `jobs` is
     `--jobs` and `level` the confidence level of every interval (neither
@@ -163,7 +161,7 @@ class RunSettings:
     jobs: int = 1
     level: float = 0.95
 
-    def __post_init__(self):
+    def _validate(self):
         for key, least in _MINIMUMS.items():
             if (value := getattr(self, key)) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
@@ -174,8 +172,8 @@ class RunSettings:
     @classmethod
     def from_config(cls, cfg: dict, jobs: int = 1) -> "RunSettings":
         """The settings of a CLI config; a key it lacks keeps its default."""
-        return cls(jobs=jobs, **{f.name: cfg[f.name] for f in fields(cls)
-                                 if f.name in cfg})
+        return cls(jobs=jobs, **{name: cfg[name] for name in cls._fields
+                                 if name in cfg})
 
 
 # --------------------------------------------------------------------------
@@ -217,8 +215,7 @@ def _count_rate(kernel, s: RunSettings, label) -> AdvantageEstimate:
 # the acceptance-count kernel (top-level, picklable)
 
 
-@dataclass
-class _AcceptKernel:
+class _AcceptKernel(Record):
     """Counts comparator accepts (or rejects) over m trials.
 
     A trial draws a user u, then a distinct user v only when an
@@ -239,7 +236,7 @@ class _AcceptKernel:
     alpha_from: int = 0
     count_rejects: bool = False
 
-    def __post_init__(self):
+    def _validate(self):
         if self.probe is not None and self.probe.n != self.pop.n:
             raise DimensionError(f"probe has {self.probe.n} bits, "
                                  f"population has {self.pop.n}")
@@ -276,8 +273,7 @@ class _AcceptKernel:
 PT_BLOCK_PROBES = 1 << 13
 
 
-@dataclass
-class _PtStatsKernel:
+class _PtStatsKernel(Record):
     """Per-template match rates: enroll one capture, rate its template.
 
     A chunk's templates go in blocks of b = max(1, PT_BLOCK_PROBES // k),
@@ -372,8 +368,7 @@ def rmr_of_feature(scheme, pop, x, settings: RunSettings = RunSettings()):
 # extremal features and overlap rates
 
 
-@dataclass(frozen=True)
-class MValue:
+class MValue(Record):
     """A maximum of a per-feature rate with the witness that attains it.
 
     mode "exact" means a full feature scan; "lower_bound" means the
@@ -452,7 +447,7 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
     draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_RMR_DRAWS),
                              rng)
     candidates = list(pop.centers) + [FeatureElement(pop.n, int(v)) for v in draws]
-    rate_settings = replace(settings, trials=EXTREMAL_RMR_TRIALS)
+    rate_settings = settings.replace(trials=EXTREMAL_RMR_TRIALS)
     best_val, best_x = -1.0, None
     for c in candidates:
         est = rmr_of_feature(scheme, pop, c, rate_settings)
@@ -461,8 +456,7 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
     return MValue(best_val, best_x, "lower_bound")
 
 
-@dataclass(frozen=True)
-class OverlapRates:
+class OverlapRates(Record):
     """Extremes over x of the ball-intersection probability at radius tau."""
 
     p_tau: float
@@ -486,14 +480,13 @@ def overlap_rates(pop: Population, tau: int) -> OverlapRates:
 # per-template match-rate statistics
 
 
-@dataclass(frozen=True)
-class MatchRateStats:
+class MatchRateStats(Record):
     """Mean and population standard deviation of per-template match rates."""
 
     mean: float
     std_dev: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 <= self.mean <= 1.0 + 1e-12:
             raise ConfigError(f"mean rate {self.mean} outside [0, 1]")
         if self.std_dev < 0.0:
@@ -512,15 +505,25 @@ class MatchRateStats:
         return self.mean - self.std_dev / math.sqrt(delta)
 
 
-@dataclass(frozen=True, eq=False)
-class PtMatchStatsResult:
+class PtMatchStatsResult(Record):
+    """The statistics of `pt_match_stats` with their intervals and the
+    per-template `rates` they come from, which the repr leaves out."""
+
     stats: MatchRateStats
     trials_outer: int
     trials_inner: int
     mean_ci: tuple
     std_ci: tuple
     queries_used: int
-    rates: np.ndarray = field(repr=False)
+    rates: np.ndarray
+
+    # a result is equal only to itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name != "rates")
+        return f"PtMatchStatsResult({shown})"
 
     def to_dict(self) -> dict:
         s = self.stats

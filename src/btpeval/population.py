@@ -19,13 +19,13 @@ word's flip mask is read from an alias table of its Bernoulli(p)^w law
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BudgetExceededError, ConfigError, ContractError,
                      DimensionError)
+from .records import Record, SlotRecord
 from .rng import substream
 
 MAX_N = 64  # captures are packed into one uint64 word
@@ -37,22 +37,30 @@ def _check_dimension(n: int):
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureElement:
+class FeatureElement(SlotRecord):
     """A packed bit vector in {0,1}^n.
 
     Bit i of `value` is coordinate i, so the bitstring rendering puts
     coordinate 0 leftmost: FeatureElement(7, 0b0000101) <-> "1010000".
     """
 
-    n: int
-    value: int
+    __slots__ = ("n", "value")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"feature dimension must be >= 1, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ConfigError(f"value {self.value} out of range for {self.n} bits")
+    def __init__(self, n: int, value: int):
+        if n < 1:
+            raise ConfigError(f"feature dimension must be >= 1, got {n}")
+        if not 0 <= value < (1 << n):
+            raise ConfigError(f"value {value} out of range for {n} bits")
+        _set_n(self, n)
+        _set_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) == (other.n, other.value)
+
+    def __hash__(self):
+        return hash((self.n, self.value))
 
     @classmethod
     def from_bits(cls, bits) -> "FeatureElement":
@@ -75,6 +83,9 @@ class FeatureElement:
 
     def __str__(self) -> str:
         return "".join(str((self.value >> i) & 1) for i in range(self.n))
+
+
+_set_n, _set_value = FeatureElement.n.__set__, FeatureElement.value.__set__
 
 
 def hamming_distance(a: FeatureElement, b: FeatureElement) -> int:
@@ -135,8 +146,7 @@ def _alias_table(w: int, p: float) -> tuple:
     return cut, alias
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(Record):
     """The user set with its per-user capture distributions.
 
     `centers` holds one template per user, and `center_values` the same
@@ -150,7 +160,7 @@ class Population:
     seed: int
     centers: tuple
 
-    def __post_init__(self):
+    def _validate(self):
         _check_dimension(self.n)
         if self.num_users < 2:
             raise ConfigError(f"need at least 2 users, got {self.num_users}")

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .population import FeatureElement
+from .records import Record, SlotRecord
 
 
 class _RejectId:
@@ -65,24 +65,46 @@ REJECT = _RejectId()
 REJECT_CODE = np.uint64(np.iinfo(np.uint64).max)
 
 
-@dataclass(frozen=True, slots=True)
-class ProtectedTemplate:
+class ProtectedTemplate(SlotRecord):
     """The stored pair: reference identifier `pi` and auxiliary data `alpha`."""
 
-    pi: object
-    alpha: object
+    __slots__ = ("pi", "alpha")
+
+    def __init__(self, pi, alpha):
+        _set_pt_pi(self, pi)
+        _set_pt_alpha(self, alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pi, self.alpha) == (other.pi, other.alpha)
+
+    def __hash__(self):
+        return hash((self.pi, self.alpha))
 
 
-@dataclass(frozen=True, slots=True)
-class LeakSet:
+_set_pt_pi, _set_pt_alpha = (ProtectedTemplate.pi.__set__,
+                             ProtectedTemplate.alpha.__set__)
+
+
+class LeakSet(SlotRecord):
     """Nonempty subset of {PI, AD}: which template parts the adversary sees."""
 
-    pi: bool
-    ad: bool
+    __slots__ = ("pi", "ad")
 
-    def __post_init__(self):
-        if not (self.pi or self.ad):
+    def __init__(self, pi: bool, ad: bool):
+        if not (pi or ad):
             raise ContractError("leak set must be nonempty")
+        _set_leak_pi(self, pi)
+        _set_leak_ad(self, ad)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pi, self.ad) == (other.pi, other.ad)
+
+    def __hash__(self):
+        return hash((self.pi, self.ad))
 
     @classmethod
     def parse(cls, s: str) -> "LeakSet":
@@ -96,27 +118,43 @@ class LeakSet:
         return "+".join(p for p, on in (("pi", self.pi), ("ad", self.ad)) if on)
 
 
+_set_leak_pi, _set_leak_ad = LeakSet.pi.__set__, LeakSet.ad.__set__
+
 LEAK_PI = LeakSet(pi=True, ad=False)
 LEAK_AD = LeakSet(pi=False, ad=True)
 LEAK_BOTH = LeakSet(pi=True, ad=True)
 
 
-@dataclass(frozen=True, slots=True)
-class PtView:
+class PtView(SlotRecord):
     """What the adversary actually receives: the leaked template fields."""
 
-    pi: object = None
-    alpha: object = None
-    has_pi: bool = False
-    has_ad: bool = False
+    __slots__ = ("pi", "alpha", "has_pi", "has_ad")
 
-    def __post_init__(self):
-        if not (self.has_pi or self.has_ad):
+    def __init__(self, pi=None, alpha=None, has_pi: bool = False,
+                 has_ad: bool = False):
+        if not (has_pi or has_ad):
             raise ContractError("view must carry at least one field")
+        _set_view_pi(self, pi)
+        _set_view_alpha(self, alpha)
+        _set_view_has_pi(self, has_pi)
+        _set_view_has_ad(self, has_ad)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.pi, self.alpha, self.has_pi, self.has_ad)
+                == (other.pi, other.alpha, other.has_pi, other.has_ad))
+
+    def __hash__(self):
+        return hash((self.pi, self.alpha, self.has_pi, self.has_ad))
 
 
-@dataclass(frozen=True)
-class MatchLaw:
+_set_view_pi, _set_view_alpha, _set_view_has_pi, _set_view_has_ad = (
+    PtView.pi.__set__, PtView.alpha.__set__, PtView.has_pi.__set__,
+    PtView.has_ad.__set__)
+
+
+class MatchLaw(Record):
     """Acceptance as a Hamming ball, for comparators that decide on distance.
 
     One enrollment of x accepts a capture x' iff d(x, x') <= radius.  The
@@ -162,8 +200,7 @@ def blake128(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_BYTES).digest()
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Record):
     """Binary linear [n, k] code with an exhaustive bounded-distance decoder.
 
     Codewords are packed ints (coordinate i = bit i).  Construction
@@ -176,7 +213,7 @@ class LinearCode:
     generator_rows: tuple
     t: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.k_code < 1 or self.n_code < 1:
             raise ConfigError("code dimensions must be positive")
         if self.k_code > 16:
@@ -217,8 +254,10 @@ class LinearCode:
         REJECT_CODE: the fc scheme's identifier codes."""
         if self._decode_table is not None:
             ys = np.asarray(ys, dtype=np.uint64)
-            # an array of words indexes as its int64 view, the cast numpy
-            # would make; a lone word keeps numpy's own bounds check
+            # an array of words of at most n bits indexes as its int64 view,
+            # the cast numpy would make; a lone word keeps numpy's own check
+            if ys.ndim and ys.size and int(ys.max()) >> self.n_code:
+                raise IndexError(f"a word has more than {self.n_code} bits")
             return self._decode_table[ys.view(np.int64) if ys.ndim else ys]
         codes = np.full(np.shape(ys), REJECT_CODE, dtype=np.uint64)
         for m, w in enumerate(self._codewords):

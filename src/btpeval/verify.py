@@ -20,7 +20,6 @@ statistics `adversaries.inverter_stats` chooses.  `verify_all` drives them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from . import exact, metrics
 from .adversaries import (
@@ -34,6 +33,7 @@ from .errors import ConfigError, ModeError, VariationTooHighError
 from .games import run_al_irr_game, run_coupled_irr_trials, run_pal_irr_game, run_unlink_game
 from .metrics import RunSettings
 from .population import Population
+from .records import Record
 from .schemes import LEAK_AD, LEAK_BOTH, LEAK_PI, BtpScheme, LeakSet
 
 PASS = "pass"
@@ -42,8 +42,7 @@ NOT_APPLICABLE = "not-applicable"
 VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(Record):
     """One checked relation: lhs REL rhs within tolerance, plus context."""
 
     theorem: str
@@ -53,7 +52,11 @@ class TheoremVerdict:
     rhs: float | None
     tolerance: float | None
     leak: str | None = None
-    details: dict = field(default_factory=dict)
+    details: dict = None        # a fresh {} when not given
+
+    def _validate(self):
+        if self.details is None:
+            object.__setattr__(self, "details", {})
 
     def to_dict(self) -> dict:
         out = {
@@ -164,7 +167,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
         return _unchecked("T2", NOT_APPLICABLE, ">=", LEAK_BOTH, details, str(e))
     details.update(mu=cfg.mu, n_delta=cfg.n_delta, trials=trials)
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
-                            replace(s, trials=trials))
+                            s.replace(trials=trials))
     tol = 3.0 * game.win_rate.std_error
     details.update(win_rate=game.win_rate.point,
                    advantage=game.advantage.point, flagged=game.flagged)

@@ -636,6 +636,13 @@ class TestImportCost:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False False"
 
+    def test_cli_import_leaves_dataclasses_out(self, subprocess_env):
+        """The package's records generate no code at import."""
+        probe = "import sys, btpeval.cli; print('dataclasses' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestConfigHandling:
     def test_population_centers_from_config(self, tmp_path, capsys):

@@ -147,10 +147,7 @@ class TestNativeIndexLookups:
 
     @pytest.mark.parametrize("word,lone", [
         (1 << 7, False), (1 << 63, False), (1 << 7, True), (1 << 63, True),
-        (2**64 - 1, True),
-        pytest.param(2**64 - 1, False, marks=pytest.mark.xfail(
-            strict=True, reason="known defect (CHANGES.md FOUND): an array "
-            "word in [2^64 - 2^n, 2^64) wraps to another word's code")),
+        (2**64 - 1, True), (2**64 - 1, False),
     ])
     def test_decode_codes_refuses_a_word_of_more_than_n_bits(self, word,
                                                               lone):

@@ -43,6 +43,17 @@ class WrongShapeGuess(CoinFlipUnlinkAdversary):
         return np.zeros((oracle.trials, 2), dtype=np.int64)
 
 
+class HalvedRotation(RotationScheme):
+    """rot without its match law, whose outcome probabilities sum to 1/2."""
+
+    def pie_support_batch(self, xs):
+        probs, pi, alpha = super().pie_support_batch(xs)
+        return probs / 2, pi, alpha
+
+    def match_law(self):
+        return None
+
+
 def _config(mu=0.5, n_delta=3):
     return PalSamplerConfig(mr_mean=0.5, sigma=0.0, delta=0.16, gamma=0.5,
                             mu=mu, n_delta=n_delta)
@@ -75,6 +86,12 @@ REFUSALS = {
                             ConfigError, "factor must be 'ad' or 'pi'"),
     "exact n": (lambda: exact.LawOracle(RotationScheme(9, 1), POP),
                 ConfigError, "scheme and population disagree on n"),
+    "exact outcome probabilities": (lambda: exact.enumerator(
+        HalvedRotation(7, 1), POP), ContractError,
+        "probabilities >= 0 that sum to 1"),
+    "decode word bits": (lambda: FC.code.decode_codes(
+        np.array([0, 2**64 - 1], dtype=np.uint64)), IndexError,
+        "a word has more than 7 bits"),
     "estimate trials": (lambda: AdvantageEstimate(0.0, -1, 0.0, 0.0),
                         ConfigError, "trials must be >= 0"),
     "stats mean": (lambda: MatchRateStats(1.5, 0.0), ConfigError,

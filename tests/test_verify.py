@@ -1,7 +1,5 @@
 """Theorem checkers: pass paths, hypothesis gates, vacuous bounds."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -321,7 +319,7 @@ class TestInverterStatistics:
                                                 status):
         pop = generate_population(n, 16, 0.03, seed=1)
         scheme = build_scheme(scheme_cfg, n)
-        s = replace(self.SMALL, delta=delta)
+        s = self.SMALL.replace(delta=delta)
         v = verify.check_thm_pal_unachievable(scheme, pop, s)
         assert (v.status, v.details["statistics"]) == (status, "exact")
         if status == verify.PASS:
