@@ -28,11 +28,11 @@ u.  Two engines supply the tables.
   n <= 20.  `mr_vector` is built once per (population, tau) and kept
   read-only, 8 bytes per feature (8 MB at n = 20), as `enumerator` keeps
   its oracles; `mr_scores` reads it to score any set of features.
-* `SchemeEnumerator`, for every other scheme (toy, `broken`, custom):
-  probe distributions are explicit pmf vectors over {0,1}^n, enrollment
-  randomness is enumerated through `pie_support`, and the tables are
-  matrix products, for n <= 10.  It is also the differential twin of
-  `LawOracle`.
+* `SchemeEnumerator`, for every other scheme (`broken` and custom
+  ones): probe distributions are explicit pmf vectors over {0,1}^n,
+  enrollment randomness is enumerated through `pie_support_batch`, and
+  the tables are matrix products, for n <= 10.  It is also the
+  differential twin of `LawOracle`.
 
 Every per-feature sum over the population (`mr_of`, `mr_vector`, the
 capture pmf) adds a per-distance table over the users, user by user:

@@ -17,20 +17,21 @@ Three reference schemes are provided:
   baseline for irreversibility experiments).
 * plaintext: stores the feature verbatim; the worst case.
 
-A scheme implements either the scalar algorithms or an integer-coded
-batch contract (`pie_batch`, `pir_batch`, `pic_batch`,
-`pie_support_batch`, `template_codes` and its inverse
-`template_of_codes`): captures are packed uint64 values, identifiers and
-auxiliary data are uint64 codes.  The base class derives each method set
-from the other.  The three reference schemes implement the batch
-contract with array arithmetic, and the scalar algorithms come from the
-base class.  They also declare a `match_law()`: their comparator decides
-on one Hamming distance, which the exact oracles turn into closed forms.
+A scheme implements one integer-coded batch contract (`pie_batch`,
+`pir_batch`, `pic_batch`, `pie_support_batch`, `template_codes` and its
+inverse `template_of_codes`): captures are packed uint64 values,
+identifiers and auxiliary data are uint64 codes.  The scalar algorithms
+`pie`, `pir`, `pic` and `pie_support` are derived from it by the base
+class.  The three reference schemes implement the batch contract with
+array arithmetic.  They also declare a `match_law()`: their comparator
+decides on one Hamming distance, which the exact oracles turn into
+closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
+from abc import ABC, abstractmethod
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -283,24 +284,6 @@ def hamming_7_4(t: int = 1) -> LinearCode:
     )
 
 
-class _CodeBook:
-    """Numbers hashable scheme objects in order of first use."""
-
-    def __init__(self):
-        self.objects = []
-        self._index = {}
-
-    def encode(self, objs) -> np.ndarray:
-        out = np.empty(len(objs), dtype=np.uint64)
-        for i, obj in enumerate(objs):
-            code = self._index.get(obj)
-            if code is None:
-                code = self._index[obj] = len(self.objects)
-                self.objects.append(obj)
-            out[i] = code
-        return out
-
-
 def _rotate(xs, r, n: int) -> np.ndarray:
     """Packed cyclic shift of every x by its r (FeatureElement.rotate), for
     r in [0, n): at r = 0 the right shift by n clears the n-bit x."""
@@ -310,35 +293,24 @@ def _rotate(xs, r, n: int) -> np.ndarray:
     return ((xs << r) & mask) | (xs >> (np.uint64(n) - r))
 
 
-_SCALAR = ("pie", "pir", "pic", "pie_support")
-_BATCH = ("pie_batch", "pir_batch", "pic_batch", "pie_support_batch",
-          "template_codes", "template_of_codes")
-
-
-class BtpScheme:
+class BtpScheme(ABC):
     """Contract shared by all schemes; `pir` and `pic` are deterministic.
 
-    A subclass implements the scalar methods (`pie`, `pir`, `pic`,
-    `pie_support`) or the batch contract (the four `*_batch` methods,
-    `template_codes` and `template_of_codes`); the base class derives the
-    other set, and a subclass that implements neither fails when
-    instantiated.
+    A subclass implements the integer-coded batch methods (the four
+    `*_batch` methods, `template_codes` and `template_of_codes`); the
+    scalar methods `pie`, `pir`, `pic` and `pie_support` are derived from
+    them.  Captures are packed uint64 arrays; pi, alpha and verification
+    identifiers are uint64 codes, and arguments broadcast like numpy
+    operands.
     """
 
     name: str
     feature_dim: int
 
-    def __new__(cls, *args, **kwargs):
-        if not any(all(getattr(cls, m) is not getattr(BtpScheme, m) for m in group)
-                   for group in (_SCALAR, _BATCH)):
-            raise TypeError(f"{cls.__name__} implements neither "
-                            f"{'/'.join(_SCALAR)} nor {'/'.join(_BATCH)}")
-        return super().__new__(cls)
-
     # -- scalar methods ------------------------------------------------------
-    # These defaults run the batch contract on one capture.  An identifier
-    # or alpha passes through `template_codes` beside the other field of
-    # the template of code 0, as a hidden view field does.
+    # These run the batch methods on one capture.  An identifier or alpha
+    # passes through `template_codes` beside the other field of the
+    # template of code 0, as a hidden view field does.
 
     def pie(self, x: FeatureElement, rng: np.random.Generator) -> ProtectedTemplate:
         """Randomized enrollment: feature element -> protected template."""
@@ -369,75 +341,33 @@ class BtpScheme:
         return [(float(p), self.template_of_codes(a, b))
                 for p, a, b in zip(probs, pis, alphas)]
 
-    # -- integer-coded batch contract ----------------------------------------
-    # Captures are packed uint64 arrays; pi, alpha and verification
-    # identifiers are uint64 codes, and arguments broadcast like numpy
-    # operands.  These defaults run the scalar methods element by element
-    # and number each object they meet, so their codes hold only within
-    # this process.
+    # -- integer-coded batch methods -----------------------------------------
 
+    @abstractmethod
     def pie_batch(self, xs: np.ndarray, rng: np.random.Generator) -> tuple:
         """`pie` on every capture in C order (the same draws as that many
         scalar calls): (pi codes, alpha codes), each of xs's shape."""
-        xs = np.asarray(xs, dtype=np.uint64)
-        pts = [self.pie(FeatureElement(self.feature_dim, int(x)), rng)
-               for x in xs.flat]
-        return self._encode_templates(pts, xs.shape)
 
+    @abstractmethod
     def pir_batch(self, alpha: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Verification identifier codes of (alpha, capture) pairs."""
-        alpha, xs = np.broadcast_arrays(np.asarray(alpha, dtype=np.uint64),
-                                        np.asarray(xs, dtype=np.uint64))
-        book = self._codebook()
-        vids = [self.pir(book.objects[int(a)],
-                         FeatureElement(self.feature_dim, int(x)))
-                for a, x in zip(alpha.flat, xs.flat)]
-        return book.encode(vids).reshape(alpha.shape)
 
+    @abstractmethod
     def pic_batch(self, pi: np.ndarray, vid: np.ndarray) -> np.ndarray:
         """Comparator decisions of (pi, identifier) code pairs, as bools."""
-        pi, vid = np.broadcast_arrays(np.asarray(pi, dtype=np.uint64),
-                                      np.asarray(vid, dtype=np.uint64))
-        objs = self._codebook().objects
-        out = [self.pic(objs[int(a)], objs[int(b)])
-               for a, b in zip(pi.flat, vid.flat)]
-        return np.array(out, dtype=bool).reshape(pi.shape)
 
+    @abstractmethod
     def pie_support_batch(self, xs: np.ndarray) -> tuple:
         """`pie_support` of every capture: (probability, pi, alpha) arrays of
         shape xs.shape + (K,); every capture must have K outcomes."""
-        xs = np.asarray(xs, dtype=np.uint64)
-        rows = [self.pie_support(FeatureElement(self.feature_dim, int(x)))
-                for x in xs.flat]
-        k = len(rows[0]) if rows else 0
-        if any(len(row) != k for row in rows):
-            raise ContractError("pie_support must give every feature the same "
-                                "number of outcomes")
-        shape = xs.shape + (k,)
-        probs = np.array([p for row in rows for p, _ in row],
-                         dtype=np.float64).reshape(shape)
-        pi, alpha = self._encode_templates(
-            [pt for row in rows for _, pt in row], shape)
-        return probs, pi, alpha
 
+    @abstractmethod
     def template_codes(self, pt) -> tuple:
         """(pi code, alpha code) of one fixed template."""
-        return self._encode_templates([pt], ())
 
+    @abstractmethod
     def template_of_codes(self, pi_code, alpha_code) -> ProtectedTemplate:
         """The template whose `template_codes` are (pi_code, alpha_code)."""
-        objs = self._codebook().objects
-        return ProtectedTemplate(objs[int(pi_code)], objs[int(alpha_code)])
-
-    def _codebook(self) -> "_CodeBook":
-        if "_codes" not in self.__dict__:
-            self._codes = _CodeBook()
-        return self._codes
-
-    def _encode_templates(self, pts, shape) -> tuple:
-        book = self._codebook()
-        return (book.encode([pt.pi for pt in pts]).reshape(shape),
-                book.encode([pt.alpha for pt in pts]).reshape(shape))
 
     def guaranteed_match_radius(self):
         """Largest tau with: d(x, x') <= tau implies pic accepts a template of x.
@@ -461,6 +391,9 @@ class BtpScheme:
         return {"scheme": self.name, "n": self.feature_dim}
 
     def _check_dim(self, x: FeatureElement):
+        if not isinstance(x, FeatureElement):
+            raise DimensionError(f"expected a {self.feature_dim}-bit feature "
+                                 f"element, got {x!r}")
         if x.n != self.feature_dim:
             raise DimensionError(
                 f"feature has {x.n} bits, scheme expects {self.feature_dim}"
@@ -508,8 +441,7 @@ class FuzzyCommitmentScheme(BtpScheme):
         return np.full(shape, 1.0 / len(self._cw)), m, xs ^ self._cw
 
     def template_codes(self, pt):
-        if pt.alpha.n != self.feature_dim:
-            raise DimensionError("auxiliary data has wrong length")
+        self._check_dim(pt.alpha)
         if pt.pi is not REJECT and not (isinstance(pt.pi, bytes)
                                         and len(pt.pi) == DIGEST_BYTES):
             raise ContractError(f"fc identifier must be a {DIGEST_BYTES}-byte "
@@ -586,6 +518,9 @@ class RotationScheme(_ThresholdScheme):
 
     def template_codes(self, pt):
         self._check_dim(pt.pi)
+        if not isinstance(pt.alpha, (int, np.integer)):
+            raise ContractError(f"rot auxiliary data must be an integer "
+                                f"offset, got {pt.alpha!r}")
         return np.uint64(pt.pi.value), np.uint64(int(pt.alpha) % self.feature_dim)
 
     def template_of_codes(self, pi_code, alpha_code):
@@ -644,21 +579,31 @@ class BrokenScheme(BtpScheme):
             raise ConfigError("n must be >= 1")
         self.feature_dim = n
 
-    def pie(self, x, rng):
-        self._check_dim(x)
-        return ProtectedTemplate(pi=blake128(_int_to_bytes(x.value, x.n)),
-                                 alpha=None)
+    # Codes: every template is (REJECT, None), coded (REJECT_CODE, 0), and
+    # every identifier is REJECT.  pie draws nothing.
 
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        return REJECT
+    def pie_batch(self, xs, rng):
+        shape = np.shape(xs)
+        return (np.full(shape, REJECT_CODE, dtype=np.uint64),
+                np.zeros(shape, dtype=np.uint64))
 
-    def pic(self, pi, pi_prime):
-        return False
+    def pir_batch(self, alpha, xs):
+        return np.full(np.broadcast_shapes(np.shape(alpha), np.shape(xs)),
+                       REJECT_CODE)
 
-    def pie_support(self, x):
-        self._check_dim(x)
-        return [(1.0, self.pie(x, None))]
+    def pic_batch(self, pi, vid):
+        return np.zeros(np.broadcast_shapes(np.shape(pi), np.shape(vid)),
+                        dtype=bool)
+
+    def pie_support_batch(self, xs):
+        pis, alphas = self.pie_batch(np.expand_dims(xs, -1), None)
+        return np.ones(pis.shape), pis, alphas
+
+    def template_codes(self, pt):
+        return REJECT_CODE, np.uint64(0)
+
+    def template_of_codes(self, pi_code, alpha_code):
+        return ProtectedTemplate(REJECT, None)
 
 
 def build_scheme(cfg: dict, n: int) -> BtpScheme:

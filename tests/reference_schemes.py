@@ -1,10 +1,10 @@
 """Scalar twins of the built-in schemes, the reference for their batch contract.
 
-The library's fc, rot and plain implement only the batch contract and
-derive their scalar methods from it.  The classes here subclass them and
-carry the scalar methods written directly on template objects, with an
-exhaustive bounded-distance decoder, so a differential test that compares
-a batch path with these methods compares two independent computations.
+The library's schemes implement only the batch contract and derive their
+scalar methods from it.  The classes here subclass them and carry the
+scalar methods written directly on template objects, with an exhaustive
+bounded-distance decoder, so a differential test that compares a batch
+path with these methods compares two independent computations.
 Their batch methods are the library's own.  `decisions_and_ball` lays
 out a comparator's decisions in the batch contract beside a Hamming ball,
 for the exhaustive structural-law checks.
@@ -18,6 +18,7 @@ from btpeval.errors import DimensionError
 from btpeval.population import FeatureElement, hamming_distance
 from btpeval.schemes import (
     REJECT,
+    BrokenScheme,
     FuzzyCommitmentScheme,
     LinearCode,
     PlaintextScheme,
@@ -133,3 +134,20 @@ class RefPlaintextScheme(PlaintextScheme):
     def pie_support(self, x):
         self._check_dim(x)
         return [(1.0, ProtectedTemplate(pi=x, alpha=None))]
+
+
+class RefBrokenScheme(BrokenScheme):
+    def pie(self, x, rng):
+        self._check_dim(x)
+        return ProtectedTemplate(pi=REJECT, alpha=None)
+
+    def pir(self, alpha, x_prime):
+        self._check_dim(x_prime)
+        return REJECT
+
+    def pic(self, pi, pi_prime):
+        return False
+
+    def pie_support(self, x):
+        self._check_dim(x)
+        return [(1.0, ProtectedTemplate(pi=REJECT, alpha=None))]

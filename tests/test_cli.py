@@ -13,7 +13,7 @@ from btpeval import adversaries, cli, exact, games, metrics, verify
 from btpeval.adversaries import adversary_names, build_adversary
 from btpeval.errors import ConfigError, ContractError
 from btpeval.metrics import RunSettings
-from btpeval.schemes import LeakSet
+from btpeval.schemes import LeakSet, build_scheme
 from reference_results import strip_timings
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
@@ -511,6 +511,14 @@ class TestDeterminism:
         "metrics rot10": (["metrics"], {"population": {"n": 10},
                                         "scheme": {"scheme": "rot"}},
                           "809f9ea7716d8e6a"),
+        "verify broken": (["verify", "--theorem", "all"],
+                          {"scheme": {"scheme": "broken"}}, "9952bf2d6127cd7a"),
+        "metrics broken": (["metrics"], {"scheme": {"scheme": "broken"}},
+                           "7c813ddca664dcbb"),
+        "unlink match-test broken": (["game", "unlink", "--adversary",
+                                      "match-test"],
+                                     {"scheme": {"scheme": "broken"}},
+                                     "29f049d644becd2a"),
     }
 
     @pytest.mark.parametrize("command", SINGLE_CHUNK_DIGESTS)
@@ -526,6 +534,35 @@ class TestDeterminism:
         assert code == 0
         text = json.dumps(strip_timings(load_json(out)), sort_keys=True)
         assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == digest
+
+
+class TestBatchOnlyEngine:
+    """Every engine path calls the batch methods of a scheme alone: with
+    the scalar methods of the scheme's class made to raise, each command
+    runs and none of them is called."""
+
+    @pytest.mark.parametrize("scheme", ["fc", "rot", "plain", "broken"])
+    def test_commands_call_no_scalar_method(self, tmp_path, capsys,
+                                            monkeypatch, scheme):
+        calls = []
+
+        def refuse(name):
+            def method(self, *args):
+                calls.append(name)
+                raise AssertionError(f"scalar {name} called")
+            return method
+
+        config = {"scheme": {"scheme": scheme}}
+        cls = type(build_scheme(config["scheme"], 7))
+        for name in ("pie", "pir", "pic", "pie_support"):
+            monkeypatch.setattr(cls, name, refuse(name))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for args in (["metrics"], ["verify", "--theorem", "all"]):
+            code, _, _ = run_cli(args + ["--config", str(cfg), "--trials",
+                                         "200", "--seed", "1"], capsys)
+            assert code == 0
+        assert calls == []
 
 
 class TestSchema:

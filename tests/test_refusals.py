@@ -13,7 +13,7 @@ from btpeval.adversaries import (
     ReductionUnlinkAdversary,
     compute_n_delta,
 )
-from btpeval.errors import ConfigError, ContractError, ProtocolError
+from btpeval.errors import ConfigError, ContractError, DimensionError, ProtocolError
 from btpeval.games import run_al_irr_game, run_unlink_game
 from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
 from btpeval.population import (
@@ -35,6 +35,8 @@ from btpeval.verify import verify_all
 
 POP = generate_population(7, 16, 0.03, seed=1)
 FC = build_scheme({"scheme": "fc"}, 7)
+ROT = build_scheme({"scheme": "rot"}, 7)
+PLAIN = build_scheme({"scheme": "plain"}, 7)
 ZERO = FeatureElement(7, 0)
 
 
@@ -134,6 +136,18 @@ REFUSALS = {
     "threshold n": (lambda: RotationScheme(0, 1), ConfigError,
                     "n must be >= 1"),
     "broken n": (lambda: BrokenScheme(0), ConfigError, "n must be >= 1"),
+    "fc pir alpha type": (lambda: FC.pir(None, ZERO), DimensionError,
+                          "expected a 7-bit feature element, got None"),
+    "fc pie feature type": (lambda: FC.pie(7, substream(0, "pie")),
+                            DimensionError,
+                            "expected a 7-bit feature element, got 7"),
+    "rot pic pi type": (lambda: ROT.pic(b"ab", ZERO), DimensionError,
+                        "expected a 7-bit feature element, got b'ab'"),
+    "plain pic pi type": (lambda: PLAIN.pic(5, ZERO), DimensionError,
+                          "expected a 7-bit feature element, got 5"),
+    "rot pir alpha type": (lambda: ROT.pir("a", ZERO), ContractError,
+                           "rot auxiliary data must be an integer offset, "
+                           "got 'a'"),
     "theorem": (lambda: verify_all(FC, POP, theorem="t9"), ConfigError,
                 "unknown theorem 't9'"),
 }

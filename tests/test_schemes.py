@@ -31,6 +31,7 @@ from btpeval.schemes import (
     leak_view,
 )
 from reference_schemes import (
+    RefBrokenScheme,
     RefFuzzyCommitmentScheme,
     RefPlaintextScheme,
     RefRotationScheme,
@@ -351,14 +352,14 @@ class TestRegistry:
             build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4}}, 8)
 
 
-# fc, rot and plain as their scalar reference twins: the batch methods
+# The library schemes as their scalar reference twins: the batch methods
 # are the library's, the scalar ones independent of them
 BATCH_SCHEMES = {
     "fc": lambda: RefFuzzyCommitmentScheme(hamming_7_4()),
     "fc-untabled": lambda: RefFuzzyCommitmentScheme(UNTABLED_CODE),
     "rot": lambda: RefRotationScheme(9, tau=2),
     "plain": lambda: RefPlaintextScheme(8, tau=1),
-    "broken": lambda: BrokenScheme(7),
+    "broken": lambda: RefBrokenScheme(7),
 }
 
 
@@ -381,8 +382,8 @@ def _packed(data, n, shape):
 
 
 class TestBatchContract:
-    """Batch pie/pir/pic/pie_support against the scalar methods: the
-    reference twins' for fc, rot and plain, the scheme's own for broken."""
+    """Batch pie/pir/pic/pie_support against the scalar methods of the
+    reference twins."""
 
     @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
     @settings(max_examples=30, deadline=None)
@@ -437,14 +438,6 @@ class TestBatchContract:
         for pt in pts:
             assert scheme.template_of_codes(*scheme.template_codes(pt)) == pt
 
-    def test_default_codes_number_equal_objects_alike(self):
-        scheme = BrokenScheme(7)
-        xs = np.array([5, 9, 5], dtype=np.uint64)
-        pis, alphas = scheme.pie_batch(xs, substream(1, "pie"))
-        assert pis[0] == pis[2] != pis[1]
-        assert len(set(alphas.tolist())) == 1
-        assert not scheme.pic_batch(pis, scheme.pir_batch(alphas, xs)).any()
-
     def test_fc_reject_code_never_matches(self, fc_scheme):
         far = np.array([0b0000011], dtype=np.uint64)   # two flips: miscorrects
         pi, alpha = fc_scheme.template_codes(
@@ -467,11 +460,12 @@ DERIVED_PAIRS = {
     "rot": (lambda: RotationScheme(9, tau=2), lambda: RefRotationScheme(9, tau=2)),
     "plain": (lambda: PlaintextScheme(8, tau=1),
               lambda: RefPlaintextScheme(8, tau=1)),
+    "broken": (lambda: BrokenScheme(7), lambda: RefBrokenScheme(7)),
 }
 
 
 class TestDerivedScalarMethods:
-    """fc, rot and plain implement only the batch contract; the scalar
+    """The library schemes implement only the batch contract; the scalar
     methods the base class derives from it equal the reference twins'."""
 
     @pytest.mark.parametrize("name", list(DERIVED_PAIRS))
@@ -494,7 +488,7 @@ class TestDerivedScalarMethods:
             assert lib.pie_support(x) == ref.pie_support(x)
         # the same draws, and nothing more
         assert lib_rng.random() == ref_rng.random()
-        assert (rejects > 0) == name.startswith("fc-")
+        assert (rejects > 0) == (name.startswith("fc-") or name == "broken")
         if rejects:
             assert not lib.pic(REJECT, REJECT)
 
@@ -553,25 +547,39 @@ class _XorKeyScheme(BtpScheme):
 
 class TestMethodSets:
     def test_neither_set_fails_at_instantiation(self):
+        """Only the batch set makes a scheme: a class without all six batch
+        methods, scalar methods or not, is refused by name."""
         class Nothing(BtpScheme):
             name = "nothing"
 
-        class HalfBatch(BtpScheme):
-            name = "half"
+        class HalfBatch(_XorKeyScheme):
+            template_of_codes = BtpScheme.template_of_codes
 
-            def pie_batch(self, xs, rng):
-                return xs, xs
+        class ScalarOnly(BtpScheme):
+            name = "scalar-only"
 
-        class HalfScalar(AlwaysMatchScheme):
-            pie_support = BtpScheme.pie_support
+            def pie(self, x, rng):
+                return ProtectedTemplate(pi=b"\x00", alpha=None)
 
-        for cls in (BtpScheme, Nothing, HalfBatch):
-            with pytest.raises(TypeError, match="implements neither"):
-                cls()
-        with pytest.raises(TypeError, match="implements neither"):
-            HalfScalar(7)
-        AlwaysMatchScheme(7)
+            def pir(self, alpha, x_prime):
+                return b"\x00"
+
+            def pic(self, pi, pi_prime):
+                return True
+
+            def pie_support(self, x):
+                return [(1.0, self.pie(x, None))]
+
+        for make, missing in (
+                (BtpScheme, "pie_batch"), (Nothing, "pic_batch"),
+                (lambda: HalfBatch(7, 1), "template_of_codes"),
+                (ScalarOnly, "pie_support_batch")):
+            with pytest.raises(TypeError, match="abstract class") as info:
+                make()
+            assert missing in str(info.value)
+        _XorKeyScheme(7, 1)
         BrokenScheme(7)
+        AlwaysMatchScheme(7)
 
     def test_batch_only_scheme_runs_everywhere(self, default_pop):
         from btpeval import exact, metrics

@@ -1,76 +1,94 @@
-"""Degenerate schemes used to hit edge cases in metrics and verdicts."""
+"""Degenerate schemes used to hit edge cases in metrics and verdicts.
 
-from btpeval.schemes import BtpScheme, ProtectedTemplate
+Each implements the batch contract alone.  pi and identifier codes are
+the small integers below, with REJECT at `REJECT_CODE`; alpha is always
+None, coded 0."""
+
+import numpy as np
+
+from btpeval.schemes import REJECT, REJECT_CODE, BtpScheme, ProtectedTemplate
 
 
-class AlwaysMatchScheme(BtpScheme):
-    """Comparator accepts everything; match rate 1, deviation 0."""
+class _ToyScheme(BtpScheme):
+    """pi and identifier codes index `IDS`; every capture enrolls to the
+    code `pie_code`, every verification gives the code `pir_code`, and the
+    comparator's decision is `accepts` for every pair."""
 
-    name = "always-match"
+    IDS = (b"\x00", b"\x01")
+    pie_code = pir_code = 0
+    accepts = False
 
     def __init__(self, n: int):
         self.feature_dim = n
 
-    def pie(self, x, rng):
-        return ProtectedTemplate(pi=b"\x00", alpha=None)
+    def pie_batch(self, xs, rng):
+        shape = np.shape(xs)
+        return (np.full(shape, self.pie_code, dtype=np.uint64),
+                np.zeros(shape, dtype=np.uint64))
 
-    def pir(self, alpha, x_prime):
-        return b"\x00"
+    def pir_batch(self, alpha, xs):
+        return np.full(np.broadcast_shapes(np.shape(alpha), np.shape(xs)),
+                       self.pir_code, dtype=np.uint64)
 
-    def pic(self, pi, pi_prime):
-        return True
+    def pic_batch(self, pi, vid):
+        return np.full(np.broadcast_shapes(np.shape(pi), np.shape(vid)),
+                       self.accepts)
 
-    def pie_support(self, x):
-        return [(1.0, ProtectedTemplate(pi=b"\x00", alpha=None))]
+    def pie_support_batch(self, xs):
+        pis, alphas = self.pie_batch(np.expand_dims(xs, -1), None)
+        return np.ones(pis.shape), pis, alphas
+
+    def template_codes(self, pt):
+        pi = REJECT_CODE if pt.pi is REJECT else self.IDS.index(pt.pi)
+        return np.uint64(pi), np.uint64(0)
+
+    def template_of_codes(self, pi_code, alpha_code):
+        pi = REJECT if pi_code == REJECT_CODE else self.IDS[int(pi_code)]
+        return ProtectedTemplate(pi=pi, alpha=None)
+
+
+class AlwaysMatchScheme(_ToyScheme):
+    """Comparator accepts everything; match rate 1, deviation 0."""
+
+    name = "always-match"
+    accepts = True
 
     def guaranteed_match_radius(self):
         return self.feature_dim
 
 
-class NeverMatchScheme(BtpScheme):
+class NeverMatchScheme(_ToyScheme):
     """Comparator rejects everything, including the enrolled feature."""
 
     name = "never-match"
-
-    def __init__(self, n: int):
-        self.feature_dim = n
-
-    def pie(self, x, rng):
-        return ProtectedTemplate(pi=b"\x00", alpha=None)
-
-    def pir(self, alpha, x_prime):
-        return b"\x01"
-
-    def pic(self, pi, pi_prime):
-        return False
-
-    def pie_support(self, x):
-        return [(1.0, ProtectedTemplate(pi=b"\x00", alpha=None))]
+    pir_code = 1
 
 
-class LotteryScheme(BtpScheme):
+class LotteryScheme(_ToyScheme):
     """Template acceptance is decided at enrollment with probability
     `win_prob`, independent of every probe; the per-template match rate is
-    Bernoulli, so the variation coefficient is sqrt((1-w)/w)."""
+    Bernoulli, so the variation coefficient is sqrt((1-w)/w).  pi is 1 for
+    a winning template and 0 otherwise."""
 
     name = "lottery"
+    IDS = (0, 1)
+    pir_code = 1
 
     def __init__(self, n: int, win_prob: float):
-        self.feature_dim = n
+        super().__init__(n)
         self.win_prob = win_prob
 
-    def pie(self, x, rng):
-        hit = int(rng.random() < self.win_prob)
-        return ProtectedTemplate(pi=hit, alpha=None)
+    def pie_batch(self, xs, rng):
+        shape = np.shape(xs)
+        hit = rng.random(size=shape) < self.win_prob
+        return hit.astype(np.uint64), np.zeros(shape, dtype=np.uint64)
 
-    def pir(self, alpha, x_prime):
-        return 1
+    def pic_batch(self, pi, vid):
+        return np.broadcast_to(pi == 1, np.broadcast_shapes(np.shape(pi),
+                                                            np.shape(vid)))
 
-    def pic(self, pi, pi_prime):
-        return pi == 1
-
-    def pie_support(self, x):
-        return [
-            (self.win_prob, ProtectedTemplate(pi=1, alpha=None)),
-            (1.0 - self.win_prob, ProtectedTemplate(pi=0, alpha=None)),
-        ]
+    def pie_support_batch(self, xs):
+        shape = np.shape(xs) + (2,)
+        return (np.broadcast_to([self.win_prob, 1.0 - self.win_prob], shape),
+                np.broadcast_to(np.array([1, 0], dtype=np.uint64), shape),
+                np.zeros(shape, dtype=np.uint64))
