@@ -14,10 +14,8 @@ the unlinkability-implies-irreversibility bound exercises.
 adversary refuses a leak set it cannot use when the game runs, and
 `pal-sampler` already when it is built.
 
-Each adversary has one implementation.  The view readers have scalar
-phases, which the games play trial by trial through the adversary base
-class; every other adversary has batch phases and plays a chunk of trials
-in array operations (see `games`).
+Each adversary has one implementation, a batch pair of phases that plays a
+chunk of trials in array operations (see `games`).
 """
 
 from __future__ import annotations
@@ -180,17 +178,24 @@ class ReadViewAdversary(IrrAdversary):
         self.which = which
         self.name = f"read-{'pi' if which == 'pi' else 'alpha'}"
 
-    def phase1(self, params, leak, tau, oracle, rng):
+    def phase1_batch(self, params, leak, tau, oracle, rng):
         part = "pi" if self.which == "pi" else "ad"
         if not getattr(leak, part):
             raise ContractError(f"{self.name} needs {part} in lambda, got {leak}")
-        return None
+        return params.scheme
 
-    def phase2(self, state, view, oracle, rng):
-        value = view.pi if self.which == "pi" else view.alpha
-        if not isinstance(value, FeatureElement):
-            raise ContractError(f"leaked {self.which} is not a feature element")
-        return value
+    def phase2_batch(self, state, view, oracle, rng):
+        """Each distinct code of the field is decoded once."""
+        codes, spread = np.unique(getattr(view, self.which), return_inverse=True)
+        guess = np.empty(len(codes), dtype=np.uint64)
+        for i, code in enumerate(codes):
+            pt = state.template_of_codes(*((code, 0) if self.which == "pi"
+                                           else (0, code)))
+            value = getattr(pt, self.which)
+            if not isinstance(value, FeatureElement):
+                raise ContractError(f"leaked {self.which} is not a feature element")
+            guess[i] = value.value
+        return guess[spread]
 
 
 class SamplerIrrAdversary(IrrAdversary):

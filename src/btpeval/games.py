@@ -12,9 +12,8 @@ One engine plays every adversary: a chunk of `metrics.CHUNK_TRIALS`
 (4096) trials, the one chunk size of every Monte Carlo loop, draws from
 three streams keyed by the chunk, for the challenger, the adversary and
 the sampling oracles, and runs each step as array operations on the
-scheme's batch contract.  An adversary written trial by trial is played
-through its base class, which runs its scalar phases on each trial of the
-chunk in turn.
+scheme's batch contract.  An adversary implements only the batch pair of
+phases, which plays a chunk of trials.
 
 Each chunk returns one record of per-trial arrays: the game's own fields,
 the flag, the queries charged to each role and, with
@@ -27,10 +26,11 @@ replayed by re-running its chunk with `record_transcripts`.
 from __future__ import annotations
 
 import hashlib
+from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .metrics import (
     CHUNK_TRIALS,
     AdvantageEstimate,
@@ -60,160 +60,71 @@ class GameParams(Record):
     population: Population
 
 
-_PAIRS = (("phase1", "phase2"), ("phase1_batch", "phase2_batch"))
-
-
-class _Adversary:
-    """Base of both adversary kinds: a subclass implements the scalar pair
-    of phases or the batch pair, and one that implements neither fails
-    when instantiated."""
-
-    def __new__(cls, *args, **kwargs):
-        kind = next(c for c in cls.__mro__ if _Adversary in c.__bases__)
-        if not any(all(getattr(cls, p) is not getattr(kind, p) for p in pair)
-                   for pair in _PAIRS):
-            raise TypeError(f"{cls.__name__} implements neither phase1/phase2 "
-                            "nor phase1_batch/phase2_batch")
-        return super().__new__(cls)
-
-
-class IrrAdversary(_Adversary):
-    """Two-stage inversion adversary.
+class IrrAdversary(ABC):
+    """Two-stage inversion adversary, played a chunk of trials at a time.
 
     Stateless by contract: anything phase 2 needs must be in the state
-    value phase 1 returns.  A subclass implements one of two pairs.
-
-    The scalar pair plays one trial: `phase1(params, leak, tau, oracle,
-    rng)` returns the state for `phase2(state, view, oracle, rng)`, which
-    returns the guessed `FeatureElement`.  The oracle is the trial's
-    `SamplingOracle` and the view holds the scheme's template objects.
-
-    The batch pair plays a chunk: `phase1_batch(params, leak, tau, oracle,
-    rng)` and `phase2_batch(state, view, oracle, rng)`.  The oracle is a
-    `BatchSamplingOracle` over the chunk's `oracle.trials` trials, the
-    view's fields are arrays of template codes (None where hidden), and
-    phase 2 returns one packed guess per trial.  Phase 2 may be called on
-    a subset of the trials, so what the state holds per trial it keys by
-    trial row (`oracle.rows`).
-
-    The games call the batch pair only.  Its default plays the scalar pair
-    on each trial of the chunk in turn, on the chunk's streams: a trial
-    whose oracle refuses a query is cut there.
+    value phase 1 returns.  `phase1_batch(params, leak, tau, oracle, rng)`
+    returns the state for `phase2_batch(state, view, oracle, rng)`, which
+    returns one packed guess per trial.  `tau` is None in the
+    pseudo-authorized-leakage variant.  The oracle is a
+    `BatchSamplingOracle` over the chunk's `oracle.trials` trials and the
+    view's fields are arrays of template codes (None where hidden).  Phase
+    2 may be called on a subset of the trials, so what the state holds per
+    trial it keys by trial row (`oracle.rows`).
     """
 
     name = "irr-adversary"
 
-    def phase1(self, params: GameParams, leak: LeakSet, tau, oracle, rng):
+    @abstractmethod
+    def phase1_batch(self, params: GameParams, leak: LeakSet, tau, oracle,
+                     rng):
         """Receive the public parameters, optionally probe the oracle,
-        return the state for phase 2.  `tau` is None in the
-        pseudo-authorized-leakage variant."""
-        raise NotImplementedError
+        return the state for phase 2."""
 
-    def phase2(self, state, view: PtView, oracle, rng) -> FeatureElement:
-        """Receive the leaked view, return the feature-element guess."""
-        raise NotImplementedError
-
-    def phase1_batch(self, params, leak, tau, oracle, rng):
-        states = {}
-
-        def play(j, one, _):
-            states[one.row] = self.phase1(params, leak, tau, one, rng)
-
-        _each_trial(oracle, play)
-        return params, states
-
-    def phase2_batch(self, state, view, oracle, rng) -> np.ndarray:
-        params, states = state
-        guesses = np.zeros(oracle.trials, dtype=np.uint64)
-
-        def play(j, one, trial_state):
-            guess = self.phase2(trial_state, _trial_view(params.scheme, view, j),
-                                one, rng)
-            guesses[j] = _packed(params.population.n, guess, "guess")
-
-        _each_trial(oracle, play, states)
-        return guesses
+    @abstractmethod
+    def phase2_batch(self, state, view: PtView, oracle, rng) -> np.ndarray:
+        """Receive the leaked views, return the packed guesses."""
 
 
-class UnlinkAdversary(_Adversary):
+class UnlinkAdversary(ABC):
     """Two-stage distinguishing adversary for the unlinkability game.
 
-    The scalar pair: `phase1(params, leak, oracle, rng)` returns (x, x0,
-    x1, state), and the challenger encodes x and x_b;
-    `phase2(state, view, view_prime, oracle, rng)` returns the guessed
-    bit.  The batch pair: `phase1_batch(params, leak, oracle, rng)` returns
-    packed (x, x0, x1) arrays and a state, and `phase2_batch(state, view,
-    view_prime, oracle, rng)` one bit per trial.  See `IrrAdversary` for
-    the two pairs and the default batch pair.
+    `phase1_batch(params, leak, oracle, rng)` returns packed (x, x0, x1)
+    arrays and a state, and the challenger encodes x and x_b;
+    `phase2_batch(state, view, view_prime, oracle, rng)` returns one bit
+    per trial.  See `IrrAdversary` for the oracle and the views.
     """
 
     name = "unlink-adversary"
 
-    def phase1(self, params: GameParams, leak: LeakSet, oracle, rng):
+    @abstractmethod
+    def phase1_batch(self, params: GameParams, leak: LeakSet, oracle, rng):
         """Return (x, x0, x1, state); the challenger encodes x and x_b."""
-        raise NotImplementedError
 
-    def phase2(self, state, view: PtView, view_prime: PtView, oracle, rng) -> int:
-        """Return the guessed bit."""
-        raise NotImplementedError
-
-    def phase1_batch(self, params, leak, oracle, rng):
-        n = params.population.n
-        xs = np.zeros((3, oracle.trials), dtype=np.uint64)
-        states = {}
-
-        def play(j, one, _):
-            *features, states[one.row] = self.phase1(params, leak, one, rng)
-            xs[:, j] = [_packed(n, x, "challenge feature") for x in features]
-
-        _each_trial(oracle, play)
-        return (*xs, (params, states))
-
-    def phase2_batch(self, state, view, view_prime, oracle, rng) -> np.ndarray:
-        params, states = state
-        bits = np.zeros(oracle.trials, dtype=np.int64)
-
-        def play(j, one, trial_state):
-            bit = self.phase2(trial_state, _trial_view(params.scheme, view, j),
-                              _trial_view(params.scheme, view_prime, j), one,
-                              rng)
-            if bit not in (0, 1):
-                raise ProtocolError(f"guess must be 0 or 1, got {bit!r}")
-            bits[j] = bit
-
-        _each_trial(oracle, play, states)
-        return bits
+    @abstractmethod
+    def phase2_batch(self, state, view: PtView, view_prime: PtView, oracle,
+                     rng) -> np.ndarray:
+        """Return the guessed bits."""
 
 
-def _each_trial(oracle, play, states=None):
-    """Call `play(j, trial_oracle, state)` on each trial j of a chunk.
-
-    `states` holds each trial's phase-1 state by trial row; a trial cut in
-    phase 1 has none and is skipped.  A play that exhausts the budget ends
-    there: the trial's oracle has cut it.
-    """
-    for j, row in enumerate(oracle.rows):
-        if states is not None and row not in states:
-            continue
-        try:
-            play(j, oracle.trial(j), None if states is None else states[row])
-        except BudgetExceededError:
-            pass
+def _integers(answers, what) -> np.ndarray:
+    """An adversary's answers as an array, refused unless of an integer
+    dtype."""
+    answers = np.asarray(answers)
+    if answers.dtype.kind not in "iu":
+        raise ProtocolError(f"{what} must be integers, got an array of "
+                            f"{answers.dtype}")
+    return answers
 
 
-def _trial_view(scheme, view: PtView, j) -> PtView:
-    """Trial j of a chunk's coded view, as the scheme's template objects.
-    A hidden field is decoded from code 0, then dropped."""
-    pt = scheme.template_of_codes(view.pi[j] if view.has_pi else 0,
-                                  view.alpha[j] if view.has_ad else 0)
-    return leak_view(pt, LeakSet(view.has_pi, view.has_ad))
-
-
-def _packed(n, x, what) -> int:
-    if not isinstance(x, FeatureElement) or x.n != n:
-        raise ProtocolError(f"the {what} must be a {n}-bit FeatureElement, "
-                            f"got {x!r}")
-    return x.value
+def _packed(features, m: int, n: int, what) -> np.ndarray:
+    """An adversary's features as m packed n-bit uint64 values, refused
+    unless they are integers of that shape and width."""
+    features = _integers(features, what).astype(np.uint64)
+    if features.shape != (m,) or (features >> np.uint64(n)).any():
+        raise ProtocolError(f"need {m} packed {n}-bit {what}")
+    return features
 
 
 class GameResult(Record):
@@ -335,10 +246,8 @@ class _IrrSpec(_GameSpec):
         x = self.pop.sample_batch(users, rng_ch)
         pi, alpha = self.scheme.pie_batch(x, rng_ch)
         view = leak_view(ProtectedTemplate(pi, alpha), self.leak)
-        guess = np.asarray(self.adversary.phase2_batch(state, view, oracle2,
-                                                       rng_adv)).astype(np.uint64)
-        if guess.shape != (m,) or (guess >> np.uint64(n)).any():
-            raise ProtocolError(f"need {m} packed {n}-bit guesses")
+        guess = _packed(self.adversary.phase2_batch(state, view, oracle2,
+                                                    rng_adv), m, n, "guesses")
         rec = self._charges(oracle1, oracle2, challenger=1)
         flagged = rec["flagged"]
         rec["dist"] = np.where(flagged, -1, np.bitwise_count(x ^ guess)).astype(np.int64)
@@ -363,16 +272,18 @@ class _UnlinkSpec(_GameSpec):
     def run_range(self, lo, hi) -> dict:
         m = hi - lo
         rng_ch, rng_adv, (oracle1, oracle2) = self._chunk(lo, hi)
-        x, x0, x1, state = self.adversary.phase1_batch(
+        *features, state = self.adversary.phase1_batch(
             GameParams(self.scheme, self.pop), self.leak, oracle1, rng_adv)
+        x, x0, x1 = (_packed(f, m, self.pop.n, "challenge features")
+                     for f in features)
         b = (rng_ch.integers(2, size=m) if self.force_b is None
              else np.full(m, self.force_b))
         pis, alphas = self.scheme.pie_batch(
             np.stack([x, np.where(b == 0, x0, x1)], axis=1), rng_ch)
         view, view_prime = (leak_view(ProtectedTemplate(pis[:, j], alphas[:, j]),
                                       self.leak) for j in (0, 1))
-        b_prime = np.asarray(self.adversary.phase2_batch(
-            state, view, view_prime, oracle2, rng_adv))
+        b_prime = _integers(self.adversary.phase2_batch(
+            state, view, view_prime, oracle2, rng_adv), "guessed bits")
         rec = self._charges(oracle1, oracle2, challenger=0)
         flagged = rec["flagged"]
         if b_prime.shape != (m,):

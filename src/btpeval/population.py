@@ -3,13 +3,12 @@
 The feature space is the n-cube {0,1}^n with the Hamming distance (a
 semimetric: non-negative, zero exactly on equal points, symmetric).  Each
 user u owns a center template c_u; a fresh capture from u flips every bit
-of c_u independently with probability p.  `SamplingOracle` wraps the
-population behind a query-counted interface for one trial, so games can
-charge adversary queries against a budget; `BatchSamplingOracle` does the
-same for a chunk of trials at once, charging every query to its trial:
+of c_u independently with probability p.  `BatchSamplingOracle` wraps
+the population behind a query-counted interface for a chunk of trials, so
+games can charge adversary queries against a budget:
 `sample(trials, users)` charges trial `trials[i]` one query per user in
-row `users[i]`.  It keeps the only count: a scalar oracle is one
-trial's row of a chunk's oracle.
+row `users[i]`.  `SamplingOracle` is the one-trial oracle, the row of a
+chunk of one trial.
 
 A capture draws one uniform per word of up to `WORD_BITS` bits: the
 word's flip mask is read from an alias table of its Bernoulli(p)^w law
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, ConfigError, ContractError,
                      DimensionError)
-from .records import Record, SlotRecord
+from .records import Record
 from .rng import substream
 
 MAX_N = 64  # captures are packed into one uint64 word
@@ -37,30 +36,21 @@ def _check_dimension(n: int):
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
 
 
-class FeatureElement(SlotRecord):
+class FeatureElement(Record):
     """A packed bit vector in {0,1}^n.
 
     Bit i of `value` is coordinate i, so the bitstring rendering puts
     coordinate 0 leftmost: FeatureElement(7, 0b0000101) <-> "1010000".
     """
 
-    __slots__ = ("n", "value")
+    n: int
+    value: int
 
-    def __init__(self, n: int, value: int):
-        if n < 1:
-            raise ConfigError(f"feature dimension must be >= 1, got {n}")
-        if not 0 <= value < (1 << n):
-            raise ConfigError(f"value {value} out of range for {n} bits")
-        _set_n(self, n)
-        _set_value(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.value) == (other.n, other.value)
-
-    def __hash__(self):
-        return hash((self.n, self.value))
+    def _validate(self):
+        if self.n < 1:
+            raise ConfigError(f"feature dimension must be >= 1, got {self.n}")
+        if not 0 <= self.value < (1 << self.n):
+            raise ConfigError(f"value {self.value} out of range for {self.n} bits")
 
     @classmethod
     def from_bits(cls, bits) -> "FeatureElement":
@@ -83,9 +73,6 @@ class FeatureElement(SlotRecord):
 
     def __str__(self) -> str:
         return "".join(str((self.value >> i) & 1) for i in range(self.n))
-
-
-_set_n, _set_value = FeatureElement.n.__set__, FeatureElement.value.__set__
 
 
 def hamming_distance(a: FeatureElement, b: FeatureElement) -> int:
@@ -174,6 +161,12 @@ class Population(Record):
                                  dtype=np.uint64)
         center_values.flags.writeable = False
         object.__setattr__(self, "center_values", center_values)
+        # hashed once, for the caches keyed on a population; the fields
+        # hold no str, so the hash is the same in every process
+        object.__setattr__(self, "_hash", Record.__hash__(self))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_users(self) -> int:
@@ -288,24 +281,17 @@ class SamplingOracle:
     """Query-counted access to the population's capture distributions, for
     one trial.
 
-    The oracle is one row of a `BatchSamplingOracle`, which keeps the
-    count: `BatchSamplingOracle.trial(j)` gives the row of a chunk's trial,
-    and an oracle built directly is the row of a one-trial chunk of its
-    own.  `query_count` is monotone and never passes `query_budget`; the
-    query that would pass it is refused with `BudgetExceededError`, and
-    the trial is cut.
+    The oracle is row `row` of a `BatchSamplingOracle`, which keeps the
+    count; one built directly is the row of a one-trial chunk of its own.
+    `query_count` is monotone and never passes `query_budget`; the query
+    that would pass it is refused with `BudgetExceededError`, and the
+    trial is cut.
     """
 
     def __init__(self, population: Population, rng: np.random.Generator,
                  query_budget: int = 10**6):
         self._chunk = BatchSamplingOracle(population, rng, query_budget, 1)
         self.row = 0
-
-    @classmethod
-    def _of_row(cls, chunk: "BatchSamplingOracle", row: int) -> "SamplingOracle":
-        oracle = cls.__new__(cls)
-        oracle._chunk, oracle.row = chunk, row
-        return oracle
 
     @property
     def population(self) -> Population:
@@ -333,8 +319,7 @@ class BatchSamplingOracle:
     to the trial of its row.  A trial whose demand passes
     `query_budget` is `cut`, and its count stops at the budget, just as a
     per-trial oracle stops at the query it refuses.  `subset` gives an
-    oracle over some of the trials that charges this one, and `trial` the
-    scalar oracle of one of them.
+    oracle over some of the trials that charges this one.
     """
 
     def __init__(self, population: Population, rng: np.random.Generator,
@@ -369,10 +354,6 @@ class BatchSamplingOracle:
         sub = copy.copy(self)
         sub._index = self._index[sel]
         return sub
-
-    def trial(self, j: int) -> SamplingOracle:
-        """The scalar oracle of the j-th trial, charging row `rows[j]`."""
-        return SamplingOracle._of_row(self, int(self._index[j]))
 
     def _charge(self, row: int):
         """Charge one query to `row`, or refuse it and cut the trial."""

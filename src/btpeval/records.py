@@ -1,47 +1,14 @@
-"""The bases of the package's small value records, whose classes are built
+"""The base of the package's small value records, whose classes are built
 without generating code.
 
 A `Record` is declared as a frozen dataclass would be, by annotating its
 fields in the class body; its methods serve every record from the field
-names alone.  The records built in bulk (`FeatureElement`,
-`ProtectedTemplate`, `LeakSet`, `PtView`) are `SlotRecord`s instead,
-whose fields are their `__slots__` and which write out their own
-`__init__`, `__eq__` and `__hash__`.
+names alone.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-
-
-def _refuse_assignment(self, name, value=None):
-    """`__setattr__` and `__delattr__` of a frozen record."""
-    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or "
-                         f"delete {name!r}")
-
-
-def _repr(self, names) -> str:
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
-    return f"{type(self).__qualname__}({shown})"
-
-
-class SlotRecord:
-    """A frozen record of the fields its `__slots__` name.
-
-    A subclass's `__init__` sets each slot through the slot's own setter
-    (`Class.field.__set__`), since assignment raises `AttributeError`; its
-    `__eq__` and `__hash__` compare the tuple of its fields.  A slot record
-    pickles as a call of its class on its fields.
-    """
-
-    __slots__ = ()
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __repr__(self) -> str:
-        return _repr(self, self.__slots__)
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Record:
@@ -92,7 +59,11 @@ class Record:
         return type(self)(**{**{name: getattr(self, name) for name in self._fields},
                              **changes})
 
-    __setattr__ = __delattr__ = _refuse_assignment
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or "
+                             f"delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -103,4 +74,6 @@ class Record:
         return hash(self._key(self.__dict__))
 
     def __repr__(self) -> str:
-        return _repr(self, self._fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .population import FeatureElement
-from .records import Record, SlotRecord
+from .records import Record
 
 
 class _RejectId:
@@ -66,46 +66,22 @@ REJECT = _RejectId()
 REJECT_CODE = np.uint64(np.iinfo(np.uint64).max)
 
 
-class ProtectedTemplate(SlotRecord):
+class ProtectedTemplate(Record):
     """The stored pair: reference identifier `pi` and auxiliary data `alpha`."""
 
-    __slots__ = ("pi", "alpha")
-
-    def __init__(self, pi, alpha):
-        _set_pt_pi(self, pi)
-        _set_pt_alpha(self, alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pi, self.alpha) == (other.pi, other.alpha)
-
-    def __hash__(self):
-        return hash((self.pi, self.alpha))
+    pi: object
+    alpha: object
 
 
-_set_pt_pi, _set_pt_alpha = (ProtectedTemplate.pi.__set__,
-                             ProtectedTemplate.alpha.__set__)
-
-
-class LeakSet(SlotRecord):
+class LeakSet(Record):
     """Nonempty subset of {PI, AD}: which template parts the adversary sees."""
 
-    __slots__ = ("pi", "ad")
+    pi: bool
+    ad: bool
 
-    def __init__(self, pi: bool, ad: bool):
-        if not (pi or ad):
+    def _validate(self):
+        if not (self.pi or self.ad):
             raise ContractError("leak set must be nonempty")
-        _set_leak_pi(self, pi)
-        _set_leak_ad(self, ad)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pi, self.ad) == (other.pi, other.ad)
-
-    def __hash__(self):
-        return hash((self.pi, self.ad))
 
     @classmethod
     def parse(cls, s: str) -> "LeakSet":
@@ -119,40 +95,22 @@ class LeakSet(SlotRecord):
         return "+".join(p for p, on in (("pi", self.pi), ("ad", self.ad)) if on)
 
 
-_set_leak_pi, _set_leak_ad = LeakSet.pi.__set__, LeakSet.ad.__set__
-
 LEAK_PI = LeakSet(pi=True, ad=False)
 LEAK_AD = LeakSet(pi=False, ad=True)
 LEAK_BOTH = LeakSet(pi=True, ad=True)
 
 
-class PtView(SlotRecord):
+class PtView(Record):
     """What the adversary actually receives: the leaked template fields."""
 
-    __slots__ = ("pi", "alpha", "has_pi", "has_ad")
+    pi: object = None
+    alpha: object = None
+    has_pi: bool = False
+    has_ad: bool = False
 
-    def __init__(self, pi=None, alpha=None, has_pi: bool = False,
-                 has_ad: bool = False):
-        if not (has_pi or has_ad):
+    def _validate(self):
+        if not (self.has_pi or self.has_ad):
             raise ContractError("view must carry at least one field")
-        _set_view_pi(self, pi)
-        _set_view_alpha(self, alpha)
-        _set_view_has_pi(self, has_pi)
-        _set_view_has_ad(self, has_ad)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.pi, self.alpha, self.has_pi, self.has_ad)
-                == (other.pi, other.alpha, other.has_pi, other.has_ad))
-
-    def __hash__(self):
-        return hash((self.pi, self.alpha, self.has_pi, self.has_ad))
-
-
-_set_view_pi, _set_view_alpha, _set_view_has_pi, _set_view_has_ad = (
-    PtView.pi.__set__, PtView.alpha.__set__, PtView.has_pi.__set__,
-    PtView.has_ad.__set__)
 
 
 class MatchLaw(Record):

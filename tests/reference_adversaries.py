@@ -2,7 +2,7 @@
 
 The built-ins play a chunk of trials in array operations.  Each twin
 plays the same strategy one trial at a time with scalar phases, which the
-games run through the adversary base class, trial by trial.  The tests
+per-trial driver of `reference_trials` runs trial by trial.  The tests
 hold the built-ins' batch phases against these twins and the exact
 oracles.  `UniqueSampler` is a batch reference: the sampler scored by the
 closed form over a chunk's distinct candidates, as it was before it read
@@ -23,14 +23,14 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
 )
 from btpeval.errors import ContractError
-from btpeval.games import IrrAdversary, UnlinkAdversary
-from btpeval.population import hamming_distance
+from btpeval.population import FeatureElement, hamming_distance
 from btpeval.schemes import LEAK_BOTH
 from reference_exact import closed_form_mr
 from reference_population import neighborhood_overlap
+from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 
 
-class PalSampler(IrrAdversary):
+class PalSampler(TrialIrrAdversary):
     """Resample random users' captures until the comparator accepts one
     against the leaked template, up to n_delta rounds."""
 
@@ -54,7 +54,7 @@ class PalSampler(IrrAdversary):
         return x_prime
 
 
-class Blind(IrrAdversary):
+class Blind(TrialIrrAdversary):
     """Always answers a fixed feature."""
 
     name = "blind"
@@ -69,7 +69,27 @@ class Blind(IrrAdversary):
         return self.guess
 
 
-class Sampler(IrrAdversary):
+class ReadView(TrialIrrAdversary):
+    """Returns one leaked field verbatim as the guess."""
+
+    def __init__(self, which):
+        self.which = which
+        self.name = f"read-{which}"
+
+    def phase1(self, params, leak, tau, oracle, rng):
+        part = "pi" if self.which == "pi" else "ad"
+        if not getattr(leak, part):
+            raise ContractError(f"{self.name} needs {part} in lambda, got {leak}")
+        return None
+
+    def phase2(self, state, view, oracle, rng):
+        value = view.pi if self.which == "pi" else view.alpha
+        if not isinstance(value, FeatureElement):
+            raise ContractError(f"leaked {self.which} is not a feature element")
+        return value
+
+
+class Sampler(TrialIrrAdversary):
     """Answers the first of `num_queries` random captures with the highest
     exact match rate at the game threshold, or in the acceptance game at
     the comparator's radius (0 for a scheme without one)."""
@@ -134,7 +154,7 @@ def _match_test_decision(scheme, view_prime, x0, x1, rng) -> int:
     return int(rng.integers(2))
 
 
-class MatchTest(UnlinkAdversary):
+class MatchTest(TrialUnlinkAdversary):
     name = "match-test"
 
     def phase1(self, params, leak, oracle, rng):
@@ -148,7 +168,7 @@ class MatchTest(UnlinkAdversary):
         return _match_test_decision(params.scheme, view_prime, x0, x1, rng)
 
 
-class Coin(UnlinkAdversary):
+class Coin(TrialUnlinkAdversary):
     name = "coin"
 
     def phase1(self, params, leak, oracle, rng):
@@ -172,7 +192,7 @@ RULES = {
 }
 
 
-class CrossComparator(UnlinkAdversary):
+class CrossComparator(TrialUnlinkAdversary):
     """Samples one user twice (x and x0) and a distinct one once (x1),
     then applies a decision rule."""
 
@@ -193,7 +213,7 @@ class CrossComparator(UnlinkAdversary):
         return RULES[self.rule](params, x0, x1, view_prime, rng)
 
 
-class Reduction(UnlinkAdversary):
+class Reduction(TrialUnlinkAdversary):
     """Asks the inner inverter for the second template when the challenge
     balls are apart and votes for the feature its guess lands near."""
 
@@ -221,11 +241,10 @@ class Reduction(UnlinkAdversary):
 
 def scalar_twin(adversary):
     """The scalar reference twin of a built-in adversary."""
-    if isinstance(adversary, ReadViewAdversary):
-        return adversary
     if isinstance(adversary, ReductionUnlinkAdversary):
         return Reduction(scalar_twin(adversary.inner), adversary.tau)
     twins = {
+        ReadViewAdversary: lambda a: ReadView(a.which),
         PalSamplerAdversary: lambda a: PalSampler(a.cfg),
         BlindArgmaxAdversary: lambda a: Blind(a.guess),
         SamplerIrrAdversary: lambda a: Sampler(a.num_queries),

@@ -1,0 +1,142 @@
+"""A per-trial driver: adversaries written trial by trial, played by the
+batch engine.
+
+The games call an adversary's batch pair of phases only.
+`TrialIrrAdversary` and `TrialUnlinkAdversary` implement it by running a
+scalar pair on each trial of the chunk in turn, on the chunk's streams,
+which is how the reference twins in `reference_adversaries` and the
+scalar fixtures of the game tests play.
+
+The scalar inversion pair: `phase1(params, leak, tau, oracle, rng)`
+returns the state for `phase2(state, view, oracle, rng)`, which returns
+the guessed `FeatureElement`.  The scalar unlink pair: `phase1(params,
+leak, oracle, rng)` returns (x, x0, x1, state) and `phase2(state, view,
+view_prime, oracle, rng)` the guessed bit.  The oracle is the trial's
+`SamplingOracle`, which charges the trial's row of the chunk's oracle, and
+a view holds the scheme's template objects.  A trial whose oracle refuses
+a query is cut there; a trial cut in phase 1 gets no phase 2.
+"""
+
+from abc import abstractmethod
+
+import numpy as np
+
+from btpeval.errors import BudgetExceededError, ProtocolError
+from btpeval.games import IrrAdversary, UnlinkAdversary
+from btpeval.population import FeatureElement, SamplingOracle
+from btpeval.schemes import LeakSet, leak_view
+
+
+class TrialOracle(SamplingOracle):
+    """The scalar oracle of row `row` of a chunk's `BatchSamplingOracle`."""
+
+    def __init__(self, chunk, row: int):
+        self._chunk, self.row = chunk, row
+
+
+def _each_trial(oracle, play, states=None):
+    """Call `play(j, trial_oracle, state)` on each trial j of a chunk.
+
+    `states` holds each trial's phase-1 state by trial row; a trial cut in
+    phase 1 has none and is skipped.  A play that exhausts the budget ends
+    there: the trial's oracle has cut it.
+    """
+    for j, row in enumerate(oracle.rows.tolist()):
+        if states is not None and row not in states:
+            continue
+        try:
+            play(j, TrialOracle(oracle, row),
+                 None if states is None else states[row])
+        except BudgetExceededError:
+            pass
+
+
+def _trial_views(scheme, view):
+    """`view(j)`: trial j of a chunk's coded view, as the scheme's template
+    objects.  A hidden field is decoded from code 0, then dropped."""
+    leak = LeakSet(view.has_pi, view.has_ad)
+
+    def trial(j):
+        pt = scheme.template_of_codes(view.pi[j] if view.has_pi else 0,
+                                      view.alpha[j] if view.has_ad else 0)
+        return leak_view(pt, leak)
+    return trial
+
+
+def _packed(n, x, what) -> int:
+    if not isinstance(x, FeatureElement) or x.n != n:
+        raise ProtocolError(f"the {what} must be a {n}-bit FeatureElement, "
+                            f"got {x!r}")
+    return x.value
+
+
+class TrialIrrAdversary(IrrAdversary):
+    """An inversion adversary written as a scalar pair of phases."""
+
+    @abstractmethod
+    def phase1(self, params, leak, tau, oracle, rng):
+        """The state for phase 2 of one trial."""
+
+    @abstractmethod
+    def phase2(self, state, view, oracle, rng) -> FeatureElement:
+        """The guess of one trial."""
+
+    def phase1_batch(self, params, leak, tau, oracle, rng):
+        states = {}
+
+        def play(j, one, _):
+            states[one.row] = self.phase1(params, leak, tau, one, rng)
+
+        _each_trial(oracle, play)
+        return params, states
+
+    def phase2_batch(self, state, view, oracle, rng) -> np.ndarray:
+        params, states = state
+        guesses = np.zeros(oracle.trials, dtype=np.uint64)
+        trial_view = _trial_views(params.scheme, view)
+
+        def play(j, one, trial_state):
+            guess = self.phase2(trial_state, trial_view(j), one, rng)
+            guesses[j] = _packed(params.population.n, guess, "guess")
+
+        _each_trial(oracle, play, states)
+        return guesses
+
+
+class TrialUnlinkAdversary(UnlinkAdversary):
+    """A distinguishing adversary written as a scalar pair of phases."""
+
+    @abstractmethod
+    def phase1(self, params, leak, oracle, rng):
+        """(x, x0, x1, state) of one trial."""
+
+    @abstractmethod
+    def phase2(self, state, view, view_prime, oracle, rng) -> int:
+        """The guessed bit of one trial."""
+
+    def phase1_batch(self, params, leak, oracle, rng):
+        n = params.population.n
+        xs = np.zeros((3, oracle.trials), dtype=np.uint64)
+        states = {}
+
+        def play(j, one, _):
+            *features, states[one.row] = self.phase1(params, leak, one, rng)
+            xs[:, j] = [_packed(n, x, "challenge feature") for x in features]
+
+        _each_trial(oracle, play)
+        return (*xs, (params, states))
+
+    def phase2_batch(self, state, view, view_prime, oracle, rng) -> np.ndarray:
+        params, states = state
+        bits = np.zeros(oracle.trials, dtype=np.int64)
+        views = _trial_views(params.scheme, view)
+        views_prime = _trial_views(params.scheme, view_prime)
+
+        def play(j, one, trial_state):
+            bit = self.phase2(trial_state, views(j), views_prime(j), one, rng)
+            if bit not in (0, 1):
+                raise ProtocolError(f"guess must be 0 or 1, got {bit!r}")
+            bits[j] = bit
+
+        _each_trial(oracle, play, states)
+        return bits

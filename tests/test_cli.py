@@ -252,6 +252,15 @@ class TestAdversaryFactory:
             assert f"{message}, got {leak}" in err
 
     @pytest.mark.parametrize("game", ["al-irr", "pal-irr", "unlink"])
+    def test_every_name_builds_the_game_kind(self, fc_scheme, default_pop,
+                                             game):
+        kind = games.UnlinkAdversary if game == "unlink" else games.IrrAdversary
+        for name in adversary_names(game):
+            adversary = build_adversary(name, game, fc_scheme, default_pop,
+                                        RunSettings(), LeakSet.parse("pi+ad"))
+            assert isinstance(adversary, kind), name
+
+    @pytest.mark.parametrize("game", ["al-irr", "pal-irr", "unlink"])
     def test_unknown_name_lists_the_names(self, capsys, game):
         code, _, err = run_cli(["game", game, "--adversary", "oracle",
                                 "--trials", "20"], capsys)

@@ -22,7 +22,7 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
     build_adversary,
 )
-from btpeval.errors import ConfigError, ProtocolError
+from btpeval.errors import ConfigError, ContractError, ProtocolError
 from btpeval.games import (
     GameParams,
     IrrAdversary,
@@ -53,16 +53,17 @@ from btpeval.schemes import (
 from reference_adversaries import scalar_twin
 from reference_exact import sampler_al_irr_win_rate
 from reference_results import half_width
+from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 from toy_schemes import LotteryScheme
 
 
 def engines(adversary):
-    """A built-in adversary and its scalar twin, which the games play
-    trial by trial."""
+    """A built-in adversary and its scalar twin, which the per-trial
+    driver plays trial by trial."""
     return {"batch": adversary, "scalar": scalar_twin(adversary)}
 
 
-class GreedySampler(IrrAdversary):
+class GreedySampler(TrialIrrAdversary):
     """Queries past any budget; used to exercise the abort path."""
 
     name = "greedy"
@@ -75,7 +76,7 @@ class GreedySampler(IrrAdversary):
             oracle.sample(0)
 
 
-class BadBitAdversary(UnlinkAdversary):
+class BadBitAdversary(TrialUnlinkAdversary):
     name = "bad-bit"
 
     def phase1(self, params, leak, oracle, rng):
@@ -86,7 +87,7 @@ class BadBitAdversary(UnlinkAdversary):
         return 2
 
 
-class ThriftyIrr(IrrAdversary):
+class ThriftyIrr(TrialIrrAdversary):
     """Asks for 0-3 captures in each phase, so a budget of 2 cuts some
     trials before the challenge, some after it, and leaves the rest."""
 
@@ -103,7 +104,7 @@ class ThriftyIrr(IrrAdversary):
         return guess
 
 
-class ThriftyUnlink(UnlinkAdversary):
+class ThriftyUnlink(TrialUnlinkAdversary):
     """Asks for 3-5 captures in phase 1 and 0-5 in phase 2: a budget of 4
     cuts trials in either phase."""
 
@@ -126,7 +127,7 @@ def transcripts_digest(result):
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
 
-class UnrotateAdversary(UnlinkAdversary):
+class UnrotateAdversary(TrialUnlinkAdversary):
     """Rotation-specific distinguisher: invert the leaked template and
     compare with the submitted features."""
 
@@ -217,28 +218,53 @@ class TestProtocolFidelity:
             run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadBitAdversary(),
                             RunSettings(trials=3, seed=0))
 
-    def test_batch_guess_bit_checked(self, fc_scheme, default_pop):
+    @pytest.mark.parametrize("answer", [
+        lambda m: np.full(m, 2), lambda m: np.full(m, 1.0), lambda m: None,
+        lambda m: np.array([FeatureElement(7, 1)] * m)],
+        ids=["two", "float", "none", "feature-elements"])
+    def test_batch_guess_bit_checked(self, fc_scheme, default_pop, answer):
         class BadBatchBit(CoinFlipUnlinkAdversary):
             def phase2_batch(self, state, view, view_prime, oracle, rng):
-                return np.full(oracle.trials, 2)
+                return answer(oracle.trials)
 
         with pytest.raises(ProtocolError):
             run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadBatchBit(),
                             RunSettings(trials=3, seed=0))
 
-    def test_batch_guess_checked(self, fc_scheme, default_pop):
-        class WideGuess(SamplerIrrAdversary):
+    @pytest.mark.parametrize("feature", [
+        lambda m: np.full(m, 1 << 7), lambda m: np.full(m, -1),
+        lambda m: np.full(m, 3.7), lambda m: None,
+        lambda m: np.zeros(m + 1, dtype=np.uint64)],
+        ids=["wide", "negative", "float", "none", "long"])
+    def test_batch_challenge_features_checked(self, fc_scheme, default_pop,
+                                              feature):
+        class BadFeature(CoinFlipUnlinkAdversary):
+            def phase1_batch(self, params, leak, oracle, rng):
+                x, x0, x1, state = super().phase1_batch(params, leak, oracle,
+                                                        rng)
+                return x, feature(oracle.trials), x1, state
+
+        with pytest.raises(ProtocolError, match="challenge features"):
+            run_unlink_game(fc_scheme, default_pop, LEAK_BOTH, BadFeature(),
+                            RunSettings(trials=3, seed=0))
+
+    @pytest.mark.parametrize("guess", [
+        lambda m: np.full(m, 1 << 7), lambda m: np.full(m, 3.7),
+        lambda m: None, lambda m: np.array([FeatureElement(7, 1)] * m)],
+        ids=["wide", "float", "none", "feature-elements"])
+    def test_batch_guess_checked(self, fc_scheme, default_pop, guess):
+        class BadGuess(SamplerIrrAdversary):
             def phase2_batch(self, state, view, oracle, rng):
-                return np.full(oracle.trials, 1 << 7)
+                return guess(oracle.trials)
 
         with pytest.raises(ProtocolError):
-            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, WideGuess(),
+            run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, BadGuess(),
                             RunSettings(trials=3, seed=0))
 
     @pytest.mark.parametrize("guess", [FeatureElement(6, 0), 5, None])
     def test_scalar_guess_must_be_a_feature_element(self, fc_scheme,
                                                     default_pop, guess):
-        class BadGuess(IrrAdversary):
+        class BadGuess(TrialIrrAdversary):
             def phase1(self, params, leak, tau, oracle, rng):
                 return None
 
@@ -252,7 +278,7 @@ class TestProtocolFidelity:
     def test_scalar_inner_keeps_its_trial_state(self, fc_scheme, default_pop):
         # the reduction hands its inner adversary only the trials whose
         # balls are apart; each must get the state its own phase 1 made
-        class RowChecker(IrrAdversary):
+        class RowChecker(TrialIrrAdversary):
             def phase1(self, params, leak, tau, oracle, rng):
                 return oracle.row
 
@@ -266,21 +292,24 @@ class TestProtocolFidelity:
         assert result.flagged == 0
 
     def test_adversary_needs_a_phase_pair(self):
-        class NoPhases(IrrAdversary):
-            pass
-
-        class HalfPairs(UnlinkAdversary):
-            def phase1(self, params, leak, oracle, rng):
+        class ScalarOnly(IrrAdversary):
+            def phase1(self, params, leak, tau, oracle, rng):
                 return None
 
-            def phase2_batch(self, state, view, view_prime, oracle, rng):
+            def phase2(self, state, view, oracle, rng):
+                return FeatureElement(7, 0)
+
+        class HalfPair(UnlinkAdversary):
+            def phase1_batch(self, params, leak, oracle, rng):
                 return None
 
-        for cls in (NoPhases, HalfPairs):
-            with pytest.raises(TypeError):
+        for cls, missing in ((ScalarOnly, ["phase1_batch", "phase2_batch"]),
+                             (HalfPair, ["phase2_batch"])):
+            with pytest.raises(TypeError, match="abstract") as refused:
                 cls()
-        ReadViewAdversary("pi")         # the scalar pair is enough
-        SamplerIrrAdversary(4)       # and so is the batch pair
+            assert [name for name in ("phase1_batch", "phase2_batch")
+                    if name in str(refused.value)] == missing
+        SamplerIrrAdversary(4)          # the batch pair is enough
 
 
 class TestBudgets:
@@ -808,6 +837,32 @@ class TestEngineDifferential:
                                     settings, LEAK_BOTH)
         self._hits(self._play(lambda adv: run_unlink_game(
             scheme, default_pop, LEAK_BOTH, adv, settings), adversary), 0.5)
+
+    @pytest.mark.parametrize("which, leak", [
+        ("pi", LEAK_PI), ("pi", LEAK_BOTH), ("alpha", LEAK_AD),
+        ("alpha", LEAK_BOTH)], ids=["pi-pi", "pi-both", "alpha-ad",
+                                    "alpha-both"])
+    def test_view_reader(self, default_pop, scheme_name, which, leak):
+        # the same wins and transcripts as the twin, or the same refusal
+        # where the scheme's field is not a feature element
+        scheme = build_scheme(SCHEMES[scheme_name], 7)
+        settings = RunSettings(trials=self.TRIALS, seed=63)
+        runs = (lambda adv: run_al_irr_game(scheme, default_pop, leak, 1, adv,
+                                            settings, record_transcripts=True),
+                lambda adv: run_pal_irr_game(scheme, default_pop, leak, adv,
+                                             settings, record_transcripts=True))
+        readable = (scheme_name, which) in {("plain", "pi"), ("rot", "pi"),
+                                            ("fc", "alpha")}
+        for run in runs:
+            if readable:
+                batch, scalar = self._play(run, ReadViewAdversary(which)).values()
+                assert (batch.wins, transcripts_digest(batch)) == (
+                    scalar.wins, transcripts_digest(scalar))
+                continue
+            for adv in engines(ReadViewAdversary(which)).values():
+                with pytest.raises(ContractError, match=f"^leaked {which} is "
+                                   "not a feature element$"):
+                    run(adv)
 
     def _two_sample(self, results):
         """No closed form: the two win rates agree within a 99% two-sample

@@ -1,5 +1,6 @@
 """Static checks of the source tree: no module imports a name it never
-uses, and the package defines nothing that only the tests read.
+uses, the package defines nothing that only the tests read, and no class
+of the package defines a scalar adversary phase.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -100,3 +101,26 @@ def test_package_defines_nothing_only_the_tests_read():
                for tree in ("demos", "bench")
                for path in sorted((ROOT / tree).glob("*.py"))]
     assert unread_definitions(package, readers) == []
+
+
+def scalar_phases(source: str) -> list:
+    """(class, method) of each `phase1` or `phase2` a class body defines."""
+    return [(node.name, item.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name in ("phase1", "phase2")]
+
+
+def test_check_sees_a_scalar_phase():
+    assert scalar_phases("class A:\n    def phase1_batch(self):\n        pass\n\n"
+                         "    def phase2(self):\n        pass\n\n\n"
+                         "def phase1():\n    pass\n") == [("A", "phase2")]
+
+
+def test_package_defines_no_scalar_phase():
+    """An adversary implements the batch pair of phases alone; a per-trial
+    driver for phases written trial by trial belongs in `tests/`."""
+    assert [(path.name, *found)
+            for path in sorted((ROOT / "src/btpeval").glob("*.py"))
+            for found in scalar_phases(path.read_text(encoding="utf-8"))] == []

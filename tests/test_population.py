@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btpeval import cli
 from btpeval.errors import BudgetExceededError, ConfigError, DimensionError
 from btpeval.population import (
     WORD_BITS,
@@ -131,6 +132,19 @@ class TestGeneratePopulation:
         centers = (FeatureElement(70, 1 << 69), FeatureElement(70, 3))
         with pytest.raises(ConfigError, match="64"):
             Population(n=70, flip_prob=0.03, seed=0, centers=centers)
+
+    def test_default_verify_hashes_the_centers_once_per_population(
+            self, monkeypatch, capsys):
+        # the caches keyed on a population read the hash it made once
+        hashed, built = [], []
+        fe_hash, validate = FeatureElement.__hash__, Population._validate
+        monkeypatch.setattr(FeatureElement, "__hash__",
+                            lambda x: hashed.append(x) or fe_hash(x))
+        monkeypatch.setattr(Population, "_validate",
+                            lambda pop: built.append(pop) or validate(pop))
+        assert cli.main(["verify", "--theorem", "all"]) == 0
+        assert len(built) == 1
+        assert hashed == list(built[0].centers)
 
     def test_config_user_count_mismatch(self):
         pop = generate_population(7, 4, 0.03, seed=1)
