@@ -7,6 +7,8 @@ protection scheme turns a capture into a template (pi, alpha) and decides
 matches from (pi, PIR(alpha, fresh capture)).
 """
 
+import numpy as np
+
 from btpeval import metrics
 from btpeval.population import FeatureElement, generate_population, hamming_distance
 from btpeval.rng import substream
@@ -24,39 +26,50 @@ print(f"probability of re-drawing the center exactly: "
       f"{pop.feature_probability(u, pop.center(u)):.6f}")
 
 # -- fuzzy commitment -------------------------------------------------------
+# A scheme works on packed captures and integer codes: fc's pi is the index
+# of the random codeword w (standing for H(w)), alpha the packed x XOR w.
 fc = build_scheme({"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}}, 7)
-pt = fc.pie(capture, rng)
+pi, alpha = fc.pie_batch(np.uint64(capture.value), rng)
 print("\nfuzzy commitment:")
-print("  pi (digest):", pt.pi.hex())
-print("  alpha      :", pt.alpha)
+print("  pi (codeword index):", pi)
+print("  alpha               :", FeatureElement(7, int(alpha)))
+
+
+def matches(scheme, pi, alpha, probe):
+    return bool(scheme.pic_batch(pi, scheme.pir_batch(alpha, np.uint64(probe.value))))
+
+
 probe_near = FeatureElement(7, capture.value ^ 0b1)      # distance 1
 probe_far = FeatureElement(7, capture.value ^ 0b111)     # distance 3
 print("  probe at distance 1 ->",
-      "match" if fc.pic(pt.pi, fc.pir(pt.alpha, probe_near)) else "non-match")
+      "match" if matches(fc, pi, alpha, probe_near) else "non-match")
 print("  probe at distance 3 ->",
-      "match" if fc.pic(pt.pi, fc.pir(pt.alpha, probe_far)) else "non-match")
+      "match" if matches(fc, pi, alpha, probe_far) else "non-match")
 
 # The code-offset law: acceptance depends only on the probe's distance to
-# the enrolled feature, never on which codeword was drawn.
-law_holds = all(
-    fc.pic(p.pi, fc.pir(p.alpha, probe)) == (hamming_distance(capture, probe) <= 1)
-    for _, p in fc.pie_support(capture)
-    for probe in (FeatureElement(7, v) for v in range(128))
-)
+# the enrolled feature, never on which codeword was drawn.  The support
+# lists every (probability, pi, alpha) outcome of pie; one array call
+# decides every codeword against every probe.
+_, pis, alphas = fc.pie_support_batch(np.uint64(capture.value))
+probes = np.arange(128, dtype=np.uint64)
+accepted = fc.pic_batch(pis[:, None], fc.pir_batch(alphas[:, None], probes))
+law_holds = bool((accepted == (np.bitwise_count(probes ^ np.uint64(capture.value))
+                               <= 1)).all())
 print("  match <=> distance <= 1, over every codeword and probe:", law_holds)
 
 # -- cancelable rotation ----------------------------------------------------
 rot = RotationScheme(7, tau=1)
-pt = rot.pie(capture, rng)
+pi, alpha = rot.pie_batch(np.uint64(capture.value), rng)
+rotated = FeatureElement(7, int(pi))
 print("\nrotation:")
-print(f"  pi {pt.pi}  alpha (offset) {pt.alpha}")
+print(f"  pi {rotated}  alpha (offset) {alpha}")
 print("  un-rotating the template recovers the capture:",
-      pt.pi.rotate(-pt.alpha) == capture)
+      rotated.rotate(-int(alpha)) == capture)
 
 # -- plaintext --------------------------------------------------------------
 plain = PlaintextScheme(7, tau=1)
-pt = plain.pie(capture, rng)
-print("\nplaintext baseline: pi IS the capture ->", pt.pi == capture)
+pi, _ = plain.pie_batch(np.uint64(capture.value), rng)
+print("\nplaintext baseline: pi IS the capture ->", pi == capture.value)
 
 # -- raw comparator baselines ----------------------------------------------
 fnmr, fmr = metrics.est_baseline_rates(pop, 1, metrics.RunSettings(trials=20000, seed=2))

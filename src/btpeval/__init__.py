@@ -29,7 +29,6 @@ from .schemes import (
     LEAK_AD,
     LEAK_BOTH,
     LEAK_PI,
-    REJECT,
     BtpScheme,
     FuzzyCommitmentScheme,
     LeakSet,

@@ -169,8 +169,8 @@ class BlindArgmaxAdversary(IrrAdversary):
 
 
 class ReadViewAdversary(IrrAdversary):
-    """Returns one leaked field verbatim as the guess (only meaningful for
-    schemes whose template fields live in the feature space)."""
+    """Returns one leaked field verbatim as the guess: only a field the
+    scheme lists in `feature_fields`, whose codes are packed features."""
 
     def __init__(self, which: str):
         if which not in ("pi", "alpha"):
@@ -185,17 +185,9 @@ class ReadViewAdversary(IrrAdversary):
         return params.scheme
 
     def phase2_batch(self, state, view, oracle, rng):
-        """Each distinct code of the field is decoded once."""
-        codes, spread = np.unique(getattr(view, self.which), return_inverse=True)
-        guess = np.empty(len(codes), dtype=np.uint64)
-        for i, code in enumerate(codes):
-            pt = state.template_of_codes(*((code, 0) if self.which == "pi"
-                                           else (0, code)))
-            value = getattr(pt, self.which)
-            if not isinstance(value, FeatureElement):
-                raise ContractError(f"leaked {self.which} is not a feature element")
-            guess[i] = value.value
-        return guess[spread]
+        if self.which not in state.feature_fields:
+            raise ContractError(f"leaked {self.which} is not a feature element")
+        return getattr(view, self.which)
 
 
 class SamplerIrrAdversary(IrrAdversary):

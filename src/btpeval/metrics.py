@@ -137,6 +137,9 @@ def entropy_bits(rate: float) -> float:
 # run settings
 
 
+# The types a setting with an integer default, or a float one, may take
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 # The least value of each integer setting, checked in this order; a sample
 # variance needs two templates and two captures of each.
 _MINIMUMS = {"tau": 0, "trials": 1, "query_budget": 1, "sampler_queries": 1,
@@ -162,6 +165,12 @@ class RunSettings(Record):
     level: float = 0.95
 
     def _validate(self):
+        for key, default in self._defaults.items():
+            value, whole = getattr(self, key), type(default) is int
+            if isinstance(value, bool) or not isinstance(
+                    value, _INTEGERS if whole else _REALS):
+                kind = "an integer" if whole else "a number"
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
         for key, least in _MINIMUMS.items():
             if (value := getattr(self, key)) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")

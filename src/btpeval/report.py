@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import __version__
+from .errors import ConfigError
 
 REPORT_VERSION = 1
 
@@ -78,6 +79,9 @@ def write_report(report: dict, out_path: str | None, fmt: str = "json") -> None:
     text = report_json(report) if fmt == "json" else report_csv(report)
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write report {out_path}: {e}") from e

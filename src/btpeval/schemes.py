@@ -8,66 +8,45 @@ verification identifier -> match / non-match).
 
 Three reference schemes are provided:
 
-* fuzzy commitment over a linear code: pi is a 128-bit digest of a random
-  codeword w, alpha = x XOR w; verification decodes x' XOR alpha and
-  matches exactly when the probe lies within the decoding radius of the
-  enrolled feature.
+* fuzzy commitment over a linear code: pi is the index of a random
+  codeword w, which stands for H(w) (H a bijection of it), and
+  alpha = x XOR w; verification decodes x' XOR alpha and matches exactly
+  when the probe lies within the decoding radius of the enrolled feature.
 * cyclic rotation: a cancelable transform that is a Hamming isometry and
   is trivially invertible from the full template (a deliberately weak
   baseline for irreversibility experiments).
 * plaintext: stores the feature verbatim; the worst case.
 
-A scheme implements one integer-coded batch contract (`pie_batch`,
-`pir_batch`, `pic_batch`, `pie_support_batch`, `template_codes` and its
-inverse `template_of_codes`): captures are packed uint64 values,
-identifiers and auxiliary data are uint64 codes.  The scalar algorithms
-`pie`, `pir`, `pic` and `pie_support` are derived from it by the base
-class.  The three reference schemes implement the batch contract with
-array arithmetic.  They also declare a `match_law()`: their comparator
-decides on one Hamming distance, which the exact oracles turn into
-closed forms.
+A scheme implements the algorithms once, as an integer-coded batch
+contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`):
+captures are packed uint64 values, and pi, alpha and verification
+identifiers are uint64 codes.  The three reference schemes implement it
+with array arithmetic.  They also declare a `match_law()`: their
+comparator decides on one Hamming distance, which the exact oracles turn
+into closed forms.
 """
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError
 from .population import FeatureElement
 from .records import Record
 
 
-class _RejectId:
-    """Distinguished verification identifier for decode failure.
-
-    A singleton object outside every identifier space, so it can never
-    collide with a digest or a feature element.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "REJECT"
-
-
-REJECT = _RejectId()
-# Code of REJECT in schemes whose codes leave it free (fc); packed-feature
-# codes (rot, plain) span all of uint64 and those schemes never reject.
+# The identifier code of a failed decode (fc) and of every broken template;
+# packed-feature codes (rot, plain) span all of uint64 and never reject.
 REJECT_CODE = np.uint64(np.iinfo(np.uint64).max)
 
 
 class ProtectedTemplate(Record):
-    """The stored pair: reference identifier `pi` and auxiliary data `alpha`."""
+    """The stored pair: reference identifier `pi` and auxiliary data
+    `alpha`, as the scheme's codes (arrays of them for many templates)."""
 
     pi: object
     alpha: object
@@ -145,18 +124,6 @@ def leak_view(pt, leak: LeakSet) -> PtView:
         has_pi=leak.pi,
         has_ad=leak.ad,
     )
-
-
-def _int_to_bytes(value: int, n_bits: int) -> bytes:
-    return value.to_bytes((n_bits + 7) // 8, "little")
-
-
-DIGEST_BYTES = 16
-
-
-def blake128(data: bytes) -> bytes:
-    """The 128-bit digest of pseudonymous identifiers."""
-    return hashlib.blake2b(data, digest_size=DIGEST_BYTES).digest()
 
 
 class LinearCode(Record):
@@ -254,57 +221,21 @@ def _rotate(xs, r, n: int) -> np.ndarray:
 class BtpScheme(ABC):
     """Contract shared by all schemes; `pir` and `pic` are deterministic.
 
-    A subclass implements the integer-coded batch methods (the four
-    `*_batch` methods, `template_codes` and `template_of_codes`); the
-    scalar methods `pie`, `pir`, `pic` and `pie_support` are derived from
-    them.  Captures are packed uint64 arrays; pi, alpha and verification
-    identifiers are uint64 codes, and arguments broadcast like numpy
-    operands.
+    A subclass implements the four integer-coded batch methods.  Captures
+    are packed uint64 arrays; pi, alpha and verification identifiers are
+    uint64 codes, and arguments broadcast like numpy operands.
+    `feature_fields` names the template fields ("pi", "alpha") whose code
+    is a packed feature, which the view readers may return as a guess.
     """
 
     name: str
     feature_dim: int
-
-    # -- scalar methods ------------------------------------------------------
-    # These run the batch methods on one capture.  An identifier or alpha
-    # passes through `template_codes` beside the other field of the
-    # template of code 0, as a hidden view field does.
-
-    def pie(self, x: FeatureElement, rng: np.random.Generator) -> ProtectedTemplate:
-        """Randomized enrollment: feature element -> protected template."""
-        self._check_dim(x)
-        return self.template_of_codes(*self.pie_batch(np.uint64(x.value), rng))
-
-    def pir(self, alpha, x_prime: FeatureElement):
-        """Deterministic verification identifier from (alpha, fresh capture)."""
-        self._check_dim(x_prime)
-        blank = self.template_of_codes(0, 0)
-        _, code = self.template_codes(ProtectedTemplate(blank.pi, alpha))
-        vid = self.pir_batch(code, np.uint64(x_prime.value))
-        return self.template_of_codes(vid, 0).pi
-
-    def pic(self, pi, pi_prime) -> bool:
-        """True for match, False for non-match."""
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        alpha = self.template_of_codes(0, 0).alpha
-        a, b = (self.template_codes(ProtectedTemplate(p, alpha))[0]
-                for p in (pi, pi_prime))
-        return bool(self.pic_batch(a, b))
-
-    def pie_support(self, x: FeatureElement):
-        """All (probability, template) outcomes of pie(x); exact enumeration hook."""
-        self._check_dim(x)
-        probs, pis, alphas = self.pie_support_batch(np.uint64(x.value))
-        return [(float(p), self.template_of_codes(a, b))
-                for p, a, b in zip(probs, pis, alphas)]
-
-    # -- integer-coded batch methods -----------------------------------------
+    feature_fields: tuple = ()
 
     @abstractmethod
     def pie_batch(self, xs: np.ndarray, rng: np.random.Generator) -> tuple:
-        """`pie` on every capture in C order (the same draws as that many
-        scalar calls): (pi codes, alpha codes), each of xs's shape."""
+        """`pie` on every capture in C order (the same draws as one call per
+        capture): (pi codes, alpha codes), each of xs's shape."""
 
     @abstractmethod
     def pir_batch(self, alpha: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -316,16 +247,9 @@ class BtpScheme(ABC):
 
     @abstractmethod
     def pie_support_batch(self, xs: np.ndarray) -> tuple:
-        """`pie_support` of every capture: (probability, pi, alpha) arrays of
-        shape xs.shape + (K,); every capture must have K outcomes."""
-
-    @abstractmethod
-    def template_codes(self, pt) -> tuple:
-        """(pi code, alpha code) of one fixed template."""
-
-    @abstractmethod
-    def template_of_codes(self, pi_code, alpha_code) -> ProtectedTemplate:
-        """The template whose `template_codes` are (pi_code, alpha_code)."""
+        """Every outcome of `pie_batch` on each capture: (probability, pi,
+        alpha) arrays of shape xs.shape + (K,); every capture must have K
+        outcomes."""
 
     def guaranteed_match_radius(self):
         """Largest tau with: d(x, x') <= tau implies pic accepts a template of x.
@@ -348,37 +272,23 @@ class BtpScheme(ABC):
     def describe(self) -> dict:
         return {"scheme": self.name, "n": self.feature_dim}
 
-    def _check_dim(self, x: FeatureElement):
-        if not isinstance(x, FeatureElement):
-            raise DimensionError(f"expected a {self.feature_dim}-bit feature "
-                                 f"element, got {x!r}")
-        if x.n != self.feature_dim:
-            raise DimensionError(
-                f"feature has {x.n} bits, scheme expects {self.feature_dim}"
-            )
-
 
 class FuzzyCommitmentScheme(BtpScheme):
-    """Code-offset construction: pi = H(w), alpha = x XOR w for random w,
-    with H = `blake128`.
+    """Code-offset construction: pi = H(w), alpha = x XOR w for random w.
 
-    With the perfect [7,4] default, verification matches exactly when
-    d(x, x') <= t, independent of the codeword draw.
+    pi is coded as the index of w, which stands for any bijection H of the
+    codeword; alpha is the packed offset, and a failed decode is
+    REJECT_CODE.  With the perfect [7,4] default, verification matches
+    exactly when d(x, x') <= t, independent of the codeword draw.
     """
 
     name = "fc"
+    feature_fields = ("alpha",)
 
     def __init__(self, code: LinearCode):
         self.code = code
         self.feature_dim = code.n_code
-        self._digests = tuple(
-            blake128(_int_to_bytes(w, code.n_code)) for w in code.codewords
-        )
-        self._index_of = {d: m for m, d in enumerate(self._digests)}
         self._cw = np.array(code.codewords, dtype=np.uint64)
-
-    # Codes: pi is the codeword index (the digest is a bijection of it),
-    # alpha the packed offset, a failed decode REJECT_CODE.
 
     def pie_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.uint64)
@@ -397,21 +307,6 @@ class FuzzyCommitmentScheme(BtpScheme):
         shape = xs.shape[:-1] + self._cw.shape
         m = np.broadcast_to(np.arange(len(self._cw), dtype=np.uint64), shape)
         return np.full(shape, 1.0 / len(self._cw)), m, xs ^ self._cw
-
-    def template_codes(self, pt):
-        self._check_dim(pt.alpha)
-        if pt.pi is not REJECT and not (isinstance(pt.pi, bytes)
-                                        and len(pt.pi) == DIGEST_BYTES):
-            raise ContractError(f"fc identifier must be a {DIGEST_BYTES}-byte "
-                                f"digest, got {pt.pi!r}")
-        # a digest of no codeword, like REJECT, matches nothing
-        return (np.uint64(self._index_of.get(pt.pi, REJECT_CODE)),
-                np.uint64(pt.alpha.value))
-
-    def template_of_codes(self, pi_code, alpha_code):
-        pi = REJECT if pi_code == REJECT_CODE else self._digests[int(pi_code)]
-        return ProtectedTemplate(pi, FeatureElement(self.feature_dim,
-                                                    int(alpha_code)))
 
     def match_law(self):
         # pi of codeword w, alpha = x ^ w' decodes x' to w iff x' lies within
@@ -455,6 +350,7 @@ class RotationScheme(_ThresholdScheme):
     """
 
     name = "rot"
+    feature_fields = ("pi",)
 
     # Codes: pi is the packed rotated feature, alpha the offset r.
 
@@ -474,17 +370,6 @@ class RotationScheme(_ThresholdScheme):
         return (np.full(r.shape, 1.0 / self.feature_dim),
                 _rotate(xs, r, self.feature_dim), r)
 
-    def template_codes(self, pt):
-        self._check_dim(pt.pi)
-        if not isinstance(pt.alpha, (int, np.integer)):
-            raise ContractError(f"rot auxiliary data must be an integer "
-                                f"offset, got {pt.alpha!r}")
-        return np.uint64(pt.pi.value), np.uint64(int(pt.alpha) % self.feature_dim)
-
-    def template_of_codes(self, pi_code, alpha_code):
-        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
-                                 int(alpha_code))
-
     def match_law(self):
         # rotations are isometries; r' - r is uniform over the offsets
         n = self.feature_dim
@@ -497,6 +382,7 @@ class PlaintextScheme(_ThresholdScheme):
     """No protection at all: pi is the feature, alpha an empty sentinel."""
 
     name = "plain"
+    feature_fields = ("pi",)
 
     # Codes: pi and the identifier are the packed feature, alpha is 0.
 
@@ -511,14 +397,6 @@ class PlaintextScheme(_ThresholdScheme):
     def pie_support_batch(self, xs):
         xs = np.asarray(xs, dtype=np.uint64)[..., None]
         return np.ones(xs.shape), xs, np.zeros_like(xs)
-
-    def template_codes(self, pt):
-        self._check_dim(pt.pi)
-        return np.uint64(pt.pi.value), np.uint64(0)
-
-    def template_of_codes(self, pi_code, alpha_code):
-        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
-                                 None)
 
     def match_law(self):
         return MatchLaw(self.tau, "pi",
@@ -537,8 +415,8 @@ class BrokenScheme(BtpScheme):
             raise ConfigError("n must be >= 1")
         self.feature_dim = n
 
-    # Codes: every template is (REJECT, None), coded (REJECT_CODE, 0), and
-    # every identifier is REJECT.  pie draws nothing.
+    # Codes: every template is (REJECT_CODE, 0) and every identifier
+    # REJECT_CODE.  pie draws nothing.
 
     def pie_batch(self, xs, rng):
         shape = np.shape(xs)
@@ -556,13 +434,6 @@ class BrokenScheme(BtpScheme):
     def pie_support_batch(self, xs):
         pis, alphas = self.pie_batch(np.expand_dims(xs, -1), None)
         return np.ones(pis.shape), pis, alphas
-
-    def template_codes(self, pt):
-        return REJECT_CODE, np.uint64(0)
-
-    def template_of_codes(self, pi_code, alpha_code):
-        return ProtectedTemplate(REJECT, None)
-
 
 def build_scheme(cfg: dict, n: int) -> BtpScheme:
     """Instantiate a scheme from its JSON config block."""

@@ -2,7 +2,8 @@
 
 The built-ins play a chunk of trials in array operations.  Each twin
 plays the same strategy one trial at a time with scalar phases, which the
-per-trial driver of `reference_trials` runs trial by trial.  The tests
+per-trial driver of `reference_trials` runs trial by trial; a twin reads
+one trial's template codes with the scheme's batch methods.  The tests
 hold the built-ins' batch phases against these twins and the exact
 oracles.  `UniqueSampler` is a batch reference: the sampler scored by the
 closed form over a chunk's distinct candidates, as it was before it read
@@ -30,6 +31,12 @@ from reference_population import neighborhood_overlap
 from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 
 
+def _accepts(scheme, view, x) -> bool:
+    """The comparator's decision on one trial's leaked codes and capture x."""
+    return bool(scheme.pic_batch(view.pi,
+                                 scheme.pir_batch(view.alpha, np.uint64(x.value))))
+
+
 class PalSampler(TrialIrrAdversary):
     """Resample random users' captures until the comparator accepts one
     against the leaked template, up to n_delta rounds."""
@@ -49,7 +56,7 @@ class PalSampler(TrialIrrAdversary):
         x_prime = None
         for _ in range(self.cfg.n_delta):
             x_prime = oracle.sample(int(rng.integers(pop.num_users)))
-            if scheme.pic(view.pi, scheme.pir(view.alpha, x_prime)):
+            if _accepts(scheme, view, x_prime):
                 return x_prime
         return x_prime
 
@@ -80,13 +87,12 @@ class ReadView(TrialIrrAdversary):
         part = "pi" if self.which == "pi" else "ad"
         if not getattr(leak, part):
             raise ContractError(f"{self.name} needs {part} in lambda, got {leak}")
-        return None
+        return params.scheme
 
     def phase2(self, state, view, oracle, rng):
-        value = view.pi if self.which == "pi" else view.alpha
-        if not isinstance(value, FeatureElement):
+        if self.which not in state.feature_fields:
             raise ContractError(f"leaked {self.which} is not a feature element")
-        return value
+        return FeatureElement(state.feature_dim, int(getattr(view, self.which)))
 
 
 class Sampler(TrialIrrAdversary):
@@ -147,9 +153,9 @@ def _random_triple(params, oracle, rng):
 def _match_test_decision(scheme, view_prime, x0, x1, rng) -> int:
     """A non-match on x1 pins the mated case, a non-match on x0 the
     non-mated case; double acceptance falls back to a coin."""
-    if not scheme.pic(view_prime.pi, scheme.pir(view_prime.alpha, x1)):
+    if not _accepts(scheme, view_prime, x1):
         return 0
-    if not scheme.pic(view_prime.pi, scheme.pir(view_prime.alpha, x0)):
+    if not _accepts(scheme, view_prime, x0):
         return 1
     return int(rng.integers(2))
 

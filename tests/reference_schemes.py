@@ -1,13 +1,16 @@
 """Scalar twins of the built-in schemes, the reference for their batch contract.
 
-The library's schemes implement only the batch contract and derive their
-scalar methods from it.  The classes here subclass them and carry the
-scalar methods written directly on template objects, with an exhaustive
-bounded-distance decoder, so a differential test that compares a batch
-path with these methods compares two independent computations.
-Their batch methods are the library's own.  `decisions_and_ball` lays
-out a comparator's decisions in the batch contract beside a Hamming ball,
-for the exhaustive structural-law checks.
+The library's schemes implement the batch contract alone.  The classes
+here subclass them and add the scalar methods `pie(x, rng)`, `pir(alpha,
+x)`, `pic(pi, vid)` and `pie_support(x)` on one capture's codes, written
+directly: fc with an exhaustive bounded-distance decoder, rot with
+`FeatureElement.rotate`.  A capture is a packed int, `pie` returns a
+(pi, alpha) pair of codes and `pie_support` a list of (probability, pi,
+alpha) triples, so a differential test that compares a batch path with
+these methods compares two independent computations.  Their batch
+methods are the library's own.  `decisions_and_ball` lays out a
+comparator's decisions in the batch contract beside a Hamming ball, for
+the exhaustive structural-law checks.
 """
 
 from functools import lru_cache
@@ -15,16 +18,17 @@ from functools import lru_cache
 import numpy as np
 
 from btpeval.errors import DimensionError
-from btpeval.population import FeatureElement, hamming_distance
+from btpeval.population import FeatureElement
 from btpeval.schemes import (
-    REJECT,
+    REJECT_CODE,
     BrokenScheme,
     FuzzyCommitmentScheme,
     LinearCode,
     PlaintextScheme,
-    ProtectedTemplate,
     RotationScheme,
 )
+
+REJECT = int(REJECT_CODE)
 
 
 @lru_cache(maxsize=None)
@@ -57,97 +61,71 @@ def decisions_and_ball(scheme, radius):
 
 
 class RefFuzzyCommitmentScheme(FuzzyCommitmentScheme):
-    def __init__(self, code: LinearCode):
-        super().__init__(code)
-        self._digest_of = dict(zip(code.codewords, self._digests))
+    """pi is the codeword's index, alpha the offset x ^ w."""
 
     def pie(self, x, rng):
-        self._check_dim(x)
         m = int(rng.integers(1 << self.code.k_code))
-        w = self.code.codewords[m]
-        return ProtectedTemplate(
-            pi=self._digests[m], alpha=FeatureElement(x.n, x.value ^ w)
-        )
+        return m, x ^ self.code.codewords[m]
 
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        if alpha.n != self.feature_dim:
-            raise DimensionError("auxiliary data has wrong length")
-        w = decode_int(self.code, x_prime.value ^ alpha.value)
-        if w is None:
-            return REJECT
-        return self._digest_of[w]
+    def pir(self, alpha, x):
+        w = decode_int(self.code, x ^ alpha)
+        return REJECT if w is None else self.code.codewords.index(w)
 
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return pi == pi_prime
+    def pic(self, pi, vid):
+        return pi != REJECT and pi == vid
 
     def pie_support(self, x):
-        self._check_dim(x)
         p = 1.0 / (1 << self.code.k_code)
-        return [
-            (p, ProtectedTemplate(pi=self._digests[m],
-                                  alpha=FeatureElement(x.n, x.value ^ w)))
-            for m, w in enumerate(self.code.codewords)
-        ]
+        return [(p, m, x ^ w) for m, w in enumerate(self.code.codewords)]
 
 
-class RefRotationScheme(RotationScheme):
+class _RefThreshold:
+    def pic(self, pi, vid):
+        return (pi ^ vid).bit_count() <= self.tau
+
+
+class RefRotationScheme(_RefThreshold, RotationScheme):
+    """pi is the capture rotated by alpha = r."""
+
+    def _rotate(self, x, r):
+        return FeatureElement(self.feature_dim, x).rotate(r).value
+
     def pie(self, x, rng):
-        self._check_dim(x)
         r = int(rng.integers(self.feature_dim))
-        return ProtectedTemplate(pi=x.rotate(r), alpha=r)
+        return self._rotate(x, r), r
 
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        return x_prime.rotate(int(alpha))
-
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return hamming_distance(pi, pi_prime) <= self.tau
+    def pir(self, alpha, x):
+        return self._rotate(x, alpha)
 
     def pie_support(self, x):
-        self._check_dim(x)
         p = 1.0 / self.feature_dim
-        return [
-            (p, ProtectedTemplate(pi=x.rotate(r), alpha=r))
-            for r in range(self.feature_dim)
-        ]
+        return [(p, self._rotate(x, r), r) for r in range(self.feature_dim)]
 
 
-class RefPlaintextScheme(PlaintextScheme):
+class RefPlaintextScheme(_RefThreshold, PlaintextScheme):
+    """pi is the capture, alpha 0."""
+
     def pie(self, x, rng):
-        self._check_dim(x)
-        return ProtectedTemplate(pi=x, alpha=None)
+        return x, 0
 
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
-        return x_prime
-
-    def pic(self, pi, pi_prime):
-        if pi is REJECT or pi_prime is REJECT:
-            return False
-        return hamming_distance(pi, pi_prime) <= self.tau
+    def pir(self, alpha, x):
+        return x
 
     def pie_support(self, x):
-        self._check_dim(x)
-        return [(1.0, ProtectedTemplate(pi=x, alpha=None))]
+        return [(1.0, x, 0)]
 
 
 class RefBrokenScheme(BrokenScheme):
-    def pie(self, x, rng):
-        self._check_dim(x)
-        return ProtectedTemplate(pi=REJECT, alpha=None)
+    """Every template and identifier is REJECT_CODE."""
 
-    def pir(self, alpha, x_prime):
-        self._check_dim(x_prime)
+    def pie(self, x, rng):
+        return REJECT, 0
+
+    def pir(self, alpha, x):
         return REJECT
 
-    def pic(self, pi, pi_prime):
+    def pic(self, pi, vid):
         return False
 
     def pie_support(self, x):
-        self._check_dim(x)
-        return [(1.0, ProtectedTemplate(pi=REJECT, alpha=None))]
+        return [(1.0, REJECT, 0)]

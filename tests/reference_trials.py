@@ -13,8 +13,9 @@ the guessed `FeatureElement`.  The scalar unlink pair: `phase1(params,
 leak, oracle, rng)` returns (x, x0, x1, state) and `phase2(state, view,
 view_prime, oracle, rng)` the guessed bit.  The oracle is the trial's
 `SamplingOracle`, which charges the trial's row of the chunk's oracle, and
-a view holds the scheme's template objects.  A trial whose oracle refuses
-a query is cut there; a trial cut in phase 1 gets no phase 2.
+a view holds the trial's template codes, which a scalar phase reads with
+the scheme's batch methods.  A trial whose oracle refuses a query is cut
+there; a trial cut in phase 1 gets no phase 2.
 """
 
 from abc import abstractmethod
@@ -24,7 +25,7 @@ import numpy as np
 from btpeval.errors import BudgetExceededError, ProtocolError
 from btpeval.games import IrrAdversary, UnlinkAdversary
 from btpeval.population import FeatureElement, SamplingOracle
-from btpeval.schemes import LeakSet, leak_view
+from btpeval.schemes import PtView
 
 
 class TrialOracle(SamplingOracle):
@@ -51,15 +52,12 @@ def _each_trial(oracle, play, states=None):
             pass
 
 
-def _trial_views(scheme, view):
-    """`view(j)`: trial j of a chunk's coded view, as the scheme's template
-    objects.  A hidden field is decoded from code 0, then dropped."""
-    leak = LeakSet(view.has_pi, view.has_ad)
-
+def _trial_views(view):
+    """`view(j)`: trial j of a chunk's coded view, its fields' codes."""
     def trial(j):
-        pt = scheme.template_of_codes(view.pi[j] if view.has_pi else 0,
-                                      view.alpha[j] if view.has_ad else 0)
-        return leak_view(pt, leak)
+        return PtView(pi=view.pi[j] if view.has_pi else None,
+                      alpha=view.alpha[j] if view.has_ad else None,
+                      has_pi=view.has_pi, has_ad=view.has_ad)
     return trial
 
 
@@ -93,7 +91,7 @@ class TrialIrrAdversary(IrrAdversary):
     def phase2_batch(self, state, view, oracle, rng) -> np.ndarray:
         params, states = state
         guesses = np.zeros(oracle.trials, dtype=np.uint64)
-        trial_view = _trial_views(params.scheme, view)
+        trial_view = _trial_views(view)
 
         def play(j, one, trial_state):
             guess = self.phase2(trial_state, trial_view(j), one, rng)
@@ -129,8 +127,8 @@ class TrialUnlinkAdversary(UnlinkAdversary):
     def phase2_batch(self, state, view, view_prime, oracle, rng) -> np.ndarray:
         params, states = state
         bits = np.zeros(oracle.trials, dtype=np.int64)
-        views = _trial_views(params.scheme, view)
-        views_prime = _trial_views(params.scheme, view_prime)
+        views = _trial_views(view)
+        views_prime = _trial_views(view_prime)
 
         def play(j, one, trial_state):
             bit = self.phase2(trial_state, views(j), views_prime(j), one, rng)

@@ -87,6 +87,17 @@ class TestExitCodes:
         assert code == 2
         assert "pi+ad" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, fmt, where):
+        out = tmp_path / "nowhere" / "x.json" if where == "missing-dir" else tmp_path
+        code, stdout, err = run_cli(["metrics", "--trials", "50", "--format",
+                                     fmt, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write report {out}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     @pytest.mark.parametrize("cmd", [
         ["metrics"],
@@ -547,8 +558,8 @@ class TestDeterminism:
 
 class TestBatchOnlyEngine:
     """Every engine path calls the batch methods of a scheme alone: with
-    the scalar methods of the scheme's class made to raise, each command
-    runs and none of them is called."""
+    scalar methods set on the scheme's class to raise, as a custom scheme
+    might keep them, each command runs and none of them is called."""
 
     @pytest.mark.parametrize("scheme", ["fc", "rot", "plain", "broken"])
     def test_commands_call_no_scalar_method(self, tmp_path, capsys,
@@ -563,14 +574,20 @@ class TestBatchOnlyEngine:
 
         config = {"scheme": {"scheme": scheme}}
         cls = type(build_scheme(config["scheme"], 7))
-        for name in ("pie", "pir", "pic", "pie_support"):
-            monkeypatch.setattr(cls, name, refuse(name))
+        for name in ("pie", "pir", "pic", "pie_support", "template_codes",
+                     "template_of_codes"):
+            monkeypatch.setattr(cls, name, refuse(name), raising=False)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        for args in (["metrics"], ["verify", "--theorem", "all"]):
+        # a view reader runs where its field is declared, else exits 2
+        readers = [(["game", "al-irr", "--lambda", "pi+ad", "--adversary",
+                     f"read-{field}"], 0 if field in cls.feature_fields else 2)
+                   for field in ("pi", "alpha")]
+        for args, expected in [(["metrics"], 0),
+                               (["verify", "--theorem", "all"], 0), *readers]:
             code, _, _ = run_cli(args + ["--config", str(cfg), "--trials",
                                          "200", "--seed", "1"], capsys)
-            assert code == 0
+            assert code == expected
         assert calls == []
 
 

@@ -141,7 +141,8 @@ class UnrotateAdversary(TrialUnlinkAdversary):
 
     def phase2(self, state, view, view_prime, oracle, rng):
         x, x0, x1 = state
-        recovered = view_prime.pi.rotate(-view_prime.alpha)
+        recovered = FeatureElement(x.n, int(view_prime.pi)).rotate(
+            -int(view_prime.alpha))
         if recovered == x0:
             return 0
         if recovered == x1:

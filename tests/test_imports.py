@@ -1,6 +1,6 @@
 """Static checks of the source tree: no module imports a name it never
 uses, the package defines nothing that only the tests read, and no class
-of the package defines a scalar adversary phase.
+of the package defines a scalar adversary phase or scheme method.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -103,24 +103,37 @@ def test_package_defines_nothing_only_the_tests_read():
     assert unread_definitions(package, readers) == []
 
 
-def scalar_phases(source: str) -> list:
-    """(class, method) of each `phase1` or `phase2` a class body defines."""
+# The scalar adversary phases and the object-valued scheme methods: an
+# adversary implements only its batch pair of phases, a scheme only its
+# four batch methods on codes
+SCALAR_METHODS = ("phase1", "phase2", "pie", "pir", "pic", "pie_support",
+                  "template_codes", "template_of_codes")
+
+
+def scalar_methods(source: str) -> list:
+    """(class, method) of each method in `SCALAR_METHODS` a class body
+    defines."""
     return [(node.name, item.name)
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ClassDef) for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name in ("phase1", "phase2")]
+            and item.name in SCALAR_METHODS]
 
 
-def test_check_sees_a_scalar_phase():
-    assert scalar_phases("class A:\n    def phase1_batch(self):\n        pass\n\n"
-                         "    def phase2(self):\n        pass\n\n\n"
-                         "def phase1():\n    pass\n") == [("A", "phase2")]
+def test_check_sees_a_scalar_method():
+    assert scalar_methods("class A:\n    def phase1_batch(self):\n        pass\n\n"
+                          "    def phase2(self):\n        pass\n\n"
+                          "    def pie_batch(self):\n        pass\n\n\n"
+                          "class B:\n    async def template_of_codes(self):\n"
+                          "        pass\n\n    def pic(self):\n        pass\n\n\n"
+                          "def pie():\n    pass\n") == [
+        ("A", "phase2"), ("B", "template_of_codes"), ("B", "pic")]
 
 
-def test_package_defines_no_scalar_phase():
-    """An adversary implements the batch pair of phases alone; a per-trial
-    driver for phases written trial by trial belongs in `tests/`."""
+def test_package_defines_no_scalar_method():
+    """A scheme implements its batch methods on codes alone and an
+    adversary its batch pair of phases; scalar twins and a per-trial
+    driver belong in `tests/`."""
     assert [(path.name, *found)
             for path in sorted((ROOT / "src/btpeval").glob("*.py"))
-            for found in scalar_phases(path.read_text(encoding="utf-8"))] == []
+            for found in scalar_methods(path.read_text(encoding="utf-8"))] == []

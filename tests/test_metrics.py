@@ -29,11 +29,6 @@ from btpeval.schemes import (
     build_scheme,
 )
 from reference_exact import closed_form_mr
-from reference_schemes import (
-    RefFuzzyCommitmentScheme,
-    RefPlaintextScheme,
-    RefRotationScheme,
-)
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
@@ -114,21 +109,33 @@ class TestBaselineRates:
         assert fmr.ci_low <= fmr_exact <= fmr.ci_high
 
 
+def outcomes(scheme, x):
+    """(probability, pi, alpha) of each outcome of `pie_batch` on one
+    packed capture x, from one batch call."""
+    return zip(*(a.tolist() for a in scheme.pie_support_batch(np.uint64(x))))
+
+
+def accepts(scheme, pi, alpha, x) -> bool:
+    """The comparator's decision on template codes (pi, alpha) and one
+    packed capture x, from one batch call of each stage."""
+    return bool(scheme.pic_batch(np.uint64(pi), scheme.pir_batch(
+        np.uint64(alpha), np.uint64(x))))
+
+
 def loop_oracle_scheme_metric(scheme, pop, kind):
     """Plain-loop expectation over users, enrollments, encoder randomness,
-    and probes; quadruple loop, so keep the space tiny.  Pass a scheme
-    whose scalar methods are a reference (`reference_schemes`)."""
+    and probes, one capture and one template at a time; quadruple loop, so
+    keep the space tiny."""
     size = 1 << pop.n
     U = pop.num_users
-    probes = [FeatureElement(pop.n, v) for v in range(size)]
     pmfs = [pmf_by_feature_probability(pop, u) for u in range(U)]
     total = 0.0
     if kind == "fnmr":
         for u in range(U):
             for xe in range(size):
-                for wp, pt in scheme.pie_support(probes[xe]):
+                for wp, pi, alpha in outcomes(scheme, xe):
                     for x in range(size):
-                        if not scheme.pic(pt.pi, scheme.pir(pt.alpha, probes[x])):
+                        if not accepts(scheme, pi, alpha, x):
                             total += pmfs[u][xe] * wp * pmfs[u][x] / U
         return total
     if kind == "bp":
@@ -137,9 +144,9 @@ def loop_oracle_scheme_metric(scheme, pop, kind):
                 if u == v:
                     continue
                 for xe in range(size):
-                    for wp, pt in scheme.pie_support(probes[xe]):
+                    for wp, pi, alpha in outcomes(scheme, xe):
                         for x in range(size):
-                            if scheme.pic(pt.pi, scheme.pir(pt.alpha, probes[x])):
+                            if accepts(scheme, pi, alpha, x):
                                 total += (pmfs[v][xe] * wp * pmfs[u][x]
                                           / (U * (U - 1)))
         return total
@@ -150,7 +157,7 @@ def loop_oracle_scheme_metric(scheme, pop, kind):
 def tiny_setup():
     # [5,2] code with minimum distance 3; 4 users over a 32-point cube
     code = LinearCode.from_bitstrings(["10110", "01011"], t=1)
-    scheme = RefFuzzyCommitmentScheme(code)
+    scheme = FuzzyCommitmentScheme(code)
     pop = generate_population(5, 4, 0.05, seed=3)
     return scheme, pop
 
@@ -172,15 +179,14 @@ class TestExactEngineAgainstLoops:
         scheme, pop = tiny_setup
         en = exact.SchemeEnumerator(scheme, pop)
         size = 1 << pop.n
-        probes = [FeatureElement(pop.n, v) for v in range(size)]
         pmfs = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
         got = en.rmr_vector()
         for x in (0, 7, 19, 31):
             total = 0.0
             for u in range(pop.num_users):
                 for xe in range(size):
-                    for wp, pt in scheme.pie_support(probes[xe]):
-                        if scheme.pic(pt.pi, scheme.pir(pt.alpha, probes[x])):
+                    for wp, pi, alpha in outcomes(scheme, xe):
+                        if accepts(scheme, pi, alpha, x):
                             total += pmfs[u][xe] * wp / pop.num_users
             assert got[x] == pytest.approx(total, abs=1e-10)
 
@@ -188,17 +194,16 @@ class TestExactEngineAgainstLoops:
         scheme, pop = tiny_setup
         en = exact.SchemeEnumerator(scheme, pop)
         size = 1 << pop.n
-        probes = [FeatureElement(pop.n, v) for v in range(size)]
         pmfs = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
         mix = np.mean(pmfs, axis=0)
         weights, rates = [], []
         for u in range(pop.num_users):
             for xe in range(size):
-                for wp, pt in scheme.pie_support(probes[xe]):
+                for wp, pi, alpha in outcomes(scheme, xe):
                     weights.append(pmfs[u][xe] * wp / pop.num_users)
                     rates.append(sum(
                         mix[x] for x in range(size)
-                        if scheme.pic(pt.pi, scheme.pir(pt.alpha, probes[x]))))
+                        if accepts(scheme, pi, alpha, x)))
         weights, rates = np.array(weights), np.array(rates)
         mean_o = float(weights @ rates)
         sig_o = math.sqrt(float(weights @ (rates - mean_o) ** 2))
@@ -213,7 +218,7 @@ class TestExactEngineRandomTinyConfigs:
     @settings(max_examples=10, deadline=None)
     def test_plaintext_agreement_with_loops(self, seed, users, p, tau):
         pop = generate_population(4, users, p, seed=seed)
-        scheme = RefPlaintextScheme(4, tau=tau)
+        scheme = PlaintextScheme(4, tau=tau)
         en = exact.SchemeEnumerator(scheme, pop)
         assert en.fnmr() == pytest.approx(
             loop_oracle_scheme_metric(scheme, pop, "fnmr"), abs=1e-10)
@@ -616,40 +621,38 @@ class TestOverlapRates:
 
 
 def scalar_enumeration(scheme, pop):
-    """(pt_pi, pt_alpha, W, match) from the scalar methods alone: templates
-    numbered as a scan over users, their possible captures and encoder
-    outcomes first meets them.  fc, rot and plain are passed as their
-    reference twins, so these methods do not run the batch contract."""
-    probes = [FeatureElement(pop.n, v) for v in range(1 << pop.n)]
+    """(pt_pi, pt_alpha, W, match) from one capture and one template at a
+    time: templates numbered as a scan over users, their possible
+    captures and encoder outcomes first meets them."""
+    size = 1 << pop.n
     P = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
     pi_index, alpha_index, pt_index, weights = {}, {}, {}, {}
     for u in range(pop.num_users):
-        for x in probes:
-            px = P[u][x.value]
+        for x in range(size):
+            px = P[u][x]
             if px == 0.0:
                 continue
-            for wp, pt in scheme.pie_support(x):
-                k = pt_index.setdefault((pt.pi, pt.alpha), len(pt_index))
-                pi_index.setdefault(pt.pi, len(pi_index))
-                alpha_index.setdefault(pt.alpha, len(alpha_index))
+            for wp, pi, alpha in outcomes(scheme, x):
+                k = pt_index.setdefault((pi, alpha), len(pt_index))
+                pi_index.setdefault(pi, len(pi_index))
+                alpha_index.setdefault(alpha, len(alpha_index))
                 weights[u, k] = weights.get((u, k), 0.0) + px * wp
     W = np.zeros((pop.num_users, len(pt_index)))
     for (u, k), w in weights.items():
         W[u, k] = w
-    match = np.array([[[scheme.pic(pi, scheme.pir(alpha, x)) for x in probes]
+    match = np.array([[[accepts(scheme, pi, alpha, x) for x in range(size)]
                        for alpha in alpha_index] for pi in pi_index])
     return ([pi_index[pi] for pi, _ in pt_index],
             [alpha_index[alpha] for _, alpha in pt_index], W, match)
 
 
-# fc, rot and plain as their scalar reference twins: the loops below call
-# their scalar methods, the kernels and the enumerator the library's batch
-# methods
+# The loops below call the batch methods on one capture or template at a
+# time, the kernels and the enumerator on whole arrays
 ENUMERATED_SCHEMES = {
-    "fc": lambda: RefFuzzyCommitmentScheme(LinearCode.from_bitstrings(
+    "fc": lambda: FuzzyCommitmentScheme(LinearCode.from_bitstrings(
         ["1000110", "0100101", "0010011", "0001111"], t=1)),
-    "rot": lambda: RefRotationScheme(7, tau=1),
-    "plain": lambda: RefPlaintextScheme(7, tau=2),
+    "rot": lambda: RotationScheme(7, tau=1),
+    "plain": lambda: PlaintextScheme(7, tau=2),
     "broken": lambda: BrokenScheme(7),
     "always-match": lambda: AlwaysMatchScheme(7),
     "never-match": lambda: NeverMatchScheme(7),
@@ -658,7 +661,7 @@ ENUMERATED_SCHEMES = {
 
 
 class TestEnumeratorTables:
-    """The enumerator's batch-built tables equal a scalar-method scan."""
+    """The enumerator's batch-built tables equal a per-template scan."""
 
     @pytest.mark.parametrize("pop_name", ["default_pop", "noiseless_pop"])
     @pytest.mark.parametrize("name", list(ENUMERATED_SCHEMES))
@@ -671,9 +674,8 @@ class TestEnumeratorTables:
         assert en.pt_alpha.tolist() == pt_alpha
         assert np.array_equal(en.W, W)
         assert np.array_equal(en.match, match)
-        own = all(scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
-                  for x in (FeatureElement(7, v) for v in range(128))
-                  for _, pt in scheme.pie_support(x))
+        own = all(accepts(scheme, pi, alpha, x) for x in range(128)
+                  for _, pi, alpha in outcomes(scheme, x))
         assert en.hypothesis_own_match() == own
         mix = [np.mean([pop.feature_probability(u, FeatureElement(7, v))
                         for u in range(pop.num_users)]) for v in range(128)]
@@ -698,23 +700,22 @@ COUNT_ESTIMATORS = {
 
 
 def loop_accepts(kernel, rng, m):
-    """`_AcceptKernel`'s count by a per-trial loop of scalar scheme calls,
-    on the same draws."""
-    pop, scheme, n = kernel.pop, kernel.scheme, kernel.pop.n
+    """`_AcceptKernel`'s count by a per-trial loop of scheme calls on one
+    capture each, on the same draws."""
+    pop, scheme = kernel.pop, kernel.scheme
     users = {"u": rng.integers(pop.num_users, size=m)}
     if "v" in kernel.owners:
         vs = rng.integers(pop.num_users - 1, size=m)
         users["v"] = vs + (vs >= users["u"])
     probes = pop.sample_batch(users["u"], rng) if kernel.probe is None else None
     enrolls = [pop.sample_batch(users[o], rng) for o in kernel.owners]
-    accepts = 0
+    hits = 0
     for i in range(m):
-        pts = [scheme.pie(FeatureElement(n, int(e[i])), rng) for e in enrolls]
-        x = (FeatureElement(n, int(probes[i])) if kernel.probe is None
-             else kernel.probe)
-        vid = scheme.pir(pts[kernel.alpha_from].alpha, x)
-        accepts += scheme.pic(pts[kernel.pi_from].pi, vid)
-    return m - accepts if kernel.count_rejects else accepts
+        pts = [scheme.pie_batch(e[i], rng) for e in enrolls]
+        x = probes[i] if kernel.probe is None else kernel.probe.value
+        hits += accepts(scheme, pts[kernel.pi_from][0],
+                        pts[kernel.alpha_from][1], x)
+    return m - hits if kernel.count_rejects else hits
 
 
 # _AcceptKernel fields of each count estimator, given the population
@@ -792,21 +793,20 @@ class TestPlaintextKernelIsTheRawComparator:
 
 
 def loop_pt_rates(kernel, rng, m):
-    """`_PtStatsKernel`'s rates by a per-template loop of scalar scheme
-    calls, on the same block draws: a block's users, enrolled captures,
-    one `pie` per template in turn, probe users and probes."""
-    pop, scheme, k, n = kernel.pop, kernel.scheme, kernel.trials_inner, kernel.pop.n
+    """`_PtStatsKernel`'s rates by a per-template loop of scheme calls on
+    one capture each, on the same block draws: a block's users, enrolled
+    captures, one `pie_batch` per template in turn, probe users and
+    probes."""
+    pop, scheme, k = kernel.pop, kernel.scheme, kernel.trials_inner
     block = max(1, metrics.PT_BLOCK_PROBES // k)
     rates = []
     for lo in range(0, m, block):
         b = min(block, m - lo)
         enrolls = pop.sample_batch(rng.integers(pop.num_users, size=b), rng)
-        pts = [scheme.pie(FeatureElement(n, int(x)), rng) for x in enrolls]
+        pts = [scheme.pie_batch(x, rng) for x in enrolls]
         probes = pop.sample_batch(rng.integers(pop.num_users, size=(b, k)), rng)
-        for pt, row in zip(pts, probes):
-            hits = sum(scheme.pic(pt.pi, scheme.pir(pt.alpha,
-                                                    FeatureElement(n, int(x))))
-                       for x in row)
+        for (pi, alpha), row in zip(pts, probes):
+            hits = sum(accepts(scheme, pi, alpha, x) for x in row)
             rates.append(hits / k)
     return np.array(rates)
 

@@ -13,7 +13,7 @@ from btpeval.adversaries import (
     ReductionUnlinkAdversary,
     compute_n_delta,
 )
-from btpeval.errors import ConfigError, ContractError, DimensionError, ProtocolError
+from btpeval.errors import ConfigError, ContractError, ProtocolError
 from btpeval.games import run_al_irr_game, run_unlink_game
 from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
 from btpeval.population import (
@@ -35,8 +35,6 @@ from btpeval.verify import verify_all
 
 POP = generate_population(7, 16, 0.03, seed=1)
 FC = build_scheme({"scheme": "fc"}, 7)
-ROT = build_scheme({"scheme": "rot"}, 7)
-PLAIN = build_scheme({"scheme": "plain"}, 7)
 ZERO = FeatureElement(7, 0)
 
 
@@ -136,18 +134,23 @@ REFUSALS = {
     "threshold n": (lambda: RotationScheme(0, 1), ConfigError,
                     "n must be >= 1"),
     "broken n": (lambda: BrokenScheme(0), ConfigError, "n must be >= 1"),
-    "fc pir alpha type": (lambda: FC.pir(None, ZERO), DimensionError,
-                          "expected a 7-bit feature element, got None"),
-    "fc pie feature type": (lambda: FC.pie(7, substream(0, "pie")),
-                            DimensionError,
-                            "expected a 7-bit feature element, got 7"),
-    "rot pic pi type": (lambda: ROT.pic(b"ab", ZERO), DimensionError,
-                        "expected a 7-bit feature element, got b'ab'"),
-    "plain pic pi type": (lambda: PLAIN.pic(5, ZERO), DimensionError,
-                          "expected a 7-bit feature element, got 5"),
-    "rot pir alpha type": (lambda: ROT.pir("a", ZERO), ContractError,
-                           "rot auxiliary data must be an integer offset, "
-                           "got 'a'"),
+    "settings seed float": (lambda: RunSettings(seed=1.5), ConfigError,
+                            "seed must be an integer, got 1.5"),
+    "settings trials bool": (lambda: RunSettings(trials=True), ConfigError,
+                             "trials must be an integer, got True"),
+    "settings tau float": (lambda: RunSettings(tau=0.5), ConfigError,
+                           "tau must be an integer, got 0.5"),
+    "settings jobs float": (lambda: RunSettings(jobs=2.0), ConfigError,
+                            "jobs must be an integer, got 2.0"),
+    "settings replace trials": (lambda: RunSettings().replace(trials=2.5),
+                                ConfigError,
+                                "trials must be an integer, got 2.5"),
+    "settings delta str": (lambda: RunSettings(delta="0.1"), ConfigError,
+                           "delta must be a number, got '0.1'"),
+    "settings gamma bool": (lambda: RunSettings(gamma=True), ConfigError,
+                            "gamma must be a number, got True"),
+    "settings level str": (lambda: RunSettings(level="x"), ConfigError,
+                           "level must be a number, got 'x'"),
     "theorem": (lambda: verify_all(FC, POP, theorem="t9"), ConfigError,
                 "unknown theorem 't9'"),
 }
@@ -160,3 +163,9 @@ def test_refused_with_its_reason(case):
         call()
     assert fragment in str(info.value)
 
+
+
+def test_numpy_numbers_are_accepted_settings():
+    s = RunSettings(seed=np.int64(3), trials=np.int32(50), jobs=np.uint8(1),
+                    delta=np.float32(0.25), gamma=1 / 2, level=np.float64(0.9))
+    assert (s.seed, s.trials, s.delta) == (3, 50, np.float32(0.25))

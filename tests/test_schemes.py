@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btpeval.adversaries import ReadViewAdversary
 from btpeval.errors import ConfigError, ContractError, DimensionError
+from btpeval.games import run_al_irr_game
 from btpeval.metrics import RunSettings
 from btpeval.population import FeatureElement, hamming_distance
 from btpeval.rng import substream
@@ -15,11 +17,9 @@ from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
     LEAK_PI,
-    REJECT,
     REJECT_CODE,
     BrokenScheme,
     BtpScheme,
-    FuzzyCommitmentScheme,
     LeakSet,
     LinearCode,
     PlaintextScheme,
@@ -39,7 +39,7 @@ from reference_schemes import (
     decisions_and_ball,
     decode_int,
 )
-from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
+from toy_schemes import AlwaysMatchScheme
 
 
 def fe(s):
@@ -53,7 +53,7 @@ UNTABLED_CODE = LinearCode.from_bitstrings(
 
 class TestLeakProjection:
     def setup_method(self):
-        self.pt = ProtectedTemplate(pi=b"\x01" * 16, alpha=fe("0101100"))
+        self.pt = ProtectedTemplate(pi=np.uint64(3), alpha=np.uint64(26))
 
     def test_both_parts(self):
         v = leak_view(self.pt, LEAK_BOTH)
@@ -157,20 +157,26 @@ class TestLinearCode:
             LinearCode.from_bitstrings(["1010", "1010"], t=0)
 
 
+def one(x):
+    """One packed capture, as the batch methods take it."""
+    return np.uint64(x.value if isinstance(x, FeatureElement) else x)
+
+
+ALL7 = np.arange(128, dtype=np.uint64)
+
+
 class TestFuzzyCommitment:
     def test_own_feature_always_matches(self, fc_scheme):
-        for v in range(128):
-            x = FeatureElement(7, v)
-            for _, pt in fc_scheme.pie_support(x):
-                assert fc_scheme.pic(pt.pi, fc_scheme.pir(pt.alpha, x))
+        _, pis, alphas = fc_scheme.pie_support_batch(ALL7)
+        assert fc_scheme.pic_batch(
+            pis, fc_scheme.pir_batch(alphas, ALL7[:, None])).all()
 
     def test_alpha_is_codeword_offset(self, fc_scheme):
         codewords = set(fc_scheme.code.codewords)
         rng = substream(0, "fc")
         for v in (0, 35, 127):
-            x = FeatureElement(7, v)
-            pt = fc_scheme.pie(x, rng)
-            assert (pt.alpha.value ^ x.value) in codewords
+            _, alpha = fc_scheme.pie_batch(one(v), rng)
+            assert int(alpha) ^ v in codewords
 
     def test_match_iff_within_radius_spotcheck(self, fc_scheme):
         # full 2^7 x 2^7 x 16 sweep lives in the acceptance suite
@@ -178,50 +184,40 @@ class TestFuzzyCommitment:
         for _ in range(300):
             x = FeatureElement(7, int(rng.integers(128)))
             xp = FeatureElement(7, int(rng.integers(128)))
-            pt = fc_scheme.pie(x, rng)
-            matched = fc_scheme.pic(pt.pi, fc_scheme.pir(pt.alpha, xp))
+            pi, alpha = fc_scheme.pie_batch(one(x), rng)
+            matched = fc_scheme.pic_batch(pi, fc_scheme.pir_batch(alpha, one(xp)))
             assert matched == (hamming_distance(x, xp) <= 1)
 
     def test_reject_identifier_never_matches(self):
         scheme = build_scheme(
             {"scheme": "fc", "code": {"generator": ["1111"], "t": 1}}, 4
         )
-        vid = scheme.pir(fe("0110"), fe("1010"))  # offset distance 2 from both codewords
-        assert vid is REJECT
-        assert not scheme.pic(scheme.pie_support(fe("0000"))[0][1].pi, vid)
+        # offset distance 2 from both codewords
+        vid = scheme.pir_batch(one(fe("0110")), one(fe("1010")))
+        assert vid == REJECT_CODE
+        _, pis, _ = scheme.pie_support_batch(one(fe("0000")))
+        assert not scheme.pic_batch(pis, vid).any()
 
     def test_foreign_identifier_never_matches(self, fc_scheme):
-        # a 16-byte identifier that is no codeword's digest codes as
-        # REJECT_CODE, so no probe matches it on either path
+        # a pi code that indexes no codeword, like REJECT_CODE, matches no
+        # probe, while the enrolled one matches its own capture
         x = FeatureElement(7, 0b1011001)
-        pt = fc_scheme.pie(x, substream(3, "foreign"))
-        vid = fc_scheme.pir(pt.alpha, x)
-        assert fc_scheme.pic(pt.pi, vid)
-        assert not fc_scheme.pic(b"x" * 16, vid)
-        pi, alpha = fc_scheme.template_codes(ProtectedTemplate(b"x" * 16,
-                                                               pt.alpha))
-        assert pi == REJECT_CODE
-        xs = np.arange(128, dtype=np.uint64)
-        assert not fc_scheme.pic_batch(pi, fc_scheme.pir_batch(alpha, xs)).any()
-
-    @pytest.mark.parametrize("pi", [b"x" * 15, "x" * 16, 5, None],
-                             ids=["short", "str", "int", "none"])
-    def test_malformed_identifier_names_it(self, fc_scheme, pi):
-        x = FeatureElement(7, 3)
-        with pytest.raises(ContractError, match=f"got {pi!r}"):
-            fc_scheme.pic(pi, fc_scheme.pir(FeatureElement(7, 0), x))
+        pi, alpha = fc_scheme.pie_batch(one(x), substream(3, "foreign"))
+        assert fc_scheme.pic_batch(pi, fc_scheme.pir_batch(alpha, one(x)))
+        vids = fc_scheme.pir_batch(alpha, ALL7)
+        for foreign in (16, 2**63, REJECT_CODE):
+            assert not fc_scheme.pic_batch(np.uint64(foreign), vids).any()
 
     def test_pir_pic_deterministic(self, fc_scheme):
         rng = substream(2, "det")
-        x = FeatureElement(7, 77)
-        pt = fc_scheme.pie(x, rng)
-        probe = FeatureElement(7, 12)
-        first_vid = fc_scheme.pir(pt.alpha, probe)
-        first_pic = fc_scheme.pic(pt.pi, first_vid)
+        pi, alpha = fc_scheme.pie_batch(one(77), rng)
+        probe = one(12)
+        first_vid = fc_scheme.pir_batch(alpha, probe)
+        first_pic = fc_scheme.pic_batch(pi, first_vid)
         for _ in range(10_000):
-            assert fc_scheme.pir(pt.alpha, probe) == first_vid
+            assert fc_scheme.pir_batch(alpha, probe) == first_vid
         for _ in range(10_000):
-            assert fc_scheme.pic(pt.pi, first_vid) == first_pic
+            assert fc_scheme.pic_batch(pi, first_vid) == first_pic
 
     def test_threshold_compatibility(self, fc_scheme):
         assert fc_scheme.threshold_compatible(0)
@@ -229,10 +225,11 @@ class TestFuzzyCommitment:
         assert not fc_scheme.threshold_compatible(2)
 
     def test_pie_support_is_uniform_over_codewords(self, fc_scheme):
-        support = fc_scheme.pie_support(FeatureElement(7, 9))
-        assert len(support) == 16
-        assert all(p == pytest.approx(1 / 16) for p, _ in support)
-        assert len({pt.alpha.value for _, pt in support}) == 16
+        probs, pis, alphas = fc_scheme.pie_support_batch(one(9))
+        assert probs.shape == (16,)
+        assert probs.tolist() == pytest.approx([1 / 16] * 16)
+        assert sorted(pis.tolist()) == list(range(16))
+        assert len(set(alphas.tolist())) == 16
 
 
 class TestRotationScheme:
@@ -248,23 +245,21 @@ class TestRotationScheme:
     def test_mated_pair_matches(self):
         scheme = RotationScheme(7, tau=1)
         rng = substream(4, "rot2")
-        x = FeatureElement(7, 99)
-        pt = scheme.pie(x, rng)
-        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
+        pi, alpha = scheme.pie_batch(one(99), rng)
+        assert scheme.pic_batch(pi, scheme.pir_batch(alpha, one(99)))
 
     def test_full_template_inverts_exactly(self):
         scheme = RotationScheme(7, tau=1)
         rng = substream(5, "rot3")
         for v in (0, 1, 64, 127):
-            x = FeatureElement(7, v)
-            pt = scheme.pie(x, rng)
-            assert pt.pi.rotate(-pt.alpha) == x
+            pi, alpha = scheme.pie_batch(one(v), rng)
+            assert FeatureElement(7, int(pi)).rotate(-int(alpha)).value == v
 
     def test_support_enumerates_offsets(self):
         scheme = RotationScheme(7, tau=1)
-        support = scheme.pie_support(FeatureElement(7, 3))
-        assert len(support) == 7
-        assert {pt.alpha for _, pt in support} == set(range(7))
+        probs, _, alphas = scheme.pie_support_batch(one(3))
+        assert probs.shape == (7,)
+        assert set(alphas.tolist()) == set(range(7))
 
     @pytest.mark.parametrize("n", [1, 7, 10, 63, 64])
     def test_packed_rotate_is_feature_rotate(self, n):
@@ -293,25 +288,22 @@ class TestPlaintextScheme:
     def test_mated_pair_matches(self):
         scheme = PlaintextScheme(7, tau=1)
         rng = substream(6, "pl")
-        x = FeatureElement(7, 42)
-        pt = scheme.pie(x, rng)
-        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
+        pi, alpha = scheme.pie_batch(one(42), rng)
+        assert scheme.pic_batch(pi, scheme.pir_batch(alpha, one(42)))
 
     def test_template_reveals_feature(self):
         scheme = PlaintextScheme(7, tau=0)
         rng = substream(7, "pl2")
-        x = FeatureElement(7, 42)
-        pt = scheme.pie(x, rng)
-        assert pt.pi == x
-        assert pt.alpha is None
+        pi, alpha = scheme.pie_batch(one(42), rng)
+        assert (pi, alpha) == (42, 0)
 
     @given(st.integers(0, 127), st.integers(0, 127), st.integers(0, 3))
     @settings(max_examples=40)
     def test_match_is_distance_test(self, a, b, tau):
         scheme = PlaintextScheme(7, tau=tau)
         x, xp = FeatureElement(7, a), FeatureElement(7, b)
-        pt = scheme.pie(x, substream(8, "pl3"))
-        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, xp)) == (
+        pi, alpha = scheme.pie_batch(one(x), substream(8, "pl3"))
+        assert scheme.pic_batch(pi, scheme.pir_batch(alpha, one(xp))) == (
             hamming_distance(x, xp) <= tau
         )
 
@@ -357,20 +349,11 @@ class TestRegistry:
 BATCH_SCHEMES = {
     "fc": lambda: RefFuzzyCommitmentScheme(hamming_7_4()),
     "fc-untabled": lambda: RefFuzzyCommitmentScheme(UNTABLED_CODE),
+    "fc-rejecting": lambda: RefFuzzyCommitmentScheme(
+        LinearCode.from_bitstrings(["1111"], t=1)),
     "rot": lambda: RefRotationScheme(9, tau=2),
     "plain": lambda: RefPlaintextScheme(8, tau=1),
     "broken": lambda: RefBrokenScheme(7),
-}
-
-
-ROUND_TRIP_SCHEMES = {
-    "fc": BATCH_SCHEMES["fc"],
-    "rot": lambda: RefRotationScheme(7, tau=1),
-    "plain": lambda: RefPlaintextScheme(7, tau=1),
-    "broken": BATCH_SCHEMES["broken"],
-    "always-match": lambda: AlwaysMatchScheme(7),
-    "never-match": lambda: NeverMatchScheme(7),
-    "lottery": lambda: LotteryScheme(7, 0.3),
 }
 
 
@@ -383,7 +366,7 @@ def _packed(data, n, shape):
 
 class TestBatchContract:
     """Batch pie/pir/pic/pie_support against the scalar methods of the
-    reference twins."""
+    reference twins, on codes."""
 
     @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
     @settings(max_examples=30, deadline=None)
@@ -397,20 +380,47 @@ class TestBatchContract:
         batch_rng, scalar_rng = substream(seed, "pie"), substream(seed, "pie")
 
         pis, alphas = scheme.pie_batch(xs, batch_rng)
-        pts = [scheme.pie(FeatureElement(n, int(x)), scalar_rng) for x in xs.flat]
+        pts = [scheme.pie(x, scalar_rng) for x in xs.ravel().tolist()]
         # the same draws, in C order, and nothing more
-        assert [scheme.template_codes(pt) for pt in pts] == list(
-            zip(pis.flat, alphas.flat))
+        assert pts == list(zip(pis.ravel().tolist(), alphas.ravel().tolist()))
         assert batch_rng.random() == scalar_rng.random()
 
         vids = scheme.pir_batch(alphas, probes)
         accepts = scheme.pic_batch(pis, vids)
         assert vids.shape == accepts.shape == shape
-        for pt, p, vid, ok in zip(pts, probes.flat, vids.flat, accepts.flat):
-            ref = scheme.pir(pt.alpha, FeatureElement(n, int(p)))
+        for (pi, alpha), p, vid, ok in zip(pts, probes.ravel().tolist(),
+                                           vids.ravel().tolist(),
+                                           accepts.ravel().tolist()):
             # pi and identifier codes share one space: pic compares them
-            assert scheme.template_codes(ProtectedTemplate(ref, pt.alpha))[0] == vid
-            assert bool(ok) == scheme.pic(pt.pi, ref)
+            assert scheme.pir(alpha, p) == vid
+            assert ok == scheme.pic(pi, vid)
+            assert scheme.pic(vid, pi) == scheme.pic_batch(np.uint64(vid),
+                                                           np.uint64(pi))
+
+    @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
+    def test_one_capture_matches_scalar_methods(self, name):
+        # 0-d captures, one at a time as a per-trial driver passes them:
+        # pie_batch takes its scalar draw there
+        scheme = BATCH_SCHEMES[name]()
+        draw = substream(3, "one-capture")
+        batch_rng, scalar_rng = substream(4, "pie"), substream(4, "pie")
+        rejects = 0
+        for _ in range(200):
+            x, probe = draw.integers(1 << scheme.feature_dim, size=2).tolist()
+            pi, alpha = scheme.pie_batch(one(x), batch_rng)
+            assert np.shape(pi) == np.shape(alpha) == ()
+            assert (int(pi), int(alpha)) == scheme.pie(x, scalar_rng)
+            vid = scheme.pir_batch(alpha, one(probe))
+            assert int(vid) == scheme.pir(int(alpha), probe)
+            rejects += bool(vid == REJECT_CODE)
+            assert bool(scheme.pic_batch(pi, vid)) == scheme.pic(int(pi), int(vid))
+            assert bool(scheme.pic_batch(vid, pi)) == scheme.pic(int(vid), int(pi))
+            probs, pis, alphas = scheme.pie_support_batch(one(x))
+            assert scheme.pie_support(x) == list(zip(
+                probs.tolist(), pis.tolist(), alphas.tolist()))
+        # the same draws, and nothing more
+        assert batch_rng.random() == scalar_rng.random()
+        assert (rejects > 0) == (name.startswith("fc-") or name == "broken")
 
     @pytest.mark.parametrize("name", list(BATCH_SCHEMES))
     @settings(max_examples=10, deadline=None)
@@ -419,95 +429,28 @@ class TestBatchContract:
         scheme = BATCH_SCHEMES[name]()
         xs = _packed(data, scheme.feature_dim, (3, 1))[:, 0]
         probs, pis, alphas = scheme.pie_support_batch(xs)
-        for i, x in enumerate(xs):
-            support = scheme.pie_support(FeatureElement(scheme.feature_dim, int(x)))
-            assert probs[i].tolist() == [p for p, _ in support]
-            assert [scheme.template_codes(pt) for _, pt in support] == list(
-                zip(pis[i], alphas[i]))
+        for i, x in enumerate(xs.tolist()):
+            assert scheme.pie_support(x) == list(zip(
+                probs[i].tolist(), pis[i].tolist(), alphas[i].tolist()))
 
-    @pytest.mark.parametrize("name", list(ROUND_TRIP_SCHEMES))
-    @settings(max_examples=20, deadline=None)
-    @given(x=st.integers(0, 127), seed=st.integers(0, 2**32))
-    def test_template_of_codes_inverts_template_codes(self, name, x, seed):
-        scheme = ROUND_TRIP_SCHEMES[name]()
-        x = FeatureElement(scheme.feature_dim, x)
-        drawn = scheme.pie(x, substream(seed, "pie"))
-        pts = [drawn] + [pt for _, pt in scheme.pie_support(x)]
-        if name not in ("rot", "plain"):    # packed-feature codes hold no REJECT
-            pts.append(ProtectedTemplate(REJECT, drawn.alpha))
-        for pt in pts:
-            assert scheme.template_of_codes(*scheme.template_codes(pt)) == pt
+    @pytest.mark.parametrize("name", ["fc-untabled", "fc-rejecting", "broken"])
+    def test_reject_codes_are_drawn(self, name):
+        # the schemes that reject do give REJECT_CODE on some probes, and
+        # never match it against itself
+        scheme = BATCH_SCHEMES[name]()
+        rng = substream(3, "reject")
+        xs = rng.integers(1 << scheme.feature_dim, size=200).astype(np.uint64)
+        pis, alphas = scheme.pie_batch(xs, rng)
+        vids = scheme.pir_batch(alphas, np.roll(xs, 1))
+        assert (vids == REJECT_CODE).any()
+        assert not scheme.pic_batch(REJECT_CODE, np.array([REJECT_CODE])).any()
 
     def test_fc_reject_code_never_matches(self, fc_scheme):
         far = np.array([0b0000011], dtype=np.uint64)   # two flips: miscorrects
-        pi, alpha = fc_scheme.template_codes(
-            fc_scheme.pie(FeatureElement(7, 0), substream(2, "pie")))
+        pi, alpha = fc_scheme.pie_batch(one(0), substream(2, "pie"))
         vid = fc_scheme.pir_batch(alpha, far)
         assert not fc_scheme.pic_batch(pi, vid).any()
         assert not fc_scheme.pic_batch(REJECT_CODE, np.array([REJECT_CODE])).any()
-
-
-# The library schemes beside their reference twins, at the same parameters
-DERIVED_PAIRS = {
-    "fc": (lambda: build_scheme({"scheme": "fc"}, 7),
-           lambda: RefFuzzyCommitmentScheme(hamming_7_4())),
-    "fc-untabled": (lambda: FuzzyCommitmentScheme(UNTABLED_CODE),
-                    lambda: RefFuzzyCommitmentScheme(UNTABLED_CODE)),
-    "fc-rejecting": (lambda: build_scheme(
-        {"scheme": "fc", "code": {"generator": ["1111"], "t": 1}}, 4),
-        lambda: RefFuzzyCommitmentScheme(
-            LinearCode.from_bitstrings(["1111"], t=1))),
-    "rot": (lambda: RotationScheme(9, tau=2), lambda: RefRotationScheme(9, tau=2)),
-    "plain": (lambda: PlaintextScheme(8, tau=1),
-              lambda: RefPlaintextScheme(8, tau=1)),
-    "broken": (lambda: BrokenScheme(7), lambda: RefBrokenScheme(7)),
-}
-
-
-class TestDerivedScalarMethods:
-    """The library schemes implement only the batch contract; the scalar
-    methods the base class derives from it equal the reference twins'."""
-
-    @pytest.mark.parametrize("name", list(DERIVED_PAIRS))
-    def test_equal_reference_methods(self, name):
-        lib, ref = (make() for make in DERIVED_PAIRS[name])
-        n = lib.feature_dim
-        draw = substream(3, "derived")
-        lib_rng, ref_rng = substream(4, "pie"), substream(4, "pie")
-        rejects = 0
-        for _ in range(200):
-            x = FeatureElement(n, int(draw.integers(1 << n)))
-            probe = FeatureElement(n, int(draw.integers(1 << n)))
-            pt = lib.pie(x, lib_rng)
-            assert pt == ref.pie(x, ref_rng)
-            vid = lib.pir(pt.alpha, probe)
-            assert vid == ref.pir(pt.alpha, probe)
-            rejects += vid is REJECT
-            assert lib.pic(pt.pi, vid) == ref.pic(pt.pi, vid)
-            assert lib.pic(vid, pt.pi) == ref.pic(vid, pt.pi)
-            assert lib.pie_support(x) == ref.pie_support(x)
-        # the same draws, and nothing more
-        assert lib_rng.random() == ref_rng.random()
-        assert (rejects > 0) == (name.startswith("fc-") or name == "broken")
-        if rejects:
-            assert not lib.pic(REJECT, REJECT)
-
-    @pytest.mark.parametrize("name", ["fc", "rot", "plain"])
-    def test_wrong_dimension_rejected(self, name):
-        scheme = DERIVED_PAIRS[name][0]()
-        n = scheme.feature_dim
-        x, short = FeatureElement(n, 1), FeatureElement(n - 1, 1)
-        pt = scheme.pie(x, substream(0, "pie"))
-        calls = [lambda: scheme.pie(short, substream(0, "pie")),
-                 lambda: scheme.pie_support(short),
-                 lambda: scheme.pir(pt.alpha, short)]
-        if name == "fc":
-            calls.append(lambda: scheme.pir(FeatureElement(n - 1, 0), x))
-        else:   # pi is a feature here
-            calls.append(lambda: scheme.pic(short, x))
-        for call in calls:
-            with pytest.raises(DimensionError):
-                call()
 
 
 class _XorKeyScheme(BtpScheme):
@@ -537,42 +480,35 @@ class _XorKeyScheme(BtpScheme):
                                 xs.shape[:-1] + (2,))
         return np.full(alpha.shape, 0.5), self.pir_batch(alpha, xs), alpha
 
-    def template_codes(self, pt):
-        return np.uint64(pt.pi.value), np.uint64(pt.alpha)
-
-    def template_of_codes(self, pi_code, alpha_code):
-        return ProtectedTemplate(FeatureElement(self.feature_dim, int(pi_code)),
-                                 int(alpha_code))
-
 
 class TestMethodSets:
-    def test_neither_set_fails_at_instantiation(self):
-        """Only the batch set makes a scheme: a class without all six batch
-        methods, scalar methods or not, is refused by name."""
+    def test_the_batch_set_is_the_whole_contract(self):
+        """A scheme implements exactly the four batch methods: a class
+        without all four, scalar methods or not, is refused by name."""
+        assert BtpScheme.__abstractmethods__ == {
+            "pie_batch", "pir_batch", "pic_batch", "pie_support_batch"}
+
         class Nothing(BtpScheme):
             name = "nothing"
 
         class HalfBatch(_XorKeyScheme):
-            template_of_codes = BtpScheme.template_of_codes
+            pie_support_batch = BtpScheme.pie_support_batch
 
         class ScalarOnly(BtpScheme):
             name = "scalar-only"
 
             def pie(self, x, rng):
-                return ProtectedTemplate(pi=b"\x00", alpha=None)
+                return ProtectedTemplate(pi=0, alpha=0)
 
             def pir(self, alpha, x_prime):
-                return b"\x00"
+                return 0
 
             def pic(self, pi, pi_prime):
                 return True
 
-            def pie_support(self, x):
-                return [(1.0, self.pie(x, None))]
-
         for make, missing in (
                 (BtpScheme, "pie_batch"), (Nothing, "pic_batch"),
-                (lambda: HalfBatch(7, 1), "template_of_codes"),
+                (lambda: HalfBatch(7, 1), "pie_support_batch"),
                 (ScalarOnly, "pie_support_batch")):
             with pytest.raises(TypeError, match="abstract class") as info:
                 make()
@@ -581,16 +517,22 @@ class TestMethodSets:
         BrokenScheme(7)
         AlwaysMatchScheme(7)
 
+    def test_feature_fields(self):
+        assert {name: build_scheme({"scheme": name}, 7).feature_fields
+                for name in ("fc", "rot", "plain", "broken")} == {
+            "fc": ("alpha",), "rot": ("pi",), "plain": ("pi",), "broken": ()}
+        assert _XorKeyScheme(7, 1).feature_fields == ()
+
     def test_batch_only_scheme_runs_everywhere(self, default_pop):
         from btpeval import exact, metrics
         from btpeval.verify import PASS, check_thm_unlink_unachievable
 
         scheme = _XorKeyScheme(7, tau=1)
-        x = FeatureElement(7, 0b1010101)
-        pt = scheme.pie(x, substream(0, "pie"))
-        assert scheme.pic(pt.pi, scheme.pir(pt.alpha, x))
-        assert not scheme.pic(pt.pi, scheme.pir(1 - pt.alpha, x))
-        assert [p for p, _ in scheme.pie_support(x)] == [0.5, 0.5]
+        x = one(0b1010101)
+        pi, alpha = scheme.pie_batch(x, substream(0, "pie"))
+        assert scheme.pic_batch(pi, scheme.pir_batch(alpha, x))
+        assert not scheme.pic_batch(pi, scheme.pir_batch(1 - alpha, x))
+        assert scheme.pie_support_batch(x)[0].tolist() == [0.5, 0.5]
 
         en = exact.SchemeEnumerator(scheme, default_pop)
         fnmr, _ = exact.baseline_rates(default_pop, 1)
@@ -606,3 +548,19 @@ class TestMethodSets:
         assert check_thm_unlink_unachievable(
             scheme, default_pop, RunSettings(trials=4000, seed=3)
         ).status == PASS
+
+    def test_a_declared_feature_field_is_read(self, default_pop):
+        """A custom scheme's field is read by its view reader once the
+        scheme lists it in `feature_fields`, and refused until then."""
+        class ReadableXorKey(_XorKeyScheme):
+            feature_fields = ("pi",)
+
+        settings = RunSettings(trials=300, seed=4)
+        with pytest.raises(ContractError, match="^leaked pi is not a feature element$"):
+            run_al_irr_game(_XorKeyScheme(7, 1), default_pop, LEAK_PI, 1,
+                            ReadViewAdversary("pi"), settings)
+        # pi = x or its complement, each half the time: a guess within tau
+        # of the capture wins about half the trials
+        result = run_al_irr_game(ReadableXorKey(7, 1), default_pop, LEAK_PI,
+                                 1, ReadViewAdversary("pi"), settings)
+        assert 0.35 < result.win_rate.point < 0.65

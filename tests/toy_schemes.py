@@ -1,20 +1,18 @@
 """Degenerate schemes used to hit edge cases in metrics and verdicts.
 
 Each implements the batch contract alone.  pi and identifier codes are
-the small integers below, with REJECT at `REJECT_CODE`; alpha is always
-None, coded 0."""
+small integers, and alpha is always 0."""
 
 import numpy as np
 
-from btpeval.schemes import REJECT, REJECT_CODE, BtpScheme, ProtectedTemplate
+from btpeval.schemes import BtpScheme
 
 
 class _ToyScheme(BtpScheme):
-    """pi and identifier codes index `IDS`; every capture enrolls to the
-    code `pie_code`, every verification gives the code `pir_code`, and the
-    comparator's decision is `accepts` for every pair."""
+    """Every capture enrolls to the pi code `pie_code`, every verification
+    gives the identifier code `pir_code`, and the comparator's decision is
+    `accepts` for every pair."""
 
-    IDS = (b"\x00", b"\x01")
     pie_code = pir_code = 0
     accepts = False
 
@@ -37,14 +35,6 @@ class _ToyScheme(BtpScheme):
     def pie_support_batch(self, xs):
         pis, alphas = self.pie_batch(np.expand_dims(xs, -1), None)
         return np.ones(pis.shape), pis, alphas
-
-    def template_codes(self, pt):
-        pi = REJECT_CODE if pt.pi is REJECT else self.IDS.index(pt.pi)
-        return np.uint64(pi), np.uint64(0)
-
-    def template_of_codes(self, pi_code, alpha_code):
-        pi = REJECT if pi_code == REJECT_CODE else self.IDS[int(pi_code)]
-        return ProtectedTemplate(pi=pi, alpha=None)
 
 
 class AlwaysMatchScheme(_ToyScheme):
@@ -71,7 +61,6 @@ class LotteryScheme(_ToyScheme):
     a winning template and 0 otherwise."""
 
     name = "lottery"
-    IDS = (0, 1)
     pir_code = 1
 
     def __init__(self, n: int, win_prob: float):
