@@ -10,7 +10,7 @@ matches from (pi, PIR(alpha, fresh capture)).
 import numpy as np
 
 from btpeval import metrics
-from btpeval.population import FeatureElement, generate_population, hamming_distance
+from btpeval.population import FeatureElement, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import PlaintextScheme, RotationScheme, build_scheme
 
@@ -19,11 +19,14 @@ print("centers:", ", ".join(str(c) for c in pop.centers[:6]), "...")
 
 rng = substream(1, "demo")
 u = 0
-capture = pop.sample(u, rng)
-print(f"user {u} center {pop.center(u)}  capture {capture}  "
-      f"distance {hamming_distance(pop.center(u), capture)}")
+# captures are packed uint64 values, drawn for an array of users at once
+capture = FeatureElement(pop.n, int(pop.sample_batch(np.array([u]), rng)[0]))
+center = pop.centers[u]
+print(f"user {u} center {center}  capture {capture}  "
+      f"distance {(center.value ^ capture.value).bit_count()}")
+# no bit of the n flips, each with probability p
 print(f"probability of re-drawing the center exactly: "
-      f"{pop.feature_probability(u, pop.center(u)):.6f}")
+      f"{(1 - pop.flip_prob) ** pop.n:.6f}")
 
 # -- fuzzy commitment -------------------------------------------------------
 # A scheme works on packed captures and integer codes: fc's pi is the index
@@ -63,8 +66,9 @@ pi, alpha = rot.pie_batch(np.uint64(capture.value), rng)
 rotated = FeatureElement(7, int(pi))
 print("\nrotation:")
 print(f"  pi {rotated}  alpha (offset) {alpha}")
+# rotating by n - alpha more brings every coordinate back home
 print("  un-rotating the template recovers the capture:",
-      rotated.rotate(-int(alpha)) == capture)
+      int(rot.pir_batch(7 - alpha, pi)) == capture.value)
 
 # -- plaintext --------------------------------------------------------------
 plain = PlaintextScheme(7, tau=1)

@@ -6,11 +6,13 @@ cancelable rotation, plaintext), the irreversibility and unlinkability
 games with their constructive adversaries, exact oracles (closed forms
 and full enumeration) for every metric at desk scale, and empirical checkers for the four relation
 theorems connecting the notions.
+
+A capture is a packed uint64 from `Population.sample_batch`, and a game
+hands its adversary a `SamplingOracle` that charges each to a trial.
 """
 
 from .errors import (
     BtpEvalError,
-    BudgetExceededError,
     ConfigError,
     ContractError,
     DimensionError,
@@ -23,7 +25,6 @@ from .population import (
     Population,
     SamplingOracle,
     generate_population,
-    hamming_distance,
 )
 from .schemes import (
     LEAK_AD,

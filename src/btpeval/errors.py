@@ -13,10 +13,6 @@ class DimensionError(BtpEvalError):
     """Two bit vectors (or a vector and its space) disagree on length."""
 
 
-class BudgetExceededError(BtpEvalError):
-    """A sampling-oracle query was attempted past the allowed budget."""
-
-
 class ContractError(BtpEvalError):
     """A protocol-level precondition was violated (empty leak set,
     adversary used with an incompatible leak set, and so on)."""

@@ -6,7 +6,8 @@ parameters to the adversary's first stage, the challenger prepares a
 challenge from fresh captures, the adversary's second stage answers from
 its leaked view.  All state between the stages travels through the
 explicit state value returned by phase 1.  A trial that exhausts its
-oracle budget counts as a loss and is flagged.
+oracle budget is flagged; an inversion game counts it as a loss, and the
+unlinkability game scores it on a fair coin.
 
 One engine plays every adversary: a chunk of `metrics.CHUNK_TRIALS`
 (4096) trials, the one chunk size of every Monte Carlo loop, draws from
@@ -41,7 +42,7 @@ from .metrics import (
     extremal_mr,
     extremal_rmr,
 )
-from .population import BatchSamplingOracle, FeatureElement, Population
+from .population import FeatureElement, Population, SamplingOracle
 from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
@@ -67,11 +68,12 @@ class IrrAdversary(ABC):
     value phase 1 returns.  `phase1_batch(params, leak, tau, oracle, rng)`
     returns the state for `phase2_batch(state, view, oracle, rng)`, which
     returns one packed guess per trial.  `tau` is None in the
-    pseudo-authorized-leakage variant.  The oracle is a
-    `BatchSamplingOracle` over the chunk's `oracle.trials` trials and the
-    view's fields are arrays of template codes (None where hidden).  Phase
-    2 may be called on a subset of the trials, so what the state holds per
-    trial it keys by trial row (`oracle.rows`).
+    pseudo-authorized-leakage variant.  The oracle is a `SamplingOracle`
+    over the chunk's `oracle.trials` trials, which cuts (and so loses) a
+    trial that passes `query_budget`, and the view's fields are arrays of
+    template codes (None where hidden).  Phase 2 may be called on a
+    subset of the trials, so what the state holds per trial it keys by
+    trial row (`oracle.rows`).
     """
 
     name = "irr-adversary"
@@ -93,7 +95,8 @@ class UnlinkAdversary(ABC):
     `phase1_batch(params, leak, oracle, rng)` returns packed (x, x0, x1)
     arrays and a state, and the challenger encodes x and x_b;
     `phase2_batch(state, view, view_prime, oracle, rng)` returns one bit
-    per trial.  See `IrrAdversary` for the oracle and the views.
+    per trial.  See `IrrAdversary` for the oracle and the views; a trial
+    the oracle cuts is scored on a fair coin instead of its answer.
     """
 
     name = "unlink-adversary"
@@ -205,8 +208,8 @@ class _GameSpec(Record):
         rng_ch, rng_adv, rng_samp = (
             substream(self.settings.seed, self.label, lo // CHUNK_TRIALS, role)
             for role in _ROLES)
-        oracles = [BatchSamplingOracle(self.pop, rng_samp,
-                                       self.settings.query_budget, hi - lo)
+        oracles = [SamplingOracle(self.pop, rng_samp,
+                                  self.settings.query_budget, hi - lo)
                    for _ in range(2)]
         return rng_ch, rng_adv, oracles
 
@@ -265,7 +268,9 @@ class _IrrSpec(_GameSpec):
 class _UnlinkSpec(_GameSpec):
     """Distinguishing trials: the challenger encodes x and x_b, with b
     drawn per trial unless `force_b` fixes it.  Each trial records its
-    `answers` (-1 where the budget cut the trial) and `wins`."""
+    `answers` (-1 where the budget cut the trial), the bit `scored`,
+    which is the answer or, on a cut trial, a fair coin the challenger
+    draws after the challenge, and `wins`."""
 
     force_b: int | None = None
 
@@ -292,7 +297,10 @@ class _UnlinkSpec(_GameSpec):
         if bad.any():
             raise ProtocolError(f"guess must be 0 or 1, got {b_prime[bad][0]!r}")
         rec["answers"] = np.where(flagged, -1, b_prime).astype(np.int8)
-        rec["wins"] = rec["answers"] == b
+        rec["scored"] = rec["answers"].copy()
+        if flagged.any():
+            rec["scored"][flagged] = rng_ch.integers(2, size=flagged.sum())
+        rec["wins"] = rec["scored"] == b
         if self.record:
             shown_b = np.where(oracle1.cut, -1, b)
             rec["transcript"] = [f"b{bb}|g{g}"
@@ -408,7 +416,8 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
 
     FCMR conditions on non-mated challenges (b = 1) and counts answers of
     0; FNCMR conditions on mated challenges (b = 0) and counts answers of
-    1.  |1 - (FCMR + FNCMR)| must agree with the comparator's own
+    1.  A trial the budget cut is scored on the fair coin the game gives
+    it.  |1 - (FCMR + FNCMR)| must agree with the comparator's own
     unlinkability advantage, which is measured independently, on seed
     `settings.seed + 1`, and returned alongside.
     """
@@ -419,7 +428,7 @@ def est_cross_match_rates(scheme, pop, leak: LeakSet, comparator: UnlinkAdversar
         rec = _run_spec(spec)
         false_answer = 0 if b == 1 else 1
         results[label] = _game_result(label, spec, rec,
-                                      rec["answers"] == false_answer).win_rate
+                                      rec["scored"] == false_answer).win_rate
     identity = abs(1.0 - (results["fcmr"].point + results["fncmr"].point))
     game = run_unlink_game(scheme, pop, leak, comparator,
                            settings.replace(seed=settings.seed + 1))

@@ -3,12 +3,12 @@
 The feature space is the n-cube {0,1}^n with the Hamming distance (a
 semimetric: non-negative, zero exactly on equal points, symmetric).  Each
 user u owns a center template c_u; a fresh capture from u flips every bit
-of c_u independently with probability p.  `BatchSamplingOracle` wraps
+of c_u independently with probability p, and is packed into one uint64,
+as the centers are in `Population.center_values`.  `SamplingOracle` wraps
 the population behind a query-counted interface for a chunk of trials, so
 games can charge adversary queries against a budget:
 `sample(trials, users)` charges trial `trials[i]` one query per user in
-row `users[i]`.  `SamplingOracle` is the one-trial oracle, the row of a
-chunk of one trial.
+row `users[i]`.
 
 A capture draws one uniform per word of up to `WORD_BITS` bits: the
 word's flip mask is read from an alias table of its Bernoulli(p)^w law
@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (BudgetExceededError, ConfigError, ContractError,
-                     DimensionError)
+from .errors import ConfigError, ContractError, DimensionError
 from .records import Record
 from .rng import substream
 
@@ -64,22 +63,8 @@ class FeatureElement(Record):
             raise ConfigError(f"not a bitstring: {s!r}")
         return cls.from_bits(int(c) for c in s)
 
-    def rotate(self, r: int) -> "FeatureElement":
-        """Cyclic coordinate shift: coordinate i moves to (i + r) mod n."""
-        r %= self.n
-        mask = (1 << self.n) - 1
-        v = ((self.value << r) | (self.value >> (self.n - r))) & mask if r else self.value
-        return FeatureElement(self.n, v)
-
     def __str__(self) -> str:
         return "".join(str((self.value >> i) & 1) for i in range(self.n))
-
-
-def hamming_distance(a: FeatureElement, b: FeatureElement) -> int:
-    """Number of differing coordinates; the semimetric of the space."""
-    if a.n != b.n:
-        raise DimensionError(f"dimension mismatch: {a.n} != {b.n}")
-    return (a.value ^ b.value).bit_count()
 
 
 def _word_masses(w: int, p: float) -> np.ndarray:
@@ -177,12 +162,9 @@ class Population(Record):
         """Uniforms per capture: one per word of min(n, WORD_BITS) bits."""
         return -(-self.n // WORD_BITS)
 
-    def center(self, u: int) -> FeatureElement:
-        return self.centers[u]
-
-    def captures(self, us, uniforms: np.ndarray) -> np.ndarray:
-        """Packed captures (uint64) of users `us`, of any shape, from
-        uniforms of shape `us.shape + (words,)`.
+    def sample_batch(self, us, rng: np.random.Generator) -> np.ndarray:
+        """Packed captures (uint64) of the users in array `us`, in its
+        shape, from `words` uniforms of `rng` per capture.
 
         Word j of the flip mask, bits 10 j onward, is read from uniform j
         through the alias table of min(n, WORD_BITS) independent
@@ -191,6 +173,8 @@ class Population(Record):
         exact probability, so a word's law is within total variation
         2^(w - 54) <= 2^-44 of the exact one.
         """
+        us = np.asarray(us)
+        uniforms = rng.random(us.shape + (self.words,))
         cut, alias = _alias_table(min(self.n, WORD_BITS), self.flip_prob)
         cells = (uniforms * len(cut)).astype(np.intp)
         masks = np.where(uniforms < cut[cells], cells, alias[cells]).view(np.uint64)
@@ -200,21 +184,6 @@ class Population(Record):
                 flips = (flips << np.uint64(WORD_BITS)) | masks[..., j]
             flips &= np.uint64((1 << self.n) - 1)
         return self.center_values[us] ^ flips
-
-    def sample(self, u: int, rng: np.random.Generator) -> FeatureElement:
-        """One capture from user u: the center with independent bit flips."""
-        return FeatureElement(self.n, int(self.captures(u, rng.random(self.words))))
-
-    def sample_batch(self, us: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized captures (packed uint64 values) for a user-index array."""
-        us = np.asarray(us)
-        return self.captures(us, rng.random(us.shape + (self.words,)))
-
-    def feature_probability(self, u: int, x: FeatureElement) -> float:
-        """P(X_u = x) = p^d * (1-p)^(n-d) with d = d(x, c_u)."""
-        d = hamming_distance(x, self.centers[u])
-        p = self.flip_prob
-        return (p ** d) * ((1.0 - p) ** (self.n - d))
 
     def to_config(self) -> dict:
         return {
@@ -269,57 +238,21 @@ def generate_population(
     if not 0.0 <= flip_prob < 0.5:
         raise ConfigError(f"p must be in [0, 0.5), got {flip_prob}")
     rng = substream(seed, "gen")
-    centers = []
-    for _ in range(num_users):
-        bits = rng.integers(0, 2, size=n)
-        value = int((bits.astype(np.uint64) * (1 << np.arange(n, dtype=np.uint64))).sum())
-        centers.append(FeatureElement(n, value))
-    return Population(n=n, flip_prob=flip_prob, seed=seed, centers=tuple(centers))
+    centers = tuple(FeatureElement.from_bits(rng.integers(0, 2, size=n))
+                    for _ in range(num_users))
+    return Population(n=n, flip_prob=flip_prob, seed=seed, centers=centers)
 
 
 class SamplingOracle:
     """Query-counted access to the population's capture distributions, for
-    one trial.
-
-    The oracle is row `row` of a `BatchSamplingOracle`, which keeps the
-    count; one built directly is the row of a one-trial chunk of its own.
-    `query_count` is monotone and never passes `query_budget`; the query
-    that would pass it is refused with `BudgetExceededError`, and the
-    trial is cut.
-    """
-
-    def __init__(self, population: Population, rng: np.random.Generator,
-                 query_budget: int = 10**6):
-        self._chunk = BatchSamplingOracle(population, rng, query_budget, 1)
-        self.row = 0
-
-    @property
-    def population(self) -> Population:
-        return self._chunk.population
-
-    @property
-    def query_budget(self) -> int:
-        return self._chunk.query_budget
-
-    @property
-    def query_count(self) -> int:
-        return int(self._chunk._counts[self.row])
-
-    def sample(self, u: int) -> FeatureElement:
-        if not 0 <= u < self.population.num_users:
-            raise IndexError(f"unknown user {u}")
-        self._chunk._charge(self.row)
-        return self.population.sample(u, self._chunk.rng)
-
-
-class BatchSamplingOracle:
-    """`SamplingOracle` for a chunk of trials, counted per trial.
+    a chunk of trials, counted per trial.
 
     `sample(trials, users)` draws one capture per user and charges each
-    to the trial of its row.  A trial whose demand passes
-    `query_budget` is `cut`, and its count stops at the budget, just as a
-    per-trial oracle stops at the query it refuses.  `subset` gives an
-    oracle over some of the trials that charges this one.
+    to the trial of its row.  A trial whose demand passes `query_budget`
+    is `cut`, and its count stops at the budget; the oracle still draws
+    every capture asked of it, and the game scores the trial as cut.
+    `subset` gives an oracle over some of the trials that charges this
+    one.
     """
 
     def __init__(self, population: Population, rng: np.random.Generator,
@@ -350,30 +283,24 @@ class BatchSamplingOracle:
         """Whether each trial asked for more than the budget."""
         return self._cut[self._index]
 
-    def subset(self, sel) -> "BatchSamplingOracle":
+    def subset(self, sel) -> "SamplingOracle":
         sub = copy.copy(self)
         sub._index = self._index[sel]
         return sub
-
-    def _charge(self, row: int):
-        """Charge one query to `row`, or refuse it and cut the trial."""
-        if self._counts[row] >= self.query_budget:
-            self._cut[row] = True
-            raise BudgetExceededError(
-                f"query budget of {self.query_budget} exhausted"
-            )
-        self._counts[row] += 1
 
     def sample(self, trials, users) -> np.ndarray:
         """Packed captures of `users`, in its shape.  Row `users[i]` is
         charged to trial `trials[i]`, one query per capture, so `users`
         has one row per entry of `trials` (flat parallel arrays charge one
         query per entry, and a lone user is the row of one trial); any
-        other shape is refused."""
-        users, rows = np.asarray(users), np.size(trials)
+        other shape is refused, as is a trial outside [0, trials)."""
+        trials, users = np.asarray(trials), np.asarray(users)
+        rows = trials.size
         if (users.shape[:1] or (1,)) != (rows,):
             raise ContractError(f"users of shape {users.shape} do not give "
                                 f"one row to each of {rows} trials")
+        if rows and not (0 <= trials.min() and trials.max() < self.trials):
+            raise IndexError("unknown trial in batch query")
         per_trial = users.size // rows if rows else 0
         if users.size and not (0 <= users.min()
                                and users.max() < self.population.num_users):

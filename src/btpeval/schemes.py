@@ -210,8 +210,8 @@ def hamming_7_4(t: int = 1) -> LinearCode:
 
 
 def _rotate(xs, r, n: int) -> np.ndarray:
-    """Packed cyclic shift of every x by its r (FeatureElement.rotate), for
-    r in [0, n): at r = 0 the right shift by n clears the n-bit x."""
+    """Packed cyclic shift of every x by its r, coordinate i to (i + r)
+    mod n, for r in [0, n): at r = 0 the right shift by n clears x."""
     xs = np.asarray(xs, dtype=np.uint64)
     r = np.asarray(r, dtype=np.uint64)
     mask = np.uint64((1 << n) - 1)

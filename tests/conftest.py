@@ -71,9 +71,9 @@ def chunk_runs(monkeypatch):
 @pytest.fixture
 def batch_calls(monkeypatch):
     """Counts batch calls in this process, by method name, in one
-    `Counter`: every population's `sample_batch` and `sample` at once, and
-    a scheme's `pie_batch`, `pir_batch` and `pic_batch` once the test
-    calls `batch_calls(scheme)`, which returns the counter.
+    `Counter`: every population's `sample_batch` at once, and a scheme's
+    `pie_batch`, `pir_batch` and `pic_batch` once the test calls
+    `batch_calls(scheme)`, which returns the counter.
     `batch_calls.captures` lists the captures asked of each `sample_batch`
     call, in call order."""
     calls = Counter()
@@ -86,9 +86,8 @@ def batch_calls(monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
-    for name in ("sample_batch", "sample"):
-        monkeypatch.setattr(Population, name,
-                            counted(name, getattr(Population, name)))
+    monkeypatch.setattr(Population, "sample_batch",
+                        counted("sample_batch", Population.sample_batch))
 
     def watch(scheme):
         for name in ("pie_batch", "pir_batch", "pic_batch"):

@@ -24,10 +24,10 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
 )
 from btpeval.errors import ContractError
-from btpeval.population import FeatureElement, hamming_distance
+from btpeval.population import FeatureElement
 from btpeval.schemes import LEAK_BOTH
 from reference_exact import closed_form_mr
-from reference_population import neighborhood_overlap
+from reference_population import hamming_distance, neighborhood_overlap
 from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from btpeval import exact
 from btpeval.population import FeatureElement
 from btpeval.schemes import REJECT_CODE
+from reference_population import feature_probability
 
 
 def closed_form_mr(pop, x, tau: int) -> float:
@@ -25,7 +26,7 @@ def closed_form_mr(pop, x, tau: int) -> float:
     p = pop.flip_prob
     total = 0.0
     for u in range(pop.num_users):
-        h = (x.value ^ pop.center(u).value).bit_count()
+        h = (x.value ^ pop.centers[u].value).bit_count()
         pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
                           for a in range(h + 1)])
         nb = pop.n - h
@@ -50,7 +51,7 @@ def sampler_al_irr_win_rate(pop, tau: int, q: int) -> float:
     function, that is sum_s (F(<= s)^q - F(< s)^q) * s.
     """
     n, users = pop.n, range(pop.num_users)
-    pmf = np.array([np.mean([pop.feature_probability(u, FeatureElement(n, x))
+    pmf = np.array([np.mean([feature_probability(pop, u, FeatureElement(n, x))
                              for u in users]) for x in range(1 << n)])
     scores, inverse = np.unique(exact.mr_vector(pop, tau), return_inverse=True)
     mass = np.bincount(inverse, weights=pmf)

@@ -4,7 +4,7 @@ The library's schemes implement the batch contract alone.  The classes
 here subclass them and add the scalar methods `pie(x, rng)`, `pir(alpha,
 x)`, `pic(pi, vid)` and `pie_support(x)` on one capture's codes, written
 directly: fc with an exhaustive bounded-distance decoder, rot with
-`FeatureElement.rotate`.  A capture is a packed int, `pie` returns a
+`rotate`, the scalar twin of the package's packed rotation.  A capture is a packed int, `pie` returns a
 (pi, alpha) pair of codes and `pie_support` a list of (probability, pi,
 alpha) triples, so a differential test that compares a batch path with
 these methods compares two independent computations.  Their batch
@@ -48,6 +48,14 @@ def bounded_distance_decode(code: LinearCode, y: FeatureElement):
     return None if w is None else FeatureElement(code.n_code, w)
 
 
+def rotate(x: FeatureElement, r: int) -> FeatureElement:
+    """Cyclic coordinate shift: coordinate i moves to (i + r) mod n."""
+    r %= x.n
+    mask = (1 << x.n) - 1
+    v = ((x.value << r) | (x.value >> (x.n - r))) & mask if r else x.value
+    return FeatureElement(x.n, v)
+
+
 def decisions_and_ball(scheme, radius):
     """(accepts, within) over every feature x, every template of x and
     every probe: (2^n, K, 2^n) arrays of the comparator's decision, taken
@@ -88,7 +96,7 @@ class RefRotationScheme(_RefThreshold, RotationScheme):
     """pi is the capture rotated by alpha = r."""
 
     def _rotate(self, x, r):
-        return FeatureElement(self.feature_dim, x).rotate(r).value
+        return rotate(FeatureElement(self.feature_dim, x), r).value
 
     def pie(self, x, rng):
         r = int(rng.integers(self.feature_dim))

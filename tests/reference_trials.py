@@ -12,27 +12,55 @@ returns the state for `phase2(state, view, oracle, rng)`, which returns
 the guessed `FeatureElement`.  The scalar unlink pair: `phase1(params,
 leak, oracle, rng)` returns (x, x0, x1, state) and `phase2(state, view,
 view_prime, oracle, rng)` the guessed bit.  The oracle is the trial's
-`SamplingOracle`, which charges the trial's row of the chunk's oracle, and
-a view holds the trial's template codes, which a scalar phase reads with
-the scheme's batch methods.  A trial whose oracle refuses a query is cut
-there; a trial cut in phase 1 gets no phase 2.
+`TrialOracle`, which charges the trial's row of the chunk's
+`SamplingOracle`, and a view holds the trial's template codes, which a
+scalar phase reads with the scheme's batch methods.  A trial whose oracle
+refuses a query is cut there; a trial cut in phase 1 gets no phase 2.
 """
 
 from abc import abstractmethod
 
 import numpy as np
 
-from btpeval.errors import BudgetExceededError, ProtocolError
+from btpeval.errors import ProtocolError
 from btpeval.games import IrrAdversary, UnlinkAdversary
-from btpeval.population import FeatureElement, SamplingOracle
+from btpeval.population import FeatureElement
 from btpeval.schemes import PtView
 
 
-class TrialOracle(SamplingOracle):
-    """The scalar oracle of row `row` of a chunk's `BatchSamplingOracle`."""
+class BudgetExhausted(Exception):
+    """A trial's oracle refused the query that would pass its budget."""
 
-    def __init__(self, chunk, row: int):
-        self._chunk, self.row = chunk, row
+
+class TrialOracle:
+    """The scalar oracle of trial `trial` of a chunk's `SamplingOracle`.
+
+    `sample(u)` is one capture of user u, a `FeatureElement`, charged to
+    the trial's row (`row`) and drawn through the chunk, so the trials
+    draw from the chunk's sampling stream in turn.  `query_count` is
+    monotone and never passes the chunk's `query_budget`: the query that
+    would pass it is refused before any draw, the row is cut and
+    `BudgetExhausted` raised.
+    """
+
+    def __init__(self, chunk, trial: int):
+        self._chunk, self._trial = chunk, trial
+        self.row = int(chunk.rows[trial])
+
+    @property
+    def query_count(self) -> int:
+        return int(self._chunk._counts[self.row])
+
+    def sample(self, u: int) -> FeatureElement:
+        chunk = self._chunk
+        if not 0 <= u < chunk.population.num_users:
+            raise IndexError(f"unknown user {u}")
+        if self.query_count >= chunk.query_budget:
+            chunk._cut[self.row] = True
+            raise BudgetExhausted(
+                f"query budget of {chunk.query_budget} exhausted")
+        x = chunk.sample(np.array([self._trial]), np.array([u]))
+        return FeatureElement(chunk.population.n, int(x[0]))
 
 
 def _each_trial(oracle, play, states=None):
@@ -46,9 +74,9 @@ def _each_trial(oracle, play, states=None):
         if states is not None and row not in states:
             continue
         try:
-            play(j, TrialOracle(oracle, row),
+            play(j, TrialOracle(oracle, j),
                  None if states is None else states[row])
-        except BudgetExceededError:
+        except BudgetExhausted:
             pass
 
 

@@ -22,7 +22,7 @@ from btpeval.errors import ConfigError, ContractError, ModeError, VariationTooHi
 from btpeval.games import (GameParams, _UnlinkSpec, run_al_irr_game, run_pal_irr_game,
                            run_unlink_game)
 from btpeval.metrics import MatchRateStats, RunSettings
-from btpeval.population import BatchSamplingOracle, generate_population
+from btpeval.population import SamplingOracle, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, build_scheme,
                              leak_view)
@@ -157,7 +157,7 @@ class TestCrossComparator:
         adv = CrossComparatorAdversary()
         params = GameParams(fc_scheme, noiseless_pop)
         rng = substream(0, "cc")
-        oracle = BatchSamplingOracle(noiseless_pop, substream(1, "cc"), 100, 500)
+        oracle = SamplingOracle(noiseless_pop, substream(1, "cc"), 100, 500)
         x, x0, x1, state = adv.phase1_batch(params, LEAK_BOTH, oracle, rng)
         assert (oracle.counts == 3).all()
         assert (x == x0).all() and (x0 != x1).all()
@@ -185,7 +185,7 @@ class TestReductionAdversary:
         inner = CountingInner(num_queries=4)
         adv = ReductionUnlinkAdversary(inner, 1)
         rng = substream(2, "red")
-        oracle = BatchSamplingOracle(default_pop, substream(3, "red"), 100, 50)
+        oracle = SamplingOracle(default_pop, substream(3, "red"), 100, 50)
         x, x0, x1, state = adv.phase1_batch(GameParams(fc_scheme, default_pop),
                                             LEAK_AD, oracle, rng)
         view_prime = leak_view(ProtectedTemplate(*fc_scheme.pie_batch(x0, rng)),

@@ -35,9 +35,9 @@ from btpeval.games import (
 )
 from btpeval.metrics import RunSettings
 from btpeval.population import (
-    BatchSamplingOracle,
     FeatureElement,
     Population,
+    SamplingOracle,
     generate_population,
 )
 from btpeval.rng import substream
@@ -53,6 +53,7 @@ from btpeval.schemes import (
 from reference_adversaries import scalar_twin
 from reference_exact import sampler_al_irr_win_rate
 from reference_results import half_width
+from reference_schemes import rotate
 from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 from toy_schemes import LotteryScheme
 
@@ -141,8 +142,8 @@ class UnrotateAdversary(TrialUnlinkAdversary):
 
     def phase2(self, state, view, view_prime, oracle, rng):
         x, x0, x1 = state
-        recovered = FeatureElement(x.n, int(view_prime.pi)).rotate(
-            -int(view_prime.alpha))
+        recovered = rotate(FeatureElement(x.n, int(view_prime.pi)),
+                           -int(view_prime.alpha))
         if recovered == x0:
             return 0
         if recovered == x1:
@@ -386,13 +387,38 @@ class TestBudgets:
         # three captures asked for in phase 1, two allowed: no trial gets
         # a challenge, and phase 2 is never charged
         trials = 700
-        result = self._both(lambda adv: run_unlink_game(
+        results = [run_unlink_game(
             fc_scheme, default_pop, LEAK_BOTH, adv,
-            RunSettings(trials=trials, seed=5, query_budget=2)),
-            MatchTestUnlinkAdversary())
-        assert (result.flagged, result.wins) == (trials, 0)
-        assert result.queries == {"adv_phase1": 2 * trials, "adv_phase2": 0,
-                                  "challenger": 0}
+            RunSettings(trials=trials, seed=5, query_budget=2))
+            for adv in engines(MatchTestUnlinkAdversary()).values()]
+        batch, scalar = results
+        assert batch.flagged == scalar.flagged == trials
+        assert batch.queries == scalar.queries == {
+            "adv_phase1": 2 * trials, "adv_phase2": 0, "challenger": 0}
+        # every trial is scored on the challenger's coin, whatever the
+        # adversary: another one, cut as early, gets the same wins
+        thrifty = run_unlink_game(
+            fc_scheme, default_pop, LEAK_BOTH, ThriftyUnlink(),
+            RunSettings(trials=trials, seed=5, query_budget=1))
+        assert thrifty.flagged == trials
+        assert batch.wins == scalar.wins == thrifty.wins
+        assert 0 < batch.wins < trials
+
+    @pytest.mark.parametrize("adversary", ["coin", "match-test", "reduction"])
+    def test_all_cut_run_wins_on_a_fair_coin(self, fc_scheme, default_pop,
+                                             adversary):
+        # a cut trial is no evidence either way: the win rate of a run
+        # whose every trial is cut covers 1/2, so its advantage reads ~0
+        adv = {"coin": CoinFlipUnlinkAdversary(),
+               "match-test": MatchTestUnlinkAdversary(),
+               "reduction": ReductionUnlinkAdversary(SamplerIrrAdversary(16),
+                                                     1)}[adversary]
+        trials = 2000
+        result = run_unlink_game(
+            fc_scheme, default_pop, LEAK_BOTH, adv,
+            RunSettings(trials=trials, seed=8, query_budget=1, level=0.99))
+        assert result.flagged == trials
+        assert result.win_rate.ci_low <= 0.5 <= result.win_rate.ci_high
 
     @pytest.mark.parametrize("engine", ["batch", "scalar", "scalar-inner"])
     def test_reduction_charges_inner_only_when_balls_apart(
@@ -464,9 +490,10 @@ class TestDeterminism:
         "pal-sampler": (114, 0, 0, 2800, 700, "fe794db2f011fa9a"),
         "pal-pal-sampler-cut": (234, 466, 0, 1821, 700, "e677ebe93fb980f5"),
         "al-cut-in-both-phases": (40, 302, 868, 643, 530, "59d65c41e0ae8114"),
-        "unlink-cut-in-both-phases": (226, 307, 2572, 1103, 0,
-                                      "1c91b6ad8758e824"),
-        "unlink-reduction-cut": (96, 486, 2100, 2430, 0, "c2e072ae1ec5ecc7"),
+        # in the unlink runs a cut trial is scored on the challenger's coin
+        "unlink-cut-in-both-phases": (380, 307, 2572, 1103, 0,
+                                      "888a979bb8823601"),
+        "unlink-reduction-cut": (355, 486, 2100, 2430, 0, "08d801254e46a430"),
     }
 
     @pytest.mark.parametrize("case", PINNED)
@@ -621,8 +648,8 @@ class TestChunkCost:
         # the last bound puts the whole chunk of m x 16 captures in one block
         def guesses():
             m = metrics.CHUNK_TRIALS
-            oracle = BatchSamplingOracle(default_pop, substream(4, "samp"),
-                                         10**6, m)
+            oracle = SamplingOracle(default_pop, substream(4, "samp"),
+                                    10**6, m)
             adv_rng = substream(4, "adv")
             guess = SamplerIrrAdversary(16).phase2_batch(
                 (GameParams(fc_scheme, default_pop), 1), None, oracle, adv_rng)
@@ -762,6 +789,18 @@ class TestCrossMatchRates:
               + se_adv ** 2) ** 0.5
         assert res.identity_gap <= 3 * se + 1e-9
         assert res.identity_advantage > 0.5
+
+    def test_cut_trials_read_the_coin(self, fc_scheme, default_pop):
+        # the comparator asks for three captures in phase 1: a budget of
+        # two cuts every trial, whose scored bit is then a fair coin
+        res = est_cross_match_rates(fc_scheme, default_pop, LEAK_BOTH,
+                                    CrossComparatorAdversary(),
+                                    RunSettings(trials=2000, seed=27,
+                                                query_budget=2, level=0.99))
+        assert res.fcmr.queries_used == res.fncmr.queries_used == 2 * 2000
+        for rate in (res.fcmr, res.fncmr):
+            assert rate.ci_low <= 0.5 <= rate.ci_high
+        assert res.unlink_advantage.ci_low <= 0.0
 
 
 SCHEMES = {

@@ -29,13 +29,15 @@ from btpeval.schemes import (
     build_scheme,
 )
 from reference_exact import closed_form_mr
+from reference_population import feature_probability
+from reference_schemes import rotate
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 
 def pmf_by_feature_probability(pop, u):
     """Independent pmf construction: direct calls, no shared code path."""
     return np.array([
-        pop.feature_probability(u, FeatureElement(pop.n, v))
+        feature_probability(pop, u, FeatureElement(pop.n, v))
         for v in range(1 << pop.n)
     ])
 
@@ -328,10 +330,10 @@ class TestMrOfFeature:
         assert exact.mr_scores(default_pop, [0], 7)[0] == pytest.approx(1.0)
 
     def test_noiseless_counts_users_in_ball(self, noiseless_pop):
-        x = noiseless_pop.center(0)
+        x = noiseless_pop.centers[0]
         expect = sum(
             1 for u in range(noiseless_pop.num_users)
-            if (noiseless_pop.center(u).value ^ x.value).bit_count() <= 1
+            if (noiseless_pop.centers[u].value ^ x.value).bit_count() <= 1
         ) / noiseless_pop.num_users
         assert exact.mr_scores(noiseless_pop, [x.value], 1)[0] \
             == pytest.approx(expect)
@@ -339,13 +341,13 @@ class TestMrOfFeature:
     def test_against_weighted_sum_oracle(self, default_pop):
         # brute force over all 2^7 probe values weighted by feature_probability
         pop = default_pop
-        x = pop.center(0)
+        x = pop.centers[0]
         tau = 1
         oracle = 0.0
         for u in range(pop.num_users):
             for v in range(1 << pop.n):
                 if (v ^ x.value).bit_count() <= tau:
-                    oracle += pop.feature_probability(u, FeatureElement(7, v))
+                    oracle += feature_probability(pop, u, FeatureElement(7, v))
         oracle /= pop.num_users
         assert exact.mr_scores(pop, [x.value], tau)[0] \
             == pytest.approx(oracle, abs=1e-12)
@@ -379,7 +381,7 @@ class TestRmrOfFeature:
 
     def test_plaintext_counts_centers(self, noiseless_pop):
         # noiseless enrollments are the centers; tau = 0 accepts equal ones
-        x = noiseless_pop.center(0)
+        x = noiseless_pop.centers[0]
         est = metrics.rmr_of_feature(PlaintextScheme(7, tau=0), noiseless_pop,
                                      x, RunSettings(trials=4000, seed=7))
         same = sum(1 for c in noiseless_pop.centers if c == x)
@@ -392,7 +394,7 @@ class TestRmrOfFeature:
         assert est.point == 1.0
 
     def test_estimate_matches_enumeration(self, fc_scheme, default_pop):
-        x = default_pop.center(2)
+        x = default_pop.centers[2]
         est = metrics.rmr_of_feature(fc_scheme, default_pop, x,
                                      RunSettings(trials=20000, seed=61, level=0.99))
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop) \
@@ -469,7 +471,7 @@ class TestExtremal:
         assert m.value == pytest.approx(float(rmr.max()), abs=1e-12)
         # the rotation orbit of each witness holds tied features
         for vec, w in ((mr, lowest(mr, np.max)), (ov_vec, lowest(ov_vec, np.min))):
-            orbit = [FeatureElement(6, w).rotate(2 * k).value for k in range(3)]
+            orbit = [rotate(FeatureElement(6, w), 2 * k).value for k in range(3)]
             assert np.ptp(vec[orbit]) <= 1e-12
             assert w == min(orbit)
 
@@ -677,7 +679,7 @@ class TestEnumeratorTables:
         own = all(accepts(scheme, pi, alpha, x) for x in range(128)
                   for _, pi, alpha in outcomes(scheme, x))
         assert en.hypothesis_own_match() == own
-        mix = [np.mean([pop.feature_probability(u, FeatureElement(7, v))
+        mix = [np.mean([feature_probability(pop, u, FeatureElement(7, v))
                         for u in range(pop.num_users)]) for v in range(128)]
         assert en.pmf_mix == pytest.approx(mix, abs=1e-15)
 
@@ -693,9 +695,9 @@ COUNT_ESTIMATORS = {
     "fmr_bp": (metrics.est_fmr_bp, 2),
     "fmr_div": (metrics.est_fmr_div, 3),
     "mr": (lambda s, p, rs:
-           metrics.est_mr_of_feature(p, p.center(0), 1, rs), 1),
+           metrics.est_mr_of_feature(p, p.centers[0], 1, rs), 1),
     "rmr": (lambda s, p, rs:
-            metrics.rmr_of_feature(s, p, p.center(0), rs), 1),
+            metrics.rmr_of_feature(s, p, p.centers[0], rs), 1),
 }
 
 
@@ -725,7 +727,7 @@ KERNEL_CONFIGS = {
     "fmr_tp_pi": lambda p: dict(owners=("u", "v"), alpha_from=1),
     "fmr_bp": lambda p: dict(owners=("v",)),
     "fmr_div": lambda p: dict(owners=("u", "u"), alpha_from=1),
-    "rmr": lambda p: dict(probe=p.center(2)),
+    "rmr": lambda p: dict(probe=p.centers[2]),
 }
 
 
@@ -763,7 +765,7 @@ def raw_accepts(pop, tau, rng, m, owners=("u",), probe=None,
 RAW_CONFIGS = {
     "fnmr": lambda p: dict(count_rejects=True),
     "fmr": lambda p: dict(owners=("v",)),
-    "fixed_probe": lambda p: dict(probe=p.center(2)),
+    "fixed_probe": lambda p: dict(probe=p.centers[2]),
 }
 
 
@@ -785,7 +787,7 @@ class TestPlaintextKernelIsTheRawComparator:
 
     @pytest.mark.parametrize("estimate", [
         lambda pop, s: metrics.est_baseline_rates(pop, -1, s),
-        lambda pop, s: metrics.est_mr_of_feature(pop, pop.center(0), -1, s),
+        lambda pop, s: metrics.est_mr_of_feature(pop, pop.centers[0], -1, s),
     ], ids=["est_baseline_rates", "est_mr_of_feature"])
     def test_negative_tau_refused(self, default_pop, estimate):
         with pytest.raises(ConfigError, match="tau must be >= 0"):
@@ -864,7 +866,6 @@ class TestPtStatsKernelCost:
         blocks = math.ceil(600 / (metrics.PT_BLOCK_PROBES // 400))
         assert calls["pir_batch"] == calls["pic_batch"] <= blocks
         assert calls["sample_batch"] <= 2 * blocks
-        assert calls["sample"] == 0
 
     def test_peak_memory_bounded(self):
         # the (probes, words) arrays of one block dominate: about 0.5 MB here

@@ -10,19 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btpeval import cli
-from btpeval.errors import BudgetExceededError, ConfigError, DimensionError
+from btpeval.errors import ConfigError, DimensionError
 from btpeval.population import (
     WORD_BITS,
-    BatchSamplingOracle,
     FeatureElement,
     Population,
     SamplingOracle,
     _alias_table,
     generate_population,
-    hamming_distance,
 )
 from btpeval.rng import substream
-from reference_population import bit, neighborhood_overlap, per_query_sample
+from reference_population import (
+    bit,
+    feature_probability,
+    hamming_distance,
+    neighborhood_overlap,
+    per_query_sample,
+)
+from reference_schemes import rotate
+from reference_trials import BudgetExhausted, TrialOracle
 
 
 def fe(s):
@@ -83,8 +89,8 @@ class TestFeatureElement:
             a = FeatureElement(9, int(rng.integers(512)))
             b = FeatureElement(9, int(rng.integers(512)))
             r = int(rng.integers(9))
-            assert hamming_distance(a.rotate(r), b.rotate(r)) == hamming_distance(a, b)
-            assert a.rotate(r).rotate(-r) == a
+            assert hamming_distance(rotate(a, r), rotate(b, r)) == hamming_distance(a, b)
+            assert rotate(rotate(a, r), -r) == a
 
 
 class TestGeneratePopulation:
@@ -168,12 +174,12 @@ def loop_captures(pop, us, uniforms):
             cell = k >> (53 - w)
             mask = cell if k < int(cut[cell] * 2**53) else int(alias[cell])
             flips |= mask << (WORD_BITS * j)
-        out.append(pop.center(int(u)).value ^ (flips & ((1 << pop.n) - 1)))
+        out.append(pop.centers[int(u)].value ^ (flips & ((1 << pop.n) - 1)))
     return out
 
 
 class TestCapturePacker:
-    """`captures` and `sample_batch` against a per-word Python lookup."""
+    """`sample_batch` against a per-word Python lookup."""
 
     @pytest.mark.parametrize("n", [1, 7, 33, 64])
     def test_batch_equals_per_word_lookup(self, n):
@@ -183,27 +189,18 @@ class TestCapturePacker:
         uniforms = substream(n, "pack").random((200, math.ceil(n / 10)))
         expected = loop_captures(pop, us, uniforms)
         assert [int(v) for v in batch] == expected
-        assert [int(v) for v in pop.captures(us, uniforms)] == expected
         if n == 64:
-            assert any((v ^ pop.center(int(u)).value) >> 63
+            assert any((v ^ pop.centers[int(u)].value) >> 63
                        for u, v in zip(us, expected))
 
     def test_captures_keep_the_users_shape(self):
         pop = generate_population(33, 8, 0.3, seed=2)
         us = substream(2, "us").integers(8, size=(4, 5))
         uniforms = substream(2, "u").random((4, 5, 4))
-        out = pop.captures(us, uniforms)
+        out = pop.sample_batch(us, substream(2, "u"))
         assert out.shape == (4, 5) and out.dtype == np.uint64
         assert [int(v) for v in out.ravel()] == loop_captures(
             pop, us.ravel(), uniforms.reshape(20, 4))
-
-    @pytest.mark.parametrize("n", [1, 7, 33, 64])
-    def test_scalar_sample_equals_one_row_batch(self, n):
-        pop = generate_population(n, 8, 0.3, seed=2)
-        for u in range(pop.num_users):
-            scalar = pop.sample(u, substream(u, "one"))
-            row = pop.sample_batch(np.array([u]), substream(u, "one"))
-            assert scalar == FeatureElement(n, int(row[0]))
 
     @pytest.mark.parametrize("n", [1, 7, 10, 11, 33, 64])
     def test_a_capture_draws_one_double_per_word(self, n):
@@ -212,7 +209,7 @@ class TestCapturePacker:
         us = substream(3, "us").integers(8, size=(30, 7))
         rng, ref = substream(n, "words"), substream(n, "words")
         pop.sample_batch(us, rng)
-        pop.sample(5, rng)
+        pop.sample_batch(np.array([5]), rng)
         ref.random(211 * pop.words)
         assert rng.random() == ref.random()
 
@@ -271,7 +268,7 @@ class TestAliasTable:
         draws = 400_000
         vals = pop.sample_batch(np.full(draws, 1), substream(4, "chi2"))
         counts = np.bincount(vals.astype(np.int64), minlength=1 << 12)
-        d = np.bitwise_count(np.arange(1 << 12) ^ pop.center(1).value)
+        d = np.bitwise_count(np.arange(1 << 12) ^ pop.centers[1].value)
         expected = draws * 0.2 ** d * 0.8 ** (12 - d)
         big = expected >= 5
         obs = np.append(counts[big], counts[~big].sum())
@@ -285,28 +282,30 @@ class TestAliasTable:
 
 class TestSampling:
     def test_noiseless_returns_center(self, noiseless_pop):
-        rng = substream(0, "t")
-        for u in range(noiseless_pop.num_users):
-            assert noiseless_pop.sample(u, rng) == noiseless_pop.center(u)
+        us = np.arange(noiseless_pop.num_users)
+        draws = noiseless_pop.sample_batch(us, substream(0, "t"))
+        assert [int(v) for v in draws] == [c.value for c in noiseless_pop.centers]
 
     def test_deterministic_given_seed(self, default_pop):
-        draws1 = [default_pop.sample(3, substream(9, "d", i)) for i in range(20)]
-        draws2 = [default_pop.sample(3, substream(9, "d", i)) for i in range(20)]
-        assert draws1 == draws2
+        def draws():
+            return [int(default_pop.sample_batch(np.array([3]),
+                                                 substream(9, "d", i))[0])
+                    for i in range(20)]
+        assert draws() == draws()
 
     def test_batch_agrees_with_distribution(self, default_pop):
         # same per-bit law, checked through flip frequencies
         rng = substream(1, "batch")
         us = np.zeros(100_000, dtype=np.int64)
         vals = default_pop.sample_batch(us, rng)
-        flips = np.bitwise_count(vals ^ np.uint64(default_pop.center(0).value))
+        flips = np.bitwise_count(vals ^ np.uint64(default_pop.centers[0].value))
         freq = flips.mean() / default_pop.n
         assert abs(freq - 0.03) < 0.005
 
     def test_per_bit_flip_frequency(self, default_pop):
         rng = substream(2, "freq")
         n = default_pop.n
-        c = default_pop.center(5).value
+        c = default_pop.centers[5].value
         counts = np.zeros(n)
         draws = 100_000
         vals = default_pop.sample_batch(np.full(draws, 5), rng)
@@ -325,7 +324,7 @@ class TestSampling:
         tail_expected = 0.0
         tail_count = 0
         for v in range(128):
-            p = default_pop.feature_probability(2, FeatureElement(7, v))
+            p = feature_probability(default_pop, 2, FeatureElement(7, v))
             expected = draws * p
             if expected >= 10:
                 slack = 4 * math.sqrt(draws * p * (1 - p))
@@ -338,50 +337,65 @@ class TestSampling:
 
 class TestFeatureProbability:
     def test_noiseless_center(self, noiseless_pop):
-        assert noiseless_pop.feature_probability(0, noiseless_pop.center(0)) == 1.0
+        assert feature_probability(noiseless_pop, 0, noiseless_pop.centers[0]) == 1.0
 
     def test_center_mass_value(self, default_pop):
         expected = 1.0
         for _ in range(7):
             expected *= 0.97
-        got = default_pop.feature_probability(0, default_pop.center(0))
+        got = feature_probability(default_pop, 0, default_pop.centers[0])
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.807983, abs=5e-7)
 
     def test_normalization(self, default_pop):
         total = sum(
-            default_pop.feature_probability(4, FeatureElement(7, v))
+            feature_probability(default_pop, 4, FeatureElement(7, v))
             for v in range(128)
         )
         assert abs(total - 1.0) < 1e-12
 
     def test_dimension_mismatch(self, default_pop):
         with pytest.raises(DimensionError):
-            default_pop.feature_probability(0, FeatureElement(6, 0))
+            feature_probability(default_pop, 0, FeatureElement(6, 0))
 
 
 class TestSamplingOracle:
+    """A trial's budget, on the chunk's oracle and on the per-trial oracle
+    of the reference driver, which charges and draws through it."""
+
     def test_budget_enforced(self, default_pop):
-        oracle = SamplingOracle(default_pop, substream(0, "o"), query_budget=3)
+        chunk = SamplingOracle(default_pop, substream(0, "o"), 3, 1)
+        oracle = TrialOracle(chunk, 0)
         for _ in range(3):
             oracle.sample(0)
-        assert oracle.query_count == 3
-        with pytest.raises(BudgetExceededError):
+        assert oracle.query_count == 3 and not chunk.cut[0]
+        with pytest.raises(BudgetExhausted):
             oracle.sample(0)
-        assert oracle.query_count == 3
+        assert oracle.query_count == 3 and chunk.cut[0]
 
     def test_unknown_user(self, default_pop):
-        oracle = SamplingOracle(default_pop, substream(0, "o"))
+        oracle = TrialOracle(
+            SamplingOracle(default_pop, substream(0, "o"), 10**6, 1), 0)
         with pytest.raises(IndexError):
             oracle.sample(99)
 
     def test_count_monotone(self, default_pop):
-        oracle = SamplingOracle(default_pop, substream(0, "o"), query_budget=10)
+        oracle = SamplingOracle(default_pop, substream(0, "o"), 10, 1)
         seen = []
         for _ in range(5):
-            oracle.sample(1)
-            seen.append(oracle.query_count)
+            oracle.sample([0], [1])
+            seen.append(int(oracle.counts[0]))
         assert seen == sorted(seen) == [1, 2, 3, 4, 5]
+
+    def test_trial_oracle_draws_through_the_chunk(self, default_pop):
+        one, chunk = (SamplingOracle(default_pop, substream(0, "o"), 10,
+                                     4).subset([1, 3]) for _ in range(2))
+        trial = TrialOracle(one, 1)
+        assert trial.row == 3
+        x = trial.sample(5)
+        assert x == FeatureElement(7, int(chunk.sample([1], [5])[0]))
+        assert one.counts.tolist() == chunk.counts.tolist() == [0, 1]
+        assert one.rng.random() == chunk.rng.random()
 
 
 # (budget, trials, rows kept by `subset` or None, calls as (trials, users
@@ -398,15 +412,15 @@ CHARGE_CASES = {
 
 
 class TestBatchOracleCharge:
-    """`BatchSamplingOracle.sample` charges each trial one query per user of
+    """`SamplingOracle.sample` charges each trial one query per user of
     its row: bit for bit the per-query charge of `per_query_sample`."""
 
     @pytest.mark.parametrize("case", CHARGE_CASES)
     def test_row_charge_equals_per_query_charge(self, default_pop, case):
         budget, trials, sel, calls = CHARGE_CASES[case]
         user_rng = substream(6, "charge-users")
-        chunks = [BatchSamplingOracle(default_pop, substream(6, "charge"),
-                                      budget, trials) for _ in range(2)]
+        chunks = [SamplingOracle(default_pop, substream(6, "charge"),
+                                 budget, trials) for _ in range(2)]
         by_row, by_query = (c if sel is None else c.subset(sel)
                             for c in chunks)
         for rows, shape in calls:
@@ -420,9 +434,21 @@ class TestBatchOracleCharge:
         assert chunks[0].rng.random() == chunks[1].rng.random()
 
     def test_each_row_is_charged_its_width(self, default_pop):
-        oracle = BatchSamplingOracle(default_pop, substream(6, "w"), 10, 4)
+        oracle = SamplingOracle(default_pop, substream(6, "w"), 10, 4)
         oracle.sample(np.array([3, 1, 3]), np.zeros((3, 2), dtype=np.int64))
         assert oracle.counts.tolist() == [0, 2, 0, 4]
+
+    def test_a_trial_outside_the_oracle_is_refused_uncharged(
+            self, default_pop):
+        # numpy would wrap a negative trial round to charge another one
+        oracle = SamplingOracle(default_pop, substream(6, "t"), 10, 4)
+        for sub in (oracle, oracle.subset([0, 1])):
+            for trials in ([-1], [0, -2], [1, sub.trials]):
+                with pytest.raises(IndexError, match="unknown trial"):
+                    sub.sample(np.array(trials), np.zeros(len(trials),
+                                                          dtype=np.int64))
+        assert oracle.counts.tolist() == [0, 0, 0, 0]
+        assert oracle.rng.random() == substream(6, "t").random()
 
 
 def brute_force_overlap(x0, x1, tau):

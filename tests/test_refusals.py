@@ -17,9 +17,9 @@ from btpeval.errors import ConfigError, ContractError, ProtocolError
 from btpeval.games import run_al_irr_game, run_unlink_game
 from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
 from btpeval.population import (
-    BatchSamplingOracle,
     FeatureElement,
     Population,
+    SamplingOracle,
     generate_population,
 )
 from btpeval.rng import substream
@@ -106,15 +106,22 @@ REFUSALS = {
                  "need at least 2 users, got 1"),
     "flip_prob": (lambda: Population(7, 0.5, 0, (ZERO, ZERO)), ConfigError,
                   "flip_prob must be in [0, 0.5), got 0.5"),
-    "oracle user": (lambda: BatchSamplingOracle(
+    "oracle user": (lambda: SamplingOracle(
         POP, substream(0, "x"), 10, 2).sample(np.array([0]), np.array([16])),
         IndexError, "unknown user in batch query"),
-    "oracle rows": (lambda: BatchSamplingOracle(
+    "oracle trial": (lambda: SamplingOracle(
+        POP, substream(0, "x"), 10, 4).sample(np.array([-1]), np.array([0])),
+        IndexError, "unknown trial in batch query"),
+    "oracle subset trial": (lambda: SamplingOracle(
+        POP, substream(0, "x"), 10, 4).subset([0, 1]).sample(
+            np.array([1, -1]), np.array([0, 0])),
+        IndexError, "unknown trial in batch query"),
+    "oracle rows": (lambda: SamplingOracle(
         POP, substream(0, "x"), 10, 2).sample(np.array([0, 1]),
                                               np.zeros(3, dtype=np.int64)),
         ContractError, "users of shape (3,) do not give one row to each "
                        "of 2 trials"),
-    "oracle flat rows": (lambda: BatchSamplingOracle(
+    "oracle flat rows": (lambda: SamplingOracle(
         POP, substream(0, "x"), 10, 2).sample(np.array([0, 1]),
                                               np.zeros(4, dtype=np.int64)),
         ContractError, "users of shape (4,) do not give one row to each "

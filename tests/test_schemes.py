@@ -11,7 +11,7 @@ from btpeval.adversaries import ReadViewAdversary
 from btpeval.errors import ConfigError, ContractError, DimensionError
 from btpeval.games import run_al_irr_game
 from btpeval.metrics import RunSettings
-from btpeval.population import FeatureElement, hamming_distance
+from btpeval.population import FeatureElement
 from btpeval.rng import substream
 from btpeval.schemes import (
     LEAK_AD,
@@ -38,7 +38,9 @@ from reference_schemes import (
     bounded_distance_decode,
     decisions_and_ball,
     decode_int,
+    rotate,
 )
+from reference_population import hamming_distance
 from toy_schemes import AlwaysMatchScheme
 
 
@@ -240,7 +242,7 @@ class TestRotationScheme:
             x = FeatureElement(7, int(rng.integers(128)))
             y = FeatureElement(7, int(rng.integers(128)))
             r = int(rng.integers(7))
-            assert hamming_distance(x.rotate(r), y.rotate(r)) == hamming_distance(x, y)
+            assert hamming_distance(rotate(x, r), rotate(y, r)) == hamming_distance(x, y)
 
     def test_mated_pair_matches(self):
         scheme = RotationScheme(7, tau=1)
@@ -253,7 +255,7 @@ class TestRotationScheme:
         rng = substream(5, "rot3")
         for v in (0, 1, 64, 127):
             pi, alpha = scheme.pie_batch(one(v), rng)
-            assert FeatureElement(7, int(pi)).rotate(-int(alpha)).value == v
+            assert rotate(FeatureElement(7, int(pi)), -int(alpha)).value == v
 
     def test_support_enumerates_offsets(self):
         scheme = RotationScheme(7, tau=1)
@@ -270,7 +272,7 @@ class TestRotationScheme:
               & np.uint64((1 << n) - 1)).tolist() + [0, (1 << n) - 1]
         got = _rotate(np.array(xs, dtype=np.uint64)[:, None],
                       np.arange(n, dtype=np.uint64), n)
-        assert got.tolist() == [[FeatureElement(n, x).rotate(r).value
+        assert got.tolist() == [[rotate(FeatureElement(n, x), r).value
                                  for r in range(n)] for x in xs]
         assert _rotate(np.uint64(xs[0]), 0, n) == xs[0]
 
