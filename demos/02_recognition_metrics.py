@@ -8,7 +8,7 @@ commitment it is exactly the 4 message bits.
 """
 
 from btpeval import exact, metrics
-from btpeval.population import generate_population
+from btpeval.population import bitstring, generate_population
 from btpeval.schemes import build_scheme
 
 pop = generate_population(7, 16, 0.03, seed=1)
@@ -35,7 +35,8 @@ print(f"\nrenewability entropy: -log2({div:.4f}) = "
       f"{metrics.entropy_bits(div):.2f} bits (message length of the code)")
 
 m1 = metrics.extremal_mr(pop, 1)
-print(f"\nbest blind feature at tau=1: {m1.witness} with match rate {m1.value:.4f}")
+print(f"\nbest blind feature at tau=1: {bitstring(pop.n, m1.witness)} "
+      f"with match rate {m1.value:.4f}")
 ov = metrics.overlap_rates(pop, 1)
 print(f"ball-intersection extremes at tau=1: p={ov.p_tau:.4f} q={ov.q_tau:.4f}")
 

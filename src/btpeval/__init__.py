@@ -7,8 +7,13 @@ games with their constructive adversaries, exact oracles (closed forms
 and full enumeration) for every metric at desk scale, and empirical checkers for the four relation
 theorems connecting the notions.
 
-A capture is a packed uint64 from `Population.sample_batch`, and a game
-hands its adversary a `SamplingOracle` that charges each to a trial.
+A feature is a packed uint64, bit i its coordinate i: the centers in
+`Population.centers`, each capture from `Population.sample_batch`, and
+every guess and witness.  Bitstrings appear only at the config and report
+boundary, through `parse_bits` and `bitstring`.  A game hands its
+adversary a `SamplingOracle` that charges each capture to a trial, and a
+view, the challenge `ProtectedTemplate` with the parts outside the leak
+set None.
 """
 
 from .errors import (
@@ -21,10 +26,11 @@ from .errors import (
     VariationTooHighError,
 )
 from .population import (
-    FeatureElement,
     Population,
     SamplingOracle,
+    bitstring,
     generate_population,
+    parse_bits,
 )
 from .schemes import (
     LEAK_AD,
@@ -36,7 +42,6 @@ from .schemes import (
     LinearCode,
     PlaintextScheme,
     ProtectedTemplate,
-    PtView,
     RotationScheme,
     build_scheme,
     hamming_7_4,

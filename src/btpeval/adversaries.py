@@ -30,9 +30,8 @@ from .games import IrrAdversary, UnlinkAdversary
 from .metrics import (PT_BLOCK_PROBES, MatchRateStats, RunSettings,
                       exact_pt_match_stats, extremal_mr, extremal_rmr,
                       pt_match_stats)
-from .population import FeatureElement
 from .records import Record
-from .schemes import LEAK_BOTH, LeakSet, PtView
+from .schemes import LEAK_BOTH, LeakSet, ProtectedTemplate
 
 
 # --------------------------------------------------------------------------
@@ -158,14 +157,14 @@ class BlindArgmaxAdversary(IrrAdversary):
 
     name = "blind"
 
-    def __init__(self, guess: FeatureElement):
+    def __init__(self, guess: int):
         self.guess = guess
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
         return None
 
     def phase2_batch(self, state, view, oracle, rng):
-        return np.full(oracle.trials, self.guess.value, dtype=np.uint64)
+        return np.full(oracle.trials, self.guess, dtype=np.uint64)
 
 
 class ReadViewAdversary(IrrAdversary):
@@ -289,7 +288,7 @@ class CoinFlipUnlinkAdversary(UnlinkAdversary):
 def _match_test_rule(params, xs, view, view_prime, oracle, rng):
     """Degrades to a coin when the leak set hides a field the acceptance
     test needs."""
-    if not (view_prime.has_pi and view_prime.has_ad):
+    if view_prime.pi is None or view_prime.alpha is None:
         return rng.integers(2, size=oracle.trials)
     _, x0, x1 = xs
     return _match_test_batch(params.scheme, view_prime, x0, x1, rng)
@@ -374,11 +373,10 @@ class ReductionUnlinkAdversary(UnlinkAdversary):
         return votes
 
 
-def _view_subset(view: PtView, sel) -> PtView:
+def _view_subset(view: ProtectedTemplate, sel) -> ProtectedTemplate:
     """The view of some trials of a chunk."""
-    return PtView(pi=None if view.pi is None else view.pi[sel],
-                  alpha=None if view.alpha is None else view.alpha[sel],
-                  has_pi=view.has_pi, has_ad=view.has_ad)
+    return ProtectedTemplate(*(None if part is None else part[sel]
+                               for part in (view.pi, view.alpha)))
 
 
 # --------------------------------------------------------------------------

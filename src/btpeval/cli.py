@@ -26,7 +26,7 @@ from .adversaries import adversary_names, build_adversary
 from .errors import BtpEvalError, ConfigError, ModeError
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
 from .metrics import RunSettings
-from .population import Population
+from .population import Population, bitstring
 from .report import make_report, write_report
 from .schemes import LEAK_BOTH, LeakSet, build_scheme
 
@@ -180,10 +180,12 @@ def cmd_metrics(s: RunSettings, scheme, pop) -> tuple:
 
     m_mr = metrics.extremal_mr(pop, tau, s)
     add(f"m_d<={tau}", metrics.est_mr_of_feature(pop, m_mr.witness, tau, s),
-        m_mr.value, extra={"witness": str(m_mr.witness), "mode": m_mr.mode})
+        m_mr.value, extra={"witness": bitstring(pop.n, m_mr.witness),
+                           "mode": m_mr.mode})
     m_rmr = metrics.extremal_rmr(scheme, pop, s)
     add("m_rmr", metrics.rmr_of_feature(scheme, pop, m_rmr.witness, s),
-        m_rmr.value, extra={"witness": str(m_rmr.witness), "mode": m_rmr.mode})
+        m_rmr.value, extra={"witness": bitstring(pop.n, m_rmr.witness),
+                            "mode": m_rmr.mode})
 
     if pop.n <= exact.EXACT_N_CAP:
         # the tau-balls of x and a capture meet iff they lie within 2 tau
@@ -191,7 +193,7 @@ def cmd_metrics(s: RunSettings, scheme, pop) -> tuple:
         for name, rate, witness in ((f"p_tau{tau}", ov.p_tau, ov.witness_max),
                                     (f"q_tau{tau}", ov.q_tau, ov.witness_min)):
             add(name, metrics.est_mr_of_feature(pop, witness, 2 * tau, s),
-                rate, extra={"witness": str(witness)})
+                rate, extra={"witness": bitstring(pop.n, witness)})
 
     st = metrics.pt_match_stats(scheme, pop, s)
     stats_entry = {"metric": "mr_pi_stats", "stats": st.to_dict()}

@@ -100,7 +100,7 @@ def mr_of(pop: Population, values, tau: int) -> np.ndarray:
     table = _ball_table(pop.n, pop.flip_prob, tau)
     values = np.asarray(values, dtype=np.uint64)
     total = np.zeros(values.shape)
-    for c in pop.center_values:
+    for c in pop.centers:
         total += table[np.bitwise_count(values ^ c)]
     return total / pop.num_users
 
@@ -118,7 +118,7 @@ def _cube_sum(pop: Population, table: np.ndarray) -> np.ndarray:
     low = np.arange(1 << lo, dtype=np.uint64)
     high = np.arange(1 << (pop.n - lo), dtype=np.uint64)
     total = np.zeros((len(high), len(low)))
-    for c in pop.center_values:
+    for c in pop.centers:
         d_low = np.bitwise_count(low ^ (c & np.uint64((1 << lo) - 1)))
         d_high = np.bitwise_count(high ^ (c >> np.uint64(lo)))
         rows = table[np.arange(pop.n - lo + 1)[:, None] + d_low]
@@ -158,7 +158,7 @@ def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:
     """
     p = pop.flip_prob
     pair = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
-    c = pop.center_values
+    c = pop.centers
     images = c[:, None] if offsets is None else offsets(c)   # (U, offsets)
     return np.stack([pair[np.bitwise_count(images ^ ct).astype(np.intp)]
                      .mean(axis=1) for ct in c])
@@ -292,7 +292,7 @@ class SchemeEnumerator(_Oracle):
         self.size = 1 << pop.n
         self.xs = np.arange(self.size, dtype=np.uint64)
         self.P = _capture_table(pop)[
-            np.bitwise_count(pop.center_values[:, None] ^ self.xs)]
+            np.bitwise_count(pop.centers[:, None] ^ self.xs)]
         probs, self.support_pi, self.support_alpha = (
             scheme.pie_support_batch(self.xs))
         if not ((probs >= 0.0).all()

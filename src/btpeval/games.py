@@ -42,10 +42,10 @@ from .metrics import (
     extremal_mr,
     extremal_rmr,
 )
-from .population import FeatureElement, Population, SamplingOracle
+from .population import Population, SamplingOracle, bitstring
 from .records import Record
 from .rng import substream
-from .schemes import BtpScheme, LeakSet, ProtectedTemplate, PtView, leak_view
+from .schemes import BtpScheme, LeakSet, ProtectedTemplate, leak_view
 
 _ROLES = ("ch", "adv", "samp")
 
@@ -70,10 +70,11 @@ class IrrAdversary(ABC):
     returns one packed guess per trial.  `tau` is None in the
     pseudo-authorized-leakage variant.  The oracle is a `SamplingOracle`
     over the chunk's `oracle.trials` trials, which cuts (and so loses) a
-    trial that passes `query_budget`, and the view's fields are arrays of
-    template codes (None where hidden).  Phase 2 may be called on a
-    subset of the trials, so what the state holds per trial it keys by
-    trial row (`oracle.rows`).
+    trial that passes `query_budget`.  A view is the challenge
+    `ProtectedTemplate`, arrays of template codes, with the parts outside
+    the leak set None.  Phase 2 may be called on a subset of the trials,
+    so what the state holds per trial it keys by trial row
+    (`oracle.rows`).
     """
 
     name = "irr-adversary"
@@ -85,7 +86,8 @@ class IrrAdversary(ABC):
         return the state for phase 2."""
 
     @abstractmethod
-    def phase2_batch(self, state, view: PtView, oracle, rng) -> np.ndarray:
+    def phase2_batch(self, state, view: ProtectedTemplate, oracle,
+                     rng) -> np.ndarray:
         """Receive the leaked views, return the packed guesses."""
 
 
@@ -106,8 +108,8 @@ class UnlinkAdversary(ABC):
         """Return (x, x0, x1, state); the challenger encodes x and x_b."""
 
     @abstractmethod
-    def phase2_batch(self, state, view: PtView, view_prime: PtView, oracle,
-                     rng) -> np.ndarray:
+    def phase2_batch(self, state, view: ProtectedTemplate,
+                     view_prime: ProtectedTemplate, oracle, rng) -> np.ndarray:
         """Return the guessed bits."""
 
 
@@ -181,7 +183,7 @@ def _transcript_digest(*parts: str) -> str:
 
 
 def _fe(n, value) -> str:
-    return f"fe:{FeatureElement(n, int(value))}"
+    return f"fe:{bitstring(n, value)}"
 
 
 class _GameSpec(Record):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exact
 from .errors import ConfigError, DimensionError, ModeError
-from .population import FeatureElement, Population
+from .population import Population
 from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, PlaintextScheme
@@ -240,15 +240,15 @@ class _AcceptKernel(Record):
     pop: Population
     scheme: BtpScheme
     owners: tuple = ("u",)
-    probe: FeatureElement | None = None
+    probe: int | None = None
     pi_from: int = 0
     alpha_from: int = 0
     count_rejects: bool = False
 
     def _validate(self):
-        if self.probe is not None and self.probe.n != self.pop.n:
-            raise DimensionError(f"probe has {self.probe.n} bits, "
-                                 f"population has {self.pop.n}")
+        if self.probe is not None and self.probe >> self.pop.n:
+            raise DimensionError(f"probe {self.probe} has more than "
+                                 f"{self.pop.n} bits")
 
     @property
     def queries_per_trial(self) -> int:
@@ -266,7 +266,7 @@ class _AcceptKernel(Record):
         if self.probe is None:
             x, enrolls = captures[0], captures[1:]
         else:
-            x, enrolls = np.full(m, self.probe.value, dtype=np.uint64), captures
+            x, enrolls = np.full(m, self.probe, dtype=np.uint64), captures
         scheme = self.scheme
         # a trial's enrollments are adjacent in C order of the (m, k) view,
         # so the encoder draws come trial by trial, as in a loop
@@ -363,14 +363,14 @@ def est_fmr_div(scheme, pop, settings: RunSettings = RunSettings()):
 
 
 def est_mr_of_feature(pop, x, tau, settings: RunSettings = RunSettings()):
-    """MR(x) = Pr[d(x, capture of a random user) <= tau]."""
+    """MR(x) = Pr[d(x, capture of a random user) <= tau], for a packed x."""
     kernel = _AcceptKernel(pop, PlaintextScheme(pop.n, tau), probe=x)
-    return _count_rate(kernel, settings, f"mr_x_{x.value}_tau{tau}")
+    return _count_rate(kernel, settings, f"mr_x_{x}_tau{tau}")
 
 
 def rmr_of_feature(scheme, pop, x, settings: RunSettings = RunSettings()):
     return _count_rate(_AcceptKernel(pop, scheme, probe=x), settings,
-                       f"rmr_x_{x.value}")
+                       f"rmr_x_{x}")
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +385,7 @@ class MValue(Record):
     """
 
     value: float
-    witness: FeatureElement
+    witness: int
     mode: str
 
 
@@ -404,17 +404,11 @@ def _extreme(values, rates, lowest: bool = False) -> tuple:
     return float(rates[i]), int(values[i])
 
 
-def _scan(n: int, vec, lowest: bool = False) -> tuple:
-    """`_extreme` over every feature: (rate, witness)."""
-    rate, value = _extreme(np.arange(len(vec)), vec, lowest)
-    return rate, FeatureElement(n, value)
-
-
 @lru_cache(maxsize=16)
 def _mr_scan(pop: Population, tau: int, lowest: bool) -> tuple:
-    """`_scan` of `exact.mr_vector(pop, tau)`: made once per (population,
-    tau, lowest) and kept, as the vector is."""
-    return _scan(pop.n, exact.mr_vector(pop, tau), lowest)
+    """`_extreme` of `exact.mr_vector(pop, tau)` over every feature: made
+    once per (population, tau, lowest) and kept, as the vector is."""
+    return _extreme(np.arange(1 << pop.n), exact.mr_vector(pop, tau), lowest)
 
 
 # Mixture draws beside the centers in a candidate-set extreme, and the
@@ -432,9 +426,9 @@ def extremal_mr(pop: Population, tau: int,
     rng = substream(settings.seed, "extremal-mr-candidates")
     draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_MR_DRAWS),
                              rng)
-    values = np.concatenate([pop.center_values, draws])
-    value, witness = _extreme(values, exact.mr_of(pop, values, tau))
-    return MValue(value, FeatureElement(pop.n, witness), "lower_bound")
+    values = np.concatenate([pop.centers, draws])
+    return MValue(*_extreme(values, exact.mr_of(pop, values, tau)),
+                  "lower_bound")
 
 
 def extremal_rmr(scheme: BtpScheme, pop: Population,
@@ -451,14 +445,13 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
     except ModeError:
         pass
     else:
-        return MValue(*_scan(pop.n, vec), "exact")
+        return MValue(*_extreme(np.arange(len(vec)), vec), "exact")
     rng = substream(settings.seed, "extremal-rmr-candidates")
     draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_RMR_DRAWS),
                              rng)
-    candidates = list(pop.centers) + [FeatureElement(pop.n, int(v)) for v in draws]
     rate_settings = settings.replace(trials=EXTREMAL_RMR_TRIALS)
     best_val, best_x = -1.0, None
-    for c in candidates:
+    for c in np.concatenate([pop.centers, draws]).tolist():
         est = rmr_of_feature(scheme, pop, c, rate_settings)
         if est.point > best_val:
             best_val, best_x = est.point, c
@@ -470,8 +463,8 @@ class OverlapRates(Record):
 
     p_tau: float
     q_tau: float
-    witness_max: FeatureElement
-    witness_min: FeatureElement
+    witness_max: int
+    witness_min: int
 
 
 def overlap_rates(pop: Population, tau: int) -> OverlapRates:

@@ -4,11 +4,12 @@ The feature space is the n-cube {0,1}^n with the Hamming distance (a
 semimetric: non-negative, zero exactly on equal points, symmetric).  Each
 user u owns a center template c_u; a fresh capture from u flips every bit
 of c_u independently with probability p, and is packed into one uint64,
-as the centers are in `Population.center_values`.  `SamplingOracle` wraps
-the population behind a query-counted interface for a chunk of trials, so
-games can charge adversary queries against a budget:
-`sample(trials, users)` charges trial `trials[i]` one query per user in
-row `users[i]`.
+as the centers are in `Population.centers`: bit i is coordinate i.
+Bitstrings appear only at the config and report boundary, through
+`parse_bits` and `bitstring`.  `SamplingOracle` wraps the population
+behind a query-counted interface for a chunk of trials, so games can
+charge adversary queries against a budget: `sample(trials, users)`
+charges trial `trials[i]` one query per user in row `users[i]`.
 
 A capture draws one uniform per word of up to `WORD_BITS` bits: the
 word's flip mask is read from an alias table of its Bernoulli(p)^w law
@@ -35,36 +36,19 @@ def _check_dimension(n: int):
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
 
 
-class FeatureElement(Record):
-    """A packed bit vector in {0,1}^n.
+def parse_bits(s: str) -> int:
+    """The packed value of bitstring `s`, coordinate 0 leftmost:
+    "1010000" -> 0b0000101.  Config centers and generator rows are read
+    through it."""
+    if not s or set(s) - {"0", "1"}:
+        raise ConfigError(f"not a bitstring: {s!r}")
+    return int(s[::-1], 2)
 
-    Bit i of `value` is coordinate i, so the bitstring rendering puts
-    coordinate 0 leftmost: FeatureElement(7, 0b0000101) <-> "1010000".
-    """
 
-    n: int
-    value: int
-
-    def _validate(self):
-        if self.n < 1:
-            raise ConfigError(f"feature dimension must be >= 1, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ConfigError(f"value {self.value} out of range for {self.n} bits")
-
-    @classmethod
-    def from_bits(cls, bits) -> "FeatureElement":
-        bits = list(bits)
-        value = sum(1 << i for i, b in enumerate(bits) if b)
-        return cls(len(bits), value)
-
-    @classmethod
-    def from_string(cls, s: str) -> "FeatureElement":
-        if set(s) - {"0", "1"}:
-            raise ConfigError(f"not a bitstring: {s!r}")
-        return cls.from_bits(int(c) for c in s)
-
-    def __str__(self) -> str:
-        return "".join(str((self.value >> i) & 1) for i in range(self.n))
+def bitstring(n: int, value) -> str:
+    """The n-bit rendering of a packed feature, the inverse of
+    `parse_bits`; reports and configs write features through it."""
+    return format(int(value), f"0{n}b")[::-1]
 
 
 def _word_masses(w: int, p: float) -> np.ndarray:
@@ -121,34 +105,41 @@ def _alias_table(w: int, p: float) -> tuple:
 class Population(Record):
     """The user set with its per-user capture distributions.
 
-    `centers` holds one template per user, and `center_values` the same
-    centers packed into a read-only uint64 array; `flip_prob` is the
-    per-bit capture noise.  Immutable after construction and safe to share
-    across workers; all sampling goes through caller-supplied Generators.
+    `centers` holds one packed center per user, a read-only uint64 array;
+    `flip_prob` is the per-bit capture noise.  Immutable after
+    construction and safe to share across workers; all sampling goes
+    through caller-supplied Generators.
     """
 
     n: int
     flip_prob: float
     seed: int
-    centers: tuple
+    centers: object
 
     def _validate(self):
         _check_dimension(self.n)
+        centers = np.array(self.centers, dtype=np.uint64)
+        if centers.ndim != 1:
+            raise ConfigError("centers must be one packed value per user")
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
         if self.num_users < 2:
             raise ConfigError(f"need at least 2 users, got {self.num_users}")
         if not 0.0 <= self.flip_prob < 0.5:
             raise ConfigError(f"flip_prob must be in [0, 0.5), got {self.flip_prob}")
-        for c in self.centers:
-            if c.n != self.n:
-                raise DimensionError(f"center has {c.n} bits, expected {self.n}")
-        # built once: the packed centers, public and read-only
-        center_values = np.array([c.value for c in self.centers],
-                                 dtype=np.uint64)
-        center_values.flags.writeable = False
-        object.__setattr__(self, "center_values", center_values)
+        if (centers >> np.uint64(self.n)).any():
+            raise DimensionError(f"a center has more than {self.n} bits")
         # hashed once, for the caches keyed on a population; the fields
-        # hold no str, so the hash is the same in every process
-        object.__setattr__(self, "_hash", Record.__hash__(self))
+        # hash as ints and a float, so the hash is the same in every process
+        object.__setattr__(self, "_hash", hash(
+            (self.n, self.flip_prob, self.seed, tuple(centers.tolist()))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.flip_prob == other.flip_prob and self.seed == other.seed
+                and np.array_equal(self.centers, other.centers))
 
     def __hash__(self):
         return self._hash
@@ -183,7 +174,7 @@ class Population(Record):
             for j in range(self.words - 2, -1, -1):
                 flips = (flips << np.uint64(WORD_BITS)) | masks[..., j]
             flips &= np.uint64((1 << self.n) - 1)
-        return self.center_values[us] ^ flips
+        return self.centers[us] ^ flips
 
     def to_config(self) -> dict:
         return {
@@ -191,25 +182,25 @@ class Population(Record):
             "U": self.num_users,
             "p": self.flip_prob,
             "seed": self.seed,
-            "centers": [str(c) for c in self.centers],
+            "centers": [bitstring(self.n, c) for c in self.centers],
         }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Population":
         if "centers" in cfg and cfg["centers"] is not None:
-            centers = tuple(FeatureElement.from_string(s) for s in cfg["centers"])
+            rows = cfg["centers"]
+            centers = [parse_bits(s) for s in rows]
             if "n" in cfg:
                 n = int(cfg["n"])
-            elif centers:
-                n = centers[0].n
+            elif rows:
+                n = len(rows[0])
             else:
                 raise ConfigError("need at least 2 users, got 0")
-            pop = cls(
-                n=n,
-                flip_prob=float(cfg["p"]),
-                seed=int(cfg.get("seed", 0)),
-                centers=centers,
-            )
+            for s in rows:
+                if len(s) != n:
+                    raise DimensionError(f"center has {len(s)} bits, expected {n}")
+            pop = cls(n=n, flip_prob=float(cfg["p"]), seed=int(cfg.get("seed", 0)),
+                      centers=centers)
             if "U" in cfg and int(cfg["U"]) != pop.num_users:
                 raise ConfigError(
                     f"config says U={cfg['U']} but {pop.num_users} centers listed"
@@ -237,9 +228,9 @@ def generate_population(
         raise ConfigError(f"U must be >= 2, got {num_users}")
     if not 0.0 <= flip_prob < 0.5:
         raise ConfigError(f"p must be in [0, 0.5), got {flip_prob}")
-    rng = substream(seed, "gen")
-    centers = tuple(FeatureElement.from_bits(rng.integers(0, 2, size=n))
-                    for _ in range(num_users))
+    bits = substream(seed, "gen").integers(0, 2, size=(num_users, n))
+    centers = (bits.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(
+        axis=1, dtype=np.uint64)
     return Population(n=n, flip_prob=flip_prob, seed=seed, centers=centers)
 
 
@@ -305,7 +296,7 @@ class SamplingOracle:
         if users.size and not (0 <= users.min()
                                and users.max() < self.population.num_users):
             raise IndexError("unknown user in batch query")
-        self._counts += per_trial * np.bincount(self._index[trials],
+        self._counts += per_trial * np.bincount(self._index[trials].ravel(),
                                                 minlength=len(self._counts))
         self._cut |= self._counts > self.query_budget
         np.minimum(self._counts, self.query_budget, out=self._counts)

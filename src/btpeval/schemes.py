@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .population import FeatureElement
+from .population import parse_bits
 from .records import Record
 
 
@@ -79,19 +79,6 @@ LEAK_AD = LeakSet(pi=False, ad=True)
 LEAK_BOTH = LeakSet(pi=True, ad=True)
 
 
-class PtView(Record):
-    """What the adversary actually receives: the leaked template fields."""
-
-    pi: object = None
-    alpha: object = None
-    has_pi: bool = False
-    has_ad: bool = False
-
-    def _validate(self):
-        if not (self.has_pi or self.has_ad):
-            raise ContractError("view must carry at least one field")
-
-
 class MatchLaw(Record):
     """Acceptance as a Hamming ball, for comparators that decide on distance.
 
@@ -109,21 +96,10 @@ class MatchLaw(Record):
     offsets: Callable
 
 
-def leak_view(pt, leak: LeakSet) -> PtView:
-    """Project a protected template onto a leak set.
-
-    Also accepts an existing view, in which case the requested fields must
-    be present (so re-projecting with the same leak set is the identity).
-    """
-    if isinstance(pt, PtView) and ((leak.pi and not pt.has_pi)
-                                   or (leak.ad and not pt.has_ad)):
-        raise ContractError("view does not carry the requested fields")
-    return PtView(
-        pi=pt.pi if leak.pi else None,
-        alpha=pt.alpha if leak.ad else None,
-        has_pi=leak.pi,
-        has_ad=leak.ad,
-    )
+def leak_view(pt: ProtectedTemplate, leak: LeakSet) -> ProtectedTemplate:
+    """What an adversary receives of `pt`: its parts outside `leak` None."""
+    return ProtectedTemplate(pt.pi if leak.pi else None,
+                             pt.alpha if leak.ad else None)
 
 
 class LinearCode(Record):
@@ -197,7 +173,7 @@ class LinearCode(Record):
         for row in rows:
             if len(row) != n_code:
                 raise ConfigError("generator rows have unequal length")
-            packed.append(FeatureElement.from_string(row).value)
+            packed.append(parse_bits(row))
         return cls(n_code=n_code, k_code=len(rows), generator_rows=tuple(packed), t=t)
 
 

@@ -24,7 +24,6 @@ from btpeval.adversaries import (
     SamplerIrrAdversary,
 )
 from btpeval.errors import ContractError
-from btpeval.population import FeatureElement
 from btpeval.schemes import LEAK_BOTH
 from reference_exact import closed_form_mr
 from reference_population import hamming_distance, neighborhood_overlap
@@ -34,7 +33,7 @@ from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 def _accepts(scheme, view, x) -> bool:
     """The comparator's decision on one trial's leaked codes and capture x."""
     return bool(scheme.pic_batch(view.pi,
-                                 scheme.pir_batch(view.alpha, np.uint64(x.value))))
+                                 scheme.pir_batch(view.alpha, np.uint64(x))))
 
 
 class PalSampler(TrialIrrAdversary):
@@ -92,7 +91,7 @@ class ReadView(TrialIrrAdversary):
     def phase2(self, state, view, oracle, rng):
         if self.which not in state.feature_fields:
             raise ContractError(f"leaked {self.which} is not a feature element")
-        return FeatureElement(state.feature_dim, int(getattr(view, self.which)))
+        return int(getattr(view, self.which))
 
 
 class Sampler(TrialIrrAdversary):
@@ -185,7 +184,7 @@ class Coin(TrialUnlinkAdversary):
 
 
 def _match_test_rule(params, x0, x1, view_prime, rng):
-    if not (view_prime.has_pi and view_prime.has_ad):
+    if view_prime.pi is None or view_prime.alpha is None:
         return int(rng.integers(2))
     return _match_test_decision(params.scheme, view_prime, x0, x1, rng)
 

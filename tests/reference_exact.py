@@ -12,13 +12,12 @@ import math
 import numpy as np
 
 from btpeval import exact
-from btpeval.population import FeatureElement
 from btpeval.schemes import REJECT_CODE
 from reference_population import feature_probability
 
 
 def closed_form_mr(pop, x, tau: int) -> float:
-    """MR(x) from per-user binomial ball sums.
+    """MR(x) of the packed x from per-user binomial ball sums.
 
     d(x, X_u) = (h - A) + B with A ~ Bin(h, p), B ~ Bin(n - h, p) and
     h = d(x, c_u), so the distance pmf is a convolution of two binomials.
@@ -26,7 +25,7 @@ def closed_form_mr(pop, x, tau: int) -> float:
     p = pop.flip_prob
     total = 0.0
     for u in range(pop.num_users):
-        h = (x.value ^ pop.centers[u].value).bit_count()
+        h = (int(x) ^ int(pop.centers[u])).bit_count()
         pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
                           for a in range(h + 1)])
         nb = pop.n - h
@@ -51,7 +50,7 @@ def sampler_al_irr_win_rate(pop, tau: int, q: int) -> float:
     function, that is sum_s (F(<= s)^q - F(< s)^q) * s.
     """
     n, users = pop.n, range(pop.num_users)
-    pmf = np.array([np.mean([feature_probability(pop, u, FeatureElement(n, x))
+    pmf = np.array([np.mean([feature_probability(pop, u, x)
                              for u in users]) for x in range(1 << n)])
     scores, inverse = np.unique(exact.mr_vector(pop, tau), return_inverse=True)
     mass = np.bincount(inverse, weights=pmf)
@@ -97,7 +96,7 @@ def pair_rates_per_center(pop, radius: int, offsets=None) -> np.ndarray:
     """`exact._pair_rates`, each row gathered by the uint8 distances."""
     p = pop.flip_prob
     pair = exact._ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
-    c = pop.center_values
+    c = pop.centers
     images = c[:, None] if offsets is None else offsets(c)
     return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
                      for ct in c])

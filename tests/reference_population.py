@@ -1,35 +1,34 @@
-"""Feature-element helpers that only the tests use, beside the package's
-own: one coordinate of a packed feature, the Hamming semimetric and a
-user's exact capture law on `FeatureElement`s, the ball-overlap predicate
-that the reference adversaries apply trial by trial, and the per-query
-charge of a chunk's oracle."""
+"""Feature helpers that only the tests use, beside the package's own: one
+coordinate of a packed feature, the Hamming semimetric and a user's exact
+capture law on packed features, the ball-overlap predicate that the
+reference adversaries apply trial by trial, and the per-query charge of a
+chunk's oracle."""
 
 import numpy as np
 
 from btpeval.errors import ConfigError, DimensionError
-from btpeval.population import FeatureElement
 
 
-def bit(x: FeatureElement, i: int) -> int:
-    """Coordinate i of x."""
-    return (x.value >> i) & 1
+def bit(x: int, i: int) -> int:
+    """Coordinate i of the packed feature x."""
+    return (int(x) >> i) & 1
 
 
-def hamming_distance(a: FeatureElement, b: FeatureElement) -> int:
+def hamming_distance(a: int, b: int) -> int:
     """Number of differing coordinates; the semimetric of the space."""
-    if a.n != b.n:
-        raise DimensionError(f"dimension mismatch: {a.n} != {b.n}")
-    return (a.value ^ b.value).bit_count()
+    return (int(a) ^ int(b)).bit_count()
 
 
-def feature_probability(pop, u: int, x: FeatureElement) -> float:
+def feature_probability(pop, u: int, x: int) -> float:
     """P(X_u = x) = p^d * (1-p)^(n-d) with d = d(x, c_u)."""
+    if int(x) >> pop.n:
+        raise DimensionError(f"feature has more than {pop.n} bits")
     d = hamming_distance(x, pop.centers[u])
     p = pop.flip_prob
     return (p ** d) * ((1.0 - p) ** (pop.n - d))
 
 
-def neighborhood_overlap(x0: FeatureElement, x1: FeatureElement, tau: int) -> bool:
+def neighborhood_overlap(x0: int, x1: int, tau: int) -> bool:
     """Whether the radius-tau balls around x0 and x1 intersect.
 
     On the Hamming cube two balls of radius tau intersect exactly when

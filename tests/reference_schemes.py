@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from btpeval.errors import DimensionError
-from btpeval.population import FeatureElement
 from btpeval.schemes import (
     REJECT_CODE,
     BrokenScheme,
@@ -40,20 +39,19 @@ def decode_int(code: LinearCode, y: int):
     return None
 
 
-def bounded_distance_decode(code: LinearCode, y: FeatureElement):
-    """Decode y to the unique codeword within distance t, or None (reject)."""
-    if y.n != code.n_code:
-        raise DimensionError(f"received word has {y.n} bits, code expects {code.n_code}")
-    w = decode_int(code, y.value)
-    return None if w is None else FeatureElement(code.n_code, w)
+def bounded_distance_decode(code: LinearCode, y: int):
+    """Decode the packed word y to the unique codeword within distance t,
+    or None (reject)."""
+    if y >> code.n_code:
+        raise DimensionError(f"received word has more than {code.n_code} bits")
+    return decode_int(code, y)
 
 
-def rotate(x: FeatureElement, r: int) -> FeatureElement:
-    """Cyclic coordinate shift: coordinate i moves to (i + r) mod n."""
-    r %= x.n
-    mask = (1 << x.n) - 1
-    v = ((x.value << r) | (x.value >> (x.n - r))) & mask if r else x.value
-    return FeatureElement(x.n, v)
+def rotate(n: int, x: int, r: int) -> int:
+    """Cyclic coordinate shift of the n-bit x: coordinate i moves to
+    (i + r) mod n."""
+    r %= n
+    return ((x << r) | (x >> (n - r))) & ((1 << n) - 1) if r else x
 
 
 def decisions_and_ball(scheme, radius):
@@ -96,7 +94,7 @@ class RefRotationScheme(_RefThreshold, RotationScheme):
     """pi is the capture rotated by alpha = r."""
 
     def _rotate(self, x, r):
-        return rotate(FeatureElement(self.feature_dim, x), r).value
+        return rotate(self.feature_dim, x, r)
 
     def pie(self, x, rng):
         r = int(rng.integers(self.feature_dim))

@@ -9,7 +9,7 @@ scalar fixtures of the game tests play.
 
 The scalar inversion pair: `phase1(params, leak, tau, oracle, rng)`
 returns the state for `phase2(state, view, oracle, rng)`, which returns
-the guessed `FeatureElement`.  The scalar unlink pair: `phase1(params,
+the guessed feature, a packed int.  The scalar unlink pair: `phase1(params,
 leak, oracle, rng)` returns (x, x0, x1, state) and `phase2(state, view,
 view_prime, oracle, rng)` the guessed bit.  The oracle is the trial's
 `TrialOracle`, which charges the trial's row of the chunk's
@@ -24,8 +24,7 @@ import numpy as np
 
 from btpeval.errors import ProtocolError
 from btpeval.games import IrrAdversary, UnlinkAdversary
-from btpeval.population import FeatureElement
-from btpeval.schemes import PtView
+from btpeval.schemes import ProtectedTemplate
 
 
 class BudgetExhausted(Exception):
@@ -35,7 +34,7 @@ class BudgetExhausted(Exception):
 class TrialOracle:
     """The scalar oracle of trial `trial` of a chunk's `SamplingOracle`.
 
-    `sample(u)` is one capture of user u, a `FeatureElement`, charged to
+    `sample(u)` is one capture of user u, a packed int, charged to
     the trial's row (`row`) and drawn through the chunk, so the trials
     draw from the chunk's sampling stream in turn.  `query_count` is
     monotone and never passes the chunk's `query_budget`: the query that
@@ -51,7 +50,7 @@ class TrialOracle:
     def query_count(self) -> int:
         return int(self._chunk._counts[self.row])
 
-    def sample(self, u: int) -> FeatureElement:
+    def sample(self, u: int) -> int:
         chunk = self._chunk
         if not 0 <= u < chunk.population.num_users:
             raise IndexError(f"unknown user {u}")
@@ -60,7 +59,7 @@ class TrialOracle:
             raise BudgetExhausted(
                 f"query budget of {chunk.query_budget} exhausted")
         x = chunk.sample(np.array([self._trial]), np.array([u]))
-        return FeatureElement(chunk.population.n, int(x[0]))
+        return int(x[0])
 
 
 def _each_trial(oracle, play, states=None):
@@ -81,19 +80,18 @@ def _each_trial(oracle, play, states=None):
 
 
 def _trial_views(view):
-    """`view(j)`: trial j of a chunk's coded view, its fields' codes."""
+    """`view(j)`: trial j of a chunk's coded view, its parts' codes."""
     def trial(j):
-        return PtView(pi=view.pi[j] if view.has_pi else None,
-                      alpha=view.alpha[j] if view.has_ad else None,
-                      has_pi=view.has_pi, has_ad=view.has_ad)
+        return ProtectedTemplate(*(None if part is None else part[j]
+                                   for part in (view.pi, view.alpha)))
     return trial
 
 
 def _packed(n, x, what) -> int:
-    if not isinstance(x, FeatureElement) or x.n != n:
-        raise ProtocolError(f"the {what} must be a {n}-bit FeatureElement, "
+    if not isinstance(x, (int, np.integer)) or not 0 <= x < 1 << n:
+        raise ProtocolError(f"the {what} must be a packed {n}-bit int, "
                             f"got {x!r}")
-    return x.value
+    return int(x)
 
 
 class TrialIrrAdversary(IrrAdversary):
@@ -104,7 +102,7 @@ class TrialIrrAdversary(IrrAdversary):
         """The state for phase 2 of one trial."""
 
     @abstractmethod
-    def phase2(self, state, view, oracle, rng) -> FeatureElement:
+    def phase2(self, state, view, oracle, rng) -> int:
         """The guess of one trial."""
 
     def phase1_batch(self, params, leak, tau, oracle, rng):

@@ -36,7 +36,7 @@ from btpeval.games import (
 )
 from btpeval.adversaries import CrossComparatorAdversary
 from btpeval.metrics import RunSettings
-from btpeval.population import FeatureElement, generate_population
+from btpeval.population import bitstring, generate_population
 from btpeval.schemes import (
     LEAK_AD,
     LEAK_BOTH,
@@ -234,8 +234,8 @@ class TestCriterion5EstimatorOracleAgreement:
 
     def test_reverse_match_rate(self, fc_scheme, default_pop):
         vec = exact.enumerator(fc_scheme, default_pop).rmr_vector()
-        witness = FeatureElement(7, int(np.argmax(vec)))
-        target = float(vec[witness.value])
+        witness = int(np.argmax(vec))
+        target = float(vec[witness])
 
         def run_one(seed):
             est = metrics.rmr_of_feature(fc_scheme, default_pop, witness,
@@ -282,8 +282,8 @@ class TestCriterion6StructuralLaws:
         assert accepts.shape == (128, 16, 128)
         bad = np.argwhere(accepts != within)
         detail = ("2^7 x 16 x 2^7 checks" if not len(bad) else
-                  f"x={FeatureElement(7, int(bad[0][0]))} "
-                  f"probe={FeatureElement(7, int(bad[0][2]))}")
+                  f"x={bitstring(7, bad[0][0])} "
+                  f"probe={bitstring(7, bad[0][2])}")
         gate(6, "fc match law n=7 (all pairs x codewords)", not len(bad), detail)
 
     def test_fc_match_law_exhaustive_n8(self):
@@ -324,14 +324,14 @@ class TestCriterion6StructuralLaws:
              f"q0={ov0.q_tau:.2e} 2^-n={2.0**-n:.2e} p0={ov0.p_tau:.2e}")
 
     def test_leak_projection_equations(self):
-        pt = ProtectedTemplate(pi=b"\xaa" * 16, alpha=FeatureElement(7, 5))
+        pt = ProtectedTemplate(pi=b"\xaa" * 16, alpha=5)
         both = leak_view(pt, LEAK_BOTH)
         only_pi = leak_view(pt, LEAK_PI)
         only_ad = leak_view(pt, LEAK_AD)
         ok = (
             (both.pi, both.alpha) == (pt.pi, pt.alpha)
-            and only_pi.pi == pt.pi and not only_pi.has_ad
-            and only_ad.alpha == pt.alpha and not only_ad.has_pi
+            and only_pi.pi == pt.pi and only_pi.alpha is None
+            and only_ad.alpha == pt.alpha and only_ad.pi is None
         )
         gate(6, "leak projection equations", ok)
 

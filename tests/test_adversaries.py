@@ -280,7 +280,7 @@ class TestSamplerAdversary:
         if p == 0.0:
             # every candidate is a center, scored (centers within tau) / U,
             # so distinct centers tie: the first in query order must win
-            scores = exact.mr_vector(pop, tau)[pop.center_values]
+            scores = exact.mr_vector(pop, tau)[pop.centers]
             assert (scores == scores.max()).sum() > 1
         self._same_guesses(build_scheme(cfg, n), pop, tau)
 

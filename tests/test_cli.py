@@ -539,6 +539,22 @@ class TestDeterminism:
                                       "match-test"],
                                      {"scheme": {"scheme": "broken"}},
                                      "29f049d644becd2a"),
+        # the candidate-set witness of `lower_bound` extremes past n = 20
+        "metrics rot22": (["metrics"], {"population": {"n": 22},
+                                        "scheme": {"scheme": "rot"}},
+                          "9f70827d8a5ee471"),
+        # listed centers, parsed from the config and echoed in the report
+        "verify listed centers": (["verify", "--theorem", "all"],
+                                  {"population": {"centers": [
+                                      "1010000", "0110011", "1111111"],
+                                      "p": 0.05},
+                                   "scheme": {"scheme": "plain"}},
+                                  "d1d39069cfc35232"),
+        # the scan witness as the blind guess
+        "pal-irr blind rot10": (["game", "pal-irr", "--adversary", "blind"],
+                                {"population": {"n": 10},
+                                 "scheme": {"scheme": "rot"}},
+                                "23e0fc487dc91478"),
     }
 
     @pytest.mark.parametrize("command", SINGLE_CHUNK_DIGESTS)

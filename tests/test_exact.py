@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from btpeval import exact
 from btpeval.errors import DimensionError, ModeError
-from btpeval.population import FeatureElement, generate_population
+from btpeval.population import generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
     BrokenScheme,
@@ -57,7 +57,7 @@ class TestClosedForm:
         values = rng.integers(1 << n, size=300).astype(np.uint64)
         for tau in (0, 1, 3):
             got = exact.mr_of(pop, values, tau)
-            want = [closed_form_mr(pop, FeatureElement(n, int(v)), tau)
+            want = [closed_form_mr(pop, v, tau)
                     for v in values]
             assert got.tolist() == want
 
@@ -101,12 +101,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             vec[0] = 1.0
         with pytest.raises(ValueError):
-            default_pop.center_values[0] = 0
+            default_pop.centers[0] = 0
 
     def test_baseline_is_the_pair_table(self):
         # with p = 0 the rates count center pairs within tau
         pop = generate_population(8, 6, 0.0, seed=4)
-        c = [x.value for x in pop.centers]
+        c = pop.centers.tolist()
         close = [[(a ^ b).bit_count() <= 2 for b in c] for a in c]
         fnmr, fmr = exact.baseline_rates(pop, 2)
         assert fnmr == 0.0

@@ -34,12 +34,7 @@ from btpeval.games import (
     run_unlink_game,
 )
 from btpeval.metrics import RunSettings
-from btpeval.population import (
-    FeatureElement,
-    Population,
-    SamplingOracle,
-    generate_population,
-)
+from btpeval.population import Population, SamplingOracle, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
     LEAK_AD,
@@ -99,7 +94,7 @@ class ThriftyIrr(TrialIrrAdversary):
             oracle.sample(0)
 
     def phase2(self, state, view, oracle, rng):
-        guess = FeatureElement(7, 0)
+        guess = 0
         for _ in range(int(rng.integers(4))):
             guess = oracle.sample(int(rng.integers(16)))
         return guess
@@ -138,12 +133,11 @@ class UnrotateAdversary(TrialUnlinkAdversary):
         pop = params.population
         users = [int(rng.integers(pop.num_users)) for _ in range(3)]
         x, x0, x1 = (oracle.sample(u) for u in users)
-        return x, x0, x1, (x, x0, x1)
+        return x, x0, x1, (pop.n, x0, x1)
 
     def phase2(self, state, view, view_prime, oracle, rng):
-        x, x0, x1 = state
-        recovered = rotate(FeatureElement(x.n, int(view_prime.pi)),
-                           -int(view_prime.alpha))
+        n, x0, x1 = state
+        recovered = rotate(n, int(view_prime.pi), -int(view_prime.alpha))
         if recovered == x0:
             return 0
         if recovered == x1:
@@ -202,7 +196,7 @@ class TestProtocolFidelity:
                 RunSettings(trials=3, seed=0)),
             "pal-irr": lambda: run_pal_irr_game(
                 scheme, pop, LEAK_BOTH,
-                adversary(BlindArgmaxAdversary(FeatureElement(7, 5))),
+                adversary(BlindArgmaxAdversary(5)),
                 RunSettings(trials=3, seed=0)),
             "unlink": lambda: run_unlink_game(
                 scheme, pop, LEAK_BOTH, adversary(CoinFlipUnlinkAdversary()),
@@ -222,8 +216,8 @@ class TestProtocolFidelity:
 
     @pytest.mark.parametrize("answer", [
         lambda m: np.full(m, 2), lambda m: np.full(m, 1.0), lambda m: None,
-        lambda m: np.array([FeatureElement(7, 1)] * m)],
-        ids=["two", "float", "none", "feature-elements"])
+        lambda m: np.array([1] * m, dtype=object)],
+        ids=["two", "float", "none", "objects"])
     def test_batch_guess_bit_checked(self, fc_scheme, default_pop, answer):
         class BadBatchBit(CoinFlipUnlinkAdversary):
             def phase2_batch(self, state, view, view_prime, oracle, rng):
@@ -252,8 +246,8 @@ class TestProtocolFidelity:
 
     @pytest.mark.parametrize("guess", [
         lambda m: np.full(m, 1 << 7), lambda m: np.full(m, 3.7),
-        lambda m: None, lambda m: np.array([FeatureElement(7, 1)] * m)],
-        ids=["wide", "float", "none", "feature-elements"])
+        lambda m: None, lambda m: np.array([1] * m, dtype=object)],
+        ids=["wide", "float", "none", "objects"])
     def test_batch_guess_checked(self, fc_scheme, default_pop, guess):
         class BadGuess(SamplerIrrAdversary):
             def phase2_batch(self, state, view, oracle, rng):
@@ -263,9 +257,9 @@ class TestProtocolFidelity:
             run_al_irr_game(fc_scheme, default_pop, LEAK_PI, 1, BadGuess(),
                             RunSettings(trials=3, seed=0))
 
-    @pytest.mark.parametrize("guess", [FeatureElement(6, 0), 5, None])
-    def test_scalar_guess_must_be_a_feature_element(self, fc_scheme,
-                                                    default_pop, guess):
+    @pytest.mark.parametrize("guess", [1 << 7, -1, 5.0, "1010000", None])
+    def test_scalar_guess_must_be_a_packed_feature(self, fc_scheme,
+                                                   default_pop, guess):
         class BadGuess(TrialIrrAdversary):
             def phase1(self, params, leak, tau, oracle, rng):
                 return None
@@ -286,7 +280,7 @@ class TestProtocolFidelity:
 
             def phase2(self, state, view, oracle, rng):
                 assert state == oracle.row
-                return FeatureElement(7, 0)
+                return 0
 
         result = run_unlink_game(fc_scheme, default_pop, LEAK_AD,
                                  ReductionUnlinkAdversary(RowChecker(), 1),
@@ -299,7 +293,7 @@ class TestProtocolFidelity:
                 return None
 
             def phase2(self, state, view, oracle, rng):
-                return FeatureElement(7, 0)
+                return 0
 
         class HalfPair(UnlinkAdversary):
             def phase1_batch(self, params, leak, oracle, rng):
@@ -721,7 +715,7 @@ class TestKnownRates:
         rng = np.random.default_rng(1)
         vals = rng.choice(128, size=16, replace=False)
         pop = Population(n=7, flip_prob=0.0, seed=0,
-                         centers=tuple(FeatureElement(7, int(v)) for v in vals))
+                         centers=vals)
         scheme = RotationScheme(7, tau=0)
         result = run_unlink_game(scheme, pop, LEAK_BOTH, UnrotateAdversary(),
                                  RunSettings(trials=6000, seed=13, level=0.99))

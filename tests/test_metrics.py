@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from btpeval import exact, games, metrics
 from btpeval.errors import ConfigError, DimensionError
 from btpeval.metrics import RunSettings
-from btpeval.population import FeatureElement, Population, generate_population
+from btpeval.population import Population, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
     BrokenScheme,
@@ -29,7 +29,7 @@ from btpeval.schemes import (
     build_scheme,
 )
 from reference_exact import closed_form_mr
-from reference_population import feature_probability
+from reference_population import feature_probability, hamming_distance
 from reference_schemes import rotate
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
@@ -37,7 +37,7 @@ from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 def pmf_by_feature_probability(pop, u):
     """Independent pmf construction: direct calls, no shared code path."""
     return np.array([
-        feature_probability(pop, u, FeatureElement(pop.n, v))
+        feature_probability(pop, u, v)
         for v in range(1 << pop.n)
     ])
 
@@ -298,7 +298,7 @@ class TestFmrVariants:
             <= est.ci_high
 
     def test_bp_zero_for_distant_centers_noiseless(self):
-        centers = (FeatureElement(7, 0), FeatureElement(7, 127))
+        centers = (0, 127)
         pop = Population(n=7, flip_prob=0.0, seed=0, centers=centers)
         code = FuzzyCommitmentScheme(
             LinearCode.from_bitstrings(
@@ -333,9 +333,9 @@ class TestMrOfFeature:
         x = noiseless_pop.centers[0]
         expect = sum(
             1 for u in range(noiseless_pop.num_users)
-            if (noiseless_pop.centers[u].value ^ x.value).bit_count() <= 1
+            if hamming_distance(noiseless_pop.centers[u], x) <= 1
         ) / noiseless_pop.num_users
-        assert exact.mr_scores(noiseless_pop, [x.value], 1)[0] \
+        assert exact.mr_scores(noiseless_pop, [x], 1)[0] \
             == pytest.approx(expect)
 
     def test_against_weighted_sum_oracle(self, default_pop):
@@ -346,19 +346,19 @@ class TestMrOfFeature:
         oracle = 0.0
         for u in range(pop.num_users):
             for v in range(1 << pop.n):
-                if (v ^ x.value).bit_count() <= tau:
-                    oracle += feature_probability(pop, u, FeatureElement(7, v))
+                if hamming_distance(v, x) <= tau:
+                    oracle += feature_probability(pop, u, v)
         oracle /= pop.num_users
-        assert exact.mr_scores(pop, [x.value], tau)[0] \
+        assert exact.mr_scores(pop, [x], tau)[0] \
             == pytest.approx(oracle, abs=1e-12)
-        assert exact.mr_of(pop, [x.value], tau)[0] \
+        assert exact.mr_of(pop, [x], tau)[0] \
             == pytest.approx(oracle, abs=1e-12)
 
     def test_large_n_by_closed_form(self):
         # past EXACT_N_CAP no vector is built, yet the exact rate is given
         pop = generate_population(22, 2, 0.01, seed=0)
-        x = FeatureElement(22, 0)
-        assert exact.mr_scores(pop, [x.value], 1).tolist() \
+        x = 0
+        assert exact.mr_scores(pop, [x], 1).tolist() \
             == [closed_form_mr(pop, x, 1)]
         est = metrics.est_mr_of_feature(pop, x, 1,
                                         RunSettings(trials=500, seed=1))
@@ -373,9 +373,8 @@ class TestRmrOfFeature:
                            atol=1e-12)
 
     def test_far_feature_never_accepted_noiseless(self, fc_scheme):
-        centers = (FeatureElement(7, 0), FeatureElement(7, 3))
-        pop = Population(n=7, flip_prob=0.0, seed=0, centers=centers)
-        x = FeatureElement(7, 0b1111000)  # distance >= 3 from both centers
+        pop = Population(n=7, flip_prob=0.0, seed=0, centers=(0, 3))
+        x = 0b1111000  # distance >= 3 from both centers
         est = metrics.rmr_of_feature(fc_scheme, pop, x, RunSettings(trials=500, seed=3))
         assert est.point == 0.0
 
@@ -389,7 +388,7 @@ class TestRmrOfFeature:
 
     def test_rotation_full_threshold(self, default_pop):
         est = metrics.rmr_of_feature(RotationScheme(7, tau=7), default_pop,
-                                     FeatureElement(7, 5),
+                                     5,
                                      RunSettings(trials=300, seed=7))
         assert est.point == 1.0
 
@@ -398,7 +397,7 @@ class TestRmrOfFeature:
         est = metrics.rmr_of_feature(fc_scheme, default_pop, x,
                                      RunSettings(trials=20000, seed=61, level=0.99))
         assert est.ci_low <= exact.enumerator(fc_scheme, default_pop) \
-            .rmr_vector()[x.value] <= est.ci_high
+            .rmr_vector()[x] <= est.ci_high
 
 
 class TestProbeDimension:
@@ -411,13 +410,13 @@ class TestProbeDimension:
     ], ids=["est_mr_of_feature", "rmr_of_feature"])
     def test_probe_of_another_dimension_rejected(self, fc_scheme, default_pop,
                                                  estimate):
-        with pytest.raises(DimensionError, match="probe has 9 bits"):
-            estimate(fc_scheme, default_pop, FeatureElement(9, 300))
+        with pytest.raises(DimensionError, match="probe 300 has more than 7 bits"):
+            estimate(fc_scheme, default_pop, 300)
 
 
 class TestExtremal:
     def test_degenerate_shared_center(self):
-        c = FeatureElement(7, 42)
+        c = 42
         pop = Population(n=7, flip_prob=0.0, seed=0, centers=(c, c))
         m = metrics.extremal_mr(pop, 0)
         assert m.value == pytest.approx(1.0)
@@ -451,7 +450,7 @@ class TestExtremal:
         # rotating coordinates by 2 permutes the centers, so every rate
         # ties across each rotation orbit, summed in a different user order
         # at each member; reordering the users changes every sum again
-        centers = [FeatureElement(6, v) for v in (0b000011, 0b001100, 0b110000)]
+        centers = [0b000011, 0b001100, 0b110000]
         pop = Population(n=6, flip_prob=0.05, seed=0,
                          centers=tuple(centers[i] for i in order))
 
@@ -459,19 +458,19 @@ class TestExtremal:
             return int(np.flatnonzero(np.abs(vec - pick(vec)) <= 1e-12)[0])
 
         mr = exact.mr_vector(pop, 1)
-        assert metrics.extremal_mr(pop, 1).witness.value == lowest(mr, np.max)
+        assert metrics.extremal_mr(pop, 1).witness == lowest(mr, np.max)
         ov_vec = exact.mr_vector(pop, 2)
         ov = metrics.overlap_rates(pop, 1)
-        assert ov.witness_max.value == lowest(ov_vec, np.max)
-        assert ov.witness_min.value == lowest(ov_vec, np.min)
+        assert ov.witness_max == lowest(ov_vec, np.max)
+        assert ov.witness_min == lowest(ov_vec, np.min)
         scheme = RotationScheme(6, tau=1)
         rmr = exact.SchemeEnumerator(scheme, pop).rmr_vector()
         m = metrics.extremal_rmr(scheme, pop)
-        assert m.witness.value == lowest(rmr, np.max)
+        assert m.witness == lowest(rmr, np.max)
         assert m.value == pytest.approx(float(rmr.max()), abs=1e-12)
         # the rotation orbit of each witness holds tied features
         for vec, w in ((mr, lowest(mr, np.max)), (ov_vec, lowest(ov_vec, np.min))):
-            orbit = [rotate(FeatureElement(6, w), 2 * k).value for k in range(3)]
+            orbit = [rotate(6, w, 2 * k) for k in range(3)]
             assert np.ptp(vec[orbit]) <= 1e-12
             assert w == min(orbit)
 
@@ -485,10 +484,11 @@ class TestExtremal:
                 metrics.overlap_rates(default_pop, 1))
         metrics._mr_scan.cache_clear()
         scans = []
-        scan = metrics._scan
-        monkeypatch.setattr(metrics, "_scan",
-                            lambda n, vec, lowest=False:
-                            scans.append((len(vec), lowest)) or scan(n, vec, lowest))
+        extreme = metrics._extreme
+        monkeypatch.setattr(metrics, "_extreme",
+                            lambda values, rates, lowest=False:
+                            scans.append((len(rates), lowest))
+                            or extreme(values, rates, lowest))
         for _ in range(3):
             assert (metrics.extremal_mr(default_pop, 1),
                     metrics.extremal_rmr(fc_scheme, default_pop),
@@ -506,7 +506,8 @@ class TestExtremal:
         pop = generate_population(n, 16, 0.03, seed=1)
         scheme = build_scheme(cfg, n)
         vec = exact.enumerator(scheme, pop).rmr_vector()
-        want = metrics.MValue(*metrics._scan(n, vec), "exact")
+        want = metrics.MValue(*metrics._extreme(np.arange(len(vec)), vec),
+                              "exact")
         assert metrics.extremal_rmr(scheme, pop) == want
 
     def test_rmr_scheme_of_another_dimension_rejected(self, default_pop):
@@ -518,7 +519,7 @@ class TestExtremal:
         m = metrics.extremal_rmr(RotationScheme(24, tau=1), pop,
                                  RunSettings(seed=5))
         assert m.mode == "lower_bound"
-        assert m.value == float(exact.mr_of(pop, [m.witness.value], 1)[0])
+        assert m.value == float(exact.mr_of(pop, [m.witness], 1)[0])
         assert m == metrics.extremal_mr(pop, 1, RunSettings(seed=5))
 
 
@@ -615,8 +616,8 @@ class TestOverlapRates:
         settings = RunSettings(trials=10000, seed=1, level=0.99)
         p = metrics.est_mr_of_feature(pop, ov.witness_max, 2, settings)
         q = metrics.est_mr_of_feature(pop, ov.witness_min, 2, settings)
-        assert ov.witness_min.value == int(np.argmin(vec))
-        assert ov.witness_max.value == int(np.argmax(vec))
+        assert ov.witness_min == int(np.argmin(vec))
+        assert ov.witness_max == int(np.argmax(vec))
         assert q.ci_low <= ov.q_tau <= q.ci_high
         assert p.ci_low <= ov.p_tau <= p.ci_high
         assert q.queries_used == q.trials == 10000
@@ -679,7 +680,7 @@ class TestEnumeratorTables:
         own = all(accepts(scheme, pi, alpha, x) for x in range(128)
                   for _, pi, alpha in outcomes(scheme, x))
         assert en.hypothesis_own_match() == own
-        mix = [np.mean([feature_probability(pop, u, FeatureElement(7, v))
+        mix = [np.mean([feature_probability(pop, u, v)
                         for u in range(pop.num_users)]) for v in range(128)]
         assert en.pmf_mix == pytest.approx(mix, abs=1e-15)
 
@@ -714,7 +715,7 @@ def loop_accepts(kernel, rng, m):
     hits = 0
     for i in range(m):
         pts = [scheme.pie_batch(e[i], rng) for e in enrolls]
-        x = probes[i] if kernel.probe is None else kernel.probe.value
+        x = probes[i] if kernel.probe is None else kernel.probe
         hits += accepts(scheme, pts[kernel.pi_from][0],
                         pts[kernel.alpha_from][1], x)
     return m - hits if kernel.count_rejects else hits
@@ -755,7 +756,7 @@ def raw_accepts(pop, tau, rng, m, owners=("u",), probe=None,
         vs = rng.integers(pop.num_users - 1, size=m)
         users["v"] = vs + (vs >= users["u"])
     x = (pop.sample_batch(users["u"], rng) if probe is None
-         else np.full(m, probe.value, dtype=np.uint64))
+         else np.full(m, probe, dtype=np.uint64))
     enrolls = [pop.sample_batch(users[o], rng) for o in owners]
     accepts = int((np.bitwise_count(x ^ enrolls[0]) <= tau).sum())
     return m - accepts if count_rejects else accepts

@@ -1,6 +1,9 @@
 """Feature space, population model, and sampling oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -9,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btpeval import cli
+from btpeval import cli, population
 from btpeval.errors import ConfigError, DimensionError
 from btpeval.population import (
     WORD_BITS,
-    FeatureElement,
     Population,
     SamplingOracle,
     _alias_table,
+    bitstring,
     generate_population,
+    parse_bits,
 )
 from btpeval.rng import substream
 from reference_population import (
@@ -31,8 +35,7 @@ from reference_schemes import rotate
 from reference_trials import BudgetExhausted, TrialOracle
 
 
-def fe(s):
-    return FeatureElement.from_string(s)
+fe = parse_bits
 
 
 def str_distance(a, b):
@@ -49,62 +52,73 @@ class TestHammingDistance:
     def test_single_position(self):
         assert hamming_distance(fe("0101100"), fe("0111100")) == 1
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            hamming_distance(fe("0101"), fe("01011"))
-
     @given(st.integers(0, 2**9 - 1), st.integers(0, 2**9 - 1))
     def test_matches_string_count(self, a, b):
-        xa, xb = FeatureElement(9, a), FeatureElement(9, b)
-        assert hamming_distance(xa, xb) == str_distance(str(xa), str(xb))
+        assert hamming_distance(a, b) == str_distance(bitstring(9, a),
+                                                      bitstring(9, b))
 
     @given(st.integers(0, 2**9 - 1), st.integers(0, 2**9 - 1))
     def test_semimetric_axioms(self, a, b):
-        xa, xb = FeatureElement(9, a), FeatureElement(9, b)
-        d = hamming_distance(xa, xb)
+        d = hamming_distance(a, b)
         assert d >= 0
-        assert (d == 0) == (xa == xb)
-        assert d == hamming_distance(xb, xa)
+        assert (d == 0) == (a == b)
+        assert d == hamming_distance(b, a)
 
 
-class TestFeatureElement:
+class TestBitstrings:
+    """`parse_bits` and `bitstring`, the config and report boundary."""
+
     def test_string_roundtrip(self):
-        assert str(fe("0101100")) == "0101100"
+        assert bitstring(7, fe("0101100")) == "0101100"
 
-    @given(st.integers(1, 12), st.data())
+    def test_coordinate_0_is_leftmost(self):
+        assert parse_bits("1010000") == 5
+        assert bitstring(7, 5) == "1010000"
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_roundtrip_at_every_n(self, n):
+        for value in {0, 1, 1 << (n - 1), (1 << n) - 1, 0b101 % (1 << n),
+                      (0b101 << max(n - 3, 0)) % (1 << n)}:
+            s = bitstring(n, value)
+            assert len(s) == n and parse_bits(s) == value
+        for s in ("0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1"):
+            assert bitstring(n, parse_bits(s)) == s
+
+    @given(st.integers(1, 64), st.data())
     def test_bits_roundtrip(self, n, data):
         v = data.draw(st.integers(0, 2**n - 1))
-        x = FeatureElement(n, v)
-        assert FeatureElement.from_bits(bit(x, i) for i in range(n)) == x
+        assert sum(bit(v, i) << i for i in range(n)) == v
+        assert [int(c) for c in bitstring(n, v)] == [bit(v, i) for i in range(n)]
 
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            FeatureElement(3, 8)
-        with pytest.raises(ConfigError):
-            FeatureElement(0, 0)
+    @pytest.mark.parametrize("s", ["", "012", "1 0", "10a"])
+    def test_not_a_bitstring(self, s):
+        with pytest.raises(ConfigError, match="not a bitstring"):
+            parse_bits(s)
 
     def test_rotation_is_isometry(self):
         rng = substream(0, "rot-test")
         for _ in range(50):
-            a = FeatureElement(9, int(rng.integers(512)))
-            b = FeatureElement(9, int(rng.integers(512)))
+            a, b = int(rng.integers(512)), int(rng.integers(512))
             r = int(rng.integers(9))
-            assert hamming_distance(rotate(a, r), rotate(b, r)) == hamming_distance(a, b)
-            assert rotate(rotate(a, r), -r) == a
+            assert hamming_distance(rotate(9, a, r),
+                                    rotate(9, b, r)) == hamming_distance(a, b)
+            assert rotate(9, rotate(9, a, r), -r) == a
 
 
 class TestGeneratePopulation:
     def test_reproducible(self):
         a = generate_population(7, 16, 0.03, seed=1)
         b = generate_population(7, 16, 0.03, seed=1)
-        assert a.centers == b.centers
-        assert all(c.n == 7 for c in a.centers)
+        assert a == b and hash(a) == hash(b)
+        assert a.centers.tolist() == b.centers.tolist()
+        assert a.centers.dtype == np.uint64 and not a.centers.flags.writeable
+        assert all(int(c) < 1 << 7 for c in a.centers)
         assert a.num_users == 16
 
     def test_seed_changes_centers(self):
         a = generate_population(7, 16, 0.03, seed=1)
         b = generate_population(7, 16, 0.03, seed=2)
-        assert a.centers != b.centers
+        assert a != b and a.centers.tolist() != b.centers.tolist()
 
     def test_empty_user_set_forbidden(self):
         with pytest.raises(ConfigError):
@@ -126,31 +140,62 @@ class TestGeneratePopulation:
         pop = generate_population(64, 16, 0.0, seed=1)
         assert any(bit(c, 63) for c in pop.centers)
         draws = pop.sample_batch(np.arange(16), substream(0, "n64"))
-        assert [int(v) for v in draws] == [c.value for c in pop.centers]
+        assert draws.tolist() == pop.centers.tolist()
 
     def test_config_roundtrip(self):
         pop = generate_population(7, 16, 0.03, seed=1)
         again = Population.from_config(pop.to_config())
-        assert again.centers == pop.centers
+        assert again == pop
+        assert again.centers.tolist() == pop.centers.tolist()
         assert again.flip_prob == pop.flip_prob
 
+    def test_config_centers_are_parsed_and_echoed(self):
+        cfg = {"n": 7, "U": 3, "p": 0.05, "seed": 0,
+               "centers": ["1010000", "0110011", "1111111"]}
+        pop = Population.from_config(cfg)
+        assert pop.centers.tolist() == [5, 0b1100110, 127]
+        assert pop.to_config() == cfg
+
     def test_population_over_64_bits_rejected(self):
-        centers = (FeatureElement(70, 1 << 69), FeatureElement(70, 3))
         with pytest.raises(ConfigError, match="64"):
-            Population(n=70, flip_prob=0.03, seed=0, centers=centers)
+            Population(n=70, flip_prob=0.03, seed=0, centers=(1 << 69, 3))
+
+    def test_equal_populations_share_their_hash(self):
+        pop = generate_population(7, 16, 0.03, seed=1)
+        twin = Population(7, 0.03, 1, pop.centers.tolist())
+        assert twin == pop and hash(twin) == hash(pop)
+        assert {pop: 1}[twin] == 1
+        assert pop != pop.replace(seed=2) and pop != pop.replace(flip_prob=0.1)
+        assert pop != Population(7, 0.03, 1, [*pop.centers.tolist()[:-1], 0])
+
+    def test_hash_is_the_same_in_every_process(self):
+        # a worker that rebuilds a population must find it in the caches
+        # its parent keyed on the same population
+        code = ("from btpeval.population import generate_population; "
+                "print(hash(generate_population(7, 16, 0.03, 1)))")
+        hashes = {subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ,
+                                      "PYTHONHASHSEED": seed}).stdout
+                  for seed in ("0", "1")}
+        assert len(hashes) == 1
+        assert hashes == {f"{hash(generate_population(7, 16, 0.03, 1))}\n"}
 
     def test_default_verify_hashes_the_centers_once_per_population(
             self, monkeypatch, capsys):
         # the caches keyed on a population read the hash it made once
         hashed, built = [], []
-        fe_hash, validate = FeatureElement.__hash__, Population._validate
-        monkeypatch.setattr(FeatureElement, "__hash__",
-                            lambda x: hashed.append(x) or fe_hash(x))
+        validate = Population._validate
+        monkeypatch.setattr(population, "hash",
+                            lambda key: hashed.append(key) or hash(key),
+                            raising=False)
         monkeypatch.setattr(Population, "_validate",
                             lambda pop: built.append(pop) or validate(pop))
         assert cli.main(["verify", "--theorem", "all"]) == 0
         assert len(built) == 1
-        assert hashed == list(built[0].centers)
+        pop = built[0]
+        assert hashed == [(pop.n, pop.flip_prob, pop.seed,
+                           tuple(pop.centers.tolist()))]
 
     def test_config_user_count_mismatch(self):
         pop = generate_population(7, 4, 0.03, seed=1)
@@ -174,7 +219,7 @@ def loop_captures(pop, us, uniforms):
             cell = k >> (53 - w)
             mask = cell if k < int(cut[cell] * 2**53) else int(alias[cell])
             flips |= mask << (WORD_BITS * j)
-        out.append(pop.centers[int(u)].value ^ (flips & ((1 << pop.n) - 1)))
+        out.append(int(pop.centers[int(u)]) ^ (flips & ((1 << pop.n) - 1)))
     return out
 
 
@@ -190,7 +235,7 @@ class TestCapturePacker:
         expected = loop_captures(pop, us, uniforms)
         assert [int(v) for v in batch] == expected
         if n == 64:
-            assert any((v ^ pop.centers[int(u)].value) >> 63
+            assert any((v ^ int(pop.centers[int(u)])) >> 63
                        for u, v in zip(us, expected))
 
     def test_captures_keep_the_users_shape(self):
@@ -268,7 +313,7 @@ class TestAliasTable:
         draws = 400_000
         vals = pop.sample_batch(np.full(draws, 1), substream(4, "chi2"))
         counts = np.bincount(vals.astype(np.int64), minlength=1 << 12)
-        d = np.bitwise_count(np.arange(1 << 12) ^ pop.centers[1].value)
+        d = np.bitwise_count(np.arange(1 << 12, dtype=np.uint64) ^ pop.centers[1])
         expected = draws * 0.2 ** d * 0.8 ** (12 - d)
         big = expected >= 5
         obs = np.append(counts[big], counts[~big].sum())
@@ -284,7 +329,7 @@ class TestSampling:
     def test_noiseless_returns_center(self, noiseless_pop):
         us = np.arange(noiseless_pop.num_users)
         draws = noiseless_pop.sample_batch(us, substream(0, "t"))
-        assert [int(v) for v in draws] == [c.value for c in noiseless_pop.centers]
+        assert draws.tolist() == noiseless_pop.centers.tolist()
 
     def test_deterministic_given_seed(self, default_pop):
         def draws():
@@ -298,19 +343,19 @@ class TestSampling:
         rng = substream(1, "batch")
         us = np.zeros(100_000, dtype=np.int64)
         vals = default_pop.sample_batch(us, rng)
-        flips = np.bitwise_count(vals ^ np.uint64(default_pop.centers[0].value))
+        flips = np.bitwise_count(vals ^ default_pop.centers[0])
         freq = flips.mean() / default_pop.n
         assert abs(freq - 0.03) < 0.005
 
     def test_per_bit_flip_frequency(self, default_pop):
         rng = substream(2, "freq")
         n = default_pop.n
-        c = default_pop.centers[5].value
+        c = default_pop.centers[5]
         counts = np.zeros(n)
         draws = 100_000
         vals = default_pop.sample_batch(np.full(draws, 5), rng)
         for i in range(n):
-            counts[i] = ((vals ^ np.uint64(c)) >> np.uint64(i) & np.uint64(1)).sum()
+            counts[i] = ((vals ^ c) >> np.uint64(i) & np.uint64(1)).sum()
         freqs = counts / draws
         assert np.all(np.abs(freqs - 0.03) < 0.005)
 
@@ -324,7 +369,7 @@ class TestSampling:
         tail_expected = 0.0
         tail_count = 0
         for v in range(128):
-            p = feature_probability(default_pop, 2, FeatureElement(7, v))
+            p = feature_probability(default_pop, 2, v)
             expected = draws * p
             if expected >= 10:
                 slack = 4 * math.sqrt(draws * p * (1 - p))
@@ -349,14 +394,14 @@ class TestFeatureProbability:
 
     def test_normalization(self, default_pop):
         total = sum(
-            feature_probability(default_pop, 4, FeatureElement(7, v))
+            feature_probability(default_pop, 4, v)
             for v in range(128)
         )
         assert abs(total - 1.0) < 1e-12
 
     def test_dimension_mismatch(self, default_pop):
         with pytest.raises(DimensionError):
-            feature_probability(default_pop, 0, FeatureElement(6, 0))
+            feature_probability(default_pop, 0, 1 << 7)
 
 
 class TestSamplingOracle:
@@ -393,7 +438,7 @@ class TestSamplingOracle:
         trial = TrialOracle(one, 1)
         assert trial.row == 3
         x = trial.sample(5)
-        assert x == FeatureElement(7, int(chunk.sample([1], [5])[0]))
+        assert x == int(chunk.sample([1], [5])[0])
         assert one.counts.tolist() == chunk.counts.tolist() == [0, 1]
         assert one.rng.random() == chunk.rng.random()
 
@@ -450,13 +495,22 @@ class TestBatchOracleCharge:
         assert oracle.counts.tolist() == [0, 0, 0, 0]
         assert oracle.rng.random() == substream(6, "t").random()
 
+    def test_a_lone_user_is_the_row_of_one_trial(self, default_pop):
+        # sample(2, 5): a 0-d trial and a 0-d user are one trial's query
+        lone, twin = (SamplingOracle(default_pop, substream(6, "lone"), 10, 4)
+                      for _ in range(2))
+        got = lone.sample(2, 5)
+        assert got.shape == () and got == twin.sample([2], [5])[0]
+        assert lone.counts.tolist() == twin.counts.tolist() == [0, 0, 1, 0]
+        with pytest.raises(IndexError, match="unknown trial"):
+            lone.sample(7, 5)
+        assert lone.counts.tolist() == [0, 0, 1, 0]
+
 
 def brute_force_overlap(x0, x1, tau):
-    """Independent oracle: scan every midpoint in the cube."""
-    n = x0.n
-    for z in range(1 << n):
-        zf = FeatureElement(n, z)
-        if hamming_distance(x0, zf) <= tau and hamming_distance(zf, x1) <= tau:
+    """Independent oracle: scan every midpoint in the 7-cube."""
+    for z in range(1 << 7):
+        if hamming_distance(x0, z) <= tau and hamming_distance(z, x1) <= tau:
             return True
     return False
 
@@ -475,10 +529,6 @@ class TestNeighborhoodOverlap:
         assert brute_force_overlap(x0, x1, 2) is False
         assert neighborhood_overlap(x0, x1, 2) is False
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            neighborhood_overlap(fe("000"), fe("0000"), 1)
-
     @pytest.mark.parametrize("n", [5, 6])
     def test_exhaustive_equivalence_small(self, n):
         size = 1 << n
@@ -492,5 +542,4 @@ class TestNeighborhoodOverlap:
     @given(st.integers(0, 127), st.integers(0, 127), st.integers(0, 4))
     @settings(max_examples=60)
     def test_matches_brute_force(self, a, b, tau):
-        x0, x1 = FeatureElement(7, a), FeatureElement(7, b)
-        assert neighborhood_overlap(x0, x1, tau) == brute_force_overlap(x0, x1, tau)
+        assert neighborhood_overlap(a, b, tau) == brute_force_overlap(a, b, tau)

@@ -11,12 +11,12 @@ from btpeval import exact, games, metrics, population, schemes, verify
 from btpeval.adversaries import BlindArgmaxAdversary, PalSamplerConfig
 from btpeval.errors import ConfigError, ContractError
 from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
-from btpeval.population import FeatureElement, generate_population
+from btpeval.population import generate_population
 from btpeval.records import Record
 from btpeval.schemes import LEAK_BOTH, ProtectedTemplate, build_scheme
 
 FC = build_scheme({"scheme": "fc"}, 7)
-ADV = BlindArgmaxAdversary(FeatureElement(7, 0))
+ADV = BlindArgmaxAdversary(0)
 EST = AdvantageEstimate(0.5, 10, 0.2, 0.8, queries_used=3)
 
 
@@ -36,12 +36,9 @@ def _spec_fields():
 # A fresh instance of each record per call; a field that compares by
 # identity (a scheme, an adversary) is shared between calls.
 VALUE_RECORDS = {
-    population.FeatureElement: lambda: FeatureElement(7, 5),
     population.Population: _pop,
-    schemes.ProtectedTemplate: lambda: ProtectedTemplate(
-        b"\x01" * 16, FeatureElement(7, 3)),
+    schemes.ProtectedTemplate: lambda: ProtectedTemplate(b"\x01" * 16, 3),
     schemes.LeakSet: lambda: schemes.LeakSet(True, False),
-    schemes.PtView: lambda: schemes.PtView(pi=b"\x02" * 16, has_pi=True),
     schemes.MatchLaw: lambda: schemes.MatchLaw(1, "pi", _offsets),
     schemes.LinearCode: lambda: schemes.LinearCode.from_bitstrings(
         ["1000110", "0100101", "0010011", "0001111"], t=1),
@@ -50,10 +47,8 @@ VALUE_RECORDS = {
     metrics._AcceptKernel: lambda: metrics._AcceptKernel(
         _pop(), FC, owners=("u", "v"), pi_from=1),
     metrics._PtStatsKernel: lambda: metrics._PtStatsKernel(FC, _pop(), 4),
-    metrics.MValue: lambda: metrics.MValue(0.25, FeatureElement(7, 9),
-                                           "exact"),
-    metrics.OverlapRates: lambda: metrics.OverlapRates(
-        0.4, 0.1, FeatureElement(7, 1), FeatureElement(7, 2)),
+    metrics.MValue: lambda: metrics.MValue(0.25, 9, "exact"),
+    metrics.OverlapRates: lambda: metrics.OverlapRates(0.4, 0.1, 1, 2),
     metrics.MatchRateStats: lambda: MatchRateStats(0.5, 0.1),
     games.GameParams: lambda: games.GameParams(FC, _pop()),
     games._GameSpec: lambda: games._GameSpec(*_spec_fields()),
@@ -107,7 +102,7 @@ def _all_subclasses(cls):
 
 def test_every_record_is_covered():
     assert set(RECORDS) == set(_all_subclasses(Record))
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 22
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -146,10 +141,10 @@ def test_equal_populations_share_a_cache_entry():
 
 
 def test_a_changed_field_is_unequal():
-    x = FeatureElement(7, 5)
-    assert x != FeatureElement(7, 6) and x != FeatureElement(8, 5)
+    x = MatchRateStats(0.5, 0.1)
+    assert x != MatchRateStats(0.5, 0.2) and x != MatchRateStats(0.4, 0.1)
     assert RunSettings() != RunSettings(seed=2)
-    assert (x == (7, 5)) is False
+    assert (x == (0.5, 0.1)) is False
 
 
 @pytest.mark.parametrize("cls", IDENTITY_RECORDS, ids=lambda c: c.__name__)

@@ -13,14 +13,15 @@ from btpeval.adversaries import (
     ReductionUnlinkAdversary,
     compute_n_delta,
 )
-from btpeval.errors import ConfigError, ContractError, ProtocolError
+from btpeval.errors import ConfigError, ContractError, DimensionError, ProtocolError
 from btpeval.games import run_al_irr_game, run_unlink_game
-from btpeval.metrics import AdvantageEstimate, MatchRateStats, RunSettings
+from btpeval.metrics import (AdvantageEstimate, MatchRateStats, RunSettings,
+                             est_mr_of_feature, rmr_of_feature)
 from btpeval.population import (
-    FeatureElement,
     Population,
     SamplingOracle,
     generate_population,
+    parse_bits,
 )
 from btpeval.rng import substream
 from btpeval.schemes import (
@@ -35,7 +36,7 @@ from btpeval.verify import verify_all
 
 POP = generate_population(7, 16, 0.03, seed=1)
 FC = build_scheme({"scheme": "fc"}, 7)
-ZERO = FeatureElement(7, 0)
+ZERO = 0
 
 
 class WrongShapeGuess(CoinFlipUnlinkAdversary):
@@ -100,8 +101,33 @@ REFUSALS = {
                   "standard deviation must be >= 0"),
     "chebyshev delta": (lambda: MatchRateStats(0.5, 0.1).chebyshev_threshold(0),
                         ConfigError, "delta must be positive"),
-    "bitstring": (lambda: FeatureElement.from_string("012"), ConfigError,
+    "bitstring": (lambda: parse_bits("012"), ConfigError,
                   "not a bitstring: '012'"),
+    "empty bitstring": (lambda: parse_bits(""), ConfigError,
+                        "not a bitstring: ''"),
+    "config center": (lambda: Population.from_config(
+        {"p": 0.05, "centers": ["1010000", "01a0011"]}), ConfigError,
+        "not a bitstring: '01a0011'"),
+    "empty config center": (lambda: Population.from_config(
+        {"p": 0.05, "centers": ["1010000", ""]}), ConfigError,
+        "not a bitstring: ''"),
+    "config center length": (lambda: Population.from_config(
+        {"p": 0.05, "centers": ["1010000", "0110011", "1010000101"]}),
+        DimensionError, "center has 10 bits, expected 7"),
+    "center bits": (lambda: Population(7, 0.03, 0, (5, 1 << 7)),
+                    DimensionError, "a center has more than 7 bits"),
+    "centers shape": (lambda: Population(7, 0.03, 0, [[1, 2], [3, 4]]),
+                      ConfigError, "centers must be one packed value per user"),
+    "mr probe bits": (lambda: est_mr_of_feature(
+        POP, 300, 1, RunSettings(trials=3)), DimensionError,
+        "probe 300 has more than 7 bits"),
+    "rmr probe bits": (lambda: rmr_of_feature(
+        FC, POP, 1 << 7, RunSettings(trials=3)), DimensionError,
+        "probe 128 has more than 7 bits"),
+    "generator row": (lambda: LinearCode.from_bitstrings(["101", "1x1"], 0),
+                      ConfigError, "not a bitstring: '1x1'"),
+    "empty generator row": (lambda: LinearCode.from_bitstrings(["", ""], 0),
+                            ConfigError, "not a bitstring: ''"),
     "one user": (lambda: Population(7, 0.03, 0, (ZERO,)), ConfigError,
                  "need at least 2 users, got 1"),
     "flip_prob": (lambda: Population(7, 0.5, 0, (ZERO, ZERO)), ConfigError,
