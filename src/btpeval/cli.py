@@ -23,7 +23,7 @@ import time
 
 from . import exact, metrics, verify
 from .adversaries import adversary_names, build_adversary
-from .errors import BtpEvalError, ConfigError, ModeError
+from .errors import BtpEvalError, ConfigError, ModeError, require_type
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
 from .metrics import RunSettings
 from .population import Population, bitstring
@@ -80,10 +80,7 @@ def _check_keys(block, allowed: dict, where: str):
                 raise ConfigError(f"{where}.{key} must be a non-empty list "
                                   f"of bitstrings, got {value!r}")
             continue
-        types = int if sub is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, types):
-            kind = "an integer" if sub is int else "a number"
-            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+        require_type(f"{where}.{key}", value, whole=sub is int)
 
 
 def load_config(path: str | None, overrides: dict) -> dict:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of an
+integer or number field."""
+
+import numpy as np
 
 
 class BtpEvalError(Exception):
@@ -30,3 +33,12 @@ class ModeError(BtpEvalError):
 
 class ProtocolError(BtpEvalError):
     """An adversary returned a value outside the game's alphabet."""
+
+
+def require_type(name: str, value, whole: bool):
+    """Refuse, with `ConfigError`, a bool, and a value of the field `name`
+    that is not an integer (`whole`) or a number."""
+    kinds = (int, np.integer) + (() if whole else (float, np.floating))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if whole else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")

@@ -14,7 +14,7 @@ diagonal mean; the per-template statistics are the weighted moments of
 `templates()`.  Rows index the enrolled user v, columns the probe owner
 u.  Two engines supply the tables.
 
-* `LawOracle`, for a scheme that declares a `match_law()` (fc, rot,
+* `LawOracle`, for a scheme that declares a `match_radius()` (fc, rot,
   plain).  A capture of user u flips each bit of c_u independently with
   probability p, so Pr[d(x, X_u) <= r] depends on x only through
   h = d(x, c_u), and two independent captures differ bit by bit with
@@ -24,7 +24,7 @@ u.  Two engines supply the tables.
   raw comparator d(x, x') <= tau is `PlaintextScheme(n, tau)`, so
   `baseline_rates` are that scheme's FNMR and FMR-BP, and the ball-overlap
   probability at tau is `mr_vector` at radius 2 tau.  Tables cost
-  O(U^2 |offsets|), per-feature vectors O(U 2^n); feature scans stop at
+  O(U^2 K) for K outcomes, per-feature vectors O(U 2^n); feature scans stop at
   n <= 20.  `mr_vector` is built once per (population, tau) and kept
   read-only, 8 bytes per feature (8 MB at n = 20), as `enumerator` keeps
   its oracles; `mr_scores` reads it to score any set of features.
@@ -150,16 +150,16 @@ def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
     return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
 
 
-def _pair_rates(pop: Population, radius: int, offsets=None) -> np.ndarray:
+def _pair_rates(pop: Population, radius: int, images=None) -> np.ndarray:
     """G[t, u] = Pr[d(X_t, g(X_u)) <= radius] for independent captures,
-    averaged over the isometries g of `offsets` (the identity if None).
+    averaged over the isometries g with g(c_u) in row u of `images` (or g = id).
 
     Two captures differ bit by bit with probability 2p(1 - p).
     """
     p = pop.flip_prob
     pair = _ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
     c = pop.centers
-    images = c[:, None] if offsets is None else offsets(c)   # (U, offsets)
+    images = c[:, None] if images is None else images
     return np.stack([pair[np.bitwise_count(images ^ ct).astype(np.intp)]
                      .mean(axis=1) for ct in c])
 
@@ -231,24 +231,29 @@ class _Oracle:
 
 
 class LawOracle(_Oracle):
-    """Exact tables of a scheme with a `match_law()`, from ball tables.
+    """Exact tables of a scheme with a `match_radius()`, from ball tables.
 
     `same` reads the two-capture table at d(c_v, c_u).  A mixed decision
     is tied to one enrollment's capture: it reads the table at
-    d(c_t, g(c_u)), averaged over the law's offsets g (`_cross`), where t
-    is u when the tied part is the probe owner's own and v otherwise.
-    A template of x accepts a random capture with rate MR(x) at the law's
-    radius, and x is distributed as a random capture.
+    d(c_t, g(c_u)), over c_u's outcomes g(c_u) in the tied part, the one
+    feature field (`_cross`), where t is u when the tied part is the probe
+    owner's own and v otherwise.  A template of x accepts a random capture
+    with rate MR(x) at the radius, and x is distributed as a capture.
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
         super().__init__(scheme, pop, EXACT_N_CAP, "ball-law oracle")
-        self.law = scheme.match_law()
-        self.same = _pair_rates(pop, self.law.radius)
-        self._cross = _pair_rates(pop, self.law.radius, self.law.offsets)
+        if scheme.feature_fields not in (("pi",), ("alpha",)):
+            raise ContractError(f"{type(scheme).__name__} declares a match "
+                                "radius but not one feature field, pi or alpha")
+        self.radius = scheme.match_radius()
+        self.tied = "pi" if scheme.feature_fields == ("pi",) else "ad"
+        images = scheme.pie_support_batch(pop.centers)[1 if self.tied == "pi" else 2]
+        self.same = _pair_rates(pop, self.radius)
+        self._cross = _pair_rates(pop, self.radius, images)
 
     def mixed(self, own: str) -> np.ndarray:
-        if own == self.law.tied:
+        if own == self.tied:
             return np.tile(np.diag(self._cross), (self.U, 1))
         return self._cross
 
@@ -257,11 +262,11 @@ class LawOracle(_Oracle):
 
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x: the template's capture within the radius."""
-        return mr_vector(self.pop, self.law.radius)
+        return mr_vector(self.pop, self.radius)
 
     def hypothesis_own_match(self) -> bool:
         """Whether every template accepts the exact feature it encodes."""
-        return self.law.radius >= 0
+        return self.radius >= 0
 
 
 def _first_seen(values: np.ndarray) -> tuple:
@@ -360,7 +365,7 @@ class SchemeEnumerator(_Oracle):
 @lru_cache(maxsize=8)
 def enumerator(scheme: BtpScheme, pop: Population):
     """The exact oracle of (scheme, population): `LawOracle` when the
-    scheme declares a match law, `SchemeEnumerator` otherwise."""
-    if scheme.match_law() is not None:
+    scheme declares a match radius, `SchemeEnumerator` otherwise."""
+    if scheme.match_radius() is not None:
         return LawOracle(scheme, pop)
     return SchemeEnumerator(scheme, pop)

@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import exact
-from .errors import ConfigError, DimensionError, ModeError
+from .errors import ConfigError, DimensionError, ModeError, require_type
 from .population import Population
 from .records import Record
 from .rng import substream
@@ -137,9 +137,6 @@ def entropy_bits(rate: float) -> float:
 # run settings
 
 
-# The types a setting with an integer default, or a float one, may take
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
 # The least value of each integer setting, checked in this order; a sample
 # variance needs two templates and two captures of each.
 _MINIMUMS = {"tau": 0, "trials": 1, "query_budget": 1, "sampler_queries": 1,
@@ -166,11 +163,7 @@ class RunSettings(Record):
 
     def _validate(self):
         for key, default in self._defaults.items():
-            value, whole = getattr(self, key), type(default) is int
-            if isinstance(value, bool) or not isinstance(
-                    value, _INTEGERS if whole else _REALS):
-                kind = "an integer" if whole else "a number"
-                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            require_type(key, getattr(self, key), whole=type(default) is int)
         for key, least in _MINIMUMS.items():
             if (value := getattr(self, key)) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
@@ -434,12 +427,11 @@ def extremal_mr(pop: Population, tau: int,
 def extremal_rmr(scheme: BtpScheme, pop: Population,
                  settings: RunSettings = RunSettings()) -> MValue:
     """max over x of rMR(x), exact where the scheme has an exact oracle;
-    under a match law rMR is MR at the law's radius, at every n."""
+    under a ball law rMR is MR at the law's radius, at every n."""
     if scheme.feature_dim != pop.n:
         raise ConfigError("scheme and population disagree on n")
-    law = scheme.match_law()
-    if law is not None:
-        return extremal_mr(pop, law.radius, settings)
+    if (radius := scheme.match_radius()) is not None:
+        return extremal_mr(pop, radius, settings)
     try:
         vec = exact.enumerator(scheme, pop).rmr_vector()
     except ModeError:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, require_type
 from .records import Record
 from .rng import substream
 
@@ -32,6 +32,7 @@ WORD_BITS = 10  # flip-mask bits drawn per uniform
 
 
 def _check_dimension(n: int):
+    require_type("n", n, whole=True)
     if not 1 <= n <= MAX_N:
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
 
@@ -105,10 +106,10 @@ def _alias_table(w: int, p: float) -> tuple:
 class Population(Record):
     """The user set with its per-user capture distributions.
 
-    `centers` holds one packed center per user, a read-only uint64 array;
-    `flip_prob` is the per-bit capture noise.  Immutable after
-    construction and safe to share across workers; all sampling goes
-    through caller-supplied Generators.
+    `centers` holds one packed center per user, given as integers, as a
+    read-only uint64 array; `flip_prob` is the per-bit capture noise.
+    Immutable after construction and safe to share across workers; all
+    sampling goes through caller-supplied Generators.
     """
 
     n: int
@@ -118,17 +119,26 @@ class Population(Record):
 
     def _validate(self):
         _check_dimension(self.n)
-        centers = np.array(self.centers, dtype=np.uint64)
+        require_type("flip_prob", self.flip_prob, whole=False)
+        require_type("seed", self.seed, whole=True)
+        centers = self.centers
+        if not (isinstance(centers, np.ndarray) and centers.dtype.kind in "iu"):
+            centers = np.array(centers, dtype=object)   # keeps every int exact
+            for c in centers.flat:
+                require_type("a center", c, whole=True)
         if centers.ndim != 1:
             raise ConfigError("centers must be one packed value per user")
-        centers.flags.writeable = False
-        object.__setattr__(self, "centers", centers)
-        if self.num_users < 2:
-            raise ConfigError(f"need at least 2 users, got {self.num_users}")
+        if len(centers) < 2:
+            raise ConfigError(f"need at least 2 users, got {len(centers)}")
         if not 0.0 <= self.flip_prob < 0.5:
             raise ConfigError(f"flip_prob must be in [0, 0.5), got {self.flip_prob}")
-        if (centers >> np.uint64(self.n)).any():
+        if (centers < 0).any():
+            raise DimensionError(f"a center is negative: {centers.min()}")
+        if (centers >> int(self.n)).any():
             raise DimensionError(f"a center has more than {self.n} bits")
+        centers = np.array(centers, dtype=np.uint64)
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
         # hashed once, for the caches keyed on a population; the fields
         # hash as ints and a float, so the hash is the same in every process
         object.__setattr__(self, "_hash", hash(
@@ -191,7 +201,7 @@ class Population(Record):
             rows = cfg["centers"]
             centers = [parse_bits(s) for s in rows]
             if "n" in cfg:
-                n = int(cfg["n"])
+                n = cfg["n"]
             elif rows:
                 n = len(rows[0])
             else:
@@ -199,18 +209,17 @@ class Population(Record):
             for s in rows:
                 if len(s) != n:
                     raise DimensionError(f"center has {len(s)} bits, expected {n}")
-            pop = cls(n=n, flip_prob=float(cfg["p"]), seed=int(cfg.get("seed", 0)),
+            pop = cls(n=n, flip_prob=float(cfg["p"]), seed=cfg.get("seed", 0),
                       centers=centers)
-            if "U" in cfg and int(cfg["U"]) != pop.num_users:
-                raise ConfigError(
-                    f"config says U={cfg['U']} but {pop.num_users} centers listed"
-                )
+            if "U" in cfg and cfg["U"] != pop.num_users:
+                raise ConfigError(f"config says U={cfg['U']!r} but "
+                                  f"{pop.num_users} centers listed")
             return pop
         return generate_population(
-            n=int(cfg["n"]),
-            num_users=int(cfg["U"]),
+            n=cfg["n"],
+            num_users=cfg["U"],
             flip_prob=float(cfg["p"]),
-            seed=int(cfg.get("seed", 0)),
+            seed=cfg.get("seed", 0),
         )
 
 
@@ -224,6 +233,8 @@ def generate_population(
     disturb them.
     """
     _check_dimension(n)
+    require_type("U", num_users, whole=True)
+    require_type("p", flip_prob, whole=False)
     if num_users < 2:
         raise ConfigError(f"U must be >= 2, got {num_users}")
     if not 0.0 <= flip_prob < 0.5:

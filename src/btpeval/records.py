@@ -17,9 +17,9 @@ class Record:
     default.
 
     `_validate`, where a subclass defines it, runs once the fields are set,
-    so that `replace` validates again.  A record equals another of its
-    class with equal fields and hashes by its field values; its repr lists
-    the fields.  Assigning to a record raises `AttributeError`.
+    so that `replace` and a pickle validate again.  A record equals another
+    of its class with equal fields and hashes by its field values; its repr
+    lists the fields.  Assigning to a record raises `AttributeError`.
     """
 
     _fields = ()
@@ -53,6 +53,9 @@ class Record:
 
     def _validate(self):
         pass
+
+    def __reduce__(self):   # numpy's pickle of an array drops its read-only flag
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def replace(self, **changes):
         """A copy with `changes` to some fields, validated again."""

@@ -21,21 +21,20 @@ A scheme implements the algorithms once, as an integer-coded batch
 contract (`pie_batch`, `pir_batch`, `pic_batch`, `pie_support_batch`):
 captures are packed uint64 values, and pi, alpha and verification
 identifiers are uint64 codes.  The three reference schemes implement it
-with array arithmetic.  They also declare a `match_law()`: their
-comparator decides on one Hamming distance, which the exact oracles turn
-into closed forms.
+with array arithmetic.  They also declare a `match_radius()`: their
+comparator accepts a Hamming ball, which the exact oracles turn into
+closed forms.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .population import parse_bits
+from .errors import ConfigError, ContractError, require_type
+from .population import MAX_N, parse_bits
 from .records import Record
 
 
@@ -79,23 +78,6 @@ LEAK_AD = LeakSet(pi=False, ad=True)
 LEAK_BOTH = LeakSet(pi=True, ad=True)
 
 
-class MatchLaw(Record):
-    """Acceptance as a Hamming ball, for comparators that decide on distance.
-
-    One enrollment of x accepts a capture x' iff d(x, x') <= radius.  The
-    pi of one enrollment and the alpha of another accept x' iff
-    d(x_tied, g(x')) <= radius, where x_tied is the capture enrolled for
-    the `tied` part ("pi" or "ad") and g is uniform over the isometries
-    `offsets(xs)` lists along a new last axis.  Each g is an XOR by a
-    constant or a coordinate permutation, so it maps i.i.d. bit-flip noise
-    to i.i.d. bit-flip noise.
-    """
-
-    radius: int
-    tied: str
-    offsets: Callable
-
-
 def leak_view(pt: ProtectedTemplate, leak: LeakSet) -> ProtectedTemplate:
     """What an adversary receives of `pt`: its parts outside `leak` None."""
     return ProtectedTemplate(pt.pi if leak.pi else None,
@@ -105,8 +87,9 @@ def leak_view(pt: ProtectedTemplate, leak: LeakSet) -> ProtectedTemplate:
 class LinearCode(Record):
     """Binary linear [n, k] code with an exhaustive bounded-distance decoder.
 
-    Codewords are packed ints (coordinate i = bit i).  Construction
-    enumerates all 2^k codewords, measures the true minimum distance, and
+    `codewords` holds all 2^k codewords as a read-only uint64 array, packed
+    (coordinate i = bit i): codeword m is the XOR of the generator rows the
+    bits of m select.  Construction measures the true minimum distance and
     refuses decoding radii t < 0 or with 2t + 1 > d_min.
     """
 
@@ -116,8 +99,10 @@ class LinearCode(Record):
     t: int
 
     def _validate(self):
-        if self.k_code < 1 or self.n_code < 1:
-            raise ConfigError("code dimensions must be positive")
+        for key in ("n_code", "k_code", "t"):
+            require_type(key, getattr(self, key), whole=True)
+        if self.k_code < 1 or not 1 <= self.n_code <= MAX_N:
+            raise ConfigError(f"code dimensions must be positive, with n <= {MAX_N}")
         if self.k_code > 16:
             raise ConfigError("codeword enumeration is capped at k <= 16")
         if self.t < 0:
@@ -125,10 +110,15 @@ class LinearCode(Record):
         if len(self.generator_rows) != self.k_code:
             raise ConfigError("generator must have k rows")
         for row in self.generator_rows:
+            require_type("generator row", row, whole=True)
             if not 0 <= row < (1 << self.n_code):
                 raise ConfigError("generator row out of range")
-        object.__setattr__(self, "_codewords", tuple(self._enumerate()))
-        dmin = min(w.bit_count() for w in self._codewords[1:])
+        bits = np.arange(1 << self.k_code)[:, None] >> np.arange(self.k_code) & 1
+        rows = np.array(self.generator_rows, dtype=np.uint64)
+        codewords = np.bitwise_xor.reduce(np.where(bits, rows, 0), axis=1)
+        codewords.flags.writeable = False
+        object.__setattr__(self, "codewords", codewords)
+        dmin = int(np.bitwise_count(codewords[1:]).min())
         object.__setattr__(self, "min_distance", dmin)
         if 2 * self.t + 1 > dmin:
             raise ConfigError(
@@ -136,20 +126,9 @@ class LinearCode(Record):
             )
         object.__setattr__(self, "_decode_table", None)
         if self.n_code <= 16:
-            ys = np.arange(1 << self.n_code, dtype=np.uint64)
-            object.__setattr__(self, "_decode_table", self.decode_codes(ys))
-
-    def _enumerate(self):
-        for m in range(1 << self.k_code):
-            w = 0
-            for i in range(self.k_code):
-                if (m >> i) & 1:
-                    w ^= self.generator_rows[i]
-            yield w
-
-    @property
-    def codewords(self) -> tuple:
-        return self._codewords
+            object.__setattr__(self, "_decode_table", self.decode_codes(
+                np.arange(1 << self.n_code, dtype=np.uint64)))
+            self._decode_table.flags.writeable = False
 
     def decode_codes(self, ys: np.ndarray) -> np.ndarray:
         """Index of the codeword within distance t of each packed word, or
@@ -162,8 +141,8 @@ class LinearCode(Record):
                 raise IndexError(f"a word has more than {self.n_code} bits")
             return self._decode_table[ys.view(np.int64) if ys.ndim else ys]
         codes = np.full(np.shape(ys), REJECT_CODE, dtype=np.uint64)
-        for m, w in enumerate(self._codewords):
-            codes[np.bitwise_count(ys ^ np.uint64(w)) <= self.t] = m
+        for m, w in enumerate(self.codewords):
+            codes[np.bitwise_count(ys ^ w) <= self.t] = m
         return codes
 
     @classmethod
@@ -177,7 +156,7 @@ class LinearCode(Record):
         return cls(n_code=n_code, k_code=len(rows), generator_rows=tuple(packed), t=t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hamming_7_4(t: int = 1) -> LinearCode:
     """The perfect [7,4,3] code used by the default fuzzy commitment."""
     return LinearCode.from_bitstrings(
@@ -208,6 +187,12 @@ class BtpScheme(ABC):
     feature_dim: int
     feature_fields: tuple = ()
 
+    def __init__(self, n: int):
+        require_type("n", n, whole=True)
+        if n < 1:
+            raise ConfigError("n must be >= 1")
+        self.feature_dim = n
+
     @abstractmethod
     def pie_batch(self, xs: np.ndarray, rng: np.random.Generator) -> tuple:
         """`pie` on every capture in C order (the same draws as one call per
@@ -227,19 +212,28 @@ class BtpScheme(ABC):
         alpha) arrays of shape xs.shape + (K,); every capture must have K
         outcomes."""
 
-    def guaranteed_match_radius(self):
-        """Largest tau with: d(x, x') <= tau implies pic accepts a template of x.
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "match_law" in vars(cls):
+            raise ContractError(f"{cls.__name__}.match_law is retired: "
+                                "declare match_radius")
 
-        None when the scheme carries no such guarantee; by default the
-        radius of the scheme's match law.
+    def match_radius(self) -> int | None:
+        """The radius r of the scheme's ball law, or None without one.
+
+        Under the law an enrollment of x accepts a capture x' iff
+        d(x, x') <= r, and the one field of `feature_fields`, the tied
+        part, has code g(x) for an isometry g (an XOR by a constant or a
+        coordinate permutation, so bit-flip noise stays bit-flip noise)
+        the encoder draws uniformly: the tied part of one enrollment of x
+        and the other part of another accept x' iff d(x, g(x')) <= r.
         """
-        law = self.match_law()
-        return None if law is None else law.radius
-
-    def match_law(self) -> MatchLaw | None:
-        """The scheme's acceptance rule as a `MatchLaw`, or None when its
-        comparator does not decide on a Hamming distance alone."""
         return None
+
+    def guaranteed_match_radius(self):
+        """Largest tau with: d(x, x') <= tau implies pic accepts a template
+        of x; None without such a guarantee, by default `match_radius()`."""
+        return self.match_radius()
 
     def threshold_compatible(self, tau: int) -> bool:
         r = self.guaranteed_match_radius()
@@ -264,13 +258,12 @@ class FuzzyCommitmentScheme(BtpScheme):
     def __init__(self, code: LinearCode):
         self.code = code
         self.feature_dim = code.n_code
-        self._cw = np.array(code.codewords, dtype=np.uint64)
 
     def pie_batch(self, xs, rng):
         xs = np.asarray(xs, dtype=np.uint64)
         # a 0-d capture draws a scalar, the same draw at a third of the cost
         m = rng.integers(1 << self.code.k_code, size=xs.shape or None)
-        return m.astype(np.uint64), xs ^ self._cw[m]
+        return m.astype(np.uint64), xs ^ self.code.codewords[m]
 
     def pir_batch(self, alpha, xs):
         return self.code.decode_codes(np.asarray(xs, dtype=np.uint64) ^ alpha)
@@ -279,17 +272,15 @@ class FuzzyCommitmentScheme(BtpScheme):
         return (pi == vid) & (pi != REJECT_CODE)
 
     def pie_support_batch(self, xs):
-        xs = np.asarray(xs, dtype=np.uint64)[..., None]
-        shape = xs.shape[:-1] + self._cw.shape
-        m = np.broadcast_to(np.arange(len(self._cw), dtype=np.uint64), shape)
-        return np.full(shape, 1.0 / len(self._cw)), m, xs ^ self._cw
+        alphas = np.asarray(xs, dtype=np.uint64)[..., None] ^ self.code.codewords
+        k = alphas.shape[-1]
+        m = np.broadcast_to(np.arange(k, dtype=np.uint64), alphas.shape)
+        return np.full(alphas.shape, 1.0 / k), m, alphas
 
-    def match_law(self):
+    def match_radius(self):
         # pi of codeword w, alpha = x ^ w' decodes x' to w iff x' lies within
         # t of x ^ w ^ w' (unique since 2t + 1 <= d_min); w ^ w' is uniform
-        return MatchLaw(self.code.t, "ad",
-                        lambda xs: np.asarray(xs, dtype=np.uint64)[..., None]
-                        ^ self._cw)
+        return self.code.t
 
     def describe(self):
         return {
@@ -304,15 +295,17 @@ class _ThresholdScheme(BtpScheme):
     distance `tau` of the reference identifier."""
 
     def __init__(self, n: int, tau: int):
-        if n < 1:
-            raise ConfigError("n must be >= 1")
+        super().__init__(n)
+        require_type("tau", tau, whole=True)
         if tau < 0:
             raise ConfigError("tau must be >= 0")
-        self.feature_dim = n
         self.tau = tau
 
     def pic_batch(self, pi, vid):
         return np.bitwise_count(pi ^ vid) <= self.tau
+
+    def match_radius(self):
+        return self.tau
 
     def describe(self):
         return {"scheme": self.name, "n": self.feature_dim, "tau": self.tau}
@@ -346,12 +339,6 @@ class RotationScheme(_ThresholdScheme):
         return (np.full(r.shape, 1.0 / self.feature_dim),
                 _rotate(xs, r, self.feature_dim), r)
 
-    def match_law(self):
-        # rotations are isometries; r' - r is uniform over the offsets
-        n = self.feature_dim
-        return MatchLaw(self.tau, "pi", lambda xs: _rotate(
-            np.asarray(xs, dtype=np.uint64)[..., None],
-            np.arange(n, dtype=np.uint64), n))
 
 
 class PlaintextScheme(_ThresholdScheme):
@@ -374,10 +361,6 @@ class PlaintextScheme(_ThresholdScheme):
         xs = np.asarray(xs, dtype=np.uint64)[..., None]
         return np.ones(xs.shape), xs, np.zeros_like(xs)
 
-    def match_law(self):
-        return MatchLaw(self.tau, "pi",
-                        lambda xs: np.asarray(xs, dtype=np.uint64)[..., None])
-
 
 class BrokenScheme(BtpScheme):
     """Negative control: the comparator rejects everything, so even the
@@ -385,11 +368,6 @@ class BrokenScheme(BtpScheme):
     hypothesis gates of the theorem checkers."""
 
     name = "broken"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConfigError("n must be >= 1")
-        self.feature_dim = n
 
     # Codes: every template is (REJECT_CODE, 0) and every identifier
     # REJECT_CODE.  pie draws nothing.
@@ -418,14 +396,14 @@ def build_scheme(cfg: dict, n: int) -> BtpScheme:
         code_cfg = cfg.get("code", {})
         if "generator" in code_cfg:
             code = LinearCode.from_bitstrings(
-                code_cfg["generator"], t=int(code_cfg.get("t", 1))
+                code_cfg["generator"], t=code_cfg.get("t", 1)
             )
             for key, value in (("n", code.n_code), ("k", code.k_code)):
-                if key in code_cfg and int(code_cfg[key]) != value:
-                    raise ConfigError(f"code says {key}={code_cfg[key]} but "
+                if key in code_cfg and code_cfg[key] != value:
+                    raise ConfigError(f"code says {key}={code_cfg[key]!r} but "
                                       f"the generator gives {key}={value}")
         elif code_cfg.get("n", 7) == 7 and code_cfg.get("k", 4) == 4:
-            code = hamming_7_4(t=int(code_cfg.get("t", 1)))
+            code = hamming_7_4(t=code_cfg.get("t", 1))
         else:
             raise ConfigError(
                 "fc needs an explicit generator matrix for codes other than [7,4]"
@@ -436,9 +414,9 @@ def build_scheme(cfg: dict, n: int) -> BtpScheme:
             )
         return FuzzyCommitmentScheme(code)
     if name == "rot":
-        return RotationScheme(n=n, tau=int(cfg.get("tau", 1)))
+        return RotationScheme(n=n, tau=cfg.get("tau", 1))
     if name == "plain":
-        return PlaintextScheme(n=n, tau=int(cfg.get("tau", 1)))
+        return PlaintextScheme(n=n, tau=cfg.get("tau", 1))
     if name == "broken":
         return BrokenScheme(n=n)
     raise ConfigError(f"unknown scheme {name!r} (choose fc, rot, plain, or broken)")

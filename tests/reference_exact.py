@@ -70,7 +70,7 @@ def decode_codes_by_word(code, ys) -> np.ndarray:
     words = np.arange(1 << code.n_code, dtype=np.uint64)
     table = np.full(len(words), REJECT_CODE, dtype=np.uint64)
     for m, w in enumerate(code.codewords):
-        table[np.bitwise_count(words ^ np.uint64(w)) <= code.t] = m
+        table[np.bitwise_count(words ^ w) <= code.t] = m
     return table[np.asarray(ys, dtype=np.uint64)]
 
 
@@ -79,7 +79,7 @@ def fc_pie_by_word(scheme, xs, rng) -> tuple:
     xs = np.asarray(xs, dtype=np.uint64)
     m = rng.integers(1 << scheme.code.k_code,
                      size=xs.shape or None).astype(np.uint64)
-    return m, xs ^ np.array(scheme.code.codewords, dtype=np.uint64)[m]
+    return m, xs ^ scheme.code.codewords[m]
 
 
 def mr_scores_by_word(pop, values, tau: int) -> np.ndarray:
@@ -92,11 +92,12 @@ def mr_scores_by_word(pop, values, tau: int) -> np.ndarray:
     return exact.mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
 
 
-def pair_rates_per_center(pop, radius: int, offsets=None) -> np.ndarray:
+def pair_rates_per_center(pop, radius: int, images=None) -> np.ndarray:
     """`exact._pair_rates`, each row gathered by the uint8 distances."""
     p = pop.flip_prob
     pair = exact._ball_table(pop.n, 2.0 * p * (1.0 - p), radius)
     c = pop.centers
-    images = c[:, None] if offsets is None else offsets(c)
+    if images is None:
+        images = c[:, None]
     return np.stack([pair[np.bitwise_count(images ^ ct)].mean(axis=1)
                      for ct in c])

@@ -8,7 +8,10 @@ directly: fc with an exhaustive bounded-distance decoder, rot with
 (pi, alpha) pair of codes and `pie_support` a list of (probability, pi,
 alpha) triples, so a differential test that compares a batch path with
 these methods compares two independent computations.  Their batch
-methods are the library's own.  `decisions_and_ball` lays out a
+methods are the library's own.  `reference_codewords` enumerates a
+code's codewords by a loop over the generator rows, and
+`reference_isometries` writes the ball-law isometries of fc, rot and
+plain apart from their encoders.  `decisions_and_ball` lays out a
 comparator's decisions in the batch contract beside a Hamming ball, for
 the exhaustive structural-law checks.
 """
@@ -31,10 +34,24 @@ REJECT = int(REJECT_CODE)
 
 
 @lru_cache(maxsize=None)
+def reference_codewords(code: LinearCode) -> tuple:
+    """Codeword m, as an int, for every m: the XOR of the generator rows
+    the bits of m select, row by row."""
+    words = []
+    for m in range(1 << code.k_code):
+        w = 0
+        for i, row in enumerate(code.generator_rows):
+            if (m >> i) & 1:
+                w ^= row
+        words.append(w)
+    return tuple(words)
+
+
+@lru_cache(maxsize=None)
 def decode_int(code: LinearCode, y: int):
     """Unique codeword within distance t of y, or None, by a codeword scan."""
-    for w in code.codewords:
-        if (w ^ y).bit_count() <= code.t:
+    for w in reference_codewords(code):
+        if (w ^ int(y)).bit_count() <= code.t:
             return w
     return None
 
@@ -54,6 +71,21 @@ def rotate(n: int, x: int, r: int) -> int:
     return ((x << r) | (x >> (n - r))) & ((1 << n) - 1) if r else x
 
 
+def reference_isometries(scheme, xs) -> np.ndarray:
+    """The images g(x) of the isometries of a built-in scheme's ball law,
+    along a new last axis: x XOR every codeword in index order (fc), x
+    rotated by every r in [0, n) (rot), x itself (plain)."""
+    xs = np.asarray(xs, dtype=np.uint64)[..., None]
+    if isinstance(scheme, FuzzyCommitmentScheme):
+        return xs ^ np.array(reference_codewords(scheme.code), dtype=np.uint64)
+    if isinstance(scheme, RotationScheme):
+        n = scheme.feature_dim
+        return np.array([[rotate(n, x, r) for r in range(n)]
+                         for x in xs.ravel().tolist()],
+                        dtype=np.uint64).reshape(xs.shape[:-1] + (n,))
+    return xs
+
+
 def decisions_and_ball(scheme, radius):
     """(accepts, within) over every feature x, every template of x and
     every probe: (2^n, K, 2^n) arrays of the comparator's decision, taken
@@ -71,18 +103,19 @@ class RefFuzzyCommitmentScheme(FuzzyCommitmentScheme):
 
     def pie(self, x, rng):
         m = int(rng.integers(1 << self.code.k_code))
-        return m, x ^ self.code.codewords[m]
+        return m, x ^ reference_codewords(self.code)[m]
 
     def pir(self, alpha, x):
         w = decode_int(self.code, x ^ alpha)
-        return REJECT if w is None else self.code.codewords.index(w)
+        return REJECT if w is None else reference_codewords(self.code).index(w)
 
     def pic(self, pi, vid):
         return pi != REJECT and pi == vid
 
     def pie_support(self, x):
         p = 1.0 / (1 << self.code.k_code)
-        return [(p, m, x ^ w) for m, w in enumerate(self.code.codewords)]
+        return [(p, m, x ^ w)
+                for m, w in enumerate(reference_codewords(self.code))]
 
 
 class _RefThreshold:

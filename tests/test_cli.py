@@ -512,6 +512,9 @@ class TestDeterminism:
         ]
         assert texts[0] == texts[1] == texts[2]
 
+    FC_5_2 = {"population": {"n": 5},
+              "scheme": {"scheme": "fc", "code": {
+                  "t": 1, "generator": ["10110", "01011"]}}}
     # Digests of stripped reports whose every chunked loop fits in 1024
     # trials, taken at a chunk size of 1024: such a run is chunk 0 alone
     # at either chunk size, so these hold at 4096 too.
@@ -555,6 +558,17 @@ class TestDeterminism:
                                 {"population": {"n": 10},
                                  "scheme": {"scheme": "rot"}},
                                 "23e0fc487dc91478"),
+        # a ball law on a code that is not perfect, and on a scheme tau
+        "metrics fc[5,2]": (["metrics"], FC_5_2, "9efa83a826f0bfc4"),
+        "verify fc[5,2]": (["verify", "--theorem", "all"], FC_5_2,
+                           "90604fb7484285f5"),
+        "metrics plain10 tau2": (["metrics"], {"population": {"n": 10},
+                                               "scheme": {"scheme": "plain",
+                                                          "tau": 2}},
+                                 "3b71405ec45e23f6"),
+        "verify rot10": (["verify", "--theorem", "all"],
+                         {"population": {"n": 10}, "scheme": {"scheme": "rot"}},
+                         "427883b830eba1f4"),
     }
 
     @pytest.mark.parametrize("command", SINGLE_CHUNK_DIGESTS)

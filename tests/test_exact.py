@@ -1,7 +1,8 @@
 """The closed-form oracles: ball tables, match laws and `LawOracle`.
 
-`LawOracle` serves every scheme that declares a `match_law()`; it is held
-here to the scheme contract it summarises (property tests) and to
+`LawOracle` serves every scheme that declares a `match_radius()`; it is
+held here to the scheme contract it summarises (property tests), its
+isometries to the reference ones of the built-in schemes, and it to
 `SchemeEnumerator`, its differential twin at n <= 10, table by table and
 rate by rate.  `exact.mr_of` is held bit for bit to the scalar closed form
 it replaced, and the cached `mr_vector` and `mr_scores` bit for bit to
@@ -32,6 +33,7 @@ from reference_exact import (
     mr_scores_by_word,
     pair_rates_per_center,
 )
+from reference_schemes import reference_isometries
 from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
 
 # Agreement of two exact engines that sum in different orders.
@@ -122,11 +124,16 @@ class TestClosedForm:
         assert exact.baseline_rates(pop, tau) == (law.fnmr(), law.fmr_bp())
 
 
-def _law_accepts(law, x_tied, probes, offset_axis=False):
-    """d(x_tied, g(x')) <= radius for every offset g (last axis), or for
-    the identity."""
-    images = law.offsets(probes) if offset_axis else probes
-    return np.bitwise_count(images ^ np.uint64(x_tied)) <= law.radius
+def _tied_images(scheme, xs):
+    """The images g(x) of the law's isometries along a new last axis: the
+    outcomes of the tied part, the scheme's one feature field."""
+    _, pis, alphas = scheme.pie_support_batch(xs)
+    return pis if scheme.feature_fields == ("pi",) else alphas
+
+
+def _law_accepts(radius, x_tied, images):
+    """d(x_tied, g(x')) <= radius for each image g(x')."""
+    return np.bitwise_count(images ^ np.uint64(x_tied)) <= radius
 
 
 class TestNativeIndexLookups:
@@ -181,14 +188,33 @@ class TestNativeIndexLookups:
         pop = generate_population(7, 300, 0.03, seed=3)
         schemes = {"fc": FuzzyCommitmentScheme(hamming_7_4()),
                    "rot": RotationScheme(7, tau=1)}
-        offsets = schemes[law].match_law().offsets if law in schemes else None
+        images = (_tied_images(schemes[law], pop.centers) if law in schemes
+                  else None)
         for radius in (1, 2):
-            assert np.array_equal(exact._pair_rates(pop, radius, offsets),
-                                  pair_rates_per_center(pop, radius, offsets))
+            assert np.array_equal(exact._pair_rates(pop, radius, images),
+                                  pair_rates_per_center(pop, radius, images))
 
 
 class TestMatchLaw:
-    """The law's decision equals the scheme contract's."""
+    """The ball law's decision, at the declared radius on the isometries
+    `pie_support_batch` gives, equals the scheme contract's; those
+    isometries are the reference ones, with no tolerance."""
+
+    @pytest.mark.parametrize("name", [*LAW_SCHEMES, "rot n=7", "rot n=20",
+                                      "plain n=7", "plain n=20"])
+    def test_isometries_are_the_reference_ones(self, name):
+        scheme = {**LAW_SCHEMES,
+                  "rot n=7": lambda: RotationScheme(7, tau=1),
+                  "rot n=20": lambda: RotationScheme(20, tau=1),
+                  "plain n=7": lambda: PlaintextScheme(7, tau=1),
+                  "plain n=20": lambda: PlaintextScheme(20, tau=1)}[name]()
+        n = scheme.feature_dim
+        # every feature, or a (6, 5) block of them at n = 20
+        xs = (np.arange(1 << n, dtype=np.uint64) if n <= 10 else substream(
+            n, "isometries").integers(1 << n, size=(6, 5)).astype(np.uint64))
+        got = _tied_images(scheme, xs)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, reference_isometries(scheme, xs))
 
     @pytest.mark.parametrize("name", list(LAW_SCHEMES))
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -196,7 +222,6 @@ class TestMatchLaw:
     def test_same_enrollment(self, name, seed, data):
         scheme = LAW_SCHEMES[name]()
         n = scheme.feature_dim
-        law = scheme.match_law()
         x = data.draw(st.integers(0, (1 << n) - 1))
         probes = np.array(data.draw(st.lists(
             st.integers(0, (1 << n) - 1), min_size=1, max_size=16)),
@@ -204,7 +229,8 @@ class TestMatchLaw:
         pi, alpha = scheme.pie_batch(np.full(len(probes), x, dtype=np.uint64),
                                      substream(seed, "law"))
         got = scheme.pic_batch(pi, scheme.pir_batch(alpha, probes))
-        assert got.tolist() == _law_accepts(law, x, probes).tolist()
+        assert got.tolist() == _law_accepts(scheme.match_radius(), x,
+                                            probes).tolist()
 
     @pytest.mark.parametrize("name", list(LAW_SCHEMES))
     @given(data=st.data())
@@ -212,10 +238,9 @@ class TestMatchLaw:
     def test_cross_enrollment(self, name, data):
         # pi of an enrollment of x_pi, alpha of one of x_ad: over all
         # encoder outcomes, the share that accepts x' is the share of
-        # offsets g with d(x_tied, g(x')) <= radius
+        # isometries g with d(x_tied, g(x')) <= radius
         scheme = LAW_SCHEMES[name]()
         n = scheme.feature_dim
-        law = scheme.match_law()
         draw = lambda: data.draw(st.integers(0, (1 << n) - 1))  # noqa: E731
         x_pi, x_ad, probe = draw(), draw(), draw()
         w_pi, pis, _ = scheme.pie_support_batch(np.uint64(x_pi))
@@ -223,8 +248,9 @@ class TestMatchLaw:
         vids = scheme.pir_batch(alphas, np.uint64(probe))
         accept = scheme.pic_batch(pis[:, None], vids[None, :])
         share = float(w_pi @ accept @ w_ad)
-        x_tied = x_pi if law.tied == "pi" else x_ad
-        want = _law_accepts(law, x_tied, np.uint64(probe), True).mean()
+        x_tied = x_pi if scheme.feature_fields == ("pi",) else x_ad
+        want = _law_accepts(scheme.match_radius(), x_tied,
+                            _tied_images(scheme, np.uint64(probe))).mean()
         assert share == pytest.approx(want, abs=TOL)
 
 

@@ -1,6 +1,7 @@
 """Static checks of the source tree: no module imports a name it never
-uses, the package defines nothing that only the tests read, and no class
-of the package defines a scalar adversary phase or scheme method.
+uses, the package defines nothing that only the tests read, no class of
+the package defines a scalar adversary phase or scheme method or the
+retired `match_law`, and no `MatchLaw` is defined.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -108,16 +109,17 @@ def test_package_defines_nothing_only_the_tests_read():
 # four batch methods on codes
 SCALAR_METHODS = ("phase1", "phase2", "pie", "pir", "pic", "pie_support",
                   "template_codes", "template_of_codes")
+# The retired match-law declaration: a scheme states its `match_radius`
+RETIRED_METHODS = ("match_law",)
 
 
-def scalar_methods(source: str) -> list:
-    """(class, method) of each method in `SCALAR_METHODS` a class body
-    defines."""
+def scalar_methods(source: str, names=SCALAR_METHODS) -> list:
+    """(class, method) of each method in `names` a class body defines."""
     return [(node.name, item.name)
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ClassDef) for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name in SCALAR_METHODS]
+            and item.name in names]
 
 
 def test_check_sees_a_scalar_method():
@@ -137,3 +139,36 @@ def test_package_defines_no_scalar_method():
     assert [(path.name, *found)
             for path in sorted((ROOT / "src/btpeval").glob("*.py"))
             for found in scalar_methods(path.read_text(encoding="utf-8"))] == []
+
+
+def test_package_defines_no_retired_match_law():
+    """A scheme declares its ball law by `match_radius` alone; the name
+    `match_law` is left only to the class-definition refusal."""
+    assert [(path.name, *found)
+            for path in sorted((ROOT / "src/btpeval").glob("*.py"))
+            for found in scalar_methods(path.read_text(encoding="utf-8"),
+                                        RETIRED_METHODS)] == []
+
+
+def defined_names(source: str) -> set:
+    """Every name a module binds: its classes and functions, at any depth,
+    and the targets of its assignments."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_check_sees_a_defined_name():
+    assert defined_names("class A:\n    def f(self):\n        B = 1\n\n"
+                         "C = D = 2\n") == {"A", "f", "B", "C", "D"}
+
+
+def test_package_defines_no_match_law_record():
+    assert [path.name for path in sorted((ROOT / "src/btpeval").glob("*.py"))
+            if "MatchLaw" in defined_names(path.read_text(encoding="utf-8"))
+            ] == []

@@ -45,14 +45,38 @@ class WrongShapeGuess(CoinFlipUnlinkAdversary):
 
 
 class HalvedRotation(RotationScheme):
-    """rot without its match law, whose outcome probabilities sum to 1/2."""
+    """rot without its ball law, whose outcome probabilities sum to 1/2."""
 
     def pie_support_batch(self, xs):
         probs, pi, alpha = super().pie_support_batch(xs)
         return probs / 2, pi, alpha
 
-    def match_law(self):
+    def match_radius(self):
         return None
+
+
+class FieldlessRotation(RotationScheme):
+    """rot's radius with no feature field to tie the law to."""
+
+    feature_fields = ()
+
+
+class TwoFieldRotation(RotationScheme):
+    """rot's radius with two feature fields."""
+
+    feature_fields = ("pi", "alpha")
+
+
+class UnknownFieldRotation(RotationScheme):
+    """rot's radius with a feature field that is neither pi nor alpha."""
+
+    feature_fields = ("key",)
+
+
+def _define_match_law():
+    class LawRotation(RotationScheme):
+        def match_law(self):
+            return None
 
 
 def _config(mu=0.5, n_delta=3):
@@ -90,6 +114,21 @@ REFUSALS = {
     "exact outcome probabilities": (lambda: exact.enumerator(
         HalvedRotation(7, 1), POP), ContractError,
         "probabilities >= 0 that sum to 1"),
+    "radius without a feature field": (lambda: exact.enumerator(
+        FieldlessRotation(7, 1), POP), ContractError,
+        "FieldlessRotation declares a match radius but not one feature field, "
+        "pi or alpha"),
+    "radius with two feature fields": (lambda: exact.enumerator(
+        TwoFieldRotation(7, 1), POP), ContractError,
+        "TwoFieldRotation declares a match radius but not one feature field, "
+        "pi or alpha"),
+    "radius with an unknown feature field": (lambda: exact.enumerator(
+        UnknownFieldRotation(7, 1), POP), ContractError,
+        "UnknownFieldRotation declares a match radius but not one feature "
+        "field, pi or alpha"),
+    "retired match_law": (_define_match_law, ContractError,
+                          "LawRotation.match_law is retired: declare "
+                          "match_radius"),
     "decode word bits": (lambda: FC.code.decode_codes(
         np.array([0, 2**64 - 1], dtype=np.uint64)), IndexError,
         "a word has more than 7 bits"),
@@ -118,6 +157,37 @@ REFUSALS = {
                     DimensionError, "a center has more than 7 bits"),
     "centers shape": (lambda: Population(7, 0.03, 0, [[1, 2], [3, 4]]),
                       ConfigError, "centers must be one packed value per user"),
+    "float center": (lambda: Population(7, 0.03, 0, [1.5, 2.7]), ConfigError,
+                     "a center must be an integer, got 1.5"),
+    "bool center": (lambda: Population(7, 0.03, 0, [True, False]),
+                    ConfigError, "a center must be an integer, got True"),
+    "string center": (lambda: Population(7, 0.03, 0, ["5", "3"]),
+                      ConfigError, "a center must be an integer, got '5'"),
+    "negative center": (lambda: Population(7, 0.03, 0, [-1, 3]),
+                        DimensionError, "a center is negative: -1"),
+    "float center array": (lambda: Population(
+        7, 0.03, 0, np.array([1.0, 2.0])), ConfigError,
+        "a center must be an integer, got 1.0"),
+    "negative center array": (lambda: Population(
+        7, 0.03, 0, np.array([3, -2])), DimensionError,
+        "a center is negative: -2"),
+    "population n float": (lambda: Population(7.0, 0.03, 0, [1, 2]),
+                           ConfigError, "n must be an integer, got 7.0"),
+    "population p str": (lambda: Population(7, "0.03", 0, [1, 2]),
+                         ConfigError, "flip_prob must be a number, got '0.03'"),
+    "population seed float": (lambda: Population(7, 0.03, 1.5, [1, 2]),
+                              ConfigError, "seed must be an integer, got 1.5"),
+    "config n float": (lambda: Population.from_config(
+        {"n": 7.9, "U": 16, "p": 0.03}), ConfigError,
+        "n must be an integer, got 7.9"),
+    "config U float": (lambda: Population.from_config(
+        {"n": 7, "U": 16.7, "p": 0.03}), ConfigError,
+        "U must be an integer, got 16.7"),
+    "config seed float": (lambda: Population.from_config(
+        {"n": 7, "U": 16, "p": 0.03, "seed": 1.5}), ConfigError,
+        "seed must be an integer, got 1.5"),
+    "generated p str": (lambda: generate_population(7, 16, "0.03", 1),
+                        ConfigError, "p must be a number, got '0.03'"),
     "mr probe bits": (lambda: est_mr_of_feature(
         POP, 300, 1, RunSettings(trials=3)), DimensionError,
         "probe 300 has more than 7 bits"),
@@ -167,6 +237,35 @@ REFUSALS = {
     "threshold n": (lambda: RotationScheme(0, 1), ConfigError,
                     "n must be >= 1"),
     "broken n": (lambda: BrokenScheme(0), ConfigError, "n must be >= 1"),
+    "rot tau float": (lambda: build_scheme({"scheme": "rot", "tau": 1.9}, 7),
+                      ConfigError, "tau must be an integer, got 1.9"),
+    "plain tau bool": (lambda: build_scheme(
+        {"scheme": "plain", "tau": True}, 7), ConfigError,
+        "tau must be an integer, got True"),
+    "threshold tau float": (lambda: RotationScheme(7, 1.5), ConfigError,
+                            "tau must be an integer, got 1.5"),
+    "threshold n float": (lambda: RotationScheme(7.0, 1), ConfigError,
+                          "n must be an integer, got 7.0"),
+    "broken n float": (lambda: BrokenScheme(7.5), ConfigError,
+                       "n must be an integer, got 7.5"),
+    "fc t str": (lambda: build_scheme({"scheme": "fc", "code": {"t": "1"}}, 7),
+                 ConfigError, "t must be an integer, got '1'"),
+    # the cached default code, built at t = 1 above, is not handed to 1.0
+    "fc default t float": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"t": 1.0}}, 7), ConfigError,
+        "t must be an integer, got 1.0"),
+    "fc generator t float": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"t": 1.0, "generator": ["10110", "01011"]}},
+        5), ConfigError, "t must be an integer, got 1.0"),
+    "fc code n str": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"n": "5", "generator": ["10110", "01011"]}},
+        5), ConfigError, "code says n='5' but the generator gives n=5"),
+    "code k float": (lambda: LinearCode(7, 4.0, (1, 2, 4, 8), 1), ConfigError,
+                     "k_code must be an integer, got 4.0"),
+    "code n=65": (lambda: LinearCode(65, 1, (1,), 0), ConfigError,
+                  "code dimensions must be positive, with n <= 64"),
+    "code row float": (lambda: LinearCode(3, 1, (4.0,), 0), ConfigError,
+                       "generator row must be an integer, got 4.0"),
     "settings seed float": (lambda: RunSettings(seed=1.5), ConfigError,
                             "seed must be an integer, got 1.5"),
     "settings trials bool": (lambda: RunSettings(trials=True), ConfigError,

@@ -20,6 +20,7 @@ from btpeval.schemes import (
     REJECT_CODE,
     BrokenScheme,
     BtpScheme,
+    FuzzyCommitmentScheme,
     LeakSet,
     LinearCode,
     PlaintextScheme,
@@ -38,6 +39,7 @@ from reference_schemes import (
     bounded_distance_decode,
     decisions_and_ball,
     decode_int,
+    reference_codewords,
     rotate,
 )
 from reference_population import hamming_distance
@@ -98,6 +100,22 @@ class TestLinearCode:
         code = hamming_7_4()
         assert code.min_distance == 3
         assert len(set(code.codewords)) == 16
+
+    @pytest.mark.parametrize("code", [
+        hamming_7_4(), UNTABLED_CODE,
+        LinearCode.from_bitstrings(["10110", "01011"], t=1),
+        LinearCode(20, 16, tuple(1 << i for i in range(16)), 0),
+    ], ids=["hamming", "untabled", "[5,2]", "k=16"])
+    def test_codewords_are_one_read_only_array(self, code):
+        # codeword m is the XOR of the generator rows the bits of m select
+        words = code.codewords
+        assert words.dtype == np.uint64 and words.shape == (1 << code.k_code,)
+        assert words.tolist() == list(reference_codewords(code))
+        with pytest.raises(ValueError):
+            words[0] = 1
+        scheme = FuzzyCommitmentScheme(code)
+        assert not hasattr(scheme, "_cw")
+        assert scheme.pie_support_batch(np.uint64(0))[2].tolist() == words.tolist()
 
     def test_radius_bound_enforced(self):
         with pytest.raises(ConfigError):
