@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import re
 import sys
 import time
 
 from . import exact, metrics, verify
 from .adversaries import adversary_names, build_adversary
-from .errors import BtpEvalError, ConfigError, ModeError, require_type
+from .errors import BtpEvalError, ConfigError, DimensionError, ModeError, require_keys
 from .games import est_cross_match_rates, run_al_irr_game, run_pal_irr_game, run_unlink_game
 from .metrics import RunSettings
 from .population import Population, bitstring
@@ -33,54 +32,25 @@ from .schemes import LEAK_BOTH, LeakSet, build_scheme
 # The run settings and their defaults are the fields of `RunSettings`: all
 # but `jobs` (a flag) and `level` are config keys, and all but
 # `sampler_queries` (echoed only when a config sets it) have a default here.
-_SETTINGS = {name: getattr(RunSettings, name) for name in RunSettings._fields
-             if name not in ("jobs", "level")}
-
+# The population and scheme blocks take their defaults from their readers.
 DEFAULT_CONFIG = {
-    "population": {"n": 7, "U": 16, "p": 0.03, "seed": 1},
-    "scheme": {"scheme": "fc", "code": {"n": 7, "k": 4, "t": 1}},
+    "population": {},
+    "scheme": {},
     "lambda": None,  # games use pi+ad; verify runs T1/T4 on pi, then on ad
-    **{name: default for name, default in _SETTINGS.items()
-       if name != "sampler_queries"},
+    **{name: getattr(RunSettings, name) for name in RunSettings._fields
+       if name not in ("jobs", "level", "sampler_queries")},
 }
 
-
-# Every key some code path reads; a nested dict lists a block's keys.
-# `int` marks an integer value, `float` any number (neither a bool), `list`
-# a non-empty list of bitstrings, None a value checked elsewhere (`lambda`
-# in `load_config`, the scheme name in `build_scheme`).
-CONFIG_KEYS = {
-    "population": {"n": int, "U": int, "p": float, "seed": int,
-                   "centers": list},
-    "scheme": {"scheme": None, "tau": int,
-               "code": {"n": int, "k": int, "t": int, "generator": list}},
-    **{name: type(default) for name, default in _SETTINGS.items()},
-    "lambda": None,
-}
+# The top-level keys; each block's reader owns the keys and values in it.
+CONFIG_KEYS = (*DEFAULT_CONFIG, "sampler_queries")
 
 
-def _check_keys(block, allowed: dict, where: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-    for key, sub in allowed.items():
-        if key not in block or sub is None:
-            continue
-        if isinstance(sub, dict):
-            _check_keys(block[key], sub, f"{where}.{key}")
-            continue
-        value = block[key]
-        if sub is list:
-            if not (isinstance(value, list) and value and all(
-                    isinstance(s, str) and re.fullmatch("[01]+", s)
-                    for s in value)):
-                raise ConfigError(f"{where}.{key} must be a non-empty list "
-                                  f"of bitstrings, got {value!r}")
-            continue
-        require_type(f"{where}.{key}", value, whole=sub is int)
+def _read(where: str, reader, *args):
+    """`reader(*args)`, whose refusal names the config block `where` it read."""
+    try:
+        return reader(*args)
+    except (ConfigError, DimensionError) as e:
+        raise type(e)(f"{where}: {e}") from None
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -91,34 +61,24 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 user = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        _check_keys(user, CONFIG_KEYS, "config")
-        for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
-        # Listed centers fix U and n; only values the user gave are checked.
-        user_pop = user.get("population", {})
-        if user_pop.get("centers") is not None:
-            for key in ("U", "n"):
-                if key not in user_pop:
-                    del cfg["population"][key]
+        # the file's own values are read here, so a flag cannot hide them
+        require_keys(user, CONFIG_KEYS, "config")
+        _read("config", RunSettings.from_config, user)
+        if user.get("lambda") is not None:
+            _read("config.lambda", LeakSet.parse, user["lambda"])
+        cfg.update(user)
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    if cfg["lambda"] is not None:
-        if not isinstance(cfg["lambda"], str):
-            raise ConfigError("config.lambda must be a string such as "
-                              f"'pi+ad', got {cfg['lambda']!r}")
-        LeakSet.parse(cfg["lambda"])
     return cfg
 
 
 def _build(cfg):
-    pop = Population.from_config(cfg["population"])
-    scheme_cfg = dict(cfg["scheme"])
-    scheme_cfg.setdefault("tau", cfg["tau"])
-    scheme = build_scheme(scheme_cfg, pop.n)
+    pop = _read("config.population", Population.from_config, cfg["population"])
+    scheme_cfg = cfg["scheme"]
+    if isinstance(scheme_cfg, dict):    # any other is build_scheme's to refuse
+        scheme_cfg = {"tau": cfg["tau"], **scheme_cfg}
+    scheme = _read("config.scheme", build_scheme, scheme_cfg, pop.n)
     return scheme, pop
 
 
@@ -277,14 +237,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        overrides = {"seed": args.seed, "trials": args.trials}
-        if args.tau is not None:
-            overrides["tau"] = args.tau
-        if args.leak is not None:
-            overrides["lambda"] = args.leak
+        overrides = {"seed": args.seed, "trials": args.trials, "tau": args.tau,
+                     "lambda": args.leak}
         cfg = load_config(args.config, overrides)
         settings = RunSettings.from_config(cfg, args.jobs)
-        leak = LeakSet.parse(cfg["lambda"]) if cfg["lambda"] else None
+        leak = LeakSet.parse(cfg["lambda"]) if cfg["lambda"] is not None else None
         scheme, pop = _build(cfg)
         if args.cmd == "metrics":
             body, code = cmd_metrics(settings, scheme, pop)

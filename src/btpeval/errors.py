@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the type check of an
-integer or number field."""
+"""Exception types shared across the package, and the key and type checks
+the config readers share."""
 
 import numpy as np
 
@@ -33,6 +33,17 @@ class ModeError(BtpEvalError):
 
 class ProtocolError(BtpEvalError):
     """An adversary returned a value outside the game's alphabet."""
+
+
+def require_keys(block, keys, name: str = "the block"):
+    """Refuse, with `ConfigError`, a config block `name` that is not a JSON
+    object or has a key outside `keys`."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {name}; "
+                          f"allowed: {sorted(keys)}")
 
 
 def require_type(name: str, value, whole: bool):

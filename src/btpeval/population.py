@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, require_type
+from .errors import (ConfigError, ContractError, DimensionError, require_keys,
+                     require_type)
 from .records import Record
 from .rng import substream
 
@@ -41,9 +42,21 @@ def parse_bits(s: str) -> int:
     """The packed value of bitstring `s`, coordinate 0 leftmost:
     "1010000" -> 0b0000101.  Config centers and generator rows are read
     through it."""
-    if not s or set(s) - {"0", "1"}:
+    if not (isinstance(s, str) and s) or set(s) - {"0", "1"}:
         raise ConfigError(f"not a bitstring: {s!r}")
     return int(s[::-1], 2)
+
+
+def parse_rows(name: str, rows) -> list:
+    """The packed values of `rows`, the config's non-empty list of
+    bitstrings `name`; row lengths are the caller's to check."""
+    if not (isinstance(rows, list) and rows):
+        raise ConfigError(f"{name} must be a non-empty list of bitstrings, "
+                          f"got {rows!r}")
+    try:
+        return [parse_bits(s) for s in rows]
+    except ConfigError as e:
+        raise ConfigError(f"{name}: {e}") from None
 
 
 def bitstring(n: int, value) -> str:
@@ -197,30 +210,28 @@ class Population(Record):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Population":
-        if "centers" in cfg and cfg["centers"] is not None:
-            rows = cfg["centers"]
-            centers = [parse_bits(s) for s in rows]
-            if "n" in cfg:
-                n = cfg["n"]
-            elif rows:
-                n = len(rows[0])
-            else:
-                raise ConfigError("need at least 2 users, got 0")
-            for s in rows:
-                if len(s) != n:
-                    raise DimensionError(f"center has {len(s)} bits, expected {n}")
-            pop = cls(n=n, flip_prob=float(cfg["p"]), seed=cfg.get("seed", 0),
-                      centers=centers)
-            if "U" in cfg and cfg["U"] != pop.num_users:
-                raise ConfigError(f"config says U={cfg['U']!r} but "
-                                  f"{pop.num_users} centers listed")
-            return pop
-        return generate_population(
-            n=cfg["n"],
-            num_users=cfg["U"],
-            flip_prob=float(cfg["p"]),
-            seed=cfg.get("seed", 0),
-        )
+        """The population of a config block, whose keys, defaults and
+        refusals it owns: listed `centers` fix `n` and `U`, where given
+        they must agree; else `U` (16) centers of `n` (7) bits are drawn."""
+        require_keys(cfg, ("n", "U", "p", "seed", "centers"))
+        p, seed = cfg.get("p", 0.03), cfg.get("seed", 1)
+        require_type("p", p, whole=False)   # before float() can coerce it
+        if "centers" not in cfg:
+            return generate_population(cfg.get("n", 7), cfg.get("U", 16),
+                                       float(p), seed)
+        rows = cfg["centers"]
+        centers = parse_rows("centers", rows)
+        n, users = cfg.get("n", len(rows[0])), cfg.get("U", len(rows))
+        require_type("n", n, whole=True)    # before the lengths and the count
+        require_type("U", users, whole=True)
+        for s in rows:
+            if len(s) != n:
+                raise DimensionError(f"center has {len(s)} bits, expected {n}")
+        pop = cls(n=n, flip_prob=float(p), seed=seed, centers=centers)
+        if users != pop.num_users:
+            raise ConfigError(f"config says U={users!r} but "
+                              f"{pop.num_users} centers listed")
+        return pop
 
 
 def generate_population(
@@ -235,6 +246,7 @@ def generate_population(
     _check_dimension(n)
     require_type("U", num_users, whole=True)
     require_type("p", flip_prob, whole=False)
+    require_type("seed", seed, whole=True)
     if num_users < 2:
         raise ConfigError(f"U must be >= 2, got {num_users}")
     if not 0.0 <= flip_prob < 0.5:

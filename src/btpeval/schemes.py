@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, require_type
-from .population import MAX_N, parse_bits
+from .errors import ConfigError, ContractError, require_keys, require_type
+from .population import MAX_N, parse_rows
 from .records import Record
 
 
@@ -63,6 +63,8 @@ class LeakSet(Record):
 
     @classmethod
     def parse(cls, s: str) -> "LeakSet":
+        if not isinstance(s, str):
+            raise ConfigError(f"a leak set must be a string such as 'pi+ad', got {s!r}")
         parts = {p.strip().lower() for p in s.replace(",", "+").split("+") if p.strip()}
         unknown = parts - {"pi", "ad"}
         if unknown or not parts:
@@ -147,12 +149,10 @@ class LinearCode(Record):
 
     @classmethod
     def from_bitstrings(cls, rows, t: int) -> "LinearCode":
+        packed = parse_rows("code.generator", rows)
         n_code = len(rows[0])
-        packed = []
-        for row in rows:
-            if len(row) != n_code:
-                raise ConfigError("generator rows have unequal length")
-            packed.append(parse_bits(row))
+        if any(len(row) != n_code for row in rows):
+            raise ConfigError("generator rows have unequal length")
         return cls(n_code=n_code, k_code=len(rows), generator_rows=tuple(packed), t=t)
 
 
@@ -390,20 +390,29 @@ class BrokenScheme(BtpScheme):
         return np.ones(pis.shape), pis, alphas
 
 def build_scheme(cfg: dict, n: int) -> BtpScheme:
-    """Instantiate a scheme from its JSON config block."""
-    name = cfg.get("scheme")
+    """The scheme of a config block, whose keys, defaults and refusals it
+    owns: `scheme` (fc), `tau` (1) and fc's `code` (`t` 1; the [7,4] code
+    without a `generator`), each checked for every scheme."""
+    require_keys(cfg, ("scheme", "tau", "code"))
+    code_cfg = cfg.get("code", {})
+    require_keys(code_cfg, ("n", "k", "t", "generator"), "code")
+    require_type("tau", cfg.get("tau", 1), whole=True)
+    for key in ("n", "k", "t"):
+        if key in code_cfg:
+            require_type(f"code.{key}", code_cfg[key], whole=True)
+    name = cfg.get("scheme", "fc")
+    if name != "fc" and "generator" in code_cfg:   # fc's code parses its own
+        parse_rows("code.generator", code_cfg["generator"])
     if name == "fc":
-        code_cfg = cfg.get("code", {})
+        t = code_cfg.get("t", 1)
         if "generator" in code_cfg:
-            code = LinearCode.from_bitstrings(
-                code_cfg["generator"], t=code_cfg.get("t", 1)
-            )
+            code = LinearCode.from_bitstrings(code_cfg["generator"], t)
             for key, value in (("n", code.n_code), ("k", code.k_code)):
                 if key in code_cfg and code_cfg[key] != value:
                     raise ConfigError(f"code says {key}={code_cfg[key]!r} but "
                                       f"the generator gives {key}={value}")
         elif code_cfg.get("n", 7) == 7 and code_cfg.get("k", 4) == 4:
-            code = hamming_7_4(t=code_cfg.get("t", 1))
+            code = hamming_7_4(t)
         else:
             raise ConfigError(
                 "fc needs an explicit generator matrix for codes other than [7,4]"

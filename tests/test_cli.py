@@ -4,19 +4,38 @@ import hashlib
 import json
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
 
 from btpeval import adversaries, cli, exact, games, metrics, verify
 from btpeval.adversaries import adversary_names, build_adversary
-from btpeval.errors import ConfigError, ContractError
+from btpeval.errors import ConfigError, ContractError, DimensionError
 from btpeval.metrics import RunSettings
+from btpeval.population import Population, generate_population
 from btpeval.schemes import LeakSet, build_scheme
 from reference_results import strip_timings
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+
+
+def assert_reader_refuses(user, path):
+    """The library reader of the one block `user` sets refuses it as the CLI
+    does: a value rule lives in the reader alone, and the CLI names the
+    block it read."""
+    ((block, value),) = user.items()
+    readers = {"population": Population.from_config,
+               "scheme": lambda cfg: build_scheme(cfg, 7),
+               "lambda": LeakSet.parse}
+    if block in readers:
+        call = partial(readers[block], value)
+    elif block in cli.CONFIG_KEYS:
+        call = partial(RunSettings.from_config, user)
+    else:
+        call = partial(cli.load_config, str(path), {})
+    with pytest.raises((ConfigError, DimensionError)):
+        call()
 
 
 def run_cli(args, capsys):
@@ -795,9 +814,11 @@ class TestConfigHandling:
         assert "10 bits" in err
 
     @pytest.mark.parametrize("user, where", [
-        ({"trails": 50}, "trails"),
-        ({"population": {"n": 7, "UU": 3}}, "population"),
-        ({"scheme": {"scheme": "fc", "code": {"t": 1, "kk": 4}}}, "scheme.code"),
+        ({"trails": 50}, "unknown key(s) ['trails'] in config"),
+        ({"population": {"n": 7, "UU": 3}},
+         "config.population: unknown key(s) ['UU']"),
+        ({"scheme": {"scheme": "fc", "code": {"t": 1, "kk": 4}}},
+         "config.scheme: unknown key(s) ['kk'] in code"),
     ], ids=["top-level", "population", "scheme-code"])
     def test_unknown_key_is_usage_error(self, tmp_path, capsys, user, where):
         cfg = tmp_path / "cfg.json"
@@ -806,11 +827,20 @@ class TestConfigHandling:
                                 "--trials", "10"], capsys)
         assert code == 2
         assert where in err
+        assert_reader_refuses(user, cfg)
 
     def test_default_config_file_loads(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(cli.DEFAULT_CONFIG))
         assert cli.load_config(str(cfg), {}) == cli.DEFAULT_CONFIG
+
+    def test_readers_own_the_default_blocks(self):
+        # the CLI's default blocks are empty: the readers hold the defaults
+        scheme, pop = cli._build(cli.load_config(None, {}))
+        assert Population.from_config({}) == pop == generate_population(
+            7, 16, 0.03, seed=1)
+        assert build_scheme({"tau": 1}, 7).describe() == scheme.describe() == {
+            "scheme": "fc", "n": 7, "code": {"n": 7, "k": 4, "t": 1}}
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_query_budget_below_one_is_usage_error(self, tmp_path, capsys,
@@ -824,38 +854,39 @@ class TestConfigHandling:
         assert out == ""
 
     @pytest.mark.parametrize("user, where", [
-        ({"trials": "100"}, "config.trials"),
-        ({"trials": 2.5}, "config.trials"),
-        ({"trials": True}, "config.trials"),
-        ({"seed": "x"}, "config.seed"),
-        ({"tau": 1.0}, "config.tau"),
-        ({"query_budget": 1e6}, "config.query_budget"),
-        ({"stats_outer": None}, "config.stats_outer"),
-        ({"sampler_queries": "16"}, "config.sampler_queries"),
-        ({"delta": "0.2"}, "config.delta"),
-        ({"gamma": False}, "config.gamma"),
-        ({"population": {"n": 7.0}}, "config.population.n"),
-        ({"population": {"U": "16"}}, "config.population.U"),
-        ({"population": {"seed": [1]}}, "config.population.seed"),
-        ({"population": {"p": "0.03"}}, "config.population.p"),
-        ({"scheme": {"scheme": "rot", "tau": "x"}}, "config.scheme.tau"),
-        ({"scheme": {"scheme": "rot", "tau": 1.5}}, "config.scheme.tau"),
-        ({"scheme": {"scheme": "rot", "tau": True}}, "config.scheme.tau"),
-        ({"scheme": {"code": {"n": "7"}}}, "config.scheme.code.n"),
-        ({"scheme": {"code": {"k": 4.0}}}, "config.scheme.code.k"),
-        ({"scheme": {"code": {"t": "x"}}}, "config.scheme.code.t"),
-        ({"scheme": {"code": {"generator": []}}}, "config.scheme.code.generator"),
+        ({"trials": "100"}, "config: trials"),
+        ({"trials": 2.5}, "config: trials"),
+        ({"trials": True}, "config: trials"),
+        ({"seed": "x"}, "config: seed"),
+        ({"tau": 1.0}, "config: tau"),
+        ({"query_budget": 1e6}, "config: query_budget"),
+        ({"stats_outer": None}, "config: stats_outer"),
+        ({"sampler_queries": "16"}, "config: sampler_queries"),
+        ({"delta": "0.2"}, "config: delta"),
+        ({"gamma": False}, "config: gamma"),
+        ({"population": {"n": 7.0}}, "config.population: n"),
+        ({"population": {"U": "16"}}, "config.population: U"),
+        ({"population": {"seed": [1]}}, "config.population: seed"),
+        ({"population": {"p": "0.03"}}, "config.population: p"),
+        ({"scheme": {"scheme": "rot", "tau": "x"}}, "config.scheme: tau"),
+        ({"scheme": {"scheme": "rot", "tau": 1.5}}, "config.scheme: tau"),
+        ({"scheme": {"scheme": "rot", "tau": True}}, "config.scheme: tau"),
+        ({"scheme": {"code": {"n": "7"}}}, "config.scheme: code.n"),
+        ({"scheme": {"code": {"k": 4.0}}}, "config.scheme: code.k"),
+        ({"scheme": {"code": {"t": "x"}}}, "config.scheme: code.t"),
+        ({"scheme": {"code": {"generator": []}}},
+         "config.scheme: code.generator"),
         ({"scheme": {"code": {"generator": "1000110"}}},
-         "config.scheme.code.generator"),
-        ({"population": {"centers": [5, 6]}}, "config.population.centers"),
-        ({"population": {"centers": "0101"}}, "config.population.centers"),
+         "config.scheme: code.generator"),
+        ({"population": {"centers": [5, 6]}}, "config.population: centers"),
+        ({"population": {"centers": "0101"}}, "config.population: centers"),
         ({"population": {"centers": ["0101", "01x1"]}},
-         "config.population.centers"),
-        ({"lambda": 5}, "config.lambda"),
-        ({"lambda": ["pi"]}, "config.lambda"),
-        ({"lambda": True}, "config.lambda"),
-        ({"lambda": "pix"}, "cannot parse leak set 'pix'"),
-        ({"lambda": ""}, "cannot parse leak set ''"),
+         "config.population: centers"),
+        ({"lambda": 5}, "config.lambda: a leak set must be a string"),
+        ({"lambda": ["pi"]}, "config.lambda: a leak set must be a string"),
+        ({"lambda": True}, "config.lambda: a leak set must be a string"),
+        ({"lambda": "pix"}, "config.lambda: cannot parse leak set 'pix'"),
+        ({"lambda": ""}, "config.lambda: cannot parse leak set ''"),
     ])
     def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, user,
                                              where):
@@ -865,6 +896,7 @@ class TestConfigHandling:
                                 "--trials", "10"], capsys)
         assert code == 2
         assert where in err
+        assert_reader_refuses(user, cfg)
 
     @pytest.mark.parametrize("argv", [
         ["metrics"], ["game", "al-irr", "--adversary", "sampler"],
@@ -936,8 +968,13 @@ class TestConfigHandling:
     def test_numbers_accept_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0, "population": {"p": 0}}))
+        # an integer delta passes its type check and meets its range check
+        with pytest.raises(ConfigError, match=r"^config: need 0 < delta"):
+            cli.load_config(str(cfg), {})
+        cfg.write_text(json.dumps({"population": {"p": 0}}))
         loaded = cli.load_config(str(cfg), {})
-        assert (loaded["delta"], loaded["population"]["p"]) == (0, 0)
+        assert loaded["population"]["p"] == 0
+        assert Population.from_config(loaded["population"]).flip_prob == 0.0
 
     def test_dimension_over_64_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

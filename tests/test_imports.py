@@ -1,7 +1,8 @@
 """Static checks of the source tree: no module imports a name it never
 uses, the package defines nothing that only the tests read, no class of
 the package defines a scalar adversary phase or scheme method or the
-retired `match_law`, and no `MatchLaw` is defined.
+retired `match_law`, no `MatchLaw` is defined, and the CLI holds no value
+rule of a config block.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -172,3 +173,11 @@ def test_package_defines_no_match_law_record():
     assert [path.name for path in sorted((ROOT / "src/btpeval").glob("*.py"))
             if "MatchLaw" in defined_names(path.read_text(encoding="utf-8"))
             ] == []
+
+
+def test_cli_holds_no_value_rule():
+    """A config value's rule lives in its block's reader alone
+    (`Population.from_config`, `build_scheme`, `LeakSet.parse`,
+    `RunSettings`); the CLI checks the top-level key names."""
+    source = (ROOT / "src/btpeval/cli.py").read_text(encoding="utf-8")
+    assert "require_type" not in _names_read(ast.parse(source))

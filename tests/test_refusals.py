@@ -4,7 +4,7 @@ type with a message that names what is wrong."""
 import numpy as np
 import pytest
 
-from btpeval import cli, exact
+from btpeval import exact
 from btpeval.adversaries import (
     BlindArgmaxAdversary,
     CoinFlipUnlinkAdversary,
@@ -28,6 +28,7 @@ from btpeval.schemes import (
     LEAK_BOTH,
     LEAK_PI,
     BrokenScheme,
+    LeakSet,
     LinearCode,
     RotationScheme,
     build_scheme,
@@ -104,9 +105,8 @@ REFUSALS = {
     "unlink guess shape": (lambda: run_unlink_game(
         FC, POP, LEAK_BOTH, WrongShapeGuess(), RunSettings(trials=3, seed=0)),
         ProtocolError, "need 3 guesses, got shape (3, 2)"),
-    "config block": (lambda: cli._check_keys(
-        {"population": [7]}, cli.CONFIG_KEYS, "config"), ConfigError,
-        "config.population must be a JSON object"),
+    "config block": (lambda: Population.from_config([7]), ConfigError,
+                     "the block must be a JSON object, got [7]"),
     "exact fmr_tp factor": (lambda: exact.enumerator(FC, POP).fmr_tp("xx"),
                             ConfigError, "factor must be 'ad' or 'pi'"),
     "exact n": (lambda: exact.LawOracle(RotationScheme(9, 1), POP),
@@ -257,9 +257,10 @@ REFUSALS = {
     "fc generator t float": (lambda: build_scheme(
         {"scheme": "fc", "code": {"t": 1.0, "generator": ["10110", "01011"]}},
         5), ConfigError, "t must be an integer, got 1.0"),
+    # types are checked before the generator's dimensions
     "fc code n str": (lambda: build_scheme(
         {"scheme": "fc", "code": {"n": "5", "generator": ["10110", "01011"]}},
-        5), ConfigError, "code says n='5' but the generator gives n=5"),
+        5), ConfigError, "code.n must be an integer, got '5'"),
     "code k float": (lambda: LinearCode(7, 4.0, (1, 2, 4, 8), 1), ConfigError,
                      "k_code must be an integer, got 4.0"),
     "code n=65": (lambda: LinearCode(65, 1, (1,), 0), ConfigError,
@@ -285,6 +286,44 @@ REFUSALS = {
                            "level must be a number, got 'x'"),
     "theorem": (lambda: verify_all(FC, POP, theorem="t9"), ConfigError,
                 "unknown theorem 't9'"),
+    # each config block's reader owns its keys, types and bitstring lists
+    "config centers string": (lambda: Population.from_config(
+        {"centers": "0101", "p": 0.03}), ConfigError,
+        "centers must be a non-empty list of bitstrings, got '0101'"),
+    "config centers ints": (lambda: Population.from_config(
+        {"centers": [5, 6], "p": 0.03}), ConfigError,
+        "centers: not a bitstring: 5"),
+    "config p str": (lambda: Population.from_config(
+        {"n": 7, "U": 16, "p": "0.03"}), ConfigError,
+        "p must be a number, got '0.03'"),
+    "config unknown key": (lambda: Population.from_config(
+        {"n": 7, "U": 16, "p": 0.03, "sed": 5}), ConfigError,
+        "unknown key(s) ['sed'] in the block"),
+    "config n float before center lengths": (lambda: Population.from_config(
+        {"n": 7.9, "p": 0.05, "centers": ["1010000", "0110011"]}),
+        ConfigError, "n must be an integer, got 7.9"),
+    "scheme unknown key": (lambda: build_scheme(
+        {"scheme": "rot", "tua": 3}, 7), ConfigError,
+        "unknown key(s) ['tua'] in the block"),
+    "scheme block": (lambda: build_scheme(["rot"], 7), ConfigError,
+                     "the block must be a JSON object, got ['rot']"),
+    "code block": (lambda: build_scheme({"code": 7}, 7), ConfigError,
+                   "code must be a JSON object, got 7"),
+    "fc code k float": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"k": 4.0}}, 7), ConfigError,
+        "code.k must be an integer, got 4.0"),
+    "fc empty generator": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"generator": []}}, 7), ConfigError,
+        "code.generator must be a non-empty list of bitstrings, got []"),
+    "fc generator string": (lambda: build_scheme(
+        {"scheme": "fc", "code": {"generator": "1000110"}}, 7), ConfigError,
+        "code.generator must be a non-empty list of bitstrings, got "
+        "'1000110'"),
+    "rot generator string": (lambda: build_scheme(
+        {"scheme": "rot", "code": {"generator": "1000110"}}, 7), ConfigError,
+        "code.generator must be a non-empty list of bitstrings"),
+    "leak set int": (lambda: LeakSet.parse(5), ConfigError,
+                     "a leak set must be a string such as 'pi+ad', got 5"),
 }
 
 
