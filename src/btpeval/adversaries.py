@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import exact
-from .errors import ConfigError, ContractError, ModeError, VariationTooHighError
+from .errors import ConfigError, ContractError, ModeError, VariationTooHighError, require_type
 from .games import IrrAdversary, UnlinkAdversary
 from .metrics import (PT_BLOCK_PROBES, MatchRateStats, RunSettings,
                       exact_pt_match_stats, extremal_mr, extremal_rmr,
@@ -206,6 +206,7 @@ class SamplerIrrAdversary(IrrAdversary):
     name = "sampler"
 
     def __init__(self, num_queries: int = RunSettings.sampler_queries):
+        require_type("num_queries", num_queries, whole=True)
         if num_queries < 1:
             raise ConfigError("num_queries must be >= 1")
         self.num_queries = num_queries
@@ -345,6 +346,7 @@ class ReductionUnlinkAdversary(UnlinkAdversary):
     """
 
     def __init__(self, inner: IrrAdversary, tau: int):
+        require_type("tau", tau, whole=True)
         if tau < 0:
             raise ConfigError("tau must be >= 0")
         self.inner = inner

@@ -50,9 +50,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, ModeError
+from .errors import ConfigError, ContractError, DimensionError, ModeError, require_type
 from .population import Population
-from .schemes import BtpScheme
+from .schemes import BtpScheme, require_same_n
 
 EXACT_N_CAP = 20
 ENUM_N_CAP = 10
@@ -68,8 +68,13 @@ def _ball_table(n: int, p: float, radius: int) -> np.ndarray:
     """f[h] = Pr[d(x, Y) <= radius] for h = d(x, c), every h in 0..n, where
     Y flips each bit of c independently with probability p.
 
-    d(x, Y) = (h - A) + B with A ~ Bin(h, p) and B ~ Bin(n - h, p).
+    d(x, Y) = (h - A) + B with A ~ Bin(h, p) and B ~ Bin(n - h, p).  Every
+    exact raw-distance rate reads this table, so it alone refuses a radius
+    that is not an integer >= 0.
     """
+    require_type("radius", radius, whole=True)
+    if radius < 0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
     f = np.empty(n + 1)
     for h in range(n + 1):
         pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
@@ -188,8 +193,7 @@ class _Oracle:
 
     def __init__(self, scheme: BtpScheme, pop: Population, cap: int,
                  what: str):
-        if scheme.feature_dim != pop.n:
-            raise ConfigError("scheme and population disagree on n")
+        require_same_n(scheme, pop)
         _require(pop.n, cap, what)
         self.scheme = scheme
         self.pop = pop
@@ -269,17 +273,6 @@ class LawOracle(_Oracle):
         return self.radius >= 0
 
 
-def _first_seen(values: np.ndarray) -> tuple:
-    """The distinct values in order of first appearance, and each value's
-    index in that order."""
-    uniq, first, inverse = np.unique(values, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.ravel()]
-
-
 class SchemeEnumerator(_Oracle):
     """Joint exact model of (scheme, population).
 
@@ -287,9 +280,9 @@ class SchemeEnumerator(_Oracle):
     encoder randomness), tabulates pic(pi, pir(alpha, probe)) over all
     identifier/auxiliary-data/probe combinations, and builds every table
     by matrix products.  Everything goes through the scheme's batch
-    contract: `pi_codes`/`alpha_codes` are the codes that occur, numbered
-    in the order a scan of users, their possible captures and the encoder
-    outcomes first meets them; template k is (pt_pi[k], pt_alpha[k]).
+    contract: `pi_codes`/`alpha_codes` are the codes that occur, in sorted
+    order; template k is (pt_pi[k], pt_alpha[k]), numbered in sorted order
+    of (pi index, alpha index).
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
@@ -305,17 +298,18 @@ class SchemeEnumerator(_Oracle):
             raise ContractError("pie_support_batch must give every feature "
                                 "probabilities >= 0 that sum to 1")
 
-        # templates, in scan order: users, their possible captures, outcomes
         users, rows = np.nonzero(self.P)
-        self.pi_codes, pi_idx = _first_seen(self.support_pi[rows].ravel())
-        self.alpha_codes, alpha_idx = _first_seen(
-            self.support_alpha[rows].ravel())
+        self.pi_codes, pi_idx = np.unique(self.support_pi[rows],
+                                          return_inverse=True)
+        self.alpha_codes, alpha_idx = np.unique(self.support_alpha[rows],
+                                                return_inverse=True)
         n_alpha = len(self.alpha_codes)
-        pt_keys, pt_idx = _first_seen(pi_idx * n_alpha + alpha_idx)
+        pt_keys, pt_idx = np.unique(pi_idx * n_alpha + alpha_idx,
+                                    return_inverse=True)
         self.pt_pi, self.pt_alpha = np.divmod(pt_keys, n_alpha)
         n_pt = len(pt_keys)
         weights = self.P[users, rows, None] * probs[rows]
-        cells = users[:, None] * n_pt + pt_idx.reshape(weights.shape)
+        cells = users[:, None] * n_pt + pt_idx
         self.W = np.bincount(cells.ravel(), weights=weights.ravel(),
                              minlength=self.U * n_pt).reshape(self.U, n_pt)
         self.w_mix = self.W.mean(axis=0)

@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, require_type
 from .metrics import (
     CHUNK_TRIALS,
     AdvantageEstimate,
@@ -45,7 +45,7 @@ from .metrics import (
 from .population import Population, SamplingOracle, bitstring
 from .records import Record
 from .rng import substream
-from .schemes import BtpScheme, LeakSet, ProtectedTemplate, leak_view
+from .schemes import BtpScheme, LeakSet, ProtectedTemplate, leak_view, require_same_n
 
 _ROLES = ("ch", "adv", "samp")
 
@@ -203,6 +203,9 @@ class _GameSpec(Record):
     label: str
     record: bool = False
 
+    def _validate(self):
+        require_same_n(self.scheme, self.pop)
+
     def _chunk(self, lo, hi):
         """The challenger and adversary streams of the chunk at `lo`, and
         one sampling oracle per phase, both on the chunk's sampling
@@ -240,6 +243,13 @@ class _IrrSpec(_GameSpec):
 
     tau: int | None
     score_pic: bool
+
+    def _validate(self):
+        super()._validate()
+        if self.tau is not None:
+            require_type("tau", self.tau, whole=True)
+            if self.tau < 0:
+                raise ConfigError("tau must be >= 0")
 
     def run_range(self, lo, hi) -> dict:
         m, n = hi - lo, self.pop.n
@@ -357,11 +367,9 @@ def run_al_irr_game(scheme, pop, leak: LeakSet, tau: int, adversary: IrrAdversar
     """Authorized-leakage inversion game: win when the guess lands within
     tau of the challenge feature.  Advantage is the win rate minus the
     best blind success rate m (signed)."""
-    if tau < 0:
-        raise ConfigError("tau must be >= 0")
-    baseline = extremal_mr(pop, tau, settings)
     spec = _IrrSpec(scheme, pop, leak, adversary, settings, f"al{tau}:{leak}",
                     tau=tau, score_pic=False, record=record_transcripts)
+    baseline = extremal_mr(pop, tau, settings)
     rec = _run_spec(spec)
     return _game_result("al-irr", spec, rec, _within(rec, tau), baseline)
 
@@ -398,9 +406,6 @@ class CrossMatchResult(Record):
     identity_advantage: float
     unlink_advantage: AdvantageEstimate
     identity_gap: float
-
-    # a result is equal only to itself
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def to_dict(self) -> dict:
         return {

@@ -28,7 +28,7 @@ from .errors import ConfigError, DimensionError, ModeError, require_type
 from .population import Population
 from .records import Record
 from .rng import substream
-from .schemes import BtpScheme, PlaintextScheme
+from .schemes import BtpScheme, PlaintextScheme, require_same_n
 
 CHUNK_TRIALS = 4096
 
@@ -239,6 +239,7 @@ class _AcceptKernel(Record):
     count_rejects: bool = False
 
     def _validate(self):
+        require_same_n(self.scheme, self.pop)
         if self.probe is not None and self.probe >> self.pop.n:
             raise DimensionError(f"probe {self.probe} has more than "
                                  f"{self.pop.n} bits")
@@ -289,6 +290,9 @@ class _PtStatsKernel(Record):
     scheme: BtpScheme
     pop: Population
     trials_inner: int
+
+    def _validate(self):
+        require_same_n(self.scheme, self.pop)
 
     @property
     def queries_per_trial(self):
@@ -428,8 +432,7 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
                  settings: RunSettings = RunSettings()) -> MValue:
     """max over x of rMR(x), exact where the scheme has an exact oracle;
     under a ball law rMR is MR at the law's radius, at every n."""
-    if scheme.feature_dim != pop.n:
-        raise ConfigError("scheme and population disagree on n")
+    require_same_n(scheme, pop)
     if (radius := scheme.match_radius()) is not None:
         return extremal_mr(pop, radius, settings)
     try:
@@ -500,8 +503,7 @@ class MatchRateStats(Record):
 
 
 class PtMatchStatsResult(Record):
-    """The statistics of `pt_match_stats` with their intervals and the
-    per-template `rates` they come from, which the repr leaves out."""
+    """The statistics of `pt_match_stats` with their intervals."""
 
     stats: MatchRateStats
     trials_outer: int
@@ -509,15 +511,6 @@ class PtMatchStatsResult(Record):
     mean_ci: tuple
     std_ci: tuple
     queries_used: int
-    rates: np.ndarray
-
-    # a result is equal only to itself
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._fields if name != "rates")
-        return f"PtMatchStatsResult({shown})"
 
     def to_dict(self) -> dict:
         s = self.stats
@@ -567,7 +560,6 @@ def pt_match_stats(scheme, pop,
         mean_ci=(mean - z * se_mean, mean + z * se_mean),
         std_ci=(math.sqrt(lo2), math.sqrt(hi2)),
         queries_used=no * kernel.queries_per_trial,
-        rates=rates,
     )
 
 

@@ -243,6 +243,13 @@ class BtpScheme(ABC):
         return {"scheme": self.name, "n": self.feature_dim}
 
 
+def require_same_n(scheme: BtpScheme, pop) -> None:
+    """Refuse, with `ConfigError`, a scheme whose features are not the
+    population's: every estimator, game and exact oracle checks this."""
+    if scheme.feature_dim != pop.n:
+        raise ConfigError("scheme and population disagree on n")
+
+
 class FuzzyCommitmentScheme(BtpScheme):
     """Code-offset construction: pi = H(w), alpha = x XOR w for random w.
 

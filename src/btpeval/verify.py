@@ -4,8 +4,9 @@ Each checker runs the relevant games/oracles and reduces the claim to a
 single inequality `lhs REL rhs` within a tolerance (3 combined standard
 errors unless the relation is a per-trial set inclusion, which is exact).
 A check whose hypothesis fails reports status "not-applicable" rather
-than silently passing; a bound that degenerates (p_tau = 1) reports
-"vacuous".
+than silently passing, and so does T2, T3 or T4 when the query budget
+cuts a trial of the adversary it posits; a bound that degenerates
+(p_tau = 1) reports "vacuous".
 
 Universal quantification over adversaries is not executable; the
 unachievability claims are checked in full strength by running the
@@ -52,11 +53,7 @@ class TheoremVerdict(Record):
     rhs: float | None
     tolerance: float | None
     leak: str | None = None
-    details: dict = None        # a fresh {} when not given
-
-    def _validate(self):
-        if self.details is None:
-            object.__setattr__(self, "details", {})
+    details: dict
 
     def to_dict(self) -> dict:
         out = {
@@ -80,6 +77,12 @@ def _unchecked(theorem: str, status: str, relation: str, leak: LeakSet,
     details["reason"] = reason
     return TheoremVerdict(theorem, status, relation, None, None, None,
                           leak=str(leak), details=details)
+
+
+def _budget_cut(settings: RunSettings, flagged: int, trials: int) -> str:
+    return (f"query_budget = {settings.query_budget} cut {flagged} of "
+            f"{trials} trials, so the adversary the check posits did not "
+            "run in full")
 
 
 def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
@@ -168,9 +171,12 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     details.update(mu=cfg.mu, n_delta=cfg.n_delta, trials=trials)
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
                             s.replace(trials=trials))
-    tol = 3.0 * game.win_rate.std_error
     details.update(win_rate=game.win_rate.point,
                    advantage=game.advantage.point, flagged=game.flagged)
+    if game.flagged:
+        return _unchecked("T2", NOT_APPLICABLE, ">=", LEAK_BOTH, details,
+                          _budget_cut(s, game.flagged, trials))
+    tol = 3.0 * game.win_rate.std_error
     ok = game.win_rate.point > (1.0 - s.gamma) - tol
     return TheoremVerdict(
         theorem="T2", status=PASS if ok else FAIL, relation=">=",
@@ -202,10 +208,13 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
                                 LEAK_BOTH)
     game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary, settings)
-    tol = 3.0 * 2.0 * game.win_rate.std_error
     details["advantage"] = game.advantage.point
     details["win_rate"] = game.win_rate.point
     details["flagged"] = game.flagged
+    if game.flagged:
+        return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
+                          _budget_cut(settings, game.flagged, settings.trials))
+    tol = 3.0 * 2.0 * game.win_rate.std_error
     gap = abs(game.advantage.point - (1.0 - mr_mean))
     return TheoremVerdict(
         theorem="T3", status=PASS if gap <= tol else FAIL, relation="~~",
@@ -246,13 +255,16 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     game_b = run_unlink_game(scheme, pop, leak, reduction, settings)
     adv_a = game_a.advantage.point
     adv_b = game_b.advantage.point
+    details["adv_inner"] = adv_a
+    details["adv_reduction"] = adv_b
+    details["flagged"] = flagged = game_a.flagged + game_b.flagged
+    if flagged:
+        return _unchecked("T4", NOT_APPLICABLE, ">=", leak, details,
+                          _budget_cut(settings, flagged, 2 * settings.trials))
     rhs = (1.0 - ov.p_tau) * adv_a - (ov.p_tau - ov.q_tau) * m_tau.value
     se_a = game_a.win_rate.std_error
     se_b = 2.0 * game_b.win_rate.std_error
     tol = 3.0 * math.sqrt(se_b ** 2 + ((1.0 - ov.p_tau) * se_a) ** 2)
-    details["adv_inner"] = adv_a
-    details["adv_reduction"] = adv_b
-    details["flagged"] = game_a.flagged + game_b.flagged
     return TheoremVerdict(
         theorem="T4", status=PASS if adv_b >= rhs - tol else FAIL,
         relation=">=", lhs=adv_b, rhs=rhs, tolerance=tol, leak=str(leak),

@@ -152,6 +152,26 @@ class TestExitCodes:
         assert verdict["status"] == "not-applicable"
         assert "reason" in verdict["details"]
 
+    def test_budget_cut_adversary_not_applicable_exits_zero(self, tmp_path,
+                                                            capsys):
+        """A query budget that cuts trials of the adversary T2, T3 or T4
+        posits breaks that check's hypothesis; T1's inclusions hold on cut
+        trials."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query_budget": 1}))
+        code, out, _ = run_cli(["verify", "--theorem", "all", "--config",
+                                str(cfg)], capsys)
+        assert code == 0
+        verdicts = load_json(out)["theorems"]
+        assert [(v["id"], v["status"]) for v in verdicts] == [
+            ("T1", "pass"), ("T1", "pass"), ("T2", "not-applicable"),
+            ("T3", "not-applicable"), ("T4", "not-applicable"),
+            ("T4", "not-applicable")]
+        for v in verdicts[2:]:
+            assert v["details"]["flagged"] > 0
+            assert v["details"]["reason"].startswith(
+                f"query_budget = 1 cut {v['details']['flagged']} of ")
+
 
     def test_t4_beyond_feature_scan_not_applicable(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -534,6 +554,7 @@ class TestDeterminism:
     FC_5_2 = {"population": {"n": 5},
               "scheme": {"scheme": "fc", "code": {
                   "t": 1, "generator": ["10110", "01011"]}}}
+    BROKEN_12 = {"population": {"n": 12}, "scheme": {"scheme": "broken"}}
     # Digests of stripped reports whose every chunked loop fits in 1024
     # trials, taken at a chunk size of 1024: such a run is chunk 0 alone
     # at either chunk size, so these hold at 4096 too.
@@ -553,10 +574,15 @@ class TestDeterminism:
         "metrics rot10": (["metrics"], {"population": {"n": 10},
                                         "scheme": {"scheme": "rot"}},
                           "809f9ea7716d8e6a"),
+        # broken n = 7 is the one CLI path through `SchemeEnumerator`;
+        # at n = 12 no exact oracle serves it
         "verify broken": (["verify", "--theorem", "all"],
                           {"scheme": {"scheme": "broken"}}, "9952bf2d6127cd7a"),
         "metrics broken": (["metrics"], {"scheme": {"scheme": "broken"}},
                            "7c813ddca664dcbb"),
+        "verify broken12": (["verify", "--theorem", "all"], BROKEN_12,
+                            "30323e8b3aea1124"),
+        "metrics broken12": (["metrics"], BROKEN_12, "4f96b35f68755444"),
         "unlink match-test broken": (["game", "unlink", "--adversary",
                                       "match-test"],
                                      {"scheme": {"scheme": "broken"}},

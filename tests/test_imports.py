@@ -1,8 +1,9 @@
 """Static checks of the source tree: no module imports a name it never
 uses, the package defines nothing that only the tests read, no class of
 the package defines a scalar adversary phase or scheme method or the
-retired `match_law`, no `MatchLaw` is defined, and the CLI holds no value
-rule of a config block.
+retired `match_law`, no `MatchLaw` is defined, the CLI holds no value
+rule of a config block, and only a record that holds an array, list or
+dict compares by identity.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -181,3 +182,45 @@ def test_cli_holds_no_value_rule():
     `RunSettings`); the CLI checks the top-level key names."""
     source = (ROOT / "src/btpeval/cli.py").read_text(encoding="utf-8")
     assert "require_type" not in _names_read(ast.parse(source))
+
+
+# A field annotated with one of these compares by elements or cannot be
+# hashed, so only a record with such a field may compare by identity.
+CONTAINER_ANNOTATIONS = {"np.ndarray", "list", "dict"}
+
+
+def identity_records(source: str) -> list:
+    """Each class whose body sets `__eq__` (to opt out of a record's value
+    equality) but annotates no field with an array, list or dict, alone
+    or in a union."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        sets_eq = any(isinstance(target, ast.Name) and target.id == "__eq__"
+                      for item in node.body if isinstance(item, ast.Assign)
+                      for target in ast.walk(item.targets[0]))
+        kinds = {part.strip() for item in node.body
+                 if isinstance(item, ast.AnnAssign)
+                 for part in ast.unparse(item.annotation).split("|")}
+        if sets_eq and not kinds & CONTAINER_ANNOTATIONS:
+            found.append(node.name)
+    return found
+
+
+def test_check_sees_an_identity_record():
+    opt_out = "    __eq__, __hash__ = object.__eq__, object.__hash__\n"
+    assert identity_records(
+        "class A(Record):\n    x: float\n" + opt_out +
+        "\n\nclass B(Record):\n    x: np.ndarray\n" + opt_out +
+        "\n\nclass C(Record):\n    x: list | None = None\n" + opt_out +
+        "\n\nclass D(Record):\n    x: tuple\n") == ["A"]
+
+
+def test_only_records_of_containers_compare_by_identity():
+    """A record of numbers, strings and other records compares by value;
+    opting out of that is kept for one that holds an array, list or dict."""
+    assert [(path.name, name)
+            for path in sorted((ROOT / "src/btpeval").glob("*.py"))
+            for name in identity_records(path.read_text(encoding="utf-8"))
+            ] == []

@@ -111,6 +111,14 @@ class TestBaselineRates:
         assert fmr.ci_low <= fmr_exact <= fmr.ci_high
 
 
+def pt_rates(scheme, pop, settings):
+    """The per-template match rates `pt_match_stats` summarizes: its
+    kernel's chunks on its label."""
+    kernel = metrics._PtStatsKernel(scheme, pop, settings.stats_inner)
+    return np.concatenate(metrics._run_kernel(
+        kernel, settings.stats_outer, settings, "pt_stats"))
+
+
 def outcomes(scheme, x):
     """(probability, pi, alpha) of each outcome of `pie_batch` on one
     packed capture x, from one batch call."""
@@ -538,11 +546,11 @@ class TestPtMatchStats:
             _ = st.stats.variation_coeff
 
     def test_chebyshev_always_holds(self, fc_scheme, default_pop):
-        st = metrics.pt_match_stats(fc_scheme, default_pop,
-                                    RunSettings(stats_outer=400, stats_inner=250,
-                                                seed=9))
+        settings = RunSettings(stats_outer=400, stats_inner=250, seed=9)
+        st = metrics.pt_match_stats(fc_scheme, default_pop, settings)
         floor = st.stats.chebyshev_threshold(0.25)
-        frac = float((st.rates > floor).mean())
+        rates = pt_rates(fc_scheme, default_pop, settings)
+        frac = float((rates > floor).mean())
         assert frac >= 0.75
 
     @pytest.mark.parametrize("outer", [0, 1])
@@ -625,28 +633,29 @@ class TestOverlapRates:
 
 def scalar_enumeration(scheme, pop):
     """(pt_pi, pt_alpha, W, match) from one capture and one template at a
-    time: templates numbered as a scan over users, their possible
-    captures and encoder outcomes first meets them."""
+    time: codes numbered in sorted order, templates in sorted order of
+    their (pi, alpha) codes, each weight summed in the order of a scan
+    over users, their possible captures and encoder outcomes."""
     size = 1 << pop.n
     P = [pmf_by_feature_probability(pop, u) for u in range(pop.num_users)]
-    pi_index, alpha_index, pt_index, weights = {}, {}, {}, {}
+    weights = {}
     for u in range(pop.num_users):
         for x in range(size):
             px = P[u][x]
             if px == 0.0:
                 continue
             for wp, pi, alpha in outcomes(scheme, x):
-                k = pt_index.setdefault((pi, alpha), len(pt_index))
-                pi_index.setdefault(pi, len(pi_index))
-                alpha_index.setdefault(alpha, len(alpha_index))
-                weights[u, k] = weights.get((u, k), 0.0) + px * wp
-    W = np.zeros((pop.num_users, len(pt_index)))
-    for (u, k), w in weights.items():
-        W[u, k] = w
+                weights[u, pi, alpha] = weights.get((u, pi, alpha), 0.0) + px * wp
+    templates = sorted({(pi, alpha) for _, pi, alpha in weights})
+    pis = sorted({pi for pi, _ in templates})
+    alphas = sorted({alpha for _, alpha in templates})
+    W = np.zeros((pop.num_users, len(templates)))
+    for (u, pi, alpha), w in weights.items():
+        W[u, templates.index((pi, alpha))] = w
     match = np.array([[[accepts(scheme, pi, alpha, x) for x in range(size)]
-                       for alpha in alpha_index] for pi in pi_index])
-    return ([pi_index[pi] for pi, _ in pt_index],
-            [alpha_index[alpha] for _, alpha in pt_index], W, match)
+                       for alpha in alphas] for pi in pis])
+    return ([pis.index(pi) for pi, _ in templates],
+            [alphas.index(alpha) for _, alpha in templates], W, match)
 
 
 # The loops below call the batch methods on one capture or template at a
@@ -902,14 +911,15 @@ class TestParallelDeterminism:
 
     def test_stats_jobs_identical(self, fc_scheme, default_pop, chunk_runs):
         outer = metrics.CHUNK_TRIALS + 76          # two chunks
-        a = metrics.pt_match_stats(fc_scheme, default_pop,
-                                   RunSettings(stats_outer=outer, stats_inner=100,
-                                               seed=3, jobs=1))
-        b = metrics.pt_match_stats(fc_scheme, default_pop,
-                                   RunSettings(stats_outer=outer, stats_inner=100,
-                                               seed=3, jobs=2))
+        one, two = (RunSettings(stats_outer=outer, stats_inner=100, seed=3,
+                                jobs=jobs) for jobs in (1, 2))
+        a = metrics.pt_match_stats(fc_scheme, default_pop, one)
+        b = metrics.pt_match_stats(fc_scheme, default_pop, two)
         assert chunk_runs.pools == 1
-        assert np.array_equal(a.rates, b.rates)
+        assert a == b
+        assert np.array_equal(pt_rates(fc_scheme, default_pop, one),
+                              pt_rates(fc_scheme, default_pop, two))
+        assert chunk_runs.pools == 2
 
 
 @pytest.mark.parametrize("key, value, message", [

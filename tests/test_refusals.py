@@ -11,12 +11,15 @@ from btpeval.adversaries import (
     PalSamplerConfig,
     ReadViewAdversary,
     ReductionUnlinkAdversary,
+    SamplerIrrAdversary,
     compute_n_delta,
 )
 from btpeval.errors import ConfigError, ContractError, DimensionError, ProtocolError
-from btpeval.games import run_al_irr_game, run_unlink_game
+from btpeval.games import run_al_irr_game, run_coupled_irr_trials, run_unlink_game
 from btpeval.metrics import (AdvantageEstimate, MatchRateStats, RunSettings,
-                             est_mr_of_feature, rmr_of_feature)
+                             est_fmr_bp, est_mr_of_feature, est_scheme_fnmr,
+                             extremal_mr, overlap_rates, pt_match_stats,
+                             rmr_of_feature)
 from btpeval.population import (
     Population,
     SamplingOracle,
@@ -38,6 +41,9 @@ from btpeval.verify import verify_all
 POP = generate_population(7, 16, 0.03, seed=1)
 FC = build_scheme({"scheme": "fc"}, 7)
 ZERO = 0
+# a scheme of n = 10, refused beside the n = 7 population
+ROT10 = RotationScheme(10, 1)
+FEW = RunSettings(trials=3, seed=0)
 
 
 class WrongShapeGuess(CoinFlipUnlinkAdversary):
@@ -324,6 +330,44 @@ REFUSALS = {
         "code.generator must be a non-empty list of bitstrings"),
     "leak set int": (lambda: LeakSet.parse(5), ConfigError,
                      "a leak set must be a string such as 'pi+ad', got 5"),
+    # every Monte Carlo path refuses a scheme of another n than the
+    # population's, before it draws
+    "fnmr n": (lambda: est_scheme_fnmr(ROT10, POP, FEW), ConfigError,
+               "scheme and population disagree on n"),
+    "pt stats n": (lambda: pt_match_stats(ROT10, POP, FEW), ConfigError,
+                   "scheme and population disagree on n"),
+    "unlink n": (lambda: run_unlink_game(
+        ROT10, POP, LEAK_BOTH, CoinFlipUnlinkAdversary(), FEW), ConfigError,
+        "scheme and population disagree on n"),
+    "al-irr n": (lambda: run_al_irr_game(
+        ROT10, POP, LEAK_PI, 1, BlindArgmaxAdversary(ZERO), FEW), ConfigError,
+        "scheme and population disagree on n"),
+    "fmr_bp n": (lambda: est_fmr_bp(FC, generate_population(10, 16, 0.03, 1),
+                                    FEW), ConfigError,
+                 "scheme and population disagree on n"),
+    # a radius is an integer >= 0 on every exact and game path
+    "extremal mr radius": (lambda: extremal_mr(POP, -1), ConfigError,
+                           "radius must be >= 0, got -1"),
+    "overlap radius": (lambda: overlap_rates(POP, -1), ConfigError,
+                       "radius must be >= 0, got -2"),
+    "exact baseline radius": (lambda: exact.baseline_rates(POP, -1),
+                              ConfigError, "radius must be >= 0, got -1"),
+    "exact mr radius float": (lambda: exact.mr_of(POP, [1, 2], 2.5),
+                              ConfigError,
+                              "radius must be an integer, got 2.5"),
+    "extremal mr radius float": (lambda: extremal_mr(POP, 1.5), ConfigError,
+                                 "radius must be an integer, got 1.5"),
+    "al-irr tau float": (lambda: run_al_irr_game(
+        FC, POP, LEAK_PI, 1.5, BlindArgmaxAdversary(ZERO), FEW), ConfigError,
+        "tau must be an integer, got 1.5"),
+    "coupled tau": (lambda: run_coupled_irr_trials(
+        FC, POP, LEAK_PI, -1, BlindArgmaxAdversary(ZERO), FEW), ConfigError,
+        "tau must be >= 0"),
+    "reduction tau float": (lambda: ReductionUnlinkAdversary(
+        BlindArgmaxAdversary(ZERO), 1.5), ConfigError,
+        "tau must be an integer, got 1.5"),
+    "sampler queries float": (lambda: SamplerIrrAdversary(2.5), ConfigError,
+                              "num_queries must be an integer, got 2.5"),
 }
 
 
@@ -334,6 +378,11 @@ def test_refused_with_its_reason(case):
         call()
     assert fragment in str(info.value)
 
+
+def test_verify_refuses_a_mismatched_n_before_any_trial(chunk_runs):
+    with pytest.raises(ConfigError, match="scheme and population disagree"):
+        verify_all(ROT10, POP, FEW)
+    assert chunk_runs.trials == []
 
 
 def test_numpy_numbers_are_accepted_settings():
