@@ -19,28 +19,28 @@ u.  Two engines supply the tables.
   probability p, so Pr[d(x, X_u) <= r] depends on x only through
   h = d(x, c_u), and two independent captures differ bit by bit with
   probability 2p(1 - p).  `_ball_table` tabulates that probability for
-  every h by a convolution of two binomials; the tables, and the raw-
-  distance rates (`mr_of`, `mr_vector`, `baseline_rates`), read it.  The
-  raw comparator d(x, x') <= tau is `PlaintextScheme(n, tau)`, so
-  `baseline_rates` are that scheme's FNMR and FMR-BP, and the ball-overlap
-  probability at tau is `mr_vector` at radius 2 tau.  Tables cost
-  O(U^2 K) for K outcomes, per-feature vectors O(U 2^n); feature scans stop at
-  n <= 20.  `mr_vector` is built once per (population, tau) and kept
-  read-only, 8 bytes per feature (8 MB at n = 20), as `enumerator` keeps
-  its oracles; `mr_scores` reads it to score any set of features.
+  every h by a convolution of two binomials; the tables and the raw-
+  distance rates (`mr_of`, `mr_vector`) read it.  The raw comparator
+  d(x, x') <= tau is `PlaintextScheme(n, tau)`, whose FNMR and FMR-BP are
+  its exact rates, and the ball-overlap probability at tau is `mr_vector`
+  at radius 2 tau.  Tables cost O(U^2 K) for K outcomes, at every n;
+  per-feature vectors cost O(U 2^n).  `mr_vector` is built once per
+  (population, tau) and kept read-only, 8 bytes per feature (8 MB at
+  n = 20), as `enumerator` keeps its oracles; `mr_scores` reads it to
+  score any set of features.
 * `SchemeEnumerator`, for every other scheme (`broken` and custom
   ones): probe distributions are explicit pmf vectors over {0,1}^n,
   enrollment randomness is enumerated through `pie_support_batch`, and
-  the tables are matrix products, for n <= 10.  It is also the
-  differential twin of `LawOracle`.
+  the tables are matrix products.  Its `__init__` refuses n > 10.  It is
+  also the differential twin of `LawOracle`.
 
 Every per-feature sum over the population (`mr_of`, `mr_vector`, the
 capture pmf) adds a per-distance table over the users, user by user:
 `mr_of` for any features, `_cube_sum` for every feature at once, with the
-same float64 for the same feature.  `enumerator(scheme, pop)`
-picks the engine.  These are the reference oracles the test suite holds
-the samplers to; they share the scheme objects with the samplers but never
-share the sampling path.
+same float64 for the same feature; `_cube_sum` is the one 2^n scan and
+refuses n > 20.  `enumerator(scheme, pop)` picks the engine.  These are
+the reference oracles the test suite holds the samplers to; they share
+the scheme objects with the samplers but never share the sampling path.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ def _cube_sum(pop: Population, table: np.ndarray) -> np.ndarray:
     table rows[k, l] = table[k + d(l, c_l)]: one row copy per h in place
     of a table lookup per x.
     """
+    _require(pop.n, EXACT_N_CAP, "feature scan")
     lo = pop.n // 2
     low = np.arange(1 << lo, dtype=np.uint64)
     high = np.arange(1 << (pop.n - lo), dtype=np.uint64)
@@ -136,7 +137,6 @@ def mr_vector(pop: Population, tau: int) -> np.ndarray:
     """MR(x) for every x, read-only: built once per (population, tau) and
     shared by `extremal_mr`, `overlap_rates` (at radius 2 tau),
     `LawOracle.rmr_vector` and `mr_scores`."""
-    _require(pop.n, EXACT_N_CAP, "feature scan")
     vec = _cube_sum(pop, _ball_table(pop.n, pop.flip_prob, tau))
     vec.flags.writeable = False
     return vec
@@ -178,12 +178,6 @@ def _off_diag_mean(G: np.ndarray) -> float:
     return float((G.sum() - np.trace(G)) / (U * (U - 1)))
 
 
-def baseline_rates(pop: Population, tau: int) -> tuple:
-    """(FNMR, FMR) of the raw threshold comparator."""
-    G = _pair_rates(pop, tau)
-    return 1.0 - _diag_mean(G), _off_diag_mean(G)
-
-
 class _Oracle:
     """The exact rates of (scheme, population), each written once.
 
@@ -191,10 +185,8 @@ class _Oracle:
     and `hypothesis_own_match()`; see the module docstring.
     """
 
-    def __init__(self, scheme: BtpScheme, pop: Population, cap: int,
-                 what: str):
+    def __init__(self, scheme: BtpScheme, pop: Population):
         require_same_n(scheme, pop)
-        _require(pop.n, cap, what)
         self.scheme = scheme
         self.pop = pop
         self.U = pop.num_users
@@ -246,7 +238,7 @@ class LawOracle(_Oracle):
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
-        super().__init__(scheme, pop, EXACT_N_CAP, "ball-law oracle")
+        super().__init__(scheme, pop)
         if scheme.feature_fields not in (("pi",), ("alpha",)):
             raise ContractError(f"{type(scheme).__name__} declares a match "
                                 "radius but not one feature field, pi or alpha")
@@ -286,7 +278,8 @@ class SchemeEnumerator(_Oracle):
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
-        super().__init__(scheme, pop, ENUM_N_CAP, "scheme enumeration")
+        super().__init__(scheme, pop)
+        _require(pop.n, ENUM_N_CAP, "scheme enumeration")
         self.size = 1 << pop.n
         self.xs = np.arange(self.size, dtype=np.uint64)
         self.P = _capture_table(pop)[
@@ -358,8 +351,8 @@ class SchemeEnumerator(_Oracle):
 
 @lru_cache(maxsize=8)
 def enumerator(scheme: BtpScheme, pop: Population):
-    """The exact oracle of (scheme, population): `LawOracle` when the
-    scheme declares a match radius, `SchemeEnumerator` otherwise."""
+    """The exact oracle of (scheme, population): `LawOracle` (every n) when
+    the scheme declares a match radius, else `SchemeEnumerator` (n <= 10)."""
     if scheme.match_radius() is not None:
         return LawOracle(scheme, pop)
     return SchemeEnumerator(scheme, pop)

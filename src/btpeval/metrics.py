@@ -294,10 +294,6 @@ class _PtStatsKernel(Record):
     def _validate(self):
         require_same_n(self.scheme, self.pop)
 
-    @property
-    def queries_per_trial(self):
-        return 1 + self.trials_inner
-
     def __call__(self, rng, m):
         scheme, pop, k = self.scheme, self.pop, self.trials_inner
         block = max(1, PT_BLOCK_PROBES // k)
@@ -405,7 +401,8 @@ def _extreme(values, rates, lowest: bool = False) -> tuple:
 def _mr_scan(pop: Population, tau: int, lowest: bool) -> tuple:
     """`_extreme` of `exact.mr_vector(pop, tau)` over every feature: made
     once per (population, tau, lowest) and kept, as the vector is."""
-    return _extreme(np.arange(1 << pop.n), exact.mr_vector(pop, tau), lowest)
+    vec = exact.mr_vector(pop, tau)     # refuses before any 2^n array
+    return _extreme(np.arange(len(vec)), vec, lowest)
 
 
 # Mixture draws beside the centers in a candidate-set extreme, and the
@@ -468,6 +465,9 @@ def overlap_rates(pop: Population, tau: int) -> OverlapRates:
     The tau-balls of x and x' intersect iff d(x, x') <= 2 tau, so the
     probability at x is MR(x) at radius 2 tau.
     """
+    require_type("tau", tau, whole=True)
+    if tau < 0:
+        raise ConfigError(f"tau must be >= 0, got {tau}")
     p_tau, w_max = _mr_scan(pop, 2 * tau, False)
     q_tau, w_min = _mr_scan(pop, 2 * tau, True)
     return OverlapRates(p_tau, q_tau, w_max, w_min)
@@ -510,7 +510,6 @@ class PtMatchStatsResult(Record):
     trials_inner: int
     mean_ci: tuple
     std_ci: tuple
-    queries_used: int
 
     def to_dict(self) -> dict:
         s = self.stats
@@ -538,8 +537,8 @@ def pt_match_stats(scheme, pop,
     subtracts that noise term (clipped at zero).
     """
     trials_inner = settings.stats_inner
-    kernel = _PtStatsKernel(scheme, pop, trials_inner)
-    parts = _run_kernel(kernel, settings.stats_outer, settings, "pt_stats")
+    parts = _run_kernel(_PtStatsKernel(scheme, pop, trials_inner),
+                        settings.stats_outer, settings, "pt_stats")
     rates = np.concatenate(parts)
     no = len(rates)
     mean = float(rates.mean())
@@ -559,7 +558,6 @@ def pt_match_stats(scheme, pop,
         trials_inner=trials_inner,
         mean_ci=(mean - z * se_mean, mean + z * se_mean),
         std_ci=(math.sqrt(lo2), math.sqrt(hi2)),
-        queries_used=no * kernel.queries_per_trial,
     )
 
 

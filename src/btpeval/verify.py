@@ -192,18 +192,19 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     reaches advantage 1 - MR when every template accepts its own feature.
 
     The own-feature hypothesis is checked exactly first; MR comes from
-    the exact oracle, and without one the check does not apply.
+    the exact template statistics, and without them the check does not apply.
     """
     details = {}
     try:
         en = exact.enumerator(scheme, pop)
+        own_match = en.hypothesis_own_match()
+        mr_mean, _ = en.pt_match_stats()
     except ModeError as e:
         return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
                           f"no exact oracle: {e}")
-    if not en.hypothesis_own_match():
+    if not own_match:
         return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
                           "some template rejects the very feature it encodes")
-    mr_mean, _ = en.pt_match_stats()
     details.update(mr_exact=mr_mean, trials=settings.trials)
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
                                 LEAK_BOTH)

@@ -182,7 +182,8 @@ class TestCriterion5EstimatorOracleAgreement:
              f"{hits}/{self.RUNS} runs inside the 99% interval")
 
     def test_baseline_rates(self, default_pop):
-        fnmr_e, fmr_e = exact.baseline_rates(default_pop, 1)
+        raw = exact.LawOracle(PlaintextScheme(default_pop.n, 1), default_pop)
+        fnmr_e, fmr_e = raw.fnmr(), raw.fmr_bp()
 
         def run_fnmr(seed):
             est, _ = metrics.est_baseline_rates(default_pop, 1,

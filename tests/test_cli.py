@@ -173,10 +173,12 @@ class TestExitCodes:
                 f"query_budget = 1 cut {v['details']['flagged']} of ")
 
 
-    def test_t4_beyond_feature_scan_not_applicable(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [exact.EXACT_N_CAP + 1, 32])
+    def test_t4_beyond_feature_scan_not_applicable(self, tmp_path, capsys, n):
+        # the scan refuses before it allocates a 2^n array
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "population": {"n": exact.EXACT_N_CAP + 1, "U": 4},
+            "population": {"n": n, "U": 4},
             "scheme": {"scheme": "rot"}}))
         code, out, _ = run_cli(["verify", "--theorem", "t4", "--config",
                                 str(cfg), "--trials", "50"], capsys)
@@ -186,6 +188,20 @@ class TestExitCodes:
         for verdict in verdicts:
             assert verdict["status"] == "not-applicable"
             assert "no exact overlap rates" in verdict["details"]["reason"]
+
+    def test_t3_beyond_feature_scan_not_applicable(self, tmp_path, capsys):
+        # the ball-law oracle builds at n = 22, but T3's template
+        # statistics scan every feature
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n": 22},
+                                   "scheme": {"scheme": "rot"}}))
+        code, out, _ = run_cli(["verify", "--theorem", "t3", "--config",
+                                str(cfg), "--trials", "50"], capsys)
+        assert code == 0
+        [verdict] = load_json(out)["theorems"]
+        assert verdict["status"] == "not-applicable"
+        assert verdict["details"]["reason"] == (
+            "no exact oracle: feature scan supports n <= 20, got n = 22")
 
 
     @pytest.mark.parametrize("outer", [0, 1])
@@ -587,10 +603,11 @@ class TestDeterminism:
                                       "match-test"],
                                      {"scheme": {"scheme": "broken"}},
                                      "29f049d644becd2a"),
-        # the candidate-set witness of `lower_bound` extremes past n = 20
+        # the candidate-set witness of `lower_bound` extremes past n = 20,
+        # beside the exact ball-law rates of the scheme rows
         "metrics rot22": (["metrics"], {"population": {"n": 22},
                                         "scheme": {"scheme": "rot"}},
-                          "9f70827d8a5ee471"),
+                          "1485d4cc237c63c6"),
         # listed centers, parsed from the config and echoed in the report
         "verify listed centers": (["verify", "--theorem", "all"],
                                   {"population": {"centers": [

@@ -110,18 +110,11 @@ class TestClosedForm:
         pop = generate_population(8, 6, 0.0, seed=4)
         c = pop.centers.tolist()
         close = [[(a ^ b).bit_count() <= 2 for b in c] for a in c]
-        fnmr, fmr = exact.baseline_rates(pop, 2)
+        raw = exact.LawOracle(PlaintextScheme(8, 2), pop)
+        fnmr, fmr = raw.fnmr(), raw.fmr_bp()
         assert fnmr == 0.0
         assert fmr == pytest.approx(
             (np.sum(close) - len(c)) / (len(c) * (len(c) - 1)), abs=TOL)
-
-    @pytest.mark.parametrize("tau", [0, 1, 3])
-    @pytest.mark.parametrize("n", [7, 10])
-    def test_baseline_is_the_plaintext_oracle(self, n, tau):
-        # the raw comparator is the plaintext scheme, bit for bit
-        pop = generate_population(n, 16, 0.03, seed=n)
-        law = exact.LawOracle(PlaintextScheme(n, tau), pop)
-        assert exact.baseline_rates(pop, tau) == (law.fnmr(), law.fmr_bp())
 
 
 def _tied_images(scheme, xs):
@@ -316,6 +309,17 @@ class TestOracleChoice:
             exact.enumerator(LotteryScheme(7, 0.3), default_pop)
 
     def test_law_oracle_cap(self):
+        # past the feature scan the ball-law oracle builds and gives its
+        # pair-table rates; only the scans refuse
         pop = generate_population(exact.EXACT_N_CAP + 1, 2, 0.03, seed=1)
-        with pytest.raises(ModeError):
-            exact.enumerator(RotationScheme(pop.n, tau=1), pop)
+        law = exact.enumerator(RotationScheme(pop.n, tau=1), pop)
+        assert isinstance(law, exact.LawOracle)
+        assert 0.0 < law.fnmr() < 1.0
+        scan = f"feature scan supports n <= {exact.EXACT_N_CAP}, got n = {pop.n}"
+        for call in (lambda: law.pmf_mix, law.rmr_vector, law.pt_match_stats):
+            with pytest.raises(ModeError, match=scan):
+                call()
+        pop = generate_population(exact.ENUM_N_CAP + 1, 2, 0.03, seed=1)
+        with pytest.raises(ModeError, match="scheme enumeration supports "
+                           f"n <= {exact.ENUM_N_CAP}, got n = {pop.n}"):
+            exact.SchemeEnumerator(RotationScheme(pop.n, tau=1), pop)

@@ -98,7 +98,8 @@ class TestBaselineRates:
                      for u in range(pop.num_users)
                      for v in range(pop.num_users) if u != v]
         fmr_oracle = float(np.mean(fmr_terms))
-        fnmr_exact, fmr_exact = exact.baseline_rates(pop, tau)
+        raw = exact.LawOracle(PlaintextScheme(pop.n, tau), pop)
+        fnmr_exact, fmr_exact = raw.fnmr(), raw.fmr_bp()
         assert fnmr_exact == pytest.approx(fnmr_oracle, abs=1e-12)
         assert fmr_exact == pytest.approx(fmr_oracle, abs=1e-12)
 
@@ -106,7 +107,8 @@ class TestBaselineRates:
         fnmr, fmr = metrics.est_baseline_rates(default_pop, 1,
                                                RunSettings(trials=20000, seed=11,
                                                            level=0.99))
-        fnmr_exact, fmr_exact = exact.baseline_rates(default_pop, 1)
+        raw = exact.LawOracle(PlaintextScheme(default_pop.n, 1), default_pop)
+        fnmr_exact, fmr_exact = raw.fnmr(), raw.fmr_bp()
         assert fnmr.ci_low <= fnmr_exact <= fnmr.ci_high
         assert fmr.ci_low <= fmr_exact <= fmr.ci_high
 
@@ -243,9 +245,10 @@ class TestSchemeFnmr:
         assert est.point == 0.0
 
     def test_plaintext_equals_baseline_exactly(self, default_pop):
+        # the enumerated plaintext scheme against the raw comparator's law
         scheme = PlaintextScheme(7, tau=1)
-        en = exact.enumerator(scheme, default_pop)
-        fnmr_exact, _ = exact.baseline_rates(default_pop, 1)
+        en = exact.SchemeEnumerator(scheme, default_pop)
+        fnmr_exact = exact.LawOracle(scheme, default_pop).fnmr()
         assert en.fnmr() == pytest.approx(fnmr_exact, abs=1e-12)
 
     def test_fc_estimate_matches_exact(self, fc_scheme, default_pop):
@@ -259,10 +262,12 @@ class TestFmrVariants:
     def test_plaintext_tp_collapses(self, default_pop):
         # with an empty second factor the AD-factor comparison is the raw
         # impostor test, while the PI-factor comparison degenerates to the
-        # mated test (the stored datum carries nothing from v)
+        # mated test (the stored datum carries nothing from v); the
+        # enumerated scheme is held to the raw comparator's law
         scheme = PlaintextScheme(7, tau=1)
-        en = exact.enumerator(scheme, default_pop)
-        fnmr_exact, fmr_exact = exact.baseline_rates(default_pop, 1)
+        en = exact.SchemeEnumerator(scheme, default_pop)
+        raw = exact.LawOracle(scheme, default_pop)
+        fnmr_exact, fmr_exact = raw.fnmr(), raw.fmr_bp()
         assert en.fmr_tp("ad") == pytest.approx(fmr_exact, abs=1e-12)
         assert en.fmr_tp("pi") == pytest.approx(1.0 - fnmr_exact, abs=1e-12)
         assert en.fmr_bp() == pytest.approx(fmr_exact, abs=1e-12)
@@ -331,6 +336,33 @@ class TestFmrVariants:
         with pytest.raises(ConfigError):
             metrics.est_fmr_tp(fc_scheme, default_pop, "xx",
                                RunSettings(trials=100, seed=0))
+
+
+class TestLawRatesPastFeatureScan:
+    """Past n = 20 the ball-law oracle still gives the five recognition
+    rates of a scheme: each lies in its estimate's 99% Wilson interval."""
+
+    RATES = {
+        "fnmr_scheme": (metrics.est_scheme_fnmr, lambda en: en.fnmr()),
+        "fmr_tp_ad": (lambda s, p, rs: metrics.est_fmr_tp(s, p, "ad", rs),
+                      lambda en: en.fmr_tp("ad")),
+        "fmr_tp_pi": (lambda s, p, rs: metrics.est_fmr_tp(s, p, "pi", rs),
+                      lambda en: en.fmr_tp("pi")),
+        "fmr_bp": (metrics.est_fmr_bp, lambda en: en.fmr_bp()),
+        "fmr_div": (metrics.est_fmr_div, lambda en: en.fmr_div()),
+    }
+
+    @pytest.mark.parametrize("make", [RotationScheme, PlaintextScheme],
+                             ids=["rot", "plain"])
+    @pytest.mark.parametrize("n", [22, 32, 64])
+    def test_exact_within_interval(self, n, make):
+        pop = generate_population(n, 16, 0.03, seed=1)
+        scheme = make(n, tau=1)
+        en = exact.enumerator(scheme, pop)
+        settings = RunSettings(trials=200_000, seed=7, level=0.99)
+        for name, (estimate, exact_rate) in self.RATES.items():
+            est = estimate(scheme, pop, settings)
+            assert est.ci_low <= exact_rate(en) <= est.ci_high, name
 
 
 class TestMrOfFeature:

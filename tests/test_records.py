@@ -56,7 +56,7 @@ VALUE_RECORDS = {
     games.CrossMatchResult: lambda: games.CrossMatchResult(
         EST, EST, 0.0, EST, 0.0),
     metrics.PtMatchStatsResult: lambda: metrics.PtMatchStatsResult(
-        MatchRateStats(0.5, 0.1), 3, 4, (0.4, 0.6), (0.0, 0.2), 15),
+        MatchRateStats(0.5, 0.1), 3, 4, (0.4, 0.6), (0.0, 0.2)),
 }
 
 IDENTITY_RECORDS = {

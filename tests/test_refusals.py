@@ -349,9 +349,9 @@ REFUSALS = {
     "extremal mr radius": (lambda: extremal_mr(POP, -1), ConfigError,
                            "radius must be >= 0, got -1"),
     "overlap radius": (lambda: overlap_rates(POP, -1), ConfigError,
-                       "radius must be >= 0, got -2"),
-    "exact baseline radius": (lambda: exact.baseline_rates(POP, -1),
-                              ConfigError, "radius must be >= 0, got -1"),
+                       "tau must be >= 0, got -1"),
+    "overlap radius float": (lambda: overlap_rates(POP, 1.5), ConfigError,
+                             "tau must be an integer, got 1.5"),
     "exact mr radius float": (lambda: exact.mr_of(POP, [1, 2], 2.5),
                               ConfigError,
                               "radius must be an integer, got 2.5"),

@@ -548,7 +548,7 @@ class TestMethodSets:
         assert scheme.pie_support_batch(x)[0].tolist() == [0.5, 0.5]
 
         en = exact.SchemeEnumerator(scheme, default_pop)
-        fnmr, _ = exact.baseline_rates(default_pop, 1)
+        fnmr = exact.LawOracle(PlaintextScheme(7, tau=1), default_pop).fnmr()
         assert en.fnmr() == pytest.approx(fnmr, abs=1e-12)
         est = metrics.est_scheme_fnmr(scheme, default_pop,
                                       RunSettings(trials=4000, seed=3, level=0.99))

@@ -99,7 +99,7 @@ class TestT2:
         assert "tolerance_note" not in d
 
     def test_no_exact_statistics_beyond_enumeration(self):
-        # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
+        # plaintext's template statistics scan every feature, to EXACT_N_CAP
         pop = generate_population(exact.EXACT_N_CAP + 1, 16, 0.03, seed=1)
         scheme = PlaintextScheme(pop.n, tau=1)
         v = verify.check_thm_pal_unachievable(scheme, pop, S(
@@ -280,7 +280,7 @@ def measurements(monkeypatch):
 
 
 def _plain21():
-    # plaintext has a closed-form oracle to EXACT_N_CAP, none beyond
+    # plaintext's template statistics scan every feature, to EXACT_N_CAP
     pop = generate_population(exact.EXACT_N_CAP + 1, 16, 0.03, seed=1)
     return PlaintextScheme(pop.n, tau=1), pop
 
