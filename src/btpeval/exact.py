@@ -6,13 +6,17 @@ Each rate is written once, in `_Oracle`, from tables an engine supplies:
 * `mixed(own)[v, u]` = Pr[the `own` part ("ad" or "pi") of an enrollment
   of u, with the other part of an enrollment of v, accepts a capture of u];
 * `templates()`, the weight and the match rate of every template;
-* `rmr_vector()` and `hypothesis_own_match()`.
+* `rmr_vector()`;
+* the outcomes of `pie_support_batch` for the features `xs` (every
+  feature, or the centers), which `hypothesis_own_match()` probes.
 
 FNMR and FMR-BP are the diagonal and off-diagonal means of `same`; FMR-TP
 for a factor is the off-diagonal mean of `mixed(factor)` and FMR-DIV the
-diagonal mean; the per-template statistics are the weighted moments of
-`templates()`.  Rows index the enrolled user v, columns the probe owner
-u.  Two engines supply the tables.
+diagonal mean, each a mean of its cells, so no small rate cancels; the
+mean template match rate is the mean of every cell of `same`, at every n,
+and the per-template spread the weighted second moment of `templates()`.
+Rows index the enrolled user v, columns the probe owner u.  Two engines
+supply the tables.
 
 * `LawOracle`, for a scheme that declares a `match_radius()` (fc, rot,
   plain).  A capture of user u flips each bit of c_u independently with
@@ -174,15 +178,17 @@ def _diag_mean(G: np.ndarray) -> float:
 
 
 def _off_diag_mean(G: np.ndarray) -> float:
-    U = len(G)
-    return float((G.sum() - np.trace(G)) / (U * (U - 1)))
+    # summed cell by cell: a sum less the trace cancels the small cells
+    return float(G[~np.eye(len(G), dtype=bool)].mean())
 
 
 class _Oracle:
     """The exact rates of (scheme, population), each written once.
 
-    An engine supplies `same`, `mixed(own)`, `templates()`, `rmr_vector()`
-    and `hypothesis_own_match()`; see the module docstring.
+    An engine supplies `same`, `mixed(own)`, `templates()` and
+    `rmr_vector()`; see the module docstring.  It also lists, for each
+    feature of `xs` (every feature, or the centers), the outcomes of
+    `pie_support_batch` in `support_pi` and `support_alpha`.
     """
 
     def __init__(self, scheme: BtpScheme, pop: Population):
@@ -218,12 +224,23 @@ class _Oracle:
 
     # -- protection metrics --------------------------------------------------
 
+    def mean_match_rate(self) -> float:
+        """The mean per-template match rate: a template of a random user
+        against a capture of a random user, the mean of every cell of `same`."""
+        return float(self.same.mean())
+
     def pt_match_stats(self) -> tuple:
         """(mean, population std dev) of the per-template match rate."""
         w, r = self.templates()
-        mean = float(w @ r)
+        mean = self.mean_match_rate()
         var = float(w @ (r - mean) ** 2)
         return mean, math.sqrt(max(var, 0.0))
+
+    def hypothesis_own_match(self) -> bool:
+        """Whether every template of a feature of `xs`, one per outcome of
+        `pie_support_batch`, accepts the feature it encodes."""
+        vids = self.scheme.pir_batch(self.support_alpha, self.xs[:, None])
+        return bool(self.scheme.pic_batch(self.support_pi, vids).all())
 
 
 class LawOracle(_Oracle):
@@ -244,7 +261,9 @@ class LawOracle(_Oracle):
                                 "radius but not one feature field, pi or alpha")
         self.radius = scheme.match_radius()
         self.tied = "pi" if scheme.feature_fields == ("pi",) else "ad"
-        images = scheme.pie_support_batch(pop.centers)[1 if self.tied == "pi" else 2]
+        self.xs = pop.centers
+        _, self.support_pi, self.support_alpha = scheme.pie_support_batch(self.xs)
+        images = self.support_pi if self.tied == "pi" else self.support_alpha
         self.same = _pair_rates(pop, self.radius)
         self._cross = _pair_rates(pop, self.radius, images)
 
@@ -259,10 +278,6 @@ class LawOracle(_Oracle):
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x: the template's capture within the radius."""
         return mr_vector(self.pop, self.radius)
-
-    def hypothesis_own_match(self) -> bool:
-        """Whether every template accepts the exact feature it encodes."""
-        return self.radius >= 0
 
 
 class SchemeEnumerator(_Oracle):
@@ -342,11 +357,6 @@ class SchemeEnumerator(_Oracle):
     def rmr_vector(self) -> np.ndarray:
         """rMR(x) for every probe x."""
         return self.w_mix @ self.M_pt
-
-    def hypothesis_own_match(self) -> bool:
-        """Whether every template accepts the exact feature it encodes."""
-        vids = self.scheme.pir_batch(self.support_alpha, self.xs[:, None])
-        return bool(self.scheme.pic_batch(self.support_pi, vids).all())
 
 
 @lru_cache(maxsize=8)

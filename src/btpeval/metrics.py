@@ -59,10 +59,19 @@ def wilson_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
     return (lo, hi)
 
 
-def proportion_se(phat: float, trials: int) -> float:
-    if trials <= 0:
-        return float("inf")
-    return math.sqrt(max(phat * (1.0 - phat), 0.0) / trials)
+VERDICT_LEVEL = 1.0 - 2.0 * NormalDist().cdf(-3.0)     # z = 3
+
+
+def verdict_margin(terms, upper: bool) -> float:
+    """The margin above (`upper`) or below sum c * wins / trials over `terms`
+    of (c, wins, trials): MOVER (Newcombe 1998) over each rate's Wilson
+    score bound at `VERDICT_LEVEL`, 0 only at a rate of 0 or 1."""
+    total = 0.0
+    for c, wins, trials in terms:
+        lo, hi = wilson_interval(wins, trials, VERDICT_LEVEL)
+        rate = wins / trials
+        total += (c * (hi - rate if (c > 0) == upper else rate - lo)) ** 2
+    return math.sqrt(total)
 
 
 class AdvantageEstimate(Record):
@@ -95,10 +104,6 @@ class AdvantageEstimate(Record):
             ci_low=self.ci_low + offset, ci_high=self.ci_high + offset,
             queries_used=self.queries_used,
         )
-
-    @property
-    def std_error(self) -> float:
-        return proportion_se(self.point, self.trials)
 
     def to_dict(self) -> dict:
         return {

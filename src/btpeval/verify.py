@@ -1,8 +1,12 @@
 """Empirical checkers for the four relation theorems.
 
 Each checker runs the relevant games/oracles and reduces the claim to a
-single inequality `lhs REL rhs` within a tolerance (3 combined standard
-errors unless the relation is a per-trial set inclusion, which is exact).
+single inequality `lhs REL rhs` within a tolerance.  T1's relation is a
+per-trial set inclusion, which is exact.  T2, T3 and T4 compare linear
+forms in game win rates, and each takes its tolerance from one rule,
+`metrics.verdict_margin`: the Wilson score bounds at z = 3, combined by
+MOVER for T4's two games, on the side of lhs that faces rhs.  The
+details name the rule and its nominal false-fail rate.
 A check whose hypothesis fails reports status "not-applicable" rather
 than silently passing, and so does T2, T3 or T4 when the query budget
 cuts a trial of the adversary it posits; a bound that degenerates
@@ -19,8 +23,6 @@ statistics `adversaries.inverter_stats` chooses.  `verify_all` drives them.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import exact, metrics
 from .adversaries import (
@@ -41,6 +43,7 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 VACUOUS = "vacuous"
+VERDICT_RULE = "Wilson score bounds at z = 3, combined by MOVER"
 
 
 class TheoremVerdict(Record):
@@ -79,10 +82,27 @@ def _unchecked(theorem: str, status: str, relation: str, leak: LeakSet,
                           leak=str(leak), details=details)
 
 
-def _budget_cut(settings: RunSettings, flagged: int, trials: int) -> str:
-    return (f"query_budget = {settings.query_budget} cut {flagged} of "
-            f"{trials} trials, so the adversary the check posits did not "
-            "run in full")
+def _decided(theorem: str, relation: str, lhs: float, rhs: float, terms,
+             leak: LeakSet, details: dict, settings: RunSettings
+             ) -> TheoremVerdict:
+    """`lhs REL rhs`, lhs a constant plus c * win rate summed over `terms`
+    of (c, game), within lhs's `metrics.verdict_margin` on the side facing
+    rhs, which is never 0: rhs lies inside lhs's range.  Not applicable when
+    the query budget cut a trial: the posited adversary did not run."""
+    details["flagged"] = flagged = sum(game.flagged for _, game in terms)
+    if flagged:
+        return _unchecked(theorem, NOT_APPLICABLE, relation, leak, details, (
+            f"query_budget = {settings.query_budget} cut {flagged} of "
+            f"{sum(game.trials for _, game in terms)} trials, so the "
+            "adversary the check posits did not run in full"))
+    two_sided = relation == "~~"
+    tol = metrics.verdict_margin([(c, game.wins, game.trials)
+                                  for c, game in terms], upper=lhs < rhs)
+    ok = abs(lhs - rhs) <= tol if two_sided else lhs >= rhs - tol
+    details.update(rule=VERDICT_RULE, nominal_false_fail=(
+        1.0 - metrics.VERDICT_LEVEL) / (1 if two_sided else 2))
+    return TheoremVerdict(theorem, PASS if ok else FAIL, relation, lhs, rhs,
+                          tol, leak=str(leak), details=details)
 
 
 def check_thm_irr_relations(scheme: BtpScheme, pop: Population, leak: LeakSet,
@@ -162,7 +182,7 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
         details.update(exact_mr=stats.mean, exact_sigma=stats.std_dev)
     else:
         details["tolerance_note"] = ("the tolerance counts only the sampler "
-                                     "game's standard error, not the error of "
+                                     "game's sampling error, not the error of "
                                      "the estimated statistics that set n_delta")
     try:
         cfg = PalSamplerConfig.from_stats(stats, s.delta, s.gamma)
@@ -172,17 +192,9 @@ def check_thm_pal_unachievable(scheme: BtpScheme, pop: Population,
     game = run_pal_irr_game(scheme, pop, LEAK_BOTH, PalSamplerAdversary(cfg),
                             s.replace(trials=trials))
     details.update(win_rate=game.win_rate.point,
-                   advantage=game.advantage.point, flagged=game.flagged)
-    if game.flagged:
-        return _unchecked("T2", NOT_APPLICABLE, ">=", LEAK_BOTH, details,
-                          _budget_cut(s, game.flagged, trials))
-    tol = 3.0 * game.win_rate.std_error
-    ok = game.win_rate.point > (1.0 - s.gamma) - tol
-    return TheoremVerdict(
-        theorem="T2", status=PASS if ok else FAIL, relation=">=",
-        lhs=game.win_rate.point, rhs=1.0 - s.gamma, tolerance=tol,
-        leak=str(LEAK_BOTH), details=details,
-    )
+                   advantage=game.advantage.point)
+    return _decided("T2", ">=", game.win_rate.point, 1.0 - s.gamma,
+                    [(1.0, game)], LEAK_BOTH, details, s)
 
 
 def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
@@ -191,14 +203,14 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     """Full-template linkage is unachievable: the match-test distinguisher
     reaches advantage 1 - MR when every template accepts its own feature.
 
-    The own-feature hypothesis is checked exactly first; MR comes from
-    the exact template statistics, and without them the check does not apply.
+    The own-feature hypothesis is checked exactly first; MR is the exact
+    mean template match rate, and without it the check does not apply.
     """
     details = {}
     try:
         en = exact.enumerator(scheme, pop)
         own_match = en.hypothesis_own_match()
-        mr_mean, _ = en.pt_match_stats()
+        mr_mean = en.mean_match_rate()
     except ModeError as e:
         return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
                           f"no exact oracle: {e}")
@@ -209,19 +221,11 @@ def check_thm_unlink_unachievable(scheme: BtpScheme, pop: Population,
     adversary = build_adversary("match-test", "unlink", scheme, pop, settings,
                                 LEAK_BOTH)
     game = run_unlink_game(scheme, pop, LEAK_BOTH, adversary, settings)
-    details["advantage"] = game.advantage.point
-    details["win_rate"] = game.win_rate.point
-    details["flagged"] = game.flagged
-    if game.flagged:
-        return _unchecked("T3", NOT_APPLICABLE, "~~", LEAK_BOTH, details,
-                          _budget_cut(settings, game.flagged, settings.trials))
-    tol = 3.0 * 2.0 * game.win_rate.std_error
-    gap = abs(game.advantage.point - (1.0 - mr_mean))
-    return TheoremVerdict(
-        theorem="T3", status=PASS if gap <= tol else FAIL, relation="~~",
-        lhs=game.advantage.point, rhs=1.0 - mr_mean, tolerance=tol,
-        leak=str(LEAK_BOTH), details=details,
-    )
+    details.update(advantage=game.advantage.point,
+                   win_rate=game.win_rate.point)
+    # the signed advantage 2w - 1, which is `advantage` wherever w >= 1/2
+    return _decided("T3", "~~", 2.0 * game.win_rate.point - 1.0, 1.0 - mr_mean,
+                    [(2.0, game)], LEAK_BOTH, details, settings)
 
 
 def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
@@ -254,23 +258,14 @@ def check_thm_unlink_irr_bound(scheme: BtpScheme, pop: Population,
     game_a = run_al_irr_game(scheme, pop, leak, tau, inner_adversary, settings)
     reduction = ReductionUnlinkAdversary(inner_adversary, tau)
     game_b = run_unlink_game(scheme, pop, leak, reduction, settings)
-    adv_a = game_a.advantage.point
-    adv_b = game_b.advantage.point
-    details["adv_inner"] = adv_a
-    details["adv_reduction"] = adv_b
-    details["flagged"] = flagged = game_a.flagged + game_b.flagged
-    if flagged:
-        return _unchecked("T4", NOT_APPLICABLE, ">=", leak, details,
-                          _budget_cut(settings, flagged, 2 * settings.trials))
+    adv_a, adv_b = game_a.advantage.point, game_b.advantage.point
+    details.update(adv_inner=adv_a, adv_reduction=adv_b)
     rhs = (1.0 - ov.p_tau) * adv_a - (ov.p_tau - ov.q_tau) * m_tau.value
-    se_a = game_a.win_rate.std_error
-    se_b = 2.0 * game_b.win_rate.std_error
-    tol = 3.0 * math.sqrt(se_b ** 2 + ((1.0 - ov.p_tau) * se_a) ** 2)
-    return TheoremVerdict(
-        theorem="T4", status=PASS if adv_b >= rhs - tol else FAIL,
-        relation=">=", lhs=adv_b, rhs=rhs, tolerance=tol, leak=str(leak),
-        details=details,
-    )
+    # adv_b = |2 w_b - 1|, and adv_a is w_a less the blind baseline
+    c_b = 2.0 if game_b.win_rate.point >= 0.5 else -2.0
+    return _decided("T4", ">=", adv_b, rhs, [(c_b, game_b),
+                                             (ov.p_tau - 1.0, game_a)],
+                    leak, details, settings)
 
 
 SINGLE_PART_LEAKS = (LEAK_PI, LEAK_AD)

@@ -47,7 +47,7 @@ from btpeval.schemes import (
     ProtectedTemplate,
     leak_view,
 )
-from reference_results import half_width
+from reference_results import half_width, plug_in_se
 from reference_schemes import decisions_and_ball
 
 
@@ -84,7 +84,7 @@ class TestCriterion2TheoremTwo:
         game = run_pal_irr_game(fc_scheme, default_pop, LEAK_BOTH,
                                 PalSamplerAdversary(cfg),
                                 RunSettings(trials=5000, seed=105))
-        se = game.win_rate.std_error
+        se = plug_in_se(game.win_rate)
         ok = game.win_rate.point > 0.5 - 3 * se
         gate(2, "theorem-2 sampler win rate", ok,
              f"C^2={c2:.4f} n_delta={cfg.n_delta} "
@@ -128,8 +128,8 @@ class TestCriterion3TheoremFour:
         rhs = ((1.0 - ov.p_tau) * game_a.advantage.point
                - (ov.p_tau - ov.q_tau) * m.value)
         tol = 3.0 * math.sqrt(
-            (2.0 * game_b.win_rate.std_error) ** 2
-            + ((1.0 - ov.p_tau) * game_a.win_rate.std_error) ** 2)
+            (2.0 * plug_in_se(game_b.win_rate)) ** 2
+            + ((1.0 - ov.p_tau) * plug_in_se(game_a.win_rate)) ** 2)
         return game_b.advantage.point, rhs, tol
 
     def test_plaintext_perfect_inverter(self, default_pop):
@@ -343,8 +343,8 @@ class TestCriterion7CrossComparatorIdentity:
                                     CrossComparatorAdversary(),
                                     RunSettings(trials=10000, seed=117))
         se_adv = half_width(res.unlink_advantage) / metrics.z_value(0.95)
-        tol = 3.0 * math.sqrt(res.fcmr.std_error ** 2
-                              + res.fncmr.std_error ** 2 + se_adv ** 2)
+        tol = 3.0 * math.sqrt(plug_in_se(res.fcmr) ** 2
+                              + plug_in_se(res.fncmr) ** 2 + se_adv ** 2)
         ok = res.identity_gap <= tol
         gate(7, "FCMR/FNCMR advantage identity", ok,
              f"|1-(FCMR+FNCMR)|={res.identity_advantage:.4f} "

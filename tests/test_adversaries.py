@@ -27,6 +27,7 @@ from btpeval.rng import substream
 from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, ProtectedTemplate, build_scheme,
                              leak_view)
 from reference_adversaries import UniqueSampler
+from reference_results import plug_in_se
 
 # a [10,4] code, for fc past the default [7,4]
 FC10 = {"scheme": "fc", "code": {"generator": [
@@ -211,7 +212,7 @@ class TestReductionAdversary:
         ov = metrics.overlap_rates(default_pop, 1)
         m1 = metrics.extremal_mr(default_pop, 1)
         lower = -(ov.p_tau - ov.q_tau) * m1.value
-        assert result.advantage.point >= lower - 3 * 2 * result.win_rate.std_error
+        assert result.advantage.point >= lower - 3 * 2 * plug_in_se(result.win_rate)
 
 
 class TestBlindAdversary:

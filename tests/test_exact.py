@@ -9,6 +9,8 @@ it replaced, and the cached `mr_vector` and `mr_scores` bit for bit to
 `mr_of`.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from btpeval import exact
 from btpeval.errors import DimensionError, ModeError
-from btpeval.population import generate_population
+from btpeval.population import Population, generate_population
 from btpeval.rng import substream
 from btpeval.schemes import (
     BrokenScheme,
@@ -24,6 +26,7 @@ from btpeval.schemes import (
     LinearCode,
     PlaintextScheme,
     RotationScheme,
+    build_scheme,
     hamming_7_4,
 )
 from reference_exact import (
@@ -34,7 +37,8 @@ from reference_exact import (
     pair_rates_per_center,
 )
 from reference_schemes import reference_isometries
-from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
+from toy_schemes import (AlwaysMatchScheme, LotteryScheme, NeverMatchScheme,
+                         RejectingRotation)
 
 # Agreement of two exact engines that sum in different orders.
 TOL = 1e-12
@@ -315,6 +319,8 @@ class TestOracleChoice:
         law = exact.enumerator(RotationScheme(pop.n, tau=1), pop)
         assert isinstance(law, exact.LawOracle)
         assert 0.0 < law.fnmr() < 1.0
+        assert 0.0 < law.mean_match_rate() < 1.0
+        assert law.hypothesis_own_match()
         scan = f"feature scan supports n <= {exact.EXACT_N_CAP}, got n = {pop.n}"
         for call in (lambda: law.pmf_mix, law.rmr_vector, law.pt_match_stats):
             with pytest.raises(ModeError, match=scan):
@@ -323,3 +329,67 @@ class TestOracleChoice:
         with pytest.raises(ModeError, match="scheme enumeration supports "
                            f"n <= {exact.ENUM_N_CAP}, got n = {pop.n}"):
             exact.SchemeEnumerator(RotationScheme(pop.n, tau=1), pop)
+
+
+class TestTemplateMeanAndCells:
+    """The mean template match rate is the mean of every cell of `same`, and
+    a rate over cells is summed cell by cell."""
+
+    @pytest.mark.parametrize("name,n", [("fc[7,4]", 7), ("rot", 10),
+                                        ("plain", 16), ("broken", 7)])
+    def test_mean_of_same_is_the_template_mean(self, name, n):
+        scheme = (LAW_SCHEMES[name]() if name == "fc[7,4]"
+                  else build_scheme({"scheme": name}, n))
+        oracle = exact.enumerator(scheme, Population.from_config({"n": n}))
+        w, r = oracle.templates()
+        assert oracle.mean_match_rate() == pytest.approx(float(w @ r),
+                                                         abs=1e-15)
+        assert oracle.pt_match_stats()[0] == oracle.mean_match_rate()
+
+    @pytest.mark.parametrize("name", ["rot", "plain"])
+    def test_every_positive_rate_reads_positive_at_n64(self, name):
+        # each rate is a ball-law probability of captures with flip
+        # probability 0 < p < 1/2, so its closed form is positive
+        pop = Population.from_config({"n": 64})
+        law = exact.enumerator(build_scheme({"scheme": name}, 64), pop)
+        raw = exact.LawOracle(PlaintextScheme(64, 1), pop)
+        rates = {"fnmr": law.fnmr(), "fmr_bp": law.fmr_bp(),
+                 "fmr_tp_ad": law.fmr_tp("ad"), "fmr_tp_pi": law.fmr_tp("pi"),
+                 "fmr_div": law.fmr_div(), "mean": law.mean_match_rate(),
+                 "fnmr_d<=1": raw.fnmr(), "fmr_d<=1": raw.fmr_bp()}
+        assert all(rate > 0.0 for rate in rates.values()), rates
+        assert rates["fmr_bp"] == pytest.approx(1.5404050635e-30, rel=1e-10,
+                                                abs=0.0)
+
+    @pytest.mark.parametrize("n", [10, 32, 64])
+    def test_off_diagonal_rates_equal_an_exact_sum(self, n):
+        pop = Population.from_config({"n": n})
+        law = exact.enumerator(RotationScheme(n, tau=1), pop)
+        for table, rate in ((law.same, law.fmr_bp()),
+                            (law.mixed("ad"), law.fmr_tp("ad"))):
+            off = table[~np.eye(len(table), dtype=bool)]
+            assert rate == pytest.approx(math.fsum(off) / off.size, rel=1e-13,
+                                         abs=0.0)
+
+
+class TestOwnMatchHypothesis:
+    """Both engines probe the outcomes of `pie_support_batch` through the
+    scheme's own `pir_batch` and `pic_batch`."""
+
+    @pytest.mark.parametrize("n", [7, 22, 64])
+    def test_built_in_laws_accept_their_own_features(self, n):
+        pop = Population.from_config({"n": n})
+        for name in ("rot", "plain"):
+            law = exact.enumerator(build_scheme({"scheme": name}, n), pop)
+            assert isinstance(law, exact.LawOracle)
+            assert law.hypothesis_own_match(), name
+
+    @pytest.mark.parametrize("n", [7, 22])
+    def test_a_rejecting_comparator_fails_it_under_a_law(self, n):
+        pop = Population.from_config({"n": n})
+        law = exact.enumerator(RejectingRotation(n, tau=1), pop)
+        assert isinstance(law, exact.LawOracle)
+        assert not law.hypothesis_own_match()
+        if n <= exact.ENUM_N_CAP:
+            assert not exact.SchemeEnumerator(RejectingRotation(n, tau=1),
+                                              pop).hypothesis_own_match()

@@ -47,7 +47,7 @@ from btpeval.schemes import (
 )
 from reference_adversaries import scalar_twin
 from reference_exact import sampler_al_irr_win_rate
-from reference_results import half_width
+from reference_results import half_width, plug_in_se
 from reference_schemes import rotate
 from reference_trials import TrialIrrAdversary, TrialUnlinkAdversary
 from toy_schemes import LotteryScheme
@@ -779,7 +779,7 @@ class TestCrossMatchRates:
                                     CrossComparatorAdversary(),
                                     RunSettings(trials=6000, seed=23))
         se_adv = half_width(res.unlink_advantage) / metrics.z_value(0.95)
-        se = (res.fcmr.std_error ** 2 + res.fncmr.std_error ** 2
+        se = (plug_in_se(res.fcmr) ** 2 + plug_in_se(res.fncmr) ** 2
               + se_adv ** 2) ** 0.5
         assert res.identity_gap <= 3 * se + 1e-9
         assert res.identity_advantage > 0.5

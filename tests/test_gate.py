@@ -1,7 +1,8 @@
 """The benchmark's correctness gate holds on the package: its self-test
-passes, and the `metrics` reports past the n <= 20 feature scan, where
-the ball-law oracle gives the scheme rows their exact values, pass every
-per-report check it makes, the 99% oracle checks included.
+passes, and the `metrics` and `verify --theorem t3` reports past the
+n <= 20 feature scan, where the ball-law oracle gives the scheme rows their
+exact values and T3 its exact mean match rate, pass every per-report check
+it makes, the 99% oracle checks included.
 
 These tests only read `bench/`.
 """
@@ -49,3 +50,21 @@ def test_metrics_past_feature_scan_pass_the_gate(tmp_path, n, scheme):
     checks = load_gate().check_report(report, code)
     assert [c for c in checks if not c.ok] == []
     assert sum(c.name.startswith("oracle:") for c in checks) >= 5
+
+
+@pytest.mark.parametrize("scheme", ["rot", "plain"])
+@pytest.mark.parametrize("n", [22, 64])
+def test_t3_past_feature_scan_passes_the_gate(tmp_path, n, scheme):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": {"n": n},
+                               "scheme": {"scheme": scheme}}))
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--theorem", "t3", "--config", str(cfg),
+                     "--out", str(out)])
+    report = json.loads(out.read_text())
+    [verdict] = report["theorems"]
+    assert verdict["status"] == "pass"
+    checks = load_gate().check_report(report, code)
+    assert [c for c in checks if not c.ok] == []
+    assert {c.name for c in checks} >= {"exit_code", "verdict:T3[pi+ad]",
+                                        "flagged:T3[pi+ad]"}

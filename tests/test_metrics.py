@@ -965,7 +965,7 @@ def test_run_settings_refuse_jobs_and_level_before_any_work(key, value,
 
 # Public functions of `games` and `metrics` that draw nothing: interval
 # arithmetic and the exact scans.
-PURE_HELPERS = {"z_value", "wilson_interval", "proportion_se",
+PURE_HELPERS = {"z_value", "wilson_interval", "verdict_margin",
                 "absolute_advantage", "entropy_bits", "overlap_rates",
                 "exact_pt_match_stats"}
 SETTING_NAMES = {"seed", "budget", "level", "jobs", "trials",

@@ -1,4 +1,7 @@
-"""Theorem checkers: pass paths, hypothesis gates, vacuous bounds."""
+"""Theorem checkers: pass paths, hypothesis gates, vacuous bounds, and the
+one decision rule of the Monte Carlo verdicts."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +16,12 @@ from btpeval.adversaries import (
 )
 from btpeval.errors import VariationTooHighError
 from btpeval.metrics import MatchRateStats, RunSettings
-from btpeval.population import generate_population
+from btpeval.population import Population, generate_population
 from btpeval.schemes import (LEAK_AD, LEAK_BOTH, LEAK_PI, PlaintextScheme, RotationScheme,
                              build_scheme)
-from reference_results import passed
-from toy_schemes import AlwaysMatchScheme, LotteryScheme, NeverMatchScheme
+from reference_results import passed, wilson_z3
+from toy_schemes import (AlwaysMatchScheme, LotteryScheme, NeverMatchScheme,
+                         RejectingRotation)
 
 S = RunSettings
 
@@ -151,6 +155,25 @@ class TestT3:
         assert v.status == verify.NOT_APPLICABLE
         assert "rejects" in v.details["reason"]
 
+    def test_declared_law_with_a_rejecting_comparator_not_applicable(self):
+        # the law's own-match hypothesis probes the comparator itself
+        pop = Population.from_config({"n": 10})
+        v = verify.check_thm_unlink_unachievable(RejectingRotation(10, tau=1),
+                                                 pop, S(trials=500, seed=12))
+        assert v.status == verify.NOT_APPLICABLE
+        assert "rejects" in v.details["reason"]
+
+    @pytest.mark.parametrize("name", ["rot", "plain"])
+    @pytest.mark.parametrize("n", [22, 32, 64])
+    def test_applies_and_passes_past_the_feature_scan(self, name, n):
+        pop = Population.from_config({"n": n})
+        scheme = build_scheme({"scheme": name}, n)
+        mean = exact.enumerator(scheme, pop).mean_match_rate()
+        for seed in (1, 2, 3):
+            v = verify.check_thm_unlink_unachievable(scheme, pop, S(seed=seed))
+            assert v.status == verify.PASS, seed
+            assert v.rhs == 1.0 - mean
+
 
 class TestT4:
     def test_plaintext_perfect_inverter_large_margin(self, default_pop):
@@ -189,6 +212,100 @@ class TestT4:
         assert v.status == verify.NOT_APPLICABLE
         assert passed(v)
         assert f"n <= {exact.EXACT_N_CAP}" in v.details["reason"]
+
+
+# rot at n = 12 over U = 256 users, the default p, tau and population seed:
+# MR is 0.0065, so 1000 T3 trials lose about 3.3 times, and every trial wins
+# with probability e^-3.3 = 3.8%
+ROT12 = ({"n": 12, "U": 256}, {"scheme": "rot"})
+
+
+def binomial_pmf(n: int, p: float) -> list:
+    return [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+class TestDecisionRule:
+    """T2, T3 and T4 decide by one rule, Wilson score bounds at z = 3
+    combined by MOVER, and report the margin on the side facing rhs."""
+
+    def test_margin_is_the_wilson_bound_of_each_rate(self):
+        lo, hi = wilson_z3(991, 1000)
+        assert metrics.verdict_margin([(2.0, 991, 1000)], upper=True) == (
+            pytest.approx(2.0 * (hi - 0.991), rel=1e-12))
+        assert metrics.verdict_margin([(2.0, 991, 1000)], upper=False) == (
+            pytest.approx(2.0 * (0.991 - lo), rel=1e-12))
+        # MOVER: a negative coefficient reads the other bound of its rate
+        lo_a, hi_a = wilson_z3(30, 200)
+        assert metrics.verdict_margin([(1.0, 991, 1000), (-0.5, 30, 200)],
+                                      upper=True) == pytest.approx(
+            math.hypot(hi - 0.991, 0.5 * (0.15 - lo_a)), rel=1e-12)
+        # every trial won: no margin above, a positive one below
+        assert metrics.verdict_margin([(1.0, 50, 50)], upper=True) == 0.0
+        assert metrics.verdict_margin([(1.0, 50, 50)], upper=False) > 0.05
+
+    @pytest.mark.parametrize("cfg", [
+        ({}, {}), ({"n": 12}, {"scheme": "rot"}), ({"n": 12}, {"scheme": "plain"}),
+        ({"n": 7}, {"scheme": "plain", "tau": 0}), ({}, {"scheme": "broken"})],
+        ids=["fc", "rot12", "plain12", "plain7-tau0", "broken"])
+    def test_no_verdict_has_a_zero_tolerance(self, cfg):
+        # 50 trials: T2 on rot and plain n = 12 wins every trial at seed 1,
+        # where a plug-in standard error is 0
+        pop = Population.from_config(cfg[0])
+        scheme = build_scheme(cfg[1], pop.n)
+        for seed in (1, 6):
+            for v in verify.verify_all(scheme, pop, S(trials=50, seed=seed)):
+                if v.theorem == "T1" or v.tolerance is None:
+                    continue
+                assert v.tolerance > 0.0, (v.theorem, v.leak, seed)
+                two_sided = v.relation == "~~"
+                assert v.details["rule"] == verify.VERDICT_RULE
+                assert v.details["nominal_false_fail"] == pytest.approx(
+                    0.0027 if two_sided else 0.00135, rel=1e-3)
+
+    def test_t3_false_fails_within_the_rules_rate(self):
+        pop = Population.from_config(ROT12[0])
+        scheme = build_scheme(ROT12[1], pop.n)
+        verdicts = [verify.check_thm_unlink_unachievable(
+            scheme, pop, S(trials=1000, seed=seed)) for seed in range(1, 201)]
+        assert min(v.tolerance for v in verdicts) > 0.0
+        fails = [v for v in verdicts if v.status == verify.FAIL]
+        # the rule's exact false-fail probability per seed: every trial
+        # wins with probability w = 1 - MR/2, and wins k fail the rule when
+        # 1 - MR/2 lies outside k's Wilson interval at z = 3
+        w = (1.0 + verdicts[0].rhs) / 2.0
+        rate = sum(p for k, p in enumerate(binomial_pmf(1000, w))
+                   if not wilson_z3(k, 1000)[0] <= w <= wilson_z3(k, 1000)[1])
+        assert rate == pytest.approx(0.0064, abs=5e-5)
+        # the 99% quantile of the fail count over 200 seeds
+        cdf = np.cumsum(binomial_pmf(200, rate))
+        bound = int(np.searchsorted(cdf, 0.99))
+        assert bound == 4
+        assert len(fails) <= bound
+        # a plug-in tolerance failed 7 of these seeds, each at lhs 1
+        assert all(v.lhs < v.rhs for v in fails)
+
+    def test_match_test_advantage_a_twentieth_high_fails_t3(self, monkeypatch,
+                                                            fc_scheme,
+                                                            default_pop):
+        run_unlink_game = verify.run_unlink_game
+
+        def inflated(*args, **kwargs):
+            # the mutation: a win rate 0.025 high, an advantage 0.05 high
+            game = run_unlink_game(*args, **kwargs)
+            wins = game.wins + round(0.025 * game.trials)
+            win_rate = metrics.AdvantageEstimate.from_counts(wins, game.trials)
+            return game.replace(wins=wins, win_rate=win_rate,
+                                advantage=metrics.absolute_advantage(win_rate))
+
+        for seed in range(1, 6):
+            assert verify.check_thm_unlink_unachievable(
+                fc_scheme, default_pop, S(seed=seed)).status == verify.PASS
+        monkeypatch.setattr(verify, "run_unlink_game", inflated)
+        for seed in range(1, 6):
+            v = verify.check_thm_unlink_unachievable(fc_scheme, default_pop,
+                                                     S(seed=seed))
+            assert v.status == verify.FAIL, seed
+            assert v.lhs > v.rhs
 
 
 class TestReproducibility:

@@ -1,11 +1,12 @@
 """Degenerate schemes used to hit edge cases in metrics and verdicts.
 
-Each implements the batch contract alone.  pi and identifier codes are
-small integers, and alpha is always 0."""
+Each toy implements the batch contract alone.  pi and identifier codes are
+small integers, and alpha is always 0.  `RejectingRotation` declares rot's
+ball law over a comparator that rejects everything."""
 
 import numpy as np
 
-from btpeval.schemes import BtpScheme
+from btpeval.schemes import BtpScheme, RotationScheme
 
 
 class _ToyScheme(BtpScheme):
@@ -81,3 +82,12 @@ class LotteryScheme(_ToyScheme):
         return (np.broadcast_to([self.win_prob, 1.0 - self.win_prob], shape),
                 np.broadcast_to(np.array([1, 0], dtype=np.uint64), shape),
                 np.zeros(shape, dtype=np.uint64))
+
+
+class RejectingRotation(RotationScheme):
+    """Rot's encoder and match radius, with a comparator that rejects every
+    pair, so no template accepts the feature it encodes."""
+
+    def pic_batch(self, pi, vid):
+        return np.zeros(np.broadcast_shapes(np.shape(pi), np.shape(vid)),
+                        dtype=bool)
