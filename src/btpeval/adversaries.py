@@ -98,8 +98,7 @@ class PalSamplerConfig(Record):
     def _validate(self):
         if not 0.0 < self.mu <= 1.0:
             raise ConfigError(f"mu = {self.mu} out of (0, 1]")
-        if self.n_delta < 1:
-            raise ConfigError("n_delta must be >= 1")
+        require_type("n_delta", self.n_delta, whole=True, least=1)
 
 
 def inverter_stats(scheme, pop, settings: RunSettings) -> tuple:
@@ -206,9 +205,7 @@ class SamplerIrrAdversary(IrrAdversary):
     name = "sampler"
 
     def __init__(self, num_queries: int = RunSettings.sampler_queries):
-        require_type("num_queries", num_queries, whole=True)
-        if num_queries < 1:
-            raise ConfigError("num_queries must be >= 1")
+        require_type("num_queries", num_queries, whole=True, least=1)
         self.num_queries = num_queries
 
     def phase1_batch(self, params, leak, tau, oracle, rng):
@@ -346,9 +343,7 @@ class ReductionUnlinkAdversary(UnlinkAdversary):
     """
 
     def __init__(self, inner: IrrAdversary, tau: int):
-        require_type("tau", tau, whole=True)
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
+        require_type("tau", tau, whole=True, least=0)
         self.inner = inner
         self.tau = tau
         self.name = f"reduction[{getattr(inner, 'name', 'custom')}]"

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the key and type checks
-the config readers share."""
+"""Exception types shared across the package, and the key, type and
+lower-bound checks that every config reader and constructor shares."""
 
 import numpy as np
 
@@ -46,10 +46,12 @@ def require_keys(block, keys, name: str = "the block"):
                           f"allowed: {sorted(keys)}")
 
 
-def require_type(name: str, value, whole: bool):
+def require_type(name: str, value, whole: bool, least=None):
     """Refuse, with `ConfigError`, a bool, and a value of the field `name`
-    that is not an integer (`whole`) or a number."""
+    that is not an integer (`whole`) or a number, or is below `least`."""
     kinds = (int, np.integer) + (() if whole else (float, np.floating))
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if whole else "a number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")

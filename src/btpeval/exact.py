@@ -34,15 +34,17 @@ supply the tables.
   score any set of features.
 * `SchemeEnumerator`, for every other scheme (`broken` and custom
   ones): probe distributions are explicit pmf vectors over {0,1}^n,
-  enrollment randomness is enumerated through `pie_support_batch`, and
-  the tables are matrix products.  Its `__init__` refuses n > 10.  It is
-  also the differential twin of `LawOracle`.
+  the rows of `P`, whose mean is the capture pmf; enrollment randomness
+  is enumerated through `pie_support_batch`, and the tables are matrix
+  products.  Its `__init__` refuses n > 10.  It is also the
+  differential twin of `LawOracle`.
 
-Every per-feature sum over the population (`mr_of`, `mr_vector`, the
-capture pmf) adds a per-distance table over the users, user by user:
-`mr_of` for any features, `_cube_sum` for every feature at once, with the
-same float64 for the same feature; `_cube_sum` is the one 2^n scan and
-refuses n > 20.  `enumerator(scheme, pop)` picks the engine.  These are
+Every per-feature sum over the population (`mr_of`, `mr_vector`,
+`LawOracle.pmf_mix`) adds a per-distance table over the users, user by
+user: `mr_of` for any features, `_cube_sum` for every feature at once,
+with the same float64 for the same feature; `_cube_sum` is the one 2^n
+scan and refuses n > 20, and `mr_of` and `mr_scores` refuse a value of
+more than n bits.  `enumerator(scheme, pop)` picks the engine.  These are
 the reference oracles the test suite holds the samplers to; they share
 the scheme objects with the samplers but never share the sampling path.
 """
@@ -54,8 +56,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, ModeError, require_type
-from .population import Population
+from .errors import ConfigError, ContractError, ModeError, require_type
+from .population import Population, check_width
 from .schemes import BtpScheme, require_same_n
 
 EXACT_N_CAP = 20
@@ -76,9 +78,7 @@ def _ball_table(n: int, p: float, radius: int) -> np.ndarray:
     exact raw-distance rate reads this table, so it alone refuses a radius
     that is not an integer >= 0.
     """
-    require_type("radius", radius, whole=True)
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
+    require_type("radius", radius, whole=True, least=0)
     f = np.empty(n + 1)
     for h in range(n + 1):
         pmf_a = np.array([math.comb(h, a) * p**a * (1 - p) ** (h - a)
@@ -105,9 +105,10 @@ def _capture_table(pop: Population) -> np.ndarray:
 def mr_of(pop: Population, values, tau: int) -> np.ndarray:
     """MR(x) = Pr[d(x, capture from random user) <= tau] for every packed x
     in `values`: the mean over users u of the ball table at d(x, c_u),
-    summed user by user."""
+    summed user by user.  A value of more than n bits is refused."""
     table = _ball_table(pop.n, pop.flip_prob, tau)
     values = np.asarray(values, dtype=np.uint64)
+    check_width("a value", values, pop.n)
     total = np.zeros(values.shape)
     for c in pop.centers:
         total += table[np.bitwise_count(values ^ c)]
@@ -151,12 +152,11 @@ def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
     `mr_vector` up to EXACT_N_CAP, by the closed form over the distinct
     values beyond it.  A value of more than n bits is refused."""
     values = np.asarray(values, dtype=np.uint64)
-    if values.size and int(values.max()) >> pop.n:
-        raise DimensionError(f"a value has more than {pop.n} bits")
-    if pop.n <= EXACT_N_CAP:
-        return mr_vector(pop, tau)[values.view(np.int64)]
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
+    if pop.n > EXACT_N_CAP:
+        uniq, inverse = np.unique(values, return_inverse=True)
+        return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
+    check_width("a value", values, pop.n)
+    return mr_vector(pop, tau)[values.view(np.int64)]
 
 
 def _pair_rates(pop: Population, radius: int, images=None) -> np.ndarray:
@@ -196,11 +196,6 @@ class _Oracle:
         self.scheme = scheme
         self.pop = pop
         self.U = pop.num_users
-
-    @cached_property
-    def pmf_mix(self) -> np.ndarray:
-        """pmf of a capture from a uniformly random user, every x."""
-        return _cube_sum(self.pop, _capture_table(self.pop))
 
     # -- recognition metrics -------------------------------------------------
 
@@ -272,6 +267,11 @@ class LawOracle(_Oracle):
             return np.tile(np.diag(self._cross), (self.U, 1))
         return self._cross
 
+    @cached_property
+    def pmf_mix(self) -> np.ndarray:
+        """pmf of a capture from a uniformly random user, every x."""
+        return _cube_sum(self.pop, _capture_table(self.pop))
+
     def templates(self) -> tuple:
         return self.pmf_mix, self.rmr_vector()
 
@@ -299,6 +299,7 @@ class SchemeEnumerator(_Oracle):
         self.xs = np.arange(self.size, dtype=np.uint64)
         self.P = _capture_table(pop)[
             np.bitwise_count(pop.centers[:, None] ^ self.xs)]
+        self.pmf_mix = self.P.mean(axis=0)   # of a capture of a random user
         probs, self.support_pi, self.support_alpha = (
             scheme.pie_support_batch(self.xs))
         if not ((probs >= 0.0).all()

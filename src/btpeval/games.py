@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, require_type
+from .errors import ProtocolError, require_type
 from .metrics import (
     CHUNK_TRIALS,
     AdvantageEstimate,
@@ -247,9 +247,7 @@ class _IrrSpec(_GameSpec):
     def _validate(self):
         super()._validate()
         if self.tau is not None:
-            require_type("tau", self.tau, whole=True)
-            if self.tau < 0:
-                raise ConfigError("tau must be >= 0")
+            require_type("tau", self.tau, whole=True, least=0)
 
     def run_range(self, lo, hi) -> dict:
         m, n = hi - lo, self.pop.n

@@ -24,8 +24,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import exact
-from .errors import ConfigError, DimensionError, ModeError, require_type
-from .population import Population
+from .errors import ConfigError, ModeError, require_type
+from .population import Population, check_width
 from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, PlaintextScheme, require_same_n
@@ -84,8 +84,7 @@ class AdvantageEstimate(Record):
     queries_used: int = 0
 
     def _validate(self):
-        if self.trials < 0:
-            raise ConfigError("trials must be >= 0")
+        require_type("trials", self.trials, whole=True, least=0)
         if not (self.ci_low - 1e-12 <= self.point <= self.ci_high + 1e-12):
             raise ConfigError(
                 f"interval [{self.ci_low}, {self.ci_high}] excludes point {self.point}"
@@ -170,8 +169,7 @@ class RunSettings(Record):
         for key, default in self._defaults.items():
             require_type(key, getattr(self, key), whole=type(default) is int)
         for key, least in _MINIMUMS.items():
-            if (value := getattr(self, key)) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {value}")
+            require_type(key, getattr(self, key), whole=True, least=least)
         if not 0.0 < self.delta < self.gamma < 1.0:
             raise ConfigError(f"need 0 < delta < gamma < 1, got {self.delta}, {self.gamma}")
         z_value(self.level)     # refuses a level outside (0, 1)
@@ -245,9 +243,8 @@ class _AcceptKernel(Record):
 
     def _validate(self):
         require_same_n(self.scheme, self.pop)
-        if self.probe is not None and self.probe >> self.pop.n:
-            raise DimensionError(f"probe {self.probe} has more than "
-                                 f"{self.pop.n} bits")
+        if self.probe is not None:
+            check_width(f"probe {self.probe}", self.probe, self.pop.n)
 
     @property
     def queries_per_trial(self) -> int:
@@ -470,9 +467,7 @@ def overlap_rates(pop: Population, tau: int) -> OverlapRates:
     The tau-balls of x and x' intersect iff d(x, x') <= 2 tau, so the
     probability at x is MR(x) at radius 2 tau.
     """
-    require_type("tau", tau, whole=True)
-    if tau < 0:
-        raise ConfigError(f"tau must be >= 0, got {tau}")
+    require_type("tau", tau, whole=True, least=0)
     p_tau, w_max = _mr_scan(pop, 2 * tau, False)
     q_tau, w_min = _mr_scan(pop, 2 * tau, True)
     return OverlapRates(p_tau, q_tau, w_max, w_min)
@@ -491,8 +486,7 @@ class MatchRateStats(Record):
     def _validate(self):
         if not 0.0 <= self.mean <= 1.0 + 1e-12:
             raise ConfigError(f"mean rate {self.mean} outside [0, 1]")
-        if self.std_dev < 0.0:
-            raise ConfigError("standard deviation must be >= 0")
+        require_type("standard deviation", self.std_dev, whole=False, least=0)
 
     @property
     def variation_coeff(self) -> float:

@@ -32,10 +32,20 @@ MAX_N = 64  # captures are packed into one uint64 word
 WORD_BITS = 10  # flip-mask bits drawn per uniform
 
 
-def _check_dimension(n: int):
+def check_dimension(n: int):
+    """Refuse, with `ConfigError`, a feature dimension n (of a population,
+    a scheme or a code) that is not an integer in [1, MAX_N]."""
     require_type("n", n, whole=True)
     if not 1 <= n <= MAX_N:
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
+
+
+def check_width(what: str, values, n: int):
+    """Refuse, with `DimensionError`, packed `values` (one or an array) of
+    which one has more than n bits; `what` names them in the message."""
+    values = np.asarray(values)
+    if values.size and int(values.max()) >> int(n):
+        raise DimensionError(f"{what} has more than {n} bits")
 
 
 def parse_bits(s: str) -> int:
@@ -131,7 +141,7 @@ class Population(Record):
     centers: object
 
     def _validate(self):
-        _check_dimension(self.n)
+        check_dimension(self.n)
         require_type("flip_prob", self.flip_prob, whole=False)
         require_type("seed", self.seed, whole=True)
         centers = self.centers
@@ -147,8 +157,7 @@ class Population(Record):
             raise ConfigError(f"flip_prob must be in [0, 0.5), got {self.flip_prob}")
         if (centers < 0).any():
             raise DimensionError(f"a center is negative: {centers.min()}")
-        if (centers >> int(self.n)).any():
-            raise DimensionError(f"a center has more than {self.n} bits")
+        check_width("a center", centers, self.n)
         centers = np.array(centers, dtype=np.uint64)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
@@ -243,12 +252,10 @@ def generate_population(
     from (seed, "population") so later consumers of the same seed do not
     disturb them.
     """
-    _check_dimension(n)
-    require_type("U", num_users, whole=True)
+    check_dimension(n)
+    require_type("U", num_users, whole=True, least=2)
     require_type("p", flip_prob, whole=False)
     require_type("seed", seed, whole=True)
-    if num_users < 2:
-        raise ConfigError(f"U must be >= 2, got {num_users}")
     if not 0.0 <= flip_prob < 0.5:
         raise ConfigError(f"p must be in [0, 0.5), got {flip_prob}")
     bits = substream(seed, "gen").integers(0, 2, size=(num_users, n))

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, require_keys, require_type
-from .population import MAX_N, parse_rows
+from .population import check_dimension, parse_rows
 from .records import Record
 
 
@@ -101,14 +101,11 @@ class LinearCode(Record):
     t: int
 
     def _validate(self):
-        for key in ("n_code", "k_code", "t"):
-            require_type(key, getattr(self, key), whole=True)
-        if self.k_code < 1 or not 1 <= self.n_code <= MAX_N:
-            raise ConfigError(f"code dimensions must be positive, with n <= {MAX_N}")
+        check_dimension(self.n_code)
+        require_type("k_code", self.k_code, whole=True, least=1)
+        require_type("t", self.t, whole=True, least=0)
         if self.k_code > 16:
             raise ConfigError("codeword enumeration is capped at k <= 16")
-        if self.t < 0:
-            raise ConfigError(f"decoding radius t must be >= 0, got {self.t}")
         if len(self.generator_rows) != self.k_code:
             raise ConfigError("generator must have k rows")
         for row in self.generator_rows:
@@ -188,9 +185,7 @@ class BtpScheme(ABC):
     feature_fields: tuple = ()
 
     def __init__(self, n: int):
-        require_type("n", n, whole=True)
-        if n < 1:
-            raise ConfigError("n must be >= 1")
+        check_dimension(n)
         self.feature_dim = n
 
     @abstractmethod
@@ -303,9 +298,7 @@ class _ThresholdScheme(BtpScheme):
 
     def __init__(self, n: int, tau: int):
         super().__init__(n)
-        require_type("tau", tau, whole=True)
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
+        require_type("tau", tau, whole=True, least=0)
         self.tau = tau
 
     def pic_batch(self, pi, vid):

@@ -2,14 +2,16 @@
 uses, the package defines nothing that only the tests read, no class of
 the package defines a scalar adversary phase or scheme method or the
 retired `match_law`, no `MatchLaw` is defined, the CLI holds no value
-rule of a config block, and only a record that holds an array, list or
-dict compares by identity.
+rule of a config block, each value rule (a lower bound, the feature
+dimension, the packed width) is spelled by its one helper, and only a
+record that holds an array, list or dict compares by identity.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -95,15 +97,55 @@ def test_check_sees_an_unread_definition():
         ("a", 16, "dropped")]
 
 
+def package_sources() -> dict:
+    """Module name -> source of every module of `src/btpeval`."""
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src/btpeval").glob("*.py"))}
+
+
 def test_package_defines_nothing_only_the_tests_read():
     """What `src/btpeval` defines is read by the package, a demo or the
     benchmark harness; code that only a test reads belongs in `tests/`."""
-    package = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src/btpeval").glob("*.py"))}
     readers = [path.read_text(encoding="utf-8")
                for tree in ("demos", "bench")
                for path in sorted((ROOT / tree).glob("*.py"))]
-    assert unread_definitions(package, readers) == []
+    assert unread_definitions(package_sources(), readers) == []
+
+
+# The text of each value rule, which only the helper that owns it spells:
+# a lower bound (`errors.require_type`), the range of the feature dimension
+# (`population.check_dimension`, the one reader of MAX_N) and the packed
+# width (`population.check_width`)
+RULE_PATTERNS = {"lower bound": r"must be >=",
+                 "dimension": r"\bMAX_N\b",
+                 "width": r'DimensionError\(\s*f?"[^"]*more than'}
+
+
+def rule_spellings(package: dict) -> dict:
+    """{rule: {module: count}} of the modules of `package` (module name ->
+    source) whose text matches each of `RULE_PATTERNS`."""
+    return {rule: {module: count for module, source in package.items()
+                   if (count := len(re.findall(pattern, source)))}
+            for rule, pattern in RULE_PATTERNS.items()}
+
+
+def test_check_sees_a_rule_spelling():
+    assert rule_spellings({
+        "a": 'if k < 1:\n    raise ConfigError("k must be >= 1")\n',
+        "b": "if n > MAX_N:\n    raise DimensionError(\n"
+             '        f"x has more than {n} bits")\nMAX_NS = 1\n',
+    }) == {"lower bound": {"a": 1}, "dimension": {"b": 1},
+           "width": {"b": 1}}
+
+
+def test_each_value_rule_is_spelled_once():
+    """Every entry point refuses a value below its bound, a dimension
+    outside [1, MAX_N] and a packed value too wide for n through the one
+    helper of the rule, so it refuses the same input in the same words."""
+    found = rule_spellings(package_sources())
+    assert found["lower bound"] == {"errors": 1}
+    assert set(found["dimension"]) == {"population"}
+    assert found["width"] == {"population": 1}
 
 
 # The scalar adversary phases and the object-valued scheme methods: an

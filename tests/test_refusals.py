@@ -33,12 +33,14 @@ from btpeval.schemes import (
     BrokenScheme,
     LeakSet,
     LinearCode,
+    PlaintextScheme,
     RotationScheme,
     build_scheme,
 )
 from btpeval.verify import verify_all
 
 POP = generate_population(7, 16, 0.03, seed=1)
+POP22 = generate_population(22, 16, 0.03, seed=1)
 FC = build_scheme({"scheme": "fc"}, 7)
 ZERO = 0
 # a scheme of n = 10, refused beside the n = 7 population
@@ -229,7 +231,7 @@ REFUSALS = {
         ContractError, "users of shape (4,) do not give one row to each "
                        "of 2 trials"),
     "code k=0": (lambda: LinearCode(7, 0, (), 1), ConfigError,
-                 "code dimensions must be positive"),
+                 "k_code must be >= 1, got 0"),
     "code k=17": (lambda: LinearCode(20, 17, (), 0), ConfigError,
                   "capped at k <= 16"),
     "code rows": (lambda: LinearCode(7, 4, (1, 2, 4), 1), ConfigError,
@@ -241,8 +243,16 @@ REFUSALS = {
     "fc n=8": (lambda: build_scheme({"scheme": "fc", "code": {"n": 8}}, 8),
                ConfigError, "fc needs an explicit generator matrix"),
     "threshold n": (lambda: RotationScheme(0, 1), ConfigError,
-                    "n must be >= 1"),
-    "broken n": (lambda: BrokenScheme(0), ConfigError, "n must be >= 1"),
+                    "n must be in [1, 64], got 0"),
+    "broken n": (lambda: BrokenScheme(0), ConfigError,
+                 "n must be in [1, 64], got 0"),
+    # a scheme, a code and a population refuse the same n in the same words
+    "rot n=65": (lambda: RotationScheme(65, 1), ConfigError,
+                 "n must be in [1, 64], got 65"),
+    "plain n=65": (lambda: PlaintextScheme(65, 1), ConfigError,
+                   "n must be in [1, 64], got 65"),
+    "broken n=65": (lambda: BrokenScheme(65), ConfigError,
+                    "n must be in [1, 64], got 65"),
     "rot tau float": (lambda: build_scheme({"scheme": "rot", "tau": 1.9}, 7),
                       ConfigError, "tau must be an integer, got 1.9"),
     "plain tau bool": (lambda: build_scheme(
@@ -270,7 +280,7 @@ REFUSALS = {
     "code k float": (lambda: LinearCode(7, 4.0, (1, 2, 4, 8), 1), ConfigError,
                      "k_code must be an integer, got 4.0"),
     "code n=65": (lambda: LinearCode(65, 1, (1,), 0), ConfigError,
-                  "code dimensions must be positive, with n <= 64"),
+                  "n must be in [1, 64], got 65"),
     "code row float": (lambda: LinearCode(3, 1, (4.0,), 0), ConfigError,
                        "generator row must be an integer, got 4.0"),
     "settings seed float": (lambda: RunSettings(seed=1.5), ConfigError,
@@ -355,6 +365,12 @@ REFUSALS = {
     "exact mr radius float": (lambda: exact.mr_of(POP, [1, 2], 2.5),
                               ConfigError,
                               "radius must be an integer, got 2.5"),
+    # the closed form refuses a value past n bits, as the lookup does
+    "exact mr_of bits": (lambda: exact.mr_of(POP, [1 << 7], 1),
+                         DimensionError, "a value has more than 7 bits"),
+    "exact mr_of bits n=22": (lambda: exact.mr_of(
+        POP22, [(1 << 22) | int(POP22.centers[0])], 1), DimensionError,
+        "a value has more than 22 bits"),
     "extremal mr radius float": (lambda: extremal_mr(POP, 1.5), ConfigError,
                                  "radius must be an integer, got 1.5"),
     "al-irr tau float": (lambda: run_al_irr_game(
