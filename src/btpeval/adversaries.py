@@ -28,8 +28,8 @@ from . import exact
 from .errors import ConfigError, ContractError, ModeError, VariationTooHighError, require_type
 from .games import IrrAdversary, UnlinkAdversary
 from .metrics import (PT_BLOCK_PROBES, MatchRateStats, RunSettings,
-                      exact_pt_match_stats, extremal_mr, extremal_rmr,
-                      pt_match_stats)
+                      check_delta_gamma, exact_pt_match_stats, extremal_mr,
+                      extremal_rmr, pt_match_stats)
 from .records import Record
 from .schemes import LEAK_BOTH, LeakSet, ProtectedTemplate
 
@@ -45,13 +45,11 @@ def compute_n_delta(mu: float, delta: float, gamma: float) -> int:
     """
     if not 0.0 < mu <= 1.0:
         raise ConfigError(f"mu must be in (0, 1], got {mu}")
-    target = (gamma - delta) / (1.0 - delta)
-    if not 0.0 < target < 1.0:
-        raise ConfigError(f"(gamma-delta)/(1-delta) = {target} out of range")
+    check_delta_gamma(delta, gamma)
     if mu == 1.0:
         return 1
     big_l = math.log1p(-mu)
-    big_t = math.log(target)
+    big_t = math.log((gamma - delta) / (1.0 - delta))
     n = max(1, math.floor(big_t / big_l))
     while n * big_l >= big_t:
         n += 1
@@ -81,8 +79,7 @@ class PalSamplerConfig(Record):
     def from_stats(cls, stats: MatchRateStats, delta: float,
                    gamma: float) -> "PalSamplerConfig":
         """The inverter's one gate and sizing: refuses a zero mean or C^2 >= delta."""
-        if not 0.0 < delta < gamma < 1.0:
-            raise ConfigError(f"need 0 < delta < gamma < 1, got {delta}, {gamma}")
+        check_delta_gamma(delta, gamma)
         if stats.mean <= 0.0:
             raise VariationTooHighError("mean match rate must be positive")
         c2 = stats.variation_coeff ** 2
@@ -96,8 +93,7 @@ class PalSamplerConfig(Record):
                    gamma=gamma, mu=mu, n_delta=n_delta)
 
     def _validate(self):
-        if not 0.0 < self.mu <= 1.0:
-            raise ConfigError(f"mu = {self.mu} out of (0, 1]")
+        compute_n_delta(self.mu, self.delta, self.gamma)   # checks mu, delta, gamma
         require_type("n_delta", self.n_delta, whole=True, least=1)
 
 

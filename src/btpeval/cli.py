@@ -142,10 +142,10 @@ def cmd_metrics(s: RunSettings, scheme, pop) -> tuple:
                            "mode": m_mr.mode})
     m_rmr = metrics.extremal_rmr(scheme, pop, s)
     add("m_rmr", metrics.rmr_of_feature(scheme, pop, m_rmr.witness, s),
-        m_rmr.value, extra={"witness": bitstring(pop.n, m_rmr.witness),
-                            "mode": m_rmr.mode})
+        m_rmr.value if en else None,    # else the best of Monte Carlo rates
+        extra={"witness": bitstring(pop.n, m_rmr.witness), "mode": m_rmr.mode})
 
-    if pop.n <= exact.EXACT_N_CAP:
+    with suppress(ModeError):   # the overlap rates scan every feature
         # the tau-balls of x and a capture meet iff they lie within 2 tau
         ov = metrics.overlap_rates(pop, tau)
         for name, rate, witness in ((f"p_tau{tau}", ov.p_tau, ov.witness_max),

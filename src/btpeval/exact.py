@@ -42,11 +42,13 @@ supply the tables.
 Every per-feature sum over the population (`mr_of`, `mr_vector`,
 `LawOracle.pmf_mix`) adds a per-distance table over the users, user by
 user: `mr_of` for any features, `_cube_sum` for every feature at once,
-with the same float64 for the same feature; `_cube_sum` is the one 2^n
-scan and refuses n > 20, and `mr_of` and `mr_scores` refuse a value of
-more than n bits.  `enumerator(scheme, pop)` picks the engine.  These are
-the reference oracles the test suite holds the samplers to; they share
-the scheme objects with the samplers but never share the sampling path.
+with the same float64 for the same feature.  `_cube_sum`, the one 2^n
+scan, alone reads its cap: it refuses n > 20, and `mr_scores`,
+`metrics.extremal_mr` and the `metrics` overlap rows fall back on its
+`ModeError`.  `mr_of` and `mr_scores` refuse a value of more than n
+bits.  `enumerator(scheme, pop)` picks the engine.  These are the
+reference oracles the test suite holds the samplers to; they share the
+scheme objects with the samplers but never share the sampling path.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ModeError, require_type
+from .errors import ContractError, ModeError, require_type
 from .population import Population, check_width
-from .schemes import BtpScheme, require_same_n
+from .schemes import BtpScheme, check_factor, require_same_n
 
 EXACT_N_CAP = 20
 ENUM_N_CAP = 10
@@ -149,14 +151,16 @@ def mr_vector(pop: Population, tau: int) -> np.ndarray:
 
 def mr_scores(pop: Population, values, tau: int) -> np.ndarray:
     """MR(x) for every packed x in `values`, bit for bit `mr_of`: read from
-    `mr_vector` up to EXACT_N_CAP, by the closed form over the distinct
-    values beyond it.  A value of more than n bits is refused."""
+    `mr_vector` where the feature scan serves, by the closed form over the
+    distinct values past it.  A value of more than n bits is refused."""
     values = np.asarray(values, dtype=np.uint64)
-    if pop.n > EXACT_N_CAP:
+    try:
+        vec = mr_vector(pop, tau)
+    except ModeError:   # past the feature scan
         uniq, inverse = np.unique(values, return_inverse=True)
         return mr_of(pop, uniq, tau)[inverse.reshape(values.shape)]
     check_width("a value", values, pop.n)
-    return mr_vector(pop, tau)[values.view(np.int64)]
+    return vec[values.view(np.int64)]
 
 
 def _pair_rates(pop: Population, radius: int, images=None) -> np.ndarray:
@@ -208,8 +212,7 @@ class _Oracle:
     def fmr_tp(self, factor: str) -> float:
         """Total-performance false match rate; factor is "ad" or "pi", the
         part that comes from the probe owner's own enrollment."""
-        if factor not in ("ad", "pi"):
-            raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
+        check_factor(factor)
         return _off_diag_mean(self.mixed(factor))
 
     def fmr_div(self) -> float:

@@ -18,6 +18,7 @@ whole, as one `RunSettings` record.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import lru_cache, partial
 from statistics import NormalDist
 
@@ -28,7 +29,7 @@ from .errors import ConfigError, ModeError, require_type
 from .population import Population, check_width
 from .records import Record
 from .rng import substream
-from .schemes import BtpScheme, PlaintextScheme, require_same_n
+from .schemes import BtpScheme, PlaintextScheme, check_factor, require_same_n
 
 CHUNK_TRIALS = 4096
 
@@ -147,6 +148,12 @@ _MINIMUMS = {"tau": 0, "trials": 1, "query_budget": 1, "sampler_queries": 1,
              "jobs": 1, "stats_outer": 2, "stats_inner": 2}
 
 
+def check_delta_gamma(delta: float, gamma: float):
+    """Refuse, with `ConfigError`, a delta and gamma not rising inside (0, 1)."""
+    if not 0.0 < delta < gamma < 1.0:
+        raise ConfigError(f"need 0 < delta < gamma < 1, got {delta}, {gamma}")
+
+
 class RunSettings(Record):
     """Run settings of the estimators, games, theorem checks and built-in
     adversaries, named and defaulted as the CLI config keys; `jobs` is
@@ -170,8 +177,7 @@ class RunSettings(Record):
             require_type(key, getattr(self, key), whole=type(default) is int)
         for key, least in _MINIMUMS.items():
             require_type(key, getattr(self, key), whole=True, least=least)
-        if not 0.0 < self.delta < self.gamma < 1.0:
-            raise ConfigError(f"need 0 < delta < gamma < 1, got {self.delta}, {self.gamma}")
+        check_delta_gamma(self.delta, self.gamma)
         z_value(self.level)     # refuses a level outside (0, 1)
 
     @classmethod
@@ -338,8 +344,7 @@ def est_fmr_tp(scheme, pop, factor: str, settings: RunSettings = RunSettings()):
     The factor names the part taken from the probe owner's own
     enrollment; the other part comes from a distinct user's.
     """
-    if factor not in ("ad", "pi"):
-        raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
+    check_factor(factor)
     pi_from = 1 if factor == "ad" else 0
     kernel = _AcceptKernel(pop, scheme, owners=("u", "v"), pi_from=pi_from,
                            alpha_from=1 - pi_from)
@@ -417,7 +422,7 @@ EXTREMAL_RMR_TRIALS = 4000
 def extremal_mr(pop: Population, tau: int,
                 settings: RunSettings = RunSettings()) -> MValue:
     """max over x of MR(x), exact for n <= 20, candidate-set beyond."""
-    if pop.n <= exact.EXACT_N_CAP:
+    with suppress(ModeError):   # past the feature scan, candidates below
         return MValue(*_mr_scan(pop, tau, False), "exact")
     rng = substream(settings.seed, "extremal-mr-candidates")
     draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_MR_DRAWS),
@@ -434,11 +439,8 @@ def extremal_rmr(scheme: BtpScheme, pop: Population,
     require_same_n(scheme, pop)
     if (radius := scheme.match_radius()) is not None:
         return extremal_mr(pop, radius, settings)
-    try:
+    with suppress(ModeError):   # without an oracle, candidates below
         vec = exact.enumerator(scheme, pop).rmr_vector()
-    except ModeError:
-        pass
-    else:
         return MValue(*_extreme(np.arange(len(vec)), vec), "exact")
     rng = substream(settings.seed, "extremal-rmr-candidates")
     draws = pop.sample_batch(rng.integers(pop.num_users, size=EXTREMAL_RMR_DRAWS),

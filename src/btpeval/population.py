@@ -40,6 +40,13 @@ def check_dimension(n: int):
         raise ConfigError(f"n must be in [1, {MAX_N}], got {n}")
 
 
+def check_p(p):
+    """Refuse, with `ConfigError`, a noise p that is not a number 0 <= p < 1/2."""
+    require_type("p", p, whole=False)
+    if not 0.0 <= p < 0.5:
+        raise ConfigError(f"p must be in [0, 0.5), got {p}")
+
+
 def check_width(what: str, values, n: int):
     """Refuse, with `DimensionError`, packed `values` (one or an array) of
     which one has more than n bits; `what` names them in the message."""
@@ -130,7 +137,7 @@ class Population(Record):
     """The user set with its per-user capture distributions.
 
     `centers` holds one packed center per user, given as integers, as a
-    read-only uint64 array; `flip_prob` is the per-bit capture noise.
+    read-only uint64 array; `flip_prob` is the per-bit capture noise p.
     Immutable after construction and safe to share across workers; all
     sampling goes through caller-supplied Generators.
     """
@@ -142,7 +149,7 @@ class Population(Record):
 
     def _validate(self):
         check_dimension(self.n)
-        require_type("flip_prob", self.flip_prob, whole=False)
+        check_p(self.flip_prob)
         require_type("seed", self.seed, whole=True)
         centers = self.centers
         if not (isinstance(centers, np.ndarray) and centers.dtype.kind in "iu"):
@@ -151,10 +158,7 @@ class Population(Record):
                 require_type("a center", c, whole=True)
         if centers.ndim != 1:
             raise ConfigError("centers must be one packed value per user")
-        if len(centers) < 2:
-            raise ConfigError(f"need at least 2 users, got {len(centers)}")
-        if not 0.0 <= self.flip_prob < 0.5:
-            raise ConfigError(f"flip_prob must be in [0, 0.5), got {self.flip_prob}")
+        require_type("U", len(centers), whole=True, least=2)
         if (centers < 0).any():
             raise DimensionError(f"a center is negative: {centers.min()}")
         check_width("a center", centers, self.n)
@@ -224,7 +228,7 @@ class Population(Record):
         they must agree; else `U` (16) centers of `n` (7) bits are drawn."""
         require_keys(cfg, ("n", "U", "p", "seed", "centers"))
         p, seed = cfg.get("p", 0.03), cfg.get("seed", 1)
-        require_type("p", p, whole=False)   # before float() can coerce it
+        check_p(p)   # before float() can coerce it
         if "centers" not in cfg:
             return generate_population(cfg.get("n", 7), cfg.get("U", 16),
                                        float(p), seed)
@@ -254,10 +258,8 @@ def generate_population(
     """
     check_dimension(n)
     require_type("U", num_users, whole=True, least=2)
-    require_type("p", flip_prob, whole=False)
+    check_p(flip_prob)
     require_type("seed", seed, whole=True)
-    if not 0.0 <= flip_prob < 0.5:
-        raise ConfigError(f"p must be in [0, 0.5), got {flip_prob}")
     bits = substream(seed, "gen").integers(0, 2, size=(num_users, n))
     centers = (bits.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(
         axis=1, dtype=np.uint64)

@@ -75,6 +75,12 @@ class LeakSet(Record):
         return "+".join(p for p, on in (("pi", self.pi), ("ad", self.ad)) if on)
 
 
+def check_factor(factor: str):
+    """Refuse, with `ConfigError`, an FMR-TP factor but a part name, "ad" or "pi"."""
+    if factor not in ("ad", "pi"):
+        raise ConfigError(f"factor must be 'ad' or 'pi', got {factor!r}")
+
+
 LEAK_PI = LeakSet(pi=True, ad=False)
 LEAK_AD = LeakSet(pi=False, ad=True)
 LEAK_BOTH = LeakSet(pi=True, ad=True)
@@ -396,7 +402,8 @@ def build_scheme(cfg: dict, n: int) -> BtpScheme:
     require_keys(cfg, ("scheme", "tau", "code"))
     code_cfg = cfg.get("code", {})
     require_keys(code_cfg, ("n", "k", "t", "generator"), "code")
-    require_type("tau", cfg.get("tau", 1), whole=True)
+    tau = cfg.get("tau", 1)
+    require_type("tau", tau, whole=True)
     for key in ("n", "k", "t"):
         if key in code_cfg:
             require_type(f"code.{key}", code_cfg[key], whole=True)
@@ -423,9 +430,9 @@ def build_scheme(cfg: dict, n: int) -> BtpScheme:
             )
         return FuzzyCommitmentScheme(code)
     if name == "rot":
-        return RotationScheme(n=n, tau=cfg.get("tau", 1))
+        return RotationScheme(n=n, tau=tau)
     if name == "plain":
-        return PlaintextScheme(n=n, tau=cfg.get("tau", 1))
+        return PlaintextScheme(n=n, tau=tau)
     if name == "broken":
         return BrokenScheme(n=n)
     raise ConfigError(f"unknown scheme {name!r} (choose fc, rot, plain, or broken)")

@@ -473,6 +473,21 @@ class TestMetricsCommand:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(report, schema)
 
+    def test_m_rmr_without_an_exact_oracle_has_no_exact(self, tmp_path,
+                                                         capsys):
+        # no exact oracle serves broken at n = 12: its m_rmr is the best of
+        # Monte Carlo rates, which is no exact value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n": 12},
+                                   "scheme": {"scheme": "broken"}}))
+        code, out, _ = run_cli(["metrics", "--config", str(cfg), "--trials",
+                                "200", "--seed", "3"], capsys)
+        assert code == 0
+        m_rmr = next(m for m in load_json(out)["metrics"]
+                     if m["metric"] == "m_rmr")
+        assert m_rmr["mode"] == "lower_bound"
+        assert "exact" not in m_rmr
+
     def test_overlap_vector_scanned_once(self, capsys, monkeypatch):
         # the overlap rates at tau = 1 are the match rates at radius 2,
         # built once however many scans read them: `calls` records the
@@ -598,7 +613,7 @@ class TestDeterminism:
                            "7c813ddca664dcbb"),
         "verify broken12": (["verify", "--theorem", "all"], BROKEN_12,
                             "0558c05a8e08a36b"),
-        "metrics broken12": (["metrics"], BROKEN_12, "0df0ea6c153b6768"),
+        "metrics broken12": (["metrics"], BROKEN_12, "8ea286a45f65568d"),
         "unlink match-test broken": (["game", "unlink", "--adversary",
                                       "match-test"],
                                      {"scheme": {"scheme": "broken"}},

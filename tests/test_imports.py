@@ -3,8 +3,10 @@ uses, the package defines nothing that only the tests read, no class of
 the package defines a scalar adversary phase or scheme method or the
 retired `match_law`, no `MatchLaw` is defined, the CLI holds no value
 rule of a config block, each value rule (a lower bound, the feature
-dimension, the packed width) is spelled by its one helper, and only a
-record that holds an array, list or dict compares by identity.
+dimension, the packed width, the noise p, delta and gamma, mu, the FMR-TP
+factor) is spelled by its one helper, only the feature scan reads its
+cap, and only a record that holds an array, list or dict compares by
+identity.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -114,11 +116,21 @@ def test_package_defines_nothing_only_the_tests_read():
 
 # The text of each value rule, which only the helper that owns it spells:
 # a lower bound (`errors.require_type`), the range of the feature dimension
-# (`population.check_dimension`, the one reader of MAX_N) and the packed
-# width (`population.check_width`)
+# (`population.check_dimension`, the one reader of MAX_N), the packed
+# width (`population.check_width`), the capture noise
+# (`population.check_p`), the inverter's delta and gamma
+# (`metrics.check_delta_gamma`) and mu (`adversaries.compute_n_delta`), the
+# factor of FMR-TP (`schemes.check_factor`), and the cap of the 2^n
+# feature scan, defined and read in `exact` alone (by `_cube_sum`)
 RULE_PATTERNS = {"lower bound": r"must be >=",
                  "dimension": r"\bMAX_N\b",
-                 "width": r'DimensionError\(\s*f?"[^"]*more than'}
+                 "width": r'DimensionError\(\s*f?"[^"]*more than',
+                 "noise": r"\[0, 0\.5\)",
+                 # the rule's text, not a comparison such as 0.0 < delta
+                 "delta and gamma": r"(?<!\.)0 < delta < gamma < 1",
+                 "mu": r"\(0, 1\]",
+                 "factor": r"factor must be",
+                 "scan cap": r"\bEXACT_N_CAP\b"}
 
 
 def rule_spellings(package: dict) -> dict:
@@ -131,21 +143,34 @@ def rule_spellings(package: dict) -> dict:
 
 def test_check_sees_a_rule_spelling():
     assert rule_spellings({
-        "a": 'if k < 1:\n    raise ConfigError("k must be >= 1")\n',
+        "a": 'if k < 1:\n    raise ConfigError("k must be >= 1")\n'
+             'raise ConfigError(f"mu must be in (0, 1], got {mu}")\n'
+             "if n > EXACT_N_CAP:\n    pass\n",
         "b": "if n > MAX_N:\n    raise DimensionError(\n"
-             '        f"x has more than {n} bits")\nMAX_NS = 1\n',
+             '        f"x has more than {n} bits")\nMAX_NS = 1\n'
+             '"p must be in [0, 0.5)", "need 0 < delta < gamma < 1"\n'
+             '"factor must be \'ad\'"\n',
     }) == {"lower bound": {"a": 1}, "dimension": {"b": 1},
-           "width": {"b": 1}}
+           "width": {"b": 1}, "noise": {"b": 1}, "delta and gamma": {"b": 1},
+           "mu": {"a": 1}, "factor": {"b": 1}, "scan cap": {"a": 1}}
 
 
 def test_each_value_rule_is_spelled_once():
     """Every entry point refuses a value below its bound, a dimension
-    outside [1, MAX_N] and a packed value too wide for n through the one
-    helper of the rule, so it refuses the same input in the same words."""
+    outside [1, MAX_N], a packed value too wide for n, a noise, a delta and
+    gamma, a mu and a factor out of their domains through the one helper
+    of the rule, so it refuses the same input in the same words; and only
+    the feature scan knows its cap, so every other caller falls back on
+    its `ModeError`."""
     found = rule_spellings(package_sources())
     assert found["lower bound"] == {"errors": 1}
     assert set(found["dimension"]) == {"population"}
     assert found["width"] == {"population": 1}
+    assert found["noise"] == {"population": 1}
+    assert found["delta and gamma"] == {"metrics": 1}
+    assert found["mu"] == {"adversaries": 1}
+    assert found["factor"] == {"schemes": 1}
+    assert found["scan cap"] == {"exact": 2}
 
 
 # The scalar adversary phases and the object-valued scheme methods: an

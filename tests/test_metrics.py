@@ -964,10 +964,10 @@ def test_run_settings_refuse_jobs_and_level_before_any_work(key, value,
 
 
 # Public functions of `games` and `metrics` that draw nothing: interval
-# arithmetic and the exact scans.
+# arithmetic, the inverter's delta and gamma rule and the exact scans.
 PURE_HELPERS = {"z_value", "wilson_interval", "verdict_margin",
-                "absolute_advantage", "entropy_bits", "overlap_rates",
-                "exact_pt_match_stats"}
+                "absolute_advantage", "entropy_bits", "check_delta_gamma",
+                "overlap_rates", "exact_pt_match_stats"}
 SETTING_NAMES = {"seed", "budget", "level", "jobs", "trials",
                  "candidate_draws"}
 

@@ -17,9 +17,9 @@ from btpeval.adversaries import (
 from btpeval.errors import ConfigError, ContractError, DimensionError, ProtocolError
 from btpeval.games import run_al_irr_game, run_coupled_irr_trials, run_unlink_game
 from btpeval.metrics import (AdvantageEstimate, MatchRateStats, RunSettings,
-                             est_fmr_bp, est_mr_of_feature, est_scheme_fnmr,
-                             extremal_mr, overlap_rates, pt_match_stats,
-                             rmr_of_feature)
+                             est_fmr_bp, est_fmr_tp, est_mr_of_feature,
+                             est_scheme_fnmr, extremal_mr, overlap_rates,
+                             pt_match_stats, rmr_of_feature)
 from btpeval.population import (
     Population,
     SamplingOracle,
@@ -95,12 +95,30 @@ def _config(mu=0.5, n_delta=3):
 
 # (call, error type, message fragment)
 REFUSALS = {
+    # each inverter rule is refused by its one helper at every entry point
     "n_delta mu=0": (lambda: compute_n_delta(0.0, 0.1, 0.5), ConfigError,
                      "mu must be in (0, 1], got 0.0"),
-    "n_delta target": (lambda: compute_n_delta(0.5, 0.5, 0.4), ConfigError,
-                       "out of range"),
     "config mu": (lambda: _config(mu=0.0), ConfigError,
-                  "mu = 0.0 out of (0, 1]"),
+                  "mu must be in (0, 1], got 0.0"),
+    "n_delta mu>1": (lambda: compute_n_delta(1.5, 0.1, 0.5), ConfigError,
+                     "mu must be in (0, 1], got 1.5"),
+    "config mu>1": (lambda: _config(mu=1.5), ConfigError,
+                    "mu must be in (0, 1], got 1.5"),
+    "n_delta target": (lambda: compute_n_delta(0.5, 0.5, 0.4), ConfigError,
+                       "need 0 < delta < gamma < 1, got 0.5, 0.4"),
+    # a target (gamma - delta) / (1 - delta) in (0, 1) does not make a
+    # negative delta valid
+    "n_delta delta<0": (lambda: compute_n_delta(0.5, -0.5, 0.4), ConfigError,
+                        "need 0 < delta < gamma < 1, got -0.5, 0.4"),
+    "config delta > gamma": (lambda: PalSamplerConfig(
+        mr_mean=0.5, sigma=0.0, delta=0.5, gamma=0.4, mu=0.5, n_delta=3),
+        ConfigError, "need 0 < delta < gamma < 1, got 0.5, 0.4"),
+    "settings delta > gamma": (lambda: RunSettings(delta=0.5, gamma=0.4),
+                               ConfigError,
+                               "need 0 < delta < gamma < 1, got 0.5, 0.4"),
+    "from_stats delta > gamma": (lambda: PalSamplerConfig.from_stats(
+        MatchRateStats(0.5, 0.0), 0.5, 0.4), ConfigError,
+        "need 0 < delta < gamma < 1, got 0.5, 0.4"),
     "config n_delta": (lambda: _config(n_delta=0), ConfigError,
                        "n_delta must be >= 1"),
     "read-view field": (lambda: ReadViewAdversary("x"), ConfigError,
@@ -115,8 +133,11 @@ REFUSALS = {
         ProtocolError, "need 3 guesses, got shape (3, 2)"),
     "config block": (lambda: Population.from_config([7]), ConfigError,
                      "the block must be a JSON object, got [7]"),
+    # the exact and the Monte Carlo FMR-TP refuse a factor in one wording
     "exact fmr_tp factor": (lambda: exact.enumerator(FC, POP).fmr_tp("xx"),
-                            ConfigError, "factor must be 'ad' or 'pi'"),
+                            ConfigError, "factor must be 'ad' or 'pi', got 'xx'"),
+    "fmr_tp factor": (lambda: est_fmr_tp(FC, POP, "xx", FEW), ConfigError,
+                      "factor must be 'ad' or 'pi', got 'xx'"),
     "exact n": (lambda: exact.LawOracle(RotationScheme(9, 1), POP),
                 ConfigError, "scheme and population disagree on n"),
     "exact outcome probabilities": (lambda: exact.enumerator(
@@ -182,7 +203,7 @@ REFUSALS = {
     "population n float": (lambda: Population(7.0, 0.03, 0, [1, 2]),
                            ConfigError, "n must be an integer, got 7.0"),
     "population p str": (lambda: Population(7, "0.03", 0, [1, 2]),
-                         ConfigError, "flip_prob must be a number, got '0.03'"),
+                         ConfigError, "p must be a number, got '0.03'"),
     "population seed float": (lambda: Population(7, 0.03, 1.5, [1, 2]),
                               ConfigError, "seed must be an integer, got 1.5"),
     "config n float": (lambda: Population.from_config(
@@ -206,10 +227,26 @@ REFUSALS = {
                       ConfigError, "not a bitstring: '1x1'"),
     "empty generator row": (lambda: LinearCode.from_bitstrings(["", ""], 0),
                             ConfigError, "not a bitstring: ''"),
+    # a population, a drawn one and a config block refuse U and p alike
     "one user": (lambda: Population(7, 0.03, 0, (ZERO,)), ConfigError,
-                 "need at least 2 users, got 1"),
+                 "U must be >= 2, got 1"),
+    "generated one user": (lambda: generate_population(7, 1, 0.03, 1),
+                           ConfigError, "U must be >= 2, got 1"),
+    "config one user": (lambda: Population.from_config(
+        {"n": 7, "U": 1, "p": 0.03}), ConfigError, "U must be >= 2, got 1"),
+    "config one center": (lambda: Population.from_config(
+        {"p": 0.03, "centers": ["1010000"]}), ConfigError,
+        "U must be >= 2, got 1"),
     "flip_prob": (lambda: Population(7, 0.5, 0, (ZERO, ZERO)), ConfigError,
-                  "flip_prob must be in [0, 0.5), got 0.5"),
+                  "p must be in [0, 0.5), got 0.5"),
+    "generated p=0.5": (lambda: generate_population(7, 16, 0.5, 1),
+                        ConfigError, "p must be in [0, 0.5), got 0.5"),
+    "config p=0.5": (lambda: Population.from_config(
+        {"n": 7, "U": 16, "p": 0.5}), ConfigError,
+        "p must be in [0, 0.5), got 0.5"),
+    "config centers p=0.5": (lambda: Population.from_config(
+        {"p": 0.5, "centers": ["1010000", "0110011"]}), ConfigError,
+        "p must be in [0, 0.5), got 0.5"),
     "oracle user": (lambda: SamplingOracle(
         POP, substream(0, "x"), 10, 2).sample(np.array([0]), np.array([16])),
         IndexError, "unknown user in batch query"),
