@@ -15,7 +15,6 @@ error.  Reports are deterministic given --seed and independent of --jobs.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 import time
@@ -55,7 +54,7 @@ def _read(where: str, reader, *args):
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = {**DEFAULT_CONFIG, "population": {}, "scheme": {}}
     if path:
         try:
             with open(path, encoding="utf-8") as f:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from functools import lru_cache, partial
-from statistics import NormalDist
 
 import numpy as np
 
@@ -31,6 +30,11 @@ from .records import Record
 from .rng import substream
 from .schemes import BtpScheme, PlaintextScheme, check_factor, require_same_n
 
+try:    # the AS241 quantile NormalDist.inv_cdf calls, without `statistics`
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:     # as `statistics` itself falls back
+    from statistics import _normal_dist_inv_cdf
+
 CHUNK_TRIALS = 4096
 
 
@@ -40,9 +44,14 @@ CHUNK_TRIALS = 4096
 
 @lru_cache(maxsize=16)
 def z_value(level: float) -> float:
+    """The two-sided normal quantile of `level`, bit for bit
+    `NormalDist().inv_cdf(0.5 + level / 2)`."""
     if not 0.0 < level < 1.0:
         raise ConfigError(f"confidence level must be in (0,1), got {level}")
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
+    p = 0.5 + level / 2.0
+    if not 0.5 < p < 1.0:   # z would be 0 or infinite
+        raise ConfigError(f"confidence level {level} has no positive finite z")
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def wilson_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
@@ -60,7 +69,8 @@ def wilson_interval(wins: int, trials: int, level: float = 0.95) -> tuple:
     return (lo, hi)
 
 
-VERDICT_LEVEL = 1.0 - 2.0 * NormalDist().cdf(-3.0)     # z = 3
+# z = 3: 1 - 2 Phi(-3), as NormalDist().cdf(-3.0) evaluates Phi
+VERDICT_LEVEL = 1.0 - 2.0 * (0.5 * (1.0 + math.erf(-3.0 / math.sqrt(2.0))))
 
 
 def verdict_margin(terms, upper: bool) -> float:

@@ -18,7 +18,6 @@ word's flip mask is read from an alias table of its Bernoulli(p)^w law
 
 from __future__ import annotations
 
-import copy
 from functools import lru_cache
 
 import numpy as np
@@ -307,8 +306,8 @@ class SamplingOracle:
         return self._cut[self._index]
 
     def subset(self, sel) -> "SamplingOracle":
-        sub = copy.copy(self)
-        sub._index = self._index[sel]
+        sub = object.__new__(type(self))
+        sub.__dict__.update(vars(self), _index=self._index[sel])
         return sub
 
     def sample(self, trials, users) -> np.ndarray:

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, require_keys, require_type
-from .population import check_dimension, parse_rows
+from .population import check_dimension, check_width, parse_rows
 from .records import Record
 
 
@@ -115,9 +115,8 @@ class LinearCode(Record):
         if len(self.generator_rows) != self.k_code:
             raise ConfigError("generator must have k rows")
         for row in self.generator_rows:
-            require_type("generator row", row, whole=True)
-            if not 0 <= row < (1 << self.n_code):
-                raise ConfigError("generator row out of range")
+            require_type("generator row", row, whole=True, least=0)
+        check_width("generator row", self.generator_rows, self.n_code)
         bits = np.arange(1 << self.k_code)[:, None] >> np.arange(self.k_code) & 1
         rows = np.array(self.generator_rows, dtype=np.uint64)
         codewords = np.bitwise_xor.reduce(np.where(bits, rows, 0), axis=1)

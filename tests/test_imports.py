@@ -5,8 +5,8 @@ retired `match_law`, no `MatchLaw` is defined, the CLI holds no value
 rule of a config block, each value rule (a lower bound, the feature
 dimension, the packed width, the noise p, delta and gamma, mu, the FMR-TP
 factor) is spelled by its one helper, only the feature scan reads its
-cap, and only a record that holds an array, list or dict compares by
-identity.
+cap, only a record that holds an array, list or dict compares by
+identity, and the CLI's process never imports `statistics` or `copy`.
 
 The package's `__init__.py` re-exports its public names and is exempt
 from the first check.
@@ -14,6 +14,8 @@ from the first check.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,3 +293,23 @@ def test_only_records_of_containers_compare_by_identity():
             for path in sorted((ROOT / "src/btpeval").glob("*.py"))
             for name in identity_records(path.read_text(encoding="utf-8"))
             ] == []
+
+
+# `statistics` brings `fractions`, `decimal` and its C extension: about
+# 0.5 MB and 2 ms of every CLI process, for one quantile and one cdf
+LEFT_OUT = ("statistics", "fractions", "decimal", "_decimal", "copy")
+
+
+def test_cli_process_imports_no_statistics_or_copy(subprocess_env):
+    """Neither `import btpeval.cli` nor a default `verify --theorem all`
+    run loads the modules of `LEFT_OUT`."""
+    probe = ("import contextlib, io, sys\n"
+             "import btpeval.cli\n"
+             f"names = {LEFT_OUT!r}\n"
+             "print([m for m in names if m in sys.modules])\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = btpeval.cli.main(['verify', '--theorem', 'all'])\n"
+             "print([m for m in names if m in sys.modules], code)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[] 0"]

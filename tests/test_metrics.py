@@ -9,6 +9,7 @@ import inspect
 import math
 import tracemalloc
 from collections import Counter
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestIntervals:
         assert adv.ci_low == 0.0
         assert adv.ci_high == pytest.approx(0.16)
         assert adv.point == 0.0
+
+    def test_z_value_is_normal_dist_bit_for_bit(self):
+        """z comes from the AS241 routine `NormalDist.inv_cdf` calls, so
+        it is the same float at every level, not a close one."""
+        levels = [0.95, 0.99, metrics.VERDICT_LEVEL,
+                  *np.random.default_rng(40).random(2000).tolist()]
+        assert [metrics.z_value.__wrapped__(level) for level in levels] == [
+            NormalDist().inv_cdf(0.5 + level / 2) for level in levels]
+
+    def test_verdict_level_is_normal_dist_bit_for_bit(self):
+        assert metrics.VERDICT_LEVEL == 1 - 2 * NormalDist().cdf(-3.0)
 
     def test_entropy(self):
         assert metrics.entropy_bits(1 / 16) == pytest.approx(4.0)

@@ -19,7 +19,7 @@ from btpeval.games import run_al_irr_game, run_coupled_irr_trials, run_unlink_ga
 from btpeval.metrics import (AdvantageEstimate, MatchRateStats, RunSettings,
                              est_fmr_bp, est_fmr_tp, est_mr_of_feature,
                              est_scheme_fnmr, extremal_mr, overlap_rates,
-                             pt_match_stats, rmr_of_feature)
+                             pt_match_stats, rmr_of_feature, z_value)
 from btpeval.population import (
     Population,
     SamplingOracle,
@@ -273,8 +273,11 @@ REFUSALS = {
                   "capped at k <= 16"),
     "code rows": (lambda: LinearCode(7, 4, (1, 2, 4), 1), ConfigError,
                   "generator must have k rows"),
-    "code row range": (lambda: LinearCode(3, 1, (8,), 0), ConfigError,
-                       "generator row out of range"),
+    # a generator row is one more packed value of n bits
+    "code row range": (lambda: LinearCode(3, 1, (8,), 0), DimensionError,
+                       "generator row has more than 3 bits"),
+    "code row negative": (lambda: LinearCode(3, 1, (-1,), 0), ConfigError,
+                          "generator row must be >= 0, got -1"),
     "code row lengths": (lambda: LinearCode.from_bitstrings(["101", "10"], 0),
                          ConfigError, "generator rows have unequal length"),
     "fc n=8": (lambda: build_scheme({"scheme": "fc", "code": {"n": 8}}, 8),
@@ -337,6 +340,11 @@ REFUSALS = {
                             "gamma must be a number, got True"),
     "settings level str": (lambda: RunSettings(level="x"), ConfigError,
                            "level must be a number, got 'x'"),
+    # a level in (0, 1) whose 0.5 + level / 2 rounds to 1 or to 0.5
+    "settings level z infinite": (lambda: RunSettings(level=1 - 2**-53),
+                                  ConfigError, "has no positive finite z"),
+    "level z zero": (lambda: z_value(5e-324), ConfigError,
+                     "confidence level 5e-324 has no positive finite z"),
     "theorem": (lambda: verify_all(FC, POP, theorem="t9"), ConfigError,
                 "unknown theorem 't9'"),
     # each config block's reader owns its keys, types and bitstring lists
